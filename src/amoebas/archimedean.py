@@ -209,6 +209,8 @@ def sampled_inside(f: LaurentPoly, v, trials=200, tol=1e-9, rng=None):
     circle, sign changes of the root-modulus excess are bisected, so boundary
     witnesses are found reliably.  A candidate must match the target modulus
     within relative tol and pass the residual check |f(x)| < tol * sum(r_i).
+    Phases whose slice is a monomial are skipped; DegenerateSlice is raised
+    only when every phase of every sweep gave one.
     """
     if trials < 1 or tol <= 0:
         raise ValueError("trials >= 1 and tol > 0 required")
@@ -274,18 +276,16 @@ def sampled_inside(f: LaurentPoly, v, trials=200, tol=1e-9, rng=None):
     for fixed in assignments[:trials]:
         thetas = [2 * math.pi * t / sweep_grid for t in range(sweep_grid + 1)]
         samples = []
-        bad = False
         for theta in thetas:
             x, roots, best = excess(theta, fixed)
-            if roots is None:
-                bad = True
-                break
+            if roots is None:  # a monomial slice: skip just this phase
+                continue
             w = verify(assemble(x, best))
             if w:
                 return w
             below = sum(1 for r in roots if abs(r) < target)
             samples.append((theta, below))
-        if bad:
+        if not samples:
             degenerate += 1
             continue
         for (t1, c1), (t2, c2) in zip(samples, samples[1:]):

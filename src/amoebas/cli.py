@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import plot
@@ -27,6 +26,8 @@ from .laurent import parse_poly, poly_to_json
 from .parsing import parse_scalar, scan_field
 from .polyhedral import complex_to_json
 from .scalars import (
+    FIELD_Q,
+    FIELD_QZ,
     GENERIC,
     place_from_str,
     place_to_str,
@@ -42,12 +43,6 @@ from .tropical import (
 )
 
 SCHEMA_VERSION = 1
-
-
-@dataclass
-class JobSpec:
-    command: str
-    options: dict
 
 
 def parse_halfspace(text: str, rank: int) -> Halfspace:
@@ -68,15 +63,40 @@ def parse_halfspace(text: str, rank: int) -> Halfspace:
     return Halfspace(rank, direction, tuple(boundary))
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def load_system(path: str) -> PrevarietySystem:
+    """Read a system file: ``{"rank": n, "field": "Q" | "Q(z)" (optional),
+    "constraints": [{"f": text, "map": integer rows (optional), "rank": m
+    (optional)}, ...]}``; a file off this schema raises ValueError."""
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
-    rank = obj["rank"]
+    if not isinstance(obj, dict):
+        raise ValueError("a system file must hold a JSON object")
+    rank = obj.get("rank")
+    if not _is_int(rank) or rank < 1:
+        raise ValueError('a system needs a positive integer "rank"')
     field = obj.get("field")
+    if field not in (None, FIELD_Q, FIELD_QZ):
+        raise ValueError(f'"field" must be "{FIELD_Q}" or "{FIELD_QZ}"')
+    cons = obj.get("constraints")
+    if not isinstance(cons, list) or not cons:
+        raise ValueError('a system needs a nonempty "constraints" list')
     constraints = []
-    for c in obj["constraints"]:
+    for c in cons:
+        if not isinstance(c, dict) or not isinstance(c.get("f"), str):
+            raise ValueError('each constraint needs a string "f"')
         mat = c.get("map")
+        if mat is not None and not (
+            isinstance(mat, list)
+            and all(isinstance(r, list) and all(map(_is_int, r)) for r in mat)
+        ):
+            raise ValueError('a constraint "map" must be a list of integer rows')
         crank = c.get("rank", len(mat) if mat is not None else rank)
+        if not _is_int(crank) or crank < 1:
+            raise ValueError('a constraint "rank" must be a positive integer')
         poly = parse_poly(c["f"], rank=crank, field=field)
         constraints.append(
             Constraint(poly, tuple(tuple(r) for r in mat) if mat is not None else None)
@@ -114,9 +134,7 @@ def _source_and_rank(opt):
     raise ValueError("need --f or --system")
 
 
-def run(spec: JobSpec) -> int:
-    opt = spec.options
-    cmd = spec.command
+def run(cmd: str, opt: dict) -> int:
     if cmd == "trop":
         f = _poly_from_options(opt)
         place = place_from_str(opt["place"]) if opt.get("place") else GENERIC
@@ -347,9 +365,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     ns = ap.parse_args(argv)
-    spec = JobSpec(ns.command, {k: v for k, v in vars(ns).items() if k != "command"})
+    opt = {k: v for k, v in vars(ns).items() if k != "command"}
     try:
-        return run(spec)
+        return run(ns.command, opt)
     except (AmoebaError, ValueError, OSError, json.JSONDecodeError) as exc:
         if isinstance(exc, (InternalInvariantError,)):
             code, status = exc.code, 3

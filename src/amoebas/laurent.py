@@ -232,10 +232,6 @@ def bad_places(f: LaurentPoly) -> frozenset:
     return support_places(ratios)
 
 
-def pullback_matrix_identity(rank):
-    return [[1 if j == i else 0 for j in range(rank)] for i in range(rank)]
-
-
 def apply_monomial_map(point, matrix):
     """Image of a point under an integer matrix (rows act by dot product)."""
     if any(len(row) != len(point) for row in matrix):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionMismatch, InternalInvariantError, RankDeficient
-from .lattices import rank_of_rows
+from .lattices import identity, rank_of_rows
 
 Row = tuple  # tuple[int, ...]
 LinCon = tuple  # (Row, Fraction)
@@ -91,10 +91,6 @@ def polyhedron(rank, equalities=(), inequalities=()):
 
 def empty_polyhedron(rank):
     return Polyhedron(rank, (((0,) * rank, Fraction(1)),), ())
-
-
-def whole_space(rank):
-    return Polyhedron(rank, (), ())
 
 
 def intersect(*polys):
@@ -567,8 +563,7 @@ def from_generators(rank, points, rays=(), lines=()):
         row[rank + k] = Fraction(-1)
         ineqs.append((row, Fraction(0)))
     big = polyhedron(total, eqs, ineqs)
-    eye = [[1 if j == i else 0 for j in range(total)] for i in range(rank)]
-    return project(big, eye)
+    return project(big, identity(total)[:rank])
 
 
 # ---------------------------------------------------------------------------
@@ -687,22 +682,14 @@ def prune_to_maximal(polys):
 # JSON
 
 
-def _frac_to_str(x: Fraction) -> str:
-    return str(x)
-
-
-def _frac_from_str(s) -> Fraction:
-    return Fraction(s)
-
-
 def polyhedron_to_json(P: Polyhedron) -> dict:
     return {
         "rank": P.rank,
         "equalities": [
-            {"row": list(r), "rhs": _frac_to_str(b)} for r, b in P.equalities
+            {"row": list(r), "rhs": str(b)} for r, b in P.equalities
         ],
         "inequalities": [
-            {"row": list(r), "rhs": _frac_to_str(b)} for r, b in P.inequalities
+            {"row": list(r), "rhs": str(b)} for r, b in P.inequalities
         ],
     }
 
@@ -710,8 +697,8 @@ def polyhedron_to_json(P: Polyhedron) -> dict:
 def polyhedron_from_json(obj) -> Polyhedron:
     return polyhedron(
         obj["rank"],
-        [(tuple(c["row"]), _frac_from_str(c["rhs"])) for c in obj["equalities"]],
-        [(tuple(c["row"]), _frac_from_str(c["rhs"])) for c in obj["inequalities"]],
+        [(tuple(c["row"]), Fraction(c["rhs"])) for c in obj["equalities"]],
+        [(tuple(c["row"]), Fraction(c["rhs"])) for c in obj["inequalities"]],
     )
 
 

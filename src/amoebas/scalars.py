@@ -146,9 +146,6 @@ class Poly:
             acc = acc * x + c
         return acc
 
-    def derivative(self):
-        return Poly(i * c for i, c in enumerate(self.coeffs) if i >= 1)
-
     def monic(self):
         if self.is_zero():
             return self
@@ -327,119 +324,16 @@ def scalar_to_str(a) -> str:
 
 
 # ---------------------------------------------------------------------------
-# integer factorization (trial division; inputs are desk-scale)
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0 or n % 3 == 0:
-        return False
-    d = 5
-    while d * d <= n:
-        if n % d == 0 or n % (d + 2) == 0:
-            return False
-        d += 6
-    return True
+# factorization over Z and Q[z] is sympy's (imported lazily: it is slow to load)
 
 
 def factor_int(n: int) -> dict[int, int]:
-    """Prime factorization of |n| by trial division; ignores the sign."""
-    n = abs(n)
+    """Prime factorization of |n|, primes ascending; ignores the sign."""
     if n == 0:
         raise ZeroInput("cannot factor zero")
-    out: dict[int, int] = {}
-    for p in (2, 3):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    d = 5
-    while d * d <= n:
-        for p in (d, d + 2):
-            while n % p == 0:
-                out[p] = out.get(p, 0) + 1
-                n //= p
-        d += 6
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
-# ---------------------------------------------------------------------------
-# polynomial factorization over Q
-#
-# Distinct irreducible factors only, which is all the valuation machinery
-# needs.  Strategy: squarefree part, rational roots, then degree bookkeeping
-# (quadratics and cubics without rational roots are irreducible).  Squarefree
-# parts of degree >= 4 fall back to sympy's factor_list.
-
-
-def squarefree_part(f: Poly) -> Poly:
-    if f.is_zero():
-        raise ZeroInput("zero polynomial")
-    g = poly_gcd(f, f.derivative())
-    if g.degree <= 0:
-        return f.monic()
-    q, r = divmod(f, g)
-    assert r.is_zero()
-    return q.monic()
-
-def _int_divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return sorted(out)
-
-
-def rational_roots(f: Poly) -> list[Fraction]:
-    """All rational roots of f (without multiplicity)."""
-    if f.is_zero():
-        raise ZeroInput("zero polynomial")
-    roots = []
-    coeffs = list(f.coeffs)
-    k = 0
-    while coeffs and coeffs[0] == 0:
-        coeffs.pop(0)
-        k += 1
-    if k:
-        roots.append(Fraction(0))
-    if len(coeffs) <= 1:
-        return roots
-    denlcm = math.lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * denlcm) for c in coeffs]
-    g = math.gcd(*ints)
-    ints = [c // g for c in ints]
-    for p in _int_divisors(ints[0]):
-        for q in _int_divisors(ints[-1]):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if cand not in roots and f(cand) == 0:
-                    roots.append(cand)
-    return sorted(roots)
-
-
-def _factor_sympy(f: Poly) -> list[Poly]:
-    # General fallback for squarefree input of degree >= 4.
     import sympy
 
-    zsym = sympy.Symbol("z")
-    expr = sympy.Poly(
-        [sympy.Rational(c.numerator, c.denominator) for c in reversed(f.coeffs)],
-        zsym,
-        domain="QQ",
-    )
-    _, factors = expr.factor_list()
-    out = []
-    for fac, _mult in factors:
-        cs = [Fraction(int(c.numerator), int(c.denominator)) for c in fac.all_coeffs()]
-        out.append(Poly(reversed(cs)).monic())
-    return out
+    return dict(sorted(sympy.factorint(abs(n)).items()))
 
 
 def irreducible_factors(f: Poly) -> tuple[Poly, ...]:
@@ -448,20 +342,19 @@ def irreducible_factors(f: Poly) -> tuple[Poly, ...]:
         raise ZeroInput("zero polynomial")
     if f.degree <= 0:
         return ()
-    work = squarefree_part(f)
-    factors = []
-    for r in rational_roots(work):
-        lin = Poly((-r, 1))
-        factors.append(lin)
-        q, rem = divmod(work, lin)
-        assert rem.is_zero()
-        work = q
-    if work.degree in (1, 2, 3):
-        # no rational roots left, so degree 2 and 3 remainders are irreducible
-        factors.append(work.monic())
-    elif work.degree >= 4:
-        factors.extend(_factor_sympy(work))
-    return tuple(sorted(factors, key=lambda p: (p.degree, p.coeffs)))
+    import sympy
+
+    expr = sympy.Poly(
+        [sympy.Rational(c.numerator, c.denominator) for c in reversed(f.coeffs)],
+        sympy.Symbol("z"),
+        domain="QQ",
+    )
+    _, factors = expr.factor_list()
+    out = []
+    for fac, _mult in factors:
+        cs = [Fraction(int(c.numerator), int(c.denominator)) for c in fac.all_coeffs()]
+        out.append(Poly(reversed(cs)).monic())
+    return tuple(sorted(out, key=lambda p: (p.degree, p.coeffs)))
 
 
 def is_irreducible(q: Poly) -> bool:
@@ -494,7 +387,9 @@ class FinitePrime:
     p: int
 
     def __post_init__(self):
-        if not is_prime(self.p):
+        import sympy
+
+        if not sympy.isprime(self.p):
             raise InvalidPlace(f"{self.p} is not prime")
 
 

@@ -19,7 +19,7 @@ from .errors import (
     InternalInvariantError,
     MonomialInput,
 )
-from .lattices import integer_kernel, primitive_vector, quotient_map
+from .lattices import identity, integer_kernel, primitive_vector, quotient_map
 from .laurent import LaurentPoly, bad_places
 from .polyhedral import (
     Cell,
@@ -212,7 +212,7 @@ class Constraint:
                 raise DimensionMismatch(
                     f"identity pullback needs rank {rank}, got {self.poly.rank}"
                 )
-            return [[1 if j == i else 0 for j in range(rank)] for i in range(rank)]
+            return identity(rank)
         mat = [list(row) for row in self.pullback]
         if len(mat) != self.poly.rank or any(len(r) != rank for r in mat):
             raise DimensionMismatch("pullback matrix shape mismatch")

@@ -138,6 +138,26 @@ class TestErrorsAndDeterminism:
         assert code == 2
         assert json.loads(err)["error"]["code"] == "invalid-place"
 
+    @pytest.mark.parametrize(
+        "content",
+        ['{"rank": 2}', '{"rank":2,"constraints":[{"map":[[1,0]]}]}', "[1,2]"],
+    )
+    def test_malformed_system_exit_code(self, capsys, tmp_path, content):
+        path = tmp_path / "bad.json"
+        path.write_text(content)
+        code, out, err = run_cli(capsys, "prevariety", "--system", str(path))
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["code"] == "input-error"
+
+    def test_monomial_slice_phase_is_skipped(self, capsys):
+        # the slice at phase 0 degenerates to a monomial, other phases do not
+        code, out, _ = run_cli(
+            capsys, "check-halfspace", "--f", "x1^-2*x2 - 1 + x2^2", "--halfspace", "dir:-1,0"
+        )
+        assert code == 0
+        verdicts = [a["verdict"] for a in json.loads(out)["report"]["archimedean"]]
+        assert "meets" in verdicts
+
     def test_byte_identical_reruns(self, capsys):
         argv = [
             "check-halfspace",

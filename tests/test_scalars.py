@@ -1,7 +1,15 @@
+import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import amoebas
 
 from amoebas.errors import InvalidPlace, PlaceFieldMismatch, ZeroInput
 from amoebas.scalars import (
@@ -14,7 +22,7 @@ from amoebas.scalars import (
     Z,
     factor_int,
     irreducible_factors,
-    is_prime,
+    is_irreducible,
     log_abs,
     place_from_str,
     place_to_str,
@@ -143,11 +151,52 @@ class TestUnits:
 class TestFactorization:
     def test_factor_int(self):
         assert factor_int(360) == {2: 3, 3: 2, 5: 1}
+        # ascending, whatever order the primes are found in (sympy finds the
+        # larger one first here)
+        assert list(factor_int(2210484349 * 4246154377)) == [2210484349, 4246154377]
+        with pytest.raises(ZeroInput):
+            factor_int(0)
 
-    def test_is_prime_deterministic(self):
-        assert [n for n in range(2, 30) if is_prime(n)] == [
-            2, 3, 5, 7, 11, 13, 17, 19, 23, 29,
-        ]
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(-10**9, 10**9).filter(bool))
+    def test_factor_int_ascending_primes_multiply_back(self, n):
+        facs = factor_int(n)
+        assert list(facs) == sorted(facs)
+        assert all(p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1)) for p in facs)
+        assert math.prod(p**e for p, e in facs.items()) == abs(n)
+
+    def test_finite_prime_accepts_exactly_primes(self):
+        accepted = []
+        for n in range(2, 30):
+            try:
+                FinitePrime(n)
+            except InvalidPlace:
+                continue
+            accepted.append(n)
+        assert accepted == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.integers(-3, 3), min_size=1, max_size=3).map(lambda cs: Poly(cs + [1])),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_irreducible_factors_of_small_monic_products(self, parts):
+        f = Poly.const(1)
+        for q in parts:
+            f = f * q
+        facs = irreducible_factors(f)
+        for q in facs:
+            assert q.leading == 1 and is_irreducible(q)
+            assert (f % q).is_zero()
+        # a rational root of a monic integer polynomial is an integer, and
+        # at most 1 + max |coefficient| in absolute value
+        bound = 1 + int(max(abs(c) for c in f.coeffs))
+        for r in range(-bound, bound + 1):
+            if f(r) == 0:
+                assert any(q(r) == 0 for q in facs)
 
     def test_quadratic_irreducible(self):
         assert irreducible_factors(Poly((1, 0, 1))) == (Poly((1, 0, 1)),)
@@ -159,6 +208,32 @@ class TestFactorization:
     def test_quartic_fallback(self):
         f = Poly((1, 0, 1)) * Poly((2, 0, 1))  # two irreducible quadratics
         assert set(irreducible_factors(f)) == {Poly((1, 0, 1)), Poly((2, 0, 1))}
+
+
+def run_amoeba(*argv):
+    src = os.path.dirname(os.path.dirname(amoebas.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return subprocess.run(
+        [sys.executable, "-m", "amoebas.cli", *argv],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+
+
+class TestLargePrimeCoefficient:
+    """An 18-digit prime coefficient must factor in bounded time."""
+
+    P = "1000000000000000003"
+
+    def test_adelic(self):
+        res = run_amoeba("adelic", "--f", f"x1+x2+{self.P}")
+        assert res.returncode == 0, res.stderr
+        assert [s["place"] for s in json.loads(res.stdout)["special"]] == [f"p:{self.P}"]
+
+    def test_trop_at_the_prime(self):
+        res = run_amoeba("trop", "--f", "x1+x2+1", "--place", f"p:{self.P}")
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout)["place"] == f"p:{self.P}"
 
 
 class TestPlaces:
