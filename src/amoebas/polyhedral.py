@@ -142,7 +142,7 @@ class LPUnbounded:
 
 @dataclass(frozen=True)
 class LPInfeasible:
-    farkas: tuple  # multipliers over constraints() order, or None
+    farkas: tuple  # multipliers over constraints() order
 
 
 def _pivot(T, basis, r, c):
@@ -282,7 +282,9 @@ def lp_solve(objective, P: Polyhedron, sense="max"):
         combrhs = sum(lam[i] * allrows[i][1] for i in range(m))
         ok = all(x == 0 for x in comb) and combrhs < 0
         ok = ok and all(lam[len(eqs) + s] >= 0 for s in range(len(ineqs)))
-        return LPInfeasible(tuple(lam) if ok else None)
+        if not ok:
+            raise InternalInvariantError("Farkas certificate failed its check")
+        return LPInfeasible(tuple(lam))
 
     # drive artificials out of the basis, dropping redundant rows
     art_cols = set(art_of_row.values())
@@ -331,12 +333,16 @@ def lp_solve(objective, P: Polyhedron, sense="max"):
     return LPUnbounded(ray, current_point())
 
 
+# Entries per polyhedron cache below; bounds memory in a long-lived process.
+_CACHE_SIZE = 4096
+
+
 def is_empty(P: Polyhedron) -> bool:
     res = lp_solve([0] * P.rank, P)
     return isinstance(res, LPInfeasible)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def _implicit_equality_flags(P: Polyhedron):
     """For each inequality, whether it holds with equality on all of P."""
     flags = []
@@ -346,7 +352,7 @@ def _implicit_equality_flags(P: Polyhedron):
     return tuple(flags)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def affine_hull_rows(P: Polyhedron):
     """Independent integer rows spanning the normal space of aff(P)."""
     rows = [row for row, _ in P.equalities]
@@ -359,7 +365,7 @@ def affine_hull_rows(P: Polyhedron):
     return tuple(keep)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def dimension(P: Polyhedron) -> int:
     """Dimension of P; -1 when empty."""
     if is_empty(P):
@@ -662,16 +668,29 @@ def complexes_equal(C1: PolyhedralComplex, C2: PolyhedralComplex) -> bool:
 
 
 def prune_to_maximal(polys):
-    """Deduplicate and keep inclusion-maximal polyhedra (deterministic)."""
+    """Deduplicate and keep inclusion-maximal polyhedra (deterministic).
+
+    Q inside P puts a relative-interior point of Q in P, so each piece gets
+    one such point, computed on first use, and a containment LP runs only
+    where that point lies in the larger piece: a failed point test is an
+    exact "no", and the LP still decides every "yes".
+    """
     polys = [P for P in polys if not is_empty(P)]
+    points = {}
+
+    def contains(P, Q):
+        if Q not in points:
+            points[Q] = relative_interior_point(Q)
+        return contains_point(P, points[Q]) and poly_contains(P, Q)
+
     uniq = []
     for P in polys:
-        if not any(P == Q or poly_equal(P, Q) for Q in uniq):
+        if not any(P == Q or (contains(P, Q) and contains(Q, P)) for Q in uniq):
             uniq.append(P)
     keep = []
     for i, P in enumerate(uniq):
         covered = any(
-            poly_contains(Q, P) for j, Q in enumerate(uniq) if j != i and not poly_contains(P, Q)
+            contains(Q, P) for j, Q in enumerate(uniq) if j != i and not contains(P, Q)
         )
         if not covered:
             keep.append(P)

@@ -409,6 +409,14 @@ class FiniteIrreducible:
             raise InvalidPlace(f"{self.q} is not irreducible over Q")
 
 
+def _factor_place(q: Poly) -> FiniteIrreducible:
+    """The place of a factor that ``irreducible_factors`` returned, which is
+    monic and irreducible already, so it is not factored again."""
+    place = object.__new__(FiniteIrreducible)
+    object.__setattr__(place, "q", q)
+    return place
+
+
 @dataclass(frozen=True)
 class FunctionFieldInfinity:
     pass
@@ -532,7 +540,7 @@ def support_places(values) -> frozenset:
                 raise ZeroInput("support of zero is undefined")
             for poly in (a.num, a.den):
                 for q in irreducible_factors(poly):
-                    out.add(FiniteIrreducible(q))
+                    out.add(_factor_place(q))
             if valuation(a, FF_INFINITY) != 0:
                 out.add(FF_INFINITY)
     return frozenset(out)
@@ -563,6 +571,6 @@ def product_formula_residual(a):
             for q in irreducible_factors(poly):
                 if q not in seen:
                     seen.add(q)
-                    total += q.degree * valuation(a, FiniteIrreducible(q))
+                    total += q.degree * valuation(a, _factor_place(q))
         return total
     raise TypeError(f"not a scalar: {a!r}")

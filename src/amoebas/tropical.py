@@ -23,12 +23,15 @@ from .lattices import identity, integer_kernel, primitive_vector, quotient_map
 from .laurent import LaurentPoly, bad_places
 from .polyhedral import (
     Cell,
+    LPInfeasible,
+    LPUnbounded,
     PolyhedralComplex,
     affine_hull_rows,
     contains_point,
     dimension,
     intersect,
     is_empty,
+    lp_solve,
     make_complex,
     poly_contains,
     poly_equal,
@@ -110,19 +113,32 @@ def _segment_multiplicity(exponents, tie):
     return int(length)
 
 
+def _parallel(w, r) -> bool:
+    """Whether the integer rows w and r are linearly dependent (all 2x2
+    minors vanish)."""
+    return all(
+        w[a] * r[b] == w[b] * r[a] for a, b in itertools.combinations(range(len(w)), 2)
+    )
+
+
 def corner_locus(data: TropicalData, rank) -> PolyhedralComplex:
     """Cells where at least two terms achieve the minimum.
 
-    For each unordered pair the tie locus is computed; the nonempty loci of
-    dimension rank-1 are the maximal cells, labeled with the full argmin set
-    on their relative interior and deduplicated by that label.
+    For each unordered pair (i, j), one slack LP maximizes t subject to the
+    tie <u_i - u_j, v> = c_j - c_i, <u_i - u_k, v> + t <= c_k - c_i for every
+    k whose row is not parallel to u_i - u_j, the same row without t for
+    parallel k (such a row is constant on the tie hyperplane), and t <= 1.
+    The tie locus has dimension rank-1 exactly when the optimum is positive,
+    and the optimal point then lies in its relative interior, where the
+    argmin set is constant; that set labels the cell and deduplicates it.
+    Redundancy removal runs only on the cells kept.
     """
     s = len(data.exponents)
     cells = {}
     for i, j in itertools.combinations(range(s), 2):
         ui, uj = data.exponents[i], data.exponents[j]
         ci, cj = data.shifts[i], data.shifts[j]
-        eq = (tuple(a - b for a, b in zip(ui, uj)), Fraction(cj - ci))
+        w = tuple(a - b for a, b in zip(ui, uj))
         ineqs = []
         for k in range(s):
             if k in (i, j):
@@ -131,11 +147,22 @@ def corner_locus(data: TropicalData, rank) -> PolyhedralComplex:
             ineqs.append(
                 (tuple(a - b for a, b in zip(ui, uk)), Fraction(ck - ci))
             )
-        P = polyhedron(rank, [eq], ineqs)
-        if is_empty(P) or dimension(P) != rank - 1:
+        P = polyhedron(rank, [(w, Fraction(cj - ci))], ineqs)
+        t_axis = (0,) * rank + (1,)
+        slack = polyhedron(
+            rank + 1,
+            [(row + (0,), rhs) for row, rhs in P.equalities],
+            [(row + (0 if _parallel(w, row) else 1,), rhs) for row, rhs in P.inequalities]
+            + [(t_axis, 1)],
+        )
+        res = lp_solve(t_axis, slack)
+        if isinstance(res, LPInfeasible):
             continue
-        x = relative_interior_point(P)
-        _, tie = min_value_and_argmin(data, x)
+        if isinstance(res, LPUnbounded):
+            raise InternalInvariantError("tie slack is capped, cannot be unbounded")
+        if res.value <= 0:
+            continue
+        _, tie = min_value_and_argmin(data, res.point[:rank])
         if tie in cells:
             if not poly_equal(cells[tie].polyhedron, P):
                 raise InternalInvariantError("one argmin set carved two cells")

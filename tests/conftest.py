@@ -7,12 +7,21 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
+from amoebas.errors import InternalInvariantError
 from amoebas.laurent import make_laurent, parse_poly
 from amoebas.polyhedral import (
     Cell,
+    dimension,
     from_generators,
+    is_empty,
     make_complex,
+    poly_contains,
+    poly_equal,
+    polyhedron,
+    relative_interior_point,
+    remove_redundancy,
 )
 from amoebas.scalars import (
     FIELD_Q,
@@ -23,7 +32,12 @@ from amoebas.scalars import (
     RationalFunction,
     place_from_str,
 )
-from amoebas.tropical import trop_hypersurface
+from amoebas.tropical import _segment_multiplicity, min_value_and_argmin, trop_hypersurface
+
+# Derandomized property tests draw the same examples on every run, and the
+# exact-LP properties have no per-example deadline to trip on a loaded host.
+settings.register_profile("reproducible", derandomize=True, deadline=None)
+settings.load_profile("reproducible")
 
 
 def ray(rank, base, direction):
@@ -254,3 +268,50 @@ def _solve_square(mat, rhs):
                 f = A[r][col]
                 A[r] = [x - f * y for x, y in zip(A[r], A[col])]
     return tuple(A[r][n] for r in range(n))
+
+
+# ---------------------------------------------------------------------------
+# per-pair references for the complex-assembly differential tests
+
+
+def reference_corner_locus(data, rank):
+    """Corner locus by emptiness, dimension and a relative-interior point of
+    every pair's tie locus, each decided by its own LPs."""
+    s = len(data.exponents)
+    cells = {}
+    for i, j in itertools.combinations(range(s), 2):
+        ui, uj = data.exponents[i], data.exponents[j]
+        ci, cj = data.shifts[i], data.shifts[j]
+        eq = (tuple(a - b for a, b in zip(ui, uj)), Fraction(cj - ci))
+        ineqs = [
+            (tuple(a - b for a, b in zip(ui, data.exponents[k])), Fraction(data.shifts[k] - ci))
+            for k in range(s)
+            if k not in (i, j)
+        ]
+        P = polyhedron(rank, [eq], ineqs)
+        if is_empty(P) or dimension(P) != rank - 1:
+            continue
+        _, tie = min_value_and_argmin(data, relative_interior_point(P))
+        if tie in cells:
+            if not poly_equal(cells[tie].polyhedron, P):
+                raise InternalInvariantError("one argmin set carved two cells")
+            continue
+        cells[tie] = Cell(remove_redundancy(P), tie, _segment_multiplicity(data.exponents, tie))
+    return make_complex(rank, cells.values())
+
+
+def reference_prune_to_maximal(polys):
+    """Deduplicate and keep inclusion-maximal polyhedra, by containment LPs
+    alone."""
+    polys = [P for P in polys if not is_empty(P)]
+    uniq = []
+    for P in polys:
+        if not any(P == Q or poly_equal(P, Q) for Q in uniq):
+            uniq.append(P)
+    return [
+        P
+        for i, P in enumerate(uniq)
+        if not any(
+            poly_contains(Q, P) for j, Q in enumerate(uniq) if j != i and not poly_contains(P, Q)
+        )
+    ]

@@ -138,6 +138,11 @@ class TestErrorsAndDeterminism:
         assert code == 2
         assert json.loads(err)["error"]["code"] == "invalid-place"
 
+    def test_reducible_place_exit_code(self, capsys):
+        code, out, err = run_cli(capsys, "trop", "--f", "z*x1+1", "--place", "q:z^2-1")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["code"] == "invalid-place"
+
     @pytest.mark.parametrize(
         "content",
         ['{"rank": 2}', '{"rank":2,"constraints":[{"map":[[1,0]]}]}', "[1,2]"],

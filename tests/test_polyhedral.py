@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amoebas.errors import RankDeficient
 from amoebas.polyhedral import (
@@ -25,11 +27,12 @@ from amoebas.polyhedral import (
     polyhedron_to_json,
     preimage,
     project,
+    prune_to_maximal,
     relative_interior_point,
     remove_redundancy,
 )
 
-from conftest import brute_force_lp, cells_of, ray, segment
+from conftest import brute_force_lp, cells_of, ray, reference_prune_to_maximal, segment
 
 
 def box(rank, lo=-1, hi=1):
@@ -224,3 +227,87 @@ class TestRedundancy:
     def test_keeps_necessary_rows(self):
         B = box(2)
         assert remove_redundancy(B) == B
+
+
+def _rows(rank, lo, hi):
+    return st.tuples(*[st.integers(lo, hi)] * rank)
+
+
+@st.composite
+def infeasible_polyhedra(draw):
+    """A random system closed by the row that makes a random nonnegative
+    combination of its inequalities (and any combination of its equalities)
+    read 0 <= -k with k >= 1."""
+    rank = draw(st.integers(1, 3))
+    con = st.tuples(_rows(rank, -3, 3), st.integers(-3, 3))
+    eqs = draw(st.lists(con, max_size=2))
+    ineqs = draw(st.lists(con, min_size=1, max_size=4))
+    lam = draw(st.lists(st.integers(-2, 2), min_size=len(eqs), max_size=len(eqs)))
+    lam += draw(st.lists(st.integers(0, 2), min_size=len(ineqs), max_size=len(ineqs)))
+    cons = eqs + ineqs
+    row = [-sum(m * r[c] for m, (r, _) in zip(lam, cons)) for c in range(rank)]
+    rhs = -sum(m * b for m, (_, b) in zip(lam, cons)) - draw(st.integers(1, 3))
+    return polyhedron(rank, eqs, ineqs + [(row, rhs)])
+
+
+class TestFarkasCertificate:
+    @settings(max_examples=80)
+    @given(infeasible_polyhedra(), st.data())
+    def test_random_infeasible_systems(self, P, data):
+        obj = data.draw(_rows(P.rank, -2, 2))
+        res = lp_solve(obj, P)
+        assert isinstance(res, LPInfeasible)
+        cons = P.constraints()
+        assert len(res.farkas) == len(cons)
+        for c in range(P.rank):
+            assert sum(m * row[c] for m, (row, _, _) in zip(res.farkas, cons)) == 0
+        assert sum(m * rhs for m, (_, rhs, _) in zip(res.farkas, cons)) < 0
+        assert all(m >= 0 for m, (_, _, is_eq) in zip(res.farkas, cons) if not is_eq)
+
+
+@st.composite
+def piece_lists(draw):
+    """Random polyhedra of rank 1-3 with, per piece, a duplicate, an equal
+    piece written differently, a nested piece or an empty piece, shuffled."""
+    rank = draw(st.integers(1, 3))
+    con = st.tuples(_rows(rank, -2, 2), st.integers(-2, 2))
+    base = [
+        polyhedron(rank, draw(st.lists(con, max_size=1)), draw(st.lists(con, max_size=4)))
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    pieces = list(base)
+    for P in base:
+        kind = draw(st.sampled_from(["duplicate", "rewritten", "nested", "empty", "none"]))
+        if kind == "duplicate":
+            pieces.append(P)
+        elif kind == "rewritten":
+            # equalities as inequality pairs, plus a loosened copy of a row
+            ineqs = list(P.inequalities)
+            ineqs += [(r, b) for r, b in P.equalities]
+            ineqs += [(tuple(-x for x in r), -b) for r, b in P.equalities]
+            ineqs += [(r, b + 1) for r, b in P.inequalities[:1]]
+            pieces.append(polyhedron(rank, (), ineqs))
+        elif kind == "nested":
+            pieces.append(intersect(P, polyhedron(rank, (), [draw(con)])))
+        elif kind == "empty":
+            row = draw(_rows(rank, -2, 2).filter(any))
+            pieces.append(polyhedron(rank, (), [(row, 0), (tuple(-x for x in row), -1)]))
+    return draw(st.permutations(pieces))
+
+
+class TestPruneAgainstContainmentReference:
+    """Pruning with a point test before each containment LP equals pruning
+    by containment LPs alone."""
+
+    @settings(max_examples=80)
+    @given(piece_lists())
+    def test_random_piece_lists(self, pieces):
+        assert prune_to_maximal(pieces) == reference_prune_to_maximal(pieces)
+
+    def test_duplicates_nested_and_empty(self):
+        big = box(2, -2, 2)
+        small = box(2, -1, 1)
+        line = polyhedron(2, [((1, -1), Fraction(0))], ())
+        empty = polyhedron(2, (), [((1, 0), Fraction(-1)), ((-1, 0), Fraction(0))])
+        pieces = [small, empty, big, line, small, box(2, -2, 2)]
+        assert prune_to_maximal(pieces) == reference_prune_to_maximal(pieces) == [big, line]

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import amoebas
+from amoebas import scalars
 
 from amoebas.errors import InvalidPlace, PlaceFieldMismatch, ZeroInput
 from amoebas.scalars import (
@@ -244,6 +245,19 @@ class TestPlaces:
     def test_irreducible_validation(self):
         with pytest.raises(InvalidPlace):
             FiniteIrreducible(Poly((-1, 0, 1)))  # z^2 - 1 splits
+
+    def test_factor_places_are_not_factored_again(self, monkeypatch):
+        checked = []
+        check = scalars.is_irreducible
+        monkeypatch.setattr(scalars, "is_irreducible", lambda q: checked.append(q) or check(q))
+        a = rf((-1, 0, 0, 0, 1), (0, 1))  # (z^4 - 1)/z = (z-1)(z+1)(z^2+1)/z
+        places = support_places([a])
+        assert product_formula_residual(a) == 0
+        assert checked == []
+        assert places == {
+            FiniteIrreducible(q) for q in (Z, Poly((-1, 1)), Poly((1, 1)), Poly((1, 0, 1)))
+        } | {FF_INFINITY}
+        assert checked  # places built from outside are still checked
 
     def test_round_trip_strings(self):
         for s in ("p:2", "q:z-1", "q:z^2+1", "inf", "arch", "generic"):

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from amoebas.errors import ArchimedeanNotSupported, MonomialInput
 from amoebas.laurent import make_laurent, parse_poly
@@ -43,7 +45,15 @@ from amoebas.tropical import (
 )
 from amoebas.polyhedral import translate_complex
 
-from conftest import cells_of, rand_point, rand_poly_q, rand_poly_qz, ray, tripod
+from conftest import (
+    cells_of,
+    rand_point,
+    rand_poly_q,
+    rand_poly_qz,
+    ray,
+    reference_corner_locus,
+    tripod,
+)
 
 
 class TestPsi:
@@ -347,3 +357,49 @@ class TestBalancing:
             ),
         )
         assert not is_balanced(broken)
+
+
+@st.composite
+def tropical_data_and_rank(draw):
+    """Rank 1-3, 2-7 distinct exponents in [-2, 2], often with a collinear
+    triple p - d, p, p + d, and shifts in [-1, 1] so that ties are common."""
+    rank = draw(st.integers(1, 3))
+    exps = []
+    if draw(st.booleans()):
+        p = draw(st.tuples(*[st.integers(-1, 1)] * rank))
+        d = draw(st.tuples(*[st.integers(-1, 1)] * rank).filter(any))
+        exps = [tuple(a - b for a, b in zip(p, d)), p, tuple(a + b for a, b in zip(p, d))]
+    exps += draw(
+        st.lists(
+            st.tuples(*[st.integers(-2, 2)] * rank),
+            min_size=max(0, 2 - len(exps)),
+            max_size=7 - len(exps),
+        )
+    )
+    exps = list(dict.fromkeys(exps))
+    assume(len(exps) >= 2)
+    shifts = draw(st.lists(st.integers(-1, 1), min_size=len(exps), max_size=len(exps)))
+    return TropicalData(tuple(exps), tuple(shifts)), rank
+
+
+class TestCornerLocusAgainstPerPairReference:
+    """The one-slack-LP corner locus equals the per-pair reference that
+    decides emptiness, dimension and the interior point by separate LPs."""
+
+    @settings(max_examples=60)
+    @given(tropical_data_and_rank())
+    def test_random_data(self, data_rank):
+        data, rank = data_rank
+        assert corner_locus(data, rank) == reference_corner_locus(data, rank)
+
+    def test_duplicate_tie_of_collinear_terms(self):
+        # three collinear exponents (0,0), (1,0), (2,0): three pairs carve
+        # one cell, so the second and third take the duplicate-tie path
+        data = tropical_data(parse_poly("1 + x1 + x1^2 + x2"), GENERIC)
+        C = corner_locus(data, 2)
+        assert C == reference_corner_locus(data, 2)
+        assert {(tuple(sorted(c.tie_set)), c.multiplicity) for c in C.cells} == {
+            ((0, 1), 1),
+            ((0, 2, 3), 2),
+            ((1, 3), 1),
+        }
