@@ -16,6 +16,7 @@ from .errors import (
     DependentDirection,
     DimensionMismatch,
     EmptyPolynomial,
+    ExponentSpreadTooLarge,
     InvalidPlace,
     MissingImagePresentation,
     MonomialInput,

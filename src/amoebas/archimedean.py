@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DegenerateSlice, TermCountMismatch
+from .errors import DegenerateSlice, ExponentSpreadTooLarge, TermCountMismatch
 from .laurent import LaurentPoly
 from .lattices import smith_invariants
 from .scalars import FIELD_Q
@@ -34,6 +34,10 @@ OUTSIDE = "outside"
 NOT_APPLICABLE = "not-applicable"
 
 _MAX_PRECISION = 4096
+# Largest exponent spread of the solved coordinate: its slice polynomial
+# has one coefficient per exponent and np.roots solves a companion matrix
+# of that order at every sampled phase.
+_MAX_EXPONENT_SPREAD = 64
 _TIE_TOLERANCE = 1e-12
 
 
@@ -210,7 +214,9 @@ def sampled_inside(f: LaurentPoly, v, trials=200, tol=1e-9, rng=None):
     witnesses are found reliably.  A candidate must match the target modulus
     within relative tol and pass the residual check |f(x)| < tol * sum(r_i).
     Phases whose slice is a monomial are skipped; DegenerateSlice is raised
-    only when every phase of every sweep gave one.
+    only when every phase of every sweep gave one.  ExponentSpreadTooLarge
+    is raised before any slice is built when the solved coordinate's
+    exponent spread exceeds _MAX_EXPONENT_SPREAD.
     """
     if trials < 1 or tol <= 0:
         raise ValueError("trials >= 1 and tol > 0 required")
@@ -226,6 +232,10 @@ def sampled_inside(f: LaurentPoly, v, trials=200, tol=1e-9, rng=None):
     solve = max(range(f.rank), key=lambda k: spreads[k])
     if spreads[solve] == 0:
         raise DegenerateSlice("no coordinate to solve for")
+    if spreads[solve] > _MAX_EXPONENT_SPREAD:
+        raise ExponentSpreadTooLarge(
+            f"exponent spread {spreads[solve]} exceeds {_MAX_EXPONENT_SPREAD}"
+        )
     target = math.exp(-v_float[solve])
 
     def verify(x_full):

@@ -63,6 +63,10 @@ class DegenerateSlice(AmoebaError):
     code = "degenerate-slice"
 
 
+class ExponentSpreadTooLarge(AmoebaError):
+    code = "exponent-spread-too-large"
+
+
 class DependentDirection(AmoebaError):
     code = "dependent-direction"
 

@@ -1,10 +1,15 @@
 """Exact rational polyhedra, linear programming, and polyhedral complexes.
 
 Polyhedra are stored in H-representation with primitive integer rows and
-rational right-hand sides.  The LP solver is a two-phase tableau simplex over
-``fractions.Fraction`` with Bland's rule, so every answer is exact and
-termination is guaranteed.  Projections use a change of coordinates plus
-Fourier-Motzkin elimination with LP-based redundancy removal.
+rational right-hand sides.  The LP solver is a two-phase tableau simplex with
+Bland's rule, so termination is guaranteed.  Its tableau holds Python ints
+over one common positive denominator and is updated by fraction-free
+(Bareiss) pivots, every division exact; Fractions are built only for the
+returned value, point, ray and multipliers.  Every answer is exact and is
+checked against its certificate (dual multipliers, an improving ray, or
+Farkas multipliers) before it is returned.  Projections use a change of
+coordinates plus Fourier-Motzkin elimination with LP-based redundancy
+removal.
 """
 from __future__ import annotations
 
@@ -145,43 +150,114 @@ class LPInfeasible:
     farkas: tuple  # multipliers over constraints() order
 
 
-def _pivot(T, basis, r, c):
-    m = len(T)
-    piv = T[r][c]
-    T[r] = [x / piv for x in T[r]]
-    for i in range(m):
-        if i != r and T[i][c] != 0:
-            f = T[i][c]
-            Tr = T[r]
-            T[i] = [x - f * y for x, y in zip(T[i], Tr)]
+def _pivot(T, basis, d, r, c):
+    """Fraction-free (Bareiss) pivot on T[r][c] of an integer tableau whose
+    entries are d times the true ones.  Returns the new denominator: the
+    pivot, negated together with every row when negative, so d stays
+    positive.  The pivot row keeps its entries.  Each division is exact; as
+    floor remainders by d > 0 are nonnegative, equal row sums prove it."""
+    p = T[r][c]
+    Tr = T[r]
+    sr = sum(Tr)
+    for i, Ti in enumerate(T):
+        f = Ti[c]
+        if i == r or (f == 0 and p == d):
+            continue
+        if d == 1:
+            T[i] = [p * x - f * y for x, y in zip(Ti, Tr)]
+            continue
+        new = [(p * x - f * y) // d for x, y in zip(Ti, Tr)]
+        if p * sum(Ti) - f * sr != d * sum(new):
+            raise InternalInvariantError("inexact Bareiss division")
+        T[i] = new
+    if p < 0:
+        T[:] = [[-x for x in row] for row in T]
+        p = -p
     basis[r] = c
+    return p
 
 
-def _run_simplex(T, basis, ncols):
-    """Bland's-rule simplex on a tableau whose last row holds reduced costs
-    (minimization).  Returns "optimal" or ("unbounded", entering_col)."""
+def _run_simplex(T, basis, d, ncols):
+    """Bland's-rule simplex on an integer tableau with denominator d > 0
+    whose last row holds reduced costs (minimization); only the first ncols
+    columns may enter.  Returns ("optimal", d), or (entering column, d) when
+    unbounded."""
     m = len(T) - 1
     while True:
         cost = T[-1]
-        enter = -1
-        for j in range(ncols):
-            if cost[j] < 0:
-                enter = j
-                break
+        enter = next((j for j in range(ncols) if cost[j] < 0), -1)
         if enter < 0:
-            return "optimal"
+            return "optimal", d
         leave = -1
-        best = None
         for i in range(m):
             a = T[i][enter]
             if a > 0:
-                ratio = T[i][-1] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
+                b = T[i][-1]
+                if leave < 0:
+                    leave, best_a, best_b = i, a, b
+                    continue
+                # ratio b / a against best_b / best_a, both a positive
+                lhs, rhs = b * best_a, best_b * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave, best_a, best_b = i, a, b
         if leave < 0:
-            return ("unbounded", enter)
-        _pivot(T, basis, leave, enter)
+            return enter, d
+        d = _pivot(T, basis, d, leave, enter)
+
+
+# Certificate checks on integer numerators.  Constraint i reads
+# rows[i] . v = rhs[i] for i < neq and rows[i] . v <= rhs[i] otherwise.
+
+
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _combine(lam, rows, n):
+    return [sum(l * row[k] for l, row in zip(lam, rows) if l) for k in range(n)]
+
+
+def _check_point(rows, rhs, neq, point, d):
+    """point / d satisfies every constraint."""
+    for i, (row, b) in enumerate(zip(rows, rhs)):
+        lhs = _dot(row, point)
+        if (lhs != d * b) if i < neq else (lhs > d * b):
+            raise InternalInvariantError("LP point violates a constraint")
+
+
+def _check_farkas(rows, rhs, neq, lam):
+    """lam, nonnegative on inequalities, combines the rows into 0 and the
+    rhs into a negative number: the constraints have no common point."""
+    n = len(rows[0]) if rows else 0
+    ok = not any(_combine(lam, rows, n)) and _dot(lam, rhs) < 0
+    if not (ok and all(l >= 0 for l in lam[neq:])):
+        raise InternalInvariantError("Farkas certificate failed its check")
+
+
+def _check_optimal(rows, rhs, neq, obj, lam, point, d):
+    """point / d is feasible, and lam, nonnegative on inequalities,
+    combines the rows into d * obj and the rhs into obj . point: by weak
+    duality no feasible point does better than point / d."""
+    _check_point(rows, rhs, neq, point, d)
+    ok = _combine(lam, rows, len(obj)) == [d * o for o in obj]
+    if not (ok and all(l >= 0 for l in lam[neq:]) and _dot(lam, rhs) == _dot(obj, point)):
+        raise InternalInvariantError("optimality certificate failed its check")
+
+
+def _check_unbounded(rows, rhs, neq, obj, ray, point, d):
+    """point / d is feasible, and ray keeps every constraint and improves
+    obj."""
+    _check_point(rows, rhs, neq, point, d)
+    ok = all(_dot(row, ray) == 0 for row in rows[:neq]) and _dot(obj, ray) > 0
+    if not (ok and all(_dot(row, ray) <= 0 for row in rows[neq:])):
+        raise InternalInvariantError("unboundedness certificate failed its check")
+
+
+def _scaled(values):
+    """(D * values as ints, D) for D the lcm of the denominators of the
+    given ints and Fractions."""
+    den = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values], den
 
 
 def lp_solve(objective, P: Polyhedron, sense="max"):
@@ -189,7 +265,9 @@ def lp_solve(objective, P: Polyhedron, sense="max"):
 
     Returns LPOptimal (value and a witness point), LPUnbounded (an improving
     ray from a feasible point), or LPInfeasible (with Farkas multipliers for
-    the constraints in P.constraints() order).
+    the constraints in P.constraints() order).  Each outcome passes its
+    certificate check (optimal multipliers, the ray, the Farkas multipliers)
+    before it is returned; a failed check raises InternalInvariantError.
     """
     n = P.rank
     obj = [Fraction(x) for x in objective]
@@ -203,134 +281,98 @@ def lp_solve(objective, P: Polyhedron, sense="max"):
     if sense != "max":
         raise ValueError("sense must be 'max' or 'min'")
 
-    eqs = list(P.equalities)
-    ineqs = list(P.inequalities)
-    m = len(eqs) + len(ineqs)
+    # integer data: the stored rows, rhs scaled by D0, objective by L
+    neq = len(P.equalities)
+    cons = P.equalities + P.inequalities
+    rows = [row for row, _ in cons]
+    rhs, D0 = _scaled([b for _, b in cons])
+    cobj, L = _scaled(obj)
+    m = len(rows)
     nfree = 2 * n
-    nslack = len(ineqs)
-    ncols = nfree + nslack
+    ncols = nfree + m - neq
 
-    # rows: [y+ block | y- block | slacks | rhs], with rhs made nonnegative
-    rows = []
-    flips = []
-    kinds = []
-    for row, rhs in eqs:
-        r = [Fraction(x) for x in row] + [Fraction(-x) for x in row] + [Fraction(0)] * nslack
-        rows.append((r, Fraction(rhs)))
-        kinds.append("eq")
-    for s, (row, rhs) in enumerate(ineqs):
-        r = [Fraction(x) for x in row] + [Fraction(-x) for x in row] + [Fraction(0)] * nslack
-        r[nfree + s] = Fraction(1)
-        rows.append((r, Fraction(rhs)))
-        kinds.append("le")
-    for i, (r, b) in enumerate(rows):
-        if b < 0:
-            rows[i] = ([-x for x in r], -b)
-            flips.append(True)
-        else:
-            flips.append(False)
-
-    # artificial columns where the slack cannot serve as an initial basis
-    art_of_row = {}
-    ncols_art = ncols
+    # columns [y+ | y- | slacks | artificials | rhs]; a row with negative
+    # rhs is negated, and it and every equality get an artificial column
+    signs = [-1 if b < 0 else 1 for b in rhs]
+    art_col = {}
     for i in range(m):
-        if kinds[i] == "le" and not flips[i]:
-            continue
-        art_of_row[i] = ncols_art
-        ncols_art += 1
-
+        if i < neq or signs[i] < 0:
+            art_col[i] = ncols + len(art_col)
+    col_of_row = [art_col.get(i, nfree + i - neq) for i in range(m)]
+    width = ncols + len(art_col) + 1
     T = []
-    basis = []
-    for i, (r, b) in enumerate(rows):
-        full = r + [Fraction(0)] * (ncols_art - ncols) + [b]
-        if i in art_of_row:
-            full[art_of_row[i]] = Fraction(1)
-            basis.append(art_of_row[i])
-        else:
-            slack_col = nfree + (i - len(eqs))
-            basis.append(slack_col)
+    for i, row in enumerate(rows):
+        s = signs[i]
+        full = [s * x for x in row] + [-s * x for x in row] + [0] * (width - nfree)
+        if i >= neq:
+            full[nfree + i - neq] = s
+        full[col_of_row[i]] = 1
+        full[-1] = s * rhs[i]
         T.append(full)
+    basis = list(col_of_row)
 
     # phase 1: minimize the sum of artificials
-    cost = [Fraction(0)] * (ncols_art + 1)
-    for i, a in art_of_row.items():
-        cost[a] = Fraction(1)
-    for i in range(m):
-        if basis[i] in art_of_row.values():
-            cost = [c - x for c, x in zip(cost, T[i])]
+    cost = [0] * width
+    for i, a in art_col.items():
+        cost[a] = 1
+        cost = [c - x for c, x in zip(cost, T[i])]
     T.append(cost)
-    status = _run_simplex(T, basis, ncols_art)
+    status, d = _run_simplex(T, basis, 1, width - 1)
     if status != "optimal":
         raise InternalInvariantError("phase 1 cannot be unbounded")
     if T[-1][-1] != 0:
-        # infeasible; recover Farkas multipliers from the phase-1 duals
-        yrow = T[-1]
-        lam = []
-        for i in range(m):
-            if i in art_of_row:
-                y = Fraction(1) - yrow[art_of_row[i]]
-            else:
-                slack_col = nfree + (i - len(eqs))
-                y = -yrow[slack_col]
-            if flips[i]:
-                y = -y
-            lam.append(-y)
-        # verify the certificate: sum lam_i row_i = 0, lam . rhs < 0,
-        # lam >= 0 on inequality rows
-        allrows = eqs + ineqs
-        comb = [sum(lam[i] * allrows[i][0][j] for i in range(m)) for j in range(n)]
-        combrhs = sum(lam[i] * allrows[i][1] for i in range(m))
-        ok = all(x == 0 for x in comb) and combrhs < 0
-        ok = ok and all(lam[len(eqs) + s] >= 0 for s in range(len(ineqs)))
-        if not ok:
-            raise InternalInvariantError("Farkas certificate failed its check")
-        return LPInfeasible(tuple(lam))
+        # infeasible; Farkas multipliers (over d) from the phase-1 duals
+        lam = [
+            (T[-1][col_of_row[i]] - (d if i in art_col else 0)) * signs[i]
+            for i in range(m)
+        ]
+        _check_farkas(rows, rhs, neq, lam)
+        return LPInfeasible(tuple(Fraction(x, d) for x in lam))
 
     # drive artificials out of the basis, dropping redundant rows
-    art_cols = set(art_of_row.values())
     drop = []
     for i in range(m):
-        if basis[i] in art_cols:
+        if basis[i] >= ncols:
             piv = next((j for j in range(ncols) if T[i][j] != 0), None)
             if piv is None:
                 drop.append(i)
             else:
-                _pivot(T, basis, i, piv)
-    for i in sorted(drop, reverse=True):
+                d = _pivot(T, basis, d, i, piv)
+    for i in reversed(drop):
         del T[i]
         del basis[i]
     mm = len(T) - 1
 
-    # phase 2: minimize -obj . (y+ - y-); strip artificial columns
-    T = [row[:ncols] + [row[-1]] for row in T[:-1]]
-    cost = [Fraction(0)] * (ncols + 1)
+    # phase 2: minimize -obj . (y+ - y-), costs over d * L; the artificial
+    # columns stay for the multipliers but never enter
+    cost = [0] * width
     for k in range(n):
-        cost[k] = -obj[k]
-        cost[n + k] = obj[k]
+        cost[k] = -cobj[k] * d
+        cost[n + k] = cobj[k] * d
     for i in range(mm):
-        if cost[basis[i]] != 0:
-            f = cost[basis[i]]
+        f = cost[basis[i]] // d
+        if f != 0:
             cost = [c - f * x for c, x in zip(cost, T[i])]
-    T.append(cost)
-    status = _run_simplex(T, basis, ncols)
+    T[-1] = cost
+    status, d = _run_simplex(T, basis, d, ncols)
 
-    def current_point():
-        x = [Fraction(0)] * ncols
-        for i in range(mm):
-            x[basis[i]] = T[i][-1]
-        return tuple(x[k] - x[n + k] for k in range(n))
-
-    if status == "optimal":
-        pt = current_point()
-        value = sum(o * x for o, x in zip(obj, pt))
-        return LPOptimal(value, pt)
-    _, enter = status
-    d = [Fraction(0)] * ncols
-    d[enter] = Fraction(1)
+    # the point over d * D0, multipliers over d * L, the ray over d
+    x = [0] * ncols
     for i in range(mm):
-        d[basis[i]] = -T[i][enter]
-    ray = tuple(d[k] - d[n + k] for k in range(n))
-    return LPUnbounded(ray, current_point())
+        x[basis[i]] = T[i][-1]
+    point = [x[k] - x[n + k] for k in range(n)]
+    pt = tuple(Fraction(v, d * D0) for v in point)
+    if status == "optimal":
+        lam = [T[-1][col_of_row[i]] * signs[i] for i in range(m)]
+        _check_optimal(rows, rhs, neq, cobj, lam, point, d)
+        return LPOptimal(Fraction(_dot(cobj, point), L * d * D0), pt)
+    r = [0] * ncols
+    r[status] = d
+    for i in range(mm):
+        r[basis[i]] = -T[i][status]
+    ray = [r[k] - r[n + k] for k in range(n)]
+    _check_unbounded(rows, rhs, neq, cobj, ray, point, d)
+    return LPUnbounded(tuple(Fraction(v, d) for v in ray), pt)
 
 
 # Entries per polyhedron cache below; bounds memory in a long-lived process.
@@ -419,9 +461,8 @@ def poly_equal(P: Polyhedron, Q: Polyhedron) -> bool:
 
 
 def remove_redundancy(P: Polyhedron) -> Polyhedron:
-    """Drop inequalities implied by the remaining constraints."""
-    if is_empty(P):
-        return empty_polyhedron(P.rank)
+    """Drop inequalities implied by the remaining constraints of a nonempty
+    P (callers decide emptiness: on an empty P the result is unspecified)."""
     eqs = list(P.equalities)
     ineqs = list(P.inequalities)
     kept = list(ineqs)
@@ -522,6 +563,8 @@ def project(P: Polyhedron, phi) -> Polyhedron:
         [([x for x in row[:m]], rhs) for row, rhs in eqs],
         [([x for x in row[:m]], rhs) for row, rhs in ineqs],
     )
+    if is_empty(out):
+        return empty_polyhedron(m)
     return remove_redundancy(out)
 
 

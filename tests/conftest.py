@@ -13,6 +13,9 @@ from amoebas.errors import InternalInvariantError
 from amoebas.laurent import make_laurent, parse_poly
 from amoebas.polyhedral import (
     Cell,
+    LPInfeasible,
+    LPOptimal,
+    LPUnbounded,
     dimension,
     from_generators,
     is_empty,
@@ -315,3 +318,124 @@ def reference_prune_to_maximal(polys):
             poly_contains(Q, P) for j, Q in enumerate(uniq) if j != i and not poly_contains(P, Q)
         )
     ]
+
+
+# ---------------------------------------------------------------------------
+# Fraction-tableau reference for the fraction-free simplex
+
+
+def _reference_pivot(T, basis, r, c):
+    piv = T[r][c]
+    T[r] = [x / piv for x in T[r]]
+    for i in range(len(T)):
+        if i != r and T[i][c] != 0:
+            f = T[i][c]
+            T[i] = [x - f * y for x, y in zip(T[i], T[r])]
+    basis[r] = c
+
+
+def _reference_run_simplex(T, basis, ncols):
+    m = len(T) - 1
+    while True:
+        enter = next((j for j in range(ncols) if T[-1][j] < 0), -1)
+        if enter < 0:
+            return "optimal"
+        leave = -1
+        best = None
+        for i in range(m):
+            a = T[i][enter]
+            if a > 0:
+                ratio = T[i][-1] / a
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave < 0:
+            return ("unbounded", enter)
+        _reference_pivot(T, basis, leave, enter)
+
+
+def reference_lp_solve(objective, P, sense="max"):
+    """The two-phase Bland's-rule simplex on a tableau of Fractions, with the
+    column layout, row flips, artificial columns and dropped redundant rows
+    of the fraction-free kernel."""
+    n = P.rank
+    obj = [Fraction(x) for x in objective]
+    if sense == "min":
+        res = reference_lp_solve([-x for x in obj], P, "max")
+        return LPOptimal(-res.value, res.point) if isinstance(res, LPOptimal) else res
+    eqs = list(P.equalities)
+    ineqs = list(P.inequalities)
+    m = len(eqs) + len(ineqs)
+    nfree = 2 * n
+    ncols = nfree + len(ineqs)
+    rows = []
+    flips = []
+    for i, (row, rhs) in enumerate(eqs + ineqs):
+        r = [Fraction(x) for x in row] + [Fraction(-x) for x in row] + [Fraction(0)] * len(ineqs)
+        if i >= len(eqs):
+            r[nfree + i - len(eqs)] = Fraction(1)
+        flips.append(rhs < 0)
+        rows.append(([-x for x in r], -Fraction(rhs)) if rhs < 0 else (r, Fraction(rhs)))
+    art_of_row = {}
+    for i in range(m):
+        if i < len(eqs) or flips[i]:
+            art_of_row[i] = ncols + len(art_of_row)
+    ncols_art = ncols + len(art_of_row)
+    T = []
+    basis = []
+    for i, (r, b) in enumerate(rows):
+        full = r + [Fraction(0)] * (ncols_art - ncols) + [b]
+        if i in art_of_row:
+            full[art_of_row[i]] = Fraction(1)
+        basis.append(art_of_row.get(i, nfree + i - len(eqs)))
+        T.append(full)
+    cost = [Fraction(0)] * (ncols_art + 1)
+    for i, a in art_of_row.items():
+        cost[a] = Fraction(1)
+        cost = [c - x for c, x in zip(cost, T[i])]
+    T.append(cost)
+    if _reference_run_simplex(T, basis, ncols_art) != "optimal":
+        raise InternalInvariantError("phase 1 cannot be unbounded")
+    if T[-1][-1] != 0:
+        lam = []
+        for i in range(m):
+            if i in art_of_row:
+                y = Fraction(1) - T[-1][art_of_row[i]]
+            else:
+                y = -T[-1][nfree + i - len(eqs)]
+            lam.append(y if flips[i] else -y)
+        return LPInfeasible(tuple(lam))
+    drop = []
+    for i in range(m):
+        if basis[i] >= ncols:
+            piv = next((j for j in range(ncols) if T[i][j] != 0), None)
+            if piv is None:
+                drop.append(i)
+            else:
+                _reference_pivot(T, basis, i, piv)
+    for i in reversed(drop):
+        del T[i]
+        del basis[i]
+    T = [row[:ncols] + [row[-1]] for row in T[:-1]]
+    cost = [Fraction(0)] * (ncols + 1)
+    for k in range(n):
+        cost[k] = -obj[k]
+        cost[n + k] = obj[k]
+    for i in range(len(T)):
+        f = cost[basis[i]]
+        if f != 0:
+            cost = [c - f * x for c, x in zip(cost, T[i])]
+    T.append(cost)
+    status = _reference_run_simplex(T, basis, ncols)
+    x = [Fraction(0)] * ncols
+    for i in range(len(T) - 1):
+        x[basis[i]] = T[i][-1]
+    point = tuple(x[k] - x[n + k] for k in range(n))
+    if status == "optimal":
+        return LPOptimal(sum(o * v for o, v in zip(obj, point)), point)
+    enter = status[1]
+    d = [Fraction(0)] * ncols
+    d[enter] = Fraction(1)
+    for i in range(len(T) - 1):
+        d[basis[i]] = -T[i][enter]
+    return LPUnbounded(tuple(d[k] - d[n + k] for k in range(n)), point)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from amoebas import archimedean
 from amoebas.archimedean import (
     INSIDE,
     NOT_APPLICABLE,
@@ -17,7 +18,7 @@ from amoebas.archimedean import (
     triangle_applicable,
     triangle_exact_membership,
 )
-from amoebas.errors import TermCountMismatch
+from amoebas.errors import ExponentSpreadTooLarge, TermCountMismatch
 from amoebas.laurent import parse_poly
 from amoebas.scalars import FIELD_Q
 
@@ -136,6 +137,21 @@ class TestSampledInside:
         assert w is not None
         q = ArchQuery.at(ex_curve_q, (Fraction(1, 2), Fraction(1, 2)))
         assert abs(evaluate_at(ex_curve_q, w)) < 1e-9 * sum(q.moduli())
+
+    def test_exponent_spread_guard(self, monkeypatch):
+        # the slice solver must not run: it would allocate one coefficient
+        # per exponent in the spread
+        def no_slice(*args):
+            raise AssertionError("slice solved past the spread guard")
+
+        limit = archimedean._MAX_EXPONENT_SPREAD
+        with monkeypatch.context() as mp:
+            mp.setattr(archimedean, "_slice_roots", no_slice)
+            for text, rank in (("x1^99999999 - 1", 1), (f"x1^{limit + 1}*x2 + x2 + 3", 2)):
+                with pytest.raises(ExponentSpreadTooLarge):
+                    sampled_inside(parse_poly(text, rank=rank, field=FIELD_Q), (0,) * rank)
+        w = sampled_inside(parse_poly(f"x1^{limit} - 1", rank=1, field=FIELD_Q), (0,))
+        assert w is not None and abs(abs(w[0]) - 1) < 1e-9
 
     def test_soundness_500_random(self, rng):
         for _ in range(500):

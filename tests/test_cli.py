@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from amoebas import archimedean
 from amoebas.cli import main, parse_halfspace
 from amoebas.classify import Halfspace
 from amoebas.polyhedral import complex_from_json, complexes_equal
@@ -162,6 +163,19 @@ class TestErrorsAndDeterminism:
         assert code == 0
         verdicts = [a["verdict"] for a in json.loads(out)["report"]["archimedean"]]
         assert "meets" in verdicts
+
+    def test_exponent_spread_exit_code(self, capsys, monkeypatch):
+        # a broken guard fails on the stub (exit 3) instead of allocating
+        def no_slice(*args):
+            raise AssertionError("slice solved past the spread guard")
+
+        monkeypatch.setattr(archimedean, "_slice_roots", no_slice)
+        code, out, err = run_cli(
+            capsys, "check-halfspace", "--f", "x1^99999999 + x1 + x2 + 1",
+            "--halfspace", "dir:1,1", "--grid", "2", "--trials", "1",
+        )
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["code"] == "exponent-spread-too-large"
 
     def test_byte_identical_reruns(self, capsys):
         argv = [

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amoebas.errors import RankDeficient
+from amoebas import polyhedral
+from amoebas.errors import InternalInvariantError, RankDeficient
 from amoebas.polyhedral import (
     Cell,
     LPInfeasible,
@@ -15,6 +16,7 @@ from amoebas.polyhedral import (
     contains_point,
     covered_by,
     dimension,
+    empty_polyhedron,
     from_generators,
     intersect,
     is_empty,
@@ -32,7 +34,14 @@ from amoebas.polyhedral import (
     remove_redundancy,
 )
 
-from conftest import brute_force_lp, cells_of, ray, reference_prune_to_maximal, segment
+from conftest import (
+    brute_force_lp,
+    cells_of,
+    ray,
+    reference_lp_solve,
+    reference_prune_to_maximal,
+    segment,
+)
 
 
 def box(rank, lo=-1, hi=1):
@@ -159,6 +168,12 @@ class TestProjection:
         with pytest.raises(RankDeficient):
             project(box(2), [[1, 1], [2, 2]])
 
+    def test_empty_image_is_the_empty_polyhedron(self):
+        # eliminating v from w = v leaves w <= -1, -w <= 0: no zero row
+        # marks it infeasible, the emptiness LP before redundancy removal does
+        P = polyhedron(1, (), [((1,), Fraction(-1)), ((-1,), Fraction(0))])
+        assert project(P, [[1]]) == empty_polyhedron(1)
+
     def test_preimage_composition(self):
         P = polyhedron(1, [((1,), Fraction(0))], ())
         Q = preimage(P, [[1, 0]])
@@ -264,6 +279,21 @@ class TestFarkasCertificate:
         assert sum(m * rhs for m, (_, rhs, _) in zip(res.farkas, cons)) < 0
         assert all(m >= 0 for m, (_, _, is_eq) in zip(res.farkas, cons) if not is_eq)
 
+    @settings(max_examples=40)
+    @given(infeasible_polyhedra())
+    def test_tampered_multipliers_raise(self, P):
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _captured_certificates(mp, "_check_farkas", [0] * P.rank, P)
+        assert len(calls) == 1
+        rows, rhs, neq, lam = calls[0]
+        polyhedral._check_farkas(rows, rhs, neq, lam)
+        for i in range(len(lam)):
+            if any(rows[i]):
+                bad = list(lam)
+                bad[i] += 1
+                with pytest.raises(InternalInvariantError):
+                    polyhedral._check_farkas(rows, rhs, neq, bad)
+
 
 @st.composite
 def piece_lists(draw):
@@ -311,3 +341,151 @@ class TestPruneAgainstContainmentReference:
         empty = polyhedron(2, (), [((1, 0), Fraction(-1)), ((-1, 0), Fraction(0))])
         pieces = [small, empty, big, line, small, box(2, -2, 2)]
         assert prune_to_maximal(pieces) == reference_prune_to_maximal(pieces) == [big, line]
+
+
+def _rationals(lo=-4, hi=4, den=3):
+    return st.builds(Fraction, st.integers(lo, hi), st.integers(1, den))
+
+
+@st.composite
+def lp_instances(draw):
+    """Random LPs of rank 1-4 with rational rhs and objective, duplicate and
+    scaled rows, equalities that depend on each other, max and min."""
+    rank = draw(st.integers(1, 4))
+    con = st.tuples(_rows(rank, -3, 3), _rationals())
+    eqs = draw(st.lists(con, max_size=2))
+    ineqs = draw(st.lists(con, max_size=6))
+    if eqs and draw(st.booleans()):
+        (r1, b1), (r2, b2) = eqs[0], eqs[-1]
+        eqs.append((tuple(2 * a - c for a, c in zip(r1, r2)), 2 * b1 - b2))
+    if ineqs and draw(st.booleans()):
+        row, rhs = draw(st.sampled_from(ineqs))
+        ineqs.append((tuple(3 * x for x in row), 3 * rhs + draw(st.integers(0, 1))))
+    obj = draw(st.lists(_rationals(-3, 3), min_size=rank, max_size=rank))
+    sense = draw(st.sampled_from(["max", "min"]))
+    return obj, polyhedron(rank, eqs, ineqs), sense
+
+
+class TestFractionFreeKernel:
+    """The integer tableau takes the pivots of the Fraction tableau, so
+    every result field agrees with it."""
+
+    @settings(max_examples=300)
+    @given(lp_instances())
+    def test_matches_fraction_reference(self, instance):
+        obj, P, sense = instance
+        got = lp_solve(obj, P, sense)
+        want = reference_lp_solve(obj, P, sense)
+        assert type(got) is type(want) and got == want
+
+    @settings(max_examples=80)
+    @given(st.data())
+    def test_values_match_brute_force(self, data):
+        # a box cut by random rational halfspaces: bounded, possibly empty
+        rank = data.draw(st.integers(1, 3))
+        cuts = data.draw(st.lists(st.tuples(_rows(rank, -3, 3), _rationals()), max_size=3))
+        P = intersect(box(rank, -2, 2), polyhedron(rank, (), cuts))
+        obj = data.draw(st.lists(_rationals(-3, 3), min_size=rank, max_size=rank))
+        for sense in ("max", "min"):
+            want = brute_force_lp(obj, P, sense)
+            got = lp_solve(obj, P, sense)
+            if want is None:
+                assert isinstance(got, LPInfeasible)
+            else:
+                assert isinstance(got, LPOptimal) and got.value == want[0]
+                assert contains_point(P, got.point)
+
+    def test_inexact_division_raises(self):
+        # entries that are not 3 times a tableau: 1 // 3 leaves a remainder
+        T = [[2, 1], [1, 1]]
+        with pytest.raises(InternalInvariantError):
+            polyhedral._pivot(T, [0, 1], 3, 0, 0)
+
+
+def _captured_certificates(monkeypatch, check_name, obj, P):
+    """Solve obj over P and return the arguments of every call of the named
+    check (the integer certificate data of the kernel)."""
+    calls = []
+    check = getattr(polyhedral, check_name)
+
+    def spy(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(polyhedral, check_name, spy)
+    lp_solve(obj, P)
+    return calls
+
+
+def _pushed_out(rows, rhs, neq, point, d):
+    """point moved along its first constraint row until it violates it."""
+    row, b = rows[0], rhs[0]
+    t = abs(d * b - polyhedral._dot(row, point)) + 1
+    return [x + t * a for x, a in zip(point, row)]
+
+
+class TestCertificateChecks:
+    """Optimal and unbounded outcomes are checked like infeasible ones: the
+    kernel's own certificate passes, and a tampered one raises."""
+
+    def test_optimal_by_hand(self):
+        # maximize v over 0 <= v <= 3: multipliers (1, 0), point 3, d = 1
+        rows, rhs = [(1,), (-1,)], [3, 0]
+        polyhedral._check_optimal(rows, rhs, 0, [1], [1, 0], [3], 1)
+        for lam, point in (([2, 1], [3]), ([0, -1], [3]), ([1, 0], [2]), ([1, 0], [4])):
+            with pytest.raises(InternalInvariantError):
+                polyhedral._check_optimal(rows, rhs, 0, [1], lam, point, 1)
+        # v <= 3 written twice: (3, -1) combines to v and to 3, but a
+        # negative multiplier on an inequality proves nothing
+        rows, rhs = [(1,), (2,)], [3, 6]
+        polyhedral._check_optimal(rows, rhs, 0, [1], [1, 0], [3], 1)
+        with pytest.raises(InternalInvariantError):
+            polyhedral._check_optimal(rows, rhs, 0, [1], [3, -1], [3], 1)
+        # as equalities the same multipliers are a proof
+        polyhedral._check_optimal(rows, rhs, 2, [1], [3, -1], [3], 1)
+
+    def test_unbounded_by_hand(self):
+        # maximize v over v >= 0 from v = 0: ray 1
+        rows, rhs = [(-1,)], [0]
+        polyhedral._check_unbounded(rows, rhs, 0, [1], [1], [0], 1)
+        for ray, point in (([-1], [0]), ([0], [0]), ([1], [-1])):
+            with pytest.raises(InternalInvariantError):
+                polyhedral._check_unbounded(rows, rhs, 0, [1], ray, point, 1)
+        # on the line v1 = v2 the ray must stay on the line
+        rows, rhs = [(1, -1)], [0]
+        polyhedral._check_unbounded(rows, rhs, 1, [1, 0], [1, 1], [0, 0], 1)
+        with pytest.raises(InternalInvariantError):
+            polyhedral._check_unbounded(rows, rhs, 1, [1, 0], [1, 0], [0, 0], 1)
+
+    @settings(max_examples=60)
+    @given(lp_instances())
+    def test_tampered_optimal_certificates_raise(self, instance):
+        obj, P, _ = instance
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _captured_certificates(mp, "_check_optimal", obj, P)
+        for rows, rhs, neq, cobj, lam, point, d in calls:
+            polyhedral._check_optimal(rows, rhs, neq, cobj, lam, point, d)
+            for i in range(len(lam)):
+                bad = list(lam)
+                bad[i] += 1
+                with pytest.raises(InternalInvariantError):
+                    polyhedral._check_optimal(rows, rhs, neq, cobj, bad, point, d)
+            if rows:
+                bad = _pushed_out(rows, rhs, neq, point, d)
+                with pytest.raises(InternalInvariantError):
+                    polyhedral._check_optimal(rows, rhs, neq, cobj, lam, bad, d)
+
+    @settings(max_examples=60)
+    @given(lp_instances())
+    def test_tampered_unbounded_certificates_raise(self, instance):
+        obj, P, _ = instance
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _captured_certificates(mp, "_check_unbounded", obj, P)
+        for rows, rhs, neq, cobj, ray, point, d in calls:
+            polyhedral._check_unbounded(rows, rhs, neq, cobj, ray, point, d)
+            with pytest.raises(InternalInvariantError):
+                polyhedral._check_unbounded(rows, rhs, neq, cobj, [-x for x in ray], point, d)
+            if rows:
+                bad = _pushed_out(rows, rhs, neq, point, d)
+                with pytest.raises(InternalInvariantError):
+                    polyhedral._check_unbounded(rows, rhs, neq, cobj, ray, bad, d)
