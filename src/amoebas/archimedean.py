@@ -319,25 +319,3 @@ def sampled_inside(f: LaurentPoly, v, trials=200, tol=1e-9, rng=None):
         raise DegenerateSlice("every sampled slice degenerated to a monomial")
     return None
 
-
-def lopsided_escape_bound(f: LaurentPoly, direction):
-    """(vertex index, bound) such that lopsided_outside holds at c*direction
-    for every c past the bound, for a direction where one term's exponent is
-    the strict minimizer."""
-    direction = [Fraction(x) for x in direction]
-    vals = [sum(a * x for a, x in zip(u, direction)) for u, _ in f.terms]
-    best = min(vals)
-    winners = [i for i, t in enumerate(vals) if t == best]
-    if len(winners) != 1:
-        raise ValueError("direction is not in the relative interior of a vertex cone")
-    i = winners[0]
-    s = f.nterms
-    mags = [abs(c) for _, c in f.terms]
-    bound = 0.0
-    for j in range(s):
-        if j == i:
-            continue
-        gap = float(vals[j] - vals[i])
-        ratio = float(mags[j] / mags[i]) * (s - 1)
-        bound = max(bound, math.log(max(ratio, 1e-300)) / gap)
-    return i, bound

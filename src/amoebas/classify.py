@@ -38,11 +38,13 @@ from .polyhedral import (
     intersect,
     lp_solve,
     polyhedron,
+    polyhedron_to_json,
 )
 from .scalars import FIELD_Q, FIELD_QZ, place_to_str
 from .tropical import (
     AdelicAmoeba,
     PrevarietySystem,
+    adelic_amoeba,
     contains_zero,
     generic_skeleton,
     tropical_data,
@@ -67,6 +69,8 @@ class Halfspace:
         if len(direction) != self.rank or not any(direction):
             raise DependentDirection("direction must be a nonzero rank-length vector")
         gens = [tuple(int(x) for x in g) for g in self.boundary]
+        if any(len(g) != self.rank for g in gens):
+            raise DimensionMismatch("boundary generators must be rank-length vectors")
         keep = independent_subset(gens)
         gens = tuple(gens[i] for i in keep)
         if in_rational_span(list(direction), [list(g) for g in gens]):
@@ -281,12 +285,6 @@ class AdelicReport:
         }
 
 
-def _source_field(source):
-    if isinstance(source, LaurentPoly):
-        return source.field
-    return source.field()
-
-
 def adelic_disjoint(
     amoeba: AdelicAmoeba, H: Halfspace, arch_grid=None, trials=200, tol=1e-9, rng=None
 ) -> AdelicReport:
@@ -306,10 +304,12 @@ def adelic_disjoint(
         checks.append(PlaceCheck(place_to_str(place), w is None, w))
     arch = None
     certified = None
-    if amoeba.source is not None and _source_field(amoeba.source) == FIELD_Q:
+    if amoeba.source is not None and amoeba.source.field == FIELD_Q:
+        grid = arch_grid if arch_grid is not None else default_arch_grid(H)
+        if not grid:
+            raise ValueError("an empty archimedean grid certifies nothing")
         if not isinstance(rng, random.Random):
             rng = random.Random(0 if rng is None else rng)
-        grid = arch_grid if arch_grid is not None else default_arch_grid(H)
         arch = tuple(
             classify_arch_point(amoeba.source, p, trials=trials, tol=tol, rng=rng)
             for p in grid
@@ -525,21 +525,15 @@ def theorem1_report(
     Violation is flagged when certified disjointness holds but no conclusion
     checks out, which would falsify the implementation.
     """
-    from .tropical import adelic_amoeba, adelic_amoeba_of_system
-
     if image_hypersurface is not None and declared_codim_gt_one:
         raise ValueError("supply an image hypersurface or a declaration, not both")
-    if isinstance(source, LaurentPoly):
-        amoeba = adelic_amoeba(source)
-    elif isinstance(source, PrevarietySystem):
-        amoeba = adelic_amoeba_of_system(source)
-    else:
-        raise TypeError("source must be a hypersurface or a prevariety system")
-    report = adelic_disjoint(amoeba, H, arch_grid=arch_grid, trials=trials, tol=tol, rng=rng)
+    report = adelic_disjoint(
+        adelic_amoeba(source), H, arch_grid=arch_grid, trials=trials, tol=tol, rng=rng
+    )
     if report.overall != DISJOINT:
         return TheoremReport(report, None, (), False)
 
-    field = _source_field(source)
+    field = source.field
     if declared_codim_gt_one:
         return TheoremReport(
             report, 1, ({"kind": "declared-codimension-greater-than-one"},), False
@@ -571,8 +565,6 @@ def theorem1_report(
     else:
         hyper = torsion_coset_test(image)
         if hyper is not None:
-            from .polyhedral import polyhedron_to_json
-
             return TheoremReport(
                 report,
                 3,

@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Subcommands: trop, adelic, prevariety, check-halfspace, classify, ekl-check,
-product-formula, plot.  Results are canonical JSON (sorted keys, stable
-ordering) so identical inputs and seeds give byte-identical output.  Exit
-codes: 0 success, 2 input error, 3 internal invariant failure.
+product-formula, plot, one handler each in ``COMMANDS``.  A handler returns
+its payload; ``run`` adds ``schema_version`` and ``command`` and emits
+canonical JSON (sorted keys, stable ordering) so identical inputs and seeds
+give byte-identical output.  Exit codes: 0 success, 2 input error, 3
+internal invariant failure.
 """
 from __future__ import annotations
 
@@ -33,14 +35,7 @@ from .scalars import (
     place_to_str,
     product_formula_residual,
 )
-from .tropical import (
-    Constraint,
-    PrevarietySystem,
-    adelic_amoeba,
-    adelic_amoeba_of_system,
-    prevariety,
-    trop_hypersurface,
-)
+from .tropical import Constraint, PrevarietySystem, adelic_amoeba, prevariety, trop_hypersurface
 
 SCHEMA_VERSION = 1
 
@@ -113,182 +108,144 @@ def emit(obj, out_path=None) -> None:
         sys.stdout.write(text)
 
 
-def _poly_from_options(opt):
-    return parse_poly(opt["f"], rank=opt.get("rank"), field=opt.get("field"))
+def _poly(ns):
+    return parse_poly(ns.f, rank=ns.rank, field=ns.field)
 
 
-def _seed(opt):
-    if opt.get("seed") is not None:
-        return int(opt["seed"])
-    env = os.environ.get("AMOEBA_SEED")
-    return int(env) if env else 0
+def _place(ns):
+    return place_from_str(ns.place) if ns.place else GENERIC
 
 
-def _source_and_rank(opt):
-    if opt.get("f"):
-        f = _poly_from_options(opt)
-        return f, f.rank
-    if opt.get("system"):
-        system = load_system(opt["system"])
-        return system, system.rank
+def _source(ns):
+    """The hypersurface of --f or the system of --system; both have .rank
+    and .field."""
+    if ns.f:
+        return _poly(ns)
+    if ns.system:
+        return load_system(ns.system)
     raise ValueError("need --f or --system")
 
 
-def run(cmd: str, opt: dict) -> int:
-    if cmd == "trop":
-        f = _poly_from_options(opt)
-        place = place_from_str(opt["place"]) if opt.get("place") else GENERIC
-        C = trop_hypersurface(f, place)
-        emit(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "command": "trop",
-                "f": poly_to_json(f),
-                "place": place_to_str(place),
-                "complex": complex_to_json(C),
-            },
-            opt.get("out"),
+def _sampling(ns) -> dict:
+    """Sampler keywords from --trials/--tol/--seed (seed default: the
+    AMOEBA_SEED environment variable, else 0)."""
+    if ns.trials < 1:
+        raise ValueError("--trials must be at least 1")
+    if not ns.tol > 0:
+        raise ValueError("--tol must be positive")
+    seed = ns.seed if ns.seed is not None else int(os.environ.get("AMOEBA_SEED") or 0)
+    return {"trials": ns.trials, "tol": ns.tol, "rng": seed}
+
+
+def _trop(ns):
+    f, place = _poly(ns), _place(ns)
+    return {
+        "f": poly_to_json(f),
+        "place": place_to_str(place),
+        "complex": complex_to_json(trop_hypersurface(f, place)),
+    }
+
+
+def _adelic(ns):
+    f = _poly(ns)
+    am = adelic_amoeba(f)
+    return {
+        "f": poly_to_json(f),
+        "generic": complex_to_json(am.generic),
+        "special": [
+            {"place": place_to_str(p), "complex": complex_to_json(C)} for p, C in am.special
+        ],
+    }
+
+
+def _prevariety(ns):
+    system = load_system(ns.system)
+    place = _place(ns)
+    C = prevariety(system.constraints, place, system.rank)
+    return {"place": place_to_str(place), "complex": complex_to_json(C)}
+
+
+def _check_halfspace(ns):
+    sampling = _sampling(ns)
+    if ns.grid < 1:
+        raise ValueError("--grid must be at least 1")
+    source = _source(ns)
+    H = parse_halfspace(ns.halfspace, source.rank)
+    grid = default_arch_grid(H, ns.grid)
+    report = adelic_disjoint(adelic_amoeba(source), H, arch_grid=grid, **sampling)
+    return {"verdict": report.overall, "report": report.to_json()}
+
+
+def _classify(ns):
+    sampling = _sampling(ns)
+    source = _source(ns)
+    H = parse_halfspace(ns.halfspace, source.rank)
+    image = None
+    if ns.image_f:
+        image = parse_poly(
+            ns.image_f, rank=source.rank - len(H.boundary), field=ns.field or source.field
         )
-        return 0
-    if cmd == "adelic":
-        f = _poly_from_options(opt)
-        am = adelic_amoeba(f)
-        emit(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "command": "adelic",
-                "f": poly_to_json(f),
-                "generic": complex_to_json(am.generic),
-                "special": [
-                    {"place": place_to_str(p), "complex": complex_to_json(C)}
-                    for p, C in am.special
-                ],
-            },
-            opt.get("out"),
+    report = theorem1_report(
+        source,
+        H,
+        image_hypersurface=image,
+        declared_codim_gt_one=ns.declare_codim_gt_1,
+        **sampling,
+    )
+    return {"report": report.to_json()}
+
+
+def _ekl_check(ns):
+    sampling = _sampling(ns)
+    return {"report": ekl_consistency_check(_poly(ns), **sampling).to_json()}
+
+
+def _product_formula(ns):
+    value = product_formula_residual(parse_scalar(ns.a, ns.field or scan_field(ns.a)))
+    return {"a": ns.a, "residual": value, "exact_zero": value == 0}
+
+
+def _plot(ns):
+    if not ns.svg:
+        raise ValueError("plot needs --out")
+    f = _poly(ns)
+    if ns.arch_scan:
+        center = tuple(Fraction(x) for x in ns.center.split(","))
+        svg = plot.render_arch_scan_svg(
+            f, center=center, radius=Fraction(ns.radius), grid_n=ns.grid_n
         )
-        return 0
-    if cmd == "prevariety":
-        system = load_system(opt["system"])
-        place = place_from_str(opt["place"]) if opt.get("place") else GENERIC
-        C = prevariety(system.constraints, place, system.rank)
-        emit(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "command": "prevariety",
-                "place": place_to_str(place),
-                "complex": complex_to_json(C),
-            },
-            opt.get("out"),
-        )
-        return 0
-    if cmd == "check-halfspace":
-        source, rank = _source_and_rank(opt)
-        H = parse_halfspace(opt["halfspace"], rank)
-        amoeba = (
-            adelic_amoeba(source)
-            if not isinstance(source, PrevarietySystem)
-            else adelic_amoeba_of_system(source)
-        )
-        grid = default_arch_grid(H, int(opt["grid"])) if opt.get("grid") else None
-        report = adelic_disjoint(
-            amoeba,
-            H,
-            arch_grid=grid,
-            trials=int(opt.get("trials") or 200),
-            tol=float(opt.get("tol") or 1e-9),
-            rng=_seed(opt),
-        )
-        emit(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "command": "check-halfspace",
-                "verdict": report.overall,
-                "report": report.to_json(),
-            },
-            opt.get("out"),
-        )
-        return 0
-    if cmd == "classify":
-        source, rank = _source_and_rank(opt)
-        H = parse_halfspace(opt["halfspace"], rank)
-        image = None
-        if opt.get("image_f"):
-            image = parse_poly(
-                opt["image_f"],
-                rank=rank - len(H.boundary),
-                field=opt.get("field") or scan_field(opt["image_f"]),
-            )
-        report = theorem1_report(
-            source,
-            H,
-            image_hypersurface=image,
-            declared_codim_gt_one=bool(opt.get("declare_codim_gt_1")),
-            trials=int(opt.get("trials") or 200),
-            tol=float(opt.get("tol") or 1e-9),
-            rng=_seed(opt),
-        )
-        emit(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "command": "classify",
-                "report": report.to_json(),
-            },
-            opt.get("out"),
-        )
-        return 0
-    if cmd == "ekl-check":
-        f = _poly_from_options(opt)
-        report = ekl_consistency_check(
-            f,
-            trials=int(opt.get("trials") or 200),
-            tol=float(opt.get("tol") or 1e-9),
-            rng=_seed(opt),
-        )
-        emit(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "command": "ekl-check",
-                "report": report.to_json(),
-            },
-            opt.get("out"),
-        )
-        return 0
-    if cmd == "product-formula":
-        field = opt.get("field") or scan_field(opt["a"])
-        value = product_formula_residual(parse_scalar(opt["a"], field))
-        emit(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "command": "product-formula",
-                "a": opt["a"],
-                "residual": value,
-                "exact_zero": value == 0,
-            },
-            opt.get("out"),
-        )
-        return 0
-    if cmd == "plot":
-        out = opt.get("out")
-        if not out:
-            raise ValueError("plot needs --out")
-        f = _poly_from_options(opt)
-        if opt.get("arch_scan"):
-            center = tuple(Fraction(x) for x in (opt.get("center") or "0,0").split(","))
-            svg = plot.render_arch_scan_svg(
-                f,
-                center=center,
-                radius=Fraction(opt.get("radius") or 3),
-                grid_n=int(opt.get("grid_n") or 41),
-            )
-        else:
-            place = place_from_str(opt["place"]) if opt.get("place") else GENERIC
-            C = trop_hypersurface(f, place)
-            svg = plot.render_complex_svg(C, extent=Fraction(opt.get("extent") or 4))
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(svg)
-        emit({"schema_version": SCHEMA_VERSION, "command": "plot", "written": out})
-        return 0
-    raise ValueError(f"unknown command {cmd!r}")
+    else:
+        C = trop_hypersurface(f, _place(ns))
+        svg = plot.render_complex_svg(C, extent=Fraction(ns.extent))
+    with open(ns.svg, "w", encoding="utf-8") as fh:
+        fh.write(svg)
+    return {"written": ns.svg}
+
+
+COMMANDS = {
+    "trop": _trop,
+    "adelic": _adelic,
+    "prevariety": _prevariety,
+    "check-halfspace": _check_halfspace,
+    "classify": _classify,
+    "ekl-check": _ekl_check,
+    "product-formula": _product_formula,
+    "plot": _plot,
+}
+
+
+def run(ns) -> int:
+    """Run the handler of ns.command and emit its payload.  The JSON goes to
+    --out when the command has one (plot's --out is its SVG, dest ``svg``)."""
+    handler = COMMANDS.get(ns.command)
+    if handler is None:
+        raise ValueError(f"unknown command {ns.command!r}")
+    payload = handler(ns)
+    emit(
+        {"schema_version": SCHEMA_VERSION, "command": ns.command, **payload},
+        getattr(ns, "out", None),
+    )
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -298,96 +255,84 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common_poly(p):
-        p.add_argument("--f", help="Laurent polynomial, like 'z*x1+(z-1)*x2+(z-2)'")
-        p.add_argument("--rank", type=int, help="ambient rank (inferred if omitted)")
-        p.add_argument("--field", choices=["Q", "Q(z)"], help="coefficient field")
-        p.add_argument("--out", help="write JSON here instead of stdout")
+    def command(name, help, poly=True, out="out", out_help="write JSON here instead of stdout"):
+        p = sub.add_parser(name, help=help)
+        if poly:
+            p.add_argument("--f", help="Laurent polynomial, like 'z*x1+(z-1)*x2+(z-2)'")
+            p.add_argument("--rank", type=int, help="ambient rank (inferred if omitted)")
+            p.add_argument("--field", choices=[FIELD_Q, FIELD_QZ], help="coefficient field")
+        p.add_argument("--out", dest=out, help=out_help)
+        return p
 
-    p = sub.add_parser("trop", help="tropicalization at one place")
-    common_poly(p)
-    p.add_argument("--place", help="p:2, q:z-1, inf, or generic", default="generic")
+    def halfspace_query(p):
+        p.add_argument("--system", help="JSON system file (alternative to --f)")
+        p.add_argument("--halfspace", required=True, help="dir:<csv> [bnd:<csv>;<csv>...]")
 
-    p = sub.add_parser("adelic", help="generic skeleton plus all special places")
-    common_poly(p)
+    def sampling(p):
+        p.add_argument("--trials", type=int, default=200, help="sampler trials per point")
+        p.add_argument("--tol", type=float, default=1e-9, help="sampler residual tolerance")
+        p.add_argument("--seed", type=int, help="sampler seed (default AMOEBA_SEED, else 0)")
 
-    p = sub.add_parser("prevariety", help="intersection of pulled-back tropicalizations")
+    p = command("trop", "tropicalization at one place")
+    p.add_argument("--place", default="generic", help="p:2, q:z-1, inf, or generic")
+
+    command("adelic", "generic skeleton plus all special places")
+
+    p = command("prevariety", "intersection of pulled-back tropicalizations", poly=False)
     p.add_argument("--system", required=True, help="JSON file with rank/field/constraints")
     p.add_argument("--place", default="generic")
-    p.add_argument("--out")
 
-    p = sub.add_parser("check-halfspace", help="halfspace vs adelic amoeba")
-    common_poly(p)
-    p.add_argument("--system", help="JSON system file (alternative to --f)")
-    p.add_argument("--halfspace", required=True, help="dir:<csv> [bnd:<csv>;<csv>...]")
-    p.add_argument("--grid", type=int, help="archimedean grid points (default 20)")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--seed", type=int)
+    p = command("check-halfspace", "halfspace vs adelic amoeba")
+    halfspace_query(p)
+    p.add_argument("--grid", type=int, default=20, help="archimedean grid points")
+    sampling(p)
 
-    p = sub.add_parser("classify", help="disjointness trichotomy report")
-    common_poly(p)
-    p.add_argument("--system")
-    p.add_argument("--halfspace", required=True)
-    p.add_argument("--image-f", dest="image_f", help="hypersurface of the quotient image")
+    p = command("classify", "disjointness trichotomy report")
+    halfspace_query(p)
+    p.add_argument(
+        "--image-f",
+        dest="image_f",
+        help="hypersurface of the quotient image (over --field, else the source's field)",
+    )
     p.add_argument(
         "--declare-codim-gt-1",
         dest="declare_codim_gt_1",
         action="store_true",
         help="declare that the quotient image has codimension greater than one",
     )
-    p.add_argument("--trials", type=int)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--seed", type=int)
+    sampling(p)
 
-    p = sub.add_parser("ekl-check", help="half-line search and zero membership")
-    common_poly(p)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--seed", type=int)
+    sampling(command("ekl-check", "half-line search and zero membership"))
 
-    p = sub.add_parser("product-formula", help="sum of -log|a|_p over all places")
+    p = command("product-formula", "sum of -log|a|_p over all places", poly=False)
     p.add_argument("--a", required=True, help="scalar, like '(z^2-1)/z' or '12'")
-    p.add_argument("--field", choices=["Q", "Q(z)"])
-    p.add_argument("--out")
+    p.add_argument("--field", choices=[FIELD_Q, FIELD_QZ])
 
-    p = sub.add_parser("plot", help="SVG of a rank-2 complex or an archimedean scan")
-    common_poly(p)
+    p = command(
+        "plot",
+        "SVG of a rank-2 complex or an archimedean scan",
+        out="svg",
+        out_help="write the SVG here (JSON goes to stdout)",
+    )
     p.add_argument("--place", default="generic")
-    p.add_argument("--extent", help="viewport half-width (default 4)")
+    p.add_argument("--extent", default="4", help="viewport half-width")
     p.add_argument("--arch-scan", dest="arch_scan", action="store_true")
-    p.add_argument("--center", help="scan center, like '0,0'")
-    p.add_argument("--radius", help="scan half-width (default 3)")
-    p.add_argument("--grid-n", dest="grid_n", type=int, help="scan resolution")
+    p.add_argument("--center", default="0,0", help="scan center")
+    p.add_argument("--radius", default="3", help="scan half-width")
+    p.add_argument("--grid-n", dest="grid_n", type=int, default=41, help="scan resolution")
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    ns = ap.parse_args(argv)
-    opt = {k: v for k, v in vars(ns).items() if k != "command"}
+    ns = build_parser().parse_args(argv)
     try:
-        return run(ns.command, opt)
-    except (AmoebaError, ValueError, OSError, json.JSONDecodeError) as exc:
-        if isinstance(exc, (InternalInvariantError,)):
-            code, status = exc.code, 3
-        else:
-            code = getattr(exc, "code", "input-error")
-            status = 2
-        sys.stderr.write(
-            json.dumps({"error": {"code": code, "message": str(exc)}}, sort_keys=True)
-            + "\n"
-        )
-        return status
-    except AssertionError as exc:
-        sys.stderr.write(
-            json.dumps(
-                {"error": {"code": "internal-invariant", "message": str(exc)}},
-                sort_keys=True,
-            )
-            + "\n"
-        )
-        return 3
+        return run(ns)
+    except (AmoebaError, ValueError, OSError, AssertionError) as exc:
+        internal = isinstance(exc, (InternalInvariantError, AssertionError))
+        code = "internal-invariant" if internal else getattr(exc, "code", "input-error")
+        error = {"error": {"code": code, "message": str(exc)}}
+        sys.stderr.write(json.dumps(error, sort_keys=True) + "\n")
+        return 3 if internal else 2
 
 
 if __name__ == "__main__":

@@ -83,6 +83,8 @@ def render_complex_svg(C: PolyhedralComplex, extent=4, size=480) -> str:
     if C.rank != 2:
         raise DimensionMismatch("can only draw rank-2 complexes")
     extent = Fraction(extent)
+    if extent <= 0:
+        raise ValueError("the viewport half-width must be positive")
     scale = size / (2 * float(extent))
 
     def sx(x):
@@ -134,6 +136,8 @@ def render_arch_scan_svg(f, center=(0, 0), radius=3, grid_n=41, size=480) -> str
     """
     if f.rank != 2:
         raise DimensionMismatch("can only scan rank-2 hypersurfaces")
+    if grid_n < 2:
+        raise ValueError("a scan needs at least 2 grid points per side")
     cx, cy = (Fraction(c) for c in center)
     radius = Fraction(radius)
     tri = f.nterms == 3 and triangle_applicable(f)

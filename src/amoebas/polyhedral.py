@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionMismatch, InternalInvariantError, RankDeficient
-from .lattices import identity, rank_of_rows
+from .lattices import identity, independent_subset, rank_of_rows
 
 Row = tuple  # tuple[int, ...]
 LinCon = tuple  # (Row, Fraction)
@@ -400,11 +400,7 @@ def affine_hull_rows(P: Polyhedron):
     rows = [row for row, _ in P.equalities]
     flags = _implicit_equality_flags(P)
     rows += [row for (row, _), f in zip(P.inequalities, flags) if f]
-    keep = []
-    for row in rows:
-        if rank_of_rows(keep + [row]) > len(keep):
-            keep.append(row)
-    return tuple(keep)
+    return tuple(rows[i] for i in independent_subset(rows))
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)

@@ -206,14 +206,19 @@ class AdelicAmoeba:
         return [p for p, _ in self.special]
 
 
-def adelic_amoeba(f: LaurentPoly) -> AdelicAmoeba:
-    if f.nterms < 2:
+def adelic_amoeba(source) -> AdelicAmoeba:
+    """Adelic amoeba of a hypersurface, or of a PrevarietySystem."""
+    if isinstance(source, PrevarietySystem):
+        return adelic_amoeba_of_system(source)
+    if not isinstance(source, LaurentPoly):
+        raise TypeError("source must be a hypersurface or a prevariety system")
+    if source.nterms < 2:
         raise MonomialInput("a monomial cuts out the empty set in the torus")
     special = [
-        (p, trop_hypersurface(f, p))
-        for p in sorted(bad_places(f), key=place_to_str)
+        (p, trop_hypersurface(source, p))
+        for p in sorted(bad_places(source), key=place_to_str)
     ]
-    return AdelicAmoeba(generic_skeleton(f), tuple(special), f)
+    return AdelicAmoeba(generic_skeleton(source), tuple(special), source)
 
 
 def project_complex(C: PolyhedralComplex, phi) -> PolyhedralComplex:
@@ -246,14 +251,6 @@ class Constraint:
         return mat
 
 
-def _as_constraint(c) -> "Constraint":
-    if isinstance(c, Constraint):
-        return c
-    if isinstance(c, tuple):
-        return Constraint(*c)
-    return Constraint(c)
-
-
 def prevariety(constraints, place, rank) -> PolyhedralComplex:
     """Intersection of the pulled-back hypersurface tropicalizations.
 
@@ -261,7 +258,6 @@ def prevariety(constraints, place, rank) -> PolyhedralComplex:
     and keeps inclusion-maximal cells.  This is an outer approximation of the
     tropicalization of the common zero set.
     """
-    constraints = [_as_constraint(c) for c in constraints]
     pulled = []
     for con in constraints:
         mat = con.matrix(rank)
@@ -277,11 +273,7 @@ def prevariety(constraints, place, rank) -> PolyhedralComplex:
 
 
 def system_bad_places(constraints) -> frozenset:
-    out = set()
-    for con in constraints:
-        poly = con.poly if isinstance(con, Constraint) else con[0]
-        out |= bad_places(poly)
-    return frozenset(out)
+    return frozenset().union(*(bad_places(con.poly) for con in constraints))
 
 
 @dataclass(frozen=True)
@@ -291,6 +283,7 @@ class PrevarietySystem:
     rank: int
     constraints: tuple
 
+    @property
     def field(self):
         return self.constraints[0].poly.field
 

@@ -11,7 +11,6 @@ from amoebas.archimedean import (
     OUTSIDE,
     ArchQuery,
     evaluate_at,
-    lopsided_escape_bound,
     lopsided_outside,
     sampled_inside,
     sign_exp_sum,
@@ -100,22 +99,6 @@ class TestLopsided:
 
     def test_pinching_point_not_lopsided(self, ex_curve_q):
         assert not lopsided_outside(ex_curve_q, (0, 0))
-
-    def test_escape_bound(self, rng):
-        for _ in range(10):
-            f = rand_poly_q(rng, rank=2, terms=rng.randint(2, 4))
-            from amoebas.laurent import newton_polytope, strict_vertex_direction
-
-            np_ = newton_polytope(f)
-            i = np_.vertex_indices[0]
-            direction = strict_vertex_direction(np_.points, i)
-            from amoebas.lattices import primitive_vector
-
-            direction = primitive_vector(direction)
-            j, bound = lopsided_escape_bound(f, direction)
-            assert j == i
-            c = Fraction(math.ceil(max(bound, 0))) + 1
-            assert lopsided_outside(f, tuple(c * x for x in direction))
 
 
 class TestSampledInside:

@@ -25,6 +25,7 @@ from amoebas.classify import (
 )
 from amoebas.errors import (
     DependentDirection,
+    DimensionMismatch,
     MissingImagePresentation,
     ZeroCoordinate,
 )
@@ -86,6 +87,11 @@ class TestHalfspace:
     def test_boundary_reduction(self):
         H = Halfspace(3, (0, 0, 1), ((1, 0, 0), (2, 0, 0), (0, 1, 0)))
         assert H.boundary == ((1, 0, 0), (0, 1, 0))
+
+    @pytest.mark.parametrize("gen", [(1, 0, 0), (1,), (0, 1, 0)])
+    def test_boundary_generator_length_checked(self, gen):
+        with pytest.raises(DimensionMismatch):
+            Halfspace(2, (1, 1), (gen,))
 
 
 class TestQuotientMap:
@@ -212,6 +218,17 @@ class TestAdelicDisjoint:
         rep = adelic_disjoint(am, H, arch_grid=default_arch_grid(H, 5))
         assert len(rep.archimedean) == 5
 
+    def test_empty_grid_rejected_over_q(self, ex_line_q):
+        # an empty scan would certify "disjoint" for a line the ray meets
+        am = adelic_amoeba(ex_line_q)
+        with pytest.raises(ValueError):
+            adelic_disjoint(am, Halfspace(2, (1, 1)), arch_grid=[])
+
+    def test_empty_grid_unused_over_qz(self, ex_curve_qz):
+        am = adelic_amoeba(ex_curve_qz)
+        rep = adelic_disjoint(am, Halfspace(2, (-1, -1)), arch_grid=[])
+        assert rep.archimedean is None and rep.overall == MEETS
+
 
 class TestStructuralTests:
     def test_defined_over_k_positive(self):
@@ -313,6 +330,16 @@ class TestTheoremReport:
         rep = theorem1_report(system, H, declared_codim_gt_one=True)
         assert rep.disjointness.overall == DISJOINT
         assert rep.conclusion_case == 1 and not rep.violation
+
+    def test_empty_grid_is_not_a_certificate(self):
+        f = parse_poly("x1+x2+1")
+        assert theorem1_report(f, Halfspace(2, (1, 1))).disjointness.overall == MEETS
+        with pytest.raises(ValueError):
+            theorem1_report(f, Halfspace(2, (1, 1)), arch_grid=[])
+
+    def test_source_type_checked(self):
+        with pytest.raises(TypeError):
+            theorem1_report((1, 2), Halfspace(2, (1, 1)))
 
     def test_missing_image_rejected(self):
         system = pair_system_qz()

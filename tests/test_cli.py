@@ -1,10 +1,12 @@
+import hashlib
 import json
 
 import pytest
 
-from amoebas import archimedean
+from amoebas import archimedean, cli
 from amoebas.cli import main, parse_halfspace
 from amoebas.classify import Halfspace
+from amoebas.errors import InternalInvariantError
 from amoebas.polyhedral import complex_from_json, complexes_equal
 
 from conftest import tripod
@@ -25,6 +27,11 @@ SYSTEM_QZ = {
         {"f": "x2 - x3 - (1/z) + 1"},
     ],
 }
+
+
+QZ_CURVE = "z*x1+(z-1)*x2+(z-2)"
+Q_CURVE = "x1*x2-2*x1-2*x2+1"
+BND = "dir:1,1,0 bnd:0,0,1"
 
 
 @pytest.fixture()
@@ -198,3 +205,168 @@ class TestErrorsAndDeterminism:
             capsys, "ekl-check", "--f", "x1*x2-2*x1-2*x2+1"
         )
         assert code == 0
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+EMPTY = _digest(b"")
+
+# argv -> exit code and the first 16 hex digits of the sha256 of stdout, of
+# stderr and of the file written to {out} (None: no file), with every
+# temporary path replaced by TMP.  The inputs are over Q(z) or decided by
+# exact certificates, so no sampled float is hashed.
+PINS = [
+    ("trop-qz", ["trop", "--f", QZ_CURVE, "--place", "q:z"],
+     0, "6ba16dab628a296a", EMPTY, None),
+    ("trop-out", ["trop", "--f", Q_CURVE, "--place", "p:2", "--out", "{out}"],
+     0, EMPTY, EMPTY, "3f7f7953342a685c"),
+    ("adelic-q", ["adelic", "--f", Q_CURVE],
+     0, "60b7a988fed3a2ff", EMPTY, None),
+    ("adelic-qz", ["adelic", "--f", QZ_CURVE],
+     0, "c97a8f87b0077d27", EMPTY, None),
+    ("prevariety-generic", ["prevariety", "--system", "{system}"],
+     0, "238d32107f0b6928", EMPTY, None),
+    ("prevariety-qz", ["prevariety", "--system", "{system}", "--place", "q:z"],
+     0, "aa1311a984f33e7e", EMPTY, None),
+    ("check-f-qz", ["check-halfspace", "--f", QZ_CURVE, "--halfspace", "dir:1,1"],
+     0, "32764e474ebe0153", EMPTY, None),
+    ("check-f-binomial", ["check-halfspace", "--f", "x1*x2-1", "--halfspace", "dir:1,1"],
+     0, "0f2eef1565a1c63e", EMPTY, None),
+    ("check-f-explicit-defaults", ["check-halfspace", "--f", "x1*x2-1", "--halfspace", "dir:1,1",
+      "--grid", "20", "--trials", "200", "--tol", "1e-9", "--seed", "0"],
+     0, "0f2eef1565a1c63e", EMPTY, None),
+    ("check-f-grid", ["check-halfspace", "--f", "x1*x2-1", "--halfspace", "dir:1,1", "--grid", "3"],
+     0, "3498f70b17b9969d", EMPTY, None),
+    ("check-system", ["check-halfspace", "--system", "{system}", "--halfspace", BND],
+     0, "9704be8542628c3f", EMPTY, None),
+    ("check-system-out", ["check-halfspace", "--system", "{system}", "--halfspace", BND,
+      "--out", "{out}"],
+     0, EMPTY, EMPTY, "9704be8542628c3f"),
+    ("classify-case1", ["classify", "--system", "{system}", "--halfspace", BND,
+      "--declare-codim-gt-1"],
+     0, "282db151c8bf2705", EMPTY, None),
+    ("classify-case2", ["classify", "--system", "{system}", "--halfspace", BND,
+      "--image-f", "x1 - x2 - 1", "--field", "Q(z)"],
+     0, "d1b3ba5f9917cb05", EMPTY, None),
+    ("classify-case3", ["classify", "--f", "x1*x2-1", "--halfspace", "dir:1,1"],
+     0, "1dad6ec1bf291b39", EMPTY, None),
+    ("classify-meets", ["classify", "--f", QZ_CURVE, "--halfspace", "dir:1,1"],
+     0, "60950992947743d7", EMPTY, None),
+    ("ekl-check-qz", ["ekl-check", "--f", QZ_CURVE],
+     0, "d92163d40f7481ec", EMPTY, None),
+    ("product-formula-qz", ["product-formula", "--a", "(z^2-1)/z"],
+     0, "413ba24546a58b21", EMPTY, None),
+    ("product-formula-out", ["product-formula", "--a", "z^3-z", "--out", "{out}"],
+     0, EMPTY, EMPTY, "5e4f2636308b1fe3"),
+    ("plot-complex", ["plot", "--f", "x1+x2+1", "--place", "generic", "--out", "{out}"],
+     0, "97bc311e8d9451ac", EMPTY, "2a9e550fe4670b2b"),
+    ("plot-complex-p2", ["plot", "--f", Q_CURVE, "--place", "p:2", "--extent", "6",
+      "--out", "{out}"],
+     0, "97bc311e8d9451ac", EMPTY, "34de5d04e789adc0"),
+    ("error-syntax", ["trop", "--f", "x1 + + * x2"],
+     2, EMPTY, "338667afe90db697", None),
+    ("error-monomial", ["trop", "--f", "7*x1"],
+     2, EMPTY, "ce734a95f9b6a049", None),
+    ("error-place", ["trop", "--f", "x1+1", "--place", "p:6"],
+     2, EMPTY, "be348f2c184ba41a", None),
+    ("error-missing-file", ["prevariety", "--system", "{missing}"],
+     2, EMPTY, "bbf8fa68dad9651a", None),
+    ("error-no-source", ["check-halfspace", "--halfspace", "dir:1,1"],
+     2, EMPTY, "13066de5219d1799", None),
+    ("error-halfspace-chunk", ["check-halfspace", "--f", "x1+x2+1", "--halfspace", "dir:1,1 up:1"],
+     2, EMPTY, "953639d38d45fda9", None),
+    ("error-halfspace-rank", ["check-halfspace", "--f", "x1+x2+1", "--halfspace", "dir:1,1,1"],
+     2, EMPTY, "b58c73ee1ec9bcf2", None),
+    ("error-dependent-direction", ["classify", "--f", "x1+x2+1", "--halfspace", "dir:1,1 bnd:2,2"],
+     2, EMPTY, "33de3723c984cc14", None),
+    ("error-classify-missing-image", ["classify", "--system", "{system}", "--halfspace", BND],
+     2, EMPTY, "e893a3adc24e747e", None),
+    ("error-image-and-declaration", ["classify", "--system", "{system}", "--halfspace", BND,
+      "--image-f", "x1-x2-1", "--declare-codim-gt-1"],
+     2, EMPTY, "db2cb488e8020166", None),
+    ("error-plot-no-out", ["plot", "--f", "x1+x2+1"],
+     2, EMPTY, "cc88b92e684220ab", None),
+    ("error-rank", ["trop", "--f", "x1+x2", "--rank", "1"],
+     2, EMPTY, "1a8a858bcc747fde", None),
+    ("error-system-schema", ["prevariety", "--system", "{schema}"],
+     2, EMPTY, "a00303824b90f7ee", None),
+    ("error-system-json", ["check-halfspace", "--system", "{notjson}",
+      "--halfspace", "dir:1,1"],
+     2, EMPTY, "05118caef5ff0f94", None),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, out_sha, err_sha, file_sha", [p[1:] for p in PINS], ids=[p[0] for p in PINS]
+)
+def test_pinned_bytes(capsys, tmp_path, argv, code, out_sha, err_sha, file_sha):
+    files = {"system": json.dumps(SYSTEM_QZ), "schema": '{"rank": 2}', "notjson": "{"}
+    paths = {"out": str(tmp_path / "out"), "missing": str(tmp_path / "missing.json")}
+    for name, text in files.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(text)
+    got_code, out, err = run_cli(capsys, *[a.format(**paths) for a in argv])
+    norm = lambda text: text.replace(str(tmp_path), "TMP").encode()
+    written = tmp_path / "out"
+    assert (got_code, _digest(norm(out)), _digest(norm(err))) == (code, out_sha, err_sha)
+    assert (_digest(written.read_bytes()) if written.exists() else None) == file_sha
+
+
+class TestRejectedValues:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check-halfspace", "--f", "x1+x2+1", "--halfspace", "dir:1,1", "--grid", "-3"],
+            ["check-halfspace", "--f", "x1+x2+1", "--halfspace", "dir:1,1", "--grid", "0"],
+            ["check-halfspace", "--f", "x1+x2+1", "--halfspace", "dir:1,1", "--trials", "0"],
+            ["check-halfspace", "--f", "x1+x2+1", "--halfspace", "dir:1,1", "--tol", "0"],
+            ["check-halfspace", "--f", "x1+x2+1", "--halfspace", "dir:1,1", "--tol", "nan"],
+            ["classify", "--f", "x1*x2-1", "--halfspace", "dir:1,1", "--trials", "-1"],
+            ["ekl-check", "--f", Q_CURVE, "--tol=-1e-9"],
+            ["plot", "--f", "x1+x2-2", "--arch-scan", "--grid-n", "1", "--out", "{out}"],
+            ["plot", "--f", "x1+x2+1", "--extent", "0", "--out", "{out}"],
+        ],
+    )
+    def test_sampling_values_exit_2(self, capsys, tmp_path, argv):
+        out_path = tmp_path / "out"
+        code, out, err = run_cli(capsys, *[a.format(out=out_path) for a in argv])
+        assert code == 2 and out == "" and not out_path.exists()
+        assert json.loads(err)["error"]["code"] == "input-error"
+
+    def test_default_grid_meets(self, capsys):
+        # the grid point (1/2, 1/2) has a witness, so an empty grid must not
+        # read "disjoint"
+        code, out, _ = run_cli(
+            capsys, "check-halfspace", "--f", "x1+x2+1", "--halfspace", "dir:1,1"
+        )
+        assert code == 0 and json.loads(out)["verdict"] == "meets"
+
+    def test_boundary_generator_length(self, capsys):
+        code, out, err = run_cli(
+            capsys, "check-halfspace", "--f", "x1+x2+1", "--halfspace", "dir:1,1 bnd:1,0,0"
+        )
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["code"] == "dimension-mismatch"
+
+
+def test_image_over_source_field(capsys, system_file):
+    argv = ["classify", "--system", system_file, "--halfspace", BND, "--image-f", "x1 - x2 - 1"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["report"]["conclusion_case"] == 2
+    assert run_cli(capsys, *argv, "--field", "Q(z)") == (0, out, "")
+
+
+@pytest.mark.parametrize(
+    "exc", [AssertionError("broken"), InternalInvariantError("broken")], ids=repr
+)
+def test_internal_failures_exit_3(capsys, monkeypatch, exc):
+    def fail(*args):
+        raise exc
+
+    monkeypatch.setattr(cli, "trop_hypersurface", fail)
+    code, out, err = run_cli(capsys, "trop", "--f", "x1+x2+1")
+    assert code == 3 and out == ""
+    assert json.loads(err) == {"error": {"code": "internal-invariant", "message": "broken"}}

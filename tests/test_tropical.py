@@ -309,6 +309,14 @@ class TestPrevariety:
 
         assert places == {str(q), str(q1), str(FF_INFINITY)}
 
+    def test_adelic_amoeba_of_a_system(self, curve_system_qz, surface_system_q):
+        assert curve_system_qz.field == FIELD_QZ and surface_system_q.field == FIELD_Q
+        am = adelic_amoeba(curve_system_qz)
+        assert am == adelic_amoeba_of_system(curve_system_qz)
+        assert am.source is curve_system_qz
+        with pytest.raises(TypeError):
+            adelic_amoeba(curve_system_qz.constraints)
+
     def test_rank4_rays_away_from_the_bad_prime(self, surface_system_q):
         # all four coordinate rays appear at the cofinitely many good places
         for p in (GENERIC, FinitePrime(5)):
