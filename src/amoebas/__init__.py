@@ -24,6 +24,7 @@ from .errors import (
     PolySyntaxError,
     RankDeficient,
     RankMismatch,
+    RankTooLarge,
     TermCountMismatch,
     ZeroCoordinate,
     ZeroInput,

@@ -519,14 +519,17 @@ def theorem1_report(
     """Decide disjointness and verify the applicable structural conclusion.
 
     The source is a hypersurface (boundary-free halfspace; the quotient is
-    the identity) or a prevariety system, in which case the hypersurface
-    image under the boundary quotient must be supplied, or its codimension
+    the identity, and the source is its own image, so a supplied image is
+    rejected) or a prevariety system, in which case the hypersurface image
+    under the boundary quotient must be supplied, or its codimension
     declared to exceed one (the declaration is echoed, never computed).
     Violation is flagged when certified disjointness holds but no conclusion
     checks out, which would falsify the implementation.
     """
     if image_hypersurface is not None and declared_codim_gt_one:
         raise ValueError("supply an image hypersurface or a declaration, not both")
+    if image_hypersurface is not None and isinstance(source, LaurentPoly):
+        raise ValueError("a hypersurface source is its own image; supply no image hypersurface")
     report = adelic_disjoint(
         adelic_amoeba(source), H, arch_grid=arch_grid, trials=trials, tol=tol, rng=rng
     )
@@ -541,7 +544,7 @@ def theorem1_report(
     if isinstance(source, LaurentPoly):
         if H.boundary:
             raise MissingImagePresentation(
-                "a boundary quotient needs the image hypersurface or a declaration"
+                "a boundary quotient of a hypersurface needs a codimension declaration"
             )
         image = source
     else:

@@ -30,7 +30,6 @@ from .polyhedral import complex_to_json
 from .scalars import (
     FIELD_Q,
     FIELD_QZ,
-    GENERIC,
     place_from_str,
     place_to_str,
     product_formula_residual,
@@ -112,10 +111,6 @@ def _poly(ns):
     return parse_poly(ns.f, rank=ns.rank, field=ns.field)
 
 
-def _place(ns):
-    return place_from_str(ns.place) if ns.place else GENERIC
-
-
 def _source(ns):
     """The hypersurface of --f or the system of --system; both have .rank
     and .field."""
@@ -138,7 +133,7 @@ def _sampling(ns) -> dict:
 
 
 def _trop(ns):
-    f, place = _poly(ns), _place(ns)
+    f, place = _poly(ns), place_from_str(ns.place)
     return {
         "f": poly_to_json(f),
         "place": place_to_str(place),
@@ -160,7 +155,7 @@ def _adelic(ns):
 
 def _prevariety(ns):
     system = load_system(ns.system)
-    place = _place(ns)
+    place = place_from_str(ns.place)
     C = prevariety(system.constraints, place, system.rank)
     return {"place": place_to_str(place), "complex": complex_to_json(C)}
 
@@ -215,7 +210,7 @@ def _plot(ns):
             f, center=center, radius=Fraction(ns.radius), grid_n=ns.grid_n
         )
     else:
-        C = trop_hypersurface(f, _place(ns))
+        C = trop_hypersurface(f, place_from_str(ns.place))
         svg = plot.render_complex_svg(C, extent=Fraction(ns.extent))
     with open(ns.svg, "w", encoding="utf-8") as fh:
         fh.write(svg)

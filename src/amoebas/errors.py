@@ -39,6 +39,10 @@ class RankMismatch(AmoebaError):
     code = "rank-mismatch"
 
 
+class RankTooLarge(AmoebaError):
+    code = "rank-too-large"
+
+
 class EmptyPolynomial(AmoebaError):
     code = "empty-polynomial"
 

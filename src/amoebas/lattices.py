@@ -1,4 +1,5 @@
-"""Integer linear algebra: Smith normal form, kernels, quotient maps.
+"""Integer linear algebra: Smith normal form, kernels, quotient maps, and
+ranks by fraction-free row reduction.
 
 Matrices are lists of lists of ints (rows).  All transforms are tracked so
 kernels and quotient projections come with unimodular certificates.
@@ -205,56 +206,67 @@ def quotient_map(generators, n):
     return [list(r) for r in phi], rinv
 
 
+def integer_row(row):
+    """(ints, den): the rational row times den, the lcm of its denominators;
+    a row of ints comes back as it is, with den 1."""
+    if all(type(x) is int for x in row):
+        return list(row), 1
+    fr = [Fraction(x) for x in row]
+    den = math.lcm(*(x.denominator for x in fr))
+    return [x.numerator * (den // x.denominator) for x in fr], den
+
+
 def primitive_vector(v) -> tuple[int, ...]:
     """Scale a rational vector by a positive rational to a primitive integer
     vector pointing the same way."""
-    fracs = [Fraction(x) for x in v]
-    if all(x == 0 for x in fracs):
-        raise ValueError("zero vector has no primitive form")
-    denlcm = math.lcm(*(x.denominator for x in fracs))
-    ints = [int(x * denlcm) for x in fracs]
+    ints, _ = integer_row(v)
     g = math.gcd(*ints)
+    if g == 0:
+        raise ValueError("zero vector has no primitive form")
     return tuple(x // g for x in ints)
+
+
+def _echelon_add(echelon, row) -> bool:
+    """Reduce row against the echelon, a list of (pivot column, int row) in
+    insertion order, and append it when independent.
+
+    Each step cross-multiplies, p * v - v[c] * e, which zeroes column c and
+    keeps the zeros that earlier pivots left (e is zero there), then divides
+    out the content so entries stay small.  Integer arithmetic throughout.
+    """
+    v, _ = integer_row(row)
+    for col, e in echelon:
+        a = v[col]
+        if a:
+            p = e[col]
+            v = [p * x - a * y for x, y in zip(v, e)]
+            g = math.gcd(*v)
+            if g > 1:
+                v = [x // g for x in v]
+    col = next((k for k, x in enumerate(v) if x), None)
+    if col is None:
+        return False
+    echelon.append((col, v))
+    return True
+
+
+def _echelon(rows):
+    echelon = []
+    for row in rows:
+        _echelon_add(echelon, row)
+    return echelon
 
 
 def rank_of_rows(rows) -> int:
     """Rank over Q of a list of rational row vectors."""
-    mat = [[Fraction(x) for x in row] for row in rows]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, len(mat)):
-            if mat[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        pv = mat[rank][col]
-        mat[rank] = [x / pv for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[rank])]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
+    return len(_echelon(rows))
 
 
 def in_rational_span(v, rows) -> bool:
-    return rank_of_rows(list(rows) + [v]) == rank_of_rows(rows)
+    return not _echelon_add(_echelon(rows), v)
 
 
 def independent_subset(rows) -> list[int]:
     """Indices of a maximal independent subset, greedily in order."""
-    picked: list[int] = []
-    chosen: list = []
-    for i, row in enumerate(rows):
-        if rank_of_rows(chosen + [row]) > len(chosen):
-            picked.append(i)
-            chosen.append(row)
-    return picked
+    echelon = []
+    return [i for i, row in enumerate(rows) if _echelon_add(echelon, row)]

@@ -18,8 +18,24 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import PolySyntaxError, RankMismatch
+from .errors import PolySyntaxError, RankMismatch, RankTooLarge
 from .scalars import FIELD_Q, FIELD_QZ, Poly, RationalFunction, Z
+
+# Largest rank (and variable index) accepted: exponent tuples have this many
+# entries, so text like 'x99999999999' is rejected before any is built.
+MAX_RANK = 64
+
+
+def _check_rank(rank):
+    if rank > MAX_RANK:
+        raise RankTooLarge(f"rank {rank} exceeds the largest supported rank {MAX_RANK}")
+
+
+def _read_int(text, i, j):
+    try:
+        return int(text[i:j])
+    except ValueError:  # a digit int() rejects, like '²', or too many digits
+        raise PolySyntaxError("unreadable integer", i) from None
 
 
 def _tokenize(text):
@@ -35,7 +51,7 @@ def _tokenize(text):
             j = i
             while j < n and text[j].isdigit():
                 j += 1
-            tokens.append(("int", int(text[i:j]), i))
+            tokens.append(("int", _read_int(text, i, j), i))
             i = j
             continue
         if ch == "z":
@@ -48,7 +64,9 @@ def _tokenize(text):
                 j += 1
             if j == i + 1:
                 raise PolySyntaxError("variable needs an index, like x1", i)
-            tokens.append(("var", int(text[i + 1 : j]), i))
+            index = _read_int(text, i + 1, j)
+            _check_rank(index)
+            tokens.append(("var", index, i))
             i = j
             continue
         if ch in "+-*/^()":
@@ -243,7 +261,11 @@ def scan_field(text) -> str:
 
 def parse_terms(text, rank, field) -> dict:
     """{exponent tuple: nonzero coefficient}; may be empty after cancellation."""
-    return _Parser(text, rank, field).parse().terms
+    _check_rank(rank)
+    try:
+        return _Parser(text, rank, field).parse().terms
+    except RecursionError:
+        raise PolySyntaxError("parentheses nested too deeply", 0) from None
 
 
 def parse_scalar(text, field):

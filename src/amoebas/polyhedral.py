@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionMismatch, InternalInvariantError, RankDeficient
-from .lattices import identity, independent_subset, rank_of_rows
+from .lattices import identity, independent_subset, integer_row, rank_of_rows
 
 Row = tuple  # tuple[int, ...]
 LinCon = tuple  # (Row, Fraction)
@@ -28,17 +28,15 @@ LinCon = tuple  # (Row, Fraction)
 def _canon_constraint(row, rhs, is_equality):
     """Scale to a primitive integer row; returns None for vacuous rows and
     the string "infeasible" for unsatisfiable zero rows."""
-    fr = [Fraction(x) for x in row]
-    rhs = Fraction(rhs)
-    if all(x == 0 for x in fr):
+    row, den = integer_row(row)
+    rhs = Fraction(rhs) * den
+    g = math.gcd(*row)
+    if g == 0:
         if rhs == 0 or (not is_equality and rhs > 0):
             return None
         return "infeasible"
-    denlcm = math.lcm(*(x.denominator for x in fr), rhs.denominator)
-    ints = [int(x * denlcm) for x in fr]
-    g = math.gcd(*ints)
-    ints = [x // g for x in ints]
-    rhs = rhs * denlcm / g
+    ints = [x // g for x in row]
+    rhs /= g
     if is_equality:
         lead = next(x for x in ints if x != 0)
         if lead < 0:
@@ -117,14 +115,15 @@ def translate(P, w):
 
 
 def contains_point(P, v) -> bool:
-    v = [Fraction(x) for x in v]
     if len(v) != P.rank:
         raise DimensionMismatch("point rank mismatch")
+    # v = ints / den; compare row . ints / den with each Fraction rhs in ints
+    ints, den = integer_row(v)
     for row, rhs in P.equalities:
-        if sum(a * x for a, x in zip(row, v)) != rhs:
+        if _dot(row, ints) * rhs.denominator != rhs.numerator * den:
             return False
     for row, rhs in P.inequalities:
-        if sum(a * x for a, x in zip(row, v)) > rhs:
+        if _dot(row, ints) * rhs.denominator > rhs.numerator * den:
             return False
     return True
 
@@ -411,6 +410,7 @@ def dimension(P: Polyhedron) -> int:
     return P.rank - len(affine_hull_rows(P))
 
 
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def relative_interior_point(P: Polyhedron):
     """A rational point in the relative interior of nonempty P."""
     flags = _implicit_equality_flags(P)
@@ -433,18 +433,24 @@ def relative_interior_point(P: Polyhedron):
 
 
 def poly_contains(P: Polyhedron, Q: Polyhedron) -> bool:
-    """Whether Q is a subset of P, decided by LP over Q per constraint of P."""
+    """Whether Q is a subset of P.
+
+    An empty Q is contained.  A relative-interior point x of Q outside P
+    is an exact "no".  With x in P, an equality of P holds on all of Q
+    exactly when its row lies in the span of the affine-hull rows of Q,
+    decided by exact rank; a point Q is then decided.  Each inequality of P
+    is decided by one LP over Q."""
     if P.rank != Q.rank:
         raise DimensionMismatch("rank mismatch")
-    if is_empty(Q):
+    if dimension(Q) < 0:
         return True
-    for row, rhs in P.equalities:
-        hi = lp_solve(row, Q, "max")
-        if not (isinstance(hi, LPOptimal) and hi.value == rhs):
-            return False
-        lo = lp_solve(row, Q, "min")
-        if not (isinstance(lo, LPOptimal) and lo.value == rhs):
-            return False
+    if not contains_point(P, relative_interior_point(Q)):
+        return False
+    hull = affine_hull_rows(Q)
+    if rank_of_rows(hull + tuple(row for row, _ in P.equalities)) != len(hull):
+        return False
+    if len(hull) == Q.rank:
+        return True
     for row, rhs in P.inequalities:
         hi = lp_solve(row, Q, "max")
         if not (isinstance(hi, LPOptimal) and hi.value <= rhs):
@@ -709,31 +715,28 @@ def complexes_equal(C1: PolyhedralComplex, C2: PolyhedralComplex) -> bool:
 def prune_to_maximal(polys):
     """Deduplicate and keep inclusion-maximal polyhedra (deterministic).
 
-    Q inside P puts a relative-interior point of Q in P, so each piece gets
-    one such point, computed on first use, and a containment LP runs only
-    where that point lies in the larger piece: a failed point test is an
-    exact "no", and the LP still decides every "yes".
+    Q inside P needs dim Q <= dim P, so a pair whose dimensions rule it out
+    gets no containment test.  After exact deduplication no two kept
+    pieces are equal sets, so a piece is dropped exactly when another one
+    contains it.
     """
-    polys = [P for P in polys if not is_empty(P)]
-    points = {}
-
-    def contains(P, Q):
-        if Q not in points:
-            points[Q] = relative_interior_point(Q)
-        return contains_point(P, points[Q]) and poly_contains(P, Q)
-
-    uniq = []
+    polys = [P for P in polys if dimension(P) >= 0]
+    uniq, dims = [], []
     for P in polys:
-        if not any(P == Q or (contains(P, Q) and contains(Q, P)) for Q in uniq):
+        d = dimension(P)
+        if not any(
+            P == Q or (d == e and poly_contains(P, Q) and poly_contains(Q, P))
+            for Q, e in zip(uniq, dims)
+        ):
             uniq.append(P)
-    keep = []
-    for i, P in enumerate(uniq):
-        covered = any(
-            contains(Q, P) for j, Q in enumerate(uniq) if j != i and not contains(P, Q)
+            dims.append(d)
+    return [
+        P
+        for i, P in enumerate(uniq)
+        if not any(
+            j != i and dims[j] >= dims[i] and poly_contains(Q, P) for j, Q in enumerate(uniq)
         )
-        if not covered:
-            keep.append(P)
-    return keep
+    ]
 
 
 # ---------------------------------------------------------------------------

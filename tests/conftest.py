@@ -19,8 +19,8 @@ from amoebas.polyhedral import (
     dimension,
     from_generators,
     is_empty,
+    lp_solve,
     make_complex,
-    poly_contains,
     poly_equal,
     polyhedron,
     relative_interior_point,
@@ -303,21 +303,56 @@ def reference_corner_locus(data, rank):
     return make_complex(rank, cells.values())
 
 
+def reference_poly_contains(P, Q):
+    """Whether Q is a subset of P: an emptiness LP, then per constraint of P
+    the LPs over Q (max and min for an equality, max for an inequality)."""
+    if is_empty(Q):
+        return True
+    for row, rhs in P.equalities:
+        for sense in ("max", "min"):
+            res = lp_solve(row, Q, sense)
+            if not (isinstance(res, LPOptimal) and res.value == rhs):
+                return False
+    for row, rhs in P.inequalities:
+        hi = lp_solve(row, Q, "max")
+        if not (isinstance(hi, LPOptimal) and hi.value <= rhs):
+            return False
+    return True
+
+
 def reference_prune_to_maximal(polys):
     """Deduplicate and keep inclusion-maximal polyhedra, by containment LPs
     alone."""
+    contains = reference_poly_contains
     polys = [P for P in polys if not is_empty(P)]
     uniq = []
     for P in polys:
-        if not any(P == Q or poly_equal(P, Q) for Q in uniq):
+        if not any(P == Q or (contains(P, Q) and contains(Q, P)) for Q in uniq):
             uniq.append(P)
     return [
         P
         for i, P in enumerate(uniq)
-        if not any(
-            poly_contains(Q, P) for j, Q in enumerate(uniq) if j != i and not poly_contains(P, Q)
-        )
+        if not any(contains(Q, P) for j, Q in enumerate(uniq) if j != i and not contains(P, Q))
     ]
+
+
+def reference_rank_of_rows(rows):
+    """Rank over Q by Gauss-Jordan elimination on Fractions."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(mat[0]) if mat else 0):
+        piv = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        pv = mat[rank][col]
+        mat[rank] = [x / pv for x in mat[rank]]
+        for r in range(len(mat)):
+            if r != rank and mat[r][col] != 0:
+                f = mat[r][col]
+                mat[r] = [x - f * y for x, y in zip(mat[r], mat[rank])]
+        rank += 1
+    return rank
 
 
 # ---------------------------------------------------------------------------

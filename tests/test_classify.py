@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from amoebas import classify
 from amoebas.classify import (
     CERTIFIED_OUTSIDE,
     DISJOINT,
@@ -346,6 +347,16 @@ class TestTheoremReport:
         H = Halfspace(3, (1, 1, 0), ((0, 0, 1),))
         with pytest.raises(MissingImagePresentation):
             theorem1_report(system, H)
+
+    def test_image_of_hypersurface_rejected(self, monkeypatch):
+        # rejected before any amoeba is built
+        def no_build(*args):
+            raise AssertionError("amoeba built for a rejected input")
+
+        monkeypatch.setattr(classify, "adelic_amoeba", no_build)
+        f = parse_poly("x1*x2 - 1", rank=2, field=FIELD_Q)
+        with pytest.raises(ValueError):
+            theorem1_report(f, Halfspace(2, (1, 1)), image_hypersurface=parse_poly("x1+x2+5"))
 
     def test_hypersurface_with_boundary_needs_image(self):
         # every amoeba of this binomial is the hyperplane v1 + v2 = 0, so the

@@ -1,8 +1,12 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import amoebas
 from amoebas import archimedean, cli
 from amoebas.cli import main, parse_halfspace
 from amoebas.classify import Halfspace
@@ -145,6 +149,35 @@ class TestErrorsAndDeterminism:
         code, _, err = run_cli(capsys, "trop", "--f", "x1+1", "--place", "p:6")
         assert code == 2
         assert json.loads(err)["error"]["code"] == "invalid-place"
+
+    def test_empty_place_exit_code(self, capsys):
+        code, out, err = run_cli(capsys, "trop", "--f", "x1+1", "--place", "")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["code"] == "invalid-place"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--f", "x99999999999999999999"], ["--f", "x1+1", "--rank", "100000000"]],
+        ids=["index", "rank"],
+    )
+    def test_rank_bound_exits_2_in_bounded_time(self, argv):
+        # in a child process, so that a broken bound fails by timeout
+        src = os.path.dirname(os.path.dirname(amoebas.__file__))
+        done = subprocess.run(
+            [sys.executable, "-m", "amoebas.cli", "trop", *argv],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 2 and done.stdout == ""
+        assert json.loads(done.stderr)["error"]["code"] == "rank-too-large"
+
+    def test_image_on_hypersurface_exit_code(self, capsys):
+        code, out, err = run_cli(
+            capsys, "classify", "--f", "x1*x2-1", "--halfspace", "dir:1,1",
+            "--image-f", "x1+x2+5",
+        )
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["code"] == "input-error"
 
     def test_reducible_place_exit_code(self, capsys):
         code, out, err = run_cli(capsys, "trop", "--f", "z*x1+1", "--place", "q:z^2-1")

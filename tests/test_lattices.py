@@ -1,3 +1,8 @@
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from amoebas.lattices import (
     identity,
     in_rational_span,
@@ -10,6 +15,8 @@ from amoebas.lattices import (
     smith_invariants,
     smith_normal_form,
 )
+
+from conftest import reference_rank_of_rows
 
 
 def is_unimodular(M):
@@ -82,11 +89,56 @@ class TestQuotientMap:
 
 class TestVectors:
     def test_primitive_keeps_direction(self):
-        from fractions import Fraction
-
         assert primitive_vector((Fraction(2, 3), Fraction(-4, 3))) == (1, -2)
         assert primitive_vector((0, 6, -9)) == (0, 2, -3)
 
     def test_independent_subset(self):
         rows = [[1, 0], [2, 0], [0, 1], [1, 1]]
         assert independent_subset(rows) == [0, 2]
+
+
+@st.composite
+def row_lists(draw):
+    """Rows of one length, all ints or mixed with Fractions, with planted
+    dependencies: combinations of earlier rows inserted anywhere."""
+    n = draw(st.integers(1, 5))
+    entry = st.integers(-6, 6) | st.integers(-10**12, 10**12)
+    if draw(st.booleans()):
+        entry = entry | st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=5))
+    for _ in range(draw(st.integers(0, 3))):
+        if rows:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            c, d = draw(entry), draw(entry)
+            rows.insert(draw(st.integers(0, len(rows))), [c * x + d * y for x, y in zip(a, b)])
+    return rows
+
+
+class TestRankAgainstFractionReference:
+    """The fraction-free echelon agrees with Gauss-Jordan on Fractions."""
+
+    @settings(max_examples=200)
+    @given(row_lists())
+    def test_rank(self, rows):
+        assert rank_of_rows(rows) == reference_rank_of_rows(rows)
+
+    @settings(max_examples=200)
+    @given(row_lists(), st.data())
+    def test_span(self, rows, data):
+        n = len(rows[0]) if rows else data.draw(st.integers(1, 3))
+        v = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        if rows and data.draw(st.booleans()):
+            v = [sum(c * row[k] for c, row in zip(v, rows)) for k in range(n)]
+        want = reference_rank_of_rows(rows + [v]) == reference_rank_of_rows(rows)
+        assert in_rational_span(v, rows) == want
+
+    @settings(max_examples=200)
+    @given(row_lists())
+    def test_independent_subset(self, rows):
+        chosen = []
+        want = []
+        for i, row in enumerate(rows):
+            if reference_rank_of_rows(chosen + [row]) > len(chosen):
+                chosen.append(row)
+                want.append(i)
+        assert independent_subset(rows) == want

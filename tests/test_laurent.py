@@ -1,8 +1,16 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from amoebas.errors import EmptyPolynomial, PolySyntaxError, RankMismatch
+from amoebas.errors import (
+    AmoebaError,
+    EmptyPolynomial,
+    PolySyntaxError,
+    RankMismatch,
+    RankTooLarge,
+)
 from amoebas.laurent import (
     bad_places,
     convex_certificate,
@@ -52,6 +60,25 @@ class TestParse:
         with pytest.raises(PolySyntaxError) as err:
             parse_poly("x1 + + * x2", rank=2, field=FIELD_Q)
         assert err.value.position == 5  # the second '+' is the first bad token
+
+    def test_rank_bound(self):
+        assert parse_poly("x64 + 1").rank == 64
+        for text, rank in (("x65 + 1", None), ("x99999999999999999999", None), ("x1", 10**8)):
+            with pytest.raises(RankTooLarge):
+                parse_poly(text, rank=rank)
+
+    # '^' is left out of the grammar alphabet: 9^99999 is valid input whose
+    # expansion alone takes long
+    @settings(max_examples=300)
+    @given(st.text() | st.text(alphabet="x0123456789z+-*/() ", max_size=30))
+    @example("x" + "9" * 5000)
+    @example("x1 + 2\u00b2")
+    @example("(" * 400 + "x1" + ")" * 400)
+    def test_any_text_raises_only_amoeba_errors(self, text):
+        try:
+            parse_poly(text)
+        except AmoebaError:
+            pass
 
     def test_negative_exponents(self):
         f = parse_poly("x1^-2*x2 + 1", rank=2, field=FIELD_Q)

@@ -39,6 +39,7 @@ from conftest import (
     cells_of,
     ray,
     reference_lp_solve,
+    reference_poly_contains,
     reference_prune_to_maximal,
     segment,
 )
@@ -295,10 +296,53 @@ class TestFarkasCertificate:
                     polyhedral._check_farkas(rows, rhs, neq, bad)
 
 
+def _empty_piece(draw, rank):
+    row = draw(_rows(rank, -2, 2).filter(any))
+    return polyhedron(rank, (), [(row, 0), (tuple(-x for x in row), -1)])
+
+
+def _variant(draw, P, kind, con):
+    """A piece related to P: itself, the same set written differently, P cut
+    by a halfspace, a face of P (an inequality row taken as an equality), a
+    hyperplane through a relative-interior point of P, a point (a
+    half-integer one, inside P or not), or an empty piece."""
+    rank = P.rank
+    if kind == "duplicate":
+        return P
+    if kind == "rewritten":
+        # equalities as inequality pairs, plus a loosened copy of a row
+        ineqs = list(P.inequalities)
+        ineqs += [(r, b) for r, b in P.equalities]
+        ineqs += [(tuple(-x for x in r), -b) for r, b in P.equalities]
+        ineqs += [(r, b + 1) for r, b in P.inequalities[:1]]
+        return polyhedron(rank, (), ineqs)
+    if kind == "nested":
+        return intersect(P, polyhedron(rank, (), [draw(con)]))
+    if kind == "face":
+        if not P.inequalities:
+            return P
+        face = draw(st.sampled_from(P.inequalities))
+        return polyhedron(rank, P.equalities + (face,), P.inequalities)
+    if kind == "hyperplane" and not is_empty(P):
+        # a hyperplane through the relative-interior point of P, so that the
+        # point test passes and the span test decides
+        row = draw(_rows(rank, -2, 2).filter(any))
+        x = relative_interior_point(P)
+        return polyhedron(rank, [(row, sum(a * b for a, b in zip(row, x)))], ())
+    if kind == "point":
+        x = draw(_rows(rank, -4, 4))
+        eye = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+        return polyhedron(rank, [(e, Fraction(k, 2)) for e, k in zip(eye, x)], ())
+    return _empty_piece(draw, rank)
+
+
+_KINDS = ["duplicate", "rewritten", "nested", "face", "hyperplane", "point", "empty"]
+
+
 @st.composite
 def piece_lists(draw):
-    """Random polyhedra of rank 1-3 with, per piece, a duplicate, an equal
-    piece written differently, a nested piece or an empty piece, shuffled."""
+    """Random polyhedra of rank 1-3 with, per piece, one of the variants of
+    _variant or none, shuffled."""
     rank = draw(st.integers(1, 3))
     con = st.tuples(_rows(rank, -2, 2), st.integers(-2, 2))
     base = [
@@ -307,22 +351,54 @@ def piece_lists(draw):
     ]
     pieces = list(base)
     for P in base:
-        kind = draw(st.sampled_from(["duplicate", "rewritten", "nested", "empty", "none"]))
-        if kind == "duplicate":
-            pieces.append(P)
-        elif kind == "rewritten":
-            # equalities as inequality pairs, plus a loosened copy of a row
-            ineqs = list(P.inequalities)
-            ineqs += [(r, b) for r, b in P.equalities]
-            ineqs += [(tuple(-x for x in r), -b) for r, b in P.equalities]
-            ineqs += [(r, b + 1) for r, b in P.inequalities[:1]]
-            pieces.append(polyhedron(rank, (), ineqs))
-        elif kind == "nested":
-            pieces.append(intersect(P, polyhedron(rank, (), [draw(con)])))
-        elif kind == "empty":
-            row = draw(_rows(rank, -2, 2).filter(any))
-            pieces.append(polyhedron(rank, (), [(row, 0), (tuple(-x for x in row), -1)]))
+        kind = draw(st.sampled_from(_KINDS + ["none"]))
+        if kind != "none":
+            pieces.append(_variant(draw, P, kind, con))
     return draw(st.permutations(pieces))
+
+
+@st.composite
+def containment_pairs(draw):
+    """(P, Q) of rank 1-3, Q random or a variant of P, either way round."""
+    rank = draw(st.integers(1, 3))
+    con = st.tuples(_rows(rank, -2, 2), st.integers(-2, 2))
+    P, Q = [
+        polyhedron(rank, draw(st.lists(con, max_size=2)), draw(st.lists(con, max_size=4)))
+        for _ in range(2)
+    ]
+    kind = draw(st.sampled_from(_KINDS + ["random"]))
+    if kind != "random":
+        Q = _variant(draw, P, kind, con)
+    return (Q, P) if draw(st.booleans()) else (P, Q)
+
+
+class TestContainmentAgainstLPReference:
+    """Containment by dimension, interior point and affine-hull span equals
+    containment by one LP per constraint row."""
+
+    @settings(max_examples=400)
+    @given(containment_pairs())
+    def test_random_pairs(self, pair):
+        P, Q = pair
+        assert poly_contains(P, Q) == reference_poly_contains(P, Q)
+
+    def test_equality_needs_the_span_test(self):
+        # the box's relative-interior point is the origin, on the line v1 = 0
+        line = polyhedron(2, [((1, 0), Fraction(0))], ())
+        assert relative_interior_point(box(2)) == (0, 0)
+        assert not poly_contains(line, box(2))
+        assert poly_contains(line, intersect(line, box(2)))
+
+    def test_inequalities_need_their_lps(self):
+        # the big box's interior point lies in the small box
+        assert not poly_contains(box(2), box(2, -2, 2))
+        assert poly_contains(box(2, -2, 2), box(2))
+
+    def test_empty_and_point(self):
+        empty = polyhedron(2, (), [((1, 0), Fraction(0)), ((-1, 0), Fraction(-1))])
+        assert poly_contains(polyhedron(2, [((1, 0), Fraction(5))], ()), empty)
+        point = polyhedron(2, [((1, 0), Fraction(1)), ((0, 1), Fraction(-1))], ())
+        assert poly_contains(box(2), point) and not poly_contains(box(2, 2, 3), point)
 
 
 class TestPruneAgainstContainmentReference:
