@@ -16,6 +16,7 @@ from .errors import (
     DependentDirection,
     DimensionMismatch,
     EmptyPolynomial,
+    ExpansionTooLarge,
     ExponentSpreadTooLarge,
     InvalidPlace,
     MissingImagePresentation,

@@ -43,6 +43,10 @@ class RankTooLarge(AmoebaError):
     code = "rank-too-large"
 
 
+class ExpansionTooLarge(AmoebaError):
+    code = "expansion-too-large"
+
+
 class EmptyPolynomial(AmoebaError):
     code = "empty-polynomial"
 

@@ -12,18 +12,28 @@ Values are multivariate Laurent polynomials over the coefficient field
 (Q, or Q(z) when 'z' occurs).  Division and negative powers require the
 divisor or base to be a single term, so '(z-1)/(z^2+1)' and 'x1^-2' work and
 '1/(x1+1)' is rejected.  The parser expands products, so '(z^2+1)*(x1+x2-5)'
-parses to the expanded polynomial.
+parses to the expanded polynomial, within the MAX_* limits below; past them
+it raises ExpansionTooLarge before expanding.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from .errors import PolySyntaxError, RankMismatch, RankTooLarge
+from .errors import ExpansionTooLarge, PolySyntaxError, RankMismatch, RankTooLarge
 from .scalars import FIELD_Q, FIELD_QZ, Poly, RationalFunction, Z
 
 # Largest rank (and variable index) accepted: exponent tuples have this many
 # entries, so text like 'x99999999999' is rejected before any is built.
 MAX_RANK = 64
+# Expansion limits: the exponent of a base other than one term with
+# coefficient 1 or -1, the term pairs of a product, and the size of its
+# coefficients (the digit limit also bounds exponents).
+MAX_POWER = 64
+MAX_TERM_PAIRS = 2**16
+MAX_COEFF_DIGITS = 4300  # Python's int-to-str limit
+MAX_Z_DEGREE = 256
+_MAX_COEFF_BITS = int(MAX_COEFF_DIGITS * math.log2(10))
 
 
 def _check_rank(rank):
@@ -78,6 +88,16 @@ def _tokenize(text):
     return tokens
 
 
+def _size(terms):
+    """(largest z-degree, largest numerator or denominator bit length) of
+    the coefficients."""
+    polys = [p for c in terms.values() if isinstance(c, RationalFunction) for p in (c.num, c.den)]
+    fracs = [c for c in terms.values() if not isinstance(c, RationalFunction)]
+    fracs += [x for p in polys for x in p.coeffs]
+    bits = (max(x.numerator.bit_length(), x.denominator.bit_length()) for x in fracs)
+    return max((p.degree for p in polys), default=0), max(bits, default=0)
+
+
 class _Terms:
     """Mutable term map {exponent tuple: coefficient} during parsing."""
 
@@ -117,6 +137,17 @@ class _Terms:
         return _Terms(self.rank, self.field, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
+        pairs = len(self.terms) * len(other.terms)
+        if pairs > MAX_TERM_PAIRS:
+            raise ExpansionTooLarge(f"a product of {pairs} term pairs exceeds {MAX_TERM_PAIRS}")
+        (d1, b1), (d2, b2) = _size(self.terms), _size(other.terms)
+        # each product coefficient is a sum of at most this many products
+        parts = pairs * (min(d1, d2) + 1)
+        if d1 + d2 > MAX_Z_DEGREE or b1 + b2 + parts.bit_length() > _MAX_COEFF_BITS:
+            raise ExpansionTooLarge(
+                f"a product coefficient may exceed {MAX_COEFF_DIGITS} digits "
+                f"or z-degree {MAX_Z_DEGREE}"
+            )
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -142,14 +173,24 @@ class _Terms:
     def power(self, k, pos):
         if k < 0:
             return self.inverse(pos).power(-k, pos)
+        single = self.single_term()
+        if single is not None and single[1] in (1, -1):
+            e, c = single
+            return _Terms(self.rank, self.field, {tuple(k * x for x in e): c if k % 2 else c * c})
+        if k > MAX_POWER:
+            raise ExpansionTooLarge(
+                f"exponent {k} exceeds {MAX_POWER} on a base other than one term "
+                f"with coefficient 1 or -1 (at position {pos})"
+            )
         out = _Terms.const(self.rank, self.field, 1)
         base = self
-        while k:
+        while True:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
-        return out
+            if not k:
+                return out
+            base = base * base
 
 
 class _Parser:
@@ -263,9 +304,12 @@ def parse_terms(text, rank, field) -> dict:
     """{exponent tuple: nonzero coefficient}; may be empty after cancellation."""
     _check_rank(rank)
     try:
-        return _Parser(text, rank, field).parse().terms
+        terms = _Parser(text, rank, field).parse().terms
     except RecursionError:
         raise PolySyntaxError("parentheses nested too deeply", 0) from None
+    if any(abs(x).bit_length() > _MAX_COEFF_BITS for e in terms for x in e):
+        raise ExpansionTooLarge(f"an exponent may exceed {MAX_COEFF_DIGITS} digits")
+    return terms
 
 
 def parse_scalar(text, field):

@@ -5,6 +5,7 @@ converted to floats at render time only.  Output is deterministic text.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .archimedean import (
@@ -13,6 +14,7 @@ from .archimedean import (
     triangle_exact_membership,
 )
 from .errors import DimensionMismatch
+from .lattices import identity
 from .polyhedral import (
     LPOptimal,
     PolyhedralComplex,
@@ -20,7 +22,6 @@ from .polyhedral import (
     contains_point,
     dimension,
     intersect,
-    is_empty,
     lp_solve,
     polyhedron,
     relative_interior_point,
@@ -32,16 +33,9 @@ def _fmt(x: float) -> str:
 
 
 def _box(rank, extent):
-    e = Fraction(extent)
-    ineqs = []
-    for c in range(rank):
-        row = [0] * rank
-        row[c] = 1
-        ineqs.append((tuple(row), e))
-        row = [0] * rank
-        row[c] = -1
-        ineqs.append((tuple(row), e))
-    return polyhedron(rank, (), ineqs)
+    eye = identity(rank)
+    rows = eye + [[-x for x in r] for r in eye]
+    return polyhedron(rank, (), [(r, extent) for r in rows])
 
 
 def _segment_endpoints(P):
@@ -71,8 +65,6 @@ def _polygon_vertices(P):
     pts = list(pts)
     cx = sum(p[0] for p in pts) / len(pts)
     cy = sum(p[1] for p in pts) / len(pts)
-    import math
-
     pts.sort(key=lambda p: math.atan2(float(p[1] - cy), float(p[0] - cx)))
     return pts
 
@@ -105,9 +97,9 @@ def render_complex_svg(C: PolyhedralComplex, extent=4, size=480) -> str:
     ]
     for cell in C.cells:
         P = intersect(cell.polyhedron, box)
-        if is_empty(P):
-            continue
         d = dimension(P)
+        if d < 0:
+            continue
         if d == 0:
             p = relative_interior_point(P)
             parts.append(

@@ -7,9 +7,10 @@ over one common positive denominator and is updated by fraction-free
 (Bareiss) pivots, every division exact; Fractions are built only for the
 returned value, point, ray and multipliers.  Every answer is exact and is
 checked against its certificate (dual multipliers, an improving ray, or
-Farkas multipliers) before it is returned.  Projections use a change of
-coordinates plus Fourier-Motzkin elimination with LP-based redundancy
-removal.
+Farkas multipliers) before it is returned.  Projection is Fourier-Motzkin
+elimination on integer rows, each step built through polyhedron(); LP-based
+redundancy removal runs once, on the output only.  Emptiness is read off the
+cached dimension.
 """
 from __future__ import annotations
 
@@ -20,9 +21,6 @@ from fractions import Fraction
 
 from .errors import DimensionMismatch, InternalInvariantError, RankDeficient
 from .lattices import identity, independent_subset, integer_row, rank_of_rows
-
-Row = tuple  # tuple[int, ...]
-LinCon = tuple  # (Row, Fraction)
 
 
 def _canon_constraint(row, rhs, is_equality):
@@ -45,7 +43,9 @@ def _canon_constraint(row, rhs, is_equality):
     return tuple(ints), rhs
 
 
-_INFEASIBLE_MARK = "infeasible"
+def _con_key(con):
+    row, rhs = con
+    return row, (rhs.numerator, rhs.denominator)
 
 
 @dataclass(frozen=True)
@@ -64,32 +64,21 @@ class Polyhedron:
     def sort_key(self):
         return (
             self.rank,
-            tuple((r, (b.numerator, b.denominator)) for (r, b) in self.equalities),
-            tuple((r, (b.numerator, b.denominator)) for (r, b) in self.inequalities),
+            tuple(map(_con_key, self.equalities)),
+            tuple(map(_con_key, self.inequalities)),
         )
 
 
 def polyhedron(rank, equalities=(), inequalities=()):
     """Canonicalizing constructor: primitive rows, sorted, deduplicated."""
-    eqs = set()
-    ineqs = set()
-    infeasible = False
-    for row, rhs in equalities:
-        c = _canon_constraint(row, rhs, True)
-        if c == _INFEASIBLE_MARK:
-            infeasible = True
-        elif c is not None:
-            eqs.add(c)
-    for row, rhs in inequalities:
-        c = _canon_constraint(row, rhs, False)
-        if c == _INFEASIBLE_MARK:
-            infeasible = True
-        elif c is not None:
-            ineqs.add(c)
-    if infeasible:
-        return empty_polyhedron(rank)
-    key = lambda c: (c[0], (c[1].numerator, c[1].denominator))
-    return Polyhedron(rank, tuple(sorted(eqs, key=key)), tuple(sorted(ineqs, key=key)))
+    groups = []
+    for cons, is_equality in ((equalities, True), (inequalities, False)):
+        canon = {_canon_constraint(row, rhs, is_equality) for row, rhs in cons}
+        if "infeasible" in canon:
+            return empty_polyhedron(rank)
+        canon.discard(None)
+        groups.append(tuple(sorted(canon, key=_con_key)))
+    return Polyhedron(rank, *groups)
 
 
 def empty_polyhedron(rank):
@@ -438,8 +427,9 @@ def poly_contains(P: Polyhedron, Q: Polyhedron) -> bool:
     An empty Q is contained.  A relative-interior point x of Q outside P
     is an exact "no".  With x in P, an equality of P holds on all of Q
     exactly when its row lies in the span of the affine-hull rows of Q,
-    decided by exact rank; a point Q is then decided.  Each inequality of P
-    is decided by one LP over Q."""
+    decided by exact rank; a point Q is then decided.  An inequality of P
+    that Q states with the same row and a rhs no larger holds on Q; each
+    other one is decided by one LP over Q."""
     if P.rank != Q.rank:
         raise DimensionMismatch("rank mismatch")
     if dimension(Q) < 0:
@@ -451,7 +441,10 @@ def poly_contains(P: Polyhedron, Q: Polyhedron) -> bool:
         return False
     if len(hull) == Q.rank:
         return True
+    stated = dict(Q.inequalities)
     for row, rhs in P.inequalities:
+        if row in stated and stated[row] <= rhs:
+            continue
         hi = lp_solve(row, Q, "max")
         if not (isinstance(hi, LPOptimal) and hi.value <= rhs):
             return False
@@ -481,37 +474,36 @@ def remove_redundancy(P: Polyhedron) -> Polyhedron:
 # projection and preimage
 
 
-def _eliminate_variable(eqs, ineqs, idx):
-    """One elimination step on rational working rows (lists, Fraction rhs)."""
-    pivot = None
-    for i, (row, rhs) in enumerate(eqs):
-        if row[idx] != 0:
-            pivot = i
-            break
+def _eliminate(P: Polyhedron, idx) -> Polyhedron:
+    """One Fourier-Motzkin step on integer rows: the projection of P along
+    coordinate idx, still written in all P.rank coordinates."""
+    pivot = next((c for c in P.equalities if c[0][idx]), None)
     if pivot is not None:
-        prow, prhs = eqs[pivot]
-        c = prow[idx]
+        # c * row - f * pivot row with c = |pivot[idx]| > 0 and the pivot's
+        # sign folded into f: coordinate idx vanishes, and an inequality is
+        # scaled by c > 0, so it keeps its direction
+        prow, prhs = pivot
+        c, s = abs(prow[idx]), (1 if prow[idx] > 0 else -1)
 
         def subst(con):
             row, rhs = con
-            if row[idx] == 0:
-                return con
-            f = row[idx] / c
-            return [a - f * b for a, b in zip(row, prow)], rhs - f * prhs
+            f = s * row[idx]
+            return [c * a - f * b for a, b in zip(row, prow)], c * rhs - f * prhs
 
-        eqs = [subst(con) for i, con in enumerate(eqs) if i != pivot]
-        ineqs = [subst(con) for con in ineqs]
-        return eqs, ineqs
-    pos = [(row, rhs) for row, rhs in ineqs if row[idx] > 0]
-    neg = [(row, rhs) for row, rhs in ineqs if row[idx] < 0]
-    zero = [(row, rhs) for row, rhs in ineqs if row[idx] == 0]
+        return polyhedron(
+            P.rank,
+            [subst(con) for con in P.equalities if con is not pivot],
+            [subst(con) for con in P.inequalities],
+        )
+    pos = [con for con in P.inequalities if con[0][idx] > 0]
+    neg = [con for con in P.inequalities if con[0][idx] < 0]
+    zero = [con for con in P.inequalities if con[0][idx] == 0]
     combos = []
     for prow, prhs in pos:
         for nrow, nrhs in neg:
             a, b = prow[idx], -nrow[idx]
-            row = [b * x + a * y for x, y in zip(prow, nrow)]
-            combos.append((row, b * prhs + a * nrhs))
-    return eqs, zero + combos
+            combos.append(([b * x + a * y for x, y in zip(prow, nrow)], b * prhs + a * nrhs))
+    return polyhedron(P.rank, P.equalities, zero + combos)
 
 
 def project(P: Polyhedron, phi) -> Polyhedron:
@@ -523,51 +515,21 @@ def project(P: Polyhedron, phi) -> Polyhedron:
     if rank_of_rows(phi) != m:
         raise RankDeficient("projection matrix must have full row rank")
     # variables (w, v) with w = phi v; eliminate all of v
-    eqs = []
-    for i in range(m):
-        row = [Fraction(0)] * (m + n)
-        row[i] = Fraction(1)
-        for j in range(n):
-            row[m + j] = Fraction(-phi[i][j])
-        eqs.append((row, Fraction(0)))
-    for row, rhs in P.equalities:
-        eqs.append(([Fraction(0)] * m + [Fraction(x) for x in row], Fraction(rhs)))
-    ineqs = [
-        ([Fraction(0)] * m + [Fraction(x) for x in row], Fraction(rhs))
-        for row, rhs in P.inequalities
-    ]
+    eye, zeros = identity(m), (0,) * m
+    Q = polyhedron(
+        m + n,
+        [(eye[i] + [-x for x in phi[i]], 0) for i in range(m)]
+        + [(zeros + row, rhs) for row, rhs in P.equalities],
+        [(zeros + row, rhs) for row, rhs in P.inequalities],
+    )
     for j in range(n):
-        eqs, ineqs = _eliminate_variable(eqs, ineqs, m + j)
-        # keep rows primitive between steps to stop coefficient growth
-        new_eqs = []
-        for r, b in eqs:
-            c = _canon_constraint(r, b, True)
-            if c == _INFEASIBLE_MARK:
-                return empty_polyhedron(m)
-            if c is not None:
-                new_eqs.append(([Fraction(x) for x in c[0]], c[1]))
-        new_ineqs = set()
-        for r, b in ineqs:
-            c = _canon_constraint(r, b, False)
-            if c == _INFEASIBLE_MARK:
-                return empty_polyhedron(m)
-            if c is not None:
-                new_ineqs.add((c[0], c[1]))
-        eqs = new_eqs
-        ineqs = [
-            ([Fraction(x) for x in r], b)
-            for r, b in sorted(
-                new_ineqs, key=lambda c: (c[0], (c[1].numerator, c[1].denominator))
-            )
-        ]
+        Q = _eliminate(Q, m + j)
     out = polyhedron(
         m,
-        [([x for x in row[:m]], rhs) for row, rhs in eqs],
-        [([x for x in row[:m]], rhs) for row, rhs in ineqs],
+        [(row[:m], rhs) for row, rhs in Q.equalities],
+        [(row[:m], rhs) for row, rhs in Q.inequalities],
     )
-    if is_empty(out):
-        return empty_polyhedron(m)
-    return remove_redundancy(out)
+    return empty_polyhedron(m) if dimension(out) < 0 else remove_redundancy(out)
 
 
 def preimage(P: Polyhedron, phi) -> Polyhedron:
@@ -586,35 +548,17 @@ def preimage(P: Polyhedron, phi) -> Polyhedron:
 
 def from_generators(rank, points, rays=(), lines=()):
     """Polyhedron conv(points) + cone(rays) + span(lines), via projection."""
-    points = [list(map(Fraction, p)) for p in points]
-    rays = [list(map(Fraction, r)) for r in rays]
-    lines = [list(map(Fraction, l)) for l in lines]
     if not points:
         raise ValueError("need at least one point")
-    np_, nr, nl = len(points), len(rays), len(lines)
-    total = rank + np_ + nr + nl
-    eqs = []
-    for c in range(rank):
-        row = [Fraction(0)] * total
-        row[c] = Fraction(1)
-        for k, p in enumerate(points):
-            row[rank + k] = -p[c]
-        for k, r in enumerate(rays):
-            row[rank + np_ + k] = -r[c]
-        for k, l in enumerate(lines):
-            row[rank + np_ + nr + k] = -l[c]
-        eqs.append((row, Fraction(0)))
-    mu = [Fraction(0)] * total
-    for k in range(np_):
-        mu[rank + k] = Fraction(1)
-    eqs.append((mu, Fraction(1)))
-    ineqs = []
-    for k in range(np_ + nr):
-        row = [Fraction(0)] * total
-        row[rank + k] = Fraction(-1)
-        ineqs.append((row, Fraction(0)))
-    big = polyhedron(total, eqs, ineqs)
-    return project(big, identity(total)[:rank])
+    # variables (v, mu): v = sum of mu_k g_k, mu >= 0 on points and rays,
+    # and the mu of the points sum to 1
+    gens = [*points, *rays, *lines]
+    n, k = rank + len(gens), len(points)
+    eye = identity(n)
+    eqs = [(eye[c][:rank] + [-Fraction(g[c]) for g in gens], 0) for c in range(rank)]
+    eqs.append(([0] * rank + [1] * k + [0] * (n - rank - k), 1))
+    ineqs = [([-x for x in eye[rank + i]], 0) for i in range(k + len(rays))]
+    return project(polyhedron(n, eqs, ineqs), eye[:rank])
 
 
 # ---------------------------------------------------------------------------
@@ -675,12 +619,12 @@ def covered_by(P: Polyhedron, polys) -> bool:
     properly split any chain at most once, so this terminates; if the union
     covers P, some piece always overlaps full-dimensionally.
     """
-    if is_empty(P):
+    dP = dimension(P)
+    if dP < 0:
         return True
     for Q in polys:
         if poly_contains(Q, P):
             return True
-    dP = dimension(P)
     for Q in polys:
         if dimension(intersect(P, Q)) != dP:
             continue

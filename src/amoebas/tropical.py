@@ -30,7 +30,6 @@ from .polyhedral import (
     contains_point,
     dimension,
     intersect,
-    is_empty,
     lp_solve,
     make_complex,
     poly_contains,
@@ -254,8 +253,11 @@ class Constraint:
 def prevariety(constraints, place, rank) -> PolyhedralComplex:
     """Intersection of the pulled-back hypersurface tropicalizations.
 
-    Distributes intersection over tuples of cells, drops empty intersections,
-    and keeps inclusion-maximal cells.  This is an outer approximation of the
+    Distributes intersection over tuples of cells and prunes the raw pieces
+    to the inclusion-maximal nonempty ones; redundancy removal runs only on
+    the cells kept.  Deduplication keeps the first piece of each set-equal
+    class in product order, reduced or not, so the cells do not depend on
+    when redundancy is removed.  This is an outer approximation of the
     tropicalization of the common zero set.
     """
     pulled = []
@@ -263,13 +265,8 @@ def prevariety(constraints, place, rank) -> PolyhedralComplex:
         mat = con.matrix(rank)
         trop = trop_hypersurface(con.poly, place)
         pulled.append([preimage(cell.polyhedron, mat) for cell in trop.cells])
-    pieces = []
-    for combo in itertools.product(*pulled):
-        P = intersect(*combo) if len(combo) > 1 else combo[0]
-        if not is_empty(P):
-            pieces.append(remove_redundancy(P))
-    keep = prune_to_maximal(pieces)
-    return make_complex(rank, [Cell(P) for P in keep])
+    keep = prune_to_maximal([intersect(*combo) for combo in itertools.product(*pulled)])
+    return make_complex(rank, [Cell(remove_redundancy(P)) for P in keep])
 
 
 def system_bad_places(constraints) -> frozenset:
@@ -310,7 +307,7 @@ def _codimension_two_cells(C: PolyhedralComplex):
     taus = []
     for A, B in itertools.combinations([c.polyhedron for c in C.cells], 2):
         T = intersect(A, B)
-        if is_empty(T) or dimension(T) != target:
+        if dimension(T) != target:
             continue
         if not any(poly_equal(T, S) for S in taus):
             taus.append(T)

@@ -11,18 +11,24 @@ from hypothesis import settings
 
 from amoebas.errors import InternalInvariantError
 from amoebas.laurent import make_laurent, parse_poly
+from amoebas.lattices import rank_of_rows
 from amoebas.polyhedral import (
     Cell,
     LPInfeasible,
     LPOptimal,
     LPUnbounded,
+    _canon_constraint,
     dimension,
+    empty_polyhedron,
     from_generators,
+    intersect,
     is_empty,
     lp_solve,
     make_complex,
     poly_equal,
     polyhedron,
+    preimage,
+    prune_to_maximal,
     relative_interior_point,
     remove_redundancy,
 )
@@ -353,6 +359,79 @@ def reference_rank_of_rows(rows):
                 mat[r] = [x - f * y for x, y in zip(mat[r], mat[rank])]
         rank += 1
     return rank
+
+
+def reference_prevariety(constraints, place, rank):
+    """Prevariety with every product piece tested for emptiness and reduced
+    before pruning."""
+    pulled = []
+    for con in constraints:
+        mat = con.matrix(rank)
+        trop = trop_hypersurface(con.poly, place)
+        pulled.append([preimage(cell.polyhedron, mat) for cell in trop.cells])
+    pieces = []
+    for combo in itertools.product(*pulled):
+        P = intersect(*combo) if len(combo) > 1 else combo[0]
+        if not is_empty(P):
+            pieces.append(remove_redundancy(P))
+    keep = prune_to_maximal(pieces)
+    return make_complex(rank, [Cell(P) for P in keep])
+
+
+def _reference_eliminate(eqs, ineqs, idx):
+    """One elimination step on Fraction working rows."""
+    pivot = next((i for i, (row, _) in enumerate(eqs) if row[idx] != 0), None)
+    if pivot is not None:
+        prow, prhs = eqs[pivot]
+        c = prow[idx]
+
+        def subst(con):
+            row, rhs = con
+            if row[idx] == 0:
+                return con
+            f = row[idx] / c
+            return [a - f * b for a, b in zip(row, prow)], rhs - f * prhs
+
+        eqs = [subst(con) for i, con in enumerate(eqs) if i != pivot]
+        return eqs, [subst(con) for con in ineqs]
+    pos = [(row, rhs) for row, rhs in ineqs if row[idx] > 0]
+    neg = [(row, rhs) for row, rhs in ineqs if row[idx] < 0]
+    zero = [(row, rhs) for row, rhs in ineqs if row[idx] == 0]
+    combos = []
+    for prow, prhs in pos:
+        for nrow, nrhs in neg:
+            a, b = prow[idx], -nrow[idx]
+            combos.append(([b * x + a * y for x, y in zip(prow, nrow)], b * prhs + a * nrhs))
+    return eqs, zero + combos
+
+
+def reference_project(P, phi):
+    """Image of P under phi by Fourier-Motzkin elimination on Fraction
+    working rows, made primitive and deduplicated after each step, with an
+    emptiness LP before redundancy removal."""
+    m, n = len(phi), P.rank
+    assert rank_of_rows(phi) == m
+    F = Fraction
+    eqs = [
+        ([F(int(i == k)) for k in range(m)] + [F(-x) for x in phi[i]], F(0)) for i in range(m)
+    ]
+    eqs += [([F(0)] * m + [F(x) for x in row], rhs) for row, rhs in P.equalities]
+    ineqs = [([F(0)] * m + [F(x) for x in row], rhs) for row, rhs in P.inequalities]
+    for j in range(n):
+        eqs, ineqs = _reference_eliminate(eqs, ineqs, m + j)
+        cons = []
+        for is_eq, group in ((True, eqs), (False, ineqs)):
+            canon = [_canon_constraint(r, b, is_eq) for r, b in group]
+            if "infeasible" in canon:
+                return empty_polyhedron(m)
+            cons.append([([F(x) for x in c[0]], c[1]) for c in canon if c is not None])
+        eqs = cons[0]
+        ineqs = sorted({(tuple(r), b) for r, b in cons[1]}, key=lambda c: (c[0], c[1]))
+        ineqs = [(list(r), b) for r, b in ineqs]
+    out = polyhedron(m, [(r[:m], b) for r, b in eqs], [(r[:m], b) for r, b in ineqs])
+    if is_empty(out):
+        return empty_polyhedron(m)
+    return remove_redundancy(out)
 
 
 # ---------------------------------------------------------------------------

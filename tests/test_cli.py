@@ -171,6 +171,22 @@ class TestErrorsAndDeterminism:
         assert done.returncode == 2 and done.stdout == ""
         assert json.loads(done.stderr)["error"]["code"] == "rank-too-large"
 
+    @pytest.mark.parametrize(
+        "f",
+        ["(x1+x2+1)^300", "2^99999999*x1+1", "((z+1)^64)^64*x1+1"],
+        ids=["terms", "integer", "z-degree"],
+    )
+    def test_expansion_bound_exits_2_in_bounded_time(self, f):
+        # in a child process, so that a broken bound fails by timeout
+        src = os.path.dirname(os.path.dirname(amoebas.__file__))
+        done = subprocess.run(
+            [sys.executable, "-m", "amoebas.cli", "trop", "--f", f],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 2 and done.stdout == ""
+        assert json.loads(done.stderr)["error"]["code"] == "expansion-too-large"
+
     def test_image_on_hypersurface_exit_code(self, capsys):
         code, out, err = run_cli(
             capsys, "classify", "--f", "x1*x2-1", "--halfspace", "dir:1,1",

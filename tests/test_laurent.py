@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from amoebas.errors import (
     AmoebaError,
     EmptyPolynomial,
+    ExpansionTooLarge,
     PolySyntaxError,
     RankMismatch,
     RankTooLarge,
@@ -67,11 +68,27 @@ class TestParse:
             with pytest.raises(RankTooLarge):
                 parse_poly(text, rank=rank)
 
-    # '^' is left out of the grammar alphabet: 9^99999 is valid input whose
-    # expansion alone takes long
+    def test_expansion_bound(self):
+        # a single term with coefficient 1 or -1 takes any exponent
+        assert parse_poly("x1^99999999999 + 1").exponents() == [(0,), (99999999999,)]
+        assert parse_poly("(-x1)^99999999999 - x1^2").nterms == 2
+        assert parse_poly("(x1+1)^64").nterms == 65
+        assert parse_poly("((2^64)^64)^3*x1 + 1").nterms == 2  # 3700 digits
+        for text in (
+            "(x1+1)^65",  # exponent
+            "2^65*x1",  # exponent of a single term with another coefficient
+            "((x1+1)^64)^64",  # term pairs
+            "((2^64)^64)^4*x1",  # digits
+            "((z+1)^64)^8*x1",  # z-degree
+            f"(x1^{'9' * 2500})^{'9' * 2500}",  # exponent digits
+        ):
+            with pytest.raises(ExpansionTooLarge):
+                parse_poly(text)
+
     @settings(max_examples=300)
-    @given(st.text() | st.text(alphabet="x0123456789z+-*/() ", max_size=30))
+    @given(st.text() | st.text(alphabet="x0123456789z+-*/^() ", max_size=30))
     @example("x" + "9" * 5000)
+    @example("(x1+x2+1)^300")
     @example("x1 + 2\u00b2")
     @example("(" * 400 + "x1" + ")" * 400)
     def test_any_text_raises_only_amoeba_errors(self, text):

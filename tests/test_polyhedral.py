@@ -1,11 +1,12 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from amoebas import polyhedral
 from amoebas.errors import InternalInvariantError, RankDeficient
+from amoebas.lattices import rank_of_rows
 from amoebas.polyhedral import (
     Cell,
     LPInfeasible,
@@ -40,6 +41,7 @@ from conftest import (
     ray,
     reference_lp_solve,
     reference_poly_contains,
+    reference_project,
     reference_prune_to_maximal,
     segment,
 )
@@ -171,7 +173,7 @@ class TestProjection:
 
     def test_empty_image_is_the_empty_polyhedron(self):
         # eliminating v from w = v leaves w <= -1, -w <= 0: no zero row
-        # marks it infeasible, the emptiness LP before redundancy removal does
+        # marks it infeasible, dimension -1 before redundancy removal does
         P = polyhedron(1, (), [((1,), Fraction(-1)), ((-1,), Fraction(0))])
         assert project(P, [[1]]) == empty_polyhedron(1)
 
@@ -206,6 +208,40 @@ class TestProjection:
                 continue
             back = project(preimage(P, phi), phi)
             assert poly_equal(back, P)
+
+
+@st.composite
+def projections(draw):
+    """A random polyhedron of rank 1-4 and a full-row-rank integer matrix
+    with entries in [-2, 2] onto rank 1 to the same rank."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, n))
+    row = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    phi = draw(st.lists(row, min_size=m, max_size=m))
+    assume(rank_of_rows(phi) == m)
+    con = st.tuples(_rows(n, -2, 2), _rationals(-3, 3, 2))
+    P = polyhedron(n, draw(st.lists(con, max_size=2)), draw(st.lists(con, max_size=5)))
+    return P, phi
+
+
+class TestProjectionAgainstFractionReference:
+    """Integer Fourier-Motzkin through polyhedron() gives the image of
+    Fourier-Motzkin on Fraction working rows."""
+
+    @settings(max_examples=150)
+    @given(projections())
+    def test_random_projections(self, case):
+        P, phi = case
+        got, want = project(P, phi), reference_project(P, phi)
+        assert poly_equal(got, want)
+        assert (got == empty_polyhedron(len(phi))) == (dimension(want) < 0)
+
+    def test_negative_pivot_keeps_directions(self):
+        # the graph row w - 2v = 0 has pivot coefficient -2 at v
+        P = polyhedron(1, (), [((1,), Fraction(2)), ((-1,), Fraction(-1))])
+        image = polyhedron(1, (), [((1,), Fraction(4)), ((-1,), Fraction(-2))])
+        assert poly_equal(project(P, [[2]]), image)
+        assert poly_equal(reference_project(P, [[2]]), image)
 
 
 class TestComplexes:

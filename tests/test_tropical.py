@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from amoebas.errors import ArchimedeanNotSupported, MonomialInput
 from amoebas.laurent import make_laurent, parse_poly
 from amoebas.polyhedral import (
     complex_membership,
+    complex_to_json,
     complexes_equal,
     contains_point,
     covered_by,
@@ -52,6 +54,7 @@ from conftest import (
     rand_poly_qz,
     ray,
     reference_corner_locus,
+    reference_prevariety,
     tripod,
 )
 
@@ -411,3 +414,47 @@ class TestCornerLocusAgainstPerPairReference:
             ((0, 2, 3), 2),
             ((1, 3), 1),
         }
+
+
+@st.composite
+def trinomial_systems(draw):
+    """Two constraints in rank 2 or 3, each of 2-3 terms with exponents in
+    [-1, 1] and coefficients with 2-adic valuations -1 to 2, pulled back
+    along the identity or a random integer map, at the generic place or 2."""
+    rank = draw(st.integers(2, 3))
+    constraints = []
+    for _ in range(2):
+        mapped = draw(st.booleans())
+        own = draw(st.integers(1, rank)) if mapped else rank
+        exps = draw(
+            st.lists(st.tuples(*[st.integers(-1, 1)] * own), min_size=2, max_size=3, unique=True)
+        )
+        coeffs = st.sampled_from([1, -1, 2, -2, 3, 4, 6, Fraction(1, 2), Fraction(-3, 2)])
+        poly = make_laurent(own, FIELD_Q, [(e, draw(coeffs)) for e in exps])
+        pullback = None
+        if mapped:
+            row = st.tuples(*[st.integers(-1, 1)] * rank)
+            pullback = tuple(draw(st.lists(row, min_size=own, max_size=own)))
+        constraints.append(Constraint(poly, pullback))
+    place = draw(st.sampled_from([GENERIC, FinitePrime(2)]))
+    return constraints, place, rank
+
+
+class TestPrevarietyAgainstReference:
+    """Pruning the raw product pieces and reducing only the kept cells gives
+    the bytes of reducing every nonempty piece before pruning."""
+
+    @settings(max_examples=60)
+    @given(trinomial_systems())
+    def test_random_systems(self, system):
+        constraints, place, rank = system
+        dump = lambda C: json.dumps(complex_to_json(C), sort_keys=True)
+        assert dump(prevariety(constraints, place, rank)) == dump(
+            reference_prevariety(constraints, place, rank)
+        )
+
+    def test_acceptance_systems(self, curve_system_qz, surface_system_q):
+        for system in (curve_system_qz, surface_system_q):
+            for place in [GENERIC, *sorted(system_bad_places(system.constraints), key=str)]:
+                C = prevariety(system.constraints, place, system.rank)
+                assert C == reference_prevariety(system.constraints, place, system.rank)
