@@ -3,9 +3,13 @@
 The amoeba at the archimedean place is never stored as a region; this module
 answers pointwise queries with certificates.  At a log-modulus point v each
 term contributes modulus r_i = |a_i| * exp(-<u_i, v>), kept symbolically as
-the pair (|a_i|, -<u_i, v>) of exact rationals.  Comparisons of sums
-sum q_i * exp(t_i) are decided by grouping equal exponents (exact equality
-detection) and certified interval refinement otherwise; a nonzero sum with
+the pair (|a_i|, -<u_i, v>) of exact rationals.  Each term modulus is
+enclosed once per point, by integer bounds over one common power of two
+from directed rounding, and every comparison of r_k with the sum of the
+other moduli is decided from those shared bounds.  Only a comparison whose
+bounds straddle zero goes to the exact refinement of sums
+sum q_i * exp(t_i): equal exponents are grouped (exact equality detection),
+then the enclosure is repeated at doubling precision; a nonzero sum with
 distinct rational exponents is bounded away from zero, so refinement
 terminates on every strict comparison.
 
@@ -33,12 +37,12 @@ INSIDE = "inside"
 OUTSIDE = "outside"
 NOT_APPLICABLE = "not-applicable"
 
+_FIRST_PRECISION = 64
 _MAX_PRECISION = 4096
 # Largest exponent spread of the solved coordinate: its slice polynomial
 # has one coefficient per exponent and np.roots solves a companion matrix
 # of that order at every sampled phase.
 _MAX_EXPONENT_SPREAD = 64
-_TIE_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -66,56 +70,88 @@ class ArchQuery:
         return [float(q) * math.exp(float(t)) for q, t in zip(self.magnitudes, self.exponents)]
 
 
+def _floor_scaled(x, e):
+    """floor(x * 2**-e) for a finite raw mpf x."""
+    sign, man, exp, _ = x
+    n = -man if sign else man
+    return n << (exp - e) if exp >= e else n >> (e - exp)
+
+
+def _enclose(terms, prec=_FIRST_PRECISION):
+    """Integer bounds lo <= q * exp(t) * 2**-e <= hi for every (q, t) pair of
+    rationals, over one common e; returns (e, [(lo, hi), ...]).
+
+    Each product is enclosed at prec bits by directed rounding (mpmath's
+    interval exponential and product, the routines behind its interval
+    type), and its endpoints are rounded outward to integers at the scale
+    prec bits below the largest endpoint.
+    """
+    from mpmath.libmp import from_rational, mpf_neg, round_ceiling, round_floor
+    from mpmath.libmp.libmpi import mpi_exp, mpi_mul
+
+    def interval(x):
+        n, d = x.numerator, x.denominator
+        return from_rational(n, d, prec, round_floor), from_rational(n, d, prec, round_ceiling)
+
+    ends = [mpi_mul(interval(q), mpi_exp(interval(t), prec), prec) for q, t in terms]
+    top = max((x[2] + x[3] for pair in ends for x in pair if x[1]), default=0)
+    e = top - prec
+    return e, [(_floor_scaled(a, e), -_floor_scaled(mpf_neg(b), e)) for a, b in ends]
+
+
 def sign_exp_sum(terms) -> int | None:
     """Exact sign of sum q * exp(t) over (q, t) pairs of rationals.
 
     Groups equal exponents first; a fully cancelling sum is exactly zero.
-    Otherwise interval refinement decides, with None only if the precision
-    cap is hit inside the tie tolerance (which a nonzero sum never does at
-    desk scale).
+    Otherwise the terms are enclosed once per precision, doubling from 64
+    bits, until the summed bounds exclude zero; None only if the precision
+    cap is hit first (which a nonzero sum never does at desk scale).
     """
     groups: dict[Fraction, Fraction] = {}
     for q, t in terms:
         q, t = Fraction(q), Fraction(t)
         groups[t] = groups.get(t, Fraction(0)) + q
-    groups = {t: q for t, q in groups.items() if q != 0}
-    if not groups:
+    pairs = [(q, t) for t, q in groups.items() if q != 0]
+    if not pairs:
         return 0
-    from mpmath import iv
-
-    prec = 64
-    old = iv.prec
-    try:
-        while prec <= _MAX_PRECISION:
-            iv.prec = prec
-            total = iv.mpf(0)
-            for t, q in groups.items():
-                qi = iv.mpf(q.numerator) / iv.mpf(q.denominator)
-                ti = iv.mpf(t.numerator) / iv.mpf(t.denominator)
-                total += qi * iv.exp(ti)
-            if total.a > 0:
-                return 1
-            if total.b < 0:
-                return -1
-            if float(total.b - total.a) < _TIE_TOLERANCE and prec == _MAX_PRECISION:
-                return None
-            prec *= 2
-    finally:
-        iv.prec = old
+    prec = _FIRST_PRECISION
+    while prec <= _MAX_PRECISION:
+        _, bounds = _enclose(pairs, prec)
+        if sum(lo for lo, _ in bounds) > 0:
+            return 1
+        if sum(hi for _, hi in bounds) < 0:
+            return -1
+        prec *= 2
     return None
+
+
+def _dominance_signs(q: ArchQuery):
+    """Yield, for k = 0, 1, ..., the sign of r_k - sum_{j != k} r_j (None
+    when refinement gives up).
+
+    All k share one enclosure of the moduli at the first precision; a k
+    whose bounds straddle zero, such as an exact tie, is decided by
+    sign_exp_sum on its own terms.
+    """
+    terms = list(zip(q.magnitudes, q.exponents))
+    _, bounds = _enclose(terms)
+    total_lo = sum(lo for lo, _ in bounds)
+    total_hi = sum(hi for _, hi in bounds)
+    for k, (lo, hi) in enumerate(bounds):
+        if lo - (total_hi - hi) > 0:
+            yield 1
+        elif hi - (total_lo - lo) < 0:
+            yield -1
+        else:
+            yield sign_exp_sum(
+                [terms[k]] + [(-m, t) for j, (m, t) in enumerate(terms) if j != k]
+            )
 
 
 def lopsided_outside(f: LaurentPoly, v) -> bool:
     """True when one term modulus exceeds the sum of all the others, which
     certifies that v is outside the archimedean amoeba; False says nothing."""
-    q = ArchQuery.at(f, v)
-    s = len(q.magnitudes)
-    for k in range(s):
-        terms = [(q.magnitudes[k], q.exponents[k])]
-        terms += [(-q.magnitudes[j], q.exponents[j]) for j in range(s) if j != k]
-        if sign_exp_sum(terms) == 1:
-            return True
-    return False
+    return any(sign == 1 for sign in _dominance_signs(ArchQuery.at(f, v)))
 
 
 def triangle_applicable(f: LaurentPoly) -> bool:
@@ -143,11 +179,7 @@ def triangle_exact_membership(f: LaurentPoly, v) -> str:
     """
     if not triangle_applicable(f):
         return NOT_APPLICABLE
-    q = ArchQuery.at(f, v)
-    for k in range(3):
-        terms = [(q.magnitudes[k], q.exponents[k])]
-        terms += [(-q.magnitudes[j], q.exponents[j]) for j in range(3) if j != k]
-        sign = sign_exp_sum(terms)
+    for sign in _dominance_signs(ArchQuery.at(f, v)):
         if sign is None:
             return NOT_APPLICABLE
         if sign == 1:

@@ -10,6 +10,7 @@ internal invariant failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -243,7 +244,10 @@ def run(ns) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args returns a
+    fresh namespace on every call, so no state carries over."""
     ap = argparse.ArgumentParser(
         prog="amoeba",
         description="Exact tropicalizations and adelic amoebas of Laurent hypersurfaces",

@@ -173,6 +173,8 @@ class _Terms:
     def power(self, k, pos):
         if k < 0:
             return self.inverse(pos).power(-k, pos)
+        if k and all(c == 0 for c in self.terms.values()):
+            return self  # zero to a positive power is zero: no expansion to bound
         single = self.single_term()
         if single is not None and single[1] in (1, -1):
             e, c = single

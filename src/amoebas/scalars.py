@@ -187,10 +187,24 @@ Z = Poly((0, 1))
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd by the Euclidean algorithm."""
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic() if not a.is_zero() else a
+    """Monic gcd over Q (zero when both are zero).
+
+    A nonzero constant argument gives 1 at once.  Otherwise sympy takes the
+    gcd over Z of the coefficients with denominators cleared, which avoids
+    the coefficient growth of Euclid over Q; the monic gcd is unique, so
+    making it monic gives the same polynomial.
+    """
+    if a.degree == 0 or b.degree == 0:
+        return Poly.const(1)
+    from sympy.polys.domains import ZZ
+    from sympy.polys.euclidtools import dup_gcd
+
+    def integer_coeffs(f):
+        den = math.lcm(*(c.denominator for c in f.coeffs))
+        return [c.numerator * (den // c.denominator) for c in reversed(f.coeffs)]
+
+    g = dup_gcd(integer_coeffs(a), integer_coeffs(b), ZZ)
+    return Poly(int(c) for c in reversed(g)).monic()
 
 
 # ---------------------------------------------------------------------------

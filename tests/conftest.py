@@ -9,6 +9,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import settings
 
+from amoebas.archimedean import (
+    INSIDE,
+    NOT_APPLICABLE,
+    OUTSIDE,
+    ArchQuery,
+    sign_exp_sum,
+    triangle_applicable,
+)
 from amoebas.errors import InternalInvariantError
 from amoebas.laurent import make_laurent, parse_poly
 from amoebas.lattices import rank_of_rows
@@ -553,3 +561,40 @@ def reference_lp_solve(objective, P, sense="max"):
     for i in range(len(T) - 1):
         d[basis[i]] = -T[i][enter]
     return LPUnbounded(tuple(d[k] - d[n + k] for k in range(n)), point)
+
+
+# ---------------------------------------------------------------------------
+# per-k references for the archimedean certificates, and Euclid over Q
+
+
+def _reference_dominance(q, k):
+    terms = [(q.magnitudes[k], q.exponents[k])]
+    terms += [(-q.magnitudes[j], q.exponents[j]) for j in range(len(q.magnitudes)) if j != k]
+    return sign_exp_sum(terms)
+
+
+def reference_lopsided_outside(f, v):
+    """Lopsidedness by one exact sign_exp_sum per term."""
+    q = ArchQuery.at(f, v)
+    return any(_reference_dominance(q, k) == 1 for k in range(len(q.magnitudes)))
+
+
+def reference_triangle_exact_membership(f, v):
+    """The closed triangle inequality by one exact sign_exp_sum per term."""
+    if not triangle_applicable(f):
+        return NOT_APPLICABLE
+    q = ArchQuery.at(f, v)
+    for k in range(3):
+        sign = _reference_dominance(q, k)
+        if sign is None:
+            return NOT_APPLICABLE
+        if sign == 1:
+            return OUTSIDE
+    return INSIDE
+
+
+def reference_poly_gcd(a, b):
+    """Monic gcd by the Euclidean algorithm on Fraction coefficients."""
+    while not b.is_zero():
+        a, b = b, a % b
+    return a.monic() if not a.is_zero() else a

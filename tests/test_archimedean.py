@@ -2,7 +2,10 @@ import cmath
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from amoebas import archimedean
 from amoebas.archimedean import (
@@ -18,10 +21,15 @@ from amoebas.archimedean import (
     triangle_exact_membership,
 )
 from amoebas.errors import ExponentSpreadTooLarge, TermCountMismatch
-from amoebas.laurent import parse_poly
+from amoebas.laurent import make_laurent, parse_poly
 from amoebas.scalars import FIELD_Q
 
-from conftest import rand_point, rand_poly_q
+from conftest import (
+    rand_point,
+    rand_poly_q,
+    reference_lopsided_outside,
+    reference_triangle_exact_membership,
+)
 
 
 def phase_search_inside(f, v, grid=100, band=1e-2):
@@ -41,6 +49,60 @@ def phase_search_inside(f, v, grid=100, band=1e-2):
     return best < band * scale
 
 
+_RATIONALS = st.fractions(min_value=-8, max_value=8, max_denominator=10**12)
+_SIGNED_RATIONALS = _RATIONALS.filter(lambda q: q != 0)
+
+
+@st.composite
+def polys_and_points(draw, terms=None):
+    """A polynomial over Q of rank 2 or 3 and a rational point."""
+    rank = draw(st.sampled_from([2, 3]))
+    s = terms or draw(st.integers(2, 5))
+    exps = draw(st.lists(
+        st.tuples(*[st.integers(-3, 3)] * rank), min_size=s, max_size=s, unique=True
+    ))
+    coeffs = draw(st.lists(
+        st.fractions(-50, 50, max_denominator=30).filter(bool), min_size=s, max_size=s
+    ))
+    v = draw(st.tuples(*[st.fractions(-6, 6, max_denominator=4)] * rank))
+    return make_laurent(rank, FIELD_Q, list(zip(exps, coeffs))), v
+
+
+@st.composite
+def planted_ties(draw, margin=0):
+    """All term moduli share one exponent at v, and |a_0| is the sum of the
+    other |a_j| plus margin: an exact tie for margin 0."""
+    rank = draw(st.sampled_from([2, 3]))
+    s = draw(st.integers(3, 5))
+    num = draw(st.tuples(*[st.integers(-4, 4)] * rank))
+    v = tuple(Fraction(n, draw(st.integers(1, 3))) for n in num)
+    den = math.lcm(*(x.denominator for x in v))
+    w = [int(x * den) for x in v]  # an integer vector parallel to v
+    # integer vectors orthogonal to w span the exponent differences
+    ortho = [
+        tuple(w[j] if k == i else -w[i] if k == j else 0 for k in range(rank))
+        for i in range(rank) for j in range(i + 1, rank)
+    ]
+    if not any(any(o) for o in ortho):
+        ortho = [tuple(int(k == i) for k in range(rank)) for i in range(rank)]
+    base = draw(st.tuples(*[st.integers(-2, 2)] * rank))
+    steps = draw(st.lists(
+        st.tuples(*[st.integers(-2, 2)] * len(ortho)), min_size=s, max_size=s, unique=True
+    ))
+    exps = sorted(
+        {tuple(b + sum(c * o[k] for c, o in zip(m, ortho)) for k, b in enumerate(base)) for m in steps}
+    )
+    assume(len(exps) == s)
+    lead = draw(st.sampled_from(range(s)))
+    others = [
+        draw(st.fractions(1, 20, max_denominator=12).filter(bool)) for _ in range(s - 1)
+    ]
+    mags = others[:lead] + [sum(others) + margin] + others[lead:]
+    signs = [draw(st.sampled_from([1, -1])) for _ in range(s)]
+    f = make_laurent(rank, FIELD_Q, [(u, c * m) for u, c, m in zip(exps, signs, mags)])
+    return f, v
+
+
 class TestSignExpSum:
     def test_exact_cancellation(self):
         assert sign_exp_sum([(2, 0), (-1, 0), (-1, 0)]) == 0
@@ -52,6 +114,53 @@ class TestSignExpSum:
     def test_tiny_margin_decided(self):
         # e^(1/1000) vs the rational 1 + 1/1000: strictly larger, certify it
         assert sign_exp_sum([(1, Fraction(1, 1000)), (Fraction(-1001, 1000), 0)]) == 1
+
+    def test_signed_coefficients(self):
+        assert sign_exp_sum([(-3, 0), (1, 1)]) == -1  # e < 3
+        assert sign_exp_sum([(Fraction(-1, 3), 1), (1, 0)]) == 1  # e < 3
+        assert sign_exp_sum([(-1, 1), (-1, -1), (3, 0)]) == -1  # e + 1/e > 3
+        # the t = 0 group cancels exactly and leaves -exp(-50)
+        assert sign_exp_sum([(Fraction(-5, 2), 0), (Fraction(5, 2), 0), (-1, -50)]) == -1
+
+    def test_exponents_of_large_height(self):
+        # exp(1 + 10^-40) - e is about 2.7e-40: refinement must pass 64 bits
+        t = Fraction(10**40 + 1, 10**40)
+        assert sign_exp_sum([(1, t), (-1, 1)]) == 1
+        assert sign_exp_sum([(-1, t), (1, 1)]) == -1
+        tiny = Fraction(1, 10**50)
+        assert sign_exp_sum([(1 + tiny, tiny), (-1, 0)]) == 1
+        assert sign_exp_sum([(Fraction(-(10**30 + 7), 10**30), Fraction(3**40, 2**60)), (1, 0)]) == -1
+
+    @settings(max_examples=200)
+    @given(st.lists(st.tuples(_SIGNED_RATIONALS, _RATIONALS), min_size=1, max_size=5))
+    def test_agrees_with_high_precision(self, terms):
+        with mpmath.workprec(2000):
+            value = mpmath.fsum(
+                mpmath.mpf(q.numerator) / q.denominator * mpmath.exp(mpmath.mpf(t.numerator) / t.denominator)
+                for q, t in terms
+            )
+            decided = abs(value) > mpmath.mpf(2) ** -1000
+        sign = sign_exp_sum(terms)
+        if decided:
+            assert sign == (1 if value > 0 else -1)
+        else:  # nonzero sums this small do not arise from these draws
+            assert sign == 0
+
+
+class TestEnclosure:
+    @settings(max_examples=200)
+    @given(st.lists(st.tuples(_SIGNED_RATIONALS, _RATIONALS), min_size=1, max_size=5))
+    def test_bounds_contain_each_term(self, terms):
+        e, bounds = archimedean._enclose(terms)
+        with mpmath.workprec(600):
+            for (q, t), (lo, hi) in zip(terms, bounds):
+                # 600 bits: far finer than the unit of the bounds
+                x = mpmath.mpf(q.numerator) / q.denominator
+                x *= mpmath.exp(mpmath.mpf(t.numerator) / t.denominator)
+                x = mpmath.ldexp(x, -e)
+                assert lo <= x <= hi
+                # 64-bit enclosures: |t| <= 8 costs at most a few of the bits
+                assert hi - lo <= 64
 
 
 class TestTriangle:
@@ -99,6 +208,50 @@ class TestLopsided:
 
     def test_pinching_point_not_lopsided(self, ex_curve_q):
         assert not lopsided_outside(ex_curve_q, (0, 0))
+
+
+class TestAgainstPerTermReference:
+    """The shared-bound dominance loop against one exact sign_exp_sum per
+    term, on random points and on ties that force the exact fallback."""
+
+    @settings(max_examples=150)
+    @given(polys_and_points())
+    def test_lopsided_random(self, case):
+        f, v = case
+        assert lopsided_outside(f, v) == reference_lopsided_outside(f, v)
+
+    @settings(max_examples=150)
+    @given(polys_and_points(terms=3))
+    def test_triangle_random(self, case):
+        f, v = case
+        assert triangle_exact_membership(f, v) == reference_triangle_exact_membership(f, v)
+
+    @settings(max_examples=100)
+    @given(st.sampled_from([0, Fraction(1, 10**40), Fraction(-1, 10**40)]).flatmap(planted_ties))
+    def test_planted_ties(self, case):
+        f, v = case
+        want = reference_lopsided_outside(f, v)
+        assert lopsided_outside(f, v) == want
+        if f.nterms == 3:
+            verdict = triangle_exact_membership(f, v)
+            assert verdict == reference_triangle_exact_membership(f, v)
+            assert verdict in (NOT_APPLICABLE, OUTSIDE if want else INSIDE)
+
+    def test_near_tie_above_is_outside(self):
+        # |a_0| exceeds the sum of the others by 10^-40: far below the first
+        # enclosure's resolution, so only the exact fallback can certify it
+        eps = Fraction(1, 10**40)
+        f = make_laurent(2, FIELD_Q, [((0, 0), 2 + eps), ((1, 0), -1), ((0, 1), -1)])
+        assert lopsided_outside(f, (0, 0))
+        assert triangle_exact_membership(f, (0, 0)) == OUTSIDE
+        g = make_laurent(2, FIELD_Q, [((0, 0), 2 - eps), ((1, 0), -1), ((0, 1), -1)])
+        assert not lopsided_outside(g, (0, 0))
+        assert triangle_exact_membership(g, (0, 0)) == INSIDE
+
+    def test_exact_tie_is_inside(self):
+        f = make_laurent(2, FIELD_Q, [((0, 0), 2), ((1, 0), -1), ((0, 1), -1)])
+        assert not lopsided_outside(f, (0, 0))
+        assert triangle_exact_membership(f, (0, 0)) == INSIDE
 
 
 class TestSampledInside:

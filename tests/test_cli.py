@@ -256,6 +256,56 @@ class TestErrorsAndDeterminism:
         assert code == 0
 
 
+# check-halfspace bytes of this input differ between seeds 0 and 5
+SEEDED_F = (
+    "(-16/7)*x1^-3*x2*x3^-2 + (-39/29)*x1^-1*x3 + (-6/5)*x1*x2^-1*x3^2"
+    " + (13/14)*x1^2*x2^3*x3^-2 + (13/4)*x1^3"
+)
+
+
+def _child(*argv, timeout=60):
+    src = os.path.dirname(os.path.dirname(amoebas.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "AMOEBA_SEED"}
+    return subprocess.run(
+        [sys.executable, "-m", "amoebas.cli", *argv],
+        capture_output=True, text=True, timeout=timeout,
+        env={**env, "PYTHONPATH": src},
+    )
+
+
+def test_cached_parser_carries_no_state(capsys, monkeypatch):
+    # the parser is built once per process: a --seed given to one call must
+    # not become the default of the next
+    monkeypatch.delenv("AMOEBA_SEED", raising=False)
+    argv = ["check-halfspace", "--f", SEEDED_F, "--halfspace", "dir:1,1,-1",
+            "--trials", "6", "--grid", "4"]
+    code1, seeded, _ = run_cli(capsys, *argv, "--seed", "5")
+    code2, unseeded, _ = run_cli(capsys, *argv)
+    fresh = _child(*argv)
+    assert code1 == code2 == fresh.returncode == 0
+    assert unseeded == fresh.stdout
+    assert seeded != unseeded
+
+
+@pytest.mark.parametrize(
+    "f",
+    ["(z^2+z+3)^32*x1+(z-5)^64", "((z^2+z+3)^64)^2*x1+((z-5)^64)^2"],
+    ids=["degree-64", "degree-256"],
+)
+def test_large_qz_coefficients_in_bounded_time(f):
+    # in a child process, so that a gcd blow-up fails by timeout
+    done = _child("adelic", "--f", f)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["command"] == "adelic"
+
+
+@pytest.mark.parametrize("f", ["0^99+x1+1", "(x1-x1)^99+x1+1"])
+def test_zero_base_power(capsys, f):
+    code, out, _ = run_cli(capsys, "trop", "--f", f)
+    assert code == 0
+    assert out == run_cli(capsys, "trop", "--f", "x1+1")[1]
+
+
 def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 

@@ -89,6 +89,7 @@ class TestParse:
     @given(st.text() | st.text(alphabet="x0123456789z+-*/^() ", max_size=30))
     @example("x" + "9" * 5000)
     @example("(x1+x2+1)^300")
+    @example("0^99")
     @example("x1 + 2\u00b2")
     @example("(" * 400 + "x1" + ")" * 400)
     def test_any_text_raises_only_amoeba_errors(self, text):

@@ -27,12 +27,13 @@ from amoebas.scalars import (
     log_abs,
     place_from_str,
     place_to_str,
+    poly_gcd,
     product_formula_residual,
     support_places,
     valuation,
 )
 
-from conftest import rand_fraction, rand_ratfunc
+from conftest import rand_fraction, rand_ratfunc, reference_poly_gcd
 
 
 def rf(num, den=1):
@@ -209,6 +210,28 @@ class TestFactorization:
     def test_quartic_fallback(self):
         f = Poly((1, 0, 1)) * Poly((2, 0, 1))  # two irreducible quadratics
         assert set(irreducible_factors(f)) == {Poly((1, 0, 1)), Poly((2, 0, 1))}
+
+
+_SMALL_POLYS = st.lists(
+    st.fractions(-6, 6, max_denominator=5), max_size=4
+).map(Poly)
+
+
+class TestPolyGcd:
+    @settings(max_examples=200)
+    @given(_SMALL_POLYS, _SMALL_POLYS, _SMALL_POLYS)
+    def test_matches_euclid(self, common, a, b):
+        # a planted common factor, so the gcd is often nonconstant
+        a, b = a * common, b * common
+        assert poly_gcd(a, b) == reference_poly_gcd(a, b)
+        assert poly_gcd(b, a) == reference_poly_gcd(b, a)
+
+    def test_constants_and_zero(self):
+        one, zero = Poly.const(1), Poly(())
+        assert poly_gcd(Poly.const(Fraction(-3, 2)), Poly((1, 2))) == one
+        assert poly_gcd(zero, Poly.const(5)) == one
+        assert poly_gcd(zero, zero) == zero
+        assert poly_gcd(Poly((2, 4)), zero) == Poly((Fraction(1, 2), 1))
 
 
 def run_amoeba(*argv):
