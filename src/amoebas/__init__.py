@@ -18,6 +18,7 @@ from .errors import (
     EmptyPolynomial,
     ExpansionTooLarge,
     ExponentSpreadTooLarge,
+    FactorizationTooLarge,
     InvalidPlace,
     MissingImagePresentation,
     MonomialInput,

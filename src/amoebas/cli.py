@@ -109,6 +109,8 @@ def emit(obj, out_path=None) -> None:
 
 
 def _poly(ns):
+    if ns.f is None:
+        raise ValueError("need --f")
     return parse_poly(ns.f, rank=ns.rank, field=ns.field)
 
 

@@ -75,6 +75,10 @@ class ExponentSpreadTooLarge(AmoebaError):
     code = "exponent-spread-too-large"
 
 
+class FactorizationTooLarge(AmoebaError):
+    code = "factorization-too-large"
+
+
 class DependentDirection(AmoebaError):
     code = "dependent-direction"
 

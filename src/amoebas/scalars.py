@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidPlace, PlaceFieldMismatch, ZeroInput
+from .errors import FactorizationTooLarge, InvalidPlace, PlaceFieldMismatch, ZeroInput
 
 FIELD_Q = "Q"
 FIELD_QZ = "Q(z)"
@@ -341,13 +341,38 @@ def scalar_to_str(a) -> str:
 # factorization over Z and Q[z] is sympy's (imported lazily: it is slow to load)
 
 
+# Trial-division limit (and the matching rho and p-1 effort) of the first,
+# bounded factoring pass.  It splits products of 7-digit primes in full.
+FACTOR_LIMIT = 10**5
+# A composite cofactor left by that pass is factored in full only below
+# 10**MAX_COFACTOR_DIGITS: on a 2-core VM sympy takes 1-2 s for two
+# 15-digit primes and about 35 s for two 20-digit primes.
+MAX_COFACTOR_DIGITS = 30
+
+
 def factor_int(n: int) -> dict[int, int]:
-    """Prime factorization of |n|, primes ascending; ignores the sign."""
+    """Prime factorization of |n|, primes ascending; ignores the sign.
+
+    Raises FactorizationTooLarge when the bounded pass leaves a composite
+    cofactor of more than MAX_COFACTOR_DIGITS digits."""
     if n == 0:
         raise ZeroInput("cannot factor zero")
     import sympy
 
-    return dict(sorted(sympy.factorint(abs(n)).items()))
+    out = {}
+    for q, e in sympy.factorint(abs(n), limit=FACTOR_LIMIT).items():
+        if sympy.isprime(q):
+            out[q] = out.get(q, 0) + e
+            continue
+        if q >= 10**MAX_COFACTOR_DIGITS:
+            raise FactorizationTooLarge(
+                f"a composite factor of {q.bit_length()} bits is left after trial "
+                f"division to {FACTOR_LIMIT}; factoring stops past "
+                f"{MAX_COFACTOR_DIGITS} digits"
+            )
+        for p, f in sympy.factorint(q).items():
+            out[p] = out.get(p, 0) + e * f
+    return dict(sorted(out.items()))
 
 
 def irreducible_factors(f: Poly) -> tuple[Poly, ...]:

@@ -19,13 +19,22 @@ from .errors import (
     InternalInvariantError,
     MonomialInput,
 )
-from .lattices import identity, integer_kernel, primitive_vector, quotient_map
+from .lattices import (
+    identity,
+    integer_kernel,
+    integer_row,
+    primitive_vector,
+    quotient_map,
+)
 from .laurent import LaurentPoly, bad_places
 from .polyhedral import (
     Cell,
     LPInfeasible,
     LPUnbounded,
+    Polyhedron,
     PolyhedralComplex,
+    _canon_constraint,
+    _con_key,
     affine_hull_rows,
     contains_point,
     dimension,
@@ -65,17 +74,15 @@ def tropical_data(f: LaurentPoly, place) -> TropicalData:
 
 
 def min_value_and_argmin(data: TropicalData, v):
-    v = [Fraction(x) for x in v]
-    best = None
-    arg = set()
-    for i, (u, c) in enumerate(zip(data.exponents, data.shifts)):
-        val = sum(a * x for a, x in zip(u, v)) + c
-        if best is None or val < best:
-            best = val
-            arg = {i}
-        elif val == best:
-            arg.add(i)
-    return best, frozenset(arg)
+    """Minimum of <u_i, v> + c_i at the rational point v and the indices
+    achieving it, compared as integers over the common denominator of v."""
+    ints, den = integer_row(v)
+    vals = [
+        sum(a * x for a, x in zip(u, ints)) + c * den
+        for u, c in zip(data.exponents, data.shifts)
+    ]
+    best = min(vals)
+    return Fraction(best, den), frozenset(i for i, x in enumerate(vals) if x == best)
 
 
 def psi(f: LaurentPoly, place, v):
@@ -89,84 +96,177 @@ def _segment_multiplicity(exponents, tie):
     """Lattice length of the segment spanned by the tied exponents."""
     idx = sorted(tie)
     base = exponents[idx[0]]
-    direction = None
-    for j in idx[1:]:
-        d = tuple(a - b for a, b in zip(exponents[j], base))
-        if any(d):
-            direction = d
-            break
+    diffs = [tuple(a - b for a, b in zip(exponents[j], base)) for j in idx]
+    direction = next((d for d in diffs if any(d)), None)
     if direction is None:
         raise InternalInvariantError("tied exponents coincide")
     prim = primitive_vector(direction)
     pivot = next(k for k, x in enumerate(prim) if x != 0)
     ts = []
-    for j in idx:
-        d = tuple(a - b for a, b in zip(exponents[j], base))
-        t = Fraction(d[pivot], prim[pivot])
-        if tuple(t * x for x in prim) != tuple(map(Fraction, d)):
+    for d in diffs:
+        t, r = divmod(d[pivot], prim[pivot])
+        if r or tuple(t * x for x in prim) != d:
             raise InternalInvariantError("tied exponents are not collinear")
         ts.append(t)
     length = max(ts) - min(ts)
-    if length.denominator != 1 or length <= 0:
+    if length <= 0:
         raise InternalInvariantError("bad lattice length")
-    return int(length)
+    return length
 
 
-def _parallel(w, r) -> bool:
-    """Whether the integer rows w and r are linearly dependent (all 2x2
-    minors vanish)."""
-    return all(
-        w[a] * r[b] == w[b] * r[a] for a, b in itertools.combinations(range(len(w)), 2)
+def _span_forms(span):
+    """Integer linear forms vanishing exactly on the span of one or two
+    linearly independent integer rows: each minor of order len(span) + 1
+    of those rows with one more row r appended, expanded along r."""
+    k, n = len(span), len(span[0])
+    if k == 1:
+        minor = lambda cols: span[0][cols[0]]
+    else:
+        minor = lambda cols: span[0][cols[0]] * span[1][cols[1]] - span[0][cols[1]] * span[1][cols[0]]
+    forms = []
+    for cols in itertools.combinations(range(n), k + 1):
+        form = [0] * n
+        for p, c in enumerate(cols):
+            form[c] = (-1) ** p * minor(cols[:p] + cols[p + 1:])
+        forms.append(form)
+    return forms
+
+
+def _in_span(row, forms) -> bool:
+    return not any(sum(a * x for a, x in zip(f, row)) for f in forms)
+
+
+def _slack_point(data: TropicalData, rank, tie):
+    """Optimal point of the slack LP on the locus where the terms of tie
+    (two or three indices, first a) tie at the minimum, or None when the
+    optimum is not positive.
+
+    Variables (v, t): maximize t subject to <u_a - u_k, v> = c_k - c_a for
+    k in tie, <u_a - u_l, v> + t <= c_l - c_a for every other l, the same
+    row without t when it lies in the span of the tie differences (such a
+    row is constant on the tie locus), and t <= 1.  The locus has
+    dimension rank + 1 - len(tie) exactly when the optimum is positive, and
+    every optimal point then lies in its relative interior, where the
+    argmin set is constant.  Rows go to the LP as they are: neither the
+    verdict nor that argmin set depends on their order or scale.  When the
+    locus can only be a point (len(tie) = rank + 1), it is solved for
+    instead, with no LP.
+    """
+    a, rest = tie[0], tie[1:]
+    ua, ca = data.exponents[a], data.shifts[a]
+    diff = lambda k: tuple(x - y for x, y in zip(ua, data.exponents[k]))
+    span = [diff(k) for k in rest]
+    if len(rest) == rank:
+        # the differences span R^rank, so every row lies in their span: the
+        # locus is the solution of the equalities (Cramer's rule) when the
+        # terms of tie are minimal there, and empty otherwise
+        b = [data.shifts[k] - ca for k in rest]
+        if rank == 1:
+            x = (Fraction(b[0], span[0][0]),)
+        else:
+            (p, q), (r, s) = span
+            det = p * s - q * r
+            x = (Fraction(b[0] * s - q * b[1], det), Fraction(p * b[1] - r * b[0], det))
+        return x if set(tie) <= min_value_and_argmin(data, x)[1] else None
+    forms = _span_forms(span)
+    t_axis = (0,) * rank + (1,)
+    eqs = tuple((row + (0,), data.shifts[k] - ca) for row, k in zip(span, rest))
+    ineqs = [
+        (row + (0 if _in_span(row, forms) else 1,), data.shifts[l] - ca)
+        for l in range(len(data.exponents))
+        if l not in tie
+        for row in (diff(l),)
+    ]
+    ineqs.append((t_axis, 1))
+    res = lp_solve(t_axis, Polyhedron(rank + 1, eqs, tuple(ineqs)))
+    if isinstance(res, LPInfeasible):
+        return None
+    if isinstance(res, LPUnbounded):
+        raise InternalInvariantError("tie slack is capped, cannot be unbounded")
+    return res.point[:rank] if res.value > 0 else None
+
+
+def _pair_polyhedron(data: TropicalData, rank, i, j):
+    """The tie locus of terms i and j at the minimum, canonical and
+    unreduced."""
+    ui, ci = data.exponents[i], data.shifts[i]
+    diff = lambda k: tuple(a - b for a, b in zip(ui, data.exponents[k]))
+    return polyhedron(
+        rank,
+        [(diff(j), data.shifts[j] - ci)],
+        [(diff(k), data.shifts[k] - ci) for k in range(len(data.exponents)) if k not in (i, j)],
     )
+
+
+def _cell_polyhedron(data: TropicalData, rank, a, b, tie, sigmas, misses):
+    """The cell of tie, first pair (a, b), with one inequality per facet.
+
+    The corner locus is dual to the regular subdivision of the Newton
+    polytope, so the facets of the cell are the 2-cells sigma containing
+    tie.  Each k outside tie and off the line of a and b gets one slack LP
+    on the locus where a, b and k tie, unless a sigma found so far holds
+    tie and k, or a triple in misses (held by no 2-cell) lies in tie and k.
+    A positive optimum finds the sigma holding a, b and k: the argmin set
+    at the LP point.  sigmas and misses are shared by the cells of one
+    corner locus.  The rows <u_a - u_k, v> <= c_k - c_a for k in sigma -
+    tie all define the facet of sigma; the cell keeps the largest in
+    canonical order, the row that greedy redundancy removal over the
+    sorted rows keeps.  Each kept row must be tight at its sigma's point,
+    and the point must lie in the cell.
+    """
+    ua, ca = data.exponents[a], data.shifts[a]
+    diff = lambda k: tuple(x - y for x, y in zip(ua, data.exponents[k]))
+    line = _span_forms([diff(b)])
+    for k in range(len(data.exponents)):
+        if k in tie or _in_span(diff(k), line):
+            continue
+        if any(k in sigma and tie <= sigma for sigma, _ in sigmas) or any(
+            m <= tie | {k} for m in misses
+        ):
+            continue
+        x = _slack_point(data, rank, (a, b, k))
+        if x is None:
+            misses.append(frozenset((a, b, k)))
+        else:
+            sigmas.append((min_value_and_argmin(data, x)[1], x))
+    facets = []
+    for sigma, x in sigmas:
+        if tie <= sigma:
+            rows = (_canon_constraint(diff(k), data.shifts[k] - ca, False) for k in sigma - tie)
+            facets.append((max(rows, key=_con_key), x))
+    eq = _canon_constraint(diff(b), data.shifts[b] - ca, True)
+    P = Polyhedron(rank, (eq,), tuple(sorted((con for con, _ in facets), key=_con_key)))
+    for con, x in facets:
+        # x lies in P, on the hyperplane of con
+        if not contains_point(Polyhedron(rank, (eq, con), P.inequalities), x):
+            raise InternalInvariantError("a facet row is not tight on its 2-cell")
+    return P
 
 
 def corner_locus(data: TropicalData, rank) -> PolyhedralComplex:
     """Cells where at least two terms achieve the minimum.
 
-    For each unordered pair (i, j), one slack LP maximizes t subject to the
-    tie <u_i - u_j, v> = c_j - c_i, <u_i - u_k, v> + t <= c_k - c_i for every
-    k whose row is not parallel to u_i - u_j, the same row without t for
-    parallel k (such a row is constant on the tie hyperplane), and t <= 1.
-    The tie locus has dimension rank-1 exactly when the optimum is positive,
-    and the optimal point then lies in its relative interior, where the
-    argmin set is constant; that set labels the cell and deduplicates it.
-    Redundancy removal runs only on the cells kept.
+    Each unordered pair (i, j) is decided by one slack LP (_slack_point);
+    a positive optimum keeps the pair, and the argmin set at the LP point
+    labels its cell and deduplicates it.  A tie set first met at pair
+    (i, j) gets the tie equality of i and j and one inequality per facet,
+    found by one slack LP per 2-cell of the dual subdivision
+    (_cell_polyhedron), with no redundancy removal.  A tie set met again
+    must carve the same polyhedron as the first pair did.
     """
     s = len(data.exponents)
     cells = {}
+    sigmas, misses = [], []
     for i, j in itertools.combinations(range(s), 2):
-        ui, uj = data.exponents[i], data.exponents[j]
-        ci, cj = data.shifts[i], data.shifts[j]
-        w = tuple(a - b for a, b in zip(ui, uj))
-        ineqs = []
-        for k in range(s):
-            if k in (i, j):
-                continue
-            uk, ck = data.exponents[k], data.shifts[k]
-            ineqs.append(
-                (tuple(a - b for a, b in zip(ui, uk)), Fraction(ck - ci))
-            )
-        P = polyhedron(rank, [(w, Fraction(cj - ci))], ineqs)
-        t_axis = (0,) * rank + (1,)
-        slack = polyhedron(
-            rank + 1,
-            [(row + (0,), rhs) for row, rhs in P.equalities],
-            [(row + (0 if _parallel(w, row) else 1,), rhs) for row, rhs in P.inequalities]
-            + [(t_axis, 1)],
-        )
-        res = lp_solve(t_axis, slack)
-        if isinstance(res, LPInfeasible):
+        x = _slack_point(data, rank, (i, j))
+        if x is None:
             continue
-        if isinstance(res, LPUnbounded):
-            raise InternalInvariantError("tie slack is capped, cannot be unbounded")
-        if res.value <= 0:
-            continue
-        _, tie = min_value_and_argmin(data, res.point[:rank])
+        tie = min_value_and_argmin(data, x)[1]
         if tie in cells:
-            if not poly_equal(cells[tie].polyhedron, P):
+            if not poly_equal(cells[tie].polyhedron, _pair_polyhedron(data, rank, i, j)):
                 raise InternalInvariantError("one argmin set carved two cells")
             continue
-        P = remove_redundancy(P)
+        P = _cell_polyhedron(data, rank, i, j, tie, sigmas, misses)
         cells[tie] = Cell(P, tie, _segment_multiplicity(data.exponents, tie))
     return make_complex(rank, cells.values())
 

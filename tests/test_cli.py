@@ -1,10 +1,15 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import amoebas
 from amoebas import archimedean, cli
@@ -299,6 +304,17 @@ def test_large_qz_coefficients_in_bounded_time(f):
     assert json.loads(done.stdout)["command"] == "adelic"
 
 
+def test_hard_semiprime_coefficient_exits_2_in_bounded_time():
+    # two 20-digit primes: a full sympy factorization takes about 35 s; the
+    # bounded pass leaves the 40-digit product whole and it is refused
+    f = f"{90799494873517555709 * 11218320424174490777}*x1 + 1"
+    start = time.monotonic()
+    done = _child("adelic", "--f", f, timeout=30)
+    assert time.monotonic() - start < 5
+    assert done.returncode == 2 and done.stdout == ""
+    assert json.loads(done.stderr)["error"]["code"] == "factorization-too-large"
+
+
 @pytest.mark.parametrize("f", ["0^99+x1+1", "(x1-x1)^99+x1+1"])
 def test_zero_base_power(capsys, f):
     code, out, _ = run_cli(capsys, "trop", "--f", f)
@@ -469,3 +485,82 @@ def test_internal_failures_exit_3(capsys, monkeypatch, exc):
     code, out, err = run_cli(capsys, "trop", "--f", "x1+x2+1")
     assert code == 3 and out == ""
     assert json.loads(err) == {"error": {"code": "internal-invariant", "message": "broken"}}
+
+
+POLY_TEXTS = [
+    "x1+x2+1", Q_CURVE, QZ_CURVE, "x1*x2-1", "x1 + 2*x1^-1 + 3", "2*x1 + 4",
+    "7*x1", "x1 + + x2", "", "x1-x1", "x1^-1*x2 + (1/2)*x2^2 - 3", "(x1+1)^2 - x2",
+    "0^99+x1+1",
+]
+PLACE_TEXTS = ["generic", "p:2", "p:3", "p:6", "q:z", "q:z-1", "inf", "arch", "", "p:"]
+HALFSPACE_TEXTS = ["dir:1,1", "dir:1,-1", "dir:1,1,0 bnd:0,0,1", "dir:1", "bnd:1,0", "dir:a"]
+SCALAR_TEXTS = ["12", "-7/15", "0", "(z^2-1)/z", "z", "1/0", "x1"]
+POLY_FLAGS = ("--f", "--rank", "--field")
+QUERY_FLAGS = ("--system", "--halfspace", "--trials", "--tol", "--seed")
+OWN_FLAGS = {
+    "trop": POLY_FLAGS + ("--place",),
+    "adelic": POLY_FLAGS,
+    "prevariety": ("--system", "--place"),
+    "check-halfspace": POLY_FLAGS + QUERY_FLAGS + ("--grid",),
+    "classify": POLY_FLAGS + QUERY_FLAGS + ("--image-f", "--declare-codim-gt-1"),
+    "ekl-check": POLY_FLAGS + ("--trials", "--tol", "--seed"),
+    "product-formula": ("--a", "--field"),
+    "plot": POLY_FLAGS + ("--place", "--extent", "--arch-scan", "--grid-n"),
+}
+FLAG_VALUES = {
+    "--f": st.sampled_from(POLY_TEXTS) | st.text("x12z+-*/^() ", max_size=12),
+    "--rank": st.sampled_from(["1", "2", "3", "0", "-1", "two"]),
+    "--field": st.sampled_from(["Q", "Q(z)", "R"]),
+    "--place": st.sampled_from(PLACE_TEXTS),
+    "--halfspace": st.sampled_from(HALFSPACE_TEXTS),
+    "--a": st.sampled_from(SCALAR_TEXTS),
+    "--image-f": st.sampled_from(POLY_TEXTS),
+    "--trials": st.sampled_from(["1", "3", "0"]),
+    "--grid": st.sampled_from(["1", "2", "0"]),
+    "--grid-n": st.sampled_from(["3", "1"]),
+    "--tol": st.sampled_from(["1e-9", "0", "nan"]),
+    "--seed": st.sampled_from(["0", "5"]),
+    "--extent": st.sampled_from(["2", "0", "1/2"]),
+    "--system": st.just("no-such-system.json"),
+    "--declare-codim-gt-1": st.none(),
+    "--arch-scan": st.none(),
+}
+
+
+@st.composite
+def cli_argvs(draw):
+    """A subcommand and some of its own flags in any order (its input and
+    required flags nearly always), now and then one it does not take, each
+    flag with a value drawn from a small set of valid and invalid texts.
+    Sampling runs are kept short: --trials and --grid are 2 unless drawn."""
+    command = draw(st.sampled_from(sorted(OWN_FLAGS)))
+    own = OWN_FLAGS[command]
+    names = draw(st.lists(st.sampled_from(own), max_size=len(own), unique=True))
+    for name in ("--f", "--halfspace", "--system", "--a"):
+        # the input flag and the required ones, left out now and then
+        if name in own and name not in names and draw(st.integers(0, 9)):
+            names.append(name)
+    if draw(st.integers(0, 9)) == 0:
+        names.append(draw(st.sampled_from(sorted(FLAG_VALUES))))
+    argv = [command]
+    for name in names:
+        value = draw(FLAG_VALUES[name])
+        argv += [name] if value is None else [name, value]
+    for name in ("--trials", "--grid"):
+        if name in own and name not in names:
+            argv += [name, "2"]
+    return argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(cli_argvs())
+@example(["adelic"])  # raised TypeError (exit 1) before --f was checked
+def test_cli_exits_only_0_2_or_3(argv):
+    # argparse rejects an argv by SystemExit(2); every other outcome is
+    # main's return value
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2, 3)

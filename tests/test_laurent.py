@@ -29,6 +29,7 @@ from amoebas.scalars import (
     FIELD_QZ,
     GENERIC,
     FinitePrime,
+    Poly,
     RationalFunction,
     place_to_str,
 )
@@ -128,6 +129,27 @@ class TestParse:
         for _ in range(100):
             f = rand_poly_qz(rng, rank=rng.randint(1, 3))
             assert parse_poly(poly_to_str(f), f.rank, f.field) == f
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_print_parse_round_trip_property(self, data):
+        rank = data.draw(st.integers(1, 3))
+        field = data.draw(st.sampled_from([FIELD_Q, FIELD_QZ]))
+        exps = data.draw(
+            st.lists(st.tuples(*[st.integers(-3, 3)] * rank), min_size=1, max_size=5, unique=True)
+        )
+        fractions = st.fractions(-50, 50, max_denominator=30).filter(bool)
+        if field == FIELD_Q:
+            coeffs = fractions
+        else:
+            # num / den with integer coefficients in z, lowest first
+            poly = st.lists(st.integers(-3, 3), min_size=1, max_size=3).filter(any)
+            coeffs = st.builds(
+                lambda c, num, den: c * RationalFunction(Poly(num), Poly(den)),
+                fractions, poly, poly,
+            )
+        f = make_laurent(rank, field, [(e, data.draw(coeffs)) for e in exps])
+        assert parse_poly(poly_to_str(f), rank, field) == f
 
     def test_json_round_trip(self, rng):
         for _ in range(25):

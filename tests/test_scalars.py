@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import amoebas
 from amoebas import scalars
 
-from amoebas.errors import InvalidPlace, PlaceFieldMismatch, ZeroInput
+from amoebas.errors import FactorizationTooLarge, InvalidPlace, PlaceFieldMismatch, ZeroInput
 from amoebas.scalars import (
     ARCH,
     FF_INFINITY,
@@ -158,6 +158,15 @@ class TestFactorization:
         assert list(factor_int(2210484349 * 4246154377)) == [2210484349, 4246154377]
         with pytest.raises(ZeroInput):
             factor_int(0)
+
+    def test_factor_int_bounded(self):
+        # the bounded pass leaves 4387541017 * 5698091173 whole; under the
+        # digit bound the cofactor is factored in full, with multiplicities
+        assert factor_int(-12 * (4387541017 * 5698091173) ** 2) == {
+            2: 2, 3: 1, 4387541017: 2, 5698091173: 2,
+        }
+        with pytest.raises(FactorizationTooLarge):
+            factor_int(90799494873517555709 * 11218320424174490777)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(-10**9, 10**9).filter(bool))

@@ -370,34 +370,58 @@ class TestBalancing:
         assert not is_balanced(broken)
 
 
+SQUARE = ((0, 0), (1, 0), (0, 1), (1, 1))
+HEXAGON = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
+
+
 @st.composite
 def tropical_data_and_rank(draw):
-    """Rank 1-3, 2-7 distinct exponents in [-2, 2], often with a collinear
-    triple p - d, p, p + d, and shifts in [-1, 1] so that ties are common."""
+    """Rank 1-3, 2-7 distinct exponents in [-2, 2] with shifts in [-1, 1]
+    so that ties are common.  Often a planted collinear triple p - d, p,
+    p + d; a planted square or hexagon p + a e1 + b e2 in a random 2-plane
+    whose shifts are zero or affine on it, so that it is one 2-cell with
+    more than one row per facet of its edge cells; or an all-collinear
+    support p + k d."""
     rank = draw(st.integers(1, 3))
-    exps = []
-    if draw(st.booleans()):
-        p = draw(st.tuples(*[st.integers(-1, 1)] * rank))
-        d = draw(st.tuples(*[st.integers(-1, 1)] * rank).filter(any))
-        exps = [tuple(a - b for a, b in zip(p, d)), p, tuple(a + b for a, b in zip(p, d))]
-    exps += draw(
-        st.lists(
-            st.tuples(*[st.integers(-2, 2)] * rank),
-            min_size=max(0, 2 - len(exps)),
-            max_size=7 - len(exps),
+    vec = lambda: draw(st.tuples(*[st.integers(-1, 1)] * rank))
+    shape = draw(st.sampled_from(["free", "triple", "polygon", "line"]))
+    p, d = vec(), draw(st.tuples(*[st.integers(-1, 1)] * rank).filter(any))
+    planted, shifts = [], []
+    if shape == "triple":
+        planted = [tuple(a - b for a, b in zip(p, d)), p, tuple(a + b for a, b in zip(p, d))]
+    elif shape == "polygon":
+        e2 = vec()
+        polygon = draw(st.sampled_from([SQUARE, HEXAGON]))
+        planted = [tuple(x + a * y + b * z for x, y, z in zip(p, d, e2)) for a, b in polygon]
+        lam, mu = vec(), draw(st.integers(-1, 1))
+        planted = list(dict.fromkeys(planted))
+        shifts = [sum(l * x for l, x in zip(lam, u)) + mu for u in planted]
+    elif shape == "line":
+        planted = [tuple(k * x for x in d) for k in range(draw(st.integers(2, 5)))]
+    exps = list(planted)
+    if shape != "line":
+        exps += draw(
+            st.lists(
+                st.tuples(*[st.integers(-2, 2)] * rank),
+                min_size=max(0, 2 - len(exps)),
+                max_size=max(0, 7 - len(exps)),
+            )
         )
-    )
     exps = list(dict.fromkeys(exps))
     assume(len(exps) >= 2)
-    shifts = draw(st.lists(st.integers(-1, 1), min_size=len(exps), max_size=len(exps)))
+    shifts += draw(
+        st.lists(st.integers(-1, 1), min_size=len(exps) - len(shifts), max_size=len(exps) - len(shifts))
+    )
     return TropicalData(tuple(exps), tuple(shifts)), rank
 
 
 class TestCornerLocusAgainstPerPairReference:
-    """The one-slack-LP corner locus equals the per-pair reference that
-    decides emptiness, dimension and the interior point by separate LPs."""
+    """The corner locus from one slack LP per pair and one per 2-cell
+    equals the per-pair reference that decides emptiness, dimension and
+    the interior point by separate LPs and removes redundant rows by one
+    LP each."""
 
-    @settings(max_examples=60)
+    @settings(max_examples=150)
     @given(tropical_data_and_rank())
     def test_random_data(self, data_rank):
         data, rank = data_rank
@@ -414,6 +438,30 @@ class TestCornerLocusAgainstPerPairReference:
             ((0, 2, 3), 2),
             ((1, 3), 1),
         }
+
+    def test_square_two_cell(self):
+        # the unit square is one 2-cell: for each edge, both vertices off it
+        # give a row for the edge cell's one facet (the origin), and one row
+        # is kept
+        data = tropical_data(parse_poly("1 + x1 + x2 + x1*x2"), GENERIC)
+        C = corner_locus(data, 2)
+        assert C == reference_corner_locus(data, 2)
+        assert len(C.cells) == 4
+        assert all(len(c.polyhedron.inequalities) == 1 for c in C.cells)
+
+    @pytest.mark.parametrize("place", [GENERIC, FinitePrime(2), FinitePrime(3)], ids=str)
+    @pytest.mark.parametrize(
+        "f, rank",
+        [
+            # a rank-3 polynomial whose exponents span a plane through 0
+            ("2 + 3*x1*x3 + x2*x3^-1 + 6*x1*x2 + 4*x1^2*x2*x3", 3),
+            ("1 + 2*x1 + 4*x1^3 + 3*x1^-2", 1),
+        ],
+        ids=["rank-3-planar", "rank-1"],
+    )
+    def test_degenerate_supports(self, f, rank, place):
+        data = tropical_data(parse_poly(f, rank), place)
+        assert corner_locus(data, rank) == reference_corner_locus(data, rank)
 
 
 @st.composite
