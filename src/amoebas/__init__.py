@@ -12,6 +12,7 @@ conclusion that disjointness forces.
 from .errors import (
     AmoebaError,
     ArchimedeanNotSupported,
+    CornerLocusTooLarge,
     DegenerateSlice,
     DependentDirection,
     DimensionMismatch,

@@ -79,6 +79,10 @@ class FactorizationTooLarge(AmoebaError):
     code = "factorization-too-large"
 
 
+class CornerLocusTooLarge(AmoebaError):
+    code = "corner-locus-too-large"
+
+
 class DependentDirection(AmoebaError):
     code = "dependent-direction"
 

@@ -4,17 +4,22 @@ At a finite place the hypersurface tropicalization is the corner locus of
 v -> min_i(<u_i, v> + c_i) with c_i the coefficient valuations; at the
 pseudo-place ``GENERIC`` all c_i vanish and the corner locus is the
 codimension-one skeleton of the inward normal fan of the Newton polytope.
-Everything downstream (projection, prevariety intersection, balancing) is
-exact polyhedral computation.
+A corner locus is dual to the regular subdivision of the lifted exponents
+(u_i, c_i) (Maclagan-Sturmfels, Introduction to Tropical Geometry, 3.1) and
+is read off it by exact integer elimination, with no LP; its work is
+bounded (MAX_CORNER_OPS).  Everything downstream (projection, prevariety
+intersection, balancing) is exact polyhedral computation.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
 from .errors import (
     ArchimedeanNotSupported,
+    CornerLocusTooLarge,
     DimensionMismatch,
     InternalInvariantError,
     MonomialInput,
@@ -25,12 +30,11 @@ from .lattices import (
     integer_row,
     primitive_vector,
     quotient_map,
+    rank_of_rows,
 )
 from .laurent import LaurentPoly, bad_places
 from .polyhedral import (
     Cell,
-    LPInfeasible,
-    LPUnbounded,
     Polyhedron,
     PolyhedralComplex,
     _canon_constraint,
@@ -39,11 +43,9 @@ from .polyhedral import (
     contains_point,
     dimension,
     intersect,
-    lp_solve,
     make_complex,
     poly_contains,
     poly_equal,
-    polyhedron,
     preimage,
     project,
     prune_to_maximal,
@@ -51,6 +53,11 @@ from .polyhedral import (
     remove_redundancy,
 )
 from .scalars import GENERIC, ArchimedeanQ, GenericPlace, place_to_str, valuation
+
+# The most integer multiply-adds, as estimated by _Budget before each step,
+# that one corner locus may spend; past it corner_locus raises
+# CornerLocusTooLarge (about 2.5 s of work on a 2-core VM).
+MAX_CORNER_OPS = 3_000_000
 
 
 @dataclass(frozen=True)
@@ -77,10 +84,7 @@ def min_value_and_argmin(data: TropicalData, v):
     """Minimum of <u_i, v> + c_i at the rational point v and the indices
     achieving it, compared as integers over the common denominator of v."""
     ints, den = integer_row(v)
-    vals = [
-        sum(a * x for a, x in zip(u, ints)) + c * den
-        for u, c in zip(data.exponents, data.shifts)
-    ]
+    vals = _values(data.exponents, data.shifts, ints, den)
     best = min(vals)
     return Fraction(best, den), frozenset(i for i, x in enumerate(vals) if x == best)
 
@@ -114,161 +118,217 @@ def _segment_multiplicity(exponents, tie):
     return length
 
 
-def _span_forms(span):
-    """Integer linear forms vanishing exactly on the span of one or two
-    linearly independent integer rows: each minor of order len(span) + 1
-    of those rows with one more row r appended, expanded along r."""
-    k, n = len(span), len(span[0])
-    if k == 1:
-        minor = lambda cols: span[0][cols[0]]
-    else:
-        minor = lambda cols: span[0][cols[0]] * span[1][cols[1]] - span[0][cols[1]] * span[1][cols[0]]
-    forms = []
-    for cols in itertools.combinations(range(n), k + 1):
-        form = [0] * n
-        for p, c in enumerate(cols):
-            form[c] = (-1) ** p * minor(cols[:p] + cols[p + 1:])
-        forms.append(form)
-    return forms
-
-
-def _in_span(row, forms) -> bool:
-    return not any(sum(a * x for a, x in zip(f, row)) for f in forms)
-
-
-def _slack_point(data: TropicalData, rank, tie):
-    """Optimal point of the slack LP on the locus where the terms of tie
-    (two or three indices, first a) tie at the minimum, or None when the
-    optimum is not positive.
-
-    Variables (v, t): maximize t subject to <u_a - u_k, v> = c_k - c_a for
-    k in tie, <u_a - u_l, v> + t <= c_l - c_a for every other l, the same
-    row without t when it lies in the span of the tie differences (such a
-    row is constant on the tie locus), and t <= 1.  The locus has
-    dimension rank + 1 - len(tie) exactly when the optimum is positive, and
-    every optimal point then lies in its relative interior, where the
-    argmin set is constant.  Rows go to the LP as they are: neither the
-    verdict nor that argmin set depends on their order or scale.  When the
-    locus can only be a point (len(tie) = rank + 1), it is solved for
-    instead, with no LP.
-    """
-    a, rest = tie[0], tie[1:]
-    ua, ca = data.exponents[a], data.shifts[a]
-    diff = lambda k: tuple(x - y for x, y in zip(ua, data.exponents[k]))
-    span = [diff(k) for k in rest]
-    if len(rest) == rank:
-        # the differences span R^rank, so every row lies in their span: the
-        # locus is the solution of the equalities (Cramer's rule) when the
-        # terms of tie are minimal there, and empty otherwise
-        b = [data.shifts[k] - ca for k in rest]
-        if rank == 1:
-            x = (Fraction(b[0], span[0][0]),)
-        else:
-            (p, q), (r, s) = span
-            det = p * s - q * r
-            x = (Fraction(b[0] * s - q * b[1], det), Fraction(p * b[1] - r * b[0], det))
-        return x if set(tie) <= min_value_and_argmin(data, x)[1] else None
-    forms = _span_forms(span)
-    t_axis = (0,) * rank + (1,)
-    eqs = tuple((row + (0,), data.shifts[k] - ca) for row, k in zip(span, rest))
-    ineqs = [
-        (row + (0 if _in_span(row, forms) else 1,), data.shifts[l] - ca)
-        for l in range(len(data.exponents))
-        if l not in tie
-        for row in (diff(l),)
-    ]
-    ineqs.append((t_axis, 1))
-    res = lp_solve(t_axis, Polyhedron(rank + 1, eqs, tuple(ineqs)))
-    if isinstance(res, LPInfeasible):
-        return None
-    if isinstance(res, LPUnbounded):
-        raise InternalInvariantError("tie slack is capped, cannot be unbounded")
-    return res.point[:rank] if res.value > 0 else None
-
-
-def _pair_polyhedron(data: TropicalData, rank, i, j):
-    """The tie locus of terms i and j at the minimum, canonical and
-    unreduced."""
-    ui, ci = data.exponents[i], data.shifts[i]
-    diff = lambda k: tuple(a - b for a, b in zip(ui, data.exponents[k]))
-    return polyhedron(
-        rank,
-        [(diff(j), data.shifts[j] - ci)],
-        [(diff(k), data.shifts[k] - ci) for k in range(len(data.exponents)) if k not in (i, j)],
-    )
-
-
-def _cell_polyhedron(data: TropicalData, rank, a, b, tie, sigmas, misses):
-    """The cell of tie, first pair (a, b), with one inequality per facet.
-
-    The corner locus is dual to the regular subdivision of the Newton
-    polytope, so the facets of the cell are the 2-cells sigma containing
-    tie.  Each k outside tie and off the line of a and b gets one slack LP
-    on the locus where a, b and k tie, unless a sigma found so far holds
-    tie and k, or a triple in misses (held by no 2-cell) lies in tie and k.
-    A positive optimum finds the sigma holding a, b and k: the argmin set
-    at the LP point.  sigmas and misses are shared by the cells of one
-    corner locus.  The rows <u_a - u_k, v> <= c_k - c_a for k in sigma -
-    tie all define the facet of sigma; the cell keeps the largest in
-    canonical order, the row that greedy redundancy removal over the
-    sorted rows keeps.  Each kept row must be tight at its sigma's point,
-    and the point must lie in the cell.
-    """
-    ua, ca = data.exponents[a], data.shifts[a]
-    diff = lambda k: tuple(x - y for x, y in zip(ua, data.exponents[k]))
-    line = _span_forms([diff(b)])
-    for k in range(len(data.exponents)):
-        if k in tie or _in_span(diff(k), line):
+def _eliminate(M, ncols):
+    """Fraction-free Gauss-Jordan elimination of the integer rows M in
+    place, over their first ncols columns.  Returns (pivot columns, det):
+    afterwards each pivot row is zero in the other pivot columns and every
+    pivot entry equals det, the last pivot (1 when there is none).  The
+    divisions are exact, as in Bareiss's method."""
+    pivots, prev = [], 1
+    for c in range(ncols):
+        k = len(pivots)
+        r = next((i for i in range(k, len(M)) if M[i][c]), None)
+        if r is None:
             continue
-        if any(k in sigma and tie <= sigma for sigma, _ in sigmas) or any(
-            m <= tie | {k} for m in misses
-        ):
+        M[k], M[r] = M[r], M[k]
+        p = M[k][c]
+        for i in range(len(M)):
+            if i != k:
+                a = M[i][c]
+                M[i] = [(p * x - a * y) // prev for x, y in zip(M[i], M[k])]
+        prev = p
+        pivots.append(c)
+        if len(pivots) == len(M):
+            break
+    return pivots, prev
+
+
+def _values(points, shifts, ints, den):
+    """den * (<p_i, ints / den> + c_i) for every term, as integers."""
+    return [sum(a * x for a, x in zip(p, ints)) + c * den for p, c in zip(points, shifts)]
+
+
+class _Budget:
+    """Integer multiply-adds left to one corner locus of s terms in rank n,
+    charged before each step from its estimated cost."""
+
+    def __init__(self, s, n):
+        self.left, self.s, self.n = MAX_CORNER_OPS, s, n
+
+    def spend(self, ops):
+        self.left -= ops
+        if self.left < 0:
+            raise CornerLocusTooLarge(
+                f"the corner locus of {self.s} terms in rank {self.n} needs "
+                f"more than {MAX_CORNER_OPS} integer operations"
+            )
+
+    def scan(self, m, k, d):
+        """Charge a scan of the k-subsets of m points in Z^d: per subset, a
+        d x d elimination and the m points evaluated once."""
+        self.spend(math.comb(m, k) * (d**3 + m * d))
+
+
+def _maximal_cells(points, shifts, d):
+    """The maximal cells of the regular subdivision of the points p_i,
+    which affinely span Z^d, lifted by the shifts c_i: {sigma: (nums, den)},
+    with y = nums / den a point of the dual cell of sigma.
+
+    Each (d+1)-subset S with affinely independent points is solved for the
+    y where its terms tie, <p_a - p_k, y> = c_k - c_a for k in S; S lies in
+    a maximal cell exactly when its terms are minimal at y, and the argmin
+    set there is that cell."""
+    cells = {}
+    for S in itertools.combinations(range(len(points)), d + 1):
+        a = S[0]
+        pa, ca = points[a], shifts[a]
+        M = [[x - y for x, y in zip(pa, points[k])] + [shifts[k] - ca] for k in S[1:]]
+        pivots, den = _eliminate(M, d)
+        if len(pivots) < d:
             continue
-        x = _slack_point(data, rank, (a, b, k))
-        if x is None:
-            misses.append(frozenset((a, b, k)))
-        else:
-            sigmas.append((min_value_and_argmin(data, x)[1], x))
+        nums = [row[d] for row in M]
+        if den < 0:
+            nums, den = [-x for x in nums], -den
+        vals = _values(points, shifts, nums, den)
+        best = min(vals)
+        if vals[a] == best:
+            sigma = frozenset(i for i, x in enumerate(vals) if x == best)
+            cells.setdefault(sigma, (nums, den))
+    return cells
+
+
+def _affine_rank(points, idx):
+    base = points[min(idx)]
+    return rank_of_rows([[x - y for x, y in zip(points[k], base)] for k in idx])
+
+
+def _facets(points, sigma, d):
+    """Facets of the d-polytope conv(p_i : i in sigma) as index sets: the
+    hyperplane through each d-subset of affinely independent points, kept
+    when all of sigma lies on one side of it."""
+    idx = sorted(sigma)
     facets = []
-    for sigma, x in sigmas:
-        if tie <= sigma:
-            rows = (_canon_constraint(diff(k), data.shifts[k] - ca, False) for k in sigma - tie)
-            facets.append((max(rows, key=_con_key), x))
-    eq = _canon_constraint(diff(b), data.shifts[b] - ca, True)
-    P = Polyhedron(rank, (eq,), tuple(sorted((con for con, _ in facets), key=_con_key)))
-    for con, x in facets:
-        # x lies in P, on the hyperplane of con
-        if not contains_point(Polyhedron(rank, (eq, con), P.inequalities), x):
+    for D in itertools.combinations(idx, d):
+        if any(F.issuperset(D) for F in facets):
+            continue
+        base = points[D[0]]
+        M = [[x - y for x, y in zip(points[k], base)] for k in D[1:]]
+        pivots, det = _eliminate(M, d)
+        if len(pivots) < d - 1:
+            continue
+        # the normal spans the kernel of M: det on the free column
+        free = next(c for c in range(d) if c not in pivots)
+        normal = [0] * d
+        normal[free] = det
+        for row, c in zip(M, pivots):
+            normal[c] = -row[free]
+        side = {k: sum(a * (x - y) for a, x, y in zip(normal, points[k], base)) for k in idx}
+        if min(side.values()) >= 0 or max(side.values()) <= 0:
+            facets.append(frozenset(k for k in idx if side[k] == 0))
+    return facets
+
+
+def _edges_and_two_faces(points, sigma, d, budget):
+    """Edges and 2-faces of the d-polytope conv(p_i : i in sigma) as index
+    sets.  A simplex has every subset as a face.  Otherwise the faces of
+    rank k - 1 are the pairwise intersections of rank k - 1 of the faces of
+    rank k (every face is where two faces one rank up meet), from the
+    facets down."""
+    m = len(sigma)
+    if m == d + 1:
+        budget.spend(math.comb(m, 3))
+        faces = lambda k: [frozenset(c) for c in itertools.combinations(sorted(sigma), k + 1)]
+        return faces(1), faces(2) if d >= 2 else []
+    levels = {d: [sigma]}
+    if d >= 2:
+        budget.scan(m, d, d)
+        levels[d - 1] = _facets(points, sigma, d)
+    for k in range(d - 1, 1, -1):
+        budget.spend(math.comb(len(levels[k]), 2) * m)
+        meets = {}
+        for A, B in itertools.combinations(levels[k], 2):
+            G = A & B
+            if len(G) >= k and G not in meets and _affine_rank(points, G) == k - 1:
+                meets[G] = None
+        levels[k - 1] = list(meets)
+    return levels.get(1, []), levels.get(2, [])
+
+
+def _cell_polyhedron(data: TropicalData, rank, tie, two_cells):
+    """The cell of the edge tie of the subdivision, with one inequality per
+    facet.
+
+    The equality is the tie of the two smallest indices a < b of tie.  The
+    facets of the cell are the 2-cells sigma containing tie (two_cells, each
+    with the vertex (ints, den) of a maximal cell containing it).  The rows
+    <u_a - u_k, v> <= c_k - c_a for k in sigma - tie all define the facet of
+    sigma; the cell keeps the largest in canonical order, the row that
+    greedy redundancy removal over the sorted rows keeps.  Each kept row
+    must be tight at its vertex, and the vertex must lie in the cell.
+    """
+    a, b = sorted(tie)[:2]
+    ua, ca = data.exponents[a], data.shifts[a]
+    con = lambda k, is_eq: _canon_constraint(
+        tuple(x - y for x, y in zip(ua, data.exponents[k])), data.shifts[k] - ca, is_eq
+    )
+    eq = con(b, True)
+    facets = [(max((con(k, False) for k in sigma - tie), key=_con_key), v) for sigma, v in two_cells]
+    P = Polyhedron(rank, (eq,), tuple(sorted((row for row, _ in facets), key=_con_key)))
+    for row, (ints, den) in facets:
+        # den * (<r, v> - rhs) at v = ints / den, scaled by rhs's denominator
+        gap = lambda r, rhs: sum(x * y for x, y in zip(r, ints)) * rhs.denominator - rhs.numerator * den
+        if gap(*eq) or gap(*row) or any(gap(*c) > 0 for c in P.inequalities):
             raise InternalInvariantError("a facet row is not tight on its 2-cell")
     return P
 
 
 def corner_locus(data: TropicalData, rank) -> PolyhedralComplex:
-    """Cells where at least two terms achieve the minimum.
+    """Cells where at least two terms achieve the minimum, read off the
+    regular subdivision of the lifted exponents (u_i, c_i), to which the
+    corner locus is dual, with no LP.
 
-    Each unordered pair (i, j) is decided by one slack LP (_slack_point);
-    a positive optimum keeps the pair, and the argmin set at the LP point
-    labels its cell and deduplicates it.  A tie set first met at pair
-    (i, j) gets the tie equality of i and j and one inequality per facet,
-    found by one slack LP per 2-cell of the dual subdivision
-    (_cell_polyhedron), with no redundancy removal.  A tie set met again
-    must carve the same polyhedron as the first pair did.
+    The exponents affinely span a space of dimension d, which maps one-to-
+    one onto the pivot coordinates of their differences (_eliminate).  Each
+    maximal cell sigma of the subdivision comes with a vertex of the corner
+    locus, solved for on those coordinates with the others 0
+    (_maximal_cells).  The edges of the maximal cells are the tie sets of
+    the cells, and the 2-faces containing an edge give its facets
+    (_cell_polyhedron), so each cell is built once.  Every step is charged
+    to a _Budget of MAX_CORNER_OPS before it runs, the scan of the
+    C(s, d + 1) subsets of the s terms included; past it
+    CornerLocusTooLarge is raised.
     """
-    s = len(data.exponents)
-    cells = {}
-    sigmas, misses = [], []
-    for i, j in itertools.combinations(range(s), 2):
-        x = _slack_point(data, rank, (i, j))
-        if x is None:
-            continue
-        tie = min_value_and_argmin(data, x)[1]
-        if tie in cells:
-            if not poly_equal(cells[tie].polyhedron, _pair_polyhedron(data, rank, i, j)):
-                raise InternalInvariantError("one argmin set carved two cells")
-            continue
-        P = _cell_polyhedron(data, rank, i, j, tie, sigmas, misses)
-        cells[tie] = Cell(P, tie, _segment_multiplicity(data.exponents, tie))
-    return make_complex(rank, cells.values())
+    exps, shifts = data.exponents, data.shifts
+    s = len(exps)
+    budget = _Budget(s, rank)
+    budget.spend(s * rank * rank)
+    pivots, _ = _eliminate([[x - y for x, y in zip(u, exps[0])] for u in exps], rank)
+    d = len(pivots)
+    budget.scan(s, d + 1, d)
+    points = [tuple(u[c] for c in pivots) for u in exps]
+    edges, two_cells = {}, {}
+    for sigma, (nums, den) in _maximal_cells(points, shifts, d).items():
+        ints = [0] * rank
+        for c, x in zip(pivots, nums):
+            ints[c] = x
+        es, fs = _edges_and_two_faces(points, sigma, d, budget)
+        # an edge lies in a 2-face when its two smallest indices do
+        by_pair = {tuple(sorted(e)[:2]): edges.setdefault(e, set()) for e in es}
+        for f in fs:
+            two_cells.setdefault(f, (ints, den))
+            for pair in itertools.combinations(sorted(f), 2):
+                if pair in by_pair:
+                    by_pair[pair].add(f)
+    budget.spend(sum(len(fs) * (len(fs) + 2) for fs in edges.values()) * rank)
+    cells = [
+        Cell(
+            _cell_polyhedron(data, rank, tie, [(f, two_cells[f]) for f in fs]),
+            tie,
+            _segment_multiplicity(exps, tie),
+        )
+        for tie, fs in edges.items()
+    ]
+    return make_complex(rank, cells)
 
 
 def trop_hypersurface(f: LaurentPoly, place) -> PolyhedralComplex:

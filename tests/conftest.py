@@ -57,6 +57,13 @@ settings.register_profile("reproducible", derandomize=True, deadline=None)
 settings.load_profile("reproducible")
 
 
+# 120 terms of rank 2 on a 12 x 10 grid of exponents, past the corner-locus
+# bound (the CI workflow builds the same text)
+LARGE_RANK_2 = " + ".join(
+    f"{(a * b) % 7 + 1}*x1^{a}*x2^{b}" for a in range(-9, 3) for b in range(-9, 1)
+)
+
+
 def ray(rank, base, direction):
     return from_generators(rank, [base], [direction])
 

@@ -18,7 +18,7 @@ from amoebas.classify import Halfspace
 from amoebas.errors import InternalInvariantError
 from amoebas.polyhedral import complex_from_json, complexes_equal
 
-from conftest import tripod
+from conftest import LARGE_RANK_2, tripod
 
 
 def run_cli(capsys, *argv):
@@ -191,6 +191,18 @@ class TestErrorsAndDeterminism:
         )
         assert done.returncode == 2 and done.stdout == ""
         assert json.loads(done.stderr)["error"]["code"] == "expansion-too-large"
+
+    def test_corner_locus_bound_exits_2_in_bounded_time(self):
+        # in a child process, so that a broken bound fails by timeout: 120
+        # terms of rank 2 ran past 60 s before the corner locus was bounded
+        src = os.path.dirname(os.path.dirname(amoebas.__file__))
+        done = subprocess.run(
+            [sys.executable, "-m", "amoebas.cli", "trop", "--f", LARGE_RANK_2, "--place", "p:2"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 2 and done.stdout == ""
+        assert json.loads(done.stderr)["error"]["code"] == "corner-locus-too-large"
 
     def test_image_on_hypersurface_exit_code(self, capsys):
         code, out, err = run_cli(

@@ -1,11 +1,14 @@
+import itertools
 import json
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from amoebas.errors import ArchimedeanNotSupported, MonomialInput
+from amoebas import polyhedral, tropical
+from amoebas.errors import ArchimedeanNotSupported, CornerLocusTooLarge, MonomialInput
 from amoebas.laurent import make_laurent, parse_poly
 from amoebas.polyhedral import (
     complex_membership,
@@ -44,10 +47,12 @@ from amoebas.tropical import (
     trop_hypersurface,
     tropical_data,
     PrevarietySystem,
+    _eliminate,
 )
 from amoebas.polyhedral import translate_complex
 
 from conftest import (
+    LARGE_RANK_2,
     cells_of,
     rand_point,
     rand_poly_q,
@@ -372,29 +377,45 @@ class TestBalancing:
 
 SQUARE = ((0, 0), (1, 0), (0, 1), (1, 1))
 HEXAGON = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
+# lattice points inside edges and inside the 2-face: a 3 x 3 grid less a
+# corner, and the hexagon with its centre; and a cube, a 3-cell that is not
+# a simplex
+GRID = tuple((a, b, 0) for a in (-1, 0, 1) for b in (-1, 0, 1) if (a, b) != (1, 1))
+SHAPES = [
+    tuple((a, b, 0) for a, b in SQUARE),
+    tuple((a, b, 0) for a, b in HEXAGON),
+    GRID,
+    tuple((a, b, 0) for a, b in HEXAGON + ((0, 0),)),
+    tuple(itertools.product((0, 1), repeat=3)),
+]
 
 
 @st.composite
 def tropical_data_and_rank(draw):
-    """Rank 1-3, 2-7 distinct exponents in [-2, 2] with shifts in [-1, 1]
+    """Rank 1-4, 2-8 distinct exponents in [-2, 2] with shifts in [-1, 1]
     so that ties are common.  Often a planted collinear triple p - d, p,
-    p + d; a planted square or hexagon p + a e1 + b e2 in a random 2-plane
-    whose shifts are zero or affine on it, so that it is one 2-cell with
-    more than one row per facet of its edge cells; or an all-collinear
-    support p + k d."""
-    rank = draw(st.integers(1, 3))
+    p + d; a planted shape p + a d + b e2 + c e3 whose shifts are zero or
+    affine on it, so that it lies in one cell of the subdivision: a square
+    or hexagon (more than one row per facet of its edge cells), a grid or
+    a centred hexagon (lattice points inside edges and 2-faces), or a cube;
+    or an all-collinear support p + k d.  A quarter of the draws have all
+    shifts zero, as at the generic place, so that the whole support is one
+    cell, rarely a simplex."""
+    rank = draw(st.integers(1, 4))
     vec = lambda: draw(st.tuples(*[st.integers(-1, 1)] * rank))
-    shape = draw(st.sampled_from(["free", "triple", "polygon", "line"]))
+    shape = draw(st.sampled_from(["free", "triple", "planted", "line"]))
     p, d = vec(), draw(st.tuples(*[st.integers(-1, 1)] * rank).filter(any))
     planted, shifts = [], []
     if shape == "triple":
         planted = [tuple(a - b for a, b in zip(p, d)), p, tuple(a + b for a, b in zip(p, d))]
-    elif shape == "polygon":
-        e2 = vec()
-        polygon = draw(st.sampled_from([SQUARE, HEXAGON]))
-        planted = [tuple(x + a * y + b * z for x, y, z in zip(p, d, e2)) for a, b in polygon]
+    elif shape == "planted":
+        e2, e3 = vec(), vec()
+        planted = [
+            tuple(x + a * y + b * z + c * w for x, y, z, w in zip(p, d, e2, e3))
+            for a, b, c in draw(st.sampled_from(SHAPES))
+        ]
         lam, mu = vec(), draw(st.integers(-1, 1))
-        planted = list(dict.fromkeys(planted))
+        planted = list(dict.fromkeys(planted))[:8]
         shifts = [sum(l * x for l, x in zip(lam, u)) + mu for u in planted]
     elif shape == "line":
         planted = [tuple(k * x for x in d) for k in range(draw(st.integers(2, 5)))]
@@ -404,7 +425,7 @@ def tropical_data_and_rank(draw):
             st.lists(
                 st.tuples(*[st.integers(-2, 2)] * rank),
                 min_size=max(0, 2 - len(exps)),
-                max_size=max(0, 7 - len(exps)),
+                max_size=max(0, 8 - len(exps)),
             )
         )
     exps = list(dict.fromkeys(exps))
@@ -412,14 +433,27 @@ def tropical_data_and_rank(draw):
     shifts += draw(
         st.lists(st.integers(-1, 1), min_size=len(exps) - len(shifts), max_size=len(exps) - len(shifts))
     )
+    if draw(st.sampled_from([False, False, False, True])):
+        shifts = [0] * len(exps)
     return TropicalData(tuple(exps), tuple(shifts)), rank
 
 
+PINNED_SUPPORTS = [
+    ("1 + x1 + x2 + x1*x2", 2),
+    ("x1 + x2 + x1^-1*x2 + x1^-1 + x2^-1 + x1*x2^-1", 2),
+    ("x1 + x2 + x1^-1*x2 + x1^-1 + x2^-1 + x1*x2^-1 + 1", 2),
+    ("1 + x1 + x1^2 + x2", 2),
+    ("2 + 3*x1*x3 + x2*x3^-1 + 6*x1*x2 + 4*x1^2*x2*x3", 3),
+    ("1 + 2*x1 + 4*x1^3 + 3*x1^-2", 1),
+    # the free sum of two triangles, and the midpoint of one of its edges
+    ("x1^2 + x1^-1*x2^2 + x1^-1*x2^-2 + x3^2 + x3^-1*x4^2 + x3^-1*x4^-2 + x1*x3", 4),
+]
+
+
 class TestCornerLocusAgainstPerPairReference:
-    """The corner locus from one slack LP per pair and one per 2-cell
-    equals the per-pair reference that decides emptiness, dimension and
-    the interior point by separate LPs and removes redundant rows by one
-    LP each."""
+    """The corner locus read off the regular subdivision equals the
+    per-pair reference that decides emptiness, dimension and the interior
+    point by separate LPs and removes redundant rows by one LP each."""
 
     @settings(max_examples=150)
     @given(tropical_data_and_rank())
@@ -428,8 +462,9 @@ class TestCornerLocusAgainstPerPairReference:
         assert corner_locus(data, rank) == reference_corner_locus(data, rank)
 
     def test_duplicate_tie_of_collinear_terms(self):
-        # three collinear exponents (0,0), (1,0), (2,0): three pairs carve
-        # one cell, so the second and third take the duplicate-tie path
+        # three collinear exponents (0,0), (1,0), (2,0) tie on one cell of
+        # multiplicity 2, an edge of the subdivision with a lattice point
+        # inside
         data = tropical_data(parse_poly("1 + x1 + x1^2 + x2"), GENERIC)
         C = corner_locus(data, 2)
         assert C == reference_corner_locus(data, 2)
@@ -462,6 +497,91 @@ class TestCornerLocusAgainstPerPairReference:
     def test_degenerate_supports(self, f, rank, place):
         data = tropical_data(parse_poly(f, rank), place)
         assert corner_locus(data, rank) == reference_corner_locus(data, rank)
+
+    def test_facets_meeting_in_an_edge(self):
+        # at the generic place the whole support is one 4-cell, the free sum
+        # of two triangles; two of its facets meet in just the edge from
+        # x1^2 to x3^2, whose midpoint x1*x3 is a term: three points that
+        # are an edge, not a 2-face
+        data = tropical_data(parse_poly(PINNED_SUPPORTS[-1][0], 4), GENERIC)
+        C = corner_locus(data, 4)
+        assert C == reference_corner_locus(data, 4)
+        assert [(sorted(c.tie_set), c.multiplicity) for c in C.cells if len(c.tie_set) > 2] == [
+            ([4, 5, 6], 2)
+        ]
+
+
+class TestCornerLocusRunsNoLP:
+    """corner_locus is exact integer and rational arithmetic: with lp_solve
+    made to raise, it still builds every complex."""
+
+    @staticmethod
+    def corner_locus_without_lp(data, rank):
+        def no_lp(*args, **kwargs):
+            raise AssertionError("corner_locus ran an LP")
+
+        with pytest.MonkeyPatch.context() as mp:
+            for module in (tropical, polyhedral):
+                mp.setattr(module, "lp_solve", no_lp, raising=False)
+            return corner_locus(data, rank)
+
+    @settings(max_examples=60)
+    @given(tropical_data_and_rank())
+    def test_random_data(self, data_rank):
+        data, rank = data_rank
+        assert self.corner_locus_without_lp(data, rank) == corner_locus(data, rank)
+
+    @pytest.mark.parametrize("place", [GENERIC, FinitePrime(2), FinitePrime(3)], ids=str)
+    @pytest.mark.parametrize("f, rank", PINNED_SUPPORTS)
+    def test_pinned_supports(self, f, rank, place):
+        data = tropical_data(parse_poly(f, rank), place)
+        assert self.corner_locus_without_lp(data, rank) == corner_locus(data, rank)
+
+
+class TestCornerLocusBound:
+    def test_many_terms_refused_before_the_scan(self):
+        data = tropical_data(parse_poly(LARGE_RANK_2), FinitePrime(2))
+        start = time.perf_counter()
+        with pytest.raises(CornerLocusTooLarge):
+            corner_locus(data, 2)
+        assert time.perf_counter() - start < 5
+
+    def test_high_rank_simplex_refused(self):
+        # one maximal cell, but 300 cells of 23 facets each
+        f = " + ".join(["1"] + [f"x{i}" for i in range(1, 25)])
+        with pytest.raises(CornerLocusTooLarge):
+            generic_skeleton(parse_poly(f))
+
+    def test_moderate_input_within_the_bound(self):
+        f = " + ".join(["1"] + [f"x{i}" for i in range(1, 9)])
+        assert len(generic_skeleton(parse_poly(f)).cells) == 36
+
+
+class TestEliminate:
+    @settings(max_examples=200)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=1, max_size=4)
+        )
+    )
+    def test_matches_fraction_gauss_jordan(self, rows):
+        n = len(rows[0])
+        M = [list(r) for r in rows]
+        pivots, det = _eliminate(M, n)
+        # reduced row echelon form over Q by Fractions
+        R, ref = [[Fraction(x) for x in r] for r in rows], []
+        for c in range(n):
+            k = len(ref)
+            r = next((i for i in range(k, len(R)) if R[i][c]), None)
+            if r is None:
+                continue
+            R[k], R[r] = R[r], R[k]
+            R[k] = [x / R[k][c] for x in R[k]]
+            R = [R[i] if i == k else [x - R[i][c] * y for x, y in zip(R[i], R[k])] for i in range(len(R))]
+            ref.append(c)
+        assert pivots == ref and det != 0
+        assert [[Fraction(x, det) for x in row] for row in M[: len(ref)]] == R[: len(ref)]
+        assert not any(any(row) for row in M[len(ref):])
 
 
 @st.composite
