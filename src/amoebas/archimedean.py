@@ -30,7 +30,6 @@ import numpy as np
 
 from .errors import DegenerateSlice, ExponentSpreadTooLarge, TermCountMismatch
 from .laurent import LaurentPoly
-from .lattices import smith_invariants
 from .scalars import FIELD_Q
 
 INSIDE = "inside"
@@ -156,18 +155,19 @@ def lopsided_outside(f: LaurentPoly, v) -> bool:
 
 def triangle_applicable(f: LaurentPoly) -> bool:
     """Whether the exact trinomial test applies: the two exponent differences
-    must extend to a basis of the full exponent lattice (both Smith invariant
-    factors equal to one)."""
+    must extend to a basis of the full exponent lattice, that is, both Smith
+    invariant factors of the 2 x n difference matrix equal one.  Their
+    product d1 * d2 is the gcd of the 2 x 2 minors, and d1 | d2, so that is
+    the gcd of the minors being one."""
     if f.nterms != 3:
         raise TermCountMismatch("the triangle test needs exactly three terms")
     if f.rank < 2:
         return False
     u = f.exponents()
-    rows = [
-        [a - b for a, b in zip(u[0], u[2])],
-        [a - b for a, b in zip(u[1], u[2])],
-    ]
-    return smith_invariants(rows) == (1, 1)
+    a = [x - z for x, z in zip(u[0], u[2])]
+    b = [y - z for y, z in zip(u[1], u[2])]
+    pairs = itertools.combinations(range(f.rank), 2)
+    return math.gcd(*(a[i] * b[j] - a[j] * b[i] for i, j in pairs)) == 1
 
 
 def triangle_exact_membership(f: LaurentPoly, v) -> str:

@@ -1,8 +1,9 @@
 """Integer linear algebra: Smith normal form, kernels, quotient maps, and
 ranks by fraction-free row reduction.
 
-Matrices are lists of lists of ints (rows).  All transforms are tracked so
-kernels and quotient projections come with unimodular certificates.
+Matrices are lists of lists of ints (rows).  The Smith normal form is
+sympy's; its transforms are checked in exact integer arithmetic, so kernels
+and quotient projections come with unimodular certificates.
 """
 from __future__ import annotations
 
@@ -40,131 +41,32 @@ def smith_normal_form(A):
     """Return (U, D, V, Uinv) with U*A*V = D diagonal, U and V unimodular.
 
     D's diagonal entries are nonnegative and satisfy the divisibility chain
-    d1 | d2 | ... .  Pivoting is deterministic (smallest absolute value,
-    lowest index on ties).
+    d1 | d2 | ... .  sympy computes the decomposition; U*A*V = D,
+    U*Uinv = I, det V = +-1 and the shape of D are checked here exactly.
     """
     m = len(A)
     n = len(A[0]) if m else 0
-    D = [list(row) for row in A]
-    U = identity(m)
-    Uinv = identity(m)
-    V = identity(n)
+    if not m or not n:
+        return identity(m), [list(row) for row in A], identity(n), identity(m)
+    from sympy.polys.domains import ZZ
+    from sympy.polys.matrices import DomainMatrix
+    from sympy.polys.matrices.normalforms import smith_normal_decomp
 
-    def row_swap(i, j):
-        D[i], D[j] = D[j], D[i]
-        U[i], U[j] = U[j], U[i]
-        for r in range(m):
-            Uinv[r][i], Uinv[r][j] = Uinv[r][j], Uinv[r][i]
-
-    def row_neg(i):
-        D[i] = [-x for x in D[i]]
-        U[i] = [-x for x in U[i]]
-        for r in range(m):
-            Uinv[r][i] = -Uinv[r][i]
-
-    def row_add(i, j, k):
-        # row i += k * row j
-        D[i] = [x + k * y for x, y in zip(D[i], D[j])]
-        U[i] = [x + k * y for x, y in zip(U[i], U[j])]
-        for r in range(m):
-            Uinv[r][j] -= k * Uinv[r][i]
-
-    def col_swap(i, j):
-        for r in range(m):
-            D[r][i], D[r][j] = D[r][j], D[r][i]
-        for r in range(n):
-            V[r][i], V[r][j] = V[r][j], V[r][i]
-
-    def col_neg(i):
-        for r in range(m):
-            D[r][i] = -D[r][i]
-        for r in range(n):
-            V[r][i] = -V[r][i]
-
-    def col_add(i, j, k):
-        # col i += k * col j
-        for r in range(m):
-            D[r][i] += k * D[r][j]
-        for r in range(n):
-            V[r][i] += k * V[r][j]
-
-    def pivot_search(t):
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                x = D[i][j]
-                if x != 0 and (best is None or abs(x) < abs(D[best[0]][best[1]])):
-                    best = (i, j)
-        return best
-
-    def reduce_from(t0):
-        t = t0
-        while t < min(m, n):
-            pos = pivot_search(t)
-            if pos is None:
-                break
-            i, j = pos
-            if i != t:
-                row_swap(t, i)
-            if j != t:
-                col_swap(t, j)
-            while True:
-                again = False
-                for r in range(t + 1, m):
-                    if D[r][t] != 0:
-                        k = D[r][t] // D[t][t]
-                        row_add(r, t, -k)
-                        if D[r][t] != 0:
-                            row_swap(t, r)
-                            again = True
-                if again:
-                    continue
-                for c in range(t + 1, n):
-                    if D[t][c] != 0:
-                        k = D[t][c] // D[t][t]
-                        col_add(c, t, -k)
-                        if D[t][c] != 0:
-                            col_swap(t, c)
-                            again = True
-                if not again:
-                    break
-            if D[t][t] < 0:
-                row_neg(t)
-            t += 1
-        return t
-
-    rank = reduce_from(0)
-
-    # enforce the divisibility chain d_t | d_{t+1}; each fix replaces d_t by
-    # gcd(d_t, d_{t+1}), so this terminates
-    while True:
-        bad = None
-        for t in range(rank - 1):
-            if D[t + 1][t + 1] % D[t][t] != 0:
-                bad = t
-                break
-        if bad is None:
-            break
-        col_add(bad, bad + 1, 1)
-        reduce_from(bad)
-
-    if m and n and mat_mul(U, mat_mul(A, V)) != D:
+    D, U, V = smith_normal_decomp(DomainMatrix.from_list(A, ZZ))
+    Uinv, den = U.inv_den()
+    if abs(V.det()) != 1:
+        raise InternalInvariantError("smith column transform not unimodular")
+    # den is +-1 for a unimodular U, so Uinv * den is the exact inverse
+    D, U, V, Uinv = ([[int(x) for x in row] for row in M.to_list()] for M in (D, U, V, Uinv * den))
+    if mat_mul(U, mat_mul(A, V)) != D:
         raise InternalInvariantError("smith normal form failed")
-    if m:
-        UU = mat_mul(U, Uinv)
-        if UU != identity(m):
-            raise InternalInvariantError("smith transform inverse failed")
+    if mat_mul(U, Uinv) != identity(m):
+        raise InternalInvariantError("smith transform inverse failed")
+    d = [D[t][t] for t in range(min(m, n))]
+    off = any(D[i][j] for i in range(m) for j in range(n) if i != j)
+    if off or any(x < 0 for x in d) or any(b % a if a else b for a, b in zip(d, d[1:])):
+        raise InternalInvariantError("smith form not diagonal with d1 | d2 | ...")
     return U, D, V, Uinv
-
-
-def smith_invariants(A) -> tuple[int, ...]:
-    _, D, _, _ = smith_normal_form(A)
-    out = []
-    for t in range(min(len(D), len(D[0]) if D else 0)):
-        if D[t][t] == 0:
-            break
-        out.append(D[t][t])
-    return tuple(out)
 
 
 def integer_kernel(A) -> list[tuple[int, ...]]:

@@ -27,20 +27,16 @@ def _canon_constraint(row, rhs, is_equality):
     """Scale to a primitive integer row; returns None for vacuous rows and
     the string "infeasible" for unsatisfiable zero rows."""
     row, den = integer_row(row)
-    rhs = Fraction(rhs) * den
     g = math.gcd(*row)
     if g == 0:
         if rhs == 0 or (not is_equality and rhs > 0):
             return None
         return "infeasible"
     ints = [x // g for x in row]
-    rhs /= g
-    if is_equality:
-        lead = next(x for x in ints if x != 0)
-        if lead < 0:
-            ints = [-x for x in ints]
-            rhs = -rhs
-    return tuple(ints), rhs
+    if is_equality and next(x for x in ints if x != 0) < 0:
+        ints = [-x for x in ints]
+        den = -den
+    return tuple(ints), Fraction(rhs * den, g)
 
 
 def _con_key(con):

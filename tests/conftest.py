@@ -3,6 +3,7 @@ generators, and a brute-force LP oracle for small bounded polytopes."""
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -61,6 +62,15 @@ settings.load_profile("reproducible")
 # bound (the CI workflow builds the same text)
 LARGE_RANK_2 = " + ".join(
     f"{(a * b) % 7 + 1}*x1^{a}*x2^{b}" for a in range(-9, 3) for b in range(-9, 1)
+)
+
+# 10 boundary generators in Z^24 with first coordinate 0, so dir:1,0,...,0
+# stays off their span; an elimination whose entries grow without bound runs
+# for minutes on their quotient map (the CI workflow builds the same halfspace)
+_wide = random.Random(24)
+WIDE_BOUNDARY = [[0] + [_wide.randint(-4, 4) for _ in range(23)] for _ in range(10)]
+WIDE_HALFSPACE = "dir:" + ",".join(["1"] + ["0"] * 23) + " bnd:" + ";".join(
+    ",".join(map(str, g)) for g in WIDE_BOUNDARY
 )
 
 
@@ -355,6 +365,26 @@ def reference_prune_to_maximal(polys):
         for i, P in enumerate(uniq)
         if not any(contains(Q, P) for j, Q in enumerate(uniq) if j != i and not contains(P, Q))
     ]
+
+
+def reference_canon_constraint(row, rhs, is_equality):
+    """The canonical constraint through Fractions: rhs scaled by the row's
+    denominator, then divided by the row's content."""
+    fr = [Fraction(x) for x in row]
+    den = math.lcm(*(x.denominator for x in fr))
+    row = [x.numerator * (den // x.denominator) for x in fr]
+    rhs = Fraction(rhs) * den
+    g = math.gcd(*row)
+    if g == 0:
+        if rhs == 0 or (not is_equality and rhs > 0):
+            return None
+        return "infeasible"
+    ints = [x // g for x in row]
+    rhs /= g
+    if is_equality and next(x for x in ints if x != 0) < 0:
+        ints = [-x for x in ints]
+        rhs = -rhs
+    return tuple(ints), rhs
 
 
 def reference_rank_of_rows(rows):

@@ -22,6 +22,7 @@ from amoebas.archimedean import (
 )
 from amoebas.errors import ExponentSpreadTooLarge, TermCountMismatch
 from amoebas.laurent import make_laurent, parse_poly
+from amoebas.lattices import smith_normal_form
 from amoebas.scalars import FIELD_Q
 
 from conftest import (
@@ -198,6 +199,16 @@ class TestTriangle:
                 continue
             count += 1
             assert phase_search_inside(f, v) == (verdict == INSIDE)
+
+    @settings(max_examples=300)
+    @given(st.integers(2, 5).flatmap(lambda n: st.lists(
+        st.tuples(*[st.integers(-6, 6)] * n), min_size=3, max_size=3, unique=True)))
+    def test_applicable_agrees_with_smith_form(self, exps):
+        # the gcd of the 2 x 2 minors against both Smith invariants being one
+        f = make_laurent(len(exps[0]), FIELD_Q, [(u, 1) for u in exps])
+        rows = [[a - c for a, c in zip(u, exps[2])] for u in exps[:2]]
+        D = smith_normal_form(rows)[1]
+        assert triangle_applicable(f) == (D[0][0] == D[1][1] == 1)
 
 
 class TestLopsided:

@@ -18,7 +18,7 @@ from amoebas.classify import Halfspace
 from amoebas.errors import InternalInvariantError
 from amoebas.polyhedral import complex_from_json, complexes_equal
 
-from conftest import LARGE_RANK_2, tripod
+from conftest import LARGE_RANK_2, WIDE_HALFSPACE, tripod
 
 
 def run_cli(capsys, *argv):
@@ -191,6 +191,22 @@ class TestErrorsAndDeterminism:
         )
         assert done.returncode == 2 and done.stdout == ""
         assert json.loads(done.stderr)["error"]["code"] == "expansion-too-large"
+
+    def test_wide_boundary_classify_in_bounded_time(self, tmp_path):
+        # in a child process, so that a quotient map that hangs fails by timeout
+        path = tmp_path / "rank24.json"
+        path.write_text(json.dumps(
+            {"rank": 24, "field": "Q", "constraints": [{"f": "x1 + 1"}]}
+        ))
+        src = os.path.dirname(os.path.dirname(amoebas.__file__))
+        done = subprocess.run(
+            [sys.executable, "-m", "amoebas.cli", "classify", "--system", str(path),
+             "--halfspace", WIDE_HALFSPACE, "--image-f", "x1 + 1"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 0
+        assert json.loads(done.stdout)["report"]["conclusion_case"] == 3
 
     def test_corner_locus_bound_exits_2_in_bounded_time(self):
         # in a child process, so that a broken bound fails by timeout: 120

@@ -1,8 +1,11 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import Matrix
 
+from amoebas.errors import InternalInvariantError
 from amoebas.lattices import (
     identity,
     in_rational_span,
@@ -12,24 +15,30 @@ from amoebas.lattices import (
     primitive_vector,
     quotient_map,
     rank_of_rows,
-    smith_invariants,
     smith_normal_form,
 )
 
-from conftest import reference_rank_of_rows
+from conftest import WIDE_BOUNDARY, reference_rank_of_rows
 
 
 def is_unimodular(M):
-    n = len(M)
-    # integer matrix with integer inverse iff det = +-1; check via SNF
-    return smith_invariants(M) == tuple([1] * n)
+    # an integer matrix has an integer inverse iff det = +-1
+    return abs(Matrix(M).det()) == 1
+
+
+def diagonal(D):
+    return [D[t][t] for t in range(min(len(D), len(D[0]) if D else 0))]
 
 
 class TestSmith:
     def test_known_invariants(self):
-        assert smith_invariants([[2, 0], [0, 3]]) == (1, 6)
-        assert smith_invariants([[2, 4], [6, 8]]) == (2, 4)
-        assert smith_invariants([[1, 0], [0, 0]]) == (1,)
+        assert diagonal(smith_normal_form([[2, 0], [0, 3]])[1]) == [1, 6]
+        assert diagonal(smith_normal_form([[2, 4], [6, 8]])[1]) == [2, 4]
+        assert diagonal(smith_normal_form([[1, 0], [0, 0]])[1]) == [1, 0]
+
+    def test_no_rows_or_no_columns(self):
+        assert smith_normal_form([]) == ([], [], [], [])
+        assert smith_normal_form([[], []]) == (identity(2), [[], []], [], identity(2))
 
     def test_transform_identity_random(self, rng):
         for _ in range(60):
@@ -43,6 +52,24 @@ class TestSmith:
             diag = [D[i][i] for i in range(min(m, n))]
             nz = [d for d in diag if d]
             assert all(nz[i + 1] % nz[i] == 0 for i in range(len(nz) - 1))
+
+    def test_decomposition_is_certified(self, monkeypatch):
+        # each fake decomposition has U*A*V = D; the other checks must refuse it
+        import sympy.polys.matrices.normalforms as nf
+        from sympy.polys.domains import ZZ
+        from sympy.polys.matrices import DomainMatrix
+
+        dm = lambda M: DomainMatrix.from_list(M, ZZ)
+        fakes = [
+            ([[2]], ([[4]], [[1]], [[2]])),  # V = (2) is not unimodular
+            ([[2, 0], [0, 3]], ([[2, 0], [0, 3]], identity(2), identity(2))),  # 2 does not divide 3
+            ([[1, 1]], ([[1, 1]], [[1]], identity(2))),  # D is not diagonal
+            ([[-1]], ([[-1]], [[1]], [[1]])),  # negative invariant
+        ]
+        for A, (D, U, V) in fakes:
+            monkeypatch.setattr(nf, "smith_normal_decomp", lambda _, f=(D, U, V): tuple(map(dm, f)))
+            with pytest.raises(InternalInvariantError):
+                smith_normal_form(A)
 
     def test_kernel_is_saturated_kernel(self, rng):
         for _ in range(40):
@@ -71,6 +98,14 @@ class TestQuotientMap:
     def test_empty_boundary_identity(self):
         phi, rinv = quotient_map([], 3)
         assert phi == identity(3) and rinv == identity(3)
+
+    def test_wide_boundary(self):
+        # ten generators in Z^24: bounded time, and both identities hold
+        phi, rinv = quotient_map(WIDE_BOUNDARY, 24)
+        assert len(phi) == 14
+        assert mat_mul(phi, rinv) == identity(14)
+        for g in WIDE_BOUNDARY:
+            assert all(sum(r * x for r, x in zip(row, g)) == 0 for row in phi)
 
     def test_split_surjection_random(self, rng):
         for _ in range(30):

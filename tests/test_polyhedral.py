@@ -12,6 +12,7 @@ from amoebas.polyhedral import (
     LPInfeasible,
     LPOptimal,
     LPUnbounded,
+    _canon_constraint,
     complex_membership,
     complexes_equal,
     contains_point,
@@ -39,6 +40,7 @@ from conftest import (
     brute_force_lp,
     cells_of,
     ray,
+    reference_canon_constraint,
     reference_lp_solve,
     reference_poly_contains,
     reference_project,
@@ -457,6 +459,26 @@ class TestPruneAgainstContainmentReference:
 
 def _rationals(lo=-4, hi=4, den=3):
     return st.builds(Fraction, st.integers(lo, hi), st.integers(1, den))
+
+
+class TestCanonConstraintAgainstFractionReference:
+    """One Fraction per int rhs gives the rows and rhs of the all-Fraction
+    form, rhs a Fraction in both."""
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_canon_constraint(self, data):
+        rank = data.draw(st.integers(1, 4))
+        entry = st.integers(-6, 6) | st.integers(-10**12, 10**12)
+        if data.draw(st.booleans()):
+            entry = entry | _rationals(-6, 6, 4)
+        row = data.draw(st.lists(entry, min_size=rank, max_size=rank))
+        rhs = data.draw(st.integers(-6, 6) | st.integers(-10**12, 10**12) | _rationals(-6, 6, 4))
+        is_equality = data.draw(st.booleans())
+        got = _canon_constraint(row, rhs, is_equality)
+        assert got == reference_canon_constraint(row, rhs, is_equality)
+        if isinstance(got, tuple):
+            assert type(got[1]) is Fraction
 
 
 @st.composite
