@@ -11,6 +11,7 @@ image, image defined over the scalars, or a torsion binomial.
 """
 from __future__ import annotations
 
+import numbers
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,7 +30,8 @@ from .errors import (
     MonomialInput,
     ZeroCoordinate,
 )
-from .lattices import independent_subset, in_rational_span, primitive_vector, quotient_map as _lattice_quotient
+from .lattices import independent_subset, in_rational_span, integer_row, primitive_vector
+from .lattices import quotient_map as _lattice_quotient
 from .laurent import LaurentPoly, apply_monomial_map, bad_places, newton_polytope, strict_vertex_direction
 from .polyhedral import (
     LPOptimal,
@@ -58,17 +60,21 @@ NOT_RELINT = "not-relint"
 
 @dataclass(frozen=True)
 class Halfspace:
-    """Open halfspace: span(boundary) + positive multiples of direction."""
+    """Open halfspace: span(boundary) + positive multiples of direction.
+    Rational vectors are scaled to integers, which keeps the open ray and
+    the span; a float or other non-rational entry is a ValueError."""
 
     rank: int
     direction: tuple
     boundary: tuple = ()
 
     def __post_init__(self):
-        direction = tuple(int(x) for x in self.direction)
+        if not all(isinstance(x, numbers.Rational) for v in (self.direction, *self.boundary) for x in v):
+            raise ValueError("halfspace vectors need integer or rational entries")
+        direction = tuple(integer_row(self.direction)[0])
         if len(direction) != self.rank or not any(direction):
             raise DependentDirection("direction must be a nonzero rank-length vector")
-        gens = [tuple(int(x) for x in g) for g in self.boundary]
+        gens = [tuple(integer_row(g)[0]) for g in self.boundary]
         if any(len(g) != self.rank for g in gens):
             raise DimensionMismatch("boundary generators must be rank-length vectors")
         keep = independent_subset(gens)

@@ -128,47 +128,42 @@ def primitive_vector(v) -> tuple[int, ...]:
     return tuple(x // g for x in ints)
 
 
-def _echelon_add(echelon, row) -> bool:
-    """Reduce row against the echelon, a list of (pivot column, int row) in
-    insertion order, and append it when independent.
+def _eliminate(M, ncols):
+    """Fraction-free Gauss-Jordan elimination of the integer rows M in
+    place, over their first ncols columns.  Returns (pivot columns, det):
+    afterwards each pivot row is zero in the other pivot columns and every
+    pivot entry equals det, the last pivot (1 when there is none).  The
+    divisions are exact, as in Bareiss's method."""
+    pivots, prev = [], 1
+    for c in range(ncols):
+        k = len(pivots)
+        r = next((i for i in range(k, len(M)) if M[i][c]), None)
+        if r is None:
+            continue
+        M[k], M[r] = M[r], M[k]
+        p = M[k][c]
+        for i in range(len(M)):
+            if i != k:
+                a = M[i][c]
+                M[i] = [(p * x - a * y) // prev for x, y in zip(M[i], M[k])]
+        prev = p
+        pivots.append(c)
+        if len(pivots) == len(M):
+            break
+    return pivots, prev
 
-    Each step cross-multiplies, p * v - v[c] * e, which zeroes column c and
-    keeps the zeros that earlier pivots left (e is zero there), then divides
-    out the content so entries stay small.  Integer arithmetic throughout.
-    """
-    v, _ = integer_row(row)
-    for col, e in echelon:
-        a = v[col]
-        if a:
-            p = e[col]
-            v = [p * x - a * y for x, y in zip(v, e)]
-            g = math.gcd(*v)
-            if g > 1:
-                v = [x // g for x in v]
-    col = next((k for k, x in enumerate(v) if x), None)
-    if col is None:
-        return False
-    echelon.append((col, v))
-    return True
 
-
-def _echelon(rows):
-    echelon = []
-    for row in rows:
-        _echelon_add(echelon, row)
-    return echelon
+def independent_subset(rows) -> list[int]:
+    """Indices of a maximal independent subset, greedily in order: the
+    pivot columns of the rows, scaled to integers, written as columns."""
+    cols = [integer_row(row)[0] for row in rows]
+    return _eliminate([list(r) for r in zip(*cols)], len(cols))[0]
 
 
 def rank_of_rows(rows) -> int:
     """Rank over Q of a list of rational row vectors."""
-    return len(_echelon(rows))
+    return len(independent_subset(rows))
 
 
 def in_rational_span(v, rows) -> bool:
-    return not _echelon_add(_echelon(rows), v)
-
-
-def independent_subset(rows) -> list[int]:
-    """Indices of a maximal independent subset, greedily in order."""
-    echelon = []
-    return [i for i, row in enumerate(rows) if _echelon_add(echelon, row)]
+    return len(rows) not in independent_subset([*rows, v])

@@ -10,7 +10,8 @@ checked against its certificate (dual multipliers, an improving ray, or
 Farkas multipliers) before it is returned.  Projection is Fourier-Motzkin
 elimination on integer rows, each step built through polyhedron(); LP-based
 redundancy removal runs once, on the output only.  Emptiness is read off the
-cached dimension.
+cached dimension: dimension, affine-hull rows and a relative-interior point
+come from one cached hull computation, one slack LP per round.
 """
 from __future__ import annotations
 
@@ -121,6 +122,7 @@ def contains_point(P, v) -> bool:
 class LPOptimal:
     value: Fraction
     point: tuple
+    multipliers: tuple  # over constraints() order, of the maximization solved
 
 
 @dataclass(frozen=True)
@@ -247,11 +249,14 @@ def _scaled(values):
 def lp_solve(objective, P: Polyhedron, sense="max"):
     """Exact LP over the polyhedron: maximize or minimize objective . v.
 
-    Returns LPOptimal (value and a witness point), LPUnbounded (an improving
-    ray from a feasible point), or LPInfeasible (with Farkas multipliers for
-    the constraints in P.constraints() order).  Each outcome passes its
-    certificate check (optimal multipliers, the ray, the Farkas multipliers)
-    before it is returned; a failed check raises InternalInvariantError.
+    Returns LPOptimal (value, a witness point, and optimal multipliers: the
+    combination of the constraints in P.constraints() order, nonnegative on
+    inequalities, that gives the objective maximized, -objective for
+    "min"), LPUnbounded (an improving ray from a feasible point), or
+    LPInfeasible (with Farkas multipliers in the same order).  Each outcome
+    passes its certificate check (optimal multipliers, the ray, the Farkas
+    multipliers) before it is returned; a failed check raises
+    InternalInvariantError.
     """
     n = P.rank
     obj = [Fraction(x) for x in objective]
@@ -260,7 +265,7 @@ def lp_solve(objective, P: Polyhedron, sense="max"):
     if sense == "min":
         res = lp_solve([-x for x in obj], P, "max")
         if isinstance(res, LPOptimal):
-            return LPOptimal(-res.value, res.point)
+            return LPOptimal(-res.value, res.point, res.multipliers)
         return res
     if sense != "max":
         raise ValueError("sense must be 'max' or 'min'")
@@ -349,7 +354,8 @@ def lp_solve(objective, P: Polyhedron, sense="max"):
     if status == "optimal":
         lam = [T[-1][col_of_row[i]] * signs[i] for i in range(m)]
         _check_optimal(rows, rhs, neq, cobj, lam, point, d)
-        return LPOptimal(Fraction(_dot(cobj, point), L * d * D0), pt)
+        mult = tuple(Fraction(x, d * L) for x in lam)
+        return LPOptimal(Fraction(_dot(cobj, point), L * d * D0), pt, mult)
     r = [0] * ncols
     r[status] = d
     for i in range(mm):
@@ -359,7 +365,7 @@ def lp_solve(objective, P: Polyhedron, sense="max"):
     return LPUnbounded(tuple(Fraction(v, d) for v in ray), pt)
 
 
-# Entries per polyhedron cache below; bounds memory in a long-lived process.
+# Entries of the hull cache below; bounds memory in a long-lived process.
 _CACHE_SIZE = 4096
 
 
@@ -369,52 +375,51 @@ def is_empty(P: Polyhedron) -> bool:
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
-def _implicit_equality_flags(P: Polyhedron):
-    """For each inequality, whether it holds with equality on all of P."""
-    flags = []
-    for row, rhs in P.inequalities:
-        res = lp_solve(row, P, sense="min")
-        flags.append(isinstance(res, LPOptimal) and res.value == rhs)
-    return tuple(flags)
+def _hull(P: Polyhedron):
+    """(independent affine-hull rows, a relative-interior point), or None
+    when P is empty.  Each round maximizes t <= 1 subject to row . v + t <=
+    rhs on the inequalities not yet known to be implicit equalities, with
+    the rest kept as equalities.  Infeasible or t < 0: P is empty.  t > 0:
+    the point is relatively interior.  t = 0: the multipliers of those rows
+    sum to 1, and each row with a positive one holds with equality on all
+    of P (complementary slackness), so every round finds one."""
+    n, ineqs, implicit = P.rank, P.inequalities, set()
+    while True:
+        eqs = P.equalities + tuple(c for i, c in enumerate(ineqs) if i in implicit)
+        free = [i for i in range(len(ineqs)) if i not in implicit]
+        slack = tuple(((*ineqs[i][0], 1), ineqs[i][1]) for i in free)
+        cap = ((0,) * n + (1,), Fraction(1))
+        res = lp_solve(cap[0], Polyhedron(n + 1, tuple(((*r, 0), b) for r, b in eqs), slack + (cap,)))
+        if isinstance(res, LPUnbounded):
+            raise InternalInvariantError("interior slack is capped, cannot be unbounded")
+        if isinstance(res, LPInfeasible) or res.value < 0:
+            return None
+        if res.value > 0:
+            rows = [row for row, _ in eqs]
+            return tuple(rows[i] for i in independent_subset(rows)), res.point[:n]
+        found = {i for i, lam in zip(free, res.multipliers[len(eqs):]) if lam > 0}
+        if not found:
+            raise InternalInvariantError("a zero-slack round found no implicit equality")
+        implicit |= found
 
 
-@functools.lru_cache(maxsize=_CACHE_SIZE)
 def affine_hull_rows(P: Polyhedron):
-    """Independent integer rows spanning the normal space of aff(P)."""
-    rows = [row for row, _ in P.equalities]
-    flags = _implicit_equality_flags(P)
-    rows += [row for (row, _), f in zip(P.inequalities, flags) if f]
-    return tuple(rows[i] for i in independent_subset(rows))
+    """Independent integer rows spanning the normal space of aff(P), for a
+    nonempty P."""
+    return _hull(P)[0]
 
 
-@functools.lru_cache(maxsize=_CACHE_SIZE)
 def dimension(P: Polyhedron) -> int:
     """Dimension of P; -1 when empty."""
-    if is_empty(P):
-        return -1
-    return P.rank - len(affine_hull_rows(P))
+    return P.rank - len(hull[0]) if (hull := _hull(P)) else -1
 
 
-@functools.lru_cache(maxsize=_CACHE_SIZE)
 def relative_interior_point(P: Polyhedron):
     """A rational point in the relative interior of nonempty P."""
-    flags = _implicit_equality_flags(P)
-    strict = [c for c, f in zip(P.inequalities, flags) if not f]
-    n = P.rank
-    # variables (v, t): maximize t with row.v + t <= rhs on non-implicit rows
-    eqs = [(list(row) + [0], rhs) for row, rhs in P.equalities]
-    eqs += [(list(row) + [0], rhs) for (row, rhs), f in zip(P.inequalities, flags) if f]
-    ineqs = [(list(row) + [1], rhs) for row, rhs in strict]
-    ineqs.append(([0] * n + [1], Fraction(1)))
-    ext = polyhedron(n + 1, eqs, ineqs)
-    res = lp_solve([0] * n + [1], ext)
-    if isinstance(res, LPInfeasible):
+    hull = _hull(P)
+    if hull is None:
         raise InternalInvariantError("relative interior of empty polyhedron")
-    if isinstance(res, LPUnbounded):
-        raise InternalInvariantError("interior slack is capped, cannot be unbounded")
-    if strict and res.value <= 0:
-        raise InternalInvariantError("no relative interior slack found")
-    return res.point[:n]
+    return hull[1]
 
 
 def poly_contains(P: Polyhedron, Q: Polyhedron) -> bool:

@@ -25,9 +25,11 @@ from .errors import (
     MonomialInput,
 )
 from .lattices import (
+    _eliminate,
     identity,
     integer_kernel,
     integer_row,
+    mat_vec,
     primitive_vector,
     quotient_map,
     rank_of_rows,
@@ -116,31 +118,6 @@ def _segment_multiplicity(exponents, tie):
     if length <= 0:
         raise InternalInvariantError("bad lattice length")
     return length
-
-
-def _eliminate(M, ncols):
-    """Fraction-free Gauss-Jordan elimination of the integer rows M in
-    place, over their first ncols columns.  Returns (pivot columns, det):
-    afterwards each pivot row is zero in the other pivot columns and every
-    pivot entry equals det, the last pivot (1 when there is none).  The
-    divisions are exact, as in Bareiss's method."""
-    pivots, prev = [], 1
-    for c in range(ncols):
-        k = len(pivots)
-        r = next((i for i in range(k, len(M)) if M[i][c]), None)
-        if r is None:
-            continue
-        M[k], M[r] = M[r], M[k]
-        p = M[k][c]
-        for i in range(len(M)):
-            if i != k:
-                a = M[i][c]
-                M[i] = [(p * x - a * y) // prev for x, y in zip(M[i], M[k])]
-        prev = p
-        pivots.append(c)
-        if len(pivots) == len(M):
-            break
-    return pivots, prev
 
 
 def _values(points, shifts, ints, den):
@@ -413,19 +390,33 @@ class Constraint:
 def prevariety(constraints, place, rank) -> PolyhedralComplex:
     """Intersection of the pulled-back hypersurface tropicalizations.
 
-    Distributes intersection over tuples of cells and prunes the raw pieces
-    to the inclusion-maximal nonempty ones; redundancy removal runs only on
-    the cells kept.  Deduplication keeps the first piece of each set-equal
-    class in product order, reduced or not, so the cells do not depend on
-    when redundancy is removed.  This is an outer approximation of the
-    tropicalization of the common zero set.
+    Distributes intersection over tuples of cells.  A corner-locus cell is
+    where its tie set attains the minimum, so a raw piece P is where each
+    constraint's tie set does.  Name a nonempty P by its argmin tuple T,
+    the terms of each constraint minimal at a relative-interior point.  On
+    P each term's gap above the minimum is affine and nonnegative, so it
+    vanishes on all of P or is positive on its relative interior.  Hence
+    P = {v : T_i lies in argmin_i(v) for every i}, equal tuples name equal
+    pieces, and P lies in Q exactly when T_Q lies in T_P entry by entry.
+    The first piece of each tuple in product order is kept when no other
+    tuple lies below it, and only kept pieces get redundancy removal.  This
+    is an outer approximation of the tropicalization of the common zero set.
     """
-    pulled = []
+    pulled, tropdata = [], []
     for con in constraints:
         mat = con.matrix(rank)
         trop = trop_hypersurface(con.poly, place)
         pulled.append([preimage(cell.polyhedron, mat) for cell in trop.cells])
-    keep = prune_to_maximal([intersect(*combo) for combo in itertools.product(*pulled)])
+        tropdata.append((tropical_data(con.poly, place), mat))
+    pieces = {}
+    for combo in itertools.product(*pulled):
+        P = intersect(*combo)
+        if dimension(P) < 0:
+            continue
+        x = relative_interior_point(P)
+        pieces.setdefault(tuple(min_value_and_argmin(d, mat_vec(m, x))[1] for d, m in tropdata), P)
+    below = lambda S, T: S != T and all(s <= t for s, t in zip(S, T))
+    keep = [P for T, P in pieces.items() if not any(below(S, T) for S in pieces)]
     return make_complex(rank, [Cell(remove_redundancy(P)) for P in keep])
 
 

@@ -73,6 +73,18 @@ WIDE_HALFSPACE = "dir:" + ",".join(["1"] + ["0"] * 23) + " bnd:" + ";".join(
     ",".join(map(str, g)) for g in WIDE_BOUNDARY
 )
 
+# three constraints of 3-5 terms in rank 4 whose raw product has many
+# lower-dimensional and nested pieces (the CI workflow builds the same system)
+RANK_4_SYSTEM = {
+    "rank": 4,
+    "field": "Q",
+    "constraints": [
+        {"f": "x1 + 2*x2 + 3*x3 + 5*x4 + 7"},
+        {"f": "x1*x2 + x3 - 3*x4 + 11"},
+        {"f": "x1 - x2*x4 + 13*x3 + 1"},
+    ],
+}
+
 
 def ray(rank, base, direction):
     return from_generators(rank, [base], [direction])
@@ -351,6 +363,24 @@ def reference_poly_contains(P, Q):
     return True
 
 
+def reference_affine_hull(P):
+    """None for an empty P (by is_empty); else the independent affine-hull
+    rows, greedily in order, and per inequality whether it is an implicit
+    equality, each decided by one min LP over P."""
+    if is_empty(P):
+        return None
+    flags = []
+    for row, rhs in P.inequalities:
+        res = lp_solve(row, P, "min")
+        flags.append(isinstance(res, LPOptimal) and res.value == rhs)
+    rows = [row for row, _ in P.equalities] + [r for (r, _), f in zip(P.inequalities, flags) if f]
+    hull = []
+    for row in rows:
+        if reference_rank_of_rows(hull + [row]) > len(hull):
+            hull.append(row)
+    return tuple(hull), tuple(flags)
+
+
 def reference_prune_to_maximal(polys):
     """Deduplicate and keep inclusion-maximal polyhedra, by containment LPs
     alone."""
@@ -516,12 +546,16 @@ def _reference_run_simplex(T, basis, ncols):
 def reference_lp_solve(objective, P, sense="max"):
     """The two-phase Bland's-rule simplex on a tableau of Fractions, with the
     column layout, row flips, artificial columns and dropped redundant rows
-    of the fraction-free kernel."""
+    of the fraction-free kernel.  The artificial columns stay in phase 2
+    without entering, and the optimal multipliers are the reduced costs of
+    each row's slack or artificial column, sign-flipped with the row."""
     n = P.rank
     obj = [Fraction(x) for x in objective]
     if sense == "min":
         res = reference_lp_solve([-x for x in obj], P, "max")
-        return LPOptimal(-res.value, res.point) if isinstance(res, LPOptimal) else res
+        if isinstance(res, LPOptimal):
+            return LPOptimal(-res.value, res.point, res.multipliers)
+        return res
     eqs = list(P.equalities)
     ineqs = list(P.inequalities)
     m = len(eqs) + len(ineqs)
@@ -575,8 +609,8 @@ def reference_lp_solve(objective, P, sense="max"):
     for i in reversed(drop):
         del T[i]
         del basis[i]
-    T = [row[:ncols] + [row[-1]] for row in T[:-1]]
-    cost = [Fraction(0)] * (ncols + 1)
+    T = T[:-1]
+    cost = [Fraction(0)] * (ncols_art + 1)
     for k in range(n):
         cost[k] = -obj[k]
         cost[n + k] = obj[k]
@@ -591,7 +625,11 @@ def reference_lp_solve(objective, P, sense="max"):
         x[basis[i]] = T[i][-1]
     point = tuple(x[k] - x[n + k] for k in range(n))
     if status == "optimal":
-        return LPOptimal(sum(o * v for o, v in zip(obj, point)), point)
+        lam = []
+        for i in range(m):
+            y = T[-1][art_of_row.get(i, nfree + i - len(eqs))]
+            lam.append(-y if flips[i] else y)
+        return LPOptimal(sum(o * v for o, v in zip(obj, point)), point, tuple(lam))
     enter = status[1]
     d = [Fraction(0)] * ncols
     d[enter] = Fraction(1)

@@ -94,6 +94,24 @@ class TestHalfspace:
         with pytest.raises(DimensionMismatch):
             Halfspace(2, (1, 1), (gen,))
 
+    def test_rational_vectors_scaled_to_integers(self):
+        # the same open ray and boundary span, not a truncated direction
+        H = Halfspace(3, (Fraction(1, 2), 1, 0), ((0, Fraction(2, 3), Fraction(-1, 6)),))
+        assert H.direction == (1, 2, 0) and H.boundary == ((0, 4, -1),)
+        assert all(type(x) is int for x in H.direction + H.boundary[0])
+
+    def test_integer_vectors_kept(self):
+        H = Halfspace(3, (2, 4, 0), ((0, 3, 0), (0, 6, 0)))
+        assert H.direction == (2, 4, 0) and H.boundary == ((0, 3, 0),)
+
+    @pytest.mark.parametrize(
+        "direction, boundary",
+        [((0.5, 1), ()), ((1, 1), ((1.0, 0),)), (("1", 1), ()), ((1, complex(1)), ())],
+    )
+    def test_non_rational_entries_rejected(self, direction, boundary):
+        with pytest.raises(ValueError):
+            Halfspace(2, direction, boundary)
+
 
 class TestQuotientMap:
     def test_kill_e3(self):

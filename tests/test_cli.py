@@ -18,7 +18,7 @@ from amoebas.classify import Halfspace
 from amoebas.errors import InternalInvariantError
 from amoebas.polyhedral import complex_from_json, complexes_equal
 
-from conftest import LARGE_RANK_2, WIDE_HALFSPACE, tripod
+from conftest import LARGE_RANK_2, RANK_4_SYSTEM, WIDE_HALFSPACE, tripod
 
 
 def run_cli(capsys, *argv):
@@ -373,6 +373,10 @@ PINS = [
      0, "238d32107f0b6928", EMPTY, None),
     ("prevariety-qz", ["prevariety", "--system", "{system}", "--place", "q:z"],
      0, "aa1311a984f33e7e", EMPTY, None),
+    ("prevariety-rank4-generic", ["prevariety", "--system", "{rank4}", "--place", "generic"],
+     0, "36b13659db49047c", EMPTY, None),
+    ("prevariety-rank4-p3", ["prevariety", "--system", "{rank4}", "--place", "p:3"],
+     0, "b67a5b393534c1a3", EMPTY, None),
     ("check-f-qz", ["check-halfspace", "--f", QZ_CURVE, "--halfspace", "dir:1,1"],
      0, "32764e474ebe0153", EMPTY, None),
     ("check-f-binomial", ["check-halfspace", "--f", "x1*x2-1", "--halfspace", "dir:1,1"],
@@ -445,7 +449,8 @@ PINS = [
     "argv, code, out_sha, err_sha, file_sha", [p[1:] for p in PINS], ids=[p[0] for p in PINS]
 )
 def test_pinned_bytes(capsys, tmp_path, argv, code, out_sha, err_sha, file_sha):
-    files = {"system": json.dumps(SYSTEM_QZ), "schema": '{"rank": 2}', "notjson": "{"}
+    files = {"system": json.dumps(SYSTEM_QZ), "rank4": json.dumps(RANK_4_SYSTEM), "schema": '{"rank": 2}',
+             "notjson": "{"}
     paths = {"out": str(tmp_path / "out"), "missing": str(tmp_path / "missing.json")}
     for name, text in files.items():
         paths[name] = str(tmp_path / f"{name}.json")

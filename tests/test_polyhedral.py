@@ -12,7 +12,9 @@ from amoebas.polyhedral import (
     LPInfeasible,
     LPOptimal,
     LPUnbounded,
+    Polyhedron,
     _canon_constraint,
+    affine_hull_rows,
     complex_membership,
     complexes_equal,
     contains_point,
@@ -40,6 +42,7 @@ from conftest import (
     brute_force_lp,
     cells_of,
     ray,
+    reference_affine_hull,
     reference_canon_constraint,
     reference_lp_solve,
     reference_poly_contains,
@@ -147,6 +150,70 @@ class TestDimension:
         x = relative_interior_point(P)
         assert contains_point(P, x)
         assert x[0] == x[1] and x[0] < 0  # strictly inside the ray
+
+
+@st.composite
+def hull_polyhedra(draw):
+    """Polyhedra of rank 1-4, empty, lower-dimensional or unbounded: random
+    rows, an opposite copy of a row with its rhs moved by -1, 0 or 1 (an
+    empty piece, a face or a slab), and a repeated or scaled row kept as it
+    is when the constructor does not canonicalize."""
+    rank = draw(st.integers(1, 4))
+    con = st.tuples(_rows(rank, -2, 2), st.integers(-2, 2).map(Fraction))
+    eqs = draw(st.lists(con, max_size=2))
+    ineqs = draw(st.lists(con, max_size=6))
+    if ineqs and draw(st.booleans()):
+        row, rhs = draw(st.sampled_from(ineqs))
+        ineqs.append((tuple(-x for x in row), -rhs + draw(st.integers(-1, 1))))
+    if ineqs and draw(st.booleans()):
+        row, rhs = draw(st.sampled_from(ineqs))
+        k = draw(st.integers(1, 2))
+        ineqs.append((tuple(k * x for x in row), k * rhs))
+    if draw(st.booleans()):
+        return polyhedron(rank, eqs, ineqs)
+    return Polyhedron(rank, tuple(eqs), tuple(ineqs))
+
+
+class TestHull:
+    """One LP per round names the implicit equalities: the same dimension
+    and affine-hull rows as one LP per inequality row, and a point strictly
+    inside every other row."""
+
+    @settings(max_examples=300)
+    @given(hull_polyhedra())
+    def test_matches_lp_per_row_reference(self, P):
+        want = reference_affine_hull(P)
+        if want is None:
+            assert dimension(P) == -1
+            with pytest.raises(InternalInvariantError):
+                relative_interior_point(P)
+            return
+        rows, implicit = want
+        assert affine_hull_rows(P) == rows and dimension(P) == P.rank - len(rows)
+        x = relative_interior_point(P)
+        assert contains_point(P, x)
+        for (row, rhs), tight in zip(P.inequalities, implicit):
+            assert tight or sum(a * b for a, b in zip(row, x)) < rhs
+
+    def test_one_round_per_implicit_row_at_most(self, monkeypatch):
+        # a point in the plane cut out by four inequalities takes at most
+        # one LP per implicit row and one more; a full box takes one LP
+        polyhedral._hull.cache_clear()
+        calls = []
+        lp = polyhedral.lp_solve
+        monkeypatch.setattr(polyhedral, "lp_solve", lambda *a: calls.append(1) or lp(*a))
+        P = polyhedron(2, (), [((1, 0), 0), ((-1, 0), 0), ((0, 1), 0), ((0, -1), 0), ((1, 1), 1)])
+        assert dimension(P) == 0 and relative_interior_point(P) == (0, 0)
+        assert 2 <= len(calls) <= 5
+        calls.clear()
+        assert dimension(box(3)) == 3 and len(calls) == 1
+
+    def test_multipliers_of_the_maximization_solved(self):
+        # min v1 over the box is max -v1: the row -v1 <= 1 carries it
+        res = lp_solve((1, 0), box(2), "min")
+        assert res.value == -1
+        assert [m for m, (row, _, _) in zip(res.multipliers, box(2).constraints()) if m] == [1]
+        assert box(2).constraints()[res.multipliers.index(1)][0] == (-1, 0)
 
 
 class TestProjection:

@@ -47,12 +47,13 @@ from amoebas.tropical import (
     trop_hypersurface,
     tropical_data,
     PrevarietySystem,
-    _eliminate,
 )
+from amoebas.lattices import _eliminate
 from amoebas.polyhedral import translate_complex
 
 from conftest import (
     LARGE_RANK_2,
+    RANK_4_SYSTEM,
     cells_of,
     rand_point,
     rand_poly_q,
@@ -608,21 +609,47 @@ def trinomial_systems(draw):
     return constraints, place, rank
 
 
+def prevariety_without_containment(constraints, place, rank):
+    """prevariety with prune_to_maximal and poly_contains made to raise."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("prevariety ran a containment test")
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (tropical, polyhedral):
+            for name in ("prune_to_maximal", "poly_contains"):
+                mp.setattr(module, name, refuse)
+        return prevariety(constraints, place, rank)
+
+
 class TestPrevarietyAgainstReference:
-    """Pruning the raw product pieces and reducing only the kept cells gives
-    the bytes of reducing every nonempty piece before pruning."""
+    """Pruning the raw product pieces by their argmin tuples, with no
+    containment test, and reducing only the kept cells gives the bytes of
+    reducing every nonempty piece and pruning by containment."""
 
     @settings(max_examples=60)
     @given(trinomial_systems())
     def test_random_systems(self, system):
         constraints, place, rank = system
         dump = lambda C: json.dumps(complex_to_json(C), sort_keys=True)
-        assert dump(prevariety(constraints, place, rank)) == dump(
+        assert dump(prevariety_without_containment(constraints, place, rank)) == dump(
             reference_prevariety(constraints, place, rank)
         )
 
     def test_acceptance_systems(self, curve_system_qz, surface_system_q):
         for system in (curve_system_qz, surface_system_q):
             for place in [GENERIC, *sorted(system_bad_places(system.constraints), key=str)]:
-                C = prevariety(system.constraints, place, system.rank)
+                C = prevariety_without_containment(system.constraints, place, system.rank)
                 assert C == reference_prevariety(system.constraints, place, system.rank)
+
+    @pytest.mark.parametrize(
+        "place, dims",
+        [(GENERIC, [1, 2, 2, 2, 2, 2, 2, 2, 3]), (FinitePrime(3), [1, 2, 2, 2, 2, 2])],
+        ids=["generic", "p:3"],
+    )
+    def test_rank_4_system(self, place, dims):
+        # test_cli pins the bytes; here no kept cell may lie in another
+        constraints = [Constraint(parse_poly(c["f"], 4)) for c in RANK_4_SYSTEM["constraints"]]
+        polys = [c.polyhedron for c in prevariety_without_containment(constraints, place, 4).cells]
+        assert sorted(map(dimension, polys)) == dims
+        assert not any(poly_contains(P, Q) for P, Q in itertools.permutations(polys, 2))
