@@ -110,14 +110,12 @@ from .classify import (
     AdelicReport,
     EklReport,
     Halfspace,
-    QuotientMap,
     TheoremReport,
     adelic_disjoint,
     defined_over_k_test,
     ekl_consistency_check,
     halfline_disjoint_fast,
     halfspace_meets_complex,
-    halfspace_quotient,
     theorem1_report,
     torsion_coset_test,
     torsion_point_test,

@@ -7,7 +7,9 @@ as disjoint).  For relative-interior directions of vertex cones there is a
 fast valuation comparison with an explicit crossing witness when it fails.
 The trichotomy report combines the nonarchimedean verdicts with archimedean
 grid scans and checks the applicable structural conclusion: declared small
-image, image defined over the scalars, or a torsion binomial.
+image, image defined over the scalars, or a torsion binomial.  A supplied
+image hypersurface lives in the quotient by the boundary span, whose rank is
+the halfspace's codimension, since the boundary is kept independent.
 """
 from __future__ import annotations
 
@@ -31,7 +33,6 @@ from .errors import (
     ZeroCoordinate,
 )
 from .lattices import independent_subset, in_rational_span, integer_row, primitive_vector
-from .lattices import quotient_map as _lattice_quotient
 from .laurent import LaurentPoly, apply_monomial_map, bad_places, newton_polytope, strict_vertex_direction
 from .polyhedral import (
     LPOptimal,
@@ -86,28 +87,6 @@ class Halfspace:
 
     def codimension(self):
         return self.rank - len(self.boundary)
-
-
-@dataclass(frozen=True)
-class QuotientMap:
-    """Split surjection of lattices killing the boundary span."""
-
-    matrix: tuple
-    right_inverse: tuple
-
-    @property
-    def target_rank(self):
-        return len(self.matrix)
-
-    def apply(self, v):
-        return tuple(sum(a * x for a, x in zip(row, v)) for row in self.matrix)
-
-
-def halfspace_quotient(H: Halfspace) -> QuotientMap:
-    phi, rinv = _lattice_quotient([list(g) for g in H.boundary], H.rank)
-    return QuotientMap(
-        tuple(tuple(r) for r in phi), tuple(tuple(r) for r in rinv)
-    )
 
 
 def halfline_disjoint_fast(f: LaurentPoly, place, v):
@@ -559,10 +538,9 @@ def theorem1_report(
                 "prevariety sources need the image hypersurface or a declaration"
             )
         image = image_hypersurface
-        qm = halfspace_quotient(H)
-        if image.rank != qm.target_rank:
+        if image.rank != H.codimension():
             raise DimensionMismatch(
-                f"image hypersurface rank {image.rank} != quotient rank {qm.target_rank}"
+                f"image hypersurface rank {image.rank} != quotient rank {H.codimension()}"
             )
     certified = field == FIELD_QZ or report.archimedean_certified is True
     if field == FIELD_QZ:

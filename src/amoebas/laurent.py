@@ -87,14 +87,14 @@ def _coeff_sign_split(c):
     """(sign, |c|) with the sign read off the leading numerator coefficient."""
     if isinstance(c, Fraction):
         return (1, c) if c > 0 else (-1, -c)
-    if c.num.leading > 0:
+    if c.num[0] > 0:
         return 1, c
     return -1, -c
 
 
 def _coeff_str(c) -> str:
     s = scalar_to_str(c)
-    if isinstance(c, RationalFunction) and (c.den.degree >= 1 or c.num.degree >= 1):
+    if isinstance(c, RationalFunction) and not c.is_constant():
         if not (s.startswith("(") and s.endswith(")")):
             s = f"({s})"
     return s

@@ -21,7 +21,7 @@ import math
 from fractions import Fraction
 
 from .errors import ExpansionTooLarge, PolySyntaxError, RankMismatch, RankTooLarge
-from .scalars import FIELD_Q, FIELD_QZ, Poly, RationalFunction, Z
+from .scalars import FIELD_Q, FIELD_QZ, Poly, RationalFunction
 
 # Largest rank (and variable index) accepted: exponent tuples have this many
 # entries, so text like 'x99999999999' is rejected before any is built.
@@ -90,8 +90,9 @@ def _tokenize(text):
 
 def _size(terms):
     """(largest z-degree, largest numerator or denominator bit length) of
-    the coefficients."""
-    polys = [p for c in terms.values() if isinstance(c, RationalFunction) for p in (c.num, c.den)]
+    the coefficients, a Q(z) one read as its numerator and monic denominator
+    over Q."""
+    polys = [p for c in terms.values() if isinstance(c, RationalFunction) for p in c.view()]
     fracs = [c for c in terms.values() if not isinstance(c, RationalFunction)]
     fracs += [x for p in polys for x in p.coeffs]
     bits = (max(x.numerator.bit_length(), x.denominator.bit_length()) for x in fracs)
@@ -271,7 +272,7 @@ class _Parser:
             self.take()
             if self.field != FIELD_QZ:
                 raise PolySyntaxError("the variable z needs the field Q(z)", pos)
-            return _Terms.scalar(self.rank, self.field, RationalFunction(Z))
+            return _Terms.scalar(self.rank, self.field, RationalFunction((1, 0)))
         if kind == "var":
             self.take()
             if value < 1 or value > self.rank:
@@ -326,9 +327,7 @@ def parse_scalar(text, field):
 
 def parse_poly_z(text) -> Poly:
     """A plain polynomial in z (denominator-free), for place strings."""
-    s = parse_scalar(text, FIELD_QZ)
-    if isinstance(s, RationalFunction):
-        if s.den != Poly.const(1):
-            raise PolySyntaxError(f"{text!r} is not a polynomial in z", 0)
-        return s.num
-    return Poly.const(s)
+    num, den = parse_scalar(text, FIELD_QZ).view()
+    if den.degree:
+        raise PolySyntaxError(f"{text!r} is not a polynomial in z", 0)
+    return num

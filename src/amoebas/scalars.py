@@ -1,7 +1,11 @@
 """Exact coefficient fields, places, and valuations.
 
 Rational numbers are plain ``fractions.Fraction``; rational functions in one
-variable ``z`` over Q are reduced fractions of dense polynomials.  Places of Q
+variable ``z`` over Q are coprime pairs of integer polynomials in sympy's
+dense order, and all their arithmetic is sympy's dense arithmetic over ZZ
+(imported on first use: sympy is slow to load).  ``Poly``, a dense
+polynomial over Q with no arithmetic, is the value type of the places and of
+printed coefficients, which show a monic denominator.  Places of Q
 are the primes and the archimedean absolute value.  Places of Q(z) are the
 monic irreducible polynomials and the degree place at infinity; the place at a
 monic irreducible q carries weight deg(q) and infinity weight 1, which makes
@@ -20,11 +24,13 @@ FIELD_QZ = "Q(z)"
 
 
 # ---------------------------------------------------------------------------
-# univariate polynomials over Q
+# polynomials over Q (places and printing) and rational functions over Q
+# (arithmetic, on sympy's dense integer polynomials)
 
 
 class Poly:
-    """Dense univariate polynomial over Q in the variable z.
+    """Dense univariate polynomial over Q in the variable z: the value type
+    of the places q and of printed coefficients; it does no arithmetic.
 
     Coefficients are stored low degree first with trailing zeros trimmed, so
     equal polynomials have equal tuples.
@@ -47,113 +53,28 @@ class Poly:
         """Degree, with deg 0 = -1 by convention."""
         return len(self.coeffs) - 1
 
-    def is_zero(self):
-        return not self.coeffs
-
     @property
     def leading(self):
-        if self.is_zero():
+        if not self.coeffs:
             raise ZeroInput("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
-
-    def __bool__(self):
-        return bool(self.coeffs)
 
     def __eq__(self, other):
         if isinstance(other, Poly):
             return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == Poly.const(other)
         return NotImplemented
 
     def __hash__(self):
         return hash(("Poly", self.coeffs))
 
-    def __neg__(self):
-        return Poly(tuple(-c for c in self.coeffs))
-
-    def __add__(self, other):
-        other = _as_poly(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [Fraction(0)] * (n - len(other.coeffs))
-        return Poly(x + y for x, y in zip(a, b))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-_as_poly(other))
-
-    def __rsub__(self, other):
-        return _as_poly(other) + (-self)
-
-    def __mul__(self, other):
-        other = _as_poly(other)
-        if self.is_zero() or other.is_zero():
-            return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(out)
-
-    __rmul__ = __mul__
-
-    def __divmod__(self, other):
-        other = _as_poly(other)
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        q = [Fraction(0)] * max(0, len(rem) - len(other.coeffs) + 1)
-        d = other.degree
-        lead = other.leading
-        while len(rem) - 1 >= d and any(c != 0 for c in rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            k = len(rem) - 1 - d
-            f = rem[-1] / lead
-            q[k] = f
-            for i, c in enumerate(other.coeffs):
-                rem[k + i] -= f * c
-            rem.pop()
-        return Poly(q), Poly(rem)
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
-    def __pow__(self, e):
-        if e < 0:
-            raise ValueError("negative power of a polynomial")
-        out = Poly.const(1)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
-    def __call__(self, x):
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def monic(self):
-        if self.is_zero():
+        if not self.coeffs:
             return self
         lead = self.leading
         return Poly(c / lead for c in self.coeffs)
 
     def __str__(self):
-        if self.is_zero():
+        if not self.coeffs:
             return "0"
         parts = []
         for e in range(self.degree, -1, -1):
@@ -175,83 +96,56 @@ class Poly:
         return f"Poly({self})"
 
 
-def _as_poly(x):
-    if isinstance(x, Poly):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return Poly.const(x)
-    raise TypeError(f"cannot coerce {type(x).__name__} to Poly")
-
-
 Z = Poly((0, 1))
 
 
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd over Q (zero when both are zero).
-
-    A nonzero constant argument gives 1 at once.  Otherwise sympy takes the
-    gcd over Z of the coefficients with denominators cleared, which avoids
-    the coefficient growth of Euclid over Q; the monic gcd is unique, so
-    making it monic gives the same polynomial.
-    """
-    if a.degree == 0 or b.degree == 0:
-        return Poly.const(1)
-    from sympy.polys.domains import ZZ
-    from sympy.polys.euclidtools import dup_gcd
-
-    def integer_coeffs(f):
-        den = math.lcm(*(c.denominator for c in f.coeffs))
-        return [c.numerator * (den // c.denominator) for c in reversed(f.coeffs)]
-
-    g = dup_gcd(integer_coeffs(a), integer_coeffs(b), ZZ)
-    return Poly(int(c) for c in reversed(g)).monic()
-
-
-# ---------------------------------------------------------------------------
-# rational functions over Q
+def _integer_coeffs(f: Poly) -> list[int]:
+    """f with its denominators cleared, high degree first (sympy's dense
+    order); primitive when f is monic."""
+    den = math.lcm(*(c.denominator for c in f.coeffs))
+    return [c.numerator * (den // c.denominator) for c in reversed(f.coeffs)]
 
 
 class RationalFunction:
-    """Reduced fraction of polynomials over Q with monic denominator."""
+    """Element of Q(z) as num / den, two tuples of ints high degree first
+    (sympy's dense order), coprime in Z[z], with a positive leading
+    coefficient in den; zero is ((), (1,)).  This form is unique, so equal
+    values have equal pairs.  Every operation ends in one ``dup_cancel``
+    over ZZ, which keeps coefficient growth down without any division in Q.
+    """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=None):
-        num = _as_poly(num)
-        den = Poly.const(1) if den is None else _as_poly(den)
-        if den.is_zero():
+    def __init__(self, num, den=(1,)):
+        from sympy.polys.densebasic import dup_strip
+        from sympy.polys.domains import ZZ
+        from sympy.polys.euclidtools import dup_cancel
+
+        num, den = dup_strip(list(num)), dup_strip(list(den))
+        if not den:
             raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            den = Poly.const(1)
-        else:
-            g = poly_gcd(num, den)
-            if g.degree >= 1:
-                num, r1 = divmod(num, g)
-                den, r2 = divmod(den, g)
-                assert r1.is_zero() and r2.is_zero()
-            lead = den.leading
-            if lead != 1:
-                num = Poly(c / lead for c in num.coeffs)
-                den = Poly(c / lead for c in den.coeffs)
-        self.num = num
-        self.den = den
+        num, den = dup_cancel(num, den, ZZ)
+        self.num = tuple(map(int, num))
+        self.den = tuple(map(int, den))
 
     @classmethod
     def const(cls, c):
-        return cls(Poly.const(c))
+        c = Fraction(c)
+        out = object.__new__(cls)
+        out.num, out.den = ((c.numerator,) if c else ()), (c.denominator,)
+        return out
 
     def is_zero(self):
-        return self.num.is_zero()
+        return not self.num
 
     def is_constant(self):
-        return self.num.degree <= 0 and self.den.degree <= 0
+        return len(self.num) <= 1 and len(self.den) == 1
 
-    def as_fraction(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError(f"{self} is not constant")
-        if self.is_zero():
-            return Fraction(0)
-        return self.num.coeffs[0]
+    def view(self) -> tuple[Poly, Poly]:
+        """(numerator, denominator) over Q with the denominator monic: the
+        form that is printed and whose sizes the parser bounds."""
+        lead = self.den[0]
+        return tuple(Poly(Fraction(c, lead) for c in reversed(p)) for p in (self.num, self.den))
 
     def __bool__(self):
         return not self.is_zero()
@@ -263,53 +157,60 @@ class RationalFunction:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash(("RationalFunction", self.num.coeffs, self.den.coeffs))
+        return hash(("RationalFunction", self.num, self.den))
 
     def __neg__(self):
-        return RationalFunction(-self.num, self.den)
+        out = object.__new__(RationalFunction)
+        out.num, out.den = tuple(-c for c in self.num), self.den
+        return out
 
-    def __add__(self, other):
+    def _combine(self, other, op):
+        """self op other for op in '+-*/': sympy's dense arithmetic over ZZ
+        on the integer pairs, then the one cancel of the constructor."""
         other = _as_ratfunc(other)
         if other is NotImplemented:
             return NotImplemented
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        if op == "/" and other.is_zero():
+            raise ZeroDivisionError("division by zero rational function")
+        from sympy.polys.densearith import dup_add, dup_mul, dup_sub
+        from sympy.polys.domains import ZZ
+
+        a, b, c, d = map(list, (self.num, self.den, other.num, other.den))
+        mul = lambda f, g: dup_mul(f, g, ZZ)
+        if op == "*":
+            return RationalFunction(mul(a, c), mul(b, d))
+        if op == "/":
+            return RationalFunction(mul(a, d), mul(b, c))
+        cross = (dup_add if op == "+" else dup_sub)(mul(a, d), mul(c, b), ZZ)
+        return RationalFunction(cross, mul(b, d))
+
+    def __add__(self, other):
+        return self._combine(other, "+")
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _as_ratfunc(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self._combine(other, "-")
 
     def __rsub__(self, other):
-        return _as_ratfunc(other) + (-self)
+        return _as_ratfunc(other) - self
 
     def __mul__(self, other):
-        other = _as_ratfunc(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RationalFunction(self.num * other.num, self.den * other.den)
+        return self._combine(other, "*")
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _as_ratfunc(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
+        return self._combine(other, "/")
 
     def __rtruediv__(self, other):
         return _as_ratfunc(other) / self
 
     def __str__(self):
-        if self.den == Poly.const(1):
-            return str(self.num)
-        return f"({self.num})/({self.den})"
+        num, den = self.view()
+        if den.degree == 0:
+            return str(num)
+        return f"({num})/({den})"
 
     def __repr__(self):
         return f"RationalFunction({self})"
@@ -320,8 +221,6 @@ def _as_ratfunc(x):
         return x
     if isinstance(x, (int, Fraction)):
         return RationalFunction.const(x)
-    if isinstance(x, Poly):
-        return RationalFunction(x)
     return NotImplemented
 
 
@@ -377,22 +276,15 @@ def factor_int(n: int) -> dict[int, int]:
 
 def irreducible_factors(f: Poly) -> tuple[Poly, ...]:
     """Distinct monic irreducible factors of f over Q, sorted."""
-    if f.is_zero():
+    if not f.coeffs:
         raise ZeroInput("zero polynomial")
     if f.degree <= 0:
         return ()
-    import sympy
+    from sympy.polys.domains import ZZ
+    from sympy.polys.factortools import dup_factor_list
 
-    expr = sympy.Poly(
-        [sympy.Rational(c.numerator, c.denominator) for c in reversed(f.coeffs)],
-        sympy.Symbol("z"),
-        domain="QQ",
-    )
-    _, factors = expr.factor_list()
-    out = []
-    for fac, _mult in factors:
-        cs = [Fraction(int(c.numerator), int(c.denominator)) for c in fac.all_coeffs()]
-        out.append(Poly(reversed(cs)).monic())
+    _, factors = dup_factor_list(_integer_coeffs(f), ZZ)
+    out = [Poly(int(c) for c in reversed(fac)).monic() for fac, _mult in factors]
     return tuple(sorted(out, key=lambda p: (p.degree, p.coeffs)))
 
 
@@ -403,14 +295,22 @@ def is_irreducible(q: Poly) -> bool:
     return len(facs) == 1 and facs[0] == q.monic()
 
 
-def ord_at(f: Poly, q: Poly) -> int:
-    """Multiplicity of the irreducible q in the nonzero polynomial f."""
-    if f.is_zero():
+def ord_at(f, q: Poly) -> int:
+    """Multiplicity of the monic irreducible q in the nonzero integer
+    polynomial f (dense, high degree first).  By Gauss's lemma a primitive
+    polynomial divides f over Q exactly when it does over Z, so f is divided
+    by the primitive integer form of q over ZZ."""
+    if not f:
         raise ZeroInput("zero polynomial")
+    from sympy.polys.densearith import dup_div
+    from sympy.polys.domains import ZZ
+
+    p = _integer_coeffs(q)
+    f = list(f)
     count = 0
-    while f.degree >= q.degree:
-        d, r = divmod(f, q)
-        if not r.is_zero():
+    while len(f) >= len(p):
+        d, r = dup_div(f, p, ZZ)
+        if r:
             break
         f = d
         count += 1
@@ -442,7 +342,7 @@ class FiniteIrreducible:
     q: Poly
 
     def __post_init__(self):
-        if self.q.is_zero() or self.q.leading != 1:
+        if not self.q.coeffs or self.q.leading != 1:
             raise InvalidPlace(f"{self.q} is not monic")
         if not is_irreducible(self.q):
             raise InvalidPlace(f"{self.q} is not irreducible over Q")
@@ -530,7 +430,7 @@ def valuation(a, place) -> int:
         if isinstance(place, FiniteIrreducible):
             return ord_at(a.num, place.q) - ord_at(a.den, place.q)
         if isinstance(place, FunctionFieldInfinity):
-            return a.den.degree - a.num.degree
+            return len(a.den) - len(a.num)
         raise PlaceFieldMismatch(f"{place_to_str(place)} is not a finite place of Q(z)")
     raise TypeError(f"not a scalar: {a!r}")
 
@@ -578,7 +478,7 @@ def support_places(values) -> frozenset:
             if a.is_zero():
                 raise ZeroInput("support of zero is undefined")
             for poly in (a.num, a.den):
-                for q in irreducible_factors(poly):
+                for q in irreducible_factors(Poly(reversed(poly))):
                     out.add(_factor_place(q))
             if valuation(a, FF_INFINITY) != 0:
                 out.add(FF_INFINITY)
@@ -607,7 +507,7 @@ def product_formula_residual(a):
         total = valuation(a, FF_INFINITY)
         seen = set()
         for poly in (a.num, a.den):
-            for q in irreducible_factors(poly):
+            for q in irreducible_factors(Poly(reversed(poly))):
                 if q not in seen:
                     seen.add(q)
                     total += q.degree * valuation(a, _factor_place(q))

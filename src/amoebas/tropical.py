@@ -335,9 +335,6 @@ class AdelicAmoeba:
     special: tuple  # ((place, PolyhedralComplex), ...) sorted by place string
     source: object = dataclass_field(compare=False, default=None)
 
-    def special_dict(self):
-        return dict(self.special)
-
     def places(self):
         return [p for p, _ in self.special]
 
@@ -405,16 +402,21 @@ def prevariety(constraints, place, rank) -> PolyhedralComplex:
     pulled, tropdata = [], []
     for con in constraints:
         mat = con.matrix(rank)
-        trop = trop_hypersurface(con.poly, place)
+        if con.poly.nterms < 2:
+            raise MonomialInput("a monomial cuts out the empty set in the torus")
+        data = tropical_data(con.poly, place)
+        trop = corner_locus(data, con.poly.rank)
         pulled.append([preimage(cell.polyhedron, mat) for cell in trop.cells])
-        tropdata.append((tropical_data(con.poly, place), mat))
+        # <u, M x> = <M^T u, x>: the terms pulled back to the ambient torus
+        transpose = list(zip(*mat))
+        tropdata.append(TropicalData(tuple(mat_vec(transpose, u) for u in data.exponents), data.shifts))
     pieces = {}
     for combo in itertools.product(*pulled):
         P = intersect(*combo)
         if dimension(P) < 0:
             continue
         x = relative_interior_point(P)
-        pieces.setdefault(tuple(min_value_and_argmin(d, mat_vec(m, x))[1] for d, m in tropdata), P)
+        pieces.setdefault(tuple(min_value_and_argmin(d, x)[1] for d in tropdata), P)
     below = lambda S, T: S != T and all(s <= t for s, t in zip(S, T))
     keep = [P for T, P in pieces.items() if not any(below(S, T) for S in pieces)]
     return make_complex(rank, [Cell(remove_redundancy(P)) for P in keep])

@@ -213,24 +213,24 @@ def rand_fraction(rng, num=50, den=30):
     return Fraction(n, rng.randint(1, den))
 
 
-_FACTOR_POOL = [
-    Poly((0, 1)),       # z
-    Poly((-1, 1)),      # z - 1
-    Poly((1, 1)),       # z + 1
-    Poly((-2, 1)),      # z - 2
-    Poly((1, 0, 1)),    # z^2 + 1
-    Poly((3, 1)),       # z + 3
+_FACTOR_POOL = [  # dense integer coefficients, high degree first
+    (1, 0),       # z
+    (1, -1),      # z - 1
+    (1, 1),       # z + 1
+    (1, -2),      # z - 2
+    (1, 0, 1),    # z^2 + 1
+    (1, 3),       # z + 3
 ]
 
 
 def rand_ratfunc(rng, max_factors=2):
-    num = Poly.const(rand_fraction(rng, 9, 5))
-    den = Poly.const(1)
+    num = RationalFunction.const(rand_fraction(rng, 9, 5))
+    den = RationalFunction.const(1)
     for _ in range(rng.randint(0, max_factors)):
-        num = num * rng.choice(_FACTOR_POOL)
+        num = num * RationalFunction(rng.choice(_FACTOR_POOL))
     for _ in range(rng.randint(0, max_factors)):
-        den = den * rng.choice(_FACTOR_POOL)
-    return RationalFunction(num, den)
+        den = den * RationalFunction(rng.choice(_FACTOR_POOL))
+    return num / den
 
 
 def rand_exponents(rng, rank, count, spread=3):
@@ -668,8 +668,20 @@ def reference_triangle_exact_membership(f, v):
     return INSIDE
 
 
+def reference_poly_rem(a, b):
+    """a mod b for Polys, by long division on Fraction coefficients."""
+    rem = list(a.coeffs)
+    while len(rem) >= len(b.coeffs):
+        f, k = rem[-1] / b.coeffs[-1], len(rem) - len(b.coeffs)
+        for i, c in enumerate(b.coeffs):
+            rem[k + i] -= f * c
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return Poly(rem)
+
+
 def reference_poly_gcd(a, b):
     """Monic gcd by the Euclidean algorithm on Fraction coefficients."""
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic() if not a.is_zero() else a
+    while b.coeffs:
+        a, b = b, reference_poly_rem(a, b)
+    return a.monic()

@@ -18,7 +18,6 @@ from amoebas.classify import (
     ekl_consistency_check,
     halfline_disjoint_fast,
     halfspace_meets_complex,
-    halfspace_quotient,
     theorem1_report,
     torsion_coset_test,
     torsion_point_test,
@@ -30,7 +29,7 @@ from amoebas.errors import (
     MissingImagePresentation,
     ZeroCoordinate,
 )
-from amoebas.lattices import mat_vec, primitive_vector
+from amoebas.lattices import primitive_vector
 from amoebas.laurent import (
     make_laurent,
     newton_polytope,
@@ -41,10 +40,8 @@ from amoebas.laurent import (
 from amoebas.polyhedral import (
     complexes_equal,
     contains_point,
-    dimension,
     poly_equal,
     polyhedron,
-    preimage,
     project,
 )
 from amoebas.scalars import (
@@ -53,7 +50,6 @@ from amoebas.scalars import (
     GENERIC,
     FinitePrime,
     RationalFunction,
-    Z,
     place_from_str,
 )
 from amoebas.tropical import (
@@ -111,33 +107,6 @@ class TestHalfspace:
     def test_non_rational_entries_rejected(self, direction, boundary):
         with pytest.raises(ValueError):
             Halfspace(2, direction, boundary)
-
-
-class TestQuotientMap:
-    def test_kill_e3(self):
-        qm = halfspace_quotient(Halfspace(3, (1, 1, 0), ((0, 0, 1),)))
-        assert qm.target_rank == 2
-        assert all(row[2] == 0 for row in qm.matrix)
-
-    def test_diagonal(self):
-        qm = halfspace_quotient(Halfspace(2, (1, 0), ((1, 1),)))
-        assert mat_vec(qm.matrix, (1, 1)) == (0,)
-        assert abs(qm.matrix[0][0]) == 1
-
-    def test_empty_boundary_identity(self):
-        qm = halfspace_quotient(Halfspace(2, (1, 1)))
-        assert qm.matrix == ((1, 0), (0, 1))
-
-    def test_round_trips_boundary_span(self):
-        # the preimage of the quotient's origin is exactly the boundary span
-        H = Halfspace(3, (1, 1, 1), ((1, -1, 0), (0, 1, -1)))
-        qm = halfspace_quotient(H)
-        assert qm.target_rank == 1
-        origin = polyhedron(1, [((1,), Fraction(0))], ())
-        kernel = preimage(origin, [list(r) for r in qm.matrix])
-        span = polyhedron(3, [((1, 1, 1), Fraction(0))], ())  # <(1,1,1), v> = 0
-        assert poly_equal(kernel, span)
-        assert dimension(kernel) == 2
 
 
 class TestFastPath:
@@ -285,7 +254,7 @@ class TestStructuralTests:
 class TestHalflineSearch:
     def test_defined_over_k_gives_halfline(self, rng):
         for _ in range(20):
-            f = scale(rand_poly_qz_constant(rng), RationalFunction(Z))
+            f = scale(rand_poly_qz_constant(rng), RationalFunction((1, 0)))
             found, _, caveat = disjoint_halfline_search(f)
             assert found is not None and not caveat
             candidates, _, _ = uniform_minimal_vertices(f)
@@ -343,6 +312,14 @@ class TestTheoremReport:
         assert rep.disjointness.overall == DISJOINT
         assert rep.conclusion_case == 2 and not rep.violation
 
+    def test_image_rank_must_be_the_codimension(self):
+        # the boundary's dependent generator is dropped: codimension 2, not 1
+        system = pair_system_qz()
+        H = Halfspace(3, (1, 1, 0), ((0, 0, 1), (0, 0, 2)))
+        image = parse_poly("x1 - x2 - x3 - 1", rank=3, field=FIELD_QZ)
+        with pytest.raises(DimensionMismatch, match="quotient rank 2"):
+            theorem1_report(system, H, image_hypersurface=image)
+
     def test_surface_system_case_one(self):
         system = pair_system_q()
         H = Halfspace(4, (1, 1, 1, 0), ((0, 0, 0, 1),))
@@ -391,7 +368,7 @@ class TestTheoremReport:
         # disjoint from a vertex-cone ray, conclusion case 2
         for _ in range(50):
             f = scale(rand_poly_qz_constant(rng, terms=rng.randint(2, 4)),
-                      RationalFunction(Z))
+                      RationalFunction((1, 0)))
             np_ = newton_polytope(f)
             i = np_.vertex_indices[0]
             d = primitive_vector(strict_vertex_direction(np_.points, i))

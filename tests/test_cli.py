@@ -407,6 +407,14 @@ PINS = [
      0, "413ba24546a58b21", EMPTY, None),
     ("product-formula-out", ["product-formula", "--a", "z^3-z", "--out", "{out}"],
      0, EMPTY, EMPTY, "5e4f2636308b1fe3"),
+    ("adelic-qz-degree-5", ["adelic", "--f",
+      "(2/3)*x1*x2 + (z^5-3*z^2+1/2)*x1 + (4*z^5+z)/(6*z^3-9)*x2 - 5/7"],
+     0, "4b50c05a9eb9f3f8", EMPTY, None),
+    ("product-formula-qz-quotient", ["product-formula", "--a", "(6*z^5-3/2*z)/(4*z^3+2*z^2-8)"],
+     0, "125ff6b8f71e1164", EMPTY, None),
+    ("trop-qz-nonmonic-place", ["trop", "--f", "(2*z-1)^2*x1 + (4*z^2-1)/z*x2 + 1/(2*z-1)",
+      "--place", "q:2*z-1"],
+     0, "1300c8fc819b29e5", EMPTY, None),
     ("plot-complex", ["plot", "--f", "x1+x2+1", "--place", "generic", "--out", "{out}"],
      0, "97bc311e8d9451ac", EMPTY, "2a9e550fe4670b2b"),
     ("plot-complex-p2", ["plot", "--f", Q_CURVE, "--place", "p:2", "--extent", "6",
@@ -460,6 +468,43 @@ def test_pinned_bytes(capsys, tmp_path, argv, code, out_sha, err_sha, file_sha):
     written = tmp_path / "out"
     assert (got_code, _digest(norm(out)), _digest(norm(err))) == (code, out_sha, err_sha)
     assert (_digest(written.read_bytes()) if written.exists() else None) == file_sha
+
+
+_TOO_LARGE = "170d2b3b32f13873"  # stderr of an expansion-too-large refusal
+_A, _B = 2**7140 + 1, 2**7140 + 3
+_C, _D = 2**7141 + 1, 2**7141 + 3
+_N4300, _N4301 = "7" * 4299 + "1", "7" * 4300 + "1"
+
+
+@pytest.mark.parametrize(
+    "place, f, code, out_sha, err_sha",
+    [
+        # (z/A + 1/B)^2: its monic view has coefficients of 2 * 7141 bits, at
+        # the 4300-digit bound (its integer pair has twice as many bits)
+        ("inf", f"(z/{_A}+1/{_B})*(z/{_A}+1/{_B})*x1 + 1", 0, "624855812f46bf76", EMPTY),
+        ("inf", f"(z/{_C}+1/{_D})*(z/{_C}+1/{_D})*x1 + 1", 2, EMPTY, _TOO_LARGE),
+        ("inf", f"x1 + z + 1/{_N4300}", 2, EMPTY, _TOO_LARGE),
+        ("inf", f"x1 + (z-1)/(2*z+{_N4300})", 2, EMPTY, _TOO_LARGE),
+        ("inf", f"x1 + z + 1/{_N4301}", 2, EMPTY, "f1e884076e607ad9"),
+        # z-degree 128 times 128, at the bound, and 128 times 129 past it
+        ("q:3*z-2", "((z^63)^2*z+1)/(3*z-2)*((z^64)^2*z-1)*x1 + 1", 0, "cdf99be2425fc86d", EMPTY),
+        ("q:3*z-2", "((z^63)^2*z+1)/(3*z-2)*((z^64)^2*z^2-1)*x1 + 1", 2, EMPTY, _TOO_LARGE),
+    ],
+    ids=["digits-at", "digits-past", "literal-4300-inverse", "literal-4300-denominator",
+         "literal-4301", "degree-at", "degree-past"],
+)
+def test_qz_expansion_limits(capsys, place, f, code, out_sha, err_sha):
+    got_code, out, err = run_cli(capsys, "trop", "--place", place, "--f", f)
+    assert (got_code, _digest(out.encode()), _digest(err.encode())) == (code, out_sha, err_sha)
+
+
+def test_import_loads_no_sympy():
+    src = os.path.dirname(os.path.dirname(amoebas.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, amoebas; print(sorted(m for m in sys.modules if m.split('.')[0] == 'sympy'))"],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0 and done.stdout == "[]\n", done.stderr
 
 
 class TestRejectedValues:

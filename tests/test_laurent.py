@@ -29,7 +29,6 @@ from amoebas.scalars import (
     FIELD_QZ,
     GENERIC,
     FinitePrime,
-    Poly,
     RationalFunction,
     place_to_str,
 )
@@ -142,10 +141,10 @@ class TestParse:
         if field == FIELD_Q:
             coeffs = fractions
         else:
-            # num / den with integer coefficients in z, lowest first
+            # num / den with integer coefficients in z, highest first
             poly = st.lists(st.integers(-3, 3), min_size=1, max_size=3).filter(any)
             coeffs = st.builds(
-                lambda c, num, den: c * RationalFunction(Poly(num), Poly(den)),
+                lambda c, num, den: c * RationalFunction(num, den),
                 fractions, poly, poly,
             )
         f = make_laurent(rank, field, [(e, data.draw(coeffs)) for e in exps])

@@ -1,12 +1,14 @@
 import json
 import math
+import operator
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import amoebas
@@ -16,6 +18,7 @@ from amoebas.errors import FactorizationTooLarge, InvalidPlace, PlaceFieldMismat
 from amoebas.scalars import (
     ARCH,
     FF_INFINITY,
+    FIELD_QZ,
     FiniteIrreducible,
     FinitePrime,
     Poly,
@@ -27,33 +30,62 @@ from amoebas.scalars import (
     log_abs,
     place_from_str,
     place_to_str,
-    poly_gcd,
     product_formula_residual,
     support_places,
     valuation,
 )
 
-from conftest import rand_fraction, rand_ratfunc, reference_poly_gcd
+from amoebas.parsing import parse_scalar
+
+from conftest import rand_fraction, rand_ratfunc, reference_poly_gcd, reference_poly_rem
 
 
-def rf(num, den=1):
-    return RationalFunction(Poly(num), Poly(den) if den != 1 else Poly.const(1))
+def rf(num, den=(1,)):
+    """The rational function of two integer coefficient tuples, lowest first."""
+    return RationalFunction(num[::-1], den[::-1])
+
+
+def poly_product(*factors):
+    """The product of integer polynomials given lowest coefficient first."""
+    out = RationalFunction.const(1)
+    for f in factors:
+        out = out * rf(f)
+    return Poly(reversed(out.num))
+
+
+def convolve(f, g):
+    """The product of two integer coefficient lists, lowest first."""
+    out = [0] * (len(f) + len(g) - 1) if f and g else []
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+def value(p, x):
+    """A Poly at the rational x."""
+    return sum(c * x**i for i, c in enumerate(p.coeffs))
+
+
+def assert_canonical(r):
+    """Coprime in Z[z] (content included), with a positive leading
+    coefficient in the denominator, which is monic in the printed view."""
+    num, den = (Poly(reversed(p)) for p in (r.num, r.den))
+    assert all(type(c) is int for c in r.num + r.den)
+    assert r.den[0] > 0 and r.view()[1].leading == 1
+    assert math.gcd(*r.num, *r.den) == 1
+    assert reference_poly_gcd(num, den) == Poly.const(1)
 
 
 class TestPoly:
-    def test_divmod_exact(self):
-        f = Poly((-1, 0, 1))  # z^2 - 1
-        q, r = divmod(f, Poly((-1, 1)))
-        assert q == Poly((1, 1)) and r.is_zero()
-
     def test_str_roundtrip_examples(self):
         assert str(Poly((-1, 0, 1))) == "z^2-1"
         assert str(Poly((Fraction(1, 2), 2))) == "2*z+1/2"
         assert str(Poly(())) == "0"
 
     def test_gcd_reduction_in_ratfunc(self):
-        a = RationalFunction(Poly((-1, 0, 1)), Poly((-1, 1)))  # (z^2-1)/(z-1)
-        assert a == RationalFunction(Poly((1, 1)))
+        a = rf((-1, 0, 1), (-1, 1))  # (z^2-1)/(z-1)
+        assert a == rf((1, 1))
 
 
 class TestValuation:
@@ -189,58 +221,106 @@ class TestFactorization:
     @settings(max_examples=60, deadline=None)
     @given(
         st.lists(
-            st.lists(st.integers(-3, 3), min_size=1, max_size=3).map(lambda cs: Poly(cs + [1])),
+            st.lists(st.integers(-3, 3), min_size=1, max_size=3).map(lambda cs: tuple(cs + [1])),
             min_size=1,
             max_size=4,
         )
     )
     def test_irreducible_factors_of_small_monic_products(self, parts):
-        f = Poly.const(1)
-        for q in parts:
-            f = f * q
+        f = poly_product(*parts)
         facs = irreducible_factors(f)
         for q in facs:
             assert q.leading == 1 and is_irreducible(q)
-            assert (f % q).is_zero()
+            assert not reference_poly_rem(f, q).coeffs
         # a rational root of a monic integer polynomial is an integer, and
         # at most 1 + max |coefficient| in absolute value
         bound = 1 + int(max(abs(c) for c in f.coeffs))
         for r in range(-bound, bound + 1):
-            if f(r) == 0:
-                assert any(q(r) == 0 for q in facs)
+            if value(f, r) == 0:
+                assert any(value(q, r) == 0 for q in facs)
 
     def test_quadratic_irreducible(self):
         assert irreducible_factors(Poly((1, 0, 1))) == (Poly((1, 0, 1)),)
 
     def test_splits_and_strips_multiplicity(self):
-        f = Poly((-1, 1)) * Poly((-1, 1)) * Poly((0, 1)) * Poly((1, 0, 1))
+        f = poly_product((-1, 1), (-1, 1), (0, 1), (1, 0, 1))
         assert set(irreducible_factors(f)) == {Poly((0, 1)), Poly((-1, 1)), Poly((1, 0, 1))}
 
     def test_quartic_fallback(self):
-        f = Poly((1, 0, 1)) * Poly((2, 0, 1))  # two irreducible quadratics
+        f = poly_product((1, 0, 1), (2, 0, 1))  # two irreducible quadratics
         assert set(irreducible_factors(f)) == {Poly((1, 0, 1)), Poly((2, 0, 1))}
 
+    def test_rational_coefficients(self):
+        # 6 (z - 1/2)(z + 2/3): the integer form is cleared of denominators
+        f = Poly((Fraction(-1, 3), Fraction(1, 6), 1))
+        assert irreducible_factors(f) == (Poly((Fraction(-1, 2), 1)), Poly((Fraction(2, 3), 1)))
 
-_SMALL_POLYS = st.lists(
-    st.fractions(-6, 6, max_denominator=5), max_size=4
-).map(Poly)
+
+_INT_POLYS = st.lists(st.integers(-6, 6), max_size=4)  # lowest coefficient first
+_TEXT_COEFFS = st.lists(st.fractions(-9, 9, max_denominator=7), min_size=1, max_size=4).filter(any)
+_OPS = [operator.add, operator.sub, operator.mul, operator.truediv]
 
 
-class TestPolyGcd:
+def _text(num, den):
+    """Q(z) text of two Fraction coefficient lists, lowest first."""
+    poly = lambda cs: " + ".join(f"({c})*z^{i}" for i, c in enumerate(cs))
+    return f"({poly(num)})/({poly(den)})"
+
+
+class TestRationalFunction:
     @settings(max_examples=200)
-    @given(_SMALL_POLYS, _SMALL_POLYS, _SMALL_POLYS)
-    def test_matches_euclid(self, common, a, b):
-        # a planted common factor, so the gcd is often nonconstant
-        a, b = a * common, b * common
-        assert poly_gcd(a, b) == reference_poly_gcd(a, b)
-        assert poly_gcd(b, a) == reference_poly_gcd(b, a)
+    @given(_INT_POLYS, _INT_POLYS.filter(any), _INT_POLYS.filter(any))
+    def test_canonical_form(self, a, b, common):
+        # a planted common factor, so the cancel often has work to do
+        r = rf(convolve(a, common), convolve(b, common))
+        assert_canonical(r)
+        assert r == rf(a, b) and hash(r) == hash(rf(a, b))
+
+    @settings(max_examples=100)
+    @given(st.integers(0, 2**32), st.integers(0, 3), st.fractions(-20, 20, max_denominator=9))
+    def test_ops_commute_with_evaluation(self, seed, k, z0):
+        rng = random.Random(seed)
+        a, b = rand_ratfunc(rng, 3), rand_ratfunc(rng, 3)
+        op = _OPS[k]
+        at = lambda r: value(r.view()[0], z0) / value(r.view()[1], z0)
+        assume(value(a.view()[1], z0) and value(b.view()[1], z0))
+        assume(op is not operator.truediv or at(b))
+        c = op(a, b)
+        assert_canonical(c)
+        assert at(c) == op(at(a), at(b))
+
+    @settings(max_examples=100)
+    @given(_TEXT_COEFFS, _TEXT_COEFFS, _TEXT_COEFFS, _TEXT_COEFFS, st.integers(0, 3),
+           st.fractions(-20, 20, max_denominator=9))
+    def test_parsed_ops_commute_with_evaluation(self, n1, d1, n2, d2, k, z0):
+        # each side is evaluated from its text's coefficients, not its parse
+        at = lambda cs: sum(c * z0**i for i, c in enumerate(cs))
+        assume(at(d1) and at(d2))
+        a = parse_scalar(_text(n1, d1), FIELD_QZ)
+        b = parse_scalar(_text(n2, d2), FIELD_QZ)
+        op = _OPS[k]
+        x, y = at(n1) / at(d1), at(n2) / at(d2)
+        assume(op is not operator.truediv or y)
+        c = op(a, b)
+        assert_canonical(c)
+        assert value(c.view()[0], z0) / value(c.view()[1], z0) == op(x, y)
 
     def test_constants_and_zero(self):
-        one, zero = Poly.const(1), Poly(())
-        assert poly_gcd(Poly.const(Fraction(-3, 2)), Poly((1, 2))) == one
-        assert poly_gcd(zero, Poly.const(5)) == one
-        assert poly_gcd(zero, zero) == zero
-        assert poly_gcd(Poly((2, 4)), zero) == Poly((Fraction(1, 2), 1))
+        assert RationalFunction.const(Fraction(-3, 2)).num == (-3,)
+        assert RationalFunction.const(Fraction(-3, 2)).den == (2,)
+        zero = RationalFunction((0, 0))
+        assert (zero.num, zero.den) == ((), (1,)) and zero == 0 and not zero
+        assert rf((0, 6), (0, -4)) == Fraction(-3, 2)
+        assert rf((1, 2), (3, 6)).is_constant()
+        with pytest.raises(ZeroDivisionError):
+            rf((1, 2), (0,))
+        with pytest.raises(ZeroDivisionError):
+            rf((1, 2)) / zero
+
+    def test_printed_view_is_monic(self):
+        r = rf((-1, 0, 6), (0, -4))  # (6z^2 - 1)/(-4z)
+        assert (r.num, r.den) == ((-6, 0, 1), (4, 0))
+        assert str(r) == "(-3/2*z^2+1/4)/(z)"
 
 
 def run_amoeba(*argv):
