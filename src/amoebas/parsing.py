@@ -91,12 +91,19 @@ def _tokenize(text):
 def _size(terms):
     """(largest z-degree, largest numerator or denominator bit length) of
     the coefficients, a Q(z) one read as its numerator and monic denominator
-    over Q."""
-    polys = [p for c in terms.values() if isinstance(c, RationalFunction) for p in c.view()]
-    fracs = [c for c in terms.values() if not isinstance(c, RationalFunction)]
-    fracs += [x for p in polys for x in p.coeffs]
-    bits = (max(x.numerator.bit_length(), x.denominator.bit_length()) for x in fracs)
-    return max((p.degree for p in polys), default=0), max(bits, default=0)
+    over Q.  An integer coefficient c of num or den over the positive leading
+    coefficient l of den is (c/g)/(l/g) in lowest terms, g = gcd(c, l)."""
+    degree = bits = 0
+    for c in terms.values():
+        if isinstance(c, RationalFunction):
+            lead = c.den[0]
+            degree = max(degree, len(c.num) - 1, len(c.den) - 1)
+            for x in c.num + c.den:
+                g = math.gcd(x, lead)
+                bits = max(bits, (x // g).bit_length(), (lead // g).bit_length())
+        else:
+            bits = max(bits, c.numerator.bit_length(), c.denominator.bit_length())
+    return degree, bits
 
 
 class _Terms:
@@ -131,7 +138,7 @@ class _Terms:
     def __add__(self, other):
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
+            out[e] = out[e] + c if e in out else c
         return _Terms(self.rank, self.field, out)._clean()
 
     def __neg__(self):
@@ -153,7 +160,8 @@ class _Terms:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, 0) + c1 * c2
+                c = c1 * c2
+                out[e] = out[e] + c if e in out else c
         return _Terms(self.rank, self.field, out)._clean()
 
     def single_term(self):

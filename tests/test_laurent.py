@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from amoebas import parsing
 from amoebas.errors import (
     AmoebaError,
     EmptyPolynomial,
@@ -84,6 +86,22 @@ class TestParse:
         ):
             with pytest.raises(ExpansionTooLarge):
                 parse_poly(text)
+
+    @settings(max_examples=200)
+    @given(st.integers(0, 2**32), st.integers(1, 4))
+    def test_size_reads_the_monic_view(self, seed, count):
+        # the bound's (z-degree, bits) read off the integer pair equals the
+        # reading of the printed view: numerator and monic denominator over Q
+        rng = random.Random(seed)
+        coeffs = [rand_ratfunc(rng, 3) * rand_fraction(rng, 999, 99) for _ in range(count)]
+        coeffs += [rand_fraction(rng, 10**6, 10**4) for _ in range(rng.randint(0, 2))]
+        views = [c.view() for c in coeffs if isinstance(c, RationalFunction)]
+        fracs = [c for c in coeffs if not isinstance(c, RationalFunction)]
+        fracs += [x for v in views for p in v for x in p.coeffs]
+        degree = max((p.degree for v in views for p in v), default=0)
+        bits = max(max(x.numerator.bit_length(), x.denominator.bit_length()) for x in fracs)
+        terms = {(k,): c for k, c in enumerate(coeffs)}
+        assert parsing._size(terms) == (degree, bits)
 
     @settings(max_examples=300)
     @given(st.text() | st.text(alphabet="x0123456789z+-*/^() ", max_size=30))
