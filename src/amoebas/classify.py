@@ -28,6 +28,7 @@ from .archimedean import (
 from .errors import (
     DependentDirection,
     DimensionMismatch,
+    InternalInvariantError,
     MissingImagePresentation,
     MonomialInput,
     ZeroCoordinate,
@@ -35,8 +36,9 @@ from .errors import (
 from .lattices import independent_subset, in_rational_span, integer_row, primitive_vector
 from .laurent import LaurentPoly, apply_monomial_map, bad_places, newton_polytope, strict_vertex_direction
 from .polyhedral import (
+    LPInfeasible,
     LPOptimal,
-    LPUnbounded,
+    Polyhedron,
     PolyhedralComplex,
     intersect,
     lp_solve,
@@ -121,39 +123,52 @@ def halfline_disjoint_fast(f: LaurentPoly, place, v):
 def halfspace_meets_complex(H: Halfspace, C: PolyhedralComplex):
     """First witness point of C in the open halfspace, or None.
 
-    Per cell: maximize t over {x in cell, x = sum(lambda_a g_a) + t v,
-    t >= 0}; the cell meets H exactly when the optimum is positive or
-    unbounded (optimum zero only touches the closed boundary).
+    Each cell is decided in the halfspace's own coordinates: x =
+    sum(lambda_a g_a) + t v turns a cell row (r, b) into ((r . g_1, ...,
+    r . g_k, r . v), b), and the cell meets H exactly when t, kept >= 0, is
+    unbounded or has a positive maximum (zero only touches the closed
+    boundary).  Only a meeting cell gets the LP in (x, lambda, t), whose
+    optimal vertex is the witness; when t is unbounded it is capped at
+    t <= 1.  A cell whose every point has t > 1 leaves the capped LP
+    infeasible; the uncapped LP's point of the first such cell is the
+    witness when no later cell gives a capped one.
     """
     if H.rank != C.rank:
         raise DimensionMismatch("halfspace/complex rank mismatch")
     n = H.rank
     k = len(H.boundary)
     total = n + k + 1
+    gens = (*H.boundary, H.direction)
+    tpos = (((0,) * k + (-1,), Fraction(0)),)
+    # a cell row r in the coordinates (lambda, t): (r . g_1, ..., r . g_k, r . v)
+    img = lambda r: tuple(sum(a * b for a, b in zip(r, g)) for g in gens)
+    sub = lambda cons: tuple((img(r), b) for r, b in cons)
     obj = [0] * (n + k) + [1]
+    # x - sum(lambda_a g_a) - t v = 0, one row per coordinate of x
+    link = [
+        ([int(i == c) for i in range(n)] + [-g[c] for g in gens], Fraction(0)) for c in range(n)
+    ]
+    pad = lambda cons: [(list(r) + [0] * (k + 1), b) for r, b in cons]
+    cap = polyhedron(total, (), [(obj, Fraction(1))])
+    late = None
     for cell in C.cells:
         P = cell.polyhedron
-        eqs = []
-        for c in range(n):
-            row = [0] * total
-            row[c] = 1
-            for a, g in enumerate(H.boundary):
-                row[n + a] = -g[c]
-            row[n + k] = -H.direction[c]
-            eqs.append((row, Fraction(0)))
-        eqs += [(list(r) + [0] * (k + 1), b) for r, b in P.equalities]
-        ineqs = [(list(r) + [0] * (k + 1), b) for r, b in P.inequalities]
-        tpos = [0] * total
-        tpos[n + k] = -1
-        ineqs.append((tpos, Fraction(0)))
-        ext = polyhedron(total, eqs, ineqs)
-        res = lp_solve(obj, ext)
-        if isinstance(res, LPUnbounded):
-            cap = polyhedron(total, (), [([0] * (n + k) + [1], Fraction(1))])
-            res = lp_solve(obj, intersect(ext, cap))
-        if isinstance(res, LPOptimal) and res.value > 0:
-            return res.point[:n]
-    return None
+        res = lp_solve(obj[n:], Polyhedron(k + 1, sub(P.equalities), sub(P.inequalities) + tpos))
+        if isinstance(res, LPInfeasible) or (isinstance(res, LPOptimal) and res.value <= 0):
+            continue
+        ineqs = pad(P.inequalities) + [([0] * (n + k) + [-1], Fraction(0))]
+        ext = polyhedron(total, link + pad(P.equalities), ineqs)
+        wit = lp_solve(obj, ext)
+        if type(wit) is not type(res) or (isinstance(wit, LPOptimal) and wit.value != res.value):
+            raise InternalInvariantError("the witness LP disagrees with the decision LP")
+        if isinstance(wit, LPOptimal):
+            return wit.point[:n]
+        capped = lp_solve(obj, intersect(ext, cap))
+        if isinstance(capped, LPOptimal):
+            return capped.point[:n]
+        if late is None:
+            late = wit.point[:n]
+    return late
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,15 @@ over one common positive denominator and is updated by fraction-free
 (Bareiss) pivots, every division exact; Fractions are built only for the
 returned value, point, ray and multipliers.  Every answer is exact and is
 checked against its certificate (dual multipliers, an improving ray, or
-Farkas multipliers) before it is returned.  Projection is Fourier-Motzkin
-elimination on integer rows, each step built through polyhedron(); LP-based
-redundancy removal runs once, on the output only.  Emptiness is read off the
-cached dimension: dimension, affine-hull rows and a relative-interior point
-come from one cached hull computation, one slack LP per round.
+Farkas multipliers) before it is returned; it also takes a raw Polyhedron
+whose rows are not canonical.  polyhedron() canonicalizes rows, and a row
+that is already primitive keeps its int entries and Fraction rhs as they
+are; intersect() merges rows that are already canonical without
+canonicalizing them again.  Projection is Fourier-Motzkin elimination on
+integer rows, each step built through polyhedron(); LP-based redundancy
+removal runs once, on the output only.  Emptiness is read off the cached
+dimension: dimension, affine-hull rows and a relative-interior point come
+from one cached hull computation, one slack LP per round.
 """
 from __future__ import annotations
 
@@ -25,19 +29,21 @@ from .lattices import identity, independent_subset, integer_row, rank_of_rows
 
 
 def _canon_constraint(row, rhs, is_equality):
-    """Scale to a primitive integer row; returns None for vacuous rows and
-    the string "infeasible" for unsatisfiable zero rows."""
+    """Scale to a primitive integer row, an equality's first nonzero entry
+    positive; returns None for vacuous rows and the string "infeasible" for
+    unsatisfiable zero rows.  A primitive int row that needs no sign flip
+    comes back with its entries, and a Fraction rhs, as they are."""
     row, den = integer_row(row)
     g = math.gcd(*row)
     if g == 0:
         if rhs == 0 or (not is_equality and rhs > 0):
             return None
         return "infeasible"
-    ints = [x // g for x in row]
-    if is_equality and next(x for x in ints if x != 0) < 0:
-        ints = [-x for x in ints]
-        den = -den
-    return tuple(ints), Fraction(rhs * den, g)
+    if is_equality and next(x for x in row if x) < 0:
+        g = -g
+    if g != 1 or den != 1:
+        return tuple([x // g for x in row]), Fraction(rhs * den, g)
+    return tuple(row), rhs if type(rhs) is Fraction else Fraction(rhs)
 
 
 def _con_key(con):
@@ -83,13 +89,21 @@ def empty_polyhedron(rank):
 
 
 def intersect(*polys):
+    """Intersection of polyhedra whose rows are canonical, as polyhedron()
+    writes them: the sorted union of their rows, equal to polyhedron() on
+    all of them.  The zero row of empty_polyhedron() sorts first among the
+    equalities, and an input that holds it gives the empty polyhedron."""
     rank = polys[0].rank
     if any(p.rank != rank for p in polys):
         raise DimensionMismatch("intersecting polyhedra of different ranks")
-    return polyhedron(
+    empty = empty_polyhedron(rank)
+    if any(p.equalities[:1] == empty.equalities for p in polys):
+        return empty
+    merge = lambda groups: tuple(sorted({c for g in groups for c in g}, key=_con_key))
+    return Polyhedron(
         rank,
-        [c for p in polys for c in p.equalities],
-        [c for p in polys for c in p.inequalities],
+        merge(p.equalities for p in polys),
+        merge(p.inequalities for p in polys),
     )
 
 

@@ -18,7 +18,7 @@ from amoebas.archimedean import (
     sign_exp_sum,
     triangle_applicable,
 )
-from amoebas.errors import InternalInvariantError
+from amoebas.errors import DimensionMismatch, InternalInvariantError
 from amoebas.laurent import make_laurent, parse_poly
 from amoebas.lattices import rank_of_rows
 from amoebas.polyhedral import (
@@ -451,6 +451,46 @@ def reference_prevariety(constraints, place, rank):
             pieces.append(remove_redundancy(P))
     keep = prune_to_maximal(pieces)
     return make_complex(rank, [Cell(P) for P in keep])
+
+
+def reference_halfspace_meets_complex(H, C):
+    """First witness point of C in the open halfspace, or None.
+
+    Per cell: maximize t over {x in cell, x = sum(lambda_a g_a) + t v,
+    t >= 0}; the cell meets H exactly when the optimum is positive or
+    unbounded (optimum zero only touches the closed boundary).
+    """
+    # kept as it stood before cells were decided in (lambda, t); it misses
+    # a cell that meets H only past t = 1, where the capped LP is infeasible
+    if H.rank != C.rank:
+        raise DimensionMismatch("halfspace/complex rank mismatch")
+    n = H.rank
+    k = len(H.boundary)
+    total = n + k + 1
+    obj = [0] * (n + k) + [1]
+    for cell in C.cells:
+        P = cell.polyhedron
+        eqs = []
+        for c in range(n):
+            row = [0] * total
+            row[c] = 1
+            for a, g in enumerate(H.boundary):
+                row[n + a] = -g[c]
+            row[n + k] = -H.direction[c]
+            eqs.append((row, Fraction(0)))
+        eqs += [(list(r) + [0] * (k + 1), b) for r, b in P.equalities]
+        ineqs = [(list(r) + [0] * (k + 1), b) for r, b in P.inequalities]
+        tpos = [0] * total
+        tpos[n + k] = -1
+        ineqs.append((tpos, Fraction(0)))
+        ext = polyhedron(total, eqs, ineqs)
+        res = lp_solve(obj, ext)
+        if isinstance(res, LPUnbounded):
+            cap = polyhedron(total, (), [([0] * (n + k) + [1], Fraction(1))])
+            res = lp_solve(obj, intersect(ext, cap))
+        if isinstance(res, LPOptimal) and res.value > 0:
+            return res.point[:n]
+    return None
 
 
 def _reference_eliminate(eqs, ineqs, idx):

@@ -1,6 +1,9 @@
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import assume, event, given, settings
+from hypothesis import strategies as st
 
 from amoebas import classify
 from amoebas.classify import (
@@ -38,6 +41,8 @@ from amoebas.laurent import (
     strict_vertex_direction,
 )
 from amoebas.polyhedral import (
+    Cell,
+    PolyhedralComplex,
     complexes_equal,
     contains_point,
     poly_equal,
@@ -70,6 +75,8 @@ from conftest import (
     rand_poly_qz,
     rand_poly_qz_constant,
     ray,
+    reference_halfspace_meets_complex,
+    segment,
 )
 from test_tropical import pair_system_q, pair_system_qz
 
@@ -179,6 +186,101 @@ class TestHalfspaceMeetsComplex:
         C = trop_hypersurface(ex_curve_q, FinitePrime(2))
         H = Halfspace(2, (1, 1))
         assert halfspace_meets_complex(H, C) is None
+
+    def test_meets_only_past_t_one(self):
+        # the ray x1 = x2 >= 3 meets the diagonal only at t >= 3, where the
+        # t <= 1 capped LP cannot reach
+        far = Cell(polyhedron(2, [((1, -1), 0)], [((-1, 0), -3)]))
+        H = Halfspace(2, (1, 1))
+        assert halfspace_meets_complex(H, PolyhedralComplex(2, (far,))) == (3, 3)
+        assert reference_halfspace_meets_complex(H, PolyhedralComplex(2, (far,))) is None
+        # a later cell with a capped witness still gives the witness
+        near = Cell(polyhedron(2, [((1, -1), 0)], [((1, 0), 2), ((-1, 0), -1)]))
+        assert halfspace_meets_complex(H, PolyhedralComplex(2, (far, near))) == (2, 2)
+
+
+_COEFFS = {
+    FIELD_Q: ["1", "-1", "2", "-3", "4", "6", "1/2", "-1/3", "9", "12", "1/4", "-8"],
+    FIELD_QZ: ["1", "-1", "z", "-z", "z-1", "z^2+1", "2*z", "1/z", "(z-2)^2", "z^2"],
+}
+
+
+@st.composite
+def hypersurface_halfspaces(draw):
+    """A polynomial of 3-4 terms in rank 2-3 with exponents in [-1, 1] over
+    Q (coefficients of 2- and 3-adic valuation -2 to 3) or Q(z), and a
+    halfspace of direction and 0-2 boundary generators in [-2, 2]."""
+    rank = draw(st.integers(2, 3))
+    field = draw(st.sampled_from([FIELD_Q, FIELD_QZ]))
+    vec = st.tuples(*[st.integers(-1, 1)] * rank)
+    exps = draw(st.lists(vec, min_size=3, max_size=4, unique=True))
+    coeff = st.sampled_from(_COEFFS[field])
+    mono = lambda e: "*".join(f"x{i + 1}^{a}" for i, a in enumerate(e) if a) or "1"
+    f = parse_poly(" + ".join(f"({draw(coeff)})*{mono(e)}" for e in exps), rank=rank, field=field)
+    vec = st.tuples(*[st.integers(-2, 2)] * rank)
+    direction = draw(vec.filter(any))
+    boundary = draw(st.lists(vec, max_size=2))
+    try:
+        H = Halfspace(rank, direction, tuple(boundary))
+    except DependentDirection:
+        assume(False)
+    return f, H
+
+
+@st.composite
+def ray_complexes(draw):
+    """1-2 rays and segments in rank 2-3, in drawn order, against a
+    boundary-free halfspace.  They start at points in [-4, 4] or at s v for
+    the direction v and s in [-2, 4]: a ray along v from s v with s > 1
+    is met only past t = 1."""
+    rank = draw(st.integers(2, 3))
+    vec = lambda lo, hi: draw(st.tuples(*[st.integers(lo, hi)] * rank))
+    H = Halfspace(rank, draw(st.tuples(*[st.integers(-1, 1)] * rank).filter(any)))
+    cells = []
+    for _ in range(draw(st.integers(1, 2))):
+        s = draw(st.integers(-2, 4))
+        base = tuple(s * x for x in H.direction) if draw(st.booleans()) else vec(-4, 4)
+        if draw(st.integers(0, 2)):
+            cells.append(Cell(ray(rank, base, H.direction if draw(st.booleans()) else vec(-1, 1))))
+        else:
+            cells.append(Cell(segment(rank, base, vec(-4, 4))))
+    return H, PolyhedralComplex(rank, tuple(cells))
+
+
+def _ray_parameter(H, x):
+    """The t of x = sum(lambda_a g_a) + t v, solved by sympy."""
+    M = sympy.Matrix([list(g) for g in (*H.boundary, H.direction)]).T
+    sol, _ = M.gauss_jordan_solve(sympy.Matrix([sympy.Rational(c.numerator, c.denominator) for c in x]))
+    return sol[-1]
+
+
+def _check_against_reference(H, C):
+    """The witness the (x, lambda, t) LP on each cell gave; where that
+    found none, a witness can only come from a cell met past t = 1, and
+    it lies in H and in C."""
+    want = reference_halfspace_meets_complex(H, C)
+    got = halfspace_meets_complex(H, C)
+    if want is not None or got is None:
+        assert got == want
+        return
+    event("met only past t = 1")
+    assert any(contains_point(cell.polyhedron, got) for cell in C.cells)
+    assert _ray_parameter(H, got) > 1
+
+
+class TestHalfspaceMeetsComplexAgainstReference:
+    @settings(max_examples=60)
+    @given(hypersurface_halfspaces())
+    def test_every_place_of_a_hypersurface(self, drawn):
+        f, H = drawn
+        am = adelic_amoeba(f)
+        for C in (am.generic, *(C for _, C in am.special)):
+            _check_against_reference(H, C)
+
+    @settings(max_examples=150)
+    @given(ray_complexes())
+    def test_rays_and_segments(self, drawn):
+        _check_against_reference(*drawn)
 
 
 class TestAdelicDisjoint:

@@ -379,6 +379,13 @@ PINS = [
      0, "b67a5b393534c1a3", EMPTY, None),
     ("check-f-qz", ["check-halfspace", "--f", QZ_CURVE, "--halfspace", "dir:1,1"],
      0, "32764e474ebe0153", EMPTY, None),
+    # a rank-3 halfspace with a boundary generator whose LP optimum is a
+    # segment at the place inf: the witness is the vertex the (x, lambda, t)
+    # LP picks, (0, -1/8, -1/4)
+    ("check-f-degenerate-face", ["check-halfspace", "--f",
+      "((-2)*(z^2+1))*x1^-1*x2^-2*x3^-1 + ((-2)*(z-1))*x1^-1*x2^2*x3 + ((-1)*(z))*x1*x2^-1*x3^-2"
+      " + ((-3)*(z-2))*x1^2*x2^-2", "--field", "Q(z)", "--halfspace", "dir:-1,-1,-2 bnd:1,0,0"],
+     0, "100a04cc6b1b1101", EMPTY, None),
     ("check-f-binomial", ["check-halfspace", "--f", "x1*x2-1", "--halfspace", "dir:1,1"],
      0, "0f2eef1565a1c63e", EMPTY, None),
     ("check-f-explicit-defaults", ["check-halfspace", "--f", "x1*x2-1", "--halfspace", "dir:1,1",

@@ -549,6 +549,43 @@ class TestCanonConstraintAgainstFractionReference:
 
 
 @st.composite
+def canonical_polyhedra(draw):
+    """1-4 polyhedra of one rank 1-3 built by polyhedron() from a shared
+    pool of rows (zero and scaled rows among them), with repeated pieces
+    and empty ones: empty_polyhedron(), or a row left unsatisfiable."""
+    rank = draw(st.integers(1, 3))
+    pool = draw(st.lists(st.tuples(_rows(rank, -3, 3), _rationals()), min_size=1, max_size=6))
+    pool += [(tuple(2 * x for x in r), 2 * b) for r, b in pool[:1]]
+    polys = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["rows", "rows", "rows", "repeat", "empty"]))
+        if kind == "repeat" and polys:
+            polys.append(draw(st.sampled_from(polys)))
+        elif kind == "empty":
+            polys.append(empty_polyhedron(rank))
+        else:
+            rows = st.lists(st.sampled_from(pool), max_size=4)
+            polys.append(polyhedron(rank, draw(rows), draw(rows)))
+    return rank, polys
+
+
+class TestIntersectMergesCanonicalRows:
+    """Merging canonical rows gives what polyhedron() gives on all of them,
+    the empty polyhedron included."""
+
+    @settings(max_examples=300)
+    @given(canonical_polyhedra())
+    def test_intersect_is_polyhedron_of_all_rows(self, drawn):
+        rank, polys = drawn
+        eqs = [c for P in polys for c in P.equalities]
+        ineqs = [c for P in polys for c in P.inequalities]
+        assert intersect(*polys) == polyhedron(rank, eqs, ineqs)
+
+    def test_empty_input(self):
+        assert intersect(box(2), empty_polyhedron(2), box(2, 0, 3)) == empty_polyhedron(2)
+
+
+@st.composite
 def lp_instances(draw):
     """Random LPs of rank 1-4 with rational rhs and objective, duplicate and
     scaled rows, equalities that depend on each other, max and min."""
