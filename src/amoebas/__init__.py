@@ -29,7 +29,6 @@ from .errors import (
     RankMismatch,
     RankTooLarge,
     TermCountMismatch,
-    ZeroCoordinate,
     ZeroInput,
 )
 from .scalars import (
@@ -59,9 +58,7 @@ from .laurent import (
     bad_places,
     make_laurent,
     newton_polytope,
-    normalize,
     parse_poly,
-    poly_from_json,
     poly_to_json,
     poly_to_str,
     scale,
@@ -118,7 +115,6 @@ from .classify import (
     halfspace_meets_complex,
     theorem1_report,
     torsion_coset_test,
-    torsion_point_test,
 )
 
 __version__ = "0.1.0"

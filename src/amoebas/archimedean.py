@@ -198,15 +198,10 @@ def evaluate_at(f: LaurentPoly, x) -> complex:
 
 
 def _canonical_phase_tuples(count, length):
-    """Deterministic phase assignments tried before random ones: tuples over
-    the fourth roots of unity, lexicographically."""
-    base = [0.0, math.pi, math.pi / 2, 3 * math.pi / 2]
-    out = []
-    for combo in itertools.product(range(4), repeat=length):
-        out.append(tuple(base[i] for i in combo))
-        if len(out) >= count:
-            break
-    return out
+    """Deterministic phase assignments tried before random ones: the first
+    count tuples over the fourth roots of unity, lexicographically."""
+    base = (0.0, math.pi, math.pi / 2, 3 * math.pi / 2)
+    return list(itertools.islice(itertools.product(base, repeat=length), count))
 
 
 def _slice_roots(f, v_float, solve, fixed_phases):
@@ -279,11 +274,7 @@ def sampled_inside(f: LaurentPoly, v, trials=200, tol=1e-9, rng=None):
         return tuple(x_full)
 
     def assemble(xdict, root):
-        out = [None] * f.rank
-        for k, val in xdict.items():
-            out[k] = val
-        out[solve] = root
-        return out
+        return [root if k == solve else xdict[k] for k in range(f.rank)]
 
     if f.rank == 1:
         x, roots = _slice_roots(f, v_float, solve, ())
@@ -296,37 +287,35 @@ def sampled_inside(f: LaurentPoly, v, trials=200, tol=1e-9, rng=None):
         return None
 
     sweep_grid = 64
-    others = [k for k in range(f.rank) if k != solve]
-    nfixed = len(others) - 1  # phases not swept
+    thetas = [2 * math.pi * t / sweep_grid for t in range(sweep_grid + 1)]
+    nfixed = f.rank - 2  # phases not swept
     if nfixed == 0:
         assignments = [()]
     else:
-        assignments = _canonical_phase_tuples(min(trials, 4**nfixed), nfixed)
+        assignments = _canonical_phase_tuples(trials, nfixed)
         while len(assignments) < trials:
             assignments.append(
                 tuple(rng.uniform(0, 2 * math.pi) for _ in range(nfixed))
             )
-    degenerate = 0
 
-    def excess(theta, fixed):
+    def probe(theta, fixed):
+        """(verified witness or None, roots below the target modulus) at the
+        swept phase theta; (None, None) when the slice is a monomial."""
         x, roots = _slice_roots(f, v_float, solve, (theta,) + fixed)
         if roots is None:
-            return x, None, None
+            return None, None
         best = min(roots, key=lambda r: abs(abs(r) - target))
-        return x, roots, best
+        return verify(assemble(x, best)), sum(1 for r in roots if abs(r) < target)
 
-    for fixed in assignments[:trials]:
-        thetas = [2 * math.pi * t / sweep_grid for t in range(sweep_grid + 1)]
+    degenerate = 0
+    for fixed in assignments:
         samples = []
         for theta in thetas:
-            x, roots, best = excess(theta, fixed)
-            if roots is None:  # a monomial slice: skip just this phase
-                continue
-            w = verify(assemble(x, best))
+            w, below = probe(theta, fixed)
             if w:
                 return w
-            below = sum(1 for r in roots if abs(r) < target)
-            samples.append((theta, below))
+            if below is not None:  # a monomial slice skips just this phase
+                samples.append((theta, below))
         if not samples:
             degenerate += 1
             continue
@@ -336,18 +325,16 @@ def sampled_inside(f: LaurentPoly, v, trials=200, tol=1e-9, rng=None):
             lo, hi = t1, t2
             for _ in range(80):
                 mid = (lo + hi) / 2
-                x, roots, best = excess(mid, fixed)
-                if roots is None:
-                    break
-                w = verify(assemble(x, best))
+                w, below = probe(mid, fixed)
                 if w:
                     return w
-                below = sum(1 for r in roots if abs(r) < target)
+                if below is None:
+                    break
                 if below == c1:
                     lo = mid
                 else:
                     hi = mid
-    if degenerate == len(assignments[:trials]) and degenerate > 0:
+    if degenerate == len(assignments):
         raise DegenerateSlice("every sampled slice degenerated to a monomial")
     return None
 

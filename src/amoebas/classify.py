@@ -31,10 +31,9 @@ from .errors import (
     InternalInvariantError,
     MissingImagePresentation,
     MonomialInput,
-    ZeroCoordinate,
 )
 from .lattices import independent_subset, in_rational_span, integer_row, primitive_vector
-from .laurent import LaurentPoly, apply_monomial_map, bad_places, newton_polytope, strict_vertex_direction
+from .laurent import LaurentPoly, apply_monomial_map, bad_places, newton_polytope
 from .polyhedral import (
     LPInfeasible,
     LPOptimal,
@@ -51,9 +50,7 @@ from .tropical import (
     PrevarietySystem,
     adelic_amoeba,
     contains_zero,
-    generic_skeleton,
     tropical_data,
-    trop_hypersurface,
 )
 
 DISJOINT = "disjoint"
@@ -219,11 +216,13 @@ def _classify_arch_system(system, point, trials, tol, rng):
     for idx, con in enumerate(system.constraints):
         image = apply_monomial_map(point, con.matrix(system.rank))
         g = con.poly
-        if g.nterms == 3 and triangle_exact_membership(g, image) == OUTSIDE:
+        # inside the closed triangle no term dominates, so lopsidedness fails
+        triangle = triangle_exact_membership(g, image) if g.nterms == 3 else None
+        if triangle == OUTSIDE:
             return ArchPointVerdict(
                 point, CERTIFIED_OUTSIDE, {"kind": "triangle", "constraint": idx}
             )
-        if lopsided_outside(g, image):
+        if triangle != INSIDE and lopsided_outside(g, image):
             return ArchPointVerdict(
                 point, CERTIFIED_OUTSIDE, {"kind": "lopsided", "constraint": idx}
             )
@@ -339,18 +338,6 @@ def defined_over_k_test(f: LaurentPoly):
     return None
 
 
-def torsion_point_test(coords) -> bool:
-    """Over Q a point is torsion exactly when every coordinate is 1 or -1
-    (valuation zero at every prime and archimedean absolute value one)."""
-    out = True
-    for x in coords:
-        x = Fraction(x)
-        if x == 0:
-            raise ZeroCoordinate("torsion test needs nonzero coordinates")
-        out = out and x in (1, -1)
-    return out
-
-
 def torsion_coset_test(f: LaurentPoly):
     """The defining hyperplane when f is a binomial whose coefficient ratio
     is a root of unity in Q (so the hypersurface is a torsion translate of a
@@ -402,18 +389,14 @@ def disjoint_halfline_search(
     candidates, places, np_ = uniform_minimal_vertices(f)
     rejected = []
     for i in candidates:
-        direction = strict_vertex_direction(np_.points, i)
-        assert direction is not None
-        direction = primitive_vector(direction)
-        for p in places:
-            verdict, witness = halfline_disjoint_fast(f, p, direction)
-            if verdict != DISJOINT:
-                raise AssertionError("candidate filter and fast path disagree")
+        assert np_.directions[i] is not None
+        direction = primitive_vector(np_.directions[i])
+        if any(halfline_disjoint_fast(f, p, direction)[0] != DISJOINT for p in places):
+            raise AssertionError("candidate filter and fast path disagree")
         caveat = False
         arch_meet = None
         if f.field == FIELD_Q:
-            for t in range(1, grid_count + 1):
-                point = tuple(Fraction(t, 2) * x for x in direction)
+            for point in default_arch_grid(Halfspace(f.rank, direction), grid_count):
                 res = classify_arch_point(f, point, trials=trials, tol=tol, rng=rng)
                 if res.verdict == MEETS:
                     arch_meet = res
@@ -421,15 +404,9 @@ def disjoint_halfline_search(
                 if res.verdict == EVIDENCE_ONLY:
                     caveat = True
         if arch_meet is not None:
-            rejected.append(
-                {"vertex": i, "direction": direction, "archimedean": arch_meet}
-            )
+            rejected.append({"vertex": i, "direction": direction, "archimedean": arch_meet})
             continue
-        return (
-            {"vertex": i, "direction": direction},
-            rejected,
-            caveat,
-        )
+        return {"vertex": i, "direction": direction}, rejected, caveat
     return None, rejected, False
 
 
@@ -479,9 +456,10 @@ def ekl_consistency_check(
     )
     if found is not None:
         return EklReport(f.field, found, tuple(rejected), None, "hypothesis", caveat)
-    membership = {"generic": contains_zero(generic_skeleton(f))}
-    for p in sorted(bad_places(f), key=place_to_str):
-        membership[place_to_str(p)] = contains_zero(trop_hypersurface(f, p))
+    amoeba = adelic_amoeba(f)
+    membership = {"generic": contains_zero(amoeba.generic)}
+    for p, C in amoeba.special:
+        membership[place_to_str(p)] = contains_zero(C)
     side = "conclusion" if all(membership.values()) else "violation"
     return EklReport(f.field, None, tuple(rejected), membership, side, False)
 

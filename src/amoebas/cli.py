@@ -38,6 +38,10 @@ from .scalars import (
 from .tropical import Constraint, PrevarietySystem, adelic_amoeba, prevariety, trop_hypersurface
 
 SCHEMA_VERSION = 1
+# Sampler trials per scanned half-line: grid points times --trials (classify
+# and ekl-check scan 20 points).  An evidence-only point costs a few ms per
+# trial, so this bounds a scan to about a minute.
+MAX_SCAN_TRIALS = 20_000
 
 
 def parse_halfspace(text: str, rank: int) -> Halfspace:
@@ -124,13 +128,18 @@ def _source(ns):
     raise ValueError("need --f or --system")
 
 
-def _sampling(ns) -> dict:
+def _sampling(ns, points=20) -> dict:
     """Sampler keywords from --trials/--tol/--seed (seed default: the
-    AMOEBA_SEED environment variable, else 0)."""
+    AMOEBA_SEED environment variable, else 0) for a scan of the given number
+    of grid points."""
     if ns.trials < 1:
         raise ValueError("--trials must be at least 1")
     if not ns.tol > 0:
         raise ValueError("--tol must be positive")
+    if points * ns.trials > MAX_SCAN_TRIALS:
+        raise ValueError(
+            f"{points} grid points times --trials {ns.trials} exceeds {MAX_SCAN_TRIALS}"
+        )
     seed = ns.seed if ns.seed is not None else int(os.environ.get("AMOEBA_SEED") or 0)
     return {"trials": ns.trials, "tol": ns.tol, "rng": seed}
 
@@ -164,7 +173,7 @@ def _prevariety(ns):
 
 
 def _check_halfspace(ns):
-    sampling = _sampling(ns)
+    sampling = _sampling(ns, ns.grid)
     if ns.grid < 1:
         raise ValueError("--grid must be at least 1")
     source = _source(ns)

@@ -13,10 +13,6 @@ class ZeroInput(AmoebaError):
     code = "zero-input"
 
 
-class ZeroCoordinate(AmoebaError):
-    code = "zero-coordinate"
-
-
 class PlaceFieldMismatch(AmoebaError):
     code = "place-field-mismatch"
 

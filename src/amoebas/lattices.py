@@ -113,7 +113,7 @@ def integer_row(row):
     a row of ints comes back as it is, with den 1."""
     if all(type(x) is int for x in row):
         return list(row), 1
-    fr = [Fraction(x) for x in row]
+    fr = [x if isinstance(x, Fraction) else Fraction(x) for x in row]
     den = math.lcm(*(x.denominator for x in fr))
     return [x.numerator * (den // x.denominator) for x in fr], den
 

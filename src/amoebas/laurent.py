@@ -19,7 +19,6 @@ from .scalars import (
     FIELD_QZ,
     RationalFunction,
     field_of,
-    scalar_to_str,
     support_places,
 )
 
@@ -36,9 +35,6 @@ class LaurentPoly:
 
     def exponents(self):
         return [e for e, _ in self.terms]
-
-    def coefficients(self):
-        return [c for _, c in self.terms]
 
     def __str__(self):
         return poly_to_str(self)
@@ -93,7 +89,7 @@ def _coeff_sign_split(c):
 
 
 def _coeff_str(c) -> str:
-    s = scalar_to_str(c)
+    s = str(c)
     if isinstance(c, RationalFunction) and not c.is_constant():
         if not (s.startswith("(") and s.endswith(")")):
             s = f"({s})"
@@ -132,18 +128,9 @@ def poly_to_json(f: LaurentPoly) -> dict:
         "rank": f.rank,
         "field": f.field,
         "terms": [
-            {"exp": list(e), "coeff": scalar_to_str(c)} for e, c in f.terms
+            {"exp": list(e), "coeff": str(c)} for e, c in f.terms
         ],
     }
-
-
-def poly_from_json(obj) -> LaurentPoly:
-    field = obj["field"]
-    terms = [
-        (tuple(t["exp"]), parsing.parse_scalar(t["coeff"], field))
-        for t in obj["terms"]
-    ]
-    return make_laurent(obj["rank"], field, terms)
 
 
 def scale(f: LaurentPoly, c) -> LaurentPoly:
@@ -152,18 +139,11 @@ def scale(f: LaurentPoly, c) -> LaurentPoly:
     return make_laurent(f.rank, f.field, [(e, a * c) for e, a in f.terms])
 
 
-def normalize(f: LaurentPoly) -> LaurentPoly:
-    """Divide through so the lexicographically smallest exponent has
-    coefficient one."""
-    lead = f.terms[0][1]
-    one = Fraction(1) if f.field == FIELD_Q else RationalFunction.const(1)
-    return scale(f, one / lead)
-
-
 @dataclass(frozen=True)
 class NewtonPolytope:
     points: tuple
     vertex_indices: tuple
+    directions: tuple  # per point: a strict_vertex_direction, None off the vertices
 
 
 def strict_vertex_direction(points, i):
@@ -188,13 +168,15 @@ def strict_vertex_direction(points, i):
 
 
 def newton_polytope(f: LaurentPoly) -> NewtonPolytope:
-    """Exponent points plus the indices that are vertices of their hull."""
+    """Exponent points, the indices that are vertices of their hull, and
+    each vertex's strict direction (zero for a lone point)."""
     points = f.exponents()
-    vertices = []
-    for i in range(len(points)):
-        if len(points) == 1 or strict_vertex_direction(points, i) is not None:
-            vertices.append(i)
-    return NewtonPolytope(tuple(points), tuple(vertices))
+    if len(points) == 1:
+        directions = ((Fraction(0),) * f.rank,)
+    else:
+        directions = tuple(strict_vertex_direction(points, i) for i in range(len(points)))
+    vertices = tuple(i for i, d in enumerate(directions) if d is not None)
+    return NewtonPolytope(tuple(points), vertices, directions)
 
 
 def convex_certificate(np_: NewtonPolytope, i):

@@ -27,6 +27,9 @@ from .polyhedral import (
     relative_interior_point,
 )
 
+# Points per side of an archimedean scan, which tests grid_n squared points.
+MAX_GRID_N = 201
+
 
 def _fmt(x: float) -> str:
     return f"{x:.3f}"
@@ -130,6 +133,8 @@ def render_arch_scan_svg(f, center=(0, 0), radius=3, grid_n=41, size=480) -> str
         raise DimensionMismatch("can only scan rank-2 hypersurfaces")
     if grid_n < 2:
         raise ValueError("a scan needs at least 2 grid points per side")
+    if grid_n > MAX_GRID_N:
+        raise ValueError(f"a scan takes at most {MAX_GRID_N} grid points per side")
     cx, cy = (Fraction(c) for c in center)
     radius = Fraction(radius)
     tri = f.nterms == 3 and triangle_applicable(f)

@@ -253,13 +253,6 @@ def _check_unbounded(rows, rhs, neq, obj, ray, point, d):
         raise InternalInvariantError("unboundedness certificate failed its check")
 
 
-def _scaled(values):
-    """(D * values as ints, D) for D the lcm of the denominators of the
-    given ints and Fractions."""
-    den = math.lcm(*(x.denominator for x in values))
-    return [x.numerator * (den // x.denominator) for x in values], den
-
-
 def lp_solve(objective, P: Polyhedron, sense="max"):
     """Exact LP over the polyhedron: maximize or minimize objective . v.
 
@@ -288,8 +281,8 @@ def lp_solve(objective, P: Polyhedron, sense="max"):
     neq = len(P.equalities)
     cons = P.equalities + P.inequalities
     rows = [row for row, _ in cons]
-    rhs, D0 = _scaled([b for _, b in cons])
-    cobj, L = _scaled(obj)
+    rhs, D0 = integer_row([b for _, b in cons])
+    cobj, L = integer_row(obj)
     m = len(rows)
     nfree = 2 * n
     ncols = nfree + m - neq

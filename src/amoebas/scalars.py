@@ -232,10 +232,6 @@ def field_of(a) -> str:
     raise TypeError(f"not a scalar: {a!r}")
 
 
-def scalar_to_str(a) -> str:
-    return str(a)
-
-
 # ---------------------------------------------------------------------------
 # factorization over Z and Q[z] is sympy's (imported lazily: it is slow to load)
 
@@ -457,31 +453,32 @@ def log_abs(a, place) -> float:
     return valuation(a, place) * place_weight(place)
 
 
+def _support(a):
+    """The finite places where the nonzero scalar a has nonzero valuation:
+    the primes of its numerator, then of its denominator, each ascending;
+    over Q(z) the irreducible factors of num, then of den, then infinity
+    when their degrees differ.  Numerator and denominator are coprime, so no
+    place repeats."""
+    if isinstance(a, Fraction):
+        for n in (a.numerator, a.denominator):
+            yield from map(FinitePrime, factor_int(n))
+        return
+    for poly in (a.num, a.den):
+        yield from map(_factor_place, irreducible_factors(Poly(reversed(poly))))
+    if len(a.num) != len(a.den):
+        yield FF_INFINITY
+
+
 def support_places(values) -> frozenset:
     """Finite places where some entry of the list has nonzero valuation."""
     values = list(values)
-    if not values:
-        return frozenset()
-    fields = {field_of(a) for a in values}
-    if len(fields) > 1:
+    if len({field_of(a) for a in values}) > 1:
         raise PlaceFieldMismatch("mixed coefficient fields")
     out = set()
-    if fields == {FIELD_Q}:
-        for a in values:
-            if a == 0:
-                raise ZeroInput("support of zero is undefined")
-            for n in (a.numerator, a.denominator):
-                for p in factor_int(n):
-                    out.add(FinitePrime(p))
-    else:
-        for a in values:
-            if a.is_zero():
-                raise ZeroInput("support of zero is undefined")
-            for poly in (a.num, a.den):
-                for q in irreducible_factors(Poly(reversed(poly))):
-                    out.add(_factor_place(q))
-            if valuation(a, FF_INFINITY) != 0:
-                out.add(FF_INFINITY)
+    for a in values:
+        if not a:
+            raise ZeroInput("support of zero is undefined")
+        out.update(_support(a))
     return frozenset(out)
 
 
@@ -493,23 +490,15 @@ def product_formula_residual(a):
     for every nonzero input; for rationals the float rounding residual is
     returned.
     """
-    if isinstance(a, Fraction):
-        if a == 0:
-            raise ZeroInput("product formula for zero")
+    field = field_of(a)
+    if not a:
+        raise ZeroInput("product formula for zero")
+    if field == FIELD_Q:
         total = log_abs(a, ARCH)
-        for n in (a.numerator, a.denominator):
-            for p in factor_int(n):
-                total += valuation(a, FinitePrime(p)) * math.log(p)
+        for place in _support(a):
+            total += valuation(a, place) * math.log(place.p)
         return total
-    if isinstance(a, RationalFunction):
-        if a.is_zero():
-            raise ZeroInput("product formula for zero")
-        total = valuation(a, FF_INFINITY)
-        seen = set()
-        for poly in (a.num, a.den):
-            for q in irreducible_factors(Poly(reversed(poly))):
-                if q not in seen:
-                    seen.add(q)
-                    total += q.degree * valuation(a, _factor_place(q))
-        return total
-    raise TypeError(f"not a scalar: {a!r}")
+    return sum(
+        (1 if place == FF_INFINITY else place.q.degree) * valuation(a, place)
+        for place in _support(a)
+    )

@@ -335,9 +335,6 @@ class AdelicAmoeba:
     special: tuple  # ((place, PolyhedralComplex), ...) sorted by place string
     source: object = dataclass_field(compare=False, default=None)
 
-    def places(self):
-        return [p for p, _ in self.special]
-
 
 def adelic_amoeba(source) -> AdelicAmoeba:
     """Adelic amoeba of a hypersurface, or of a PrevarietySystem."""

@@ -11,16 +11,47 @@ import pytest
 from hypothesis import settings
 
 from amoebas.archimedean import (
+    _MAX_EXPONENT_SPREAD,
     INSIDE,
     NOT_APPLICABLE,
     OUTSIDE,
     ArchQuery,
+    _slice_roots,
+    evaluate_at,
+    lopsided_outside,
     sign_exp_sum,
     triangle_applicable,
+    triangle_exact_membership,
 )
-from amoebas.errors import DimensionMismatch, InternalInvariantError
-from amoebas.laurent import make_laurent, parse_poly
-from amoebas.lattices import rank_of_rows
+from amoebas.classify import (
+    CERTIFIED_OUTSIDE,
+    DISJOINT,
+    EVIDENCE_ONLY,
+    MEETS,
+    ArchPointVerdict,
+    EklReport,
+    _witness_json,
+    halfline_disjoint_fast,
+    uniform_minimal_vertices,
+)
+from amoebas.errors import (
+    DegenerateSlice,
+    DimensionMismatch,
+    ExponentSpreadTooLarge,
+    InternalInvariantError,
+    MonomialInput,
+    PlaceFieldMismatch,
+    ZeroInput,
+)
+from amoebas.laurent import (
+    LaurentPoly,
+    apply_monomial_map,
+    bad_places,
+    make_laurent,
+    parse_poly,
+    strict_vertex_direction,
+)
+from amoebas.lattices import primitive_vector, rank_of_rows
 from amoebas.polyhedral import (
     Cell,
     LPInfeasible,
@@ -42,15 +73,31 @@ from amoebas.polyhedral import (
     remove_redundancy,
 )
 from amoebas.scalars import (
+    ARCH,
+    FF_INFINITY,
     FIELD_Q,
     FIELD_QZ,
     GENERIC,
     FinitePrime,
     Poly,
     RationalFunction,
+    _factor_place,
+    factor_int,
+    field_of,
+    irreducible_factors,
+    log_abs,
     place_from_str,
+    place_to_str,
+    valuation,
 )
-from amoebas.tropical import _segment_multiplicity, min_value_and_argmin, trop_hypersurface
+from amoebas.tropical import (
+    PrevarietySystem,
+    _segment_multiplicity,
+    contains_zero,
+    generic_skeleton,
+    min_value_and_argmin,
+    trop_hypersurface,
+)
 
 # Derandomized property tests draw the same examples on every run, and the
 # exact-LP properties have no per-example deadline to trip on a loaded host.
@@ -725,3 +772,278 @@ def reference_poly_gcd(a, b):
     while b.coeffs:
         a, b = b, reference_poly_rem(a, b)
     return a.monic()
+
+
+def outcome(fn, *args, **kwargs):
+    """("ok", result) or (exception type, message): comparable across two
+    implementations that must also fail alike."""
+    try:
+        return "ok", fn(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# ---------------------------------------------------------------------------
+# the archimedean point verdicts, the sampler, the half-line search and the
+# place walk as they stood before each fact was computed once: the sampler
+# with separate sweep and bisection probes, the search solving each
+# candidate's vertex LP again, classification running lopsidedness after an
+# inside triangle verdict, and one place loop per scalar function
+
+
+def _reference_canonical_phase_tuples(count, length):
+    base = [0.0, math.pi, math.pi / 2, 3 * math.pi / 2]
+    out = []
+    for combo in itertools.product(range(4), repeat=length):
+        out.append(tuple(base[i] for i in combo))
+        if len(out) >= count:
+            break
+    return out
+
+
+def reference_sampled_inside(f, v, trials=200, tol=1e-9, rng=None):
+    if trials < 1 or tol <= 0:
+        raise ValueError("trials >= 1 and tol > 0 required")
+    if not isinstance(rng, random.Random):
+        rng = random.Random(0 if rng is None else rng)
+    q = ArchQuery.at(f, v)
+    scale = sum(q.moduli())
+    v_float = [float(x) for x in q.point]
+    spreads = [
+        max(u[k] for u, _ in f.terms) - min(u[k] for u, _ in f.terms)
+        for k in range(f.rank)
+    ]
+    solve = max(range(f.rank), key=lambda k: spreads[k])
+    if spreads[solve] == 0:
+        raise DegenerateSlice("no coordinate to solve for")
+    if spreads[solve] > _MAX_EXPONENT_SPREAD:
+        raise ExponentSpreadTooLarge(
+            f"exponent spread {spreads[solve]} exceeds {_MAX_EXPONENT_SPREAD}"
+        )
+    target = math.exp(-v_float[solve])
+
+    def verify(x_full):
+        root = x_full[solve]
+        if abs(abs(root) - target) > tol * target:
+            return None
+        if abs(evaluate_at(f, x_full)) >= tol * scale:
+            return None
+        return tuple(x_full)
+
+    def assemble(xdict, root):
+        out = [None] * f.rank
+        for k, val in xdict.items():
+            out[k] = val
+        out[solve] = root
+        return out
+
+    if f.rank == 1:
+        x, roots = _slice_roots(f, v_float, solve, ())
+        if roots is None:
+            raise DegenerateSlice("univariate input degenerates to a monomial")
+        for r in roots:
+            w = verify(assemble(x, r))
+            if w:
+                return w
+        return None
+
+    sweep_grid = 64
+    others = [k for k in range(f.rank) if k != solve]
+    nfixed = len(others) - 1  # phases not swept
+    if nfixed == 0:
+        assignments = [()]
+    else:
+        assignments = _reference_canonical_phase_tuples(min(trials, 4**nfixed), nfixed)
+        while len(assignments) < trials:
+            assignments.append(
+                tuple(rng.uniform(0, 2 * math.pi) for _ in range(nfixed))
+            )
+    degenerate = 0
+
+    def excess(theta, fixed):
+        x, roots = _slice_roots(f, v_float, solve, (theta,) + fixed)
+        if roots is None:
+            return x, None, None
+        best = min(roots, key=lambda r: abs(abs(r) - target))
+        return x, roots, best
+
+    for fixed in assignments[:trials]:
+        thetas = [2 * math.pi * t / sweep_grid for t in range(sweep_grid + 1)]
+        samples = []
+        for theta in thetas:
+            x, roots, best = excess(theta, fixed)
+            if roots is None:  # a monomial slice: skip just this phase
+                continue
+            w = verify(assemble(x, best))
+            if w:
+                return w
+            below = sum(1 for r in roots if abs(r) < target)
+            samples.append((theta, below))
+        if not samples:
+            degenerate += 1
+            continue
+        for (t1, c1), (t2, c2) in zip(samples, samples[1:]):
+            if c1 == c2:
+                continue
+            lo, hi = t1, t2
+            for _ in range(80):
+                mid = (lo + hi) / 2
+                x, roots, best = excess(mid, fixed)
+                if roots is None:
+                    break
+                w = verify(assemble(x, best))
+                if w:
+                    return w
+                below = sum(1 for r in roots if abs(r) < target)
+                if below == c1:
+                    lo = mid
+                else:
+                    hi = mid
+    if degenerate == len(assignments[:trials]) and degenerate > 0:
+        raise DegenerateSlice("every sampled slice degenerated to a monomial")
+    return None
+
+
+def reference_classify_arch_hypersurface(f, point, trials, tol, rng):
+    if f.nterms == 3:
+        verdict = triangle_exact_membership(f, point)
+        if verdict == OUTSIDE:
+            return ArchPointVerdict(point, CERTIFIED_OUTSIDE, {"kind": "triangle"})
+        if verdict == INSIDE:
+            cert = {"kind": "triangle"}
+            w = reference_sampled_inside(f, point, trials=trials, tol=tol, rng=rng)
+            if w is not None:
+                cert["witness"] = _witness_json(w)
+            return ArchPointVerdict(point, MEETS, cert)
+    if lopsided_outside(f, point):
+        return ArchPointVerdict(point, CERTIFIED_OUTSIDE, {"kind": "lopsided"})
+    w = reference_sampled_inside(f, point, trials=trials, tol=tol, rng=rng)
+    if w is not None:
+        return ArchPointVerdict(point, MEETS, {"kind": "witness", "witness": _witness_json(w)})
+    return ArchPointVerdict(point, EVIDENCE_ONLY, {"kind": "undecided"})
+
+
+def reference_classify_arch_system(system, point, trials, tol, rng):
+    for idx, con in enumerate(system.constraints):
+        image = apply_monomial_map(point, con.matrix(system.rank))
+        g = con.poly
+        if g.nterms == 3 and triangle_exact_membership(g, image) == OUTSIDE:
+            return ArchPointVerdict(
+                point, CERTIFIED_OUTSIDE, {"kind": "triangle", "constraint": idx}
+            )
+        if lopsided_outside(g, image):
+            return ArchPointVerdict(
+                point, CERTIFIED_OUTSIDE, {"kind": "lopsided", "constraint": idx}
+            )
+    return ArchPointVerdict(point, EVIDENCE_ONLY, {"kind": "no-constraint-certifies"})
+
+
+def reference_classify_arch_point(source, point, trials=200, tol=1e-9, rng=None):
+    point = tuple(Fraction(x) for x in point)
+    if isinstance(source, LaurentPoly):
+        return reference_classify_arch_hypersurface(source, point, trials, tol, rng)
+    if isinstance(source, PrevarietySystem):
+        return reference_classify_arch_system(source, point, trials, tol, rng)
+    raise TypeError("source must be a hypersurface or a prevariety system")
+
+
+def reference_disjoint_halfline_search(f, trials=200, tol=1e-9, rng=None, grid_count=20):
+    if not isinstance(rng, random.Random):
+        rng = random.Random(0 if rng is None else rng)
+    candidates, places, np_ = uniform_minimal_vertices(f)
+    rejected = []
+    for i in candidates:
+        direction = strict_vertex_direction(np_.points, i)
+        assert direction is not None
+        direction = primitive_vector(direction)
+        for p in places:
+            verdict, witness = halfline_disjoint_fast(f, p, direction)
+            if verdict != DISJOINT:
+                raise AssertionError("candidate filter and fast path disagree")
+        caveat = False
+        arch_meet = None
+        if f.field == FIELD_Q:
+            for t in range(1, grid_count + 1):
+                point = tuple(Fraction(t, 2) * x for x in direction)
+                res = reference_classify_arch_point(f, point, trials=trials, tol=tol, rng=rng)
+                if res.verdict == MEETS:
+                    arch_meet = res
+                    break
+                if res.verdict == EVIDENCE_ONLY:
+                    caveat = True
+        if arch_meet is not None:
+            rejected.append(
+                {"vertex": i, "direction": direction, "archimedean": arch_meet}
+            )
+            continue
+        return (
+            {"vertex": i, "direction": direction},
+            rejected,
+            caveat,
+        )
+    return None, rejected, False
+
+
+def reference_ekl_consistency_check(f, trials=200, tol=1e-9, rng=None, grid_count=20):
+    if f.nterms < 2:
+        raise MonomialInput("need at least two terms")
+    found, rejected, caveat = reference_disjoint_halfline_search(
+        f, trials=trials, tol=tol, rng=rng, grid_count=grid_count
+    )
+    if found is not None:
+        return EklReport(f.field, found, tuple(rejected), None, "hypothesis", caveat)
+    membership = {"generic": contains_zero(generic_skeleton(f))}
+    for p in sorted(bad_places(f), key=place_to_str):
+        membership[place_to_str(p)] = contains_zero(trop_hypersurface(f, p))
+    side = "conclusion" if all(membership.values()) else "violation"
+    return EklReport(f.field, None, tuple(rejected), membership, side, False)
+
+
+def reference_support_places(values):
+    values = list(values)
+    if not values:
+        return frozenset()
+    fields = {field_of(a) for a in values}
+    if len(fields) > 1:
+        raise PlaceFieldMismatch("mixed coefficient fields")
+    out = set()
+    if fields == {FIELD_Q}:
+        for a in values:
+            if a == 0:
+                raise ZeroInput("support of zero is undefined")
+            for n in (a.numerator, a.denominator):
+                for p in factor_int(n):
+                    out.add(FinitePrime(p))
+    else:
+        for a in values:
+            if a.is_zero():
+                raise ZeroInput("support of zero is undefined")
+            for poly in (a.num, a.den):
+                for q in irreducible_factors(Poly(reversed(poly))):
+                    out.add(_factor_place(q))
+            if valuation(a, FF_INFINITY) != 0:
+                out.add(FF_INFINITY)
+    return frozenset(out)
+
+
+def reference_product_formula_residual(a):
+    if isinstance(a, Fraction):
+        if a == 0:
+            raise ZeroInput("product formula for zero")
+        total = log_abs(a, ARCH)
+        for n in (a.numerator, a.denominator):
+            for p in factor_int(n):
+                total += valuation(a, FinitePrime(p)) * math.log(p)
+        return total
+    if isinstance(a, RationalFunction):
+        if a.is_zero():
+            raise ZeroInput("product formula for zero")
+        total = valuation(a, FF_INFINITY)
+        seen = set()
+        for poly in (a.num, a.den):
+            for q in irreducible_factors(Poly(reversed(poly))):
+                if q not in seen:
+                    seen.add(q)
+                    total += q.degree * valuation(a, _factor_place(q))
+        return total
+    raise TypeError(f"not a scalar: {a!r}")

@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -26,9 +27,11 @@ from amoebas.lattices import smith_normal_form
 from amoebas.scalars import FIELD_Q
 
 from conftest import (
+    outcome,
     rand_point,
     rand_poly_q,
     reference_lopsided_outside,
+    reference_sampled_inside,
     reference_triangle_exact_membership,
 )
 
@@ -102,6 +105,35 @@ def planted_ties(draw, margin=0):
     signs = [draw(st.sampled_from([1, -1])) for _ in range(s)]
     f = make_laurent(rank, FIELD_Q, [(u, c * m) for u, c, m in zip(exps, signs, mags)])
     return f, v
+
+
+# small coefficients and points with zero coordinates make exact ties such
+# as 2 - 1 - 1 at the origin common
+SMALL_COEFFS = st.sampled_from(
+    [Fraction(c) for c in (1, -1, 2, -2, 3)] + [Fraction(1, 2), Fraction(-3, 2)]
+)
+SMALL_POINT_COORDS = st.sampled_from(
+    [Fraction(0), Fraction(1, 2), Fraction(-1, 2), Fraction(1), Fraction(-2)]
+)
+
+
+@st.composite
+def small_q_polys(draw, rank=None, terms=None):
+    """A polynomial over Q of rank 1 to 3 with 2 to 4 terms of small
+    exponents and coefficients."""
+    rank = rank or draw(st.integers(1, 3))
+    s = terms or draw(st.integers(2, 4))
+    exps = draw(st.lists(
+        st.tuples(*[st.integers(-2, 2)] * rank), min_size=s, max_size=s, unique=True
+    ))
+    return make_laurent(rank, FIELD_Q, [(e, draw(SMALL_COEFFS)) for e in exps])
+
+
+@st.composite
+def small_q_cases(draw):
+    """A small polynomial over Q with a small rational point."""
+    f = draw(small_q_polys())
+    return f, tuple(draw(SMALL_POINT_COORDS) for _ in range(f.rank))
 
 
 class TestSignExpSum:
@@ -306,3 +338,18 @@ class TestSampledInside:
             v = rand_point(rng, 2, num=4, den=2)
             if lopsided_outside(f, v):
                 assert sampled_inside(f, v, trials=2) is None
+
+
+class TestSamplerAgainstReference:
+    """The sampler with one probe for the sweep and the bisection against the
+    copy with a probe each: the same witness floats, the same errors and the
+    same seeded draws."""
+
+    @settings(max_examples=80)
+    @given(st.one_of(small_q_cases(), planted_ties()), st.integers(1, 5), st.integers(0, 3))
+    def test_same_witness_and_draws(self, case, trials, seed):
+        f, v = case
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        got = outcome(sampled_inside, f, v, trials=trials, rng=rng)
+        assert got == outcome(reference_sampled_inside, f, v, trials=trials, rng=ref_rng)
+        assert rng.getstate() == ref_rng.getstate()

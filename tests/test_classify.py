@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,7 @@ import sympy
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from amoebas import classify
+from amoebas import archimedean, classify, laurent
 from amoebas.classify import (
     CERTIFIED_OUTSIDE,
     DISJOINT,
@@ -23,14 +24,12 @@ from amoebas.classify import (
     halfspace_meets_complex,
     theorem1_report,
     torsion_coset_test,
-    torsion_point_test,
     uniform_minimal_vertices,
 )
 from amoebas.errors import (
     DependentDirection,
     DimensionMismatch,
     MissingImagePresentation,
-    ZeroCoordinate,
 )
 from amoebas.lattices import primitive_vector
 from amoebas.laurent import (
@@ -70,14 +69,19 @@ from amoebas.tropical import (
 
 from conftest import (
     cells_of,
+    outcome,
     rand_fraction,
     rand_poly_q,
     rand_poly_qz,
     rand_poly_qz_constant,
     ray,
+    reference_classify_arch_point,
+    reference_disjoint_halfline_search,
+    reference_ekl_consistency_check,
     reference_halfspace_meets_complex,
     segment,
 )
+from test_archimedean import SMALL_POINT_COORDS, small_q_cases, small_q_polys
 from test_tropical import pair_system_q, pair_system_qz
 
 
@@ -332,13 +336,6 @@ class TestStructuralTests:
         f = parse_poly("(z^2+1)*(x1 + x2 - 5)", rank=2, field=FIELD_QZ)
         assert defined_over_k_test(f) == 0
 
-    def test_torsion_point(self):
-        assert torsion_point_test((1, -1, 1))
-        assert not torsion_point_test((2, 1))
-        assert torsion_point_test((Fraction(-1, 1), Fraction(3, 3)))
-        with pytest.raises(ZeroCoordinate):
-            torsion_point_test((0, 1))
-
     def test_torsion_coset_binomial(self):
         f = parse_poly("x1*x2^2 - 1", rank=2, field=FIELD_Q)
         hyper = torsion_coset_test(f)
@@ -527,3 +524,110 @@ class TestArchPointClassification:
     def test_hypersurface_triangle_meets(self, ex_line_q):
         res = classify_arch_point(ex_line_q, (0, 0))
         assert res.verdict == MEETS and res.certificate["kind"] == "triangle"
+
+
+SMALL_QZ_COEFFS = st.sampled_from([
+    RationalFunction((1, 0)),               # z
+    RationalFunction((1, -1)),              # z - 1
+    RationalFunction((1,), (1, 0)),         # 1/z
+    RationalFunction((1, 1), (1, -2)),      # (z + 1)/(z - 2)
+    RationalFunction.const(2),
+    RationalFunction.const(-1),
+])
+
+
+@st.composite
+def small_qz_polys(draw):
+    """A polynomial over Q(z) of rank 1 to 3 with 2 to 4 terms."""
+    rank = draw(st.integers(1, 3))
+    s = draw(st.integers(2, 4))
+    exps = draw(st.lists(
+        st.tuples(*[st.integers(-2, 2)] * rank), min_size=s, max_size=s, unique=True
+    ))
+    return make_laurent(rank, FIELD_QZ, [(e, draw(SMALL_QZ_COEFFS)) for e in exps])
+
+
+@st.composite
+def small_q_systems(draw):
+    """A system over Q of rank 2 or 3 with one to three constraints, mostly
+    trinomials, and a small rational point."""
+    rank = draw(st.integers(2, 3))
+    cons = [
+        Constraint(draw(small_q_polys(rank=rank, terms=draw(st.sampled_from([2, 3, 3, 4])))))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    point = tuple(draw(SMALL_POINT_COORDS) for _ in range(rank))
+    return PrevarietySystem(rank, tuple(cons)), point
+
+
+class TestQueriesAgainstReference:
+    """Point verdicts, the half-line search and the consistency report
+    against copies that solve each vertex LP twice and run lopsidedness
+    after an inside triangle verdict: identical JSON, witness floats and
+    seeded draws."""
+
+    @staticmethod
+    def _same(fn, ref, *args, seed, **kwargs):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        got = outcome(fn, *args, rng=rng, **kwargs)
+        assert got == outcome(ref, *args, rng=ref_rng, **kwargs)
+        assert rng.getstate() == ref_rng.getstate()
+        return got
+
+    @settings(max_examples=80)
+    @given(st.one_of(small_q_cases(), small_q_systems()), st.integers(1, 4), st.integers(0, 3))
+    def test_arch_point(self, case, trials, seed):
+        source, point = case
+        kind, got = self._same(
+            classify_arch_point, reference_classify_arch_point, source, point,
+            trials=trials, seed=seed,
+        )
+        if kind == "ok":
+            event(got.certificate["kind"])
+
+    @settings(max_examples=40)
+    @given(st.one_of(small_q_polys(), small_qz_polys()), st.integers(1, 2), st.integers(0, 3))
+    def test_halfline_search_and_ekl(self, f, trials, seed):
+        self._same(
+            disjoint_halfline_search, reference_disjoint_halfline_search, f,
+            trials=trials, seed=seed,
+        )
+        kind, got = self._same(
+            ekl_consistency_check, reference_ekl_consistency_check, f, trials=trials, seed=seed
+        )
+        if kind == "ok":
+            event(got.side)
+
+
+class TestOneComputationPerFact:
+    def test_one_vertex_lp_per_term(self, monkeypatch):
+        # the parent solved each candidate's vertex LP again: 4 + 2 calls
+        f = parse_poly("x1*x2-2*x1-2*x2+1", field=FIELD_Q)
+        calls = []
+        solve = laurent.strict_vertex_direction
+
+        def counted(points, i):
+            calls.append(i)
+            return solve(points, i)
+
+        monkeypatch.setattr(laurent, "strict_vertex_direction", counted)
+        monkeypatch.setattr(classify, "strict_vertex_direction", counted, raising=False)
+        rep = ekl_consistency_check(f)
+        assert len(rep.rejected) == 2
+        assert len(calls) == f.nterms
+
+    def test_one_enclosure_per_constraint_inside_the_triangle(self, monkeypatch):
+        # both constraints put (1/2, 1/2) inside the closed triangle, where
+        # lopsidedness has nothing to add
+        system = PrevarietySystem(2, (
+            Constraint(parse_poly("x1 + x2 + 1", field=FIELD_Q)),
+            Constraint(parse_poly("x1 - x2 + 1", field=FIELD_Q)),
+        ))
+        calls = []
+        enclose = archimedean._enclose
+        monkeypatch.setattr(
+            archimedean, "_enclose", lambda *args: calls.append(args) or enclose(*args)
+        )
+        res = classify_arch_point(system, (Fraction(1, 2), Fraction(1, 2)))
+        assert res.verdict == "evidence-only"
+        assert len(calls) == len(system.constraints)

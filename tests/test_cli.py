@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import amoebas
-from amoebas import archimedean, cli
+from amoebas import archimedean, cli, plot
 from amoebas.cli import main, parse_halfspace
 from amoebas.classify import Halfspace
 from amoebas.errors import InternalInvariantError
@@ -38,6 +38,7 @@ SYSTEM_QZ = {
 }
 
 
+TRIANGLE_SYSTEM = {"rank": 2, "field": "Q", "constraints": [{"f": "x1 + x2 + 1"}]}
 QZ_CURVE = "z*x1+(z-1)*x2+(z-2)"
 Q_CURVE = "x1*x2-2*x1-2*x2+1"
 BND = "dir:1,1,0 bnd:0,0,1"
@@ -359,7 +360,9 @@ EMPTY = _digest(b"")
 # argv -> exit code and the first 16 hex digits of the sha256 of stdout, of
 # stderr and of the file written to {out} (None: no file), with every
 # temporary path replaced by TMP.  The inputs are over Q(z) or decided by
-# exact certificates, so no sampled float is hashed.
+# exact certificates, except the last three, which pin the seeded sampler's
+# witness floats along an archimedean grid scan, a trinomial system scanned
+# inside and outside its triangle, and the float product-formula residual.
 PINS = [
     ("trop-qz", ["trop", "--f", QZ_CURVE, "--place", "q:z"],
      0, "6ba16dab628a296a", EMPTY, None),
@@ -457,6 +460,12 @@ PINS = [
     ("error-system-json", ["check-halfspace", "--system", "{notjson}",
       "--halfspace", "dir:1,1"],
      2, EMPTY, "05118caef5ff0f94", None),
+    ("ekl-check-q", ["ekl-check", "--f", Q_CURVE],
+     0, "674be00a5c0d14da", EMPTY, None),
+    ("check-system-triangle", ["check-halfspace", "--system", "{triangle}", "--halfspace", "dir:1,1"],
+     0, "1b40a0af6e01d50d", EMPTY, None),
+    ("product-formula-q", ["product-formula", "--a=-360/7007"],
+     0, "f12b87d785047db9", EMPTY, None),
 ]
 
 
@@ -465,7 +474,7 @@ PINS = [
 )
 def test_pinned_bytes(capsys, tmp_path, argv, code, out_sha, err_sha, file_sha):
     files = {"system": json.dumps(SYSTEM_QZ), "rank4": json.dumps(RANK_4_SYSTEM), "schema": '{"rank": 2}',
-             "notjson": "{"}
+             "notjson": "{", "triangle": json.dumps(TRIANGLE_SYSTEM)}
     paths = {"out": str(tmp_path / "out"), "missing": str(tmp_path / "missing.json")}
     for name, text in files.items():
         paths[name] = str(tmp_path / f"{name}.json")
@@ -534,6 +543,43 @@ class TestRejectedValues:
         code, out, err = run_cli(capsys, *[a.format(out=out_path) for a in argv])
         assert code == 2 and out == "" and not out_path.exists()
         assert json.loads(err)["error"]["code"] == "input-error"
+
+    # past the caps on sampler trials per scanned half-line and on scan
+    # points per side: refused before any polynomial is parsed or grid built
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check-halfspace", "--f", "z*x1+x2+1", "--halfspace", "dir:1,1", "--grid", "100000000"],
+            ["check-halfspace", "--f", "z*x1+x2+1", "--halfspace", "dir:1,1", "--trials", "100000000"],
+            ["check-halfspace", "--f", "x1+x2+1", "--halfspace", "dir:1,1", "--grid", "101"],
+            ["check-halfspace", "--f", "x1+x2+1", "--halfspace", "dir:1,1", "--grid", "1",
+             "--trials", "20001"],
+            ["classify", "--f", "x1*x2-1", "--halfspace", "dir:1,1", "--trials", "1001"],
+            ["ekl-check", "--f", Q_CURVE, "--trials", "1001"],
+            ["plot", "--f", "x1+x2-2", "--arch-scan", "--grid-n", "100000", "--out", "{out}"],
+            ["plot", "--f", "x1+x2-2", "--arch-scan", "--grid-n", "202", "--out", "{out}"],
+        ],
+    )
+    def test_over_bound_exits_2_at_once(self, capsys, tmp_path, argv):
+        out_path = tmp_path / "out"
+        start = time.monotonic()
+        code, out, err = run_cli(capsys, *[a.format(out=out_path) for a in argv])
+        assert time.monotonic() - start < 1
+        assert code == 2 and out == "" and not out_path.exists()
+        assert json.loads(err)["error"]["code"] == "input-error"
+
+    def test_at_the_bounds_accepted(self, capsys, tmp_path, monkeypatch):
+        # Q(z) has no archimedean place, so 100 grid points of 200 trials
+        # each cost only the grid
+        code, _, _ = run_cli(
+            capsys, "check-halfspace", "--f", "z*x1+x2+1", "--halfspace", "dir:1,1", "--grid", "100"
+        )
+        assert code == 0
+        # a full 201-point side takes seconds; the comparison is the same at 3
+        monkeypatch.setattr(plot, "MAX_GRID_N", 3)
+        argv = ["plot", "--f", "x1+x2-2", "--arch-scan", "--out", str(tmp_path / "scan.svg")]
+        assert run_cli(capsys, *argv, "--grid-n", "3")[0] == 0
+        assert run_cli(capsys, *argv, "--grid-n", "4")[0] == 2
 
     def test_default_grid_meets(self, capsys):
         # the grid point (1/2, 1/2) has a witness, so an empty grid must not

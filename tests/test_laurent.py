@@ -19,10 +19,7 @@ from amoebas.laurent import (
     convex_certificate,
     make_laurent,
     newton_polytope,
-    normalize,
     parse_poly,
-    poly_from_json,
-    poly_to_json,
     poly_to_str,
     scale,
 )
@@ -168,30 +165,17 @@ class TestParse:
         f = make_laurent(rank, field, [(e, data.draw(coeffs)) for e in exps])
         assert parse_poly(poly_to_str(f), rank, field) == f
 
-    def test_json_round_trip(self, rng):
-        for _ in range(25):
-            f = rand_poly_qz(rng)
-            assert poly_from_json(poly_to_json(f)) == f
 
-
-class TestNormalize:
+class TestScale:
     def test_scaling_invariance_of_tropicalization(self, rng):
         f = parse_poly("z*x1 + z*x2 + 2*z", rank=2, field=FIELD_QZ)
-        g = normalize(f)
+        g = scale(f, RationalFunction.const(1) / f.terms[0][1])
         assert g.terms[0][1] == RationalFunction.const(1)
         from amoebas.scalars import FiniteIrreducible, Z, Poly
 
         places = [GENERIC, FiniteIrreducible(Z), FiniteIrreducible(Poly((-1, 1)))]
         for p in places:
             assert complexes_equal(trop_hypersurface(f, p), trop_hypersurface(g, p))
-
-    def test_already_normalized(self):
-        f = parse_poly("x1 + 1", rank=1, field=FIELD_Q)
-        assert normalize(f) == f
-
-    def test_monomial(self):
-        f = parse_poly("7", rank=1, field=FIELD_Q)
-        assert normalize(f).terms[0][1] == 1
 
 
 class TestNewtonPolytope:

@@ -37,7 +37,15 @@ from amoebas.scalars import (
 
 from amoebas.parsing import parse_scalar
 
-from conftest import rand_fraction, rand_ratfunc, reference_poly_gcd, reference_poly_rem
+from conftest import (
+    outcome,
+    rand_fraction,
+    rand_ratfunc,
+    reference_poly_gcd,
+    reference_poly_rem,
+    reference_product_formula_residual,
+    reference_support_places,
+)
 
 
 def rf(num, den=(1,)):
@@ -374,3 +382,41 @@ class TestPlaces:
     def test_round_trip_strings(self):
         for s in ("p:2", "q:z-1", "q:z^2+1", "inf", "arch", "generic"):
             assert place_to_str(place_from_str(s)) == s
+
+
+# rationals with several primes up and down, zero included
+RATIONALS = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6))
+_Z_POLYS = st.lists(st.integers(-3, 3), min_size=1, max_size=4).filter(any)
+RATFUNCS = st.one_of(
+    st.builds(lambda c, num, den: c * RationalFunction(num, den), RATIONALS, _Z_POLYS, _Z_POLYS),
+    st.just(RationalFunction.const(0)),
+)
+
+
+class TestPlaceWalkAgainstReference:
+    """support_places and product_formula_residual on one place walk against
+    the copies with a loop each: the same place sets, the same float
+    residual under ==, and the exact int residual over Q(z)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(
+        st.lists(RATIONALS, max_size=3),
+        st.lists(RATFUNCS, max_size=3),
+        st.lists(st.one_of(RATIONALS, RATFUNCS), max_size=3),
+    ))
+    def test_support_places(self, values):
+        assert outcome(support_places, values) == outcome(reference_support_places, values)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(RATIONALS, RATFUNCS))
+    def test_product_formula_residual(self, a):
+        got = outcome(product_formula_residual, a)
+        assert got == outcome(reference_product_formula_residual, a)
+        if isinstance(a, RationalFunction) and a:
+            assert got == ("ok", 0) and type(got[1]) is int
+
+    def test_float_residual_order(self):
+        # three primes above, three below: the summation order shows in the
+        # last bits of the residual
+        a = Fraction(-360, 7007)
+        assert product_formula_residual(a) == reference_product_formula_residual(a) != 0
