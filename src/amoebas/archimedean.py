@@ -23,13 +23,15 @@ import cmath
 import itertools
 import math
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import DegenerateSlice, ExponentSpreadTooLarge, TermCountMismatch
-from .laurent import LaurentPoly
+from .lattices import integer_row
+from .laurent import LaurentPoly, make_laurent
 from .scalars import FIELD_Q
 
 INSIDE = "inside"
@@ -39,8 +41,9 @@ NOT_APPLICABLE = "not-applicable"
 _FIRST_PRECISION = 64
 _MAX_PRECISION = 4096
 # Largest exponent spread of the solved coordinate: its slice polynomial
-# has one coefficient per exponent and np.roots solves a companion matrix
-# of that order at every sampled phase.
+# has one coefficient per exponent, and a sweep stacks the companion
+# matrices of its 65 phases for one eigenvalue call, 65 * 64**2 complex
+# entries (about 4.3 MB) at this cap.
 _MAX_EXPONENT_SPREAD = 64
 
 
@@ -61,8 +64,9 @@ class ArchQuery:
         v = tuple(Fraction(x) for x in v)
         if len(v) != f.rank:
             raise ValueError("point rank mismatch")
+        ints, den = integer_row(v)
         mags = tuple(abs(c) for _, c in f.terms)
-        exps = tuple(-sum(a * x for a, x in zip(u, v)) for u, _ in f.terms)
+        exps = tuple(Fraction(-sum(a * x for a, x in zip(u, ints)), den) for u, _ in f.terms)
         return cls(f, v, mags, exps)
 
     def moduli(self):
@@ -204,30 +208,92 @@ def _canonical_phase_tuples(count, length):
     return list(itertools.islice(itertools.product(base, repeat=length), count))
 
 
-def _slice_roots(f, v_float, solve, fixed_phases):
-    """Substitute moduli+phases for all coordinates except ``solve`` and
-    return the nonzero roots of the resulting univariate polynomial."""
-    others = [k for k in range(f.rank) if k != solve]
-    x = {}
-    for k, theta in zip(others, fixed_phases):
-        x[k] = math.exp(-v_float[k]) * cmath.exp(1j * theta)
-    emin = min(u[solve] for u, _ in f.terms)
-    emax = max(u[solve] for u, _ in f.terms)
-    coeffs = [0j] * (emax - emin + 1)
-    for u, c in f.terms:
-        val = complex(float(c))
-        for k in others:
-            val *= x[k] ** u[k]
-        coeffs[u[solve] - emin] += val
-    arr = np.array(coeffs[::-1], dtype=complex)  # np.roots wants high degree first
-    nz = np.nonzero(np.abs(arr) > 0)[0]
-    if len(nz) == 0:
-        return x, None
-    arr = arr[nz[0]:]
-    if len(arr) <= 1:
-        return x, None
-    roots = [complex(r) for r in np.roots(arr) if r != 0]
-    return x, roots
+def _float_scale(q: ArchQuery):
+    """The sum of the float term moduli, or None when they leave the float
+    range: a modulus or their sum overflows, or the largest one is below
+    the normal floats."""
+    try:
+        moduli = q.moduli()
+    except OverflowError:
+        return None
+    scale = sum(moduli)
+    return scale if sys.float_info.min <= max(moduli) and scale < math.inf else None
+
+
+def _over_largest_term(q: ArchQuery) -> LaurentPoly:
+    """f * x^(-u_k) for the first term k of largest exact modulus at the
+    query point: the same zero set in the torus, with term moduli at most
+    |a_k|."""
+    k = 0
+    for i in range(1, len(q.magnitudes)):
+        pair = [(q.magnitudes[i], q.exponents[i]), (-q.magnitudes[k], q.exponents[k])]
+        if sign_exp_sum(pair) == 1:
+            k = i
+    uk = q.poly.terms[k][0]
+    shifted = [(tuple(a - b for a, b in zip(u, uk)), c) for u, c in q.poly.terms]
+    return make_laurent(q.poly.rank, q.poly.field, shifted)
+
+
+def _slice_rows(terms, moduli, width, phase_tuples):
+    """(points, rows) for the univariate slices at each tuple of phases of
+    the coordinates not solved for: points[j] lists those coordinates,
+    moduli times phases, and rows[j] the slice's coefficients, highest
+    degree first.  terms holds each term's float coefficient, its exponents
+    of those coordinates and its solved exponent above the least one."""
+    points, rows = [], []
+    for phases in phase_tuples:
+        x = [m * cmath.exp(1j * theta) for m, theta in zip(moduli, phases)]
+        coeffs = [0j] * width
+        for c, exps, degree in terms:
+            val = c
+            for xk, e in zip(x, exps):
+                val *= xk ** e
+            coeffs[degree] += val
+        points.append(x)
+        rows.append(coeffs[::-1])
+    return points, np.array(rows, dtype=complex)
+
+
+def _nonzero_roots(rows):
+    """Yield [complex(r) for r in np.roots(p) if r != 0] for each row of
+    coefficients, p being the row without its leading zeros, or None when
+    p has at most one coefficient.
+
+    np.roots cuts p to its nonzero span and takes the eigenvalues of the
+    span's companion matrix.  Here the companion matrices of one order are
+    built the same way and solved by one stacked np.linalg.eigvals call,
+    which runs LAPACK on each matrix as np.roots does, so every root keeps
+    its float bits.  A row whose companion matrix is not finite is left to
+    np.roots, which raises on it when the row is reached.
+    """
+    m, n = rows.shape
+    lead = np.abs(rows) > 0
+    first = np.where(lead.any(axis=1), lead.argmax(axis=1), n).tolist()
+    last = (n - 1 - (rows != 0)[:, ::-1].argmax(axis=1)).tolist()
+    roots = [None] * m
+    spans = {}
+    for i, (a, b) in enumerate(zip(first, last)):
+        if n - a > 1:
+            roots[i] = []  # a nonzero constant once cut to its span
+            if b > a:
+                spans.setdefault(b - a, []).append(i)
+    deferred = set()
+    for order, idx in spans.items():
+        cols = np.array([first[i] for i in idx])[:, None] + np.arange(order + 1)
+        p = rows[np.array(idx)[:, None], cols]
+        companion = np.zeros((len(idx), order, order), dtype=complex)
+        companion[:, np.arange(1, order), np.arange(order - 1)] = 1
+        with np.errstate(all="ignore"):
+            companion[:, 0, :] = -p[:, 1:] / p[:, :1]
+        finite = np.isfinite(companion[:, 0, :]).all(axis=1)
+        solved = np.linalg.eigvals(companion[finite]).tolist()
+        for i, values in zip(itertools.compress(idx, finite), solved):
+            roots[i] = [r for r in values if r != 0]
+        deferred.update(itertools.compress(idx, ~finite))
+    for i, r in enumerate(roots):
+        if i in deferred:
+            r = [complex(x) for x in np.roots(rows[i, first[i]:]) if x != 0]
+        yield r
 
 
 def sampled_inside(f: LaurentPoly, v, trials=200, tol=1e-9, rng=None):
@@ -236,21 +302,29 @@ def sampled_inside(f: LaurentPoly, v, trials=200, tol=1e-9, rng=None):
 
     One coordinate with maximal exponent spread is solved for exactly (as a
     univariate polynomial) while the remaining phases are swept: canonical
-    fourth-root phases first, then seeded random ones.  Along the swept phase
-    circle, sign changes of the root-modulus excess are bisected, so boundary
-    witnesses are found reliably.  A candidate must match the target modulus
-    within relative tol and pass the residual check |f(x)| < tol * sum(r_i).
-    Phases whose slice is a monomial are skipped; DegenerateSlice is raised
-    only when every phase of every sweep gave one.  ExponentSpreadTooLarge
-    is raised before any slice is built when the solved coordinate's
-    exponent spread exceeds _MAX_EXPONENT_SPREAD.
+    fourth-root phases first, then seeded random ones.  A sweep builds the
+    slices at its 65 phases of the swept circle and solves them in one
+    stacked eigenvalue call, then scans them in phase order, so the first
+    verified witness is the one a slice-by-slice scan finds.  Sign changes
+    of the root-modulus excess between neighbouring phases are bisected one
+    slice at a time, so boundary witnesses are found reliably.  A candidate
+    must match the target modulus within relative tol and pass the residual
+    check |f(x)| < tol * sum(r_i).  When the term moduli leave the float
+    range, the sampler and its residual run on f * x^(-u_k), k a term of
+    largest modulus.  Phases whose slice is a monomial are skipped;
+    DegenerateSlice is raised only when every phase of every sweep gave one.
+    ExponentSpreadTooLarge is raised before any slice is built when the
+    solved coordinate's exponent spread exceeds _MAX_EXPONENT_SPREAD.
     """
     if trials < 1 or tol <= 0:
         raise ValueError("trials >= 1 and tol > 0 required")
     if not isinstance(rng, random.Random):
         rng = random.Random(0 if rng is None else rng)
     q = ArchQuery.at(f, v)
-    scale = sum(q.moduli())
+    scale = _float_scale(q)
+    if scale is None:
+        q = ArchQuery.at(_over_largest_term(q), v)
+        f, scale = q.poly, sum(q.moduli())
     v_float = [float(x) for x in q.point]
     spreads = [
         max(u[k] for u, _ in f.terms) - min(u[k] for u, _ in f.terms)
@@ -265,31 +339,16 @@ def sampled_inside(f: LaurentPoly, v, trials=200, tol=1e-9, rng=None):
         )
     target = math.exp(-v_float[solve])
 
-    def verify(x_full):
-        root = x_full[solve]
+    def verify(x, root):
         if abs(abs(root) - target) > tol * target:
             return None
-        if abs(evaluate_at(f, x_full)) >= tol * scale:
+        w = (*x[:solve], root, *x[solve:])
+        if abs(evaluate_at(f, w)) >= tol * scale:
             return None
-        return tuple(x_full)
+        return w
 
-    def assemble(xdict, root):
-        return [root if k == solve else xdict[k] for k in range(f.rank)]
-
-    if f.rank == 1:
-        x, roots = _slice_roots(f, v_float, solve, ())
-        if roots is None:
-            raise DegenerateSlice("univariate input degenerates to a monomial")
-        for r in roots:
-            w = verify(assemble(x, r))
-            if w:
-                return w
-        return None
-
-    sweep_grid = 64
-    thetas = [2 * math.pi * t / sweep_grid for t in range(sweep_grid + 1)]
     nfixed = f.rank - 2  # phases not swept
-    if nfixed == 0:
+    if nfixed <= 0:
         assignments = [()]
     else:
         assignments = _canonical_phase_tuples(trials, nfixed)
@@ -297,21 +356,40 @@ def sampled_inside(f: LaurentPoly, v, trials=200, tol=1e-9, rng=None):
             assignments.append(
                 tuple(rng.uniform(0, 2 * math.pi) for _ in range(nfixed))
             )
+    others = [k for k in range(f.rank) if k != solve]
+    emin = min(u[solve] for u, _ in f.terms)
+    terms = [(complex(float(c)), [u[k] for k in others], u[solve] - emin) for u, c in f.terms]
+    moduli = [math.exp(-v_float[k]) for k in others]
 
-    def probe(theta, fixed):
-        """(verified witness or None, roots below the target modulus) at the
-        swept phase theta; (None, None) when the slice is a monomial."""
-        x, roots = _slice_roots(f, v_float, solve, (theta,) + fixed)
+    def slices(phase_tuples):
+        points, rows = _slice_rows(terms, moduli, spreads[solve] + 1, phase_tuples)
+        return zip(points, _nonzero_roots(rows))
+
+    def probe(x, roots):
+        """(verified witness or None, roots below the target modulus) for
+        one solved slice; (None, None) when the slice is a monomial."""
         if roots is None:
             return None, None
         best = min(roots, key=lambda r: abs(abs(r) - target))
-        return verify(assemble(x, best)), sum(1 for r in roots if abs(r) < target)
+        return verify(x, best), sum(1 for r in roots if abs(r) < target)
 
+    if f.rank == 1:
+        x, roots = next(slices([()]))
+        if roots is None:
+            raise DegenerateSlice("univariate input degenerates to a monomial")
+        for r in roots:
+            w = verify(x, r)
+            if w:
+                return w
+        return None
+
+    sweep_grid = 64
+    thetas = [2 * math.pi * t / sweep_grid for t in range(sweep_grid + 1)]
     degenerate = 0
     for fixed in assignments:
         samples = []
-        for theta in thetas:
-            w, below = probe(theta, fixed)
+        for theta, (x, roots) in zip(thetas, slices([(t,) + fixed for t in thetas])):
+            w, below = probe(x, roots)
             if w:
                 return w
             if below is not None:  # a monomial slice skips just this phase
@@ -325,7 +403,7 @@ def sampled_inside(f: LaurentPoly, v, trials=200, tol=1e-9, rng=None):
             lo, hi = t1, t2
             for _ in range(80):
                 mid = (lo + hi) / 2
-                w, below = probe(mid, fixed)
+                w, below = probe(*next(slices([(mid,) + fixed])))
                 if w:
                     return w
                 if below is None:
@@ -337,4 +415,3 @@ def sampled_inside(f: LaurentPoly, v, trials=200, tol=1e-9, rng=None):
     if degenerate == len(assignments):
         raise DegenerateSlice("every sampled slice degenerated to a monomial")
     return None
-

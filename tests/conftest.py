@@ -2,11 +2,13 @@
 generators, and a brute-force LP oracle for small bounded polytopes."""
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -16,7 +18,6 @@ from amoebas.archimedean import (
     NOT_APPLICABLE,
     OUTSIDE,
     ArchQuery,
-    _slice_roots,
     evaluate_at,
     lopsided_outside,
     sign_exp_sum,
@@ -786,7 +787,8 @@ def outcome(fn, *args, **kwargs):
 # ---------------------------------------------------------------------------
 # the archimedean point verdicts, the sampler, the half-line search and the
 # place walk as they stood before each fact was computed once: the sampler
-# with separate sweep and bisection probes, the search solving each
+# with separate sweep and bisection probes and one np.roots call per slice,
+# reading the slice data again for each, the search solving each
 # candidate's vertex LP again, classification running lopsidedness after an
 # inside triangle verdict, and one place loop per scalar function
 
@@ -799,6 +801,30 @@ def _reference_canonical_phase_tuples(count, length):
         if len(out) >= count:
             break
     return out
+
+
+def reference_slice_roots(f, v_float, solve, fixed_phases):
+    others = [k for k in range(f.rank) if k != solve]
+    x = {}
+    for k, theta in zip(others, fixed_phases):
+        x[k] = math.exp(-v_float[k]) * cmath.exp(1j * theta)
+    emin = min(u[solve] for u, _ in f.terms)
+    emax = max(u[solve] for u, _ in f.terms)
+    coeffs = [0j] * (emax - emin + 1)
+    for u, c in f.terms:
+        val = complex(float(c))
+        for k in others:
+            val *= x[k] ** u[k]
+        coeffs[u[solve] - emin] += val
+    arr = np.array(coeffs[::-1], dtype=complex)  # np.roots wants high degree first
+    nz = np.nonzero(np.abs(arr) > 0)[0]
+    if len(nz) == 0:
+        return x, None
+    arr = arr[nz[0]:]
+    if len(arr) <= 1:
+        return x, None
+    roots = [complex(r) for r in np.roots(arr) if r != 0]
+    return x, roots
 
 
 def reference_sampled_inside(f, v, trials=200, tol=1e-9, rng=None):
@@ -838,7 +864,7 @@ def reference_sampled_inside(f, v, trials=200, tol=1e-9, rng=None):
         return out
 
     if f.rank == 1:
-        x, roots = _slice_roots(f, v_float, solve, ())
+        x, roots = reference_slice_roots(f, v_float, solve, ())
         if roots is None:
             raise DegenerateSlice("univariate input degenerates to a monomial")
         for r in roots:
@@ -861,7 +887,7 @@ def reference_sampled_inside(f, v, trials=200, tol=1e-9, rng=None):
     degenerate = 0
 
     def excess(theta, fixed):
-        x, roots = _slice_roots(f, v_float, solve, (theta,) + fixed)
+        x, roots = reference_slice_roots(f, v_float, solve, (theta,) + fixed)
         if roots is None:
             return x, None, None
         best = min(roots, key=lambda r: abs(abs(r) - target))

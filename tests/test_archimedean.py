@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -134,6 +135,33 @@ def small_q_cases(draw):
     """A small polynomial over Q with a small rational point."""
     f = draw(small_q_polys())
     return f, tuple(draw(SMALL_POINT_COORDS) for _ in range(f.rank))
+
+
+@st.composite
+def vanishing_slices(draw):
+    """A polynomial over Q of rank 2 or 3 solved for x1, whose lowest or
+    highest x1-coefficient, or both, is c * (x2^e - 1) times a monomial, with
+    a point where v2 = 0: at the swept phase 0, x2 = 1 exactly and that
+    coefficient vanishes, so the slice there loses its leading or trailing
+    coefficient while its neighbours keep theirs."""
+    rank = draw(st.sampled_from([2, 3]))
+    spread = draw(st.integers(2, 4))  # of x1, above that of x2 and x3
+
+    def rest():
+        return tuple(draw(st.integers(0, 1)) for _ in range(rank - 2))
+
+    vanishing = draw(st.sampled_from([(0,), (spread,), (0, spread)]))
+    terms = {}
+    for level in vanishing:
+        e, r, c = draw(st.integers(1, spread - 1)), rest(), draw(SMALL_COEFFS)
+        terms[(level, e) + r] = c
+        terms[(level, 0) + r] = -c
+    for level in range(spread + 1):
+        if level not in vanishing and (level in (0, spread) or draw(st.booleans())):
+            terms[(level, draw(st.integers(0, 1))) + rest()] = draw(SMALL_COEFFS)
+    v = (draw(SMALL_POINT_COORDS), Fraction(0)) + tuple(
+        draw(SMALL_POINT_COORDS) for _ in range(rank - 2))
+    return make_laurent(rank, FIELD_Q, terms), v
 
 
 class TestSignExpSum:
@@ -317,15 +345,26 @@ class TestSampledInside:
         q = ArchQuery.at(ex_curve_q, (Fraction(1, 2), Fraction(1, 2)))
         assert abs(evaluate_at(ex_curve_q, w)) < 1e-9 * sum(q.moduli())
 
+    def test_common_monomial_factor_out_of_float_range(self):
+        # every term modulus of f overflows at the first point and underflows
+        # at the second, so the sampler runs on f * x^(-u_k)
+        f = parse_poly("x1*x2^500 - x2^501 + x1^2*x2^500", rank=2, field=FIELD_Q)
+        g = parse_poly("x1 - x2 + x1^2", rank=2, field=FIELD_Q)
+        for v in [(-5, -10), (2, 2)]:
+            w = sampled_inside(f, v)
+            assert w is not None
+            assert all(abs(abs(x) - math.exp(-c)) <= 1e-9 * math.exp(-c) for x, c in zip(w, v))
+            assert abs(evaluate_at(g, w)) < 1e-9 * sum(ArchQuery.at(g, v).moduli())
+
     def test_exponent_spread_guard(self, monkeypatch):
-        # the slice solver must not run: it would allocate one coefficient
-        # per exponent in the spread
+        # no slice may be built: each allocates one coefficient per exponent
+        # in the spread
         def no_slice(*args):
-            raise AssertionError("slice solved past the spread guard")
+            raise AssertionError("slice built past the spread guard")
 
         limit = archimedean._MAX_EXPONENT_SPREAD
         with monkeypatch.context() as mp:
-            mp.setattr(archimedean, "_slice_roots", no_slice)
+            mp.setattr(archimedean, "_slice_rows", no_slice)
             for text, rank in (("x1^99999999 - 1", 1), (f"x1^{limit + 1}*x2 + x2 + 3", 2)):
                 with pytest.raises(ExponentSpreadTooLarge):
                     sampled_inside(parse_poly(text, rank=rank, field=FIELD_Q), (0,) * rank)
@@ -341,15 +380,86 @@ class TestSampledInside:
 
 
 class TestSamplerAgainstReference:
-    """The sampler with one probe for the sweep and the bisection against the
-    copy with a probe each: the same witness floats, the same errors and the
-    same seeded draws."""
+    """The sampler, which solves a sweep's slices in one stacked eigenvalue
+    call, against the copy with a probe each for the sweep and the bisection
+    and one np.roots call per slice: the same witness floats, the same errors
+    and the same seeded draws."""
 
-    @settings(max_examples=80)
-    @given(st.one_of(small_q_cases(), planted_ties()), st.integers(1, 5), st.integers(0, 3))
+    @settings(max_examples=150)
+    @given(st.one_of(small_q_cases(), planted_ties(), vanishing_slices()),
+           st.sampled_from([1, 2, 3, 5, 20]), st.integers(0, 3))
     def test_same_witness_and_draws(self, case, trials, seed):
         f, v = case
         rng, ref_rng = random.Random(seed), random.Random(seed)
         got = outcome(sampled_inside, f, v, trials=trials, rng=rng)
         assert got == outcome(reference_sampled_inside, f, v, trials=trials, rng=ref_rng)
         assert rng.getstate() == ref_rng.getstate()
+
+
+def _bits(roots):
+    return None if roots is None else [(r.real.hex(), r.imag.hex()) for r in roots]
+
+
+class TestStackedRoots:
+    def test_rows_match_np_roots(self):
+        # degrees 1 to 6 in one stack, leading, trailing and inner zeros, and
+        # rows that are zero or a lone coefficient once cut
+        rng = random.Random(11)
+        rows = [[0j] * 7, [0j] * 6 + [2 + 1j], [0j] * 3 + [1j, 0j, 0j, 0j]]
+        for _ in range(400):
+            lead, trail = rng.randint(0, 5), rng.randint(0, 5)
+            mid = max(1, 7 - lead - trail)
+            body = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) * 10 ** rng.randint(-8, 8)
+                    if rng.random() > 0.15 else 0j for _ in range(mid)]
+            body[0] = body[0] or 1 + 0j
+            rows.append(([0j] * lead + body + [0j] * trail)[:7])
+        want = []
+        for row in rows:
+            p = np.array(row)[np.nonzero(np.abs(row))[0][0]:] if any(row) else []
+            want.append(
+                None if len(p) <= 1 else [complex(r) for r in np.roots(p) if r != 0])
+        got = list(archimedean._nonzero_roots(np.array(rows, dtype=complex)))
+        assert [_bits(r) for r in got] == [_bits(r) for r in want]
+        spans = [[i for i, c in enumerate(r) if c] for r in rows if any(r)]
+        assert {nz[-1] - nz[0] for nz in spans} == {0, 1, 2, 3, 4, 5, 6}
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in divide", "ignore:invalid value encountered in divide")
+    def test_non_finite_companion_raises_when_reached(self):
+        # 1 / 5e-324 overflows, so np.roots refuses the middle row; the rows
+        # before it are still solved
+        rows = np.array([[1, -3, 2], [5e-324, 1, 1], [1, 0, -1]], dtype=complex)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.roots(rows[1])
+        found = archimedean._nonzero_roots(rows)
+        assert _bits(next(found)) == _bits([complex(r) for r in np.roots(rows[0])])
+        with pytest.raises(np.linalg.LinAlgError):
+            next(found)
+
+    def test_one_eigenvalue_call_per_sweep_and_bisection_step(self, monkeypatch):
+        # the reference makes one np.roots call per slice, 65 per sweep; a
+        # rank-2 point whose witness the bisection finds after one sweep, and
+        # an evidence-only rank-3 point with 20 sweeps
+        cases = [
+            ("x1^2 + x2^2 + x1*x2 - 3", 2, (Fraction(1, 2), Fraction(-1, 2)), 200, 1),
+            ("-3*x1^-2 + 2*x1^-1*x3^-2 + 5*x1^-1*x3^-1 + 2*x1", 3,
+             (Fraction(1, 2), -2, 0), 20, 20),
+        ]
+        for text, rank, v, trials, sweeps in cases:
+            f = parse_poly(text, rank=rank, field=FIELD_Q)
+            counts = {"roots": 0, "eigvals": 0}
+
+            def counted(name, fn):
+                def call(*args):
+                    counts[name] += 1
+                    return fn(*args)
+                return call
+
+            with monkeypatch.context() as mp:
+                mp.setattr(np, "roots", counted("roots", np.roots))
+                mp.setattr(np.linalg, "eigvals", counted("eigvals", np.linalg.eigvals))
+                want = reference_sampled_inside(f, v, trials=trials)
+                slices = counts["roots"]
+                counts.update(roots=0, eigvals=0)
+                assert sampled_inside(f, v, trials=trials) == want
+            assert (want is None) == (rank == 3)
+            assert counts == {"roots": 0, "eigvals": slices - 64 * sweeps}

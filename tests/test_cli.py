@@ -254,12 +254,24 @@ class TestErrorsAndDeterminism:
         verdicts = [a["verdict"] for a in json.loads(out)["report"]["archimedean"]]
         assert "meets" in verdicts
 
+    @pytest.mark.parametrize("direction", ["dir:-1,-2", "dir:1,1"])
+    def test_common_monomial_factor(self, capsys, direction):
+        # x2^500 * (x1 - x2 + x1^2) has the amoeba of x1 - x2 + x1^2; its
+        # term moduli overflow along dir:-1,-2 and underflow along dir:1,1
+        def verdicts(f):
+            code, out, _ = run_cli(capsys, "check-halfspace", "--f", f, "--halfspace", direction)
+            assert code == 0
+            return [(a["verdict"], a["certificate"]["kind"], "witness" in a["certificate"])
+                    for a in json.loads(out)["report"]["archimedean"]]
+
+        assert verdicts("x1*x2^500 - x2^501 + x1^2*x2^500") == verdicts("x1 - x2 + x1^2")
+
     def test_exponent_spread_exit_code(self, capsys, monkeypatch):
         # a broken guard fails on the stub (exit 3) instead of allocating
         def no_slice(*args):
-            raise AssertionError("slice solved past the spread guard")
+            raise AssertionError("slice built past the spread guard")
 
-        monkeypatch.setattr(archimedean, "_slice_roots", no_slice)
+        monkeypatch.setattr(archimedean, "_slice_rows", no_slice)
         code, out, err = run_cli(
             capsys, "check-halfspace", "--f", "x1^99999999 + x1 + x2 + 1",
             "--halfspace", "dir:1,1", "--grid", "2", "--trials", "1",
@@ -360,9 +372,11 @@ EMPTY = _digest(b"")
 # argv -> exit code and the first 16 hex digits of the sha256 of stdout, of
 # stderr and of the file written to {out} (None: no file), with every
 # temporary path replaced by TMP.  The inputs are over Q(z) or decided by
-# exact certificates, except the last three, which pin the seeded sampler's
+# exact certificates, except the last five, which pin the seeded sampler's
 # witness floats along an archimedean grid scan, a trinomial system scanned
-# inside and outside its triangle, and the float product-formula residual.
+# inside and outside its triangle, the float product-formula residual, a
+# rank-3 point where 20 sweeps of the sampler find no witness, and a rank-2
+# witness that the sampler's bisection finds after its sweep.
 PINS = [
     ("trop-qz", ["trop", "--f", QZ_CURVE, "--place", "q:z"],
      0, "6ba16dab628a296a", EMPTY, None),
@@ -466,6 +480,13 @@ PINS = [
      0, "1b40a0af6e01d50d", EMPTY, None),
     ("product-formula-q", ["product-formula", "--a=-360/7007"],
      0, "f12b87d785047db9", EMPTY, None),
+    ("check-f-sampler-sweeps", ["check-halfspace", "--f",
+      "-3*x1^-2 + 2*x1^-1*x3^-2 + 5*x1^-1*x3^-1 + 2*x1", "--rank", "3",
+      "--halfspace", "dir:1,-4,0", "--grid", "1", "--trials", "20"],
+     0, "57803922d64c2eb7", EMPTY, None),
+    ("check-f-sampler-bisection", ["check-halfspace", "--f", "x1^2 + x2^2 + x1*x2 - 3",
+      "--halfspace", "dir:1,-1", "--grid", "3"],
+     0, "4bb7087c5e76fbac", EMPTY, None),
 ]
 
 
