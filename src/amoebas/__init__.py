@@ -44,7 +44,6 @@ from .scalars import (
     GenericPlace,
     Poly,
     RationalFunction,
-    Z,
     log_abs,
     place_from_str,
     place_to_str,
@@ -61,7 +60,6 @@ from .laurent import (
     parse_poly,
     poly_to_json,
     poly_to_str,
-    scale,
 )
 from .polyhedral import (
     Cell,
@@ -70,12 +68,8 @@ from .polyhedral import (
     LPUnbounded,
     Polyhedron,
     PolyhedralComplex,
-    complex_from_json,
-    complex_membership,
     complex_to_json,
-    complexes_equal,
     dimension,
-    from_generators,
     lp_solve,
     make_complex,
     polyhedron,
@@ -91,10 +85,8 @@ from .tropical import (
     adelic_amoeba_of_system,
     contains_zero,
     generic_skeleton,
-    is_balanced,
     prevariety,
     project_complex,
-    psi,
     system_bad_places,
     trop_hypersurface,
 )

@@ -311,7 +311,9 @@ def sampled_inside(f: LaurentPoly, v, trials=200, tol=1e-9, rng=None):
     must match the target modulus within relative tol and pass the residual
     check |f(x)| < tol * sum(r_i).  When the term moduli leave the float
     range, the sampler and its residual run on f * x^(-u_k), k a term of
-    largest modulus.  Phases whose slice is a monomial are skipped;
+    largest modulus.  A point with a coordinate modulus exp(-v_k) that
+    overflows or underflows to 0.0 has no float witness: None.  Phases whose
+    slice is a monomial are skipped;
     DegenerateSlice is raised only when every phase of every sweep gave one.
     ExponentSpreadTooLarge is raised before any slice is built when the
     solved coordinate's exponent spread exceeds _MAX_EXPONENT_SPREAD.
@@ -325,7 +327,6 @@ def sampled_inside(f: LaurentPoly, v, trials=200, tol=1e-9, rng=None):
     if scale is None:
         q = ArchQuery.at(_over_largest_term(q), v)
         f, scale = q.poly, sum(q.moduli())
-    v_float = [float(x) for x in q.point]
     spreads = [
         max(u[k] for u, _ in f.terms) - min(u[k] for u, _ in f.terms)
         for k in range(f.rank)
@@ -337,7 +338,13 @@ def sampled_inside(f: LaurentPoly, v, trials=200, tol=1e-9, rng=None):
         raise ExponentSpreadTooLarge(
             f"exponent spread {spreads[solve]} exceeds {_MAX_EXPONENT_SPREAD}"
         )
-    target = math.exp(-v_float[solve])
+    try:
+        rho = [math.exp(-float(x)) for x in q.point]
+    except OverflowError:
+        return None
+    if 0.0 in rho:  # no float point has these coordinate moduli
+        return None
+    target = rho[solve]
 
     def verify(x, root):
         if abs(abs(root) - target) > tol * target:
@@ -359,7 +366,7 @@ def sampled_inside(f: LaurentPoly, v, trials=200, tol=1e-9, rng=None):
     others = [k for k in range(f.rank) if k != solve]
     emin = min(u[solve] for u, _ in f.terms)
     terms = [(complex(float(c)), [u[k] for k in others], u[solve] - emin) for u, c in f.terms]
-    moduli = [math.exp(-v_float[k]) for k in others]
+    moduli = [rho[k] for k in others]
 
     def slices(phase_tuples):
         points, rows = _slice_rows(terms, moduli, spreads[solve] + 1, phase_tuples)
@@ -368,7 +375,7 @@ def sampled_inside(f: LaurentPoly, v, trials=200, tol=1e-9, rng=None):
     def probe(x, roots):
         """(verified witness or None, roots below the target modulus) for
         one solved slice; (None, None) when the slice is a monomial."""
-        if roots is None:
+        if not roots:
             return None, None
         best = min(roots, key=lambda r: abs(abs(r) - target))
         return verify(x, best), sum(1 for r in roots if abs(r) < target)

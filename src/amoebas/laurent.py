@@ -133,12 +133,6 @@ def poly_to_json(f: LaurentPoly) -> dict:
     }
 
 
-def scale(f: LaurentPoly, c) -> LaurentPoly:
-    if c == 0:
-        raise EmptyPolynomial("scaling by zero")
-    return make_laurent(f.rank, f.field, [(e, a * c) for e, a in f.terms])
-
-
 @dataclass(frozen=True)
 class NewtonPolytope:
     points: tuple
@@ -177,25 +171,6 @@ def newton_polytope(f: LaurentPoly) -> NewtonPolytope:
         directions = tuple(strict_vertex_direction(points, i) for i in range(len(points)))
     vertices = tuple(i for i, d in enumerate(directions) if d is not None)
     return NewtonPolytope(tuple(points), vertices, directions)
-
-
-def convex_certificate(np_: NewtonPolytope, i):
-    """Exact convex combination of the vertices equal to points[i], as a
-    {vertex index: weight} dict, or None when i is a vertex."""
-    if i in np_.vertex_indices:
-        return None
-    vs = list(np_.vertex_indices)
-    n = len(np_.points[i])
-    k = len(vs)
-    eqs = []
-    for c in range(n):
-        eqs.append(([np_.points[j][c] for j in vs], Fraction(np_.points[i][c])))
-    eqs.append(([1] * k, Fraction(1)))
-    ineqs = [([-1 if t == s else 0 for t in range(k)], Fraction(0)) for s in range(k)]
-    res = lp_solve([0] * k, polyhedron(k, eqs, ineqs))
-    if not isinstance(res, LPOptimal):
-        return None
-    return {vs[s]: res.point[s] for s in range(k) if res.point[s] != 0}
 
 
 def bad_places(f: LaurentPoly) -> frozenset:

@@ -107,13 +107,6 @@ def intersect(*polys):
     )
 
 
-def translate(P, w):
-    """The translate P + w."""
-    w = [Fraction(x) for x in w]
-    move = lambda cons: [(r, b + sum(a * x for a, x in zip(r, w))) for (r, b) in cons]
-    return polyhedron(P.rank, move(P.equalities), move(P.inequalities))
-
-
 def contains_point(P, v) -> bool:
     if len(v) != P.rank:
         raise DimensionMismatch("point rank mismatch")
@@ -376,11 +369,6 @@ def lp_solve(objective, P: Polyhedron, sense="max"):
 _CACHE_SIZE = 4096
 
 
-def is_empty(P: Polyhedron) -> bool:
-    res = lp_solve([0] * P.rank, P)
-    return isinstance(res, LPInfeasible)
-
-
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _hull(P: Polyhedron):
     """(independent affine-hull rows, a relative-interior point), or None
@@ -554,21 +542,6 @@ def preimage(P: Polyhedron, phi) -> Polyhedron:
     )
 
 
-def from_generators(rank, points, rays=(), lines=()):
-    """Polyhedron conv(points) + cone(rays) + span(lines), via projection."""
-    if not points:
-        raise ValueError("need at least one point")
-    # variables (v, mu): v = sum of mu_k g_k, mu >= 0 on points and rays,
-    # and the mu of the points sum to 1
-    gens = [*points, *rays, *lines]
-    n, k = rank + len(gens), len(points)
-    eye = identity(n)
-    eqs = [(eye[c][:rank] + [-Fraction(g[c]) for g in gens], 0) for c in range(rank)]
-    eqs.append(([0] * rank + [1] * k + [0] * (n - rank - k), 1))
-    ineqs = [([-x for x in eye[rank + i]], 0) for i in range(k + len(rays))]
-    return project(polyhedron(n, eqs, ineqs), eye[:rank])
-
-
 # ---------------------------------------------------------------------------
 # complexes
 
@@ -599,69 +572,6 @@ def make_complex(rank, cells) -> PolyhedralComplex:
         if c.polyhedron.rank != rank:
             raise DimensionMismatch("cell rank mismatch")
     return PolyhedralComplex(rank, cells)
-
-
-def complex_membership(C: PolyhedralComplex, v):
-    """Index of the first cell containing v, or None."""
-    v = tuple(Fraction(x) for x in v)
-    if len(v) != C.rank:
-        raise DimensionMismatch("point rank mismatch")
-    for i, cell in enumerate(C.cells):
-        if contains_point(cell.polyhedron, v):
-            return i
-    return None
-
-
-def translate_complex(C: PolyhedralComplex, w) -> PolyhedralComplex:
-    return make_complex(
-        C.rank,
-        [Cell(translate(c.polyhedron, w), c.tie_set, c.multiplicity) for c in C.cells],
-    )
-
-
-def covered_by(P: Polyhedron, polys) -> bool:
-    """Whether P is contained in the union of the given polyhedra.
-
-    If no single piece contains P, split P along a constraint hyperplane of a
-    piece overlapping it full-dimensionally and recurse.  A hyperplane can
-    properly split any chain at most once, so this terminates; if the union
-    covers P, some piece always overlaps full-dimensionally.
-    """
-    dP = dimension(P)
-    if dP < 0:
-        return True
-    for Q in polys:
-        if poly_contains(Q, P):
-            return True
-    for Q in polys:
-        if dimension(intersect(P, Q)) != dP:
-            continue
-        for row, rhs, _ in Q.constraints():
-            hi = lp_solve(row, P, "max")
-            hi_exceeds = isinstance(hi, LPUnbounded) or hi.value > rhs
-            if not hi_exceeds:
-                continue
-            lo = lp_solve(row, P, "min")
-            lo_below = isinstance(lo, LPUnbounded) or lo.value < rhs
-            if not lo_below:
-                continue
-            P1 = intersect(P, polyhedron(P.rank, (), [(row, rhs)]))
-            P2 = intersect(P, polyhedron(P.rank, (), [(tuple(-x for x in row), -rhs)]))
-            return covered_by(P1, polys) and covered_by(P2, polys)
-        # a full-dimensional overlap with no proper split means P lies in Q
-        return True
-    return False
-
-
-def complexes_equal(C1: PolyhedralComplex, C2: PolyhedralComplex) -> bool:
-    """Set equality of supports, by double inclusion on cells."""
-    if C1.rank != C2.rank:
-        return False
-    polys1 = [c.polyhedron for c in C1.cells]
-    polys2 = [c.polyhedron for c in C2.cells]
-    return all(covered_by(P, polys2) for P in polys1) and all(
-        covered_by(Q, polys1) for Q in polys2
-    )
 
 
 def prune_to_maximal(polys):
@@ -707,14 +617,6 @@ def polyhedron_to_json(P: Polyhedron) -> dict:
     }
 
 
-def polyhedron_from_json(obj) -> Polyhedron:
-    return polyhedron(
-        obj["rank"],
-        [(tuple(c["row"]), Fraction(c["rhs"])) for c in obj["equalities"]],
-        [(tuple(c["row"]), Fraction(c["rhs"])) for c in obj["inequalities"]],
-    )
-
-
 def complex_to_json(C: PolyhedralComplex) -> dict:
     cells = []
     for c in C.cells:
@@ -723,11 +625,3 @@ def complex_to_json(C: PolyhedralComplex) -> dict:
         d["multiplicity"] = c.multiplicity
         cells.append(d)
     return {"rank": C.rank, "cells": cells}
-
-
-def complex_from_json(obj) -> PolyhedralComplex:
-    cells = []
-    for d in obj["cells"]:
-        tie = frozenset(d["tie_set"]) if d.get("tie_set") is not None else None
-        cells.append(Cell(polyhedron_from_json(d), tie, d.get("multiplicity")))
-    return make_complex(obj["rank"], cells)

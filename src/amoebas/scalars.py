@@ -96,9 +96,6 @@ class Poly:
         return f"Poly({self})"
 
 
-Z = Poly((0, 1))
-
-
 def _integer_coeffs(f: Poly) -> list[int]:
     """f with its denominators cleared, high degree first (sympy's dense
     order); primitive when f is monic."""

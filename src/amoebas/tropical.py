@@ -8,7 +8,7 @@ A corner locus is dual to the regular subdivision of the lifted exponents
 (u_i, c_i) (Maclagan-Sturmfels, Introduction to Tropical Geometry, 3.1) and
 is read off it by exact integer elimination, with no LP; its work is
 bounded (MAX_CORNER_OPS).  Everything downstream (projection, prevariety
-intersection, balancing) is exact polyhedral computation.
+intersection) is exact polyhedral computation.
 """
 from __future__ import annotations
 
@@ -27,11 +27,9 @@ from .errors import (
 from .lattices import (
     _eliminate,
     identity,
-    integer_kernel,
     integer_row,
     mat_vec,
     primitive_vector,
-    quotient_map,
     rank_of_rows,
 )
 from .laurent import LaurentPoly, bad_places
@@ -41,13 +39,10 @@ from .polyhedral import (
     PolyhedralComplex,
     _canon_constraint,
     _con_key,
-    affine_hull_rows,
     contains_point,
     dimension,
     intersect,
     make_complex,
-    poly_contains,
-    poly_equal,
     preimage,
     project,
     prune_to_maximal,
@@ -89,13 +84,6 @@ def min_value_and_argmin(data: TropicalData, v):
     vals = _values(data.exponents, data.shifts, ints, den)
     best = min(vals)
     return Fraction(best, den), frozenset(i for i, x in enumerate(vals) if x == best)
-
-
-def psi(f: LaurentPoly, place, v):
-    """Exact minimum of <u_i, v> + c_i and the full achieving index set."""
-    if f.nterms < 2:
-        raise MonomialInput("need at least two terms")
-    return min_value_and_argmin(tropical_data(f, place), v)
 
 
 def _segment_multiplicity(exponents, tie):
@@ -445,55 +433,3 @@ def adelic_amoeba_of_system(system: PrevarietySystem) -> AdelicAmoeba:
         tuple(special),
         system,
     )
-
-
-# ---------------------------------------------------------------------------
-# balancing
-
-
-def _codimension_two_cells(C: PolyhedralComplex):
-    """Distinct (rank-2)-dimensional pairwise intersections of maximal cells."""
-    target = C.rank - 2
-    taus = []
-    for A, B in itertools.combinations([c.polyhedron for c in C.cells], 2):
-        T = intersect(A, B)
-        if dimension(T) != target:
-            continue
-        if not any(poly_equal(T, S) for S in taus):
-            taus.append(T)
-    return taus
-
-
-def is_balanced(C: PolyhedralComplex) -> bool:
-    """Multiplicity-weighted balancing around every codimension-two cell.
-
-    For each such cell, the adjacent maximal cells map to rays in the rank-two
-    lattice quotient by the cell's direction space; their primitive generators
-    weighted by multiplicity must sum to zero exactly.
-    """
-    n = C.rank
-    if n < 2 or len(C.cells) < 2:
-        return True
-    for cell in C.cells:
-        if cell.multiplicity is None:
-            raise InternalInvariantError("balancing needs multiplicity labels")
-    for tau in _codimension_two_cells(C):
-        rows = affine_hull_rows(tau)
-        kernel = integer_kernel([list(r) for r in rows])
-        if len(kernel) != n - 2:
-            raise InternalInvariantError("unexpected direction space")
-        phi, _ = quotient_map(kernel, n)
-        x_tau = relative_interior_point(tau)
-        image_tau = [sum(r * x for r, x in zip(row, x_tau)) for row in phi]
-        total = [0, 0]
-        for cell in C.cells:
-            if not poly_contains(cell.polyhedron, tau):
-                continue
-            x_cell = relative_interior_point(cell.polyhedron)
-            image = [sum(r * x for r, x in zip(row, x_cell)) for row in phi]
-            diff = [a - b for a, b in zip(image, image_tau)]
-            direction = primitive_vector(diff)
-            total = [t + cell.multiplicity * d for t, d in zip(total, direction)]
-        if any(total):
-            return False
-    return True

@@ -1,5 +1,7 @@
 """Shared fixtures: the worked-example corpus, expected complexes, random
-generators, and a brute-force LP oracle for small bounded polytopes."""
+generators, a brute-force LP oracle for small bounded polytopes, and the
+test-only oracles (polyhedra from generators, set equality of complexes,
+balancing, convex certificates) that no command calls."""
 from __future__ import annotations
 
 import cmath
@@ -38,6 +40,7 @@ from amoebas.classify import (
 from amoebas.errors import (
     DegenerateSlice,
     DimensionMismatch,
+    EmptyPolynomial,
     ExponentSpreadTooLarge,
     InternalInvariantError,
     MonomialInput,
@@ -52,23 +55,31 @@ from amoebas.laurent import (
     parse_poly,
     strict_vertex_direction,
 )
-from amoebas.lattices import primitive_vector, rank_of_rows
+from amoebas.lattices import (
+    identity,
+    integer_kernel,
+    primitive_vector,
+    quotient_map,
+    rank_of_rows,
+)
 from amoebas.polyhedral import (
     Cell,
     LPInfeasible,
     LPOptimal,
     LPUnbounded,
     _canon_constraint,
+    affine_hull_rows,
+    contains_point,
     dimension,
     empty_polyhedron,
-    from_generators,
     intersect,
-    is_empty,
     lp_solve,
     make_complex,
+    poly_contains,
     poly_equal,
     polyhedron,
     preimage,
+    project,
     prune_to_maximal,
     relative_interior_point,
     remove_redundancy,
@@ -132,6 +143,196 @@ RANK_4_SYSTEM = {
         {"f": "x1 - x2*x4 + 13*x3 + 1"},
     ],
 }
+
+
+# ---------------------------------------------------------------------------
+# test-only oracles: no command reaches these, so they live here
+
+
+# the place z of Q(z)
+Z = Poly((0, 1))
+
+
+def scale(f, c):
+    if c == 0:
+        raise EmptyPolynomial("scaling by zero")
+    return make_laurent(f.rank, f.field, [(e, a * c) for e, a in f.terms])
+
+
+def is_empty(P):
+    """Emptiness by one feasibility LP, independent of the hull cache."""
+    return isinstance(lp_solve([0] * P.rank, P), LPInfeasible)
+
+
+def from_generators(rank, points, rays=(), lines=()):
+    """Polyhedron conv(points) + cone(rays) + span(lines), via projection."""
+    if not points:
+        raise ValueError("need at least one point")
+    # variables (v, mu): v = sum of mu_k g_k, mu >= 0 on points and rays,
+    # and the mu of the points sum to 1
+    gens = [*points, *rays, *lines]
+    n, k = rank + len(gens), len(points)
+    eye = identity(n)
+    eqs = [(eye[c][:rank] + [-Fraction(g[c]) for g in gens], 0) for c in range(rank)]
+    eqs.append(([0] * rank + [1] * k + [0] * (n - rank - k), 1))
+    ineqs = [([-x for x in eye[rank + i]], 0) for i in range(k + len(rays))]
+    return project(polyhedron(n, eqs, ineqs), eye[:rank])
+
+
+def complex_membership(C, v):
+    """Index of the first cell containing v, or None."""
+    v = tuple(Fraction(x) for x in v)
+    if len(v) != C.rank:
+        raise DimensionMismatch("point rank mismatch")
+    for i, cell in enumerate(C.cells):
+        if contains_point(cell.polyhedron, v):
+            return i
+    return None
+
+
+def translate_complex(C, w):
+    """The translate C + w, cell by cell, labels kept."""
+    w = [Fraction(x) for x in w]
+    move = lambda cons: [(r, b + sum(a * x for a, x in zip(r, w))) for r, b in cons]
+    return make_complex(
+        C.rank,
+        [
+            Cell(
+                polyhedron(C.rank, move(c.polyhedron.equalities), move(c.polyhedron.inequalities)),
+                c.tie_set,
+                c.multiplicity,
+            )
+            for c in C.cells
+        ],
+    )
+
+
+def covered_by(P, polys):
+    """Whether P is contained in the union of the given polyhedra.
+
+    If no single piece contains P, split P along a constraint hyperplane of a
+    piece overlapping it full-dimensionally and recurse.  A hyperplane can
+    properly split any chain at most once, so this terminates; if the union
+    covers P, some piece always overlaps full-dimensionally.
+    """
+    dP = dimension(P)
+    if dP < 0:
+        return True
+    for Q in polys:
+        if poly_contains(Q, P):
+            return True
+    for Q in polys:
+        if dimension(intersect(P, Q)) != dP:
+            continue
+        for row, rhs, _ in Q.constraints():
+            hi = lp_solve(row, P, "max")
+            hi_exceeds = isinstance(hi, LPUnbounded) or hi.value > rhs
+            if not hi_exceeds:
+                continue
+            lo = lp_solve(row, P, "min")
+            lo_below = isinstance(lo, LPUnbounded) or lo.value < rhs
+            if not lo_below:
+                continue
+            P1 = intersect(P, polyhedron(P.rank, (), [(row, rhs)]))
+            P2 = intersect(P, polyhedron(P.rank, (), [(tuple(-x for x in row), -rhs)]))
+            return covered_by(P1, polys) and covered_by(P2, polys)
+        # a full-dimensional overlap with no proper split means P lies in Q
+        return True
+    return False
+
+
+def complexes_equal(C1, C2):
+    """Set equality of supports, by double inclusion on cells."""
+    if C1.rank != C2.rank:
+        return False
+    polys1 = [c.polyhedron for c in C1.cells]
+    polys2 = [c.polyhedron for c in C2.cells]
+    return all(covered_by(P, polys2) for P in polys1) and all(
+        covered_by(Q, polys1) for Q in polys2
+    )
+
+
+def polyhedron_from_json(obj):
+    return polyhedron(
+        obj["rank"],
+        [(tuple(c["row"]), Fraction(c["rhs"])) for c in obj["equalities"]],
+        [(tuple(c["row"]), Fraction(c["rhs"])) for c in obj["inequalities"]],
+    )
+
+
+def complex_from_json(obj):
+    cells = []
+    for d in obj["cells"]:
+        tie = frozenset(d["tie_set"]) if d.get("tie_set") is not None else None
+        cells.append(Cell(polyhedron_from_json(d), tie, d.get("multiplicity")))
+    return make_complex(obj["rank"], cells)
+
+
+def convex_certificate(np_, i):
+    """Exact convex combination of the vertices equal to points[i], as a
+    {vertex index: weight} dict, or None when i is a vertex."""
+    if i in np_.vertex_indices:
+        return None
+    vs = list(np_.vertex_indices)
+    n = len(np_.points[i])
+    k = len(vs)
+    eqs = []
+    for c in range(n):
+        eqs.append(([np_.points[j][c] for j in vs], Fraction(np_.points[i][c])))
+    eqs.append(([1] * k, Fraction(1)))
+    ineqs = [([-1 if t == s else 0 for t in range(k)], Fraction(0)) for s in range(k)]
+    res = lp_solve([0] * k, polyhedron(k, eqs, ineqs))
+    if not isinstance(res, LPOptimal):
+        return None
+    return {vs[s]: res.point[s] for s in range(k) if res.point[s] != 0}
+
+
+def _codimension_two_cells(C):
+    """Distinct (rank-2)-dimensional pairwise intersections of maximal cells."""
+    target = C.rank - 2
+    taus = []
+    for A, B in itertools.combinations([c.polyhedron for c in C.cells], 2):
+        T = intersect(A, B)
+        if dimension(T) != target:
+            continue
+        if not any(poly_equal(T, S) for S in taus):
+            taus.append(T)
+    return taus
+
+
+def is_balanced(C):
+    """Multiplicity-weighted balancing around every codimension-two cell.
+
+    For each such cell, the adjacent maximal cells map to rays in the rank-two
+    lattice quotient by the cell's direction space; their primitive generators
+    weighted by multiplicity must sum to zero exactly.
+    """
+    n = C.rank
+    if n < 2 or len(C.cells) < 2:
+        return True
+    for cell in C.cells:
+        if cell.multiplicity is None:
+            raise InternalInvariantError("balancing needs multiplicity labels")
+    for tau in _codimension_two_cells(C):
+        rows = affine_hull_rows(tau)
+        kernel = integer_kernel([list(r) for r in rows])
+        if len(kernel) != n - 2:
+            raise InternalInvariantError("unexpected direction space")
+        phi, _ = quotient_map(kernel, n)
+        x_tau = relative_interior_point(tau)
+        image_tau = [sum(r * x for r, x in zip(row, x_tau)) for row in phi]
+        total = [0, 0]
+        for cell in C.cells:
+            if not poly_contains(cell.polyhedron, tau):
+                continue
+            x_cell = relative_interior_point(cell.polyhedron)
+            image = [sum(r * x for r, x in zip(row, x_cell)) for row in phi]
+            diff = [a - b for a, b in zip(image, image_tau)]
+            direction = primitive_vector(diff)
+            total = [t + cell.multiplicity * d for t, d in zip(total, direction)]
+        if any(total):
+            return False
+    return True
 
 
 def ray(rank, base, direction):
@@ -333,8 +534,6 @@ def brute_force_lp(objective, P, sense="max"):
         point = _solve_square(mat, rhs)
         if point is None:
             continue
-        from amoebas.polyhedral import contains_point
-
         if not contains_point(P, point):
             continue
         value = sum(Fraction(o) * x for o, x in zip(objective, point))

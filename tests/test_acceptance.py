@@ -31,12 +31,7 @@ from amoebas.laurent import (
     strict_vertex_direction,
 )
 from amoebas.lattices import primitive_vector
-from amoebas.polyhedral import (
-    complex_membership,
-    complexes_equal,
-    contains_point,
-    polyhedron,
-)
+from amoebas.polyhedral import contains_point, polyhedron
 from amoebas.scalars import (
     FIELD_Q,
     FIELD_QZ,
@@ -60,6 +55,9 @@ from amoebas.tropical import (
 
 from conftest import (
     cells_of,
+    complex_membership,
+    complexes_equal,
+    is_balanced,
     rand_exponents,
     rand_fraction,
     rand_point,
@@ -229,8 +227,6 @@ def test_criterion_08_product_formula():
 
 
 def test_criterion_09_balancing(corpus_trops):
-    from amoebas.tropical import is_balanced
-
     ok = all(is_balanced(C) for _, _, C in corpus_trops)
     report(9, "multiplicity-weighted balancing at every codimension-2 cell", ok)
 

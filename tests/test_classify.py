@@ -36,13 +36,11 @@ from amoebas.laurent import (
     make_laurent,
     newton_polytope,
     parse_poly,
-    scale,
     strict_vertex_direction,
 )
 from amoebas.polyhedral import (
     Cell,
     PolyhedralComplex,
-    complexes_equal,
     contains_point,
     poly_equal,
     polyhedron,
@@ -62,7 +60,7 @@ from amoebas.tropical import (
     adelic_amoeba,
     adelic_amoeba_of_system,
     generic_skeleton,
-    psi,
+    min_value_and_argmin,
     trop_hypersurface,
     tropical_data,
 )
@@ -79,6 +77,7 @@ from conftest import (
     reference_disjoint_halfline_search,
     reference_ekl_consistency_check,
     reference_halfspace_meets_complex,
+    scale,
     segment,
 )
 from test_archimedean import SMALL_POINT_COORDS, small_q_cases, small_q_polys
@@ -132,7 +131,7 @@ class TestFastPath:
             ex_curve_qz, place_from_str("q:z-1"), (2, -1)
         )
         assert verdict == MEETS
-        _, arg = psi(ex_curve_qz, place_from_str("q:z-1"), witness)
+        _, arg = min_value_and_argmin(tropical_data(ex_curve_qz, place_from_str("q:z-1")), witness)
         assert len(arg) >= 2
 
     def test_tie_direction_not_relint(self):

@@ -16,9 +16,15 @@ from amoebas import archimedean, cli, plot
 from amoebas.cli import main, parse_halfspace
 from amoebas.classify import Halfspace
 from amoebas.errors import InternalInvariantError
-from amoebas.polyhedral import complex_from_json, complexes_equal
 
-from conftest import LARGE_RANK_2, RANK_4_SYSTEM, WIDE_HALFSPACE, tripod
+from conftest import (
+    LARGE_RANK_2,
+    RANK_4_SYSTEM,
+    WIDE_HALFSPACE,
+    complex_from_json,
+    complexes_equal,
+    tripod,
+)
 
 
 def run_cli(capsys, *argv):
@@ -372,11 +378,14 @@ EMPTY = _digest(b"")
 # argv -> exit code and the first 16 hex digits of the sha256 of stdout, of
 # stderr and of the file written to {out} (None: no file), with every
 # temporary path replaced by TMP.  The inputs are over Q(z) or decided by
-# exact certificates, except the last five, which pin the seeded sampler's
+# exact certificates, except the last seven, which pin the seeded sampler's
 # witness floats along an archimedean grid scan, a trinomial system scanned
 # inside and outside its triangle, the float product-formula residual, a
-# rank-3 point where 20 sweeps of the sampler find no witness, and a rank-2
-# witness that the sampler's bisection finds after its sweep.
+# rank-3 point where 20 sweeps of the sampler find no witness, a rank-2
+# witness that the sampler's bisection finds after its sweep, witnesses
+# found past a slice that cancels to a monomial at the swept phase 0, and a
+# scan whose points from t = 15/2 on have the coordinate modulus
+# exp(-750) == 0.0, so no float witness and evidence-only verdicts.
 PINS = [
     ("trop-qz", ["trop", "--f", QZ_CURVE, "--place", "q:z"],
      0, "6ba16dab628a296a", EMPTY, None),
@@ -487,6 +496,12 @@ PINS = [
     ("check-f-sampler-bisection", ["check-halfspace", "--f", "x1^2 + x2^2 + x1*x2 - 3",
       "--halfspace", "dir:1,-1", "--grid", "3"],
      0, "4bb7087c5e76fbac", EMPTY, None),
+    ("check-f-sampler-vanishing-slice", ["check-halfspace", "--f",
+      "x1^2*x2 - x1^2 + 3*x1 + x2 - 1", "--halfspace", "dir:1,0"],
+     0, "34bbe7d4db8f2f57", EMPTY, None),
+    ("check-f-sampler-zero-modulus", ["check-halfspace", "--f", "x1 + 1", "--rank", "2",
+      "--halfspace", "dir:0,100", "--trials", "1"],
+     0, "ef072149022e64d0", EMPTY, None),
 ]
 
 

@@ -16,12 +16,10 @@ from amoebas.errors import (
 )
 from amoebas.laurent import (
     bad_places,
-    convex_certificate,
     make_laurent,
     newton_polytope,
     parse_poly,
     poly_to_str,
-    scale,
 )
 from amoebas.scalars import (
     FIELD_Q,
@@ -32,9 +30,17 @@ from amoebas.scalars import (
     place_to_str,
 )
 from amoebas.tropical import trop_hypersurface
-from amoebas.polyhedral import complexes_equal
 
-from conftest import rand_fraction, rand_poly_q, rand_poly_qz, rand_ratfunc
+from conftest import (
+    Z,
+    complexes_equal,
+    convex_certificate,
+    rand_fraction,
+    rand_poly_q,
+    rand_poly_qz,
+    rand_ratfunc,
+    scale,
+)
 
 
 class TestParse:
@@ -171,7 +177,7 @@ class TestScale:
         f = parse_poly("z*x1 + z*x2 + 2*z", rank=2, field=FIELD_QZ)
         g = scale(f, RationalFunction.const(1) / f.terms[0][1])
         assert g.terms[0][1] == RationalFunction.const(1)
-        from amoebas.scalars import FiniteIrreducible, Z, Poly
+        from amoebas.scalars import FiniteIrreducible, Poly
 
         places = [GENERIC, FiniteIrreducible(Z), FiniteIrreducible(Poly((-1, 1)))]
         for p in places:

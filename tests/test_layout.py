@@ -1,0 +1,113 @@
+"""The package holds what the command line reaches.
+
+A static walk of name references from ``cli.main`` through the top-level
+definitions of ``src/amoebas``: a function, a class, or an assigned name.
+``from .m import n`` (at module level or inside a function) resolves ``n`` to
+``m.n``, and ``from . import m`` resolves ``m.x`` to ``m.x``, so two modules'
+definitions of one name stay distinct.  Whatever the walk does not reach
+must be on the reserved list below; test-only oracles live in conftest.
+"""
+import ast
+from pathlib import Path
+
+import amoebas
+
+PACKAGE = Path(amoebas.__file__).parent
+
+# Kept for exact tropical varieties of linear systems and the computed image
+# X' (ROADMAP items 4 and 5), which are meant to call them; mat_mul and
+# RankDeficient are reached only through smith_normal_form, quotient_map
+# and project.  Shrink this list when a reserved name gains a caller or
+# leaves the package.
+RESERVED = {
+    "errors.RankDeficient",
+    "lattices.integer_kernel",
+    "lattices.mat_mul",
+    "lattices.quotient_map",
+    "lattices.smith_normal_form",
+    "polyhedral._eliminate",
+    "polyhedral.poly_contains",
+    "polyhedral.poly_equal",
+    "polyhedral.project",
+    "polyhedral.prune_to_maximal",
+    "tropical.project_complex",
+}
+
+
+def _modules():
+    return {
+        path.stem: ast.parse(path.read_text())
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem != "__init__"
+    }
+
+
+def _defined_names(node):
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [t.id for t in targets if isinstance(t, ast.Name)]
+    return []
+
+
+def _graph():
+    """({module.name: referenced module.names}, import-time roots)."""
+    edges, roots = {}, set()
+    for mod, tree in _modules().items():
+        names = {n: f"{mod}.{n}" for node in tree.body for n in _defined_names(node)}
+        aliases = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for a in node.names:
+                    if node.module is None:
+                        aliases[a.asname or a.name] = a.name
+                    else:
+                        names[a.asname or a.name] = f"{node.module}.{a.name}"
+
+        def refs(node):
+            out = set()
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and sub.id in names:
+                    out.add(names[sub.id])
+                elif (
+                    isinstance(sub, ast.Attribute)
+                    and isinstance(sub.value, ast.Name)
+                    and sub.value.id in aliases
+                ):
+                    out.add(f"{aliases[sub.value.id]}.{sub.attr}")
+            return out
+
+        for node in tree.body:
+            defined = _defined_names(node)
+            for n in defined:
+                edges[f"{mod}.{n}"] = refs(node)
+            if not defined:
+                roots |= refs(node)
+    return edges, roots
+
+
+def unreached():
+    edges, roots = _graph()
+    seen, todo = set(), ["cli.main", *roots]
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        todo.extend(edges.get(name, ()))
+    return set(edges) - seen
+
+
+def test_walk_resolves_imports_per_module():
+    edges, _ = _graph()
+    # tropical's corner locus eliminates with lattices', not polyhedral's
+    assert "lattices._eliminate" in edges["tropical.corner_locus"]
+    assert "polyhedral._eliminate" not in edges["tropical.corner_locus"]
+    assert "polyhedral._eliminate" in edges["polyhedral.project"]
+    # a module reached through `from . import m` and an attribute
+    assert any(name.startswith("plot.") for name in edges["cli._plot"])
+
+
+def test_every_unreached_definition_is_reserved():
+    assert unreached() == RESERVED

@@ -15,21 +15,15 @@ from amoebas.polyhedral import (
     Polyhedron,
     _canon_constraint,
     affine_hull_rows,
-    complex_membership,
-    complexes_equal,
     contains_point,
-    covered_by,
     dimension,
     empty_polyhedron,
-    from_generators,
     intersect,
-    is_empty,
     lp_solve,
     make_complex,
     poly_contains,
     poly_equal,
     polyhedron,
-    polyhedron_from_json,
     polyhedron_to_json,
     preimage,
     project,
@@ -41,6 +35,12 @@ from amoebas.polyhedral import (
 from conftest import (
     brute_force_lp,
     cells_of,
+    complex_membership,
+    complexes_equal,
+    covered_by,
+    from_generators,
+    is_empty,
+    polyhedron_from_json,
     ray,
     reference_affine_hull,
     reference_canon_constraint,

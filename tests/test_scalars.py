@@ -23,7 +23,6 @@ from amoebas.scalars import (
     FinitePrime,
     Poly,
     RationalFunction,
-    Z,
     factor_int,
     irreducible_factors,
     is_irreducible,
@@ -38,6 +37,7 @@ from amoebas.scalars import (
 from amoebas.parsing import parse_scalar
 
 from conftest import (
+    Z,
     outcome,
     rand_fraction,
     rand_ratfunc,

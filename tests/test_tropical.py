@@ -11,11 +11,8 @@ from amoebas import polyhedral, tropical
 from amoebas.errors import ArchimedeanNotSupported, CornerLocusTooLarge, MonomialInput
 from amoebas.laurent import make_laurent, parse_poly
 from amoebas.polyhedral import (
-    complex_membership,
     complex_to_json,
-    complexes_equal,
     contains_point,
-    covered_by,
     dimension,
     poly_contains,
     polyhedron,
@@ -38,55 +35,59 @@ from amoebas.tropical import (
     contains_zero,
     corner_locus,
     generic_skeleton,
-    is_balanced,
     min_value_and_argmin,
     prevariety,
     project_complex,
-    psi,
     system_bad_places,
     trop_hypersurface,
     tropical_data,
     PrevarietySystem,
 )
 from amoebas.lattices import _eliminate
-from amoebas.polyhedral import translate_complex
 
 from conftest import (
     LARGE_RANK_2,
     RANK_4_SYSTEM,
     cells_of,
+    complex_membership,
+    complexes_equal,
+    covered_by,
+    from_generators,
+    is_balanced,
     rand_point,
     rand_poly_q,
     rand_poly_qz,
     ray,
     reference_corner_locus,
     reference_prevariety,
+    scale,
+    translate_complex,
     tripod,
 )
 
 
 class TestPsi:
     def test_generic_point(self, ex_curve_qz):
-        value, arg = psi(ex_curve_qz, GENERIC, (0, 5))
+        value, arg = min_value_and_argmin(tropical_data(ex_curve_qz, GENERIC), (0, 5))
         # terms sorted by exponent: 0 = constant, 1 = x2, 2 = x1
         assert value == 0 and arg == frozenset({0, 2})
 
     def test_on_translated_complex(self, ex_curve_qz):
         # two ways to land on a shifted tripod with value -1 and the two
         # nonconstant terms tied
-        value, arg = psi(ex_curve_qz, place_from_str("q:z"), (-2, -1))
+        value, arg = min_value_and_argmin(tropical_data(ex_curve_qz, place_from_str("q:z")), (-2, -1))
         assert value == -1 and arg == frozenset({1, 2})
-        value, arg = psi(ex_curve_qz, place_from_str("q:z-2"), (-1, -1))
+        value, arg = min_value_and_argmin(tropical_data(ex_curve_qz, place_from_str("q:z-2")), (-1, -1))
         assert value == -1 and arg == frozenset({1, 2})
 
     def test_generic_position_singleton(self, ex_curve_qz, rng):
         v = (Fraction(1019, 7), Fraction(-2027, 11))
-        _, arg = psi(ex_curve_qz, GENERIC, v)
+        _, arg = min_value_and_argmin(tropical_data(ex_curve_qz, GENERIC), v)
         assert len(arg) == 1
 
     def test_archimedean_rejected(self, ex_curve_qz):
         with pytest.raises(ArchimedeanNotSupported):
-            psi(ex_curve_qz, ARCH, (0, 0))
+            min_value_and_argmin(tropical_data(ex_curve_qz, ARCH), (0, 0))
 
 
 class TestTropHypersurface:
@@ -162,8 +163,6 @@ class TestPairEquationSkeleton:
     def test_rank4_pair_equation_is_tripod_times_plane(self):
         f = parse_poly("x1 - x2 - 1", rank=4, field=FIELD_Q)
         lines = [(0, 0, 1, 0), (0, 0, 0, 1)]
-        from amoebas.polyhedral import from_generators
-
         expected = cells_of(
             4,
             [
@@ -206,7 +205,7 @@ class TestInvariance:
         for _ in range(5):
             f = rand_poly_qz(rng, rank=2, terms=3)
             c = RationalFunction.const(rand_fraction_nonzero(rng))
-            from amoebas.laurent import bad_places, scale
+            from amoebas.laurent import bad_places
 
             g = scale(f, c)
             places = list(bad_places(f))[:2] + [GENERIC]
@@ -618,7 +617,8 @@ def prevariety_without_containment(constraints, place, rank):
     with pytest.MonkeyPatch.context() as mp:
         for module in (tropical, polyhedral):
             for name in ("prune_to_maximal", "poly_contains"):
-                mp.setattr(module, name, refuse)
+                if hasattr(module, name):
+                    mp.setattr(module, name, refuse)
         return prevariety(constraints, place, rank)
 
 
