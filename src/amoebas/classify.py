@@ -2,9 +2,10 @@
 
 An open halfspace is the Minkowski sum of a rational linear boundary space
 and an open half line.  Nonarchimedean disjointness from a complex is decided
-exactly by LP cell by cell (the open end is honored: touching at t = 0 counts
-as disjoint).  For relative-interior directions of vertex cones there is a
-fast valuation comparison with an explicit crossing witness when it fails.
+exactly cell by cell, on a line or by LP (the open end is honored: touching
+at t = 0 counts as disjoint).  For relative-interior directions of vertex
+cones there is a fast valuation comparison with an explicit crossing
+witness when it fails.
 The trichotomy report combines the nonarchimedean verdicts with archimedean
 grid scans and checks the applicable structural conclusion: declared small
 image, image defined over the scalars, or a torsion binomial.  A supplied
@@ -13,6 +14,7 @@ the halfspace's codimension, since the boundary is kept independent.
 """
 from __future__ import annotations
 
+import math
 import numbers
 import random
 from dataclasses import dataclass
@@ -35,12 +37,13 @@ from .errors import (
 from .lattices import independent_subset, in_rational_span, integer_row, primitive_vector
 from .laurent import LaurentPoly, apply_monomial_map, bad_places, newton_polytope
 from .polyhedral import (
-    LPInfeasible,
     LPOptimal,
+    LPUnbounded,
     Polyhedron,
     PolyhedralComplex,
     intersect,
     lp_solve,
+    max_value,
     polyhedron,
     polyhedron_to_json,
 )
@@ -124,11 +127,13 @@ def halfspace_meets_complex(H: Halfspace, C: PolyhedralComplex):
     sum(lambda_a g_a) + t v turns a cell row (r, b) into ((r . g_1, ...,
     r . g_k, r . v), b), and the cell meets H exactly when t, kept >= 0, is
     unbounded or has a positive maximum (zero only touches the closed
-    boundary).  Only a meeting cell gets the LP in (x, lambda, t), whose
-    optimal vertex is the witness; when t is unbounded it is capped at
-    t <= 1.  A cell whose every point has t > 1 leaves the capped LP
-    infeasible; the uncapped LP's point of the first such cell is the
-    witness when no later cell gives a capped one.
+    boundary).  That maximum is max_value's, read off a line when the
+    cell's equalities leave at most one free direction in (lambda, t).
+    Only a meeting cell gets the LP in (x, lambda, t), whose optimal
+    vertex is the witness and must agree with the decision; when t is
+    unbounded it is capped at t <= 1.  A cell whose every point has t > 1
+    leaves the capped LP infeasible; the uncapped LP's point of the first
+    such cell is the witness when no later cell gives a capped one.
     """
     if H.rank != C.rank:
         raise DimensionMismatch("halfspace/complex rank mismatch")
@@ -150,14 +155,15 @@ def halfspace_meets_complex(H: Halfspace, C: PolyhedralComplex):
     late = None
     for cell in C.cells:
         P = cell.polyhedron
-        res = lp_solve(obj[n:], Polyhedron(k + 1, sub(P.equalities), sub(P.inequalities) + tpos))
-        if isinstance(res, LPInfeasible) or (isinstance(res, LPOptimal) and res.value <= 0):
+        top = max_value(obj[n:], Polyhedron(k + 1, sub(P.equalities), sub(P.inequalities) + tpos))
+        if top is None or top <= 0:
             continue
         ineqs = pad(P.inequalities) + [([0] * (n + k) + [-1], Fraction(0))]
         ext = polyhedron(total, link + pad(P.equalities), ineqs)
         wit = lp_solve(obj, ext)
-        if type(wit) is not type(res) or (isinstance(wit, LPOptimal) and wit.value != res.value):
-            raise InternalInvariantError("the witness LP disagrees with the decision LP")
+        want = LPOptimal if top < math.inf else LPUnbounded
+        if not isinstance(wit, want) or (want is LPOptimal and wit.value != top):
+            raise InternalInvariantError("the witness LP disagrees with the decision")
         if isinstance(wit, LPOptimal):
             return wit.point[:n]
         capped = lp_solve(obj, intersect(ext, cap))

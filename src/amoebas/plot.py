@@ -16,13 +16,14 @@ from .archimedean import (
 from .errors import DimensionMismatch
 from .lattices import identity
 from .polyhedral import (
-    LPOptimal,
     PolyhedralComplex,
+    _bound,
+    _line,
+    _point_on,
     affine_hull_rows,
     contains_point,
     dimension,
     intersect,
-    lp_solve,
     polyhedron,
     relative_interior_point,
 )
@@ -42,14 +43,13 @@ def _box(rank, extent):
 
 
 def _segment_endpoints(P):
-    rows = affine_hull_rows(P)
-    assert len(rows) == 1
-    a, b = rows[0]
-    direction = (-b, a)
-    lo = lp_solve(direction, P, "min")
-    hi = lp_solve(direction, P, "max")
-    assert isinstance(lo, LPOptimal) and isinstance(hi, LPOptimal)
-    return lo.point, hi.point
+    """Both ends of the segment P off its line, the first where (-b, a) . v
+    is least for P's affine-hull row (a, b); every corner-locus cell states
+    its tie equality, so P's equalities leave one free direction."""
+    frame, st, (lo, hi) = _line(P)
+    ends = [_point_on(frame, _bound(st, i)) for i in (lo, hi)]
+    (a, b), col = affine_hull_rows(P)[0], frame[1]
+    return ends if a * col[1] - b * col[0] > 0 else ends[::-1]
 
 
 def _polygon_vertices(P):

@@ -12,10 +12,15 @@ whose rows are not canonical.  polyhedron() canonicalizes rows, and a row
 that is already primitive keeps its int entries and Fraction rhs as they
 are; intersect() merges rows that are already canonical without
 canonicalizing them again.  Projection is Fourier-Motzkin elimination on
-integer rows, each step built through polyhedron(); LP-based redundancy
-removal runs once, on the output only.  Emptiness is read off the cached
+integer rows, each step built through polyhedron(); redundancy removal
+runs once, on the output only.  Emptiness is read off the cached
 dimension: dimension, affine-hull rows and a relative-interior point come
-from one cached hull computation, one slack LP per round.
+from one cached hull computation.  When P's stated equalities leave at
+most one free direction, they are solved once into a line, every solution
+(x0 + z col) / den, and the hull, redundancy removal and max_value read
+their answers off the interval of z with integer comparisons, each answer
+checked like an LP's; otherwise the hull takes one slack LP per round and
+redundancy removal one LP per row.
 """
 from __future__ import annotations
 
@@ -25,6 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionMismatch, InternalInvariantError, RankDeficient
+from .lattices import _eliminate as _gauss_jordan
 from .lattices import identity, independent_subset, integer_row, rank_of_rows
 
 
@@ -365,17 +371,128 @@ def lp_solve(objective, P: Polyhedron, sense="max"):
     return LPUnbounded(tuple(Fraction(v, d) for v in ray), pt)
 
 
-# Entries of the hull cache below; bounds memory in a long-lived process.
+# Entries of each cache below (line and hull); bounds memory in a long-lived process.
 _CACHE_SIZE = 4096
 
 
+def _gap(a, b):
+    """For rows s z <= t that bound z on the same side: negative, zero or
+    positive as a's bound is tighter than, equal to or looser than b's."""
+    (s, t), (u, w) = a, b
+    return (t * u - w * s) * s
+
+
+def _tightest(st, idx):
+    """[lower, upper]: the index in idx of the first row of st with the
+    tightest bound on that side of z, None where no row bounds it."""
+    best = [None, None]
+    for i in idx:
+        if st[i][0]:
+            j = best[st[i][0] > 0]
+            if j is None or _gap(st[i], st[j]) < 0:
+                best[st[i][0] > 0] = i
+    return best
+
+
 @functools.lru_cache(maxsize=_CACHE_SIZE)
-def _hull(P: Polyhedron):
-    """(independent affine-hull rows, a relative-interior point), or None
-    when P is empty.  Each round maximizes t <= 1 subject to row . v + t <=
-    rhs on the inequalities not yet known to be implicit equalities, with
-    the rest kept as equalities.  Infeasible or t < 0: P is empty.  t > 0:
-    the point is relatively interior.  t = 0: the multipliers of those rows
+def _line(P):
+    """P's stated equalities solved once: None when they are consistent
+    and leave two or more free directions, else (frame, st, bounds).  With
+    frame = (x0, col, den), integer and den > 0, the solutions are (x0 + z
+    col) / den for real z (col = 0 when none is free); st[i] = (s, t) is
+    inequality i as the integer row s z <= t; bounds = (lo, hi) are the
+    rows of st with the tightest lower and upper bound on z (None on an
+    open side), or None when P is empty.  The elimination carries identity
+    columns, so inconsistent equalities leave a combination reading 0 =
+    nonzero (frame and st are then None and ()).  The frame is checked
+    against every equality, and emptiness by its Farkas combination: of
+    the equalities, or of two rows constant in z.  Cached for the hull and
+    redundancy removal, which share the tuples."""
+    n, m = P.rank, len(P.equalities)
+    rows = [row for row, _ in P.equalities]
+    rhs, D = integer_row([b for _, b in P.equalities])
+    M = [[*row, b, *(int(i == j) for j in range(m))] for i, (row, b) in enumerate(zip(rows, rhs))]
+    pivots, det = _gauss_jordan(M, n)
+    lam = next((r[n + 1:] for r in M[len(pivots):] if r[n]), None)
+    if lam is not None:
+        _check_farkas(rows, rhs, m, lam if _dot(lam, rhs) < 0 else [-x for x in lam])
+        return None, (), None
+    free = [c for c in range(n) if c not in pivots]
+    if len(free) > 1:
+        return None
+    # pivot row r reads det * v[p] + r[f] * v[f] = r[n] / D for the free f
+    x0, col = [0] * n, [0] * n
+    for p, r in zip(pivots, M):
+        x0[p], col[p] = r[n], -r[free[0]] if free else 0
+    if free:
+        col[free[0]] = det
+    den = D * det
+    if den < 0:
+        x0, den = [-x for x in x0], -den
+    if any(_dot(row, col) or _dot(row, x0) * D != b * den for row, b in zip(rows, rhs)):
+        raise InternalInvariantError("the frame misses a stated equality")
+    frame = tuple(x0), tuple(col), den
+    st = tuple(
+        (_dot(a, col) * c.denominator, c.numerator * den - _dot(a, x0) * c.denominator)
+        for a, c in P.inequalities
+    )
+    lo, hi = _tightest(st, range(len(st)))
+    cert = next((([i], [1]) for i, (s, t) in enumerate(st) if not s and t < 0), None)
+    if cert is None and None not in (lo, hi):
+        (sl, tl), (sh, th) = st[lo], st[hi]
+        if sh * tl - sl * th < 0:
+            cert = [lo, hi], [sh, -sl]
+    if cert is not None:
+        _check_farkas([(st[i][0],) for i in cert[0]], [st[i][1] for i in cert[0]], 0, cert[1])
+        return frame, st, None
+    return frame, st, (lo, hi)
+
+
+def _bound(st, i):
+    return None if i is None else Fraction(st[i][1], st[i][0])
+
+
+def _midpoint(st, lo, hi):
+    """z strictly between the bounds of rows lo and hi (one past a bound
+    on an open side), or the bound where the two meet."""
+    a, b = _bound(st, lo), _bound(st, hi)
+    if a is None:
+        a = (1 if b is None else b) - 2
+    if b is None:
+        b = a + 2
+    return Fraction(a + b) / 2
+
+
+def _point_on(frame, z):
+    x0, col, den = frame
+    return tuple(Fraction(a * z.denominator + c * z.numerator, den * z.denominator) for a, c in zip(x0, col))
+
+
+def _implicit_on_line(P, frame, st, bounds):
+    """(implicit rows, relative-interior point) of P off its line: a row
+    is an implicit equality exactly when it is tight at the midpoint of
+    the interval of z, and the point, checked in P, must be strict on
+    exactly the other rows."""
+    if bounds is None:
+        return None
+    z = _midpoint(st, *bounds)
+    implicit = {i for i, (s, t) in enumerate(st) if s * z == t}
+    point = _point_on(frame, z)
+    ints, d = integer_row(point)
+    if not contains_point(P, point) or any(
+        (_dot(row, ints) * b.denominator < b.numerator * d) == (i in implicit)
+        for i, (row, b) in enumerate(P.inequalities)
+    ):
+        raise InternalInvariantError("the point on the line is not strict exactly off the implicit rows")
+    return implicit, point
+
+
+def _implicit_by_lps(P):
+    """(implicit rows, relative-interior point) of P, or None when P is
+    empty.  Each round maximizes t <= 1 subject to row . v + t <= rhs on
+    the inequalities not yet known to be implicit equalities, with the
+    rest kept as equalities.  Infeasible or t < 0: P is empty.  t > 0: the
+    point is relatively interior.  t = 0: the multipliers of those rows
     sum to 1, and each row with a positive one holds with equality on all
     of P (complementary slackness), so every round finds one."""
     n, ineqs, implicit = P.rank, P.inequalities, set()
@@ -390,12 +507,25 @@ def _hull(P: Polyhedron):
         if isinstance(res, LPInfeasible) or res.value < 0:
             return None
         if res.value > 0:
-            rows = [row for row, _ in eqs]
-            return tuple(rows[i] for i in independent_subset(rows)), res.point[:n]
+            return implicit, res.point[:n]
         found = {i for i, lam in zip(free, res.multipliers[len(eqs):]) if lam > 0}
         if not found:
             raise InternalInvariantError("a zero-slack round found no implicit equality")
         implicit |= found
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _hull(P: Polyhedron):
+    """(independent affine-hull rows, a relative-interior point), or None
+    when P is empty: read off the line when P's equalities leave at most
+    one free direction, else by one slack LP per round."""
+    line = _line(P)
+    found = _implicit_by_lps(P) if line is None else _implicit_on_line(P, *line)
+    if found is None:
+        return None
+    implicit, point = found
+    rows = [row for row, _ in P.equalities] + [P.inequalities[i][0] for i in sorted(implicit)]
+    return tuple(rows[i] for i in independent_subset(rows)), point
 
 
 def affine_hull_rows(P: Polyhedron):
@@ -451,19 +581,71 @@ def poly_equal(P: Polyhedron, Q: Polyhedron) -> bool:
     return poly_contains(P, Q) and poly_contains(Q, P)
 
 
+def _check_kept(st, i, others, z):
+    """z breaks row i of st and keeps the rows in others: those do not
+    imply row i."""
+    if st[i][0] * z <= st[i][1] or any(st[j][0] * z > st[j][1] for j in others):
+        raise InternalInvariantError("a kept row's witness failed its check")
+
+
 def remove_redundancy(P: Polyhedron) -> Polyhedron:
     """Drop inequalities implied by the remaining constraints of a nonempty
-    P (callers decide emptiness: on an empty P the result is unspecified)."""
-    eqs = list(P.equalities)
-    ineqs = list(P.inequalities)
-    kept = list(ineqs)
-    for con in list(ineqs):
+    P (callers decide emptiness: on an empty P the result is unspecified).
+    Greedily in row order, a row is dropped when the equalities and the
+    rows still kept imply it.  On P's line (at most one free direction)
+    that holds exactly when the row is constant in z or another kept row
+    bounds z as tightly on the same side, and a kept row has a point that
+    breaks only it; else one LP per row decides."""
+    line = _line(P)
+    if line is not None and line[2] is not None:
+        st, keep = line[1], list(range(len(P.inequalities)))
+        for i, (s, _) in enumerate(st):
+            others = [j for j in keep if j != i]
+            j = _tightest(st, others)[s > 0] if s else None
+            if not s or (j is not None and _gap(st[j], st[i]) <= 0):
+                keep = others
+            else:  # a z past row i's bound and short of row j's
+                _check_kept(st, i, others, _midpoint(st, *((i, j) if s > 0 else (j, i))))
+        return polyhedron(P.rank, P.equalities, [P.inequalities[i] for i in keep])
+    kept = list(P.inequalities)
+    for con in P.inequalities:
         others = [c for c in kept if c != con]
-        test = Polyhedron(P.rank, tuple(eqs), tuple(others))
-        res = lp_solve(con[0], test, "max")
+        res = lp_solve(con[0], Polyhedron(P.rank, P.equalities, tuple(others)), "max")
         if isinstance(res, LPOptimal) and res.value <= con[1]:
             kept = others
-    return polyhedron(P.rank, eqs, kept)
+    return polyhedron(P.rank, P.equalities, kept)
+
+
+def max_value(objective, P: Polyhedron):
+    """The maximum of objective . v over P: a Fraction, math.inf when it is
+    unbounded, or None when P is empty.  When P's equalities leave at
+    most one free direction it is read off the interval of z, with its
+    optimality or unboundedness certificate checked on that line; else by
+    lp_solve.  Its callers' polyhedra are built for one query, so the line
+    skips the cache."""
+    line = _line.__wrapped__(P)
+    if line is None:
+        res = lp_solve(objective, P)
+        return None if isinstance(res, LPInfeasible) else res.value if isinstance(res, LPOptimal) else math.inf
+    frame, st, bounds = line
+    if bounds is None:
+        return None
+    (x0, col, den), (obj, L) = frame, integer_row(objective)
+    c = _dot(obj, col)
+    j = bounds[c > 0] if c else None
+    rows, rhs, lam = [(s,) for s, _ in st], [t for _, t in st], [0] * len(st)
+    if j is None:
+        z = _midpoint(st, *bounds)
+        zn, zd = z.numerator, z.denominator
+        if c:
+            _check_unbounded(rows, rhs, 0, [c], [1 if c > 0 else -1], [zn], zd)
+            return math.inf
+    else:
+        # z = t / s at the bounding row, kept over |s| so that |c| is its multiplier
+        s, t = st[j]
+        zn, zd, lam[j] = (t, s, c) if s > 0 else (-t, -s, -c)
+    _check_optimal(rows, rhs, 0, [c], lam, [zn], zd)
+    return Fraction(_dot(obj, x0) * zd + c * zn, den * zd * L)
 
 
 # ---------------------------------------------------------------------------

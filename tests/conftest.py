@@ -8,6 +8,7 @@ import cmath
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -62,11 +63,13 @@ from amoebas.lattices import (
     quotient_map,
     rank_of_rows,
 )
+from amoebas import polyhedral
 from amoebas.polyhedral import (
     Cell,
     LPInfeasible,
     LPOptimal,
     LPUnbounded,
+    Polyhedron,
     _canon_constraint,
     affine_hull_rows,
     contains_point,
@@ -626,6 +629,41 @@ def reference_affine_hull(P):
         if reference_rank_of_rows(hull + [row]) > len(hull):
             hull.append(row)
     return tuple(hull), tuple(flags)
+
+
+def reference_remove_redundancy(P):
+    """Drop inequalities implied by the rest of a nonempty P, greedily in
+    row order, each decided by one max LP over the equalities and the rows
+    still kept."""
+    kept = list(P.inequalities)
+    for con in P.inequalities:
+        others = [c for c in kept if c != con]
+        res = lp_solve(con[0], Polyhedron(P.rank, P.equalities, tuple(others)), "max")
+        if isinstance(res, LPOptimal) and res.value <= con[1]:
+            kept = others
+    return polyhedron(P.rank, P.equalities, kept)
+
+
+def count_lp_calls(monkeypatch):
+    """A list that gains one entry per outermost lp_solve call made from
+    any module of the package, from now on (a "min" call solves "max"
+    inside lp_solve and is counted once)."""
+    calls, depth = [], [0]
+    real = polyhedral.lp_solve
+
+    def spy(*args):
+        if not depth[0]:
+            calls.append(args)
+        depth[0] += 1
+        try:
+            return real(*args)
+        finally:
+            depth[0] -= 1
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("amoebas") and getattr(mod, "lp_solve", None) is real:
+            monkeypatch.setattr(mod, "lp_solve", spy)
+    return calls
 
 
 def reference_prune_to_maximal(polys):

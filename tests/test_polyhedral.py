@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from amoebas import polyhedral
-from amoebas.errors import InternalInvariantError, RankDeficient
+from amoebas.classify import Halfspace, halfspace_meets_complex
+from amoebas.errors import DependentDirection, InternalInvariantError, RankDeficient
+from amoebas.laurent import parse_poly
 from amoebas.lattices import rank_of_rows
 from amoebas.polyhedral import (
     Cell,
@@ -13,6 +16,7 @@ from amoebas.polyhedral import (
     LPOptimal,
     LPUnbounded,
     Polyhedron,
+    PolyhedralComplex,
     _canon_constraint,
     affine_hull_rows,
     contains_point,
@@ -21,6 +25,7 @@ from amoebas.polyhedral import (
     intersect,
     lp_solve,
     make_complex,
+    max_value,
     poly_contains,
     poly_equal,
     polyhedron,
@@ -31,12 +36,15 @@ from amoebas.polyhedral import (
     relative_interior_point,
     remove_redundancy,
 )
+from amoebas.scalars import FIELD_Q, GENERIC, FinitePrime
+from amoebas.tropical import prevariety, trop_hypersurface
 
 from conftest import (
     brute_force_lp,
     cells_of,
     complex_membership,
     complexes_equal,
+    count_lp_calls,
     covered_by,
     from_generators,
     is_empty,
@@ -48,8 +56,11 @@ from conftest import (
     reference_poly_contains,
     reference_project,
     reference_prune_to_maximal,
+    reference_remove_redundancy,
     segment,
 )
+from test_classify import _check_against_reference
+from test_tropical import pair_system_qz
 
 
 def box(rank, lo=-1, hi=1):
@@ -153,14 +164,15 @@ class TestDimension:
 
 
 @st.composite
-def hull_polyhedra(draw):
+def hull_polyhedra(draw, equalities=None):
     """Polyhedra of rank 1-4, empty, lower-dimensional or unbounded: random
     rows, an opposite copy of a row with its rhs moved by -1, 0 or 1 (an
     empty piece, a face or a slab), and a repeated or scaled row kept as it
-    is when the constructor does not canonicalize."""
+    is when the constructor does not canonicalize.  equalities(rank), when
+    given, draws the equalities in place of 0-2 random rows."""
     rank = draw(st.integers(1, 4))
     con = st.tuples(_rows(rank, -2, 2), st.integers(-2, 2).map(Fraction))
-    eqs = draw(st.lists(con, max_size=2))
+    eqs = draw(st.lists(con, max_size=2) if equalities is None else equalities(rank))
     ineqs = draw(st.lists(con, max_size=6))
     if ineqs and draw(st.booleans()):
         row, rhs = draw(st.sampled_from(ineqs))
@@ -174,26 +186,58 @@ def hull_polyhedra(draw):
     return Polyhedron(rank, tuple(eqs), tuple(ineqs))
 
 
+@st.composite
+def line_equalities(draw, rank):
+    """rank - 1 independent equality rows and up to two more, so n - 1, n
+    or n + 1 in all: a random row, a combination of earlier rows whose rhs
+    is the same combination or off by one (dependent or inconsistent), or
+    a zero row with rhs 0 or 1."""
+    con = st.tuples(_rows(rank, -2, 2), st.integers(-2, 2).map(Fraction))
+    eqs = draw(
+        st.lists(con, min_size=rank - 1, max_size=rank - 1).filter(
+            lambda eqs: rank_of_rows([row for row, _ in eqs]) == rank - 1
+        )
+    )
+    for kind in draw(st.lists(st.sampled_from(["random", "dependent", "zero"]), max_size=2)):
+        if kind == "random":
+            eqs.append(draw(con))
+        elif kind == "dependent" and eqs:
+            (r1, b1), (r2, b2) = draw(st.sampled_from(eqs)), draw(st.sampled_from(eqs))
+            a, c = draw(st.integers(1, 2)), draw(st.integers(-1, 1))
+            shift = draw(st.integers(-1, 1))
+            eqs.append((tuple(a * x + c * y for x, y in zip(r1, r2)), a * b1 + c * b2 + shift))
+        else:
+            eqs.append(((0,) * rank, Fraction(draw(st.integers(0, 1)))))
+    return eqs
+
+
+def _check_hull(P):
+    """dimension and affine_hull_rows as one LP per inequality row finds
+    them, and a point in P strict on exactly the rows that are not
+    implicit equalities."""
+    want = reference_affine_hull(P)
+    if want is None:
+        assert dimension(P) == -1
+        with pytest.raises(InternalInvariantError):
+            relative_interior_point(P)
+        return
+    rows, implicit = want
+    assert affine_hull_rows(P) == rows and dimension(P) == P.rank - len(rows)
+    x = relative_interior_point(P)
+    assert contains_point(P, x)
+    for (row, rhs), tight in zip(P.inequalities, implicit):
+        assert (sum(a * b for a, b in zip(row, x)) < rhs) != tight
+
+
 class TestHull:
-    """One LP per round names the implicit equalities: the same dimension
-    and affine-hull rows as one LP per inequality row, and a point strictly
-    inside every other row."""
+    """The hull, off a line or by one LP per round, names the implicit
+    equalities: the same dimension and affine-hull rows as one LP per
+    inequality row, and a point strictly inside every other row."""
 
     @settings(max_examples=300)
     @given(hull_polyhedra())
     def test_matches_lp_per_row_reference(self, P):
-        want = reference_affine_hull(P)
-        if want is None:
-            assert dimension(P) == -1
-            with pytest.raises(InternalInvariantError):
-                relative_interior_point(P)
-            return
-        rows, implicit = want
-        assert affine_hull_rows(P) == rows and dimension(P) == P.rank - len(rows)
-        x = relative_interior_point(P)
-        assert contains_point(P, x)
-        for (row, rhs), tight in zip(P.inequalities, implicit):
-            assert tight or sum(a * b for a, b in zip(row, x)) < rhs
+        _check_hull(P)
 
     def test_one_round_per_implicit_row_at_most(self, monkeypatch):
         # a point in the plane cut out by four inequalities takes at most
@@ -214,6 +258,163 @@ class TestHull:
         assert res.value == -1
         assert [m for m, (row, _, _) in zip(res.multipliers, box(2).constraints()) if m] == [1]
         assert box(2).constraints()[res.multipliers.index(1)][0] == (-1, 0)
+
+
+@pytest.fixture
+def fresh_caches():
+    """Cold line and hull caches before and after the test, so a patched
+    kernel is reached and leaves nothing behind."""
+    for cache in (polyhedral._line, polyhedral._hull):
+        cache.cache_clear()
+    yield
+    for cache in (polyhedral._line, polyhedral._hull):
+        cache.cache_clear()
+
+
+def _halfspaces(rank, k):
+    vec = st.tuples(*[st.integers(-2, 2)] * rank)
+    return st.builds(Halfspace, st.just(rank), vec, st.lists(vec, min_size=k, max_size=k).map(tuple))
+
+
+class TestLine:
+    """Polyhedra whose equalities leave at most one free direction are
+    decided on that line, with the same answers as the LP references."""
+
+    @settings(max_examples=300)
+    @given(hull_polyhedra(line_equalities), st.data())
+    def test_matches_lp_references(self, P, data):
+        assert polyhedral._line(P) is not None
+        _check_hull(P)
+        if dimension(P) >= 0:
+            assert remove_redundancy(P) == reference_remove_redundancy(P)
+        k = data.draw(st.integers(0, min(1, P.rank - 1)))
+        try:
+            H = data.draw(_halfspaces(P.rank, k))
+        except DependentDirection:
+            return
+        _check_against_reference(H, PolyhedralComplex(P.rank, (Cell(P),)))
+
+    def test_segment_point_and_empty_crossing(self):
+        # the diagonal of the plane cut to [0, 2], to {1}, and to nothing
+        diag = [((1, -1), 0)]
+        seg = polyhedron(2, diag, [((1, 0), 2), ((-1, 0), 0), ((1, 0), 3)])
+        assert dimension(seg) == 1 and relative_interior_point(seg) == (1, 1)
+        assert remove_redundancy(seg) == polyhedron(2, diag, [((1, 0), 2), ((-1, 0), 0)])
+        assert max_value((1, 1), seg) == 4 and max_value((-1, 0), seg) == 0
+        point = polyhedron(2, diag, [((1, 0), 1), ((-1, 0), -1)])
+        assert affine_hull_rows(point) == ((1, -1), (-1, 0)) and relative_interior_point(point) == (1, 1)
+        assert dimension(polyhedron(2, diag, [((1, 0), 0), ((-1, 0), -1)])) == -1
+        ray_ = polyhedron(2, diag, [((-1, 0), 0)])
+        assert max_value((1, 0), ray_) == math.inf and max_value((-1, 0), ray_) == 0
+
+    @settings(max_examples=100)
+    @given(hull_polyhedra(line_equalities))
+    def test_tampered_farkas_combinations_raise(self, P):
+        # the combination of inconsistent equalities, or of two rows
+        # constant on the line, that an empty answer carries
+        with pytest.MonkeyPatch.context() as mp:
+            polyhedral._line.cache_clear()
+            calls = []
+            check = polyhedral._check_farkas
+            mp.setattr(polyhedral, "_check_farkas", lambda *a: calls.append(a) or check(*a))
+            polyhedral._line(P)
+        for rows, rhs, neq, lam in calls:
+            polyhedral._check_farkas(rows, rhs, neq, lam)
+            for i in range(len(lam)):
+                if any(rows[i]):
+                    bad = list(lam)
+                    bad[i] += 1
+                    with pytest.raises(InternalInvariantError):
+                        polyhedral._check_farkas(rows, rhs, neq, bad)
+
+    @settings(max_examples=100)
+    @given(hull_polyhedra(line_equalities))
+    def test_tampered_kept_row_witnesses_raise(self, P):
+        assume(dimension(P) >= 0)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = []
+            check = polyhedral._check_kept
+            mp.setattr(polyhedral, "_check_kept", lambda *a: calls.append(a) or check(*a))
+            remove_redundancy(P)
+        for st_, i, others, z in calls:
+            polyhedral._check_kept(st_, i, others, z)
+            with pytest.raises(InternalInvariantError):
+                polyhedral._check_kept(st_, i, others, Fraction(st_[i][1], st_[i][0]))
+
+
+def _tamper(monkeypatch, name, change):
+    """Hand the named check of polyhedral its arguments changed."""
+    check = getattr(polyhedral, name)
+    monkeypatch.setattr(polyhedral, name, lambda *args: check(*change(*args)))
+
+
+def _corrupt_x0(monkeypatch):
+    """Shift the rhs entry of the first row the line's elimination leaves,
+    which moves x0 off the equalities."""
+    solve = polyhedral._gauss_jordan
+
+    def corrupt(M, ncols):
+        out = solve(M, ncols)
+        M[0][ncols] += 1
+        return out
+
+    monkeypatch.setattr(polyhedral, "_gauss_jordan", corrupt)
+
+
+def _bump_farkas(monkeypatch):
+    _tamper(monkeypatch, "_check_farkas", lambda rows, rhs, neq, lam: (rows, rhs, neq, [lam[0] + 1, *lam[1:]]))
+
+
+def _kept_at_its_bound(monkeypatch):
+    _tamper(monkeypatch, "_check_kept", lambda st_, i, others, z: (st_, i, others, Fraction(st_[i][1], st_[i][0])))
+
+
+_DIAG = [((1, -1), 0)]
+_SEGMENT = polyhedron(2, _DIAG, [((1, 0), 2), ((-1, 0), 0)])
+# corrupted certificate -> (the corruption, a polyhedron whose answers rest on it)
+_CORRUPTIONS = {
+    "x0": (_corrupt_x0, _SEGMENT),
+    "equality combination": (_bump_farkas, Polyhedron(2, (((1, 1), Fraction(0)), ((2, 2), Fraction(1))), ())),
+    "crossing pair": (_bump_farkas, polyhedron(2, _DIAG, [((1, 0), 0), ((-1, 0), -1)])),
+    "kept-row witness": (_kept_at_its_bound, _SEGMENT),
+}
+
+
+class TestLineCertificates:
+    """A line answer whose certificate is corrupted raises and never
+    becomes a verdict: the hull, redundancy removal, max_value and the
+    halfspace decision alike."""
+
+    @pytest.mark.parametrize("kind", list(_CORRUPTIONS))
+    def test_corrupted_certificate_raises(self, kind, monkeypatch, fresh_caches):
+        corrupt, P = _CORRUPTIONS[kind]
+        corrupt(monkeypatch)
+        calls = [lambda: remove_redundancy(P)]
+        if kind != "kept-row witness":
+            C = PolyhedralComplex(2, (Cell(P),))
+            calls += [lambda: dimension(P), lambda: max_value((1, 0), P)]
+            calls += [lambda: halfspace_meets_complex(Halfspace(2, (1, 1)), C)]
+        for call in calls:
+            polyhedral._line.cache_clear()
+            polyhedral._hull.cache_clear()
+            with pytest.raises(InternalInvariantError):
+                call()
+
+
+class TestLineLPCounts:
+    def test_prevariety_of_the_rank_3_curve_system(self, monkeypatch, fresh_caches):
+        # its pieces leave at most one free direction: the LP-based hull
+        # and redundancy removal took 86 LPs here
+        calls = count_lp_calls(monkeypatch)
+        C = prevariety(pair_system_qz().constraints, GENERIC, 3)
+        assert len(C.cells) == 4 and len(calls) <= 10
+
+    def test_halfspace_without_boundary_on_a_disjoint_complex(self, monkeypatch, fresh_caches):
+        # one decision LP per cell before, 3 here
+        C = trop_hypersurface(parse_poly("x1 + x2 + 1", rank=2, field=FIELD_Q), FinitePrime(2))
+        calls = count_lp_calls(monkeypatch)
+        assert halfspace_meets_complex(Halfspace(2, (1, 1)), C) is None
+        assert calls == []
 
 
 class TestProjection:
