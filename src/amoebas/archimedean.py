@@ -26,6 +26,7 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -71,6 +72,20 @@ class ArchQuery:
 
     def moduli(self):
         return [float(q) * math.exp(float(t)) for q, t in zip(self.magnitudes, self.exponents)]
+
+    @cached_property
+    def dominance(self):
+        """(signs, k): the signs _dominance_signs yields up to and including
+        the first +1, and the index k of that term, the one whose modulus
+        exceeds the sum of all the others (None when no term does).  Kept on
+        the query, so the triangle test, lopsidedness and a caller that
+        needs k share one enclosure."""
+        signs = []
+        for sign in _dominance_signs(self):
+            signs.append(sign)
+            if sign == 1:
+                return tuple(signs), len(signs) - 1
+        return tuple(signs), None
 
 
 def _floor_scaled(x, e):
@@ -151,10 +166,16 @@ def _dominance_signs(q: ArchQuery):
             )
 
 
+def _query(f: LaurentPoly, v) -> ArchQuery:
+    return v if isinstance(v, ArchQuery) else ArchQuery.at(f, v)
+
+
 def lopsided_outside(f: LaurentPoly, v) -> bool:
     """True when one term modulus exceeds the sum of all the others, which
-    certifies that v is outside the archimedean amoeba; False says nothing."""
-    return any(sign == 1 for sign in _dominance_signs(ArchQuery.at(f, v)))
+    certifies that v is outside the archimedean amoeba; False says nothing.
+    v is a point or the ArchQuery of f at one, whose dominance then holds
+    the index of that term."""
+    return _query(f, v).dominance[1] is not None
 
 
 def triangle_applicable(f: LaurentPoly) -> bool:
@@ -179,16 +200,15 @@ def triangle_exact_membership(f: LaurentPoly, v) -> str:
 
     After a monomial change of coordinates the hypersurface is a line in a
     two-torus times a torus factor, and v lies in the amoeba exactly when the
-    three term moduli satisfy the closed triangle inequality.
+    three term moduli satisfy the closed triangle inequality.  v is a point
+    or the ArchQuery of f at one, as for lopsided_outside.
     """
     if not triangle_applicable(f):
         return NOT_APPLICABLE
-    for sign in _dominance_signs(ArchQuery.at(f, v)):
-        if sign is None:
-            return NOT_APPLICABLE
-        if sign == 1:
-            return OUTSIDE
-    return INSIDE
+    signs, k = _query(f, v).dominance
+    if None in signs:
+        return NOT_APPLICABLE
+    return INSIDE if k is None else OUTSIDE
 
 
 def evaluate_at(f: LaurentPoly, x) -> complex:

@@ -6,6 +6,10 @@ exactly cell by cell, on a line or by LP (the open end is honored: touching
 at t = 0 counts as disjoint).  For relative-interior directions of vertex
 cones there is a fast valuation comparison with an explicit crossing
 witness when it fails.
+The archimedean place is scanned at grid points t d of the ray, t > 0: once
+a term k that minimizes <u_k, d> dominates at t0, every later grid point
+t >= t0 is certified outside from that tail, with no enclosure of its own.
+The tail certifies grid points, not the open ray between them.
 The trichotomy report combines the nonarchimedean verdicts with archimedean
 grid scans and checks the applicable structural conclusion: declared small
 image, image defined over the scalars, or a torsion binomial.  A supplied
@@ -22,9 +26,12 @@ from fractions import Fraction
 
 from .archimedean import (
     INSIDE,
+    NOT_APPLICABLE,
     OUTSIDE,
+    ArchQuery,
     lopsided_outside,
     sampled_inside,
+    triangle_applicable,
     triangle_exact_membership,
 )
 from .errors import (
@@ -199,49 +206,124 @@ def _witness_json(w):
     return [[x.real, x.imag] for x in w]
 
 
-def _classify_arch_hypersurface(f, point, trials, tol, rng):
-    if f.nterms == 3:
-        verdict = triangle_exact_membership(f, point)
-        if verdict == OUTSIDE:
-            return ArchPointVerdict(point, CERTIFIED_OUTSIDE, {"kind": "triangle"})
+TRIANGLE = "triangle"
+LOPSIDED = "lopsided"
+
+
+class _Part:
+    """A hypersurface of the source, pulled back by an integer matrix (None
+    is the identity), with what no point of a scan along d changes: whether
+    the exact triangle test applies, M d and the terms minimizing <u, M d>.
+    tail is the t from which its tail certifies the ray, or None."""
+
+    def __init__(self, poly, matrix, direction):
+        self.poly, self.matrix = poly, matrix
+        self.triangle = poly.nterms == 3 and triangle_applicable(poly)
+        self.tail = None
+        if direction is not None:
+            self.pulled = direction if matrix is None else apply_monomial_map(direction, matrix)
+            dots = [sum(a * b for a, b in zip(u, self.pulled)) for u in poly.exponents()]
+            self.minimizers = frozenset(i for i, x in enumerate(dots) if x == min(dots))
+
+    def outside(self, point, t):
+        """TRIANGLE or LOPSIDED when the image of point is certified outside
+        the amoeba, INSIDE when the triangle test puts it inside, else None.
+        A point t d of the ray (t not None) at or past the tail is answered
+        from it; a full test that certifies t d may start the tail."""
+        if t is not None and self.tail is not None and t >= self.tail:
+            return TRIANGLE if self.triangle else LOPSIDED
+        image = point if self.matrix is None else apply_monomial_map(point, self.matrix)
+        q = ArchQuery.at(self.poly, image)
+        # inside the closed triangle no term dominates, so lopsidedness fails
+        verdict = triangle_exact_membership(self.poly, q) if self.triangle else NOT_APPLICABLE
         if verdict == INSIDE:
-            cert = {"kind": "triangle"}
-            w = sampled_inside(f, point, trials=trials, tol=tol, rng=rng)
-            if w is not None:
-                cert["witness"] = _witness_json(w)
-            return ArchPointVerdict(point, MEETS, cert)
-    if lopsided_outside(f, point):
-        return ArchPointVerdict(point, CERTIFIED_OUTSIDE, {"kind": "lopsided"})
-    w = sampled_inside(f, point, trials=trials, tol=tol, rng=rng)
+            return INSIDE
+        if verdict == OUTSIDE or lopsided_outside(self.poly, q):
+            if t is not None:
+                self._start_tail(q, t)
+            return TRIANGLE if verdict == OUTSIDE else LOPSIDED
+        return None
+
+    def _start_tail(self, q, t):
+        """Start the tail at t when the term k dominating at t d minimizes
+        <u, M d>: every ratio r_j / r_k = |a_j / a_k| exp(-t <u_j - u_k, M d>)
+        then falls as t grows, so k dominates at every t' >= t.  Both facts
+        are checked again, exactly, before the tail is trusted.  A full test
+        runs only before the tail, so t is below any earlier start."""
+        signs, k = q.dominance
+        if k not in self.minimizers:
+            return
+        dots = [sum(a * b for a, b in zip(u, self.pulled)) for u in self.poly.exponents()]
+        if signs[k] != 1 or any(dots[k] > x for x in dots):
+            raise InternalInvariantError(
+                "a tail needs a certified dominating term that minimizes <u, d>"
+            )
+        self.tail = t
+
+
+def _classify_arch_hypersurface(part, point, t, trials, tol, rng):
+    kind = part.outside(point, t)
+    if kind in (TRIANGLE, LOPSIDED):
+        return ArchPointVerdict(point, CERTIFIED_OUTSIDE, {"kind": kind})
+    w = sampled_inside(part.poly, point, trials=trials, tol=tol, rng=rng)
+    if kind == INSIDE:
+        cert = {"kind": TRIANGLE}
+        if w is not None:
+            cert["witness"] = _witness_json(w)
+        return ArchPointVerdict(point, MEETS, cert)
     if w is not None:
         return ArchPointVerdict(point, MEETS, {"kind": "witness", "witness": _witness_json(w)})
     return ArchPointVerdict(point, EVIDENCE_ONLY, {"kind": "undecided"})
 
 
-def _classify_arch_system(system, point, trials, tol, rng):
-    for idx, con in enumerate(system.constraints):
-        image = apply_monomial_map(point, con.matrix(system.rank))
-        g = con.poly
-        # inside the closed triangle no term dominates, so lopsidedness fails
-        triangle = triangle_exact_membership(g, image) if g.nterms == 3 else None
-        if triangle == OUTSIDE:
-            return ArchPointVerdict(
-                point, CERTIFIED_OUTSIDE, {"kind": "triangle", "constraint": idx}
-            )
-        if triangle != INSIDE and lopsided_outside(g, image):
-            return ArchPointVerdict(
-                point, CERTIFIED_OUTSIDE, {"kind": "lopsided", "constraint": idx}
-            )
+def _classify_arch_system(parts, point, t):
+    for idx, part in enumerate(parts):
+        kind = part.outside(point, t)
+        if kind in (TRIANGLE, LOPSIDED):
+            return ArchPointVerdict(point, CERTIFIED_OUTSIDE, {"kind": kind, "constraint": idx})
     return ArchPointVerdict(point, EVIDENCE_ONLY, {"kind": "no-constraint-certifies"})
 
 
+def _ray_parameter(point, d):
+    """t > 0 with point == t d, or None (also when d is None or zero)."""
+    if d is None or len(point) != len(d):
+        return None
+    t = next((p / x for p, x in zip(point, d) if x), Fraction(0))
+    a, b = t.numerator, t.denominator
+    # p == t x, cross-multiplied on integers
+    on_ray = all(p.numerator * b == a * x * p.denominator for p, x in zip(point, d))
+    return t if t > 0 and on_ray else None
+
+
+def scan_arch_ray(source, direction, grid, trials=200, tol=1e-9, rng=None):
+    """Yield classify_arch_point's verdict at each grid point in order, for
+    a hypersurface or system source and an integer direction d (None: no
+    ray).  Once a part is certified outside at a point t d of the open ray
+    by a term k that minimizes <u_k, M d>, its tail certifies every later
+    grid point t' d with t' >= t without another enclosure.  A system's
+    parts are still visited in constraint order.  Points off the ray or
+    before the tail, and the sampler's draws, are as classify_arch_point
+    gives them.  The tail certifies grid points, not the open ray between
+    them."""
+    hypersurface = isinstance(source, LaurentPoly)
+    if hypersurface:
+        parts = [_Part(source, None, direction)]
+    elif isinstance(source, PrevarietySystem):
+        parts = [_Part(c.poly, c.matrix(source.rank), direction) for c in source.constraints]
+    else:
+        raise TypeError("source must be a hypersurface or a prevariety system")
+    for point in grid:
+        # Fraction(x) runs an abstract-class check even when x is a Fraction
+        point = tuple(x if type(x) is Fraction else Fraction(x) for x in point)
+        t = _ray_parameter(point, direction)
+        if hypersurface:
+            yield _classify_arch_hypersurface(parts[0], point, t, trials, tol, rng)
+        else:
+            yield _classify_arch_system(parts, point, t)
+
+
 def classify_arch_point(source, point, trials=200, tol=1e-9, rng=None):
-    point = tuple(Fraction(x) for x in point)
-    if isinstance(source, LaurentPoly):
-        return _classify_arch_hypersurface(source, point, trials, tol, rng)
-    if isinstance(source, PrevarietySystem):
-        return _classify_arch_system(source, point, trials, tol, rng)
-    raise TypeError("source must be a hypersurface or a prevariety system")
+    return next(scan_arch_ray(source, None, [point], trials, tol, rng))
 
 
 def default_arch_grid(H: Halfspace, count=20):
@@ -296,10 +378,13 @@ def adelic_disjoint(
     """Check the halfspace against the generic and every special complex;
     over Q, additionally scan the archimedean place along the halfspace.
 
-    The overall verdict is disjoint only if every nonarchimedean part is
-    disjoint and the archimedean scan (when applicable) found no witness.
-    Certification status records whether every scanned point was decided by
-    an exact test.
+    The scan is scan_arch_ray's along the halfspace direction: grid points
+    on the ray past a tail start are certified from the tail, all others by
+    their own test.  The overall verdict is disjoint only if every
+    nonarchimedean part is disjoint and the archimedean scan (when
+    applicable) found no witness.  archimedean_certified records whether
+    every grid point was certified outside; it says nothing about the open
+    ray between them.
     """
     checks = []
     w = halfspace_meets_complex(H, amoeba.generic)
@@ -315,10 +400,7 @@ def adelic_disjoint(
             raise ValueError("an empty archimedean grid certifies nothing")
         if not isinstance(rng, random.Random):
             rng = random.Random(0 if rng is None else rng)
-        arch = tuple(
-            classify_arch_point(amoeba.source, p, trials=trials, tol=tol, rng=rng)
-            for p in grid
-        )
+        arch = tuple(scan_arch_ray(amoeba.source, H.direction, grid, trials, tol, rng))
         certified = all(a.verdict == CERTIFIED_OUTSIDE for a in arch)
     disjoint = all(c.disjoint for c in checks) and not (
         arch is not None and any(a.verdict == MEETS for a in arch)
@@ -385,7 +467,9 @@ def disjoint_halfline_search(
 
     Candidates come from the valuation criterion over all bad places; each
     candidate ray is cross-checked per place, and over Q additionally scanned
-    at archimedean grid points, where a verified witness rejects it.  Returns
+    at archimedean grid points by scan_arch_ray (points past a tail start
+    are certified from the tail), where a verified witness rejects it; the
+    scan stops at that witness, as do the sampler's draws.  Returns
     (found, rejected, caveat): the accepted candidate as a dict or None, the
     per-candidate rejections, and whether an accepted candidate rests on any
     archimedean point that no exact test decided.
@@ -402,8 +486,8 @@ def disjoint_halfline_search(
         caveat = False
         arch_meet = None
         if f.field == FIELD_Q:
-            for point in default_arch_grid(Halfspace(f.rank, direction), grid_count):
-                res = classify_arch_point(f, point, trials=trials, tol=tol, rng=rng)
+            grid = default_arch_grid(Halfspace(f.rank, direction), grid_count)
+            for res in scan_arch_ray(f, direction, grid, trials, tol, rng):
                 if res.verdict == MEETS:
                     arch_meet = res
                     break

@@ -65,6 +65,16 @@ class Polyhedron:
     equalities: tuple
     inequalities: tuple
 
+    def __hash__(self):
+        # hashed on first use and kept: most polyhedra are never hashed, and
+        # the hull and line caches hash the same ones again and again
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.rank, self.equalities, self.inequalities))
+            object.__setattr__(self, "_hash", h)
+            return h
+
     def constraints(self):
         return [(r, b, True) for (r, b) in self.equalities] + [
             (r, b, False) for (r, b) in self.inequalities

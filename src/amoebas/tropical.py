@@ -391,6 +391,10 @@ def prevariety(constraints, place, rank) -> PolyhedralComplex:
             raise MonomialInput("a monomial cuts out the empty set in the torus")
         data = tropical_data(con.poly, place)
         trop = corner_locus(data, con.poly.rank)
+        if con.pullback is None:  # the cells are canonical already
+            pulled.append([cell.polyhedron for cell in trop.cells])
+            tropdata.append(data)
+            continue
         pulled.append([preimage(cell.polyhedron, mat) for cell in trop.cells])
         # <u, M x> = <M^T u, x>: the terms pulled back to the ambient torus
         transpose = list(zip(*mat))

@@ -32,10 +32,13 @@ from amoebas.classify import (
     DISJOINT,
     EVIDENCE_ONLY,
     MEETS,
+    AdelicReport,
     ArchPointVerdict,
     EklReport,
+    PlaceCheck,
     _witness_json,
     halfline_disjoint_fast,
+    halfspace_meets_complex,
     uniform_minimal_vertices,
 )
 from amoebas.errors import (
@@ -1208,6 +1211,33 @@ def reference_classify_arch_point(source, point, trials=200, tol=1e-9, rng=None)
     if isinstance(source, PrevarietySystem):
         return reference_classify_arch_system(source, point, trials, tol, rng)
     raise TypeError("source must be a hypersurface or a prevariety system")
+
+
+def reference_adelic_disjoint(amoeba, H, arch_grid=None, trials=200, tol=1e-9, rng=None):
+    """adelic_disjoint with one reference_classify_arch_point per grid
+    point and no tail: the scan as it stood before tails."""
+    places = [("generic", amoeba.generic)] + [(place_to_str(p), C) for p, C in amoeba.special]
+    checks = []
+    for name, C in places:
+        w = halfspace_meets_complex(H, C)
+        checks.append(PlaceCheck(name, w is None, w))
+    arch = certified = None
+    if amoeba.source is not None and amoeba.source.field == FIELD_Q:
+        if arch_grid is None:
+            arch_grid = [tuple(Fraction(i, 2) * x for x in H.direction) for i in range(1, 21)]
+        if not arch_grid:
+            raise ValueError("an empty archimedean grid certifies nothing")
+        if not isinstance(rng, random.Random):
+            rng = random.Random(0 if rng is None else rng)
+        arch = tuple(
+            reference_classify_arch_point(amoeba.source, p, trials=trials, tol=tol, rng=rng)
+            for p in arch_grid
+        )
+        certified = all(a.verdict == CERTIFIED_OUTSIDE for a in arch)
+    disjoint = all(c.disjoint for c in checks) and not (
+        arch is not None and any(a.verdict == MEETS for a in arch)
+    )
+    return AdelicReport(tuple(checks), arch, DISJOINT if disjoint else MEETS, certified)
 
 
 def reference_disjoint_halfline_search(f, trials=200, tol=1e-9, rng=None, grid_count=20):

@@ -29,6 +29,7 @@ from amoebas.classify import (
 from amoebas.errors import (
     DependentDirection,
     DimensionMismatch,
+    InternalInvariantError,
     MissingImagePresentation,
 )
 from amoebas.lattices import primitive_vector
@@ -73,6 +74,7 @@ from conftest import (
     rand_poly_qz,
     rand_poly_qz_constant,
     ray,
+    reference_adelic_disjoint,
     reference_classify_arch_point,
     reference_disjoint_halfline_search,
     reference_ekl_consistency_check,
@@ -630,3 +632,154 @@ class TestOneComputationPerFact:
         res = classify_arch_point(system, (Fraction(1, 2), Fraction(1, 2)))
         assert res.verdict == "evidence-only"
         assert len(calls) == len(system.constraints)
+
+
+# ---------------------------------------------------------------------------
+# ray scans: tails against one reference verdict per grid point
+
+# most points inside a small amoeba lie at small t, most tails start far out
+RAY_STEPS = st.sampled_from(
+    [Fraction(k, 4) for k in (1, 2, 3, 4, 6, 10, 24, 80)] + [Fraction(0), Fraction(-1)]
+)
+
+
+@st.composite
+def mapped_q_systems(draw):
+    """A system over Q of rank 2 or 3 with one or two constraints of rank 1
+    to the ambient rank, each pulled back by a small integer matrix (or the
+    identity, when the ranks agree)."""
+    rank = draw(st.integers(2, 3))
+    cons = []
+    for _ in range(draw(st.integers(1, 2))):
+        r = draw(st.integers(1, rank))
+        g = draw(small_q_polys(rank=r, terms=draw(st.sampled_from([2, 3, 3]))))
+        rows = st.tuples(*[st.integers(-2, 2)] * rank)
+        pullback = draw(st.tuples(*[rows] * r))
+        if r == rank and draw(st.booleans()):
+            pullback = None
+        cons.append(Constraint(g, pullback))
+    return PrevarietySystem(rank, tuple(cons))
+
+
+@st.composite
+def ray_scans(draw):
+    """A hypersurface over Q of rank 1 to 3 or a mapped system, a direction,
+    and a grid: the default one, or points t d at drawn steps t (unsorted or
+    falling, repeated, t <= 0 included) mixed with points off the ray."""
+    source = draw(st.one_of(small_q_polys(), mapped_q_systems()))
+    rank = source.rank
+    direction = draw(st.tuples(*[st.integers(-2, 2)] * rank).filter(any))
+    if not draw(st.integers(0, 2)):
+        return source, direction, None
+    items = []  # (t or None off the ray, point)
+    for _ in range(draw(st.integers(1, 12))):
+        if draw(st.integers(0, 3)):
+            t = draw(RAY_STEPS)
+            items.append((t, tuple(t * x for x in direction)))
+        else:  # a point near the ray, or near the origin
+            t = draw(RAY_STEPS)
+            near = tuple(t * x + draw(SMALL_POINT_COORDS) for x in direction)
+            items.append((None, near))
+    if draw(st.booleans()):
+        # a tail from a far point comes before the nearer ones
+        items.sort(key=lambda item: -item[0] if item[0] is not None else 0)
+    return source, direction, [point for _, point in items]
+
+
+class TestRayScan:
+    """adelic_disjoint and the half-line search answer a grid point past a
+    tail without an enclosure; their bytes and draws must equal one
+    reference verdict per point."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(ray_scans(), st.integers(1, 2), st.integers(0, 3))
+    def test_adelic_disjoint_matches_point_by_point(self, case, trials, seed):
+        source, direction, grid = case
+        amoeba = adelic_amoeba(source)
+        H = Halfspace(source.rank, direction)
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        got = outcome(adelic_disjoint, amoeba, H, arch_grid=grid, trials=trials, rng=rng)
+        want = outcome(
+            reference_adelic_disjoint, amoeba, H, arch_grid=grid, trials=trials, rng=ref_rng
+        )
+        if got[0] == want[0] == "ok":
+            got, want = ("ok", got[1].to_json()), ("ok", want[1].to_json())
+            event(got[1]["overall"])
+        assert got == want
+        assert rng.getstate() == ref_rng.getstate()
+
+    @settings(max_examples=30, deadline=None)
+    @given(small_q_polys(), st.integers(1, 40), st.integers(0, 3))
+    def test_halfline_search_matches_point_by_point(self, f, grid_count, seed):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        got = outcome(disjoint_halfline_search, f, trials=1, rng=rng, grid_count=grid_count)
+        want = outcome(
+            reference_disjoint_halfline_search, f, trials=1, rng=ref_rng, grid_count=grid_count
+        )
+        assert got == want
+        assert rng.getstate() == ref_rng.getstate()
+
+    def test_tail_answers_the_rest_of_the_ray(self, monkeypatch):
+        # (1/2, 1/2) is inside the triangle; from (1, 1) on the constant term
+        # dominates and minimizes <u, (1, 1)>
+        f = parse_poly("x1 + x2 + 1", field=FIELD_Q)
+        calls = []
+        enclose = archimedean._enclose
+        monkeypatch.setattr(
+            archimedean, "_enclose", lambda *args: calls.append(args) or enclose(*args)
+        )
+        H = Halfspace(2, (1, 1))
+        rep = adelic_disjoint(adelic_amoeba(f), H, arch_grid=default_arch_grid(H, 201))
+        kinds = [(a.verdict, a.certificate["kind"]) for a in rep.archimedean]
+        assert kinds == [(MEETS, "triangle")] + [(CERTIFIED_OUTSIDE, "triangle")] * 200
+        assert len(calls) == 2
+
+    def test_points_before_the_tail_take_the_full_test(self):
+        # the tail starts at (2, 2); (1/2, 1/2), later in the grid, is inside,
+        # and so is (1, 0), off the ray
+        f = parse_poly("x1 + x2 + 1", field=FIELD_Q)
+        H = Halfspace(2, (1, 1))
+        grid = [(2, 2), (Fraction(1, 2), Fraction(1, 2)), (1, 1), (-1, -1), (3, 1), (1, 0)]
+        rep = adelic_disjoint(adelic_amoeba(f), H, arch_grid=grid, trials=1)
+        ref = reference_adelic_disjoint(adelic_amoeba(f), H, arch_grid=grid, trials=1)
+        assert rep.to_json() == ref.to_json()
+        verdicts = [a.verdict for a in rep.archimedean]
+        assert verdicts[:3] == [CERTIFIED_OUTSIDE, MEETS, CERTIFIED_OUTSIDE]
+        assert verdicts[-1] == MEETS
+
+    def test_no_tail_from_a_term_that_does_not_minimize(self, monkeypatch):
+        # along (-1, -1) the constant 100 dominates at t = 1/2 but the terms
+        # x1 and x2 minimize <u, d>, so each point takes the full test
+        f = parse_poly("x1 + x2 + 100", field=FIELD_Q)
+        calls = []
+        enclose = archimedean._enclose
+        monkeypatch.setattr(
+            archimedean, "_enclose", lambda *args: calls.append(args) or enclose(*args)
+        )
+        grid = [(Fraction(-1, 2),) * 2, (Fraction(-1),) * 2]
+        verdicts = list(classify.scan_arch_ray(f, (-1, -1), grid))
+        assert [v.verdict for v in verdicts] == [CERTIFIED_OUTSIDE] * 2
+        assert len(calls) == 2
+
+    def test_zero_direction_is_no_ray(self):
+        f = parse_poly("x1 + x2 + 1", field=FIELD_Q)
+        grid = [(1, 1), (2, 2)]
+        got = list(classify.scan_arch_ray(f, (0, 0), grid))
+        assert got == [classify_arch_point(f, p) for p in grid]
+
+    def test_tamper_non_minimal_term(self):
+        f = parse_poly("x1 + x2 + 100", field=FIELD_Q)
+        part = classify._Part(f, None, (-1, -1))
+        part.minimizers = frozenset(range(f.nterms))
+        with pytest.raises(InternalInvariantError):
+            part.outside((Fraction(-1, 2),) * 2, Fraction(1, 2))
+
+    def test_tamper_sign_not_plus_one(self, monkeypatch):
+        # the constant term minimizes <u, (1, 1)>; its recorded sign is -1
+        f = parse_poly("x1 + x2 + 1", field=FIELD_Q)
+        k = next(i for i, (u, _) in enumerate(f.terms) if not any(u))
+        monkeypatch.setattr(
+            archimedean.ArchQuery, "dominance", property(lambda q: ((-1,) * (k + 1), k))
+        )
+        with pytest.raises(InternalInvariantError):
+            adelic_disjoint(adelic_amoeba(f), Halfspace(2, (1, 1)))

@@ -385,7 +385,14 @@ EMPTY = _digest(b"")
 # witness that the sampler's bisection finds after its sweep, witnesses
 # found past a slice that cancels to a monomial at the swept phase 0, and a
 # scan whose points from t = 15/2 on have the coordinate modulus
-# exp(-750) == 0.0, so no float witness and evidence-only verdicts.
+# exp(-750) == 0.0, so no float witness and evidence-only verdicts.  The
+# three long-grid scans of 201 points pin what the tail of a ray scan
+# certifies without another enclosure: x1 + x2 + 1 along (1, 1), a triangle
+# meets with a sampler witness and then 200 triangle tails; 2*x1^3 - 5*x1*x2
+# + x2^2 + 40 along (-1, -1), where the dominating constant does not
+# minimize <u, d> and a witness point comes before the tail of x1^3; and the
+# rank-4 system along (-1, 0, 0, 1), where constraint 1 certifies four
+# points before constraint 0 takes over and one point is evidence-only.
 PINS = [
     ("trop-qz", ["trop", "--f", QZ_CURVE, "--place", "q:z"],
      0, "6ba16dab628a296a", EMPTY, None),
@@ -502,7 +509,41 @@ PINS = [
     ("check-f-sampler-zero-modulus", ["check-halfspace", "--f", "x1 + 1", "--rank", "2",
       "--halfspace", "dir:0,100", "--trials", "1"],
      0, "ef072149022e64d0", EMPTY, None),
+    ("check-f-long-grid-triangle", ["check-halfspace", "--f", "x1 + x2 + 1",
+      "--halfspace", "dir:1,1", "--grid", "201", "--trials", "99"],
+     0, "a767e4003efe5d5a", EMPTY, None),
+    ("check-f-long-grid-lopsided", ["check-halfspace", "--f", "2*x1^3 - 5*x1*x2 + x2^2 + 40",
+      "--halfspace", "dir:-1,-1", "--grid", "201", "--trials", "99"],
+     0, "16d771537e8fc809", EMPTY, None),
+    ("check-system-long-grid-rank4", ["check-halfspace", "--system", "{rank4}",
+      "--halfspace", "dir:-1,0,0,1", "--grid", "201", "--trials", "99"],
+     0, "539aa5b75034bb13", EMPTY, None),
 ]
+
+
+@pytest.mark.parametrize(
+    "system, place", [(SYSTEM_QZ, "q:z"), (RANK_4_SYSTEM, "p:3")], ids=["qz", "rank4"]
+)
+def test_explicit_identity_map_keeps_bytes(capsys, tmp_path, system, place):
+    # a constraint without a map skips the pullback of its cells
+    rank = system["rank"]
+    eye = [[int(i == j) for j in range(rank)] for i in range(rank)]
+    mapped = dict(system, constraints=[dict(c, map=eye) for c in system["constraints"]])
+    runs = []
+    for name, obj in (("plain", system), ("mapped", mapped)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(obj))
+        direction = ",".join(["-1"] + ["0"] * (rank - 2) + ["1"])
+        runs.append([
+            run_cli(capsys, *argv)
+            for argv in (
+                ["prevariety", "--system", str(path)],
+                ["prevariety", "--system", str(path), "--place", place],
+                ["check-halfspace", "--system", str(path), "--halfspace", f"dir:{direction}"],
+            )
+        ])
+    assert runs[0] == runs[1]
+    assert all(code == 0 for code, _, _ in runs[0])
 
 
 @pytest.mark.parametrize(

@@ -17,9 +17,12 @@ PACKAGE = Path(amoebas.__file__).parent
 # Kept for exact tropical varieties of linear systems and the computed image
 # X' (ROADMAP items 4 and 5), which are meant to call them; mat_mul and
 # RankDeficient are reached only through smith_normal_form, quotient_map
-# and project.  Shrink this list when a reserved name gains a caller or
-# leaves the package.
+# and project.  classify_arch_point is the one-point verdict of the library
+# (the benchmark's query workload calls it); the command line scans rays
+# with scan_arch_ray.  Shrink this list when a reserved name gains a caller
+# or leaves the package.
 RESERVED = {
+    "classify.classify_arch_point",
     "errors.RankDeficient",
     "lattices.integer_kernel",
     "lattices.mat_mul",

@@ -805,6 +805,25 @@ def lp_instances(draw):
     return obj, polyhedron(rank, eqs, ineqs), sense
 
 
+class TestHashKeptOnTheInstance:
+    """A polyhedron hashes on first use and keeps the value: equal
+    polyhedra hash equal before and after a cached lookup, to the hash of
+    their fields."""
+
+    @settings(max_examples=100)
+    @given(lp_instances())
+    def test_equal_polyhedra_hash_equal(self, drawn):
+        _, P, _ = drawn
+        rows = lambda cons: [(tuple(2 * x for x in r), 2 * b) for r, b in reversed(cons)]
+        Q = polyhedron(P.rank, rows(P.equalities), rows(P.inequalities))
+        assert P == Q and P is not Q
+        assert hash(P) == hash(Q) == hash((P.rank, P.equalities, P.inequalities))
+        dimension(P)  # a cache lookup hashes P and stores Q's equal twin
+        R = polyhedron(P.rank, rows(P.equalities), rows(P.inequalities))
+        assert {P: 1}[R] == 1 and dimension(R) == dimension(Q)
+        assert hash(P) == hash(Q) == hash(R)
+
+
 class TestFractionFreeKernel:
     """The integer tableau takes the pivots of the Fraction tableau, so
     every result field agrees with it."""
