@@ -7,11 +7,15 @@ codimension-one skeleton of the inward normal fan of the Newton polytope.
 A corner locus is dual to the regular subdivision of the lifted exponents
 (u_i, c_i) (Maclagan-Sturmfels, Introduction to Tropical Geometry, 3.1) and
 is read off it by exact integer elimination, with no LP; its work is
-bounded (MAX_CORNER_OPS).  Everything downstream (projection, prevariety
-intersection) is exact polyhedral computation.
+bounded (MAX_CORNER_OPS per locus, MAX_AMOEBA_OPS over the loci of one
+adelic amoeba).  The loci of one polynomial at all its places are
+subdivisions of the same exponents, so what the lifts do not change is
+found once per support (_support) and shared.  Everything downstream
+(projection, prevariety intersection) is exact polyhedral computation.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field as dataclass_field
@@ -37,7 +41,6 @@ from .polyhedral import (
     Cell,
     Polyhedron,
     PolyhedralComplex,
-    _canon_constraint,
     _con_key,
     contains_point,
     dimension,
@@ -55,6 +58,14 @@ from .scalars import GENERIC, ArchimedeanQ, GenericPlace, place_to_str, valuatio
 # that one corner locus may spend; past it corner_locus raises
 # CornerLocusTooLarge (about 2.5 s of work on a 2-core VM).
 MAX_CORNER_OPS = 3_000_000
+
+# The most subset-scan work, as charged by _Budget.scan, that the corner
+# loci of one adelic amoeba may spend over all its places together; past
+# it adelic_amoeba raises CornerLocusTooLarge before the first locus.
+MAX_AMOEBA_OPS = 5 * MAX_CORNER_OPS
+
+# Supports whose place-independent corner-locus data _support keeps.
+_SUPPORT_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -130,36 +141,94 @@ class _Budget:
 
     def scan(self, m, k, d):
         """Charge a scan of the k-subsets of m points in Z^d: per subset, a
-        d x d elimination and the m points evaluated once."""
-        self.spend(math.comb(m, k) * (d**3 + m * d))
+        d x d elimination and the m points evaluated once.  Returns the
+        charge."""
+        ops = math.comb(m, k) * (d**3 + m * d)
+        self.spend(ops)
+        return ops
 
 
-def _maximal_cells(points, shifts, d):
-    """The maximal cells of the regular subdivision of the points p_i,
-    which affinely span Z^d, lifted by the shifts c_i: {sigma: (nums, den)},
-    with y = nums / den a point of the dual cell of sigma.
+class _Support:
+    """What the corner loci of one support share at every place, found
+    once: the pivot coordinates of the exponents' differences and the
+    points p_i on them (also as coordinate columns), the table of
+    (d+1)-subsets (built only after the scan is charged), and memos of the
+    primitive pair rows and of the segment multiplicities of ties."""
 
-    Each (d+1)-subset S with affinely independent points is solved for the
-    y where its terms tie, <p_a - p_k, y> = c_k - c_a for k in S; S lies in
-    a maximal cell exactly when its terms are minimal at y, and the argmin
-    set there is that cell."""
-    cells = {}
-    for S in itertools.combinations(range(len(points)), d + 1):
-        a = S[0]
-        pa, ca = points[a], shifts[a]
-        M = [[x - y for x, y in zip(pa, points[k])] + [shifts[k] - ca] for k in S[1:]]
-        pivots, den = _eliminate(M, d)
-        if len(pivots) < d:
-            continue
-        nums = [row[d] for row in M]
-        if den < 0:
-            nums, den = [-x for x in nums], -den
-        vals = _values(points, shifts, nums, den)
-        best = min(vals)
-        if vals[a] == best:
-            sigma = frozenset(i for i, x in enumerate(vals) if x == best)
-            cells.setdefault(sigma, (nums, den))
-    return cells
+    def __init__(self, exponents, rank):
+        self.exponents = exponents
+        self.pivots, _ = _eliminate([[x - y for x, y in zip(u, exponents[0])] for u in exponents], rank)
+        self.d = len(self.pivots)
+        self.points = [tuple(u[c] for c in self.pivots) for u in exponents]
+        self.columns = list(zip(*self.points))
+        self._rows, self._multiplicities = {}, {}
+
+    @functools.cached_property
+    def subsets(self):
+        """(S, T, den) for each (d+1)-subset S = (a, k_1, ..., k_d) with
+        affinely independent points: T (p_a - p_k)_k = den I with den > 0,
+        found by eliminating the block with d identity columns appended.
+        The terms of S tie at y = T b / den with b_k = c_k - c_a, the
+        numerators and denominator the shift column's elimination gives."""
+        d, points, out = self.d, self.points, []
+        for S in itertools.combinations(range(len(points)), d + 1):
+            pa = points[S[0]]
+            M = [
+                [x - y for x, y in zip(pa, points[k])] + [int(i == j) for j in range(d)]
+                for i, k in enumerate(S[1:])
+            ]
+            pivots, den = _eliminate(M, d)
+            if len(pivots) < d:
+                continue
+            T = [row[d:] for row in M]
+            if den < 0:
+                T, den = [[-x for x in row] for row in T], -den
+            out.append((S, T, den))
+        return out
+
+    def maximal_cells(self, shifts):
+        """The maximal cells of the regular subdivision of the points p_i
+        lifted by the shifts c_i: {sigma: (nums, den)}, with y = nums / den
+        a point of the dual cell of sigma.  A subset S lies in a maximal
+        cell exactly when its terms are minimal where they tie, and the
+        argmin set there is that cell."""
+        cells = {}
+        for S, T, den in self.subsets:
+            a = S[0]
+            b = [shifts[k] - shifts[a] for k in S[1:]]
+            nums = [sum(t * x for t, x in zip(row, b)) for row in T]
+            # den * (<p_i, y> + c_i) for every term, one coordinate at a time
+            vals = [c * den for c in shifts]
+            for col, x in zip(self.columns, nums):
+                vals = [v + p * x for v, p in zip(vals, col)]
+            best = min(vals)
+            if vals[a] == best:
+                sigma = frozenset(i for i, x in enumerate(vals) if x == best)
+                cells.setdefault(sigma, (nums, den))
+        return cells
+
+    def constraint(self, a, k, shifts, is_equality):
+        """_canon_constraint of <u_a - u_k, v> (= or <=) c_k - c_a, with the
+        primitive row of u_a - u_k and its gcd found once per pair."""
+        try:
+            row, g = self._rows[a, k]
+        except KeyError:
+            diff = [x - y for x, y in zip(self.exponents[a], self.exponents[k])]
+            g = math.gcd(*diff)
+            row, g = self._rows[a, k] = tuple(x // g for x in diff), g
+        if is_equality and next(x for x in row if x) < 0:
+            row, g = tuple(-x for x in row), -g
+        return row, Fraction(shifts[k] - shifts[a], g)
+
+    def multiplicity(self, tie):
+        if tie not in self._multiplicities:
+            self._multiplicities[tie] = _segment_multiplicity(self.exponents, tie)
+        return self._multiplicities[tie]
+
+
+@functools.lru_cache(maxsize=_SUPPORT_CACHE_SIZE)
+def _support(exponents, rank):
+    return _Support(exponents, rank)
 
 
 def _affine_rank(points, idx):
@@ -219,7 +288,7 @@ def _edges_and_two_faces(points, sigma, d, budget):
     return levels.get(1, []), levels.get(2, [])
 
 
-def _cell_polyhedron(data: TropicalData, rank, tie, two_cells):
+def _cell_polyhedron(support, shifts, rank, tie, two_cells):
     """The cell of the edge tie of the subdivision, with one inequality per
     facet.
 
@@ -232,12 +301,11 @@ def _cell_polyhedron(data: TropicalData, rank, tie, two_cells):
     must be tight at its vertex, and the vertex must lie in the cell.
     """
     a, b = sorted(tie)[:2]
-    ua, ca = data.exponents[a], data.shifts[a]
-    con = lambda k, is_eq: _canon_constraint(
-        tuple(x - y for x, y in zip(ua, data.exponents[k])), data.shifts[k] - ca, is_eq
-    )
-    eq = con(b, True)
-    facets = [(max((con(k, False) for k in sigma - tie), key=_con_key), v) for sigma, v in two_cells]
+    eq = support.constraint(a, b, shifts, True)
+    facets = [
+        (max((support.constraint(a, k, shifts, False) for k in sigma - tie), key=_con_key), v)
+        for sigma, v in two_cells
+    ]
     P = Polyhedron(rank, (eq,), tuple(sorted((row for row, _ in facets), key=_con_key)))
     for row, (ints, den) in facets:
         # den * (<r, v> - rhs) at v = ints / den, scaled by rhs's denominator
@@ -255,28 +323,29 @@ def corner_locus(data: TropicalData, rank) -> PolyhedralComplex:
     The exponents affinely span a space of dimension d, which maps one-to-
     one onto the pivot coordinates of their differences (_eliminate).  Each
     maximal cell sigma of the subdivision comes with a vertex of the corner
-    locus, solved for on those coordinates with the others 0
-    (_maximal_cells).  The edges of the maximal cells are the tie sets of
-    the cells, and the 2-faces containing an edge give its facets
-    (_cell_polyhedron), so each cell is built once.  Every step is charged
-    to a _Budget of MAX_CORNER_OPS before it runs, the scan of the
-    C(s, d + 1) subsets of the s terms included; past it
-    CornerLocusTooLarge is raised.
+    locus, solved for on those coordinates with the others 0.  The edges of
+    the maximal cells are the tie sets of the cells, and the 2-faces
+    containing an edge give its facets (_cell_polyhedron), so each cell is
+    built once.  What no place changes (the pivots, each (d+1)-subset's
+    elimination, the pair rows and the multiplicities) is kept per support
+    in _support, shared by the loci of one polynomial at every place.
+    Every step is charged to a _Budget of MAX_CORNER_OPS before it runs, at
+    its uncached estimate, the scan of the C(s, d + 1) subsets of the s
+    terms included; past it CornerLocusTooLarge is raised.
     """
     exps, shifts = data.exponents, data.shifts
     s = len(exps)
     budget = _Budget(s, rank)
     budget.spend(s * rank * rank)
-    pivots, _ = _eliminate([[x - y for x, y in zip(u, exps[0])] for u in exps], rank)
-    d = len(pivots)
+    support = _support(exps, rank)
+    pivots, d = support.pivots, support.d
     budget.scan(s, d + 1, d)
-    points = [tuple(u[c] for c in pivots) for u in exps]
     edges, two_cells = {}, {}
-    for sigma, (nums, den) in _maximal_cells(points, shifts, d).items():
+    for sigma, (nums, den) in support.maximal_cells(shifts).items():
         ints = [0] * rank
         for c, x in zip(pivots, nums):
             ints[c] = x
-        es, fs = _edges_and_two_faces(points, sigma, d, budget)
+        es, fs = _edges_and_two_faces(support.points, sigma, d, budget)
         # an edge lies in a 2-face when its two smallest indices do
         by_pair = {tuple(sorted(e)[:2]): edges.setdefault(e, set()) for e in es}
         for f in fs:
@@ -287,9 +356,9 @@ def corner_locus(data: TropicalData, rank) -> PolyhedralComplex:
     budget.spend(sum(len(fs) * (len(fs) + 2) for fs in edges.values()) * rank)
     cells = [
         Cell(
-            _cell_polyhedron(data, rank, tie, [(f, two_cells[f]) for f in fs]),
+            _cell_polyhedron(support, shifts, rank, tie, [(f, two_cells[f]) for f in fs]),
             tie,
-            _segment_multiplicity(exps, tie),
+            support.multiplicity(tie),
         )
         for tie, fs in edges.items()
     ]
@@ -324,6 +393,22 @@ class AdelicAmoeba:
     source: object = dataclass_field(compare=False, default=None)
 
 
+def _check_amoeba_size(exponents, rank, loci):
+    """Refuse, before any locus is built, a hypersurface whose loci at its
+    places would spend more than MAX_AMOEBA_OPS on their subset scans
+    together.  The charges of one locus up to its scan come first, so what
+    one locus refuses is refused with the same message."""
+    s = len(exponents)
+    budget = _Budget(s, rank)
+    budget.spend(s * rank * rank)
+    d = _support(exponents, rank).d
+    if loci * budget.scan(s, d + 1, d) > MAX_AMOEBA_OPS:
+        raise CornerLocusTooLarge(
+            f"the {loci} corner loci of {s} terms in rank {rank} need more "
+            f"than {MAX_AMOEBA_OPS} integer operations"
+        )
+
+
 def adelic_amoeba(source) -> AdelicAmoeba:
     """Adelic amoeba of a hypersurface, or of a PrevarietySystem."""
     if isinstance(source, PrevarietySystem):
@@ -332,10 +417,9 @@ def adelic_amoeba(source) -> AdelicAmoeba:
         raise TypeError("source must be a hypersurface or a prevariety system")
     if source.nterms < 2:
         raise MonomialInput("a monomial cuts out the empty set in the torus")
-    special = [
-        (p, trop_hypersurface(source, p))
-        for p in sorted(bad_places(source), key=place_to_str)
-    ]
+    places = sorted(bad_places(source), key=place_to_str)
+    _check_amoeba_size(tuple(source.exponents()), source.rank, len(places) + 1)
+    special = [(p, trop_hypersurface(source, p)) for p in places]
     return AdelicAmoeba(generic_skeleton(source), tuple(special), source)
 
 

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import amoebas
-from amoebas import archimedean, cli, plot
+from amoebas import archimedean, cli, plot, tropical
 from amoebas.cli import main, parse_halfspace
 from amoebas.classify import Halfspace
 from amoebas.errors import InternalInvariantError
@@ -144,6 +144,27 @@ class TestCommands:
         )
         assert code == 0
         assert "<rect" in open(out_path).read()
+
+
+# six special places, one per coefficient's prime
+SIX_PLACES_F = (
+    "(-1/4)*x1^-2*x2 + 3*x1*x2^2 + (5/2)*x2^-1 + 7*x1^2 + (-11)*x1^-1*x2^-2 + 13*x2"
+)
+
+
+def test_adelic_matches_trop_run_alone_at_each_place(capsys):
+    # adelic builds the loci of all places on one support table; trop at
+    # one place, on a table cleared first, must give each of them
+    code, out, _ = run_cli(capsys, "adelic", "--f", SIX_PLACES_F)
+    assert code == 0
+    am = json.loads(out)
+    assert [e["place"] for e in am["special"]] == ["p:11", "p:13", "p:2", "p:3", "p:5", "p:7"]
+    for place, expected in [("generic", am["generic"])] + [
+        (e["place"], e["complex"]) for e in am["special"]
+    ]:
+        tropical._support.cache_clear()
+        code, out, _ = run_cli(capsys, "trop", "--f", SIX_PLACES_F, "--place", place)
+        assert code == 0 and json.loads(out)["complex"] == expected
 
 
 class TestErrorsAndDeterminism:

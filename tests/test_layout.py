@@ -104,9 +104,9 @@ def unreached():
 
 def test_walk_resolves_imports_per_module():
     edges, _ = _graph()
-    # tropical's corner locus eliminates with lattices', not polyhedral's
-    assert "lattices._eliminate" in edges["tropical.corner_locus"]
-    assert "polyhedral._eliminate" not in edges["tropical.corner_locus"]
+    # tropical's support table eliminates with lattices', not polyhedral's
+    assert "lattices._eliminate" in edges["tropical._Support"]
+    assert "polyhedral._eliminate" not in edges["tropical._Support"]
     assert "polyhedral._eliminate" in edges["polyhedral.project"]
     # a module reached through `from . import m` and an attribute
     assert any(name.startswith("plot.") for name in edges["cli._plot"])

@@ -538,6 +538,13 @@ class TestCornerLocusRunsNoLP:
         assert self.corner_locus_without_lp(data, rank) == corner_locus(data, rank)
 
 
+def primes_poly(s):
+    """s terms of rank 2 on an 8-column grid, the k-th with the k-th prime
+    as its coefficient: s special places."""
+    primes = [p for p in range(2, 1000) if all(p % q for q in range(2, p))]
+    return " + ".join(f"{p}*x1^{i % 8}*x2^{i // 8}" for i, p in enumerate(primes[:s]))
+
+
 class TestCornerLocusBound:
     def test_many_terms_refused_before_the_scan(self):
         data = tropical_data(parse_poly(LARGE_RANK_2), FinitePrime(2))
@@ -545,6 +552,19 @@ class TestCornerLocusBound:
         with pytest.raises(CornerLocusTooLarge):
             corner_locus(data, 2)
         assert time.perf_counter() - start < 5
+
+    def test_refused_before_any_subset_elimination(self, monkeypatch):
+        # on a cold table only the pivot elimination may run before the
+        # scan is charged, not one of the C(120, 3) subset eliminations
+        data = tropical_data(parse_poly(LARGE_RANK_2), FinitePrime(2))
+        calls, eliminate = [], tropical._eliminate
+        monkeypatch.setattr(
+            tropical, "_eliminate", lambda *a: calls.append(1) or eliminate(*a)
+        )
+        tropical._support.cache_clear()
+        with pytest.raises(CornerLocusTooLarge):
+            corner_locus(data, 2)
+        assert len(calls) <= 1
 
     def test_high_rank_simplex_refused(self):
         # one maximal cell, but 300 cells of 23 facets each
@@ -555,6 +575,68 @@ class TestCornerLocusBound:
     def test_moderate_input_within_the_bound(self):
         f = " + ".join(["1"] + [f"x{i}" for i in range(1, 9)])
         assert len(generic_skeleton(parse_poly(f)).cells) == 36
+
+    def test_amoeba_at_twenty_places_within_the_bound(self):
+        am = adelic_amoeba(parse_poly(primes_poly(20)))
+        assert len(am.special) == 20
+
+    def test_amoeba_at_fifty_places_refused_before_its_loci(self):
+        # each of the 51 loci is within MAX_CORNER_OPS, their scans together
+        # are not
+        f = parse_poly(primes_poly(50))
+        start = time.perf_counter()
+        with pytest.raises(CornerLocusTooLarge, match="51 corner loci"):
+            adelic_amoeba(f)
+        assert time.perf_counter() - start < 5
+        assert len(generic_skeleton(f).cells) > 0
+
+
+@st.composite
+def support_and_places(draw):
+    """Rank 1-4, 2-8 distinct exponents in [-2, 2], 2-4 shift vectors in
+    [-2, 2] (the places), and a corner-locus bound: the real one, or one
+    small enough that some loci are refused at some step."""
+    rank = draw(st.integers(1, 4))
+    exps = draw(
+        st.lists(st.tuples(*[st.integers(-2, 2)] * rank), min_size=2, max_size=8, unique=True)
+    )
+    shifts = st.tuples(*[st.integers(-2, 2)] * len(exps))
+    places = draw(st.lists(shifts, min_size=2, max_size=4))
+    bound = draw(st.sampled_from([tropical.MAX_CORNER_OPS, 300, 1000, 3000]))
+    return tuple(exps), rank, places, bound
+
+
+class TestSupportTable:
+    """corner_locus keeps each support's place-independent data in a table
+    shared by the loci at all places; no locus and no refusal may depend
+    on what the table holds."""
+
+    @staticmethod
+    def locus_or_refusal(exps, rank, shifts):
+        try:
+            return corner_locus(TropicalData(exps, shifts), rank)
+        except CornerLocusTooLarge as exc:
+            return str(exc)
+
+    @settings(max_examples=60)
+    @given(support_and_places())
+    def test_warm_table_gives_cold_results(self, drawn):
+        exps, rank, places, bound = drawn
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tropical, "MAX_CORNER_OPS", bound)
+            cold = []
+            for shifts in places:
+                tropical._support.cache_clear()
+                cold.append(self.locus_or_refusal(exps, rank, shifts))
+            # warm the table fully: the generic locus builds every subset
+            # when it is not refused
+            tropical._support.cache_clear()
+            self.locus_or_refusal(exps, rank, (0,) * len(exps))
+            warm = [self.locus_or_refusal(exps, rank, shifts) for shifts in places]
+        assert warm == cold
+        for shifts, C in zip(places, cold):
+            if not isinstance(C, str):
+                assert C == reference_corner_locus(TropicalData(exps, shifts), rank)
 
 
 class TestEliminate:
