@@ -25,7 +25,6 @@ from .errors import (
     MonomialInput,
     PlaceFieldMismatch,
     PolySyntaxError,
-    RankDeficient,
     RankMismatch,
     RankTooLarge,
     TermCountMismatch,
@@ -74,7 +73,6 @@ from .polyhedral import (
     make_complex,
     polyhedron,
     preimage,
-    project,
 )
 from .tropical import (
     AdelicAmoeba,
@@ -86,7 +84,6 @@ from .tropical import (
     contains_zero,
     generic_skeleton,
     prevariety,
-    project_complex,
     system_bad_places,
     trop_hypersurface,
 )

@@ -30,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateSlice, ExponentSpreadTooLarge, TermCountMismatch
+from .errors import DegenerateSlice, ExponentSpreadTooLarge, PlaceFieldMismatch, TermCountMismatch
 from .lattices import integer_row
 from .laurent import LaurentPoly, make_laurent
 from .scalars import FIELD_Q
@@ -61,7 +61,7 @@ class ArchQuery:
     @classmethod
     def at(cls, f: LaurentPoly, v):
         if f.field != FIELD_Q:
-            raise TypeError("archimedean queries need coefficients in Q")
+            raise PlaceFieldMismatch("archimedean queries need coefficients in Q")
         v = tuple(Fraction(x) for x in v)
         if len(v) != f.rank:
             raise ValueError("point rank mismatch")

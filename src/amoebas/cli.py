@@ -69,7 +69,9 @@ def _is_int(x) -> bool:
 def load_system(path: str) -> PrevarietySystem:
     """Read a system file: ``{"rank": n, "field": "Q" | "Q(z)" (optional),
     "constraints": [{"f": text, "map": integer rows (optional), "rank": m
-    (optional)}, ...]}``; a file off this schema raises ValueError."""
+    (optional)}, ...]}``; a file off this schema raises ValueError.  Every
+    constraint is parsed over one field: an omitted "field" is Q(z) when any
+    constraint names z, else Q."""
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
     if not isinstance(obj, dict):
@@ -83,10 +85,12 @@ def load_system(path: str) -> PrevarietySystem:
     cons = obj.get("constraints")
     if not isinstance(cons, list) or not cons:
         raise ValueError('a system needs a nonempty "constraints" list')
+    if not all(isinstance(c, dict) and isinstance(c.get("f"), str) for c in cons):
+        raise ValueError('each constraint needs a string "f"')
+    if field is None:
+        field = FIELD_QZ if FIELD_QZ in {scan_field(c["f"]) for c in cons} else FIELD_Q
     constraints = []
     for c in cons:
-        if not isinstance(c, dict) or not isinstance(c.get("f"), str):
-            raise ValueError('each constraint needs a string "f"')
         mat = c.get("map")
         if mat is not None and not (
             isinstance(mat, list)

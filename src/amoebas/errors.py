@@ -55,10 +55,6 @@ class DimensionMismatch(AmoebaError):
     code = "dimension-mismatch"
 
 
-class RankDeficient(AmoebaError):
-    code = "rank-deficient"
-
-
 class TermCountMismatch(AmoebaError):
     code = "term-count-mismatch"
 

@@ -11,16 +11,15 @@ Farkas multipliers) before it is returned; it also takes a raw Polyhedron
 whose rows are not canonical.  polyhedron() canonicalizes rows, and a row
 that is already primitive keeps its int entries and Fraction rhs as they
 are; intersect() merges rows that are already canonical without
-canonicalizing them again.  Projection is Fourier-Motzkin elimination on
-integer rows, each step built through polyhedron(); redundancy removal
-runs once, on the output only.  Emptiness is read off the cached
-dimension: dimension, affine-hull rows and a relative-interior point come
-from one cached hull computation.  When P's stated equalities leave at
-most one free direction, they are solved once into a line, every solution
-(x0 + z col) / den, and the hull, redundancy removal and max_value read
-their answers off the interval of z with integer comparisons, each answer
-checked like an LP's; otherwise the hull takes one slack LP per round and
-redundancy removal one LP per row.
+canonicalizing them again, and preimage() pulls rows back along an integer
+map.  Emptiness is read off the cached dimension: dimension, affine-hull
+rows and a relative-interior point come from one cached hull computation.
+When P's stated equalities leave at most one free direction, they are
+solved once into a line, every solution (x0 + z col) / den, and the hull,
+redundancy removal and max_value read their answers off the interval of z
+with integer comparisons, each answer checked like an LP's; otherwise the
+hull takes one slack LP per round and redundancy removal one LP per row.
+A minimum is the maximum of the negated objective.
 """
 from __future__ import annotations
 
@@ -29,9 +28,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DimensionMismatch, InternalInvariantError, RankDeficient
+from .errors import DimensionMismatch, InternalInvariantError
 from .lattices import _eliminate as _gauss_jordan
-from .lattices import identity, independent_subset, integer_row, rank_of_rows
+from .lattices import independent_subset, integer_row
 
 
 def _canon_constraint(row, rhs, is_equality):
@@ -262,29 +261,21 @@ def _check_unbounded(rows, rhs, neq, obj, ray, point, d):
         raise InternalInvariantError("unboundedness certificate failed its check")
 
 
-def lp_solve(objective, P: Polyhedron, sense="max"):
-    """Exact LP over the polyhedron: maximize or minimize objective . v.
+def lp_solve(objective, P: Polyhedron):
+    """Exact LP over the polyhedron: maximize objective . v.
 
     Returns LPOptimal (value, a witness point, and optimal multipliers: the
     combination of the constraints in P.constraints() order, nonnegative on
-    inequalities, that gives the objective maximized, -objective for
-    "min"), LPUnbounded (an improving ray from a feasible point), or
-    LPInfeasible (with Farkas multipliers in the same order).  Each outcome
-    passes its certificate check (optimal multipliers, the ray, the Farkas
-    multipliers) before it is returned; a failed check raises
-    InternalInvariantError.
+    inequalities, that gives the objective), LPUnbounded (an improving ray
+    from a feasible point), or LPInfeasible (with Farkas multipliers in the
+    same order).  Each outcome passes its certificate check (optimal
+    multipliers, the ray, the Farkas multipliers) before it is returned; a
+    failed check raises InternalInvariantError.
     """
     n = P.rank
     obj = [Fraction(x) for x in objective]
     if len(obj) != n:
         raise DimensionMismatch("objective rank mismatch")
-    if sense == "min":
-        res = lp_solve([-x for x in obj], P, "max")
-        if isinstance(res, LPOptimal):
-            return LPOptimal(-res.value, res.point, res.multipliers)
-        return res
-    if sense != "max":
-        raise ValueError("sense must be 'max' or 'min'")
 
     # integer data: the stored rows, rhs scaled by D0, objective by L
     neq = len(P.equalities)
@@ -557,40 +548,6 @@ def relative_interior_point(P: Polyhedron):
     return hull[1]
 
 
-def poly_contains(P: Polyhedron, Q: Polyhedron) -> bool:
-    """Whether Q is a subset of P.
-
-    An empty Q is contained.  A relative-interior point x of Q outside P
-    is an exact "no".  With x in P, an equality of P holds on all of Q
-    exactly when its row lies in the span of the affine-hull rows of Q,
-    decided by exact rank; a point Q is then decided.  An inequality of P
-    that Q states with the same row and a rhs no larger holds on Q; each
-    other one is decided by one LP over Q."""
-    if P.rank != Q.rank:
-        raise DimensionMismatch("rank mismatch")
-    if dimension(Q) < 0:
-        return True
-    if not contains_point(P, relative_interior_point(Q)):
-        return False
-    hull = affine_hull_rows(Q)
-    if rank_of_rows(hull + tuple(row for row, _ in P.equalities)) != len(hull):
-        return False
-    if len(hull) == Q.rank:
-        return True
-    stated = dict(Q.inequalities)
-    for row, rhs in P.inequalities:
-        if row in stated and stated[row] <= rhs:
-            continue
-        hi = lp_solve(row, Q, "max")
-        if not (isinstance(hi, LPOptimal) and hi.value <= rhs):
-            return False
-    return True
-
-
-def poly_equal(P: Polyhedron, Q: Polyhedron) -> bool:
-    return poly_contains(P, Q) and poly_contains(Q, P)
-
-
 def _check_kept(st, i, others, z):
     """z breaks row i of st and keeps the rows in others: those do not
     imply row i."""
@@ -620,7 +577,7 @@ def remove_redundancy(P: Polyhedron) -> Polyhedron:
     kept = list(P.inequalities)
     for con in P.inequalities:
         others = [c for c in kept if c != con]
-        res = lp_solve(con[0], Polyhedron(P.rank, P.equalities, tuple(others)), "max")
+        res = lp_solve(con[0], Polyhedron(P.rank, P.equalities, tuple(others)))
         if isinstance(res, LPOptimal) and res.value <= con[1]:
             kept = others
     return polyhedron(P.rank, P.equalities, kept)
@@ -659,65 +616,7 @@ def max_value(objective, P: Polyhedron):
 
 
 # ---------------------------------------------------------------------------
-# projection and preimage
-
-
-def _eliminate(P: Polyhedron, idx) -> Polyhedron:
-    """One Fourier-Motzkin step on integer rows: the projection of P along
-    coordinate idx, still written in all P.rank coordinates."""
-    pivot = next((c for c in P.equalities if c[0][idx]), None)
-    if pivot is not None:
-        # c * row - f * pivot row with c = |pivot[idx]| > 0 and the pivot's
-        # sign folded into f: coordinate idx vanishes, and an inequality is
-        # scaled by c > 0, so it keeps its direction
-        prow, prhs = pivot
-        c, s = abs(prow[idx]), (1 if prow[idx] > 0 else -1)
-
-        def subst(con):
-            row, rhs = con
-            f = s * row[idx]
-            return [c * a - f * b for a, b in zip(row, prow)], c * rhs - f * prhs
-
-        return polyhedron(
-            P.rank,
-            [subst(con) for con in P.equalities if con is not pivot],
-            [subst(con) for con in P.inequalities],
-        )
-    pos = [con for con in P.inequalities if con[0][idx] > 0]
-    neg = [con for con in P.inequalities if con[0][idx] < 0]
-    zero = [con for con in P.inequalities if con[0][idx] == 0]
-    combos = []
-    for prow, prhs in pos:
-        for nrow, nrhs in neg:
-            a, b = prow[idx], -nrow[idx]
-            combos.append(([b * x + a * y for x, y in zip(prow, nrow)], b * prhs + a * nrhs))
-    return polyhedron(P.rank, P.equalities, zero + combos)
-
-
-def project(P: Polyhedron, phi) -> Polyhedron:
-    """Image of P under the surjective integer matrix phi (m x n)."""
-    m = len(phi)
-    n = P.rank
-    if any(len(row) != n for row in phi):
-        raise DimensionMismatch("projection matrix shape mismatch")
-    if rank_of_rows(phi) != m:
-        raise RankDeficient("projection matrix must have full row rank")
-    # variables (w, v) with w = phi v; eliminate all of v
-    eye, zeros = identity(m), (0,) * m
-    Q = polyhedron(
-        m + n,
-        [(eye[i] + [-x for x in phi[i]], 0) for i in range(m)]
-        + [(zeros + row, rhs) for row, rhs in P.equalities],
-        [(zeros + row, rhs) for row, rhs in P.inequalities],
-    )
-    for j in range(n):
-        Q = _eliminate(Q, m + j)
-    out = polyhedron(
-        m,
-        [(row[:m], rhs) for row, rhs in Q.equalities],
-        [(row[:m], rhs) for row, rhs in Q.inequalities],
-    )
-    return empty_polyhedron(m) if dimension(out) < 0 else remove_redundancy(out)
+# preimage
 
 
 def preimage(P: Polyhedron, phi) -> Polyhedron:
@@ -764,33 +663,6 @@ def make_complex(rank, cells) -> PolyhedralComplex:
         if c.polyhedron.rank != rank:
             raise DimensionMismatch("cell rank mismatch")
     return PolyhedralComplex(rank, cells)
-
-
-def prune_to_maximal(polys):
-    """Deduplicate and keep inclusion-maximal polyhedra (deterministic).
-
-    Q inside P needs dim Q <= dim P, so a pair whose dimensions rule it out
-    gets no containment test.  After exact deduplication no two kept
-    pieces are equal sets, so a piece is dropped exactly when another one
-    contains it.
-    """
-    polys = [P for P in polys if dimension(P) >= 0]
-    uniq, dims = [], []
-    for P in polys:
-        d = dimension(P)
-        if not any(
-            P == Q or (d == e and poly_contains(P, Q) and poly_contains(Q, P))
-            for Q, e in zip(uniq, dims)
-        ):
-            uniq.append(P)
-            dims.append(d)
-    return [
-        P
-        for i, P in enumerate(uniq)
-        if not any(
-            j != i and dims[j] >= dims[i] and poly_contains(Q, P) for j, Q in enumerate(uniq)
-        )
-    ]
 
 
 # ---------------------------------------------------------------------------

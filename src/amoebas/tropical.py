@@ -11,7 +11,7 @@ bounded (MAX_CORNER_OPS per locus, MAX_AMOEBA_OPS over the loci of one
 adelic amoeba).  The loci of one polynomial at all its places are
 subdivisions of the same exponents, so what the lifts do not change is
 found once per support (_support) and shared.  Everything downstream
-(projection, prevariety intersection) is exact polyhedral computation.
+(pullback, prevariety intersection) is exact polyhedral computation.
 """
 from __future__ import annotations
 
@@ -47,8 +47,6 @@ from .polyhedral import (
     intersect,
     make_complex,
     preimage,
-    project,
-    prune_to_maximal,
     relative_interior_point,
     remove_redundancy,
 )
@@ -393,18 +391,22 @@ class AdelicAmoeba:
     source: object = dataclass_field(compare=False, default=None)
 
 
-def _check_amoeba_size(exponents, rank, loci):
-    """Refuse, before any locus is built, a hypersurface whose loci at its
-    places would spend more than MAX_AMOEBA_OPS on their subset scans
-    together.  The charges of one locus up to its scan come first, so what
-    one locus refuses is refused with the same message."""
-    s = len(exponents)
-    budget = _Budget(s, rank)
-    budget.spend(s * rank * rank)
-    d = _support(exponents, rank).d
-    if loci * budget.scan(s, d + 1, d) > MAX_AMOEBA_OPS:
+def _check_amoeba_size(polys, places):
+    """Refuse, before any locus is built, hypersurfaces whose loci at the
+    given number of places would spend more than MAX_AMOEBA_OPS on their
+    subset scans together.  The charges of one locus up to its scan come
+    first, so what one locus refuses is refused with the same message."""
+    ops = 0
+    for f in polys:
+        s, rank = f.nterms, f.rank
+        budget = _Budget(s, rank)
+        budget.spend(s * rank * rank)
+        d = _support(tuple(f.exponents()), rank).d
+        ops += budget.scan(s, d + 1, d)
+    if places * ops > MAX_AMOEBA_OPS:
+        terms = " and ".join(f"{f.nterms} terms in rank {f.rank}" for f in polys)
         raise CornerLocusTooLarge(
-            f"the {loci} corner loci of {s} terms in rank {rank} need more "
+            f"the {places * len(polys)} corner loci of {terms} need more "
             f"than {MAX_AMOEBA_OPS} integer operations"
         )
 
@@ -418,17 +420,9 @@ def adelic_amoeba(source) -> AdelicAmoeba:
     if source.nterms < 2:
         raise MonomialInput("a monomial cuts out the empty set in the torus")
     places = sorted(bad_places(source), key=place_to_str)
-    _check_amoeba_size(tuple(source.exponents()), source.rank, len(places) + 1)
+    _check_amoeba_size([source], len(places) + 1)
     special = [(p, trop_hypersurface(source, p)) for p in places]
     return AdelicAmoeba(generic_skeleton(source), tuple(special), source)
-
-
-def project_complex(C: PolyhedralComplex, phi) -> PolyhedralComplex:
-    """Cellwise image under a surjective integer matrix, merged to
-    inclusion-maximal cells (labels do not survive projection)."""
-    images = [project(cell.polyhedron, phi) for cell in C.cells]
-    keep = prune_to_maximal(images)
-    return make_complex(len(phi), [Cell(P) for P in keep])
 
 
 @dataclass(frozen=True)
@@ -513,6 +507,7 @@ class PrevarietySystem:
 
 def adelic_amoeba_of_system(system: PrevarietySystem) -> AdelicAmoeba:
     places = sorted(system_bad_places(system.constraints), key=place_to_str)
+    _check_amoeba_size([con.poly for con in system.constraints], len(places) + 1)
     special = [
         (p, prevariety(system.constraints, p, system.rank)) for p in places
     ]

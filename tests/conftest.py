@@ -14,6 +14,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import settings
+from sympy import ZZ, Matrix
+from sympy.polys.matrices import DomainMatrix
+from sympy.polys.matrices.normalforms import smith_normal_decomp
 
 from amoebas.archimedean import (
     _MAX_EXPONENT_SPREAD,
@@ -61,9 +64,7 @@ from amoebas.laurent import (
 )
 from amoebas.lattices import (
     identity,
-    integer_kernel,
     primitive_vector,
-    quotient_map,
     rank_of_rows,
 )
 from amoebas import polyhedral
@@ -81,12 +82,8 @@ from amoebas.polyhedral import (
     intersect,
     lp_solve,
     make_complex,
-    poly_contains,
-    poly_equal,
     polyhedron,
     preimage,
-    project,
-    prune_to_maximal,
     relative_interior_point,
     remove_redundancy,
 )
@@ -130,8 +127,7 @@ LARGE_RANK_2 = " + ".join(
 )
 
 # 10 boundary generators in Z^24 with first coordinate 0, so dir:1,0,...,0
-# stays off their span; an elimination whose entries grow without bound runs
-# for minutes on their quotient map (the CI workflow builds the same halfspace)
+# stays off their span (the CI workflow builds the same halfspace)
 _wide = random.Random(24)
 WIDE_BOUNDARY = [[0] + [_wide.randint(-4, 4) for _ in range(23)] for _ in range(10)]
 WIDE_HALFSPACE = "dir:" + ",".join(["1"] + ["0"] * 23) + " bnd:" + ";".join(
@@ -182,7 +178,7 @@ def from_generators(rank, points, rays=(), lines=()):
     eqs = [(eye[c][:rank] + [-Fraction(g[c]) for g in gens], 0) for c in range(rank)]
     eqs.append(([0] * rank + [1] * k + [0] * (n - rank - k), 1))
     ineqs = [([-x for x in eye[rank + i]], 0) for i in range(k + len(rays))]
-    return project(polyhedron(n, eqs, ineqs), eye[:rank])
+    return reference_project(polyhedron(n, eqs, ineqs), eye[:rank])
 
 
 def complex_membership(C, v):
@@ -225,18 +221,18 @@ def covered_by(P, polys):
     if dP < 0:
         return True
     for Q in polys:
-        if poly_contains(Q, P):
+        if reference_poly_contains(Q, P):
             return True
     for Q in polys:
         if dimension(intersect(P, Q)) != dP:
             continue
         for row, rhs, _ in Q.constraints():
-            hi = lp_solve(row, P, "max")
+            hi = lp_solve(row, P)
             hi_exceeds = isinstance(hi, LPUnbounded) or hi.value > rhs
             if not hi_exceeds:
                 continue
-            lo = lp_solve(row, P, "min")
-            lo_below = isinstance(lo, LPUnbounded) or lo.value < rhs
+            lo = lp_solve([-x for x in row], P)
+            lo_below = isinstance(lo, LPUnbounded) or -lo.value < rhs
             if not lo_below:
                 continue
             P1 = intersect(P, polyhedron(P.rank, (), [(row, rhs)]))
@@ -301,9 +297,32 @@ def _codimension_two_cells(C):
         T = intersect(A, B)
         if dimension(T) != target:
             continue
-        if not any(poly_equal(T, S) for S in taus):
+        if not any(reference_poly_contains(T, S) and reference_poly_contains(S, T) for S in taus):
             taus.append(T)
     return taus
+
+
+def reference_smith(A):
+    """sympy's Smith form U A V = D of an integer matrix, as int lists
+    (U, D, V); a matrix without rows or columns gives identities."""
+    m, n = len(A), len(A[0]) if A else 0
+    if not m or not n:
+        return identity(m), [list(row) for row in A], identity(n)
+    D, U, V = smith_normal_decomp(DomainMatrix.from_list(A, ZZ))
+    return tuple([[int(x) for x in row] for row in M.to_list()] for M in (U, D, V))
+
+
+def reference_quotient_map(boundary, n):
+    """(phi, rinv): phi maps Z^n onto Z^(n - r), r the rank of the boundary
+    rows B, with the saturated span of B as kernel, and phi rinv = I.  The
+    last n - r columns of B V are zero in the Smith form U B V = D, so phi
+    reads them off x V and rinv is the matching rows of V^-1."""
+    r = rank_of_rows(boundary)
+    V = reference_smith(boundary)[2] if boundary else identity(n)
+    Vinv = Matrix(V).inv()
+    phi = [[V[j][i] for j in range(n)] for i in range(r, n)]
+    rinv = [[int(Vinv[i, j]) for i in range(r, n)] for j in range(n)]
+    return phi, rinv
 
 
 def is_balanced(C):
@@ -320,16 +339,18 @@ def is_balanced(C):
         if cell.multiplicity is None:
             raise InternalInvariantError("balancing needs multiplicity labels")
     for tau in _codimension_two_cells(C):
-        rows = affine_hull_rows(tau)
-        kernel = integer_kernel([list(r) for r in rows])
-        if len(kernel) != n - 2:
+        rows = [list(r) for r in affine_hull_rows(tau)]
+        if len(rows) != 2:
             raise InternalInvariantError("unexpected direction space")
-        phi, _ = quotient_map(kernel, n)
+        # the last n - 2 columns of V in the Smith form U A V = D of the hull
+        # rows A are a basis of the direction space of tau in Z^n
+        V = reference_smith(rows)[2]
+        phi, _ = reference_quotient_map([[V[i][j] for i in range(n)] for j in range(2, n)], n)
         x_tau = relative_interior_point(tau)
         image_tau = [sum(r * x for r, x in zip(row, x_tau)) for row in phi]
         total = [0, 0]
         for cell in C.cells:
-            if not poly_contains(cell.polyhedron, tau):
+            if not reference_poly_contains(cell.polyhedron, tau):
                 continue
             x_cell = relative_interior_point(cell.polyhedron)
             image = [sum(r * x for r, x in zip(row, x_cell)) for row in phi]
@@ -527,9 +548,9 @@ def rand_point(rng, rank, num=12, den=4):
 # naive LP oracle (bounded pointed polyhedra only)
 
 
-def brute_force_lp(objective, P, sense="max"):
+def brute_force_lp(objective, P):
     """Enumerate basic solutions from all rank-sized constraint subsets and
-    optimize over the feasible ones.  Returns (value, point) or None when no
+    maximize over the feasible ones.  Returns (value, point) or None when no
     feasible basic solution exists."""
     n = P.rank
     rows = [(row, rhs) for row, rhs, _ in P.constraints()]
@@ -543,11 +564,7 @@ def brute_force_lp(objective, P, sense="max"):
         if not contains_point(P, point):
             continue
         value = sum(Fraction(o) * x for o, x in zip(objective, point))
-        if best is None:
-            best = (value, point)
-        elif (sense == "max" and value > best[0]) or (
-            sense == "min" and value < best[0]
-        ):
+        if best is None or value > best[0]:
             best = (value, point)
     return best
 
@@ -592,7 +609,8 @@ def reference_corner_locus(data, rank):
             continue
         _, tie = min_value_and_argmin(data, relative_interior_point(P))
         if tie in cells:
-            if not poly_equal(cells[tie].polyhedron, P):
+            Q = cells[tie].polyhedron
+            if not (reference_poly_contains(Q, P) and reference_poly_contains(P, Q)):
                 raise InternalInvariantError("one argmin set carved two cells")
             continue
         cells[tie] = Cell(remove_redundancy(P), tie, _segment_multiplicity(data.exponents, tie))
@@ -601,16 +619,17 @@ def reference_corner_locus(data, rank):
 
 def reference_poly_contains(P, Q):
     """Whether Q is a subset of P: an emptiness LP, then per constraint of P
-    the LPs over Q (max and min for an equality, max for an inequality)."""
+    the LPs over Q (of the row and its negation for an equality, of the row
+    for an inequality)."""
     if is_empty(Q):
         return True
     for row, rhs in P.equalities:
-        for sense in ("max", "min"):
-            res = lp_solve(row, Q, sense)
-            if not (isinstance(res, LPOptimal) and res.value == rhs):
+        for sign in (1, -1):
+            res = lp_solve([sign * x for x in row], Q)
+            if not (isinstance(res, LPOptimal) and res.value == sign * rhs):
                 return False
     for row, rhs in P.inequalities:
-        hi = lp_solve(row, Q, "max")
+        hi = lp_solve(row, Q)
         if not (isinstance(hi, LPOptimal) and hi.value <= rhs):
             return False
     return True
@@ -619,13 +638,13 @@ def reference_poly_contains(P, Q):
 def reference_affine_hull(P):
     """None for an empty P (by is_empty); else the independent affine-hull
     rows, greedily in order, and per inequality whether it is an implicit
-    equality, each decided by one min LP over P."""
+    equality, each decided by one LP minimizing the row over P."""
     if is_empty(P):
         return None
     flags = []
     for row, rhs in P.inequalities:
-        res = lp_solve(row, P, "min")
-        flags.append(isinstance(res, LPOptimal) and res.value == rhs)
+        res = lp_solve([-x for x in row], P)
+        flags.append(isinstance(res, LPOptimal) and -res.value == rhs)
     rows = [row for row, _ in P.equalities] + [r for (r, _), f in zip(P.inequalities, flags) if f]
     hull = []
     for row in rows:
@@ -641,27 +660,21 @@ def reference_remove_redundancy(P):
     kept = list(P.inequalities)
     for con in P.inequalities:
         others = [c for c in kept if c != con]
-        res = lp_solve(con[0], Polyhedron(P.rank, P.equalities, tuple(others)), "max")
+        res = lp_solve(con[0], Polyhedron(P.rank, P.equalities, tuple(others)))
         if isinstance(res, LPOptimal) and res.value <= con[1]:
             kept = others
     return polyhedron(P.rank, P.equalities, kept)
 
 
 def count_lp_calls(monkeypatch):
-    """A list that gains one entry per outermost lp_solve call made from
-    any module of the package, from now on (a "min" call solves "max"
-    inside lp_solve and is counted once)."""
-    calls, depth = [], [0]
+    """A list that gains one entry per lp_solve call made from any module of
+    the package, from now on."""
+    calls = []
     real = polyhedral.lp_solve
 
     def spy(*args):
-        if not depth[0]:
-            calls.append(args)
-        depth[0] += 1
-        try:
-            return real(*args)
-        finally:
-            depth[0] -= 1
+        calls.append(args)
+        return real(*args)
 
     for mod in list(sys.modules.values()):
         if getattr(mod, "__name__", "").startswith("amoebas") and getattr(mod, "lp_solve", None) is real:
@@ -737,7 +750,7 @@ def reference_prevariety(constraints, place, rank):
         P = intersect(*combo) if len(combo) > 1 else combo[0]
         if not is_empty(P):
             pieces.append(remove_redundancy(P))
-    keep = prune_to_maximal(pieces)
+    keep = reference_prune_to_maximal(pieces)
     return make_complex(rank, [Cell(P) for P in keep])
 
 
@@ -837,6 +850,12 @@ def reference_project(P, phi):
     return remove_redundancy(out)
 
 
+def reference_project_complex(C, phi):
+    """Cellwise image under phi, merged to inclusion-maximal cells."""
+    images = [reference_project(cell.polyhedron, phi) for cell in C.cells]
+    return make_complex(len(phi), [Cell(P) for P in reference_prune_to_maximal(images)])
+
+
 # ---------------------------------------------------------------------------
 # Fraction-tableau reference for the fraction-free simplex
 
@@ -871,7 +890,7 @@ def _reference_run_simplex(T, basis, ncols):
         _reference_pivot(T, basis, leave, enter)
 
 
-def reference_lp_solve(objective, P, sense="max"):
+def reference_lp_solve(objective, P):
     """The two-phase Bland's-rule simplex on a tableau of Fractions, with the
     column layout, row flips, artificial columns and dropped redundant rows
     of the fraction-free kernel.  The artificial columns stay in phase 2
@@ -879,11 +898,6 @@ def reference_lp_solve(objective, P, sense="max"):
     each row's slack or artificial column, sign-flipped with the row."""
     n = P.rank
     obj = [Fraction(x) for x in objective]
-    if sense == "min":
-        res = reference_lp_solve([-x for x in obj], P, "max")
-        if isinstance(res, LPOptimal):
-            return LPOptimal(-res.value, res.point, res.multipliers)
-        return res
     eqs = list(P.equalities)
     ineqs = list(P.inequalities)
     m = len(eqs) + len(ineqs)

@@ -25,6 +25,7 @@ from conftest import (
     complexes_equal,
     tripod,
 )
+from test_tropical import primes_poly
 
 
 def run_cli(capsys, *argv):
@@ -271,6 +272,35 @@ class TestErrorsAndDeterminism:
         code, out, err = run_cli(capsys, "prevariety", "--system", str(path))
         assert code == 2 and out == ""
         assert json.loads(err)["error"]["code"] == "input-error"
+
+    def test_system_without_field_is_parsed_over_one_field(self, capsys, tmp_path):
+        # a constraint naming z makes every constraint Q(z): a Q constraint
+        # had no valuation at q:z, and check-halfspace exited 2 at inf
+        cons = [{"f": "x1 + x2 + 1"}, {"f": "x1 + z*x2 + 1"}]
+        outputs = []
+        for name, system in [("mixed", {"rank": 2}), ("qz", {"rank": 2, "field": "Q(z)"})]:
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({**system, "constraints": cons}))
+            outputs.append([
+                run_cli(capsys, "prevariety", "--system", str(path), "--place", "q:z"),
+                run_cli(capsys, "check-halfspace", "--system", str(path), "--halfspace", "dir:1,1"),
+            ])
+        assert all(code == 0 for code, _, _ in outputs[0])
+        assert outputs[0] == outputs[1]
+
+    def test_system_corner_loci_bound_exits_2_in_bounded_time(self, tmp_path):
+        # f_50 as a one-constraint system ran check-halfspace for seconds
+        # before its loci were charged together, as adelic --f charges them
+        path = tmp_path / "f50.json"
+        path.write_text(json.dumps({"rank": 2, "field": "Q", "constraints": [{"f": primes_poly(50)}]}))
+        start = time.monotonic()
+        done = _child(
+            "check-halfspace", "--system", str(path), "--halfspace", "dir:1,1",
+            "--grid", "1", "--trials", "1",
+        )
+        assert time.monotonic() - start < 5
+        assert done.returncode == 2 and done.stdout == ""
+        assert json.loads(done.stderr)["error"]["code"] == "corner-locus-too-large"
 
     def test_monomial_slice_phase_is_skipped(self, capsys):
         # the slice at phase 0 degenerates to a monomial, other phases do not
@@ -784,6 +814,7 @@ def cli_argvs(draw):
 @settings(max_examples=100, deadline=None)
 @given(cli_argvs())
 @example(["adelic"])  # raised TypeError (exit 1) before --f was checked
+@example(["plot", "--f", "x1 + z*x2 + 1", "--arch-scan", "--out", "s.svg"])  # TypeError on Q(z)
 def test_cli_exits_only_0_2_or_3(argv):
     # argparse rejects an argv by SystemExit(2); every other outcome is
     # main's return value

@@ -14,27 +14,10 @@ import amoebas
 
 PACKAGE = Path(amoebas.__file__).parent
 
-# Kept for exact tropical varieties of linear systems and the computed image
-# X' (ROADMAP items 4 and 5), which are meant to call them; mat_mul and
-# RankDeficient are reached only through smith_normal_form, quotient_map
-# and project.  classify_arch_point is the one-point verdict of the library
-# (the benchmark's query workload calls it); the command line scans rays
-# with scan_arch_ray.  Shrink this list when a reserved name gains a caller
-# or leaves the package.
-RESERVED = {
-    "classify.classify_arch_point",
-    "errors.RankDeficient",
-    "lattices.integer_kernel",
-    "lattices.mat_mul",
-    "lattices.quotient_map",
-    "lattices.smith_normal_form",
-    "polyhedral._eliminate",
-    "polyhedral.poly_contains",
-    "polyhedral.poly_equal",
-    "polyhedral.project",
-    "polyhedral.prune_to_maximal",
-    "tropical.project_complex",
-}
+# classify_arch_point is the one-point verdict of the library (the
+# benchmark's query workload calls it); the command line scans rays with
+# scan_arch_ray.  Code that a later change calls comes back with its caller.
+RESERVED = {"classify.classify_arch_point"}
 
 
 def _modules():
@@ -104,10 +87,10 @@ def unreached():
 
 def test_walk_resolves_imports_per_module():
     edges, _ = _graph()
-    # tropical's support table eliminates with lattices', not polyhedral's
-    assert "lattices._eliminate" in edges["tropical._Support"]
-    assert "polyhedral._eliminate" not in edges["tropical._Support"]
-    assert "polyhedral._eliminate" in edges["polyhedral.project"]
+    # the corner loci read tropical's support table, not scalars'
+    assert "tropical._support" in edges["tropical.corner_locus"]
+    assert "scalars._support" not in edges["tropical.corner_locus"]
+    assert "scalars._support" in edges["scalars.support_places"]
     # a module reached through `from . import m` and an attribute
     assert any(name.startswith("plot.") for name in edges["cli._plot"])
 

@@ -14,7 +14,6 @@ from amoebas.polyhedral import (
     complex_to_json,
     contains_point,
     dimension,
-    poly_contains,
     polyhedron,
     relative_interior_point,
 )
@@ -37,7 +36,6 @@ from amoebas.tropical import (
     generic_skeleton,
     min_value_and_argmin,
     prevariety,
-    project_complex,
     system_bad_places,
     trop_hypersurface,
     tropical_data,
@@ -59,7 +57,9 @@ from conftest import (
     rand_poly_qz,
     ray,
     reference_corner_locus,
+    reference_poly_contains,
     reference_prevariety,
+    reference_project_complex,
     scale,
     translate_complex,
     tripod,
@@ -235,13 +235,16 @@ def rand_fraction_nonzero(rng):
 
 
 class TestProjectComplex:
+    """The cellwise image that test_functoriality_containment compares with
+    the prevariety of the projected system."""
+
     def test_identity(self, expected_tripods):
         C = expected_tripods["generic"]
-        assert complexes_equal(project_complex(C, [[1, 0], [0, 1]]), C)
+        assert complexes_equal(reference_project_complex(C, [[1, 0], [0, 1]]), C)
 
     def test_hyperplane_to_line(self):
         C = cells_of(2, [polyhedron(2, [((1, 2), Fraction(0))], ())])
-        image = project_complex(C, [[1, 0]])
+        image = reference_project_complex(C, [[1, 0]])
         assert complexes_equal(image, cells_of(1, [polyhedron(1, (), ())]))
 
     def test_four_rays_to_tripod(self):
@@ -254,7 +257,7 @@ class TestProjectComplex:
                 ray(3, (0, 0, 0), (-1, -1, -1)),
             ],
         )
-        image = project_complex(four, [[1, 0, 0], [0, 1, 0]])
+        image = reference_project_complex(four, [[1, 0, 0], [0, 1, 0]])
         assert complexes_equal(image, tripod((0, 0)))
 
 
@@ -346,7 +349,7 @@ class TestPrevariety:
     def test_functoriality_containment(self, curve_system_qz):
         C = prevariety(curve_system_qz.constraints, GENERIC, 3)
         phi = [[1, 0, 0], [0, 1, 0]]
-        image = project_complex(C, phi)
+        image = reference_project_complex(C, phi)
         sub = prevariety(
             [Constraint(parse_poly("x1 - x2 - 1", rank=2, field=FIELD_QZ))],
             GENERIC,
@@ -590,6 +593,13 @@ class TestCornerLocusBound:
         assert time.perf_counter() - start < 5
         assert len(generic_skeleton(f).cells) > 0
 
+    def test_system_loci_charged_together(self):
+        # f_30 alone is within the bound at its 31 places, twice it is not
+        f = parse_poly(primes_poly(30))
+        system = PrevarietySystem(2, (Constraint(f), Constraint(f)))
+        with pytest.raises(CornerLocusTooLarge, match="62 corner loci"):
+            adelic_amoeba(system)
+
 
 @st.composite
 def support_and_places(draw):
@@ -690,20 +700,6 @@ def trinomial_systems(draw):
     return constraints, place, rank
 
 
-def prevariety_without_containment(constraints, place, rank):
-    """prevariety with prune_to_maximal and poly_contains made to raise."""
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("prevariety ran a containment test")
-
-    with pytest.MonkeyPatch.context() as mp:
-        for module in (tropical, polyhedral):
-            for name in ("prune_to_maximal", "poly_contains"):
-                if hasattr(module, name):
-                    mp.setattr(module, name, refuse)
-        return prevariety(constraints, place, rank)
-
-
 class TestPrevarietyAgainstReference:
     """Pruning the raw product pieces by their argmin tuples, with no
     containment test, and reducing only the kept cells gives the bytes of
@@ -714,14 +710,14 @@ class TestPrevarietyAgainstReference:
     def test_random_systems(self, system):
         constraints, place, rank = system
         dump = lambda C: json.dumps(complex_to_json(C), sort_keys=True)
-        assert dump(prevariety_without_containment(constraints, place, rank)) == dump(
+        assert dump(prevariety(constraints, place, rank)) == dump(
             reference_prevariety(constraints, place, rank)
         )
 
     def test_acceptance_systems(self, curve_system_qz, surface_system_q):
         for system in (curve_system_qz, surface_system_q):
             for place in [GENERIC, *sorted(system_bad_places(system.constraints), key=str)]:
-                C = prevariety_without_containment(system.constraints, place, system.rank)
+                C = prevariety(system.constraints, place, system.rank)
                 assert C == reference_prevariety(system.constraints, place, system.rank)
 
     @pytest.mark.parametrize(
@@ -732,6 +728,6 @@ class TestPrevarietyAgainstReference:
     def test_rank_4_system(self, place, dims):
         # test_cli pins the bytes; here no kept cell may lie in another
         constraints = [Constraint(parse_poly(c["f"], 4)) for c in RANK_4_SYSTEM["constraints"]]
-        polys = [c.polyhedron for c in prevariety_without_containment(constraints, place, 4).cells]
+        polys = [c.polyhedron for c in prevariety(constraints, place, 4).cells]
         assert sorted(map(dimension, polys)) == dims
-        assert not any(poly_contains(P, Q) for P, Q in itertools.permutations(polys, 2))
+        assert not any(reference_poly_contains(P, Q) for P, Q in itertools.permutations(polys, 2))
