@@ -3,9 +3,11 @@
 An open halfspace is the Minkowski sum of a rational linear boundary space
 and an open half line.  Nonarchimedean disjointness from a complex is decided
 exactly cell by cell, on a line or by LP (the open end is honored: touching
-at t = 0 counts as disjoint).  For relative-interior directions of vertex
-cones there is a fast valuation comparison with an explicit crossing
-witness when it fails.
+at t = 0 counts as disjoint).  A meeting cell's witness is read off that
+line when it is the only choice, so any correct method prints it; an LP's
+vertex is printed only where the choice is not unique.  For
+relative-interior directions of vertex cones there is a fast valuation
+comparison with an explicit crossing witness when it fails.
 The archimedean place is scanned at grid points t d of the ray, t > 0: once
 a term k that minimizes <u_k, d> dominates at t0, every later grid point
 t >= t0 is certified outside from that tail, with no enclosure of its own.
@@ -48,9 +50,10 @@ from .polyhedral import (
     LPUnbounded,
     Polyhedron,
     PolyhedralComplex,
+    contains_point,
     intersect,
     lp_solve,
-    max_value,
+    maximize,
     polyhedron,
     polyhedron_to_json,
 )
@@ -134,13 +137,19 @@ def halfspace_meets_complex(H: Halfspace, C: PolyhedralComplex):
     sum(lambda_a g_a) + t v turns a cell row (r, b) into ((r . g_1, ...,
     r . g_k, r . v), b), and the cell meets H exactly when t, kept >= 0, is
     unbounded or has a positive maximum (zero only touches the closed
-    boundary).  That maximum is max_value's, read off a line when the
+    boundary).  That maximum is maximize's, read off a line when the
     cell's equalities leave at most one free direction in (lambda, t).
-    Only a meeting cell gets the LP in (x, lambda, t), whose optimal
-    vertex is the witness and must agree with the decision; when t is
-    unbounded it is capped at t <= 1.  A cell whose every point has t > 1
-    leaves the capped LP infeasible; the uncapped LP's point of the first
-    such cell is the witness when no later cell gives a capped one.
+    The same line pass gives the witness of a meeting cell where it is
+    unique: the one maximizer of a finite t, or the one point at t = 1 of
+    an unbounded t.  It is checked exactly (in the cell, t > 0, t equal to
+    the maximum or to 1), and every correct method prints that point.
+    Other meeting cells get the LP in (x, lambda, t), whose optimal vertex
+    is the witness and must agree with the decision: two or more free
+    directions, t constant along a segment (the pivot rule picks the
+    vertex), or a cell met only past t = 1.  When t is unbounded the LP is
+    capped at t <= 1.  A cell whose every point has t > 1 leaves the
+    capped LP infeasible; the uncapped LP's point of the first such cell
+    is the witness when no later cell gives a capped one.
     """
     if H.rank != C.rank:
         raise DimensionMismatch("halfspace/complex rank mismatch")
@@ -158,13 +167,17 @@ def halfspace_meets_complex(H: Halfspace, C: PolyhedralComplex):
         ([int(i == c) for i in range(n)] + [-g[c] for g in gens], Fraction(0)) for c in range(n)
     ]
     pad = lambda cons: [(list(r) + [0] * (k + 1), b) for r, b in cons]
-    cap = polyhedron(total, (), [(obj, Fraction(1))])
     late = None
     for cell in C.cells:
         P = cell.polyhedron
-        top = max_value(obj[n:], Polyhedron(k + 1, sub(P.equalities), sub(P.inequalities) + tpos))
+        top, at = maximize(obj[n:], Polyhedron(k + 1, sub(P.equalities), sub(P.inequalities) + tpos), 1)
         if top is None or top <= 0:
             continue
+        if at is not None:
+            x = tuple(sum(a * g[c] for a, g in zip(at, gens)) for c in range(n))
+            if not (contains_point(P, x) and 0 < at[-1] == (top if top < math.inf else 1)):
+                raise InternalInvariantError("the witness on the line fails its check")
+            return x
         ineqs = pad(P.inequalities) + [([0] * (n + k) + [-1], Fraction(0))]
         ext = polyhedron(total, link + pad(P.equalities), ineqs)
         wit = lp_solve(obj, ext)
@@ -173,7 +186,7 @@ def halfspace_meets_complex(H: Halfspace, C: PolyhedralComplex):
             raise InternalInvariantError("the witness LP disagrees with the decision")
         if isinstance(wit, LPOptimal):
             return wit.point[:n]
-        capped = lp_solve(obj, intersect(ext, cap))
+        capped = lp_solve(obj, intersect(ext, polyhedron(total, (), [(obj, Fraction(1))])))
         if isinstance(capped, LPOptimal):
             return capped.point[:n]
         if late is None:

@@ -45,11 +45,14 @@ MAX_SCAN_TRIALS = 20_000
 
 
 def parse_halfspace(text: str, rank: int) -> Halfspace:
-    """Syntax: ``dir:<csv>`` optionally followed by ``bnd:<csv>;<csv>...``."""
+    """Syntax: ``dir:<csv>`` optionally followed by ``bnd:<csv>;<csv>...``;
+    a second ``dir:`` chunk is an error."""
     direction = None
     boundary = []
     for chunk in text.split():
         if chunk.startswith("dir:"):
+            if direction is not None:
+                raise ValueError("halfspace has more than one dir: chunk")
             direction = tuple(int(x) for x in chunk[4:].split(","))
         elif chunk.startswith("bnd:"):
             for vec in chunk[4:].split(";"):

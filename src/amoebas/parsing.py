@@ -280,7 +280,7 @@ class _Parser:
             self.take()
             if self.field != FIELD_QZ:
                 raise PolySyntaxError("the variable z needs the field Q(z)", pos)
-            return _Terms.scalar(self.rank, self.field, RationalFunction((1, 0)))
+            return _Terms.scalar(self.rank, self.field, RationalFunction.canonical((1, 0), (1,)))
         if kind == "var":
             self.take()
             if value < 1 or value > self.rank:

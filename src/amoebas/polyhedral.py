@@ -16,8 +16,9 @@ map.  Emptiness is read off the cached dimension: dimension, affine-hull
 rows and a relative-interior point come from one cached hull computation.
 When P's stated equalities leave at most one free direction, they are
 solved once into a line, every solution (x0 + z col) / den, and the hull,
-redundancy removal and max_value read their answers off the interval of z
-with integer comparisons, each answer checked like an LP's; otherwise the
+redundancy removal and maximize read their answers off the interval of z
+with integer comparisons, each answer checked like an LP's (maximize also
+reads off the maximizer where it is one point); otherwise the
 hull takes one slack LP per round and redundancy removal one LP per row.
 A minimum is the maximum of the negated objective.
 """
@@ -583,20 +584,27 @@ def remove_redundancy(P: Polyhedron) -> Polyhedron:
     return polyhedron(P.rank, P.equalities, kept)
 
 
-def max_value(objective, P: Polyhedron):
-    """The maximum of objective . v over P: a Fraction, math.inf when it is
-    unbounded, or None when P is empty.  When P's equalities leave at
-    most one free direction it is read off the interval of z, with its
-    optimality or unboundedness certificate checked on that line; else by
-    lp_solve.  Its callers' polyhedra are built for one query, so the line
-    skips the cache."""
+def maximize(objective, P: Polyhedron, level=None):
+    """(value, point).  value is the maximum of objective . v over P: a
+    Fraction, math.inf when it is unbounded, or None when P is empty.
+    point is the one point of P that attains a finite maximum, or, for an
+    unbounded one and a given level, the one point of P's line where
+    objective . v == level if P holds it; else None.  When P's equalities
+    leave at most one free direction both are read off the interval of z,
+    the value with its optimality or unboundedness certificate checked on
+    that line; the maximizer is then one z when the objective moves along
+    the line (c != 0), when no direction is free, or when the interval is
+    a single z.  Otherwise the value is lp_solve's and point is None.  Its
+    callers' polyhedra are built for one query, so the line skips the
+    cache."""
     line = _line.__wrapped__(P)
     if line is None:
         res = lp_solve(objective, P)
-        return None if isinstance(res, LPInfeasible) else res.value if isinstance(res, LPOptimal) else math.inf
+        value = None if isinstance(res, LPInfeasible) else res.value if isinstance(res, LPOptimal) else math.inf
+        return value, None
     frame, st, bounds = line
     if bounds is None:
-        return None
+        return None, None
     (x0, col, den), (obj, L) = frame, integer_row(objective)
     c = _dot(obj, col)
     j = bounds[c > 0] if c else None
@@ -606,13 +614,20 @@ def max_value(objective, P: Polyhedron):
         zn, zd = z.numerator, z.denominator
         if c:
             _check_unbounded(rows, rhs, 0, [c], [1 if c > 0 else -1], [zn], zd)
-            return math.inf
+            if level is None:
+                return math.inf, None
+            # obj . (x0 + z col) == level * den * L
+            z = (Fraction(level) * den * L - _dot(obj, x0)) / c
+            return math.inf, _point_on(frame, z) if all(s * z <= t for s, t in st) else None
     else:
         # z = t / s at the bounding row, kept over |s| so that |c| is its multiplier
         s, t = st[j]
         zn, zd, lam[j] = (t, s, c) if s > 0 else (-t, -s, -c)
     _check_optimal(rows, rhs, 0, [c], lam, [zn], zd)
-    return Fraction(_dot(obj, x0) * zd + c * zn, den * zd * L)
+    value = Fraction(_dot(obj, x0) * zd + c * zn, den * zd * L)
+    lo, hi = bounds
+    one = c or not any(col) or (None not in bounds and _bound(st, lo) == _bound(st, hi))
+    return value, _point_on(frame, Fraction(zn, zd)) if one else None
 
 
 # ---------------------------------------------------------------------------

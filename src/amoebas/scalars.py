@@ -2,8 +2,9 @@
 
 Rational numbers are plain ``fractions.Fraction``; rational functions in one
 variable ``z`` over Q are coprime pairs of integer polynomials in sympy's
-dense order, and all their arithmetic is sympy's dense arithmetic over ZZ
-(imported on first use: sympy is slow to load).  ``Poly``, a dense
+dense order, and their arithmetic is sympy's dense arithmetic over ZZ
+(imported on first use: sympy is slow to load), except with a constant
+operand, which only scales by integers.  ``Poly``, a dense
 polynomial over Q with no arithmetic, is the value type of the places and of
 printed coefficients, which show a monic denominator.  Places of Q
 are the primes and the archimedean absolute value.  Places of Q(z) are the
@@ -107,8 +108,10 @@ class RationalFunction:
     """Element of Q(z) as num / den, two tuples of ints high degree first
     (sympy's dense order), coprime in Z[z], with a positive leading
     coefficient in den; zero is ((), (1,)).  This form is unique, so equal
-    values have equal pairs.  Every operation ends in one ``dup_cancel``
-    over ZZ, which keeps coefficient growth down without any division in Q.
+    values have equal pairs.  Every operation with two nonconstant operands
+    ends in one ``dup_cancel`` over ZZ, which keeps coefficient growth down
+    without any division in Q; one with a constant operand divides out the
+    integer content alone.
     """
 
     __slots__ = ("num", "den")
@@ -126,11 +129,16 @@ class RationalFunction:
         self.den = tuple(map(int, den))
 
     @classmethod
+    def canonical(cls, num, den):
+        """num / den from a pair already in the canonical form, uncancelled."""
+        out = object.__new__(cls)
+        out.num, out.den = num, den
+        return out
+
+    @classmethod
     def const(cls, c):
         c = Fraction(c)
-        out = object.__new__(cls)
-        out.num, out.den = ((c.numerator,) if c else ()), (c.denominator,)
-        return out
+        return cls.canonical((c.numerator,) if c else (), (c.denominator,))
 
     def is_zero(self):
         return not self.num
@@ -157,18 +165,22 @@ class RationalFunction:
         return hash(("RationalFunction", self.num, self.den))
 
     def __neg__(self):
-        out = object.__new__(RationalFunction)
-        out.num, out.den = tuple(-c for c in self.num), self.den
-        return out
+        return RationalFunction.canonical(tuple(-c for c in self.num), self.den)
 
     def _combine(self, other, op):
         """self op other for op in '+-*/': sympy's dense arithmetic over ZZ
-        on the integer pairs, then the one cancel of the constructor."""
+        on the integer pairs, then the one cancel of the constructor.  When
+        one operand is a constant, the products only scale by integers and
+        only the integer content can cancel: the other operand's num and den
+        are coprime, so no polynomial of positive degree divides both parts
+        of the result.  That path needs no sympy."""
         other = _as_ratfunc(other)
         if other is NotImplemented:
             return NotImplemented
         if op == "/" and other.is_zero():
             raise ZeroDivisionError("division by zero rational function")
+        if self.is_constant() or other.is_constant():
+            return _combine_scaled(self, other, op)
         from sympy.polys.densearith import dup_add, dup_mul, dup_sub
         from sympy.polys.domains import ZZ
 
@@ -211,6 +223,36 @@ class RationalFunction:
 
     def __repr__(self):
         return f"RationalFunction({self})"
+
+
+def _scale(f, g):
+    """f * g for integer polynomials, high degree first, one of degree <= 0."""
+    if len(f) > len(g):
+        f, g = g, f
+    return tuple(f[0] * x for x in g) if f else ()
+
+
+def _combine_scaled(x, y, op):
+    """x op y when x or y is a constant: integer scaling and addition, then
+    the integer content divided out and den's leading coefficient made
+    positive."""
+    a, b, c, d = x.num, x.den, y.num, y.den
+    if op == "/":
+        c, d = d, c
+    den = _scale(b, d)
+    if op in "*/":
+        num = _scale(a, c)
+    else:
+        p, q = _scale(a, d), _scale(c, b)
+        width = max(len(p), len(q))
+        p, q = (0,) * (width - len(p)) + p, (0,) * (width - len(q)) + q
+        sign = 1 if op == "+" else -1
+        num = tuple(u + sign * v for u, v in zip(p, q))
+        num = num[next((i for i, u in enumerate(num) if u), len(num)):]
+    if not num:
+        return RationalFunction.canonical((), (1,))
+    g = math.gcd(*num, *den) * (1 if den[0] > 0 else -1)
+    return RationalFunction.canonical(tuple(u // g for u in num), tuple(u // g for u in den))
 
 
 def _as_ratfunc(x):

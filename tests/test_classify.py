@@ -201,6 +201,26 @@ class TestHalfspaceMeetsComplex:
         near = Cell(polyhedron(2, [((1, -1), 0)], [((1, 0), 2), ((-1, 0), -1)]))
         assert halfspace_meets_complex(H, PolyhedralComplex(2, (far, near))) == (2, 2)
 
+    @pytest.mark.parametrize(
+        "place, H",
+        [(FinitePrime(2), Halfspace(2, (1, 1))), (GENERIC, Halfspace(2, (0, 1), ((1, 0),)))],
+        ids=["finite-maximum", "capped-at-one"],
+    )
+    def test_tampered_line_witness_raises(self, monkeypatch, place, H):
+        # the maximizer read off the line, moved by 1/2, fails the exact
+        # check before it is returned
+        C = trop_hypersurface(parse_poly("x1 + x2 + 2", rank=2, field=FIELD_Q), place)
+        assert halfspace_meets_complex(H, C) is not None
+        real = classify.maximize
+
+        def shifted(*args):
+            top, at = real(*args)
+            return top, None if at is None else tuple(x + Fraction(1, 2) for x in at)
+
+        monkeypatch.setattr(classify, "maximize", shifted)
+        with pytest.raises(InternalInvariantError):
+            halfspace_meets_complex(H, C)
+
 
 _COEFFS = {
     FIELD_Q: ["1", "-1", "2", "-3", "4", "6", "1/2", "-1/3", "9", "12", "1/4", "-8"],
@@ -233,18 +253,24 @@ def hypersurface_halfspaces(draw):
 @st.composite
 def ray_complexes(draw):
     """1-2 rays and segments in rank 2-3, in drawn order, against a
-    boundary-free halfspace.  They start at points in [-4, 4] or at s v for
-    the direction v and s in [-2, 4]: a ray along v from s v with s > 1
-    is met only past t = 1."""
+    halfspace with 0-1 boundary generators.  They start at points in [-4,
+    4] or at s v for the direction v and s in [-2, 4]: a ray along v from
+    s v with s > 1 is met only past t = 1, and a ray along a boundary
+    generator g from s v keeps t = s, so its maximizers form a ray."""
     rank = draw(st.integers(2, 3))
     vec = lambda lo, hi: draw(st.tuples(*[st.integers(lo, hi)] * rank))
-    H = Halfspace(rank, draw(st.tuples(*[st.integers(-1, 1)] * rank).filter(any)))
+    boundary = (vec(-1, 1),) if draw(st.booleans()) else ()
+    try:
+        H = Halfspace(rank, draw(st.tuples(*[st.integers(-1, 1)] * rank).filter(any)), boundary)
+    except DependentDirection:
+        assume(False)
     cells = []
     for _ in range(draw(st.integers(1, 2))):
         s = draw(st.integers(-2, 4))
         base = tuple(s * x for x in H.direction) if draw(st.booleans()) else vec(-4, 4)
         if draw(st.integers(0, 2)):
-            cells.append(Cell(ray(rank, base, H.direction if draw(st.booleans()) else vec(-1, 1))))
+            along = st.sampled_from((H.direction, *H.boundary))
+            cells.append(Cell(ray(rank, base, draw(along) if draw(st.booleans()) else vec(-1, 1))))
         else:
             cells.append(Cell(segment(rank, base, vec(-4, 4))))
     return H, PolyhedralComplex(rank, tuple(cells))

@@ -470,6 +470,19 @@ PINS = [
       "((-2)*(z^2+1))*x1^-1*x2^-2*x3^-1 + ((-2)*(z-1))*x1^-1*x2^2*x3 + ((-1)*(z))*x1*x2^-1*x3^-2"
       " + ((-3)*(z-2))*x1^2*x2^-2", "--field", "Q(z)", "--halfspace", "dir:-1,-1,-2 bnd:1,0,0"],
      0, "100a04cc6b1b1101", EMPTY, None),
+    # the witness routes of halfspace_meets_complex: at p:2 the maximum of t
+    # is finite at one point of the line; at generic t is unbounded and
+    # capped at t = 1, while at p:2 t is constant on the meeting cell, so
+    # its witness is the LP's vertex; a cell met only past t = 1 gives the
+    # uncapped LP's point (2, -2) at p:2
+    ("check-f-line-finite", ["check-halfspace", "--f", "x1 + x2 + 2", "--halfspace", "dir:1,1"],
+     0, "328a2a88227ddd2b", EMPTY, None),
+    ("check-f-line-capped-and-constant-t", ["check-halfspace", "--f", "x1 + x2 + 2",
+      "--halfspace", "dir:0,1 bnd:1,0"],
+     0, "a4027eb13fdb8ef1", EMPTY, None),
+    ("check-f-met-past-t-one", ["check-halfspace", "--f", "x1*x2 + 2*x1 + 4*x2 + 1",
+      "--halfspace", "dir:1,0 bnd:0,1"],
+     0, "937639c3306922c4", EMPTY, None),
     ("check-f-binomial", ["check-halfspace", "--f", "x1*x2-1", "--halfspace", "dir:1,1"],
      0, "0f2eef1565a1c63e", EMPTY, None),
     ("check-f-explicit-defaults", ["check-halfspace", "--f", "x1*x2-1", "--halfspace", "dir:1,1",
@@ -523,6 +536,9 @@ PINS = [
      2, EMPTY, "13066de5219d1799", None),
     ("error-halfspace-chunk", ["check-halfspace", "--f", "x1+x2+1", "--halfspace", "dir:1,1 up:1"],
      2, EMPTY, "953639d38d45fda9", None),
+    ("error-halfspace-second-dir", ["check-halfspace", "--f", "x1 + x2 + 2",
+      "--halfspace", "dir:1,1 dir:1,0"],
+     2, EMPTY, "a66b63c820e50a83", None),
     ("error-halfspace-rank", ["check-halfspace", "--f", "x1+x2+1", "--halfspace", "dir:1,1,1"],
      2, EMPTY, "b58c73ee1ec9bcf2", None),
     ("error-dependent-direction", ["classify", "--f", "x1+x2+1", "--halfspace", "dir:1,1 bnd:2,2"],
@@ -649,6 +665,18 @@ def test_import_loads_no_sympy():
         capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
     )
     assert done.returncode == 0 and done.stdout == "[]\n", done.stderr
+
+
+def test_constant_qz_operands_load_no_sympy():
+    # z + 1/N combines a constant with z: integer scaling, no dup_cancel
+    src = os.path.dirname(os.path.dirname(amoebas.__file__))
+    argv = ["trop", "--place", "inf", "--f", "x1 + z + 1/" + "7" * 3999 + "1"]
+    code = f"import sys; from amoebas.cli import main; main({argv!r}); sys.exit('sympy' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0 and done.stdout.startswith('{"command":"trop"'), done.stderr
 
 
 class TestRejectedValues:

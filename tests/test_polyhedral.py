@@ -25,7 +25,7 @@ from amoebas.polyhedral import (
     intersect,
     lp_solve,
     make_complex,
-    max_value,
+    maximize,
     polyhedron,
     polyhedron_to_json,
     preimage,
@@ -267,6 +267,10 @@ def fresh_caches():
         cache.cache_clear()
 
 
+def max_value(objective, P):
+    return maximize(objective, P)[0]
+
+
 def _halfspaces(rank, k):
     vec = st.tuples(*[st.integers(-2, 2)] * rank)
     return st.builds(Halfspace, st.just(rank), vec, st.lists(vec, min_size=k, max_size=k).map(tuple))
@@ -289,6 +293,38 @@ class TestLine:
         except DependentDirection:
             return
         _check_against_reference(H, PolyhedralComplex(P.rank, (Cell(P),)))
+
+    @settings(max_examples=150)
+    @given(hull_polyhedra(line_equalities), st.data())
+    def test_maximizer_is_the_only_one(self, P, data):
+        """maximize's point is the one point of P at its finite maximum, or
+        at the level of an unbounded objective: each coordinate's range over
+        P at that value, by reference_lp_solve, is that point's entry.  No
+        point means a range of positive width or no point at the level."""
+        obj = data.draw(st.tuples(*[st.integers(-2, 2)] * P.rank))
+        level = data.draw(st.integers(-2, 2))
+        top = lambda objective, Q: (
+            None if isinstance(res := reference_lp_solve(objective, Q), LPInfeasible)
+            else res.value if isinstance(res, LPOptimal) else math.inf
+        )
+        value, point = maximize(obj, P, level)
+        assert value == top(obj, P)
+        if value is None:
+            assert point is None
+            return
+        at = value if value < math.inf else level
+        face = Polyhedron(P.rank, P.equalities + ((obj, Fraction(at)),), P.inequalities)
+        if top([0] * P.rank, face) is None:
+            assert value == math.inf and point is None
+            return
+        ranges = [
+            (top(e, face), -top([-x for x in e], face))
+            for e in ([int(i == j) for j in range(P.rank)] for i in range(P.rank))
+        ]
+        if point is None:
+            assert any(hi != lo for hi, lo in ranges)
+        else:
+            assert [(x, x) for x in point] == ranges
 
     def test_segment_point_and_empty_crossing(self):
         # the diagonal of the plane cut to [0, 2], to {1}, and to nothing
@@ -410,6 +446,13 @@ class TestLineLPCounts:
         C = trop_hypersurface(parse_poly("x1 + x2 + 1", rank=2, field=FIELD_Q), FinitePrime(2))
         calls = count_lp_calls(monkeypatch)
         assert halfspace_meets_complex(Halfspace(2, (1, 1)), C) is None
+        assert calls == []
+
+    def test_halfspace_witness_on_a_meeting_complex(self, monkeypatch, fresh_caches):
+        # the witness LP in (x, lambda, t) ran for the meeting cell before
+        C = trop_hypersurface(parse_poly("x1 + x2 + 2", rank=2, field=FIELD_Q), FinitePrime(2))
+        calls = count_lp_calls(monkeypatch)
+        assert halfspace_meets_complex(Halfspace(2, (1, 1)), C) == (1, 1)
         assert calls == []
 
 

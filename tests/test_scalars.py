@@ -313,6 +313,33 @@ class TestRationalFunction:
         assert_canonical(c)
         assert value(c.view()[0], z0) / value(c.view()[1], z0) == op(x, y)
 
+    @settings(max_examples=300)
+    @given(_INT_POLYS, _INT_POLYS.filter(any), st.integers(-10**6, 10**6), st.integers(1, 10**6),
+           st.integers(0, 3), st.booleans())
+    def test_constant_operand_matches_the_cancel(self, a, b, p, q, k, flip):
+        # one constant operand takes integer scaling and the content alone;
+        # sympy's dense arithmetic on the same pairs and dup_cancel agree
+        from sympy.polys.densearith import dup_add, dup_mul, dup_sub
+        from sympy.polys.domains import ZZ
+
+        x, y = rf(a, b), RationalFunction.const(Fraction(p, q))
+        if flip:
+            x, y = y, x
+        op = _OPS[k]
+        assume(op is not operator.truediv or y)
+        f, g, c, d = map(list, (x.num, x.den, y.num, y.den))
+        if op is operator.truediv:
+            c, d = d, c
+        mul = lambda u, v: dup_mul(u, v, ZZ)
+        if op in (operator.mul, operator.truediv):
+            want = RationalFunction(mul(f, c), mul(g, d))
+        else:
+            cross = (dup_add if op is operator.add else dup_sub)(mul(f, d), mul(c, g), ZZ)
+            want = RationalFunction(cross, mul(g, d))
+        got = op(x, y)
+        assert (got.num, got.den) == (want.num, want.den)
+        assert_canonical(got)
+
     def test_constants_and_zero(self):
         assert RationalFunction.const(Fraction(-3, 2)).num == (-3,)
         assert RationalFunction.const(Fraction(-3, 2)).den == (2,)
