@@ -46,6 +46,10 @@ _MAX_PRECISION = 4096
 # matrices of its 65 phases for one eigenvalue call, 65 * 64**2 complex
 # entries (about 4.3 MB) at this cap.
 _MAX_EXPONENT_SPREAD = 64
+# Relative tolerance of the sampler's verification: a witness's solved
+# root must match the target modulus within _TOL of it, and |f(x)| must
+# stay below _TOL times the sum of the term moduli.
+_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -316,7 +320,7 @@ def _nonzero_roots(rows):
         yield r
 
 
-def sampled_inside(f: LaurentPoly, v, trials=200, tol=1e-9, rng=None):
+def sampled_inside(f: LaurentPoly, v, trials=200, rng=None):
     """Search for a point of the hypersurface with the prescribed coordinate
     moduli; returns the witness tuple or None.
 
@@ -328,8 +332,8 @@ def sampled_inside(f: LaurentPoly, v, trials=200, tol=1e-9, rng=None):
     verified witness is the one a slice-by-slice scan finds.  Sign changes
     of the root-modulus excess between neighbouring phases are bisected one
     slice at a time, so boundary witnesses are found reliably.  A candidate
-    must match the target modulus within relative tol and pass the residual
-    check |f(x)| < tol * sum(r_i).  When the term moduli leave the float
+    must match the target modulus within relative _TOL and pass the residual
+    check |f(x)| < _TOL * sum(r_i).  When the term moduli leave the float
     range, the sampler and its residual run on f * x^(-u_k), k a term of
     largest modulus.  A point with a coordinate modulus exp(-v_k) that
     overflows or underflows to 0.0 has no float witness: None.  Phases whose
@@ -338,8 +342,8 @@ def sampled_inside(f: LaurentPoly, v, trials=200, tol=1e-9, rng=None):
     ExponentSpreadTooLarge is raised before any slice is built when the
     solved coordinate's exponent spread exceeds _MAX_EXPONENT_SPREAD.
     """
-    if trials < 1 or tol <= 0:
-        raise ValueError("trials >= 1 and tol > 0 required")
+    if trials < 1:
+        raise ValueError("trials >= 1 required")
     if not isinstance(rng, random.Random):
         rng = random.Random(0 if rng is None else rng)
     q = ArchQuery.at(f, v)
@@ -367,10 +371,10 @@ def sampled_inside(f: LaurentPoly, v, trials=200, tol=1e-9, rng=None):
     target = rho[solve]
 
     def verify(x, root):
-        if abs(abs(root) - target) > tol * target:
+        if abs(abs(root) - target) > _TOL * target:
             return None
         w = (*x[:solve], root, *x[solve:])
-        if abs(evaluate_at(f, w)) >= tol * scale:
+        if abs(evaluate_at(f, w)) >= _TOL * scale:
             return None
         return w
 

@@ -8,9 +8,10 @@ line when it is the only choice, so any correct method prints it; an LP's
 vertex is printed only where the choice is not unique.  For
 relative-interior directions of vertex cones there is a fast valuation
 comparison with an explicit crossing witness when it fails.
-The archimedean place is scanned at grid points t d of the ray, t > 0: once
-a term k that minimizes <u_k, d> dominates at t0, every later grid point
-t >= t0 is certified outside from that tail, with no enclosure of its own.
+The archimedean place is scanned at the grid points t d of the ray,
+t = 1/2, 1, ..., count/2: once a term k that minimizes <u_k, d> dominates
+at t0, every later grid point is certified outside from that tail, with no
+enclosure of its own.
 The tail certifies grid points, not the open ray between them.
 The trichotomy report combines the nonarchimedean verdicts with archimedean
 grid scans and checks the applicable structural conclusion: declared small
@@ -199,6 +200,8 @@ def halfspace_meets_complex(H: Halfspace, C: PolyhedralComplex):
 
 CERTIFIED_OUTSIDE = "certified-outside"
 EVIDENCE_ONLY = "evidence-only"
+# Archimedean grid points of a scanned half-line, t = 1/2, 1, ..., GRID/2.
+GRID = 20
 
 
 @dataclass(frozen=True)
@@ -274,11 +277,11 @@ class _Part:
         self.tail = t
 
 
-def _classify_arch_hypersurface(part, point, t, trials, tol, rng):
+def _classify_arch_hypersurface(part, point, t, trials, rng):
     kind = part.outside(point, t)
     if kind in (TRIANGLE, LOPSIDED):
         return ArchPointVerdict(point, CERTIFIED_OUTSIDE, {"kind": kind})
-    w = sampled_inside(part.poly, point, trials=trials, tol=tol, rng=rng)
+    w = sampled_inside(part.poly, point, trials=trials, rng=rng)
     if kind == INSIDE:
         cert = {"kind": TRIANGLE}
         if w is not None:
@@ -297,54 +300,40 @@ def _classify_arch_system(parts, point, t):
     return ArchPointVerdict(point, EVIDENCE_ONLY, {"kind": "no-constraint-certifies"})
 
 
-def _ray_parameter(point, d):
-    """t > 0 with point == t d, or None (also when d is None or zero)."""
-    if d is None or len(point) != len(d):
-        return None
-    t = next((p / x for p, x in zip(point, d) if x), Fraction(0))
-    a, b = t.numerator, t.denominator
-    # p == t x, cross-multiplied on integers
-    on_ray = all(p.numerator * b == a * x * p.denominator for p, x in zip(point, d))
-    return t if t > 0 and on_ray else None
-
-
-def scan_arch_ray(source, direction, grid, trials=200, tol=1e-9, rng=None):
-    """Yield classify_arch_point's verdict at each grid point in order, for
-    a hypersurface or system source and an integer direction d (None: no
-    ray).  Once a part is certified outside at a point t d of the open ray
-    by a term k that minimizes <u_k, M d>, its tail certifies every later
-    grid point t' d with t' >= t without another enclosure.  A system's
-    parts are still visited in constraint order.  Points off the ray or
-    before the tail, and the sampler's draws, are as classify_arch_point
-    gives them.  The tail certifies grid points, not the open ray between
-    them."""
-    hypersurface = isinstance(source, LaurentPoly)
-    if hypersurface:
-        parts = [_Part(source, None, direction)]
+def _arch_verdicts(source, direction, points, trials, rng):
+    """Yield the verdict at each (point, t) pair of a hypersurface or system
+    source: t is None for a lone point, else point == t d for the integer
+    direction d the parts are built along."""
+    if isinstance(source, LaurentPoly):
+        part = _Part(source, None, direction)
+        for point, t in points:
+            yield _classify_arch_hypersurface(part, point, t, trials, rng)
     elif isinstance(source, PrevarietySystem):
         parts = [_Part(c.poly, c.matrix(source.rank), direction) for c in source.constraints]
+        for point, t in points:
+            yield _classify_arch_system(parts, point, t)
     else:
         raise TypeError("source must be a hypersurface or a prevariety system")
-    for point in grid:
-        # Fraction(x) runs an abstract-class check even when x is a Fraction
-        point = tuple(x if type(x) is Fraction else Fraction(x) for x in point)
-        t = _ray_parameter(point, direction)
-        if hypersurface:
-            yield _classify_arch_hypersurface(parts[0], point, t, trials, tol, rng)
-        else:
-            yield _classify_arch_system(parts, point, t)
 
 
-def classify_arch_point(source, point, trials=200, tol=1e-9, rng=None):
-    return next(scan_arch_ray(source, None, [point], trials, tol, rng))
+def scan_arch_ray(source, direction, count, trials=200, rng=None):
+    """Yield classify_arch_point's verdict at the points t d of the open ray,
+    t = 1/2, 1, ..., count/2, for a hypersurface or system source and a
+    nonzero integer direction d.  Once a part is certified outside at t d
+    by a term k that minimizes <u_k, M d>, its tail certifies every later
+    point without another enclosure.  A system's parts are still visited in
+    constraint order, and the sampler's draws are as classify_arch_point
+    makes them.  The tail certifies the scanned points, not the open ray
+    between them."""
+    steps = (Fraction(i, 2) for i in range(1, count + 1))
+    points = ((tuple(t * x for x in direction), t) for t in steps)
+    return _arch_verdicts(source, direction, points, trials, rng)
 
 
-def default_arch_grid(H: Halfspace, count=20):
-    """Grid points along the open half line (boundary coefficients zero):
-    t = 1/2, 1, ..., count/2 in the ray direction."""
-    return [
-        tuple(Fraction(i, 2) * x for x in H.direction) for i in range(1, count + 1)
-    ]
+def classify_arch_point(source, point, trials=200, rng=None):
+    # Fraction(x) runs an abstract-class check even when x is a Fraction
+    point = tuple(x if type(x) is Fraction else Fraction(x) for x in point)
+    return next(_arch_verdicts(source, None, [(point, None)], trials, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -386,18 +375,18 @@ class AdelicReport:
 
 
 def adelic_disjoint(
-    amoeba: AdelicAmoeba, H: Halfspace, arch_grid=None, trials=200, tol=1e-9, rng=None
+    amoeba: AdelicAmoeba, H: Halfspace, grid=GRID, trials=200, rng=None
 ) -> AdelicReport:
     """Check the halfspace against the generic and every special complex;
     over Q, additionally scan the archimedean place along the halfspace.
 
-    The scan is scan_arch_ray's along the halfspace direction: grid points
-    on the ray past a tail start are certified from the tail, all others by
-    their own test.  The overall verdict is disjoint only if every
-    nonarchimedean part is disjoint and the archimedean scan (when
-    applicable) found no witness.  archimedean_certified records whether
-    every grid point was certified outside; it says nothing about the open
-    ray between them.
+    The scan is scan_arch_ray's at the grid points t = 1/2, 1, ..., grid/2
+    along the halfspace direction (a grid below 1 is a ValueError): points
+    past a tail start are certified from the tail, all others by their own
+    test.  The overall verdict is disjoint only if every nonarchimedean
+    part is disjoint and the archimedean scan (when applicable) found no
+    witness.  archimedean_certified records whether every grid point was
+    certified outside; it says nothing about the open ray between them.
     """
     checks = []
     w = halfspace_meets_complex(H, amoeba.generic)
@@ -408,12 +397,11 @@ def adelic_disjoint(
     arch = None
     certified = None
     if amoeba.source is not None and amoeba.source.field == FIELD_Q:
-        grid = arch_grid if arch_grid is not None else default_arch_grid(H)
-        if not grid:
+        if grid < 1:
             raise ValueError("an empty archimedean grid certifies nothing")
         if not isinstance(rng, random.Random):
             rng = random.Random(0 if rng is None else rng)
-        arch = tuple(scan_arch_ray(amoeba.source, H.direction, grid, trials, tol, rng))
+        arch = tuple(scan_arch_ray(amoeba.source, H.direction, grid, trials, rng))
         certified = all(a.verdict == CERTIFIED_OUTSIDE for a in arch)
     disjoint = all(c.disjoint for c in checks) and not (
         arch is not None and any(a.verdict == MEETS for a in arch)
@@ -473,16 +461,14 @@ def uniform_minimal_vertices(f: LaurentPoly):
     return out, places, np_
 
 
-def disjoint_halfline_search(
-    f: LaurentPoly, trials=200, tol=1e-9, rng=None, grid_count=20
-):
+def disjoint_halfline_search(f: LaurentPoly, trials=200, rng=None):
     """Search for an open half line disjoint from every amoeba of f.
 
     Candidates come from the valuation criterion over all bad places; each
     candidate ray is cross-checked per place, and over Q additionally scanned
-    at archimedean grid points by scan_arch_ray (points past a tail start
-    are certified from the tail), where a verified witness rejects it; the
-    scan stops at that witness, as do the sampler's draws.  Returns
+    at GRID archimedean grid points by scan_arch_ray (points past a tail
+    start are certified from the tail), where a verified witness rejects it;
+    the scan stops at that witness, as do the sampler's draws.  Returns
     (found, rejected, caveat): the accepted candidate as a dict or None, the
     per-candidate rejections, and whether an accepted candidate rests on any
     archimedean point that no exact test decided.
@@ -499,8 +485,7 @@ def disjoint_halfline_search(
         caveat = False
         arch_meet = None
         if f.field == FIELD_Q:
-            grid = default_arch_grid(Halfspace(f.rank, direction), grid_count)
-            for res in scan_arch_ray(f, direction, grid, trials, tol, rng):
+            for res in scan_arch_ray(f, direction, GRID, trials, rng):
                 if res.verdict == MEETS:
                     arch_meet = res
                     break
@@ -547,16 +532,12 @@ class EklReport:
         }
 
 
-def ekl_consistency_check(
-    f: LaurentPoly, trials=200, tol=1e-9, rng=None, grid_count=20
-) -> EklReport:
+def ekl_consistency_check(f: LaurentPoly, trials=200, rng=None) -> EklReport:
     """Search for a disjoint open half line; when none exists, verify that
     the generic and every special complex contain the origin."""
     if f.nterms < 2:
         raise MonomialInput("need at least two terms")
-    found, rejected, caveat = disjoint_halfline_search(
-        f, trials=trials, tol=tol, rng=rng, grid_count=grid_count
-    )
+    found, rejected, caveat = disjoint_halfline_search(f, trials=trials, rng=rng)
     if found is not None:
         return EklReport(f.field, found, tuple(rejected), None, "hypothesis", caveat)
     amoeba = adelic_amoeba(f)
@@ -592,9 +573,7 @@ def theorem1_report(
     H: Halfspace,
     image_hypersurface: LaurentPoly | None = None,
     declared_codim_gt_one: bool = False,
-    arch_grid=None,
     trials=200,
-    tol=1e-9,
     rng=None,
 ) -> TheoremReport:
     """Decide disjointness and verify the applicable structural conclusion.
@@ -611,9 +590,7 @@ def theorem1_report(
         raise ValueError("supply an image hypersurface or a declaration, not both")
     if image_hypersurface is not None and isinstance(source, LaurentPoly):
         raise ValueError("a hypersurface source is its own image; supply no image hypersurface")
-    report = adelic_disjoint(
-        adelic_amoeba(source), H, arch_grid=arch_grid, trials=trials, tol=tol, rng=rng
-    )
+    report = adelic_disjoint(adelic_amoeba(source), H, trials=trials, rng=rng)
     if report.overall != DISJOINT:
         return TheoremReport(report, None, (), False)
 

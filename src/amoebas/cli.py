@@ -12,15 +12,14 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from fractions import Fraction
 
 from . import plot
 from .classify import (
+    GRID,
     Halfspace,
     adelic_disjoint,
-    default_arch_grid,
     ekl_consistency_check,
     theorem1_report,
 )
@@ -39,8 +38,8 @@ from .tropical import Constraint, PrevarietySystem, adelic_amoeba, prevariety, t
 
 SCHEMA_VERSION = 1
 # Sampler trials per scanned half-line: grid points times --trials (classify
-# and ekl-check scan 20 points).  An evidence-only point costs a few ms per
-# trial, so this bounds a scan to about a minute.
+# and ekl-check scan GRID = 20 points).  An evidence-only point costs a few
+# ms per trial, so this bounds a scan to about a minute.
 MAX_SCAN_TRIALS = 20_000
 
 
@@ -135,20 +134,16 @@ def _source(ns):
     raise ValueError("need --f or --system")
 
 
-def _sampling(ns, points=20) -> dict:
-    """Sampler keywords from --trials/--tol/--seed (seed default: the
-    AMOEBA_SEED environment variable, else 0) for a scan of the given number
+def _sampling(ns, points=GRID) -> dict:
+    """Sampler keywords from --trials/--seed for a scan of the given number
     of grid points."""
     if ns.trials < 1:
         raise ValueError("--trials must be at least 1")
-    if not ns.tol > 0:
-        raise ValueError("--tol must be positive")
     if points * ns.trials > MAX_SCAN_TRIALS:
         raise ValueError(
             f"{points} grid points times --trials {ns.trials} exceeds {MAX_SCAN_TRIALS}"
         )
-    seed = ns.seed if ns.seed is not None else int(os.environ.get("AMOEBA_SEED") or 0)
-    return {"trials": ns.trials, "tol": ns.tol, "rng": seed}
+    return {"trials": ns.trials, "rng": ns.seed}
 
 
 def _trop(ns):
@@ -185,8 +180,7 @@ def _check_halfspace(ns):
         raise ValueError("--grid must be at least 1")
     source = _source(ns)
     H = parse_halfspace(ns.halfspace, source.rank)
-    grid = default_arch_grid(H, ns.grid)
-    report = adelic_disjoint(adelic_amoeba(source), H, arch_grid=grid, **sampling)
+    report = adelic_disjoint(adelic_amoeba(source), H, grid=ns.grid, **sampling)
     return {"verdict": report.overall, "report": report.to_json()}
 
 
@@ -287,8 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def sampling(p):
         p.add_argument("--trials", type=int, default=200, help="sampler trials per point")
-        p.add_argument("--tol", type=float, default=1e-9, help="sampler residual tolerance")
-        p.add_argument("--seed", type=int, help="sampler seed (default AMOEBA_SEED, else 0)")
+        p.add_argument("--seed", type=int, default=0, help="sampler seed")
 
     p = command("trop", "tropicalization at one place")
     p.add_argument("--place", default="generic", help="p:2, q:z-1, inf, or generic")
@@ -301,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("check-halfspace", "halfspace vs adelic amoeba")
     halfspace_query(p)
-    p.add_argument("--grid", type=int, default=20, help="archimedean grid points")
+    p.add_argument("--grid", type=int, default=GRID, help="archimedean grid points")
     sampling(p)
 
     p = command("classify", "disjointness trichotomy report")

@@ -6,13 +6,11 @@ converted to floats at render time only.  Output is deterministic text.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
-from .archimedean import (
-    lopsided_outside,
-    triangle_applicable,
-    triangle_exact_membership,
-)
+from .archimedean import INSIDE
+from .classify import LOPSIDED, TRIANGLE, _Part
 from .errors import DimensionMismatch
 from .lattices import identity
 from .polyhedral import (
@@ -78,9 +76,12 @@ def render_complex_svg(C: PolyhedralComplex, extent=4, size=480) -> str:
     if C.rank != 2:
         raise DimensionMismatch("can only draw rank-2 complexes")
     extent = Fraction(extent)
-    if extent <= 0:
-        raise ValueError("the viewport half-width must be positive")
-    scale = size / (2 * float(extent))
+    # the viewport's float width and pixel scale must be finite and positive:
+    # float(extent) overflows past the floats and is 0.0 below them
+    width = 2 * float(extent) if 0 < extent <= sys.float_info.max else 0.0
+    if not 0 < width < math.inf or not size / width < math.inf:
+        raise ValueError("the viewport half-width must be positive, with a finite float scale")
+    scale = size / width
 
     def sx(x):
         return (float(x) + float(extent)) * scale
@@ -127,7 +128,8 @@ def render_arch_scan_svg(f, center=(0, 0), radius=3, grid_n=41, size=480) -> str
     """Membership heat scan at the archimedean place over a square grid.
 
     Certified-inside points (trinomial test) are dark, certified-outside
-    white, undecided gray.
+    white, undecided gray: the point decision of classify_arch_point,
+    without the sampler.
     """
     if f.rank != 2:
         raise DimensionMismatch("can only scan rank-2 hypersurfaces")
@@ -137,7 +139,7 @@ def render_arch_scan_svg(f, center=(0, 0), radius=3, grid_n=41, size=480) -> str
         raise ValueError(f"a scan takes at most {MAX_GRID_N} grid points per side")
     cx, cy = (Fraction(c) for c in center)
     radius = Fraction(radius)
-    tri = f.nterms == 3 and triangle_applicable(f)
+    part = _Part(f, None, None)
     cellpx = size / grid_n
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -148,13 +150,10 @@ def render_arch_scan_svg(f, center=(0, 0), radius=3, grid_n=41, size=480) -> str
         for j in range(grid_n):
             vx = cx - radius + 2 * radius * Fraction(i, grid_n - 1)
             vy = cy - radius + 2 * radius * Fraction(j, grid_n - 1)
-            if tri:
-                verdict = triangle_exact_membership(f, (vx, vy))
-                color = {"inside": "#1f4f8f", "outside": None}.get(verdict, "#bbbbbb")
-            else:
-                color = None if lopsided_outside(f, (vx, vy)) else "#bbbbbb"
-            if color is None:
+            kind = part.outside((vx, vy), None)
+            if kind in (TRIANGLE, LOPSIDED):
                 continue
+            color = "#1f4f8f" if kind == INSIDE else "#bbbbbb"
             x = i * cellpx
             y = (grid_n - 1 - j) * cellpx
             parts.append(

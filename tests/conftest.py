@@ -20,6 +20,7 @@ from sympy.polys.matrices.normalforms import smith_normal_decomp
 
 from amoebas.archimedean import (
     _MAX_EXPONENT_SPREAD,
+    _TOL,
     INSIDE,
     NOT_APPLICABLE,
     OUTSIDE,
@@ -1081,9 +1082,9 @@ def reference_slice_roots(f, v_float, solve, fixed_phases):
     return x, roots
 
 
-def reference_sampled_inside(f, v, trials=200, tol=1e-9, rng=None):
-    if trials < 1 or tol <= 0:
-        raise ValueError("trials >= 1 and tol > 0 required")
+def reference_sampled_inside(f, v, trials=200, rng=None):
+    if trials < 1:
+        raise ValueError("trials >= 1 required")
     if not isinstance(rng, random.Random):
         rng = random.Random(0 if rng is None else rng)
     q = ArchQuery.at(f, v)
@@ -1104,9 +1105,9 @@ def reference_sampled_inside(f, v, trials=200, tol=1e-9, rng=None):
 
     def verify(x_full):
         root = x_full[solve]
-        if abs(abs(root) - target) > tol * target:
+        if abs(abs(root) - target) > _TOL * target:
             return None
-        if abs(evaluate_at(f, x_full)) >= tol * scale:
+        if abs(evaluate_at(f, x_full)) >= _TOL * scale:
             return None
         return tuple(x_full)
 
@@ -1184,26 +1185,26 @@ def reference_sampled_inside(f, v, trials=200, tol=1e-9, rng=None):
     return None
 
 
-def reference_classify_arch_hypersurface(f, point, trials, tol, rng):
+def reference_classify_arch_hypersurface(f, point, trials, rng):
     if f.nterms == 3:
         verdict = triangle_exact_membership(f, point)
         if verdict == OUTSIDE:
             return ArchPointVerdict(point, CERTIFIED_OUTSIDE, {"kind": "triangle"})
         if verdict == INSIDE:
             cert = {"kind": "triangle"}
-            w = reference_sampled_inside(f, point, trials=trials, tol=tol, rng=rng)
+            w = reference_sampled_inside(f, point, trials=trials, rng=rng)
             if w is not None:
                 cert["witness"] = _witness_json(w)
             return ArchPointVerdict(point, MEETS, cert)
     if lopsided_outside(f, point):
         return ArchPointVerdict(point, CERTIFIED_OUTSIDE, {"kind": "lopsided"})
-    w = reference_sampled_inside(f, point, trials=trials, tol=tol, rng=rng)
+    w = reference_sampled_inside(f, point, trials=trials, rng=rng)
     if w is not None:
         return ArchPointVerdict(point, MEETS, {"kind": "witness", "witness": _witness_json(w)})
     return ArchPointVerdict(point, EVIDENCE_ONLY, {"kind": "undecided"})
 
 
-def reference_classify_arch_system(system, point, trials, tol, rng):
+def reference_classify_arch_system(system, point):
     for idx, con in enumerate(system.constraints):
         image = apply_monomial_map(point, con.matrix(system.rank))
         g = con.poly
@@ -1218,18 +1219,19 @@ def reference_classify_arch_system(system, point, trials, tol, rng):
     return ArchPointVerdict(point, EVIDENCE_ONLY, {"kind": "no-constraint-certifies"})
 
 
-def reference_classify_arch_point(source, point, trials=200, tol=1e-9, rng=None):
+def reference_classify_arch_point(source, point, trials=200, rng=None):
     point = tuple(Fraction(x) for x in point)
     if isinstance(source, LaurentPoly):
-        return reference_classify_arch_hypersurface(source, point, trials, tol, rng)
+        return reference_classify_arch_hypersurface(source, point, trials, rng)
     if isinstance(source, PrevarietySystem):
-        return reference_classify_arch_system(source, point, trials, tol, rng)
+        return reference_classify_arch_system(source, point)
     raise TypeError("source must be a hypersurface or a prevariety system")
 
 
-def reference_adelic_disjoint(amoeba, H, arch_grid=None, trials=200, tol=1e-9, rng=None):
-    """adelic_disjoint with one reference_classify_arch_point per grid
-    point and no tail: the scan as it stood before tails."""
+def reference_adelic_disjoint(amoeba, H, grid=20, trials=200, rng=None):
+    """adelic_disjoint with one reference_classify_arch_point at each grid
+    point t d, t = 1/2, 1, ..., grid/2, and no tail: the scan as it stood
+    before tails."""
     places = [("generic", amoeba.generic)] + [(place_to_str(p), C) for p, C in amoeba.special]
     checks = []
     for name, C in places:
@@ -1237,15 +1239,14 @@ def reference_adelic_disjoint(amoeba, H, arch_grid=None, trials=200, tol=1e-9, r
         checks.append(PlaceCheck(name, w is None, w))
     arch = certified = None
     if amoeba.source is not None and amoeba.source.field == FIELD_Q:
-        if arch_grid is None:
-            arch_grid = [tuple(Fraction(i, 2) * x for x in H.direction) for i in range(1, 21)]
-        if not arch_grid:
+        if grid < 1:
             raise ValueError("an empty archimedean grid certifies nothing")
         if not isinstance(rng, random.Random):
             rng = random.Random(0 if rng is None else rng)
+        points = [tuple(Fraction(i, 2) * x for x in H.direction) for i in range(1, grid + 1)]
         arch = tuple(
-            reference_classify_arch_point(amoeba.source, p, trials=trials, tol=tol, rng=rng)
-            for p in arch_grid
+            reference_classify_arch_point(amoeba.source, p, trials=trials, rng=rng)
+            for p in points
         )
         certified = all(a.verdict == CERTIFIED_OUTSIDE for a in arch)
     disjoint = all(c.disjoint for c in checks) and not (
@@ -1254,7 +1255,7 @@ def reference_adelic_disjoint(amoeba, H, arch_grid=None, trials=200, tol=1e-9, r
     return AdelicReport(tuple(checks), arch, DISJOINT if disjoint else MEETS, certified)
 
 
-def reference_disjoint_halfline_search(f, trials=200, tol=1e-9, rng=None, grid_count=20):
+def reference_disjoint_halfline_search(f, trials=200, rng=None):
     if not isinstance(rng, random.Random):
         rng = random.Random(0 if rng is None else rng)
     candidates, places, np_ = uniform_minimal_vertices(f)
@@ -1270,9 +1271,9 @@ def reference_disjoint_halfline_search(f, trials=200, tol=1e-9, rng=None, grid_c
         caveat = False
         arch_meet = None
         if f.field == FIELD_Q:
-            for t in range(1, grid_count + 1):
+            for t in range(1, 21):
                 point = tuple(Fraction(t, 2) * x for x in direction)
-                res = reference_classify_arch_point(f, point, trials=trials, tol=tol, rng=rng)
+                res = reference_classify_arch_point(f, point, trials=trials, rng=rng)
                 if res.verdict == MEETS:
                     arch_meet = res
                     break
@@ -1291,12 +1292,10 @@ def reference_disjoint_halfline_search(f, trials=200, tol=1e-9, rng=None, grid_c
     return None, rejected, False
 
 
-def reference_ekl_consistency_check(f, trials=200, tol=1e-9, rng=None, grid_count=20):
+def reference_ekl_consistency_check(f, trials=200, rng=None):
     if f.nterms < 2:
         raise MonomialInput("need at least two terms")
-    found, rejected, caveat = reference_disjoint_halfline_search(
-        f, trials=trials, tol=tol, rng=rng, grid_count=grid_count
-    )
+    found, rejected, caveat = reference_disjoint_halfline_search(f, trials=trials, rng=rng)
     if found is not None:
         return EklReport(f.field, found, tuple(rejected), None, "hypothesis", caveat)
     membership = {"generic": contains_zero(generic_skeleton(f))}

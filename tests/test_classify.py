@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -16,7 +17,6 @@ from amoebas.classify import (
     Halfspace,
     adelic_disjoint,
     classify_arch_point,
-    default_arch_grid,
     defined_over_k_test,
     disjoint_halfline_search,
     ekl_consistency_check,
@@ -334,18 +334,18 @@ class TestAdelicDisjoint:
     def test_grid_is_configurable(self, ex_line_q):
         am = adelic_amoeba(ex_line_q)
         H = Halfspace(2, (1, 1))
-        rep = adelic_disjoint(am, H, arch_grid=default_arch_grid(H, 5))
+        rep = adelic_disjoint(am, H, grid=5)
         assert len(rep.archimedean) == 5
 
     def test_empty_grid_rejected_over_q(self, ex_line_q):
         # an empty scan would certify "disjoint" for a line the ray meets
         am = adelic_amoeba(ex_line_q)
         with pytest.raises(ValueError):
-            adelic_disjoint(am, Halfspace(2, (1, 1)), arch_grid=[])
+            adelic_disjoint(am, Halfspace(2, (1, 1)), grid=0)
 
     def test_empty_grid_unused_over_qz(self, ex_curve_qz):
         am = adelic_amoeba(ex_curve_qz)
-        rep = adelic_disjoint(am, Halfspace(2, (-1, -1)), arch_grid=[])
+        rep = adelic_disjoint(am, Halfspace(2, (-1, -1)), grid=0)
         assert rep.archimedean is None and rep.overall == MEETS
 
 
@@ -450,12 +450,6 @@ class TestTheoremReport:
         rep = theorem1_report(system, H, declared_codim_gt_one=True)
         assert rep.disjointness.overall == DISJOINT
         assert rep.conclusion_case == 1 and not rep.violation
-
-    def test_empty_grid_is_not_a_certificate(self):
-        f = parse_poly("x1+x2+1")
-        assert theorem1_report(f, Halfspace(2, (1, 1))).disjointness.overall == MEETS
-        with pytest.raises(ValueError):
-            theorem1_report(f, Halfspace(2, (1, 1)), arch_grid=[])
 
     def test_source_type_checked(self):
         with pytest.raises(TypeError):
@@ -661,12 +655,6 @@ class TestOneComputationPerFact:
 # ---------------------------------------------------------------------------
 # ray scans: tails against one reference verdict per grid point
 
-# most points inside a small amoeba lie at small t, most tails start far out
-RAY_STEPS = st.sampled_from(
-    [Fraction(k, 4) for k in (1, 2, 3, 4, 6, 10, 24, 80)] + [Fraction(0), Fraction(-1)]
-)
-
-
 @st.composite
 def mapped_q_systems(draw):
     """A system over Q of rank 2 or 3 with one or two constraints of rank 1
@@ -687,27 +675,24 @@ def mapped_q_systems(draw):
 
 @st.composite
 def ray_scans(draw):
-    """A hypersurface over Q of rank 1 to 3 or a mapped system, a direction,
-    and a grid: the default one, or points t d at drawn steps t (unsorted or
-    falling, repeated, t <= 0 included) mixed with points off the ray."""
+    """A hypersurface over Q of rank 1 to 3 or a mapped system, a nonzero
+    direction and a grid count from 1 to 40: most points inside a small
+    amoeba lie at small t, most tails start far out."""
     source = draw(st.one_of(small_q_polys(), mapped_q_systems()))
-    rank = source.rank
-    direction = draw(st.tuples(*[st.integers(-2, 2)] * rank).filter(any))
-    if not draw(st.integers(0, 2)):
-        return source, direction, None
-    items = []  # (t or None off the ray, point)
-    for _ in range(draw(st.integers(1, 12))):
-        if draw(st.integers(0, 3)):
-            t = draw(RAY_STEPS)
-            items.append((t, tuple(t * x for x in direction)))
-        else:  # a point near the ray, or near the origin
-            t = draw(RAY_STEPS)
-            near = tuple(t * x + draw(SMALL_POINT_COORDS) for x in direction)
-            items.append((None, near))
-    if draw(st.booleans()):
-        # a tail from a far point comes before the nearer ones
-        items.sort(key=lambda item: -item[0] if item[0] is not None else 0)
-    return source, direction, [point for _, point in items]
+    direction = draw(st.tuples(*[st.integers(-2, 2)] * source.rank).filter(any))
+    return source, direction, draw(st.integers(1, 40))
+
+
+def _scan_prefix(source, direction, count, trials, rng, n):
+    """The JSON of a count-point scan's first n verdicts, ended by the
+    outcome of an exception that stops it early."""
+    got = []
+    try:
+        scan = classify.scan_arch_ray(source, direction, count, trials, rng)
+        got.extend(v.to_json() for v in itertools.islice(scan, n))
+    except Exception as exc:
+        got.append((type(exc), str(exc)))
+    return got
 
 
 class TestRayScan:
@@ -722,9 +707,9 @@ class TestRayScan:
         amoeba = adelic_amoeba(source)
         H = Halfspace(source.rank, direction)
         rng, ref_rng = random.Random(seed), random.Random(seed)
-        got = outcome(adelic_disjoint, amoeba, H, arch_grid=grid, trials=trials, rng=rng)
+        got = outcome(adelic_disjoint, amoeba, H, grid=grid, trials=trials, rng=rng)
         want = outcome(
-            reference_adelic_disjoint, amoeba, H, arch_grid=grid, trials=trials, rng=ref_rng
+            reference_adelic_disjoint, amoeba, H, grid=grid, trials=trials, rng=ref_rng
         )
         if got[0] == want[0] == "ok":
             got, want = ("ok", got[1].to_json()), ("ok", want[1].to_json())
@@ -732,14 +717,24 @@ class TestRayScan:
         assert got == want
         assert rng.getstate() == ref_rng.getstate()
 
+    @settings(max_examples=40, deadline=None)
+    @given(ray_scans(), st.integers(1, 40), st.integers(1, 2), st.integers(0, 3))
+    def test_a_longer_scan_starts_with_the_shorter(self, case, other, trials, seed):
+        # the points of a count-n scan are the first n of any longer one
+        source, direction, count = case
+        n, m = sorted((count, other))
+        assume(n < m)
+        rng, long_rng = random.Random(seed), random.Random(seed)
+        want = _scan_prefix(source, direction, n, trials, rng, n)
+        assert _scan_prefix(source, direction, m, trials, long_rng, n) == want
+        assert rng.getstate() == long_rng.getstate()
+
     @settings(max_examples=30, deadline=None)
-    @given(small_q_polys(), st.integers(1, 40), st.integers(0, 3))
-    def test_halfline_search_matches_point_by_point(self, f, grid_count, seed):
+    @given(small_q_polys(), st.integers(0, 3))
+    def test_halfline_search_matches_point_by_point(self, f, seed):
         rng, ref_rng = random.Random(seed), random.Random(seed)
-        got = outcome(disjoint_halfline_search, f, trials=1, rng=rng, grid_count=grid_count)
-        want = outcome(
-            reference_disjoint_halfline_search, f, trials=1, rng=ref_rng, grid_count=grid_count
-        )
+        got = outcome(disjoint_halfline_search, f, trials=1, rng=rng)
+        want = outcome(reference_disjoint_halfline_search, f, trials=1, rng=ref_rng)
         assert got == want
         assert rng.getstate() == ref_rng.getstate()
 
@@ -753,23 +748,10 @@ class TestRayScan:
             archimedean, "_enclose", lambda *args: calls.append(args) or enclose(*args)
         )
         H = Halfspace(2, (1, 1))
-        rep = adelic_disjoint(adelic_amoeba(f), H, arch_grid=default_arch_grid(H, 201))
+        rep = adelic_disjoint(adelic_amoeba(f), H, grid=201)
         kinds = [(a.verdict, a.certificate["kind"]) for a in rep.archimedean]
         assert kinds == [(MEETS, "triangle")] + [(CERTIFIED_OUTSIDE, "triangle")] * 200
         assert len(calls) == 2
-
-    def test_points_before_the_tail_take_the_full_test(self):
-        # the tail starts at (2, 2); (1/2, 1/2), later in the grid, is inside,
-        # and so is (1, 0), off the ray
-        f = parse_poly("x1 + x2 + 1", field=FIELD_Q)
-        H = Halfspace(2, (1, 1))
-        grid = [(2, 2), (Fraction(1, 2), Fraction(1, 2)), (1, 1), (-1, -1), (3, 1), (1, 0)]
-        rep = adelic_disjoint(adelic_amoeba(f), H, arch_grid=grid, trials=1)
-        ref = reference_adelic_disjoint(adelic_amoeba(f), H, arch_grid=grid, trials=1)
-        assert rep.to_json() == ref.to_json()
-        verdicts = [a.verdict for a in rep.archimedean]
-        assert verdicts[:3] == [CERTIFIED_OUTSIDE, MEETS, CERTIFIED_OUTSIDE]
-        assert verdicts[-1] == MEETS
 
     def test_no_tail_from_a_term_that_does_not_minimize(self, monkeypatch):
         # along (-1, -1) the constant 100 dominates at t = 1/2 but the terms
@@ -780,16 +762,9 @@ class TestRayScan:
         monkeypatch.setattr(
             archimedean, "_enclose", lambda *args: calls.append(args) or enclose(*args)
         )
-        grid = [(Fraction(-1, 2),) * 2, (Fraction(-1),) * 2]
-        verdicts = list(classify.scan_arch_ray(f, (-1, -1), grid))
+        verdicts = list(classify.scan_arch_ray(f, (-1, -1), 2))
         assert [v.verdict for v in verdicts] == [CERTIFIED_OUTSIDE] * 2
         assert len(calls) == 2
-
-    def test_zero_direction_is_no_ray(self):
-        f = parse_poly("x1 + x2 + 1", field=FIELD_Q)
-        grid = [(1, 1), (2, 2)]
-        got = list(classify.scan_arch_ray(f, (0, 0), grid))
-        assert got == [classify_arch_point(f, p) for p in grid]
 
     def test_tamper_non_minimal_term(self):
         f = parse_poly("x1 + x2 + 100", field=FIELD_Q)

@@ -351,12 +351,26 @@ class TestErrorsAndDeterminism:
         assert code1 == code2 == 0
         assert out1 == out2
 
-    def test_env_seed_default(self, capsys, monkeypatch):
+    def test_seed_comes_from_the_flag_alone(self, capsys, monkeypatch):
+        # the bytes of this input differ between --seed 0 and --seed 123; an
+        # AMOEBA_SEED environment variable is not read
+        argv = ["ekl-check", "--f", "x1^2*x2*x3^2 + 7*x1^-1*x3 - x1*x2 - 3*x1^2*x2^-2*x3 - 3*x3^-1"]
+        monkeypatch.delenv("AMOEBA_SEED", raising=False)
+        code1, plain, _ = run_cli(capsys, *argv)
         monkeypatch.setenv("AMOEBA_SEED", "123")
-        code, out, _ = run_cli(
-            capsys, "ekl-check", "--f", "x1*x2-2*x1-2*x2+1"
-        )
-        assert code == 0
+        code2, with_env, _ = run_cli(capsys, *argv)
+        assert code1 == code2 == 0
+        assert with_env == plain != run_cli(capsys, *argv, "--seed", "123")[1]
+
+    @pytest.mark.parametrize("command", ["check-halfspace", "classify", "ekl-check"])
+    def test_tolerance_is_no_option(self, capsys, command):
+        # a loose tolerance let a point off the amoeba print as a witness
+        argv = [command, "--f", "(1+x1)*(1+x2)", "--trials", "1", "--tol", "0.9"]
+        if command != "ekl-check":
+            argv += ["--halfspace", "dir:1,1"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2 and capsys.readouterr().out == ""
 
 
 # check-halfspace bytes of this input differ between seeds 0 and 5
@@ -486,8 +500,13 @@ PINS = [
     ("check-f-binomial", ["check-halfspace", "--f", "x1*x2-1", "--halfspace", "dir:1,1"],
      0, "0f2eef1565a1c63e", EMPTY, None),
     ("check-f-explicit-defaults", ["check-halfspace", "--f", "x1*x2-1", "--halfspace", "dir:1,1",
-      "--grid", "20", "--trials", "200", "--tol", "1e-9", "--seed", "0"],
+      "--grid", "20", "--trials", "200", "--seed", "0"],
      0, "0f2eef1565a1c63e", EMPTY, None),
+    # (1/2, 1/2) is off the amoeba {v1 = 0} u {v2 = 0}, and no exact test
+    # decides it: the sampler finds no witness within its fixed tolerance
+    ("check-f-evidence-only", ["check-halfspace", "--f", "(1+x1)*(1+x2)", "--halfspace", "dir:1,1",
+      "--grid", "1", "--trials", "1"],
+     0, "f215e62ae946e514", EMPTY, None),
     ("check-f-grid", ["check-halfspace", "--f", "x1*x2-1", "--halfspace", "dir:1,1", "--grid", "3"],
      0, "3498f70b17b9969d", EMPTY, None),
     ("check-system", ["check-halfspace", "--system", "{system}", "--halfspace", BND],
@@ -686,12 +705,15 @@ class TestRejectedValues:
             ["check-halfspace", "--f", "x1+x2+1", "--halfspace", "dir:1,1", "--grid", "-3"],
             ["check-halfspace", "--f", "x1+x2+1", "--halfspace", "dir:1,1", "--grid", "0"],
             ["check-halfspace", "--f", "x1+x2+1", "--halfspace", "dir:1,1", "--trials", "0"],
-            ["check-halfspace", "--f", "x1+x2+1", "--halfspace", "dir:1,1", "--tol", "0"],
-            ["check-halfspace", "--f", "x1+x2+1", "--halfspace", "dir:1,1", "--tol", "nan"],
             ["classify", "--f", "x1*x2-1", "--halfspace", "dir:1,1", "--trials", "-1"],
-            ["ekl-check", "--f", Q_CURVE, "--tol=-1e-9"],
             ["plot", "--f", "x1+x2-2", "--arch-scan", "--grid-n", "1", "--out", "{out}"],
             ["plot", "--f", "x1+x2+1", "--extent", "0", "--out", "{out}"],
+            # float(extent) overflows or is 0.0; the viewport width overflows;
+            # the pixel scale overflows
+            ["plot", "--f", "x1+x2+1", "--extent", "1e400", "--out", "{out}"],
+            ["plot", "--f", "x1+x2+1", "--extent", "1e-400", "--out", "{out}"],
+            ["plot", "--f", "x1+x2+1", "--extent", "1e308", "--out", "{out}"],
+            ["plot", "--f", "x1+x2+1", "--extent", "1e-310", "--out", "{out}"],
         ],
     )
     def test_sampling_values_exit_2(self, capsys, tmp_path, argv):
@@ -783,14 +805,14 @@ PLACE_TEXTS = ["generic", "p:2", "p:3", "p:6", "q:z", "q:z-1", "inf", "arch", ""
 HALFSPACE_TEXTS = ["dir:1,1", "dir:1,-1", "dir:1,1,0 bnd:0,0,1", "dir:1", "bnd:1,0", "dir:a"]
 SCALAR_TEXTS = ["12", "-7/15", "0", "(z^2-1)/z", "z", "1/0", "x1"]
 POLY_FLAGS = ("--f", "--rank", "--field")
-QUERY_FLAGS = ("--system", "--halfspace", "--trials", "--tol", "--seed")
+QUERY_FLAGS = ("--system", "--halfspace", "--trials", "--seed")
 OWN_FLAGS = {
     "trop": POLY_FLAGS + ("--place",),
     "adelic": POLY_FLAGS,
     "prevariety": ("--system", "--place"),
     "check-halfspace": POLY_FLAGS + QUERY_FLAGS + ("--grid",),
     "classify": POLY_FLAGS + QUERY_FLAGS + ("--image-f", "--declare-codim-gt-1"),
-    "ekl-check": POLY_FLAGS + ("--trials", "--tol", "--seed"),
+    "ekl-check": POLY_FLAGS + ("--trials", "--seed"),
     "product-formula": ("--a", "--field"),
     "plot": POLY_FLAGS + ("--place", "--extent", "--arch-scan", "--grid-n"),
 }
@@ -805,7 +827,7 @@ FLAG_VALUES = {
     "--trials": st.sampled_from(["1", "3", "0"]),
     "--grid": st.sampled_from(["1", "2", "0"]),
     "--grid-n": st.sampled_from(["3", "1"]),
-    "--tol": st.sampled_from(["1e-9", "0", "nan"]),
+    "--tol": st.sampled_from(["1e-9", "0.9"]),  # no command takes it
     "--seed": st.sampled_from(["0", "5"]),
     "--extent": st.sampled_from(["2", "0", "1/2"]),
     "--system": st.just("no-such-system.json"),
