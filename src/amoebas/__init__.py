@@ -81,7 +81,6 @@ from .tropical import (
     TropicalData,
     adelic_amoeba,
     adelic_amoeba_of_system,
-    contains_zero,
     generic_skeleton,
     prevariety,
     system_bad_places,
@@ -100,7 +99,6 @@ from .classify import (
     adelic_disjoint,
     defined_over_k_test,
     ekl_consistency_check,
-    halfline_disjoint_fast,
     halfspace_meets_complex,
     theorem1_report,
     torsion_coset_test,

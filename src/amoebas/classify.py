@@ -5,19 +5,18 @@ and an open half line.  Nonarchimedean disjointness from a complex is decided
 exactly cell by cell, on a line or by LP (the open end is honored: touching
 at t = 0 counts as disjoint).  A meeting cell's witness is read off that
 line when it is the only choice, so any correct method prints it; an LP's
-vertex is printed only where the choice is not unique.  For
-relative-interior directions of vertex cones there is a fast valuation
-comparison with an explicit crossing witness when it fails.
+vertex is printed only where the choice is not unique.
 The archimedean place is scanned at the grid points t d of the ray,
 t = 1/2, 1, ..., count/2: once a term k that minimizes <u_k, d> dominates
 at t0, every later grid point is certified outside from that tail, with no
 enclosure of its own.
 The tail certifies grid points, not the open ray between them.
-The trichotomy report combines the nonarchimedean verdicts with archimedean
-grid scans and checks the applicable structural conclusion: declared small
-image, image defined over the scalars, or a torsion binomial.  A supplied
-image hypersurface lives in the quotient by the boundary span, whose rank is
-the halfspace's codimension, since the boundary is kept independent.
+The trichotomy's conclusion (a declared small image, an image defined over
+the scalars, or a torsion binomial) is stated once, for a disjointness
+report: of a given halfspace, or of the first vertex-cone half-line that
+the EKL check finds disjoint.  A supplied image hypersurface lives in the
+quotient by the boundary span, whose rank is the halfspace's codimension,
+since the boundary is kept independent.
 """
 from __future__ import annotations
 
@@ -63,13 +62,11 @@ from .tropical import (
     AdelicAmoeba,
     PrevarietySystem,
     adelic_amoeba,
-    contains_zero,
     tropical_data,
 )
 
 DISJOINT = "disjoint"
 MEETS = "meets"
-NOT_RELINT = "not-relint"
 
 
 @dataclass(frozen=True)
@@ -102,35 +99,6 @@ class Halfspace:
         return self.rank - len(self.boundary)
 
 
-def halfline_disjoint_fast(f: LaurentPoly, place, v):
-    """Valuation comparison for a half line in a vertex cone's interior.
-
-    Returns (DISJOINT, None), (MEETS, witness point on the ray), or
-    (NOT_RELINT, None) when the direction ties several exponents and the LP
-    path must decide instead.
-    """
-    if f.nterms < 2:
-        raise MonomialInput("need at least two terms")
-    v = tuple(Fraction(x) for x in v)
-    data = tropical_data(f, place)
-    vals = [sum(a * x for a, x in zip(u, v)) for u in data.exponents]
-    best = min(vals)
-    winners = [i for i, t in enumerate(vals) if t == best]
-    if len(winners) != 1:
-        return NOT_RELINT, None
-    i = winners[0]
-    ci = data.shifts[i]
-    if all(ci <= cj for cj in data.shifts):
-        return DISJOINT, None
-    crossing = Fraction(0)
-    for j, cj in enumerate(data.shifts):
-        if cj < ci:
-            c = Fraction(ci - cj, 1) / (vals[j] - vals[i])
-            crossing = max(crossing, c)
-    witness = tuple(crossing * x for x in v)
-    return MEETS, witness
-
-
 def halfspace_meets_complex(H: Halfspace, C: PolyhedralComplex):
     """First witness point of C in the open halfspace, or None.
 
@@ -142,15 +110,16 @@ def halfspace_meets_complex(H: Halfspace, C: PolyhedralComplex):
     cell's equalities leave at most one free direction in (lambda, t).
     The same line pass gives the witness of a meeting cell where it is
     unique: the one maximizer of a finite t, or the one point at t = 1 of
-    an unbounded t.  It is checked exactly (in the cell, t > 0, t equal to
-    the maximum or to 1), and every correct method prints that point.
+    an unbounded t.  It is checked exactly (in the cell, t equal to the
+    maximum or to 1), and every correct method prints that point.
     Other meeting cells get the LP in (x, lambda, t), whose optimal vertex
     is the witness and must agree with the decision: two or more free
     directions, t constant along a segment (the pivot rule picks the
     vertex), or a cell met only past t = 1.  When t is unbounded the LP is
-    capped at t <= 1.  A cell whose every point has t > 1 leaves the
-    capped LP infeasible; the uncapped LP's point of the first such cell
-    is the witness when no later cell gives a capped one.
+    capped at t <= 1, except on a line whose least t, from the same pass,
+    is past 1.  A cell whose every point has t > 1 leaves the capped LP
+    infeasible; the uncapped LP's point of the first such cell is the
+    witness when no later cell gives a capped one.
     """
     if H.rank != C.rank:
         raise DimensionMismatch("halfspace/complex rank mismatch")
@@ -176,9 +145,10 @@ def halfspace_meets_complex(H: Halfspace, C: PolyhedralComplex):
             continue
         if at is not None:
             x = tuple(sum(a * g[c] for a, g in zip(at, gens)) for c in range(n))
-            if not (contains_point(P, x) and 0 < at[-1] == (top if top < math.inf else 1)):
+            if not (contains_point(P, x) and (at[-1] == top if top < math.inf else at[-1] >= 1)):
                 raise InternalInvariantError("the witness on the line fails its check")
-            return x
+            if top < math.inf or at[-1] == 1:
+                return x
         ineqs = pad(P.inequalities) + [([0] * (n + k) + [-1], Fraction(0))]
         ext = polyhedron(total, link + pad(P.equalities), ineqs)
         wit = lp_solve(obj, ext)
@@ -187,9 +157,11 @@ def halfspace_meets_complex(H: Halfspace, C: PolyhedralComplex):
             raise InternalInvariantError("the witness LP disagrees with the decision")
         if isinstance(wit, LPOptimal):
             return wit.point[:n]
-        capped = lp_solve(obj, intersect(ext, polyhedron(total, (), [(obj, Fraction(1))])))
-        if isinstance(capped, LPOptimal):
-            return capped.point[:n]
+        # past the line's least t > 1 the capped LP is infeasible by construction
+        if at is None:
+            capped = lp_solve(obj, intersect(ext, polyhedron(total, (), [(obj, Fraction(1))])))
+            if isinstance(capped, LPOptimal):
+                return capped.point[:n]
         if late is None:
             late = wit.point[:n]
     return late
@@ -445,110 +417,6 @@ def torsion_coset_test(f: LaurentPoly):
 
 
 # ---------------------------------------------------------------------------
-# half-line search and consistency report
-
-
-def uniform_minimal_vertices(f: LaurentPoly):
-    """Vertex indices whose coefficient valuation is minimal at every bad
-    place (the candidate apexes for a disjoint open half line)."""
-    places = sorted(bad_places(f), key=place_to_str)
-    shift_table = [tropical_data(f, p).shifts for p in places]
-    np_ = newton_polytope(f)
-    out = []
-    for i in np_.vertex_indices:
-        if all(shifts[i] == min(shifts) for shifts in shift_table):
-            out.append(i)
-    return out, places, np_
-
-
-def disjoint_halfline_search(f: LaurentPoly, trials=200, rng=None):
-    """Search for an open half line disjoint from every amoeba of f.
-
-    Candidates come from the valuation criterion over all bad places; each
-    candidate ray is cross-checked per place, and over Q additionally scanned
-    at GRID archimedean grid points by scan_arch_ray (points past a tail
-    start are certified from the tail), where a verified witness rejects it;
-    the scan stops at that witness, as do the sampler's draws.  Returns
-    (found, rejected, caveat): the accepted candidate as a dict or None, the
-    per-candidate rejections, and whether an accepted candidate rests on any
-    archimedean point that no exact test decided.
-    """
-    if not isinstance(rng, random.Random):
-        rng = random.Random(0 if rng is None else rng)
-    candidates, places, np_ = uniform_minimal_vertices(f)
-    rejected = []
-    for i in candidates:
-        assert np_.directions[i] is not None
-        direction = primitive_vector(np_.directions[i])
-        if any(halfline_disjoint_fast(f, p, direction)[0] != DISJOINT for p in places):
-            raise AssertionError("candidate filter and fast path disagree")
-        caveat = False
-        arch_meet = None
-        if f.field == FIELD_Q:
-            for res in scan_arch_ray(f, direction, GRID, trials, rng):
-                if res.verdict == MEETS:
-                    arch_meet = res
-                    break
-                if res.verdict == EVIDENCE_ONLY:
-                    caveat = True
-        if arch_meet is not None:
-            rejected.append({"vertex": i, "direction": direction, "archimedean": arch_meet})
-            continue
-        return {"vertex": i, "direction": direction}, rejected, caveat
-    return None, rejected, False
-
-
-@dataclass(frozen=True)
-class EklReport:
-    field: str
-    halfline: dict | None
-    rejected: tuple
-    zero_membership: dict | None
-    side: str
-    archimedean_caveat: bool
-
-    def to_json(self):
-        return {
-            "field": self.field,
-            "halfline": (
-                None
-                if self.halfline is None
-                else {
-                    "vertex": self.halfline["vertex"],
-                    "direction": list(self.halfline["direction"]),
-                }
-            ),
-            "rejected_candidates": [
-                {
-                    "vertex": r["vertex"],
-                    "direction": list(r["direction"]),
-                    "archimedean": r["archimedean"].to_json(),
-                }
-                for r in self.rejected
-            ],
-            "zero_membership": self.zero_membership,
-            "side": self.side,
-            "archimedean_caveat": self.archimedean_caveat,
-        }
-
-
-def ekl_consistency_check(f: LaurentPoly, trials=200, rng=None) -> EklReport:
-    """Search for a disjoint open half line; when none exists, verify that
-    the generic and every special complex contain the origin."""
-    if f.nterms < 2:
-        raise MonomialInput("need at least two terms")
-    found, rejected, caveat = disjoint_halfline_search(f, trials=trials, rng=rng)
-    if found is not None:
-        return EklReport(f.field, found, tuple(rejected), None, "hypothesis", caveat)
-    amoeba = adelic_amoeba(f)
-    membership = {"generic": contains_zero(amoeba.generic)}
-    for p, C in amoeba.special:
-        membership[place_to_str(p)] = contains_zero(C)
-    side = "conclusion" if all(membership.values()) else "violation"
-    return EklReport(f.field, None, tuple(rejected), membership, side, False)
-
-
-# ---------------------------------------------------------------------------
 # the trichotomy report
 
 
@@ -576,25 +444,35 @@ def theorem1_report(
     trials=200,
     rng=None,
 ) -> TheoremReport:
-    """Decide disjointness and verify the applicable structural conclusion.
+    """Decide disjointness from the adelic amoeba and verify the structural
+    conclusion that it forces, by trichotomy_conclusion.
 
     The source is a hypersurface (boundary-free halfspace; the quotient is
     the identity, and the source is its own image, so a supplied image is
     rejected) or a prevariety system, in which case the hypersurface image
     under the boundary quotient must be supplied, or its codimension
     declared to exceed one (the declaration is echoed, never computed).
-    Violation is flagged when certified disjointness holds but no conclusion
-    checks out, which would falsify the implementation.
     """
     if image_hypersurface is not None and declared_codim_gt_one:
         raise ValueError("supply an image hypersurface or a declaration, not both")
     if image_hypersurface is not None and isinstance(source, LaurentPoly):
         raise ValueError("a hypersurface source is its own image; supply no image hypersurface")
     report = adelic_disjoint(adelic_amoeba(source), H, trials=trials, rng=rng)
+    return trichotomy_conclusion(source, H, report, image_hypersurface, declared_codim_gt_one)
+
+
+def trichotomy_conclusion(
+    source, H: Halfspace, report: AdelicReport, image_hypersurface=None, declared_codim_gt_one=False
+) -> TheoremReport:
+    """The conclusion that a disjoint report of H forces: case 1 (declared),
+    2 (over Q(z), an image defined over the scalars) or 3 (over Q, a torsion
+    binomial).  Violation is flagged when certified disjointness holds but
+    no conclusion checks out, which would falsify the implementation.  Over
+    Q(z) every place is decided exactly; over Q the grid certifies points,
+    not the open ray, so no report over Q flags a violation.
+    """
     if report.overall != DISJOINT:
         return TheoremReport(report, None, (), False)
-
-    field = source.field
     if declared_codim_gt_one:
         return TheoremReport(
             report, 1, ({"kind": "declared-codimension-greater-than-one"},), False
@@ -615,20 +493,100 @@ def theorem1_report(
             raise DimensionMismatch(
                 f"image hypersurface rank {image.rank} != quotient rank {H.codimension()}"
             )
-    certified = field == FIELD_QZ or report.archimedean_certified is True
-    if field == FIELD_QZ:
+    if source.field == FIELD_QZ:
         idx = defined_over_k_test(image)
         if idx is not None:
             return TheoremReport(
                 report, 2, ({"kind": "defined-over-scalars", "index": idx},), False
             )
-    else:
-        hyper = torsion_coset_test(image)
-        if hyper is not None:
-            return TheoremReport(
-                report,
-                3,
-                ({"kind": "torsion-coset", "hyperplane": polyhedron_to_json(hyper)},),
-                False,
-            )
-    return TheoremReport(report, None, (), certified)
+        return TheoremReport(report, None, (), True)
+    hyper = torsion_coset_test(image)
+    if hyper is not None:
+        return TheoremReport(
+            report,
+            3,
+            ({"kind": "torsion-coset", "hyperplane": polyhedron_to_json(hyper)},),
+            False,
+        )
+    return TheoremReport(report, None, (), False)
+
+
+# ---------------------------------------------------------------------------
+# the EKL check: the conclusion on a half-line found disjoint
+
+
+def uniform_minimal_vertices(f: LaurentPoly):
+    """Vertex indices whose coefficient valuation is minimal at every bad
+    place, whose vertex cones miss every nonarchimedean amoeba, and the
+    Newton polytope."""
+    shift_table = [tropical_data(f, p).shifts for p in sorted(bad_places(f), key=place_to_str)]
+    np_ = newton_polytope(f)
+    candidates = [
+        i for i in np_.vertex_indices if all(shifts[i] == min(shifts) for shifts in shift_table)
+    ]
+    return candidates, np_
+
+
+@dataclass(frozen=True)
+class EklReport:
+    """The accepted half-line with its theorem report, or none, after the
+    candidates rejected at the archimedean place."""
+
+    field: str
+    halfline: dict | None
+    rejected: tuple
+    theorem: TheoremReport | None
+
+    @property
+    def side(self):
+        if self.theorem is None:
+            return "none-found"
+        return "violation" if self.theorem.violation else "hypothesis"
+
+    @property
+    def archimedean_caveat(self):
+        # the accepted half-line rests on a grid point no exact test decided
+        return self.theorem is not None and self.theorem.disjointness.archimedean_certified is False
+
+    def to_json(self):
+        theorem = self.theorem
+        return {
+            "field": self.field,
+            "halfline": self.halfline,
+            "rejected_candidates": [
+                {**r, "archimedean": r["archimedean"].to_json()} for r in self.rejected
+            ],
+            "side": self.side,
+            "conclusion_case": None if theorem is None else theorem.conclusion_case,
+            "certificates": [] if theorem is None else list(theorem.certificates),
+            "archimedean_caveat": self.archimedean_caveat,
+        }
+
+
+def ekl_consistency_check(f: LaurentPoly, trials=200, rng=None) -> EklReport:
+    """The theorem on one open half-line per uniformly minimal vertex cone,
+    along its primitive strict direction, which misses every
+    nonarchimedean amoeba (a meet is an internal error).  adelic_disjoint
+    checks each against the adelic amoeba, built once, with one shared
+    sampler; the first found disjoint gets trichotomy_conclusion.  Side
+    none-found says only that these candidates all meet the archimedean
+    amoeba, not that no disjoint half-line exists.
+    """
+    if f.nterms < 2:
+        raise MonomialInput("need at least two terms")
+    if not isinstance(rng, random.Random):
+        rng = random.Random(0 if rng is None else rng)
+    candidates, np_ = uniform_minimal_vertices(f)
+    amoeba = adelic_amoeba(f)
+    rejected = []
+    for i in candidates:
+        H = Halfspace(f.rank, primitive_vector(np_.directions[i]))
+        halfline = {"vertex": i, "direction": list(H.direction)}
+        report = adelic_disjoint(amoeba, H, trials=trials, rng=rng)
+        if not all(c.disjoint for c in report.nonarchimedean):
+            raise InternalInvariantError("a uniformly minimal vertex cone meets a nonarchimedean amoeba")
+        if report.overall == DISJOINT:
+            return EklReport(f.field, halfline, tuple(rejected), trichotomy_conclusion(f, H, report))
+        meets = next(a for a in report.archimedean if a.verdict == MEETS)
+        rejected.append({**halfline, "archimedean": meets})
+    return EklReport(f.field, None, tuple(rejected), None)

@@ -38,8 +38,9 @@ from .tropical import Constraint, PrevarietySystem, adelic_amoeba, prevariety, t
 
 SCHEMA_VERSION = 1
 # Sampler trials per scanned half-line: grid points times --trials (classify
-# and ekl-check scan GRID = 20 points).  An evidence-only point costs a few
-# ms per trial, so this bounds a scan to about a minute.
+# and ekl-check scan GRID = 20 points on each half-line).  An evidence-only
+# point costs a few ms per trial, so this bounds one half-line's scan to
+# about a minute; ekl-check scans one half-line per candidate vertex cone.
 MAX_SCAN_TRIALS = 20_000
 
 
@@ -312,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sampling(p)
 
-    sampling(command("ekl-check", "half-line search and zero membership"))
+    sampling(command("ekl-check", "trichotomy on the first vertex-cone half-line found disjoint"))
 
     p = command("product-formula", "sum of -log|a|_p over all places", poly=False)
     p.add_argument("--a", required=True, help="scalar, like '(z^2-1)/z' or '12'")

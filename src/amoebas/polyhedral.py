@@ -589,7 +589,8 @@ def maximize(objective, P: Polyhedron, level=None):
     Fraction, math.inf when it is unbounded, or None when P is empty.
     point is the one point of P that attains a finite maximum, or, for an
     unbounded one and a given level, the one point of P's line where
-    objective . v == level if P holds it; else None.  When P's equalities
+    objective . v == level if P holds it, or else the end of P where the
+    objective is least, above level; otherwise None.  When P's equalities
     leave at most one free direction both are read off the interval of z,
     the value with its optimality or unboundedness certificate checked on
     that line; the maximizer is then one z when the objective moves along
@@ -616,9 +617,11 @@ def maximize(objective, P: Polyhedron, level=None):
             _check_unbounded(rows, rhs, 0, [c], [1 if c > 0 else -1], [zn], zd)
             if level is None:
                 return math.inf, None
-            # obj . (x0 + z col) == level * den * L
+            # obj . (x0 + z col) == level * den * L, or the bound below it
             z = (Fraction(level) * den * L - _dot(obj, x0)) / c
-            return math.inf, _point_on(frame, z) if all(s * z <= t for s, t in st) else None
+            if not all(s * z <= t for s, t in st):
+                z = _bound(st, bounds[c < 0])
+            return math.inf, _point_on(frame, z)
     else:
         # z = t / s at the bounding row, kept over |s| so that |c| is its multiplier
         s, t = st[j]

@@ -42,7 +42,6 @@ from .polyhedral import (
     Polyhedron,
     PolyhedralComplex,
     _con_key,
-    contains_point,
     dimension,
     intersect,
     make_complex,
@@ -374,11 +373,6 @@ def generic_skeleton(f: LaurentPoly) -> PolyhedralComplex:
     """Tropicalization at the cofinitely many places with unit coefficients:
     the codimension-one skeleton of the Newton polytope's inward normal fan."""
     return trop_hypersurface(f, GENERIC)
-
-
-def contains_zero(C: PolyhedralComplex) -> bool:
-    origin = (Fraction(0),) * C.rank
-    return any(contains_point(cell.polyhedron, origin) for cell in C.cells)
 
 
 @dataclass(frozen=True)

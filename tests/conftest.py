@@ -39,10 +39,11 @@ from amoebas.classify import (
     AdelicReport,
     ArchPointVerdict,
     EklReport,
+    Halfspace,
     PlaceCheck,
     _witness_json,
-    halfline_disjoint_fast,
     halfspace_meets_complex,
+    trichotomy_conclusion,
     uniform_minimal_vertices,
 )
 from amoebas.errors import (
@@ -58,7 +59,6 @@ from amoebas.errors import (
 from amoebas.laurent import (
     LaurentPoly,
     apply_monomial_map,
-    bad_places,
     make_laurent,
     parse_poly,
     strict_vertex_direction,
@@ -109,10 +109,10 @@ from amoebas.scalars import (
 from amoebas.tropical import (
     PrevarietySystem,
     _segment_multiplicity,
-    contains_zero,
-    generic_skeleton,
+    adelic_amoeba,
     min_value_and_argmin,
     trop_hypersurface,
+    tropical_data,
 )
 
 # Derandomized property tests draw the same examples on every run, and the
@@ -191,6 +191,10 @@ def complex_membership(C, v):
         if contains_point(cell.polyhedron, v):
             return i
     return None
+
+
+def contains_zero(C):
+    return complex_membership(C, (0,) * C.rank) is not None
 
 
 def translate_complex(C, w):
@@ -1040,10 +1044,10 @@ def outcome(fn, *args, **kwargs):
 
 
 # ---------------------------------------------------------------------------
-# the archimedean point verdicts, the sampler, the half-line search and the
+# the archimedean point verdicts, the sampler, the EKL check and the
 # place walk as they stood before each fact was computed once: the sampler
 # with separate sweep and bisection probes and one np.roots call per slice,
-# reading the slice data again for each, the search solving each
+# reading the slice data again for each, the check solving each
 # candidate's vertex LP again, classification running lopsidedness after an
 # inside triangle verdict, and one place loop per scalar function
 
@@ -1255,54 +1259,54 @@ def reference_adelic_disjoint(amoeba, H, grid=20, trials=200, rng=None):
     return AdelicReport(tuple(checks), arch, DISJOINT if disjoint else MEETS, certified)
 
 
-def reference_disjoint_halfline_search(f, trials=200, rng=None):
-    if not isinstance(rng, random.Random):
-        rng = random.Random(0 if rng is None else rng)
-    candidates, places, np_ = uniform_minimal_vertices(f)
-    rejected = []
-    for i in candidates:
-        direction = strict_vertex_direction(np_.points, i)
-        assert direction is not None
-        direction = primitive_vector(direction)
-        for p in places:
-            verdict, witness = halfline_disjoint_fast(f, p, direction)
-            if verdict != DISJOINT:
-                raise AssertionError("candidate filter and fast path disagree")
-        caveat = False
-        arch_meet = None
-        if f.field == FIELD_Q:
-            for t in range(1, 21):
-                point = tuple(Fraction(t, 2) * x for x in direction)
-                res = reference_classify_arch_point(f, point, trials=trials, rng=rng)
-                if res.verdict == MEETS:
-                    arch_meet = res
-                    break
-                if res.verdict == EVIDENCE_ONLY:
-                    caveat = True
-        if arch_meet is not None:
-            rejected.append(
-                {"vertex": i, "direction": direction, "archimedean": arch_meet}
-            )
-            continue
-        return (
-            {"vertex": i, "direction": direction},
-            rejected,
-            caveat,
-        )
-    return None, rejected, False
+NOT_RELINT = "not-relint"
+
+
+def halfline_disjoint_fast(f, place, v):
+    """Valuation comparison for a half line in a vertex cone's interior:
+    (DISJOINT, None), (MEETS, witness point on the ray), or (NOT_RELINT,
+    None) when the direction ties several exponents and the LP path must
+    decide instead."""
+    if f.nterms < 2:
+        raise MonomialInput("need at least two terms")
+    v = tuple(Fraction(x) for x in v)
+    data = tropical_data(f, place)
+    vals = [sum(a * x for a, x in zip(u, v)) for u in data.exponents]
+    winners = [i for i, t in enumerate(vals) if t == min(vals)]
+    if len(winners) != 1:
+        return NOT_RELINT, None
+    i = winners[0]
+    ci = data.shifts[i]
+    if all(ci <= cj for cj in data.shifts):
+        return DISJOINT, None
+    crossing = max(
+        Fraction(ci - cj) / (vals[j] - vals[i]) for j, cj in enumerate(data.shifts) if cj < ci
+    )
+    return MEETS, tuple(crossing * x for x in v)
 
 
 def reference_ekl_consistency_check(f, trials=200, rng=None):
+    """ekl_consistency_check with each candidate's direction from its own
+    vertex LP and reference_adelic_disjoint, one reference point verdict
+    per grid point, on its ray; the conclusion is the library's."""
     if f.nterms < 2:
         raise MonomialInput("need at least two terms")
-    found, rejected, caveat = reference_disjoint_halfline_search(f, trials=trials, rng=rng)
-    if found is not None:
-        return EklReport(f.field, found, tuple(rejected), None, "hypothesis", caveat)
-    membership = {"generic": contains_zero(generic_skeleton(f))}
-    for p in sorted(bad_places(f), key=place_to_str):
-        membership[place_to_str(p)] = contains_zero(trop_hypersurface(f, p))
-    side = "conclusion" if all(membership.values()) else "violation"
-    return EklReport(f.field, None, tuple(rejected), membership, side, False)
+    if not isinstance(rng, random.Random):
+        rng = random.Random(0 if rng is None else rng)
+    candidates, np_ = uniform_minimal_vertices(f)
+    amoeba = adelic_amoeba(f)
+    rejected = []
+    for i in candidates:
+        H = Halfspace(f.rank, primitive_vector(strict_vertex_direction(np_.points, i)))
+        halfline = {"vertex": i, "direction": list(H.direction)}
+        report = reference_adelic_disjoint(amoeba, H, trials=trials, rng=rng)
+        if not all(c.disjoint for c in report.nonarchimedean):
+            raise InternalInvariantError("a uniformly minimal vertex cone meets a nonarchimedean amoeba")
+        if report.overall == DISJOINT:
+            return EklReport(f.field, halfline, tuple(rejected), trichotomy_conclusion(f, H, report))
+        meets = next(a for a in report.archimedean if a.verdict == MEETS)
+        rejected.append({**halfline, "archimedean": meets})
+    return EklReport(f.field, None, tuple(rejected), None)
 
 
 def reference_support_places(values):

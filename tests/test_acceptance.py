@@ -18,7 +18,7 @@ from amoebas.classify import (
     Halfspace,
     adelic_disjoint,
     classify_arch_point,
-    disjoint_halfline_search,
+    ekl_consistency_check,
     halfspace_meets_complex,
     torsion_coset_test,
     uniform_minimal_vertices,
@@ -44,7 +44,6 @@ from amoebas.scalars import (
 from amoebas.tropical import (
     adelic_amoeba,
     adelic_amoeba_of_system,
-    contains_zero,
     generic_skeleton,
     min_value_and_argmin,
     prevariety,
@@ -57,6 +56,7 @@ from conftest import (
     cells_of,
     complex_membership,
     complexes_equal,
+    contains_zero,
     is_balanced,
     rand_exponents,
     rand_fraction,
@@ -141,8 +141,8 @@ def test_criterion_05_scalar_definition_equivalence():
         f = rand_poly_qz_constant(
             rng, rank=rng.choice([2, 3]), terms=rng.randint(2, 6)
         )
-        found, _, caveat = disjoint_halfline_search(f)
-        ok = ok and found is not None and not caveat
+        rep = ekl_consistency_check(f)
+        ok = ok and rep.halfline is not None and not rep.archimedean_caveat
     trop_cache = {}
     count = 0
     while count < 100:
@@ -151,12 +151,12 @@ def test_criterion_05_scalar_definition_equivalence():
         if all((c / a1).is_constant() for _, c in f.terms[1:]):
             continue
         count += 1
-        candidates, places, np_ = uniform_minimal_vertices(f)
+        candidates, np_ = uniform_minimal_vertices(f)
         ok = ok and not candidates
-        shift_table = {p: tropical_data(f, p).shifts for p in places}
+        shift_table = {p: tropical_data(f, p).shifts for p in sorted(bad_places(f), key=str)}
         for i in np_.vertex_indices:
             bad = next(
-                p for p in places if shift_table[p][i] > min(shift_table[p])
+                p for p, shifts in shift_table.items() if shifts[i] > min(shifts)
             )
             direction = primitive_vector(strict_vertex_direction(np_.points, i))
             key = (f, str(bad))

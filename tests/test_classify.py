@@ -7,20 +7,17 @@ import sympy
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from amoebas import archimedean, classify, laurent
+from amoebas import archimedean, classify, laurent, polyhedral
 from amoebas.classify import (
     CERTIFIED_OUTSIDE,
     DISJOINT,
     MEETS,
-    NOT_RELINT,
     AdelicReport,
     Halfspace,
     adelic_disjoint,
     classify_arch_point,
     defined_over_k_test,
-    disjoint_halfline_search,
     ekl_consistency_check,
-    halfline_disjoint_fast,
     halfspace_meets_complex,
     theorem1_report,
     torsion_coset_test,
@@ -34,6 +31,7 @@ from amoebas.errors import (
 )
 from amoebas.lattices import primitive_vector
 from amoebas.laurent import (
+    bad_places,
     make_laurent,
     newton_polytope,
     parse_poly,
@@ -65,7 +63,9 @@ from amoebas.tropical import (
 )
 
 from conftest import (
+    NOT_RELINT,
     cells_of,
+    halfline_disjoint_fast,
     outcome,
     rand_fraction,
     rand_poly_q,
@@ -74,7 +74,6 @@ from conftest import (
     ray,
     reference_adelic_disjoint,
     reference_classify_arch_point,
-    reference_disjoint_halfline_search,
     reference_ekl_consistency_check,
     reference_halfspace_meets_complex,
     scale,
@@ -151,8 +150,6 @@ class TestFastPath:
                 if rng.random() < 0.4 or not cache
                 else [fp[0] for fp in cache.values()]
             )
-            from amoebas.laurent import bad_places
-
             places = sorted(bad_places(f), key=str) + [GENERIC]
             p = rng.choice(places)
             v = tuple(rng.randint(-4, 4) for _ in range(2))
@@ -171,6 +168,19 @@ class TestFastPath:
 
 
 class TestHalfspaceMeetsComplex:
+    def test_one_lp_for_a_line_met_only_past_t_one(self, monkeypatch):
+        # at p:2 the meeting cell's line has t >= 2 throughout, so the LP
+        # capped at t <= 1 would be infeasible: only the uncapped LP runs
+        f = parse_poly("x1*x2 + 2*x1 + 4*x2 + 1", field=FIELD_Q)
+        C = trop_hypersurface(f, FinitePrime(2))
+        calls = []
+        solve = polyhedral.lp_solve
+        counted = lambda *args: calls.append(args) or solve(*args)
+        monkeypatch.setattr(polyhedral, "lp_solve", counted)
+        monkeypatch.setattr(classify, "lp_solve", counted)
+        assert halfspace_meets_complex(Halfspace(2, (1, 0), ((0, 1),)), C) == (2, -2)
+        assert len(calls) == 1
+
     def test_four_ray_disjoint(self):
         system = pair_system_qz()
         from amoebas.tropical import prevariety
@@ -375,14 +385,34 @@ class TestStructuralTests:
         assert torsion_coset_test(f) is not None
 
 
+SMALL_QZ_COEFFS = st.sampled_from([
+    RationalFunction((1, 0)),               # z
+    RationalFunction((1, -1)),              # z - 1
+    RationalFunction((1,), (1, 0)),         # 1/z
+    RationalFunction((1, 1), (1, -2)),      # (z + 1)/(z - 2)
+    RationalFunction.const(2),
+    RationalFunction.const(-1),
+])
+
+
+@st.composite
+def small_qz_polys(draw, rank=None):
+    """A polynomial over Q(z) of rank 1 to 3 with 2 to 4 terms."""
+    rank = rank or draw(st.integers(1, 3))
+    s = draw(st.integers(2, 4))
+    exps = draw(st.lists(
+        st.tuples(*[st.integers(-2, 2)] * rank), min_size=s, max_size=s, unique=True
+    ))
+    return make_laurent(rank, FIELD_QZ, [(e, draw(SMALL_QZ_COEFFS)) for e in exps])
+
+
 class TestHalflineSearch:
     def test_defined_over_k_gives_halfline(self, rng):
         for _ in range(20):
             f = scale(rand_poly_qz_constant(rng), RationalFunction((1, 0)))
-            found, _, caveat = disjoint_halfline_search(f)
-            assert found is not None and not caveat
-            candidates, _, _ = uniform_minimal_vertices(f)
-            assert candidates
+            rep = ekl_consistency_check(f)
+            assert rep.halfline is not None and not rep.archimedean_caveat
+            assert rep.side == "hypothesis" and rep.theorem.conclusion_case == 2
 
     def test_nonconstant_has_no_uniform_vertex(self, rng):
         count = 0
@@ -391,34 +421,60 @@ class TestHalflineSearch:
             if defined_over_k_test(f) is not None:
                 continue
             count += 1
-            candidates, _, _ = uniform_minimal_vertices(f)
+            candidates, _ = uniform_minimal_vertices(f)
             assert not candidates
+
+    @settings(max_examples=80)
+    @given(st.one_of(small_q_polys(), small_qz_polys()))
+    def test_candidates_miss_every_bad_place_by_valuations(self, f):
+        # the cross-check of the candidate filter against the valuation
+        # comparison on each candidate ray
+        candidates, np_ = uniform_minimal_vertices(f)
+        event(f"{len(candidates)} candidates")
+        for i in candidates:
+            direction = primitive_vector(np_.directions[i])
+            for p in bad_places(f):
+                assert halfline_disjoint_fast(f, p, direction) == (DISJOINT, None)
 
 
 class TestEkl:
-    def test_curve_qz_conclusion(self, ex_curve_qz):
+    def test_curve_qz_none_found(self, ex_curve_qz):
+        # no vertex has the least coefficient valuation at every bad place
         rep = ekl_consistency_check(ex_curve_qz)
-        assert rep.side == "conclusion"
-        assert rep.halfline is None
-        assert rep.zero_membership == {
-            "generic": True,
-            "q:z": True,
-            "q:z-1": True,
-            "q:z-2": True,
-        }
+        assert (rep.side, rep.halfline, rep.rejected, rep.theorem) == ("none-found", None, (), None)
 
     def test_curve_q_rejected_by_archimedean_witnesses(self, ex_curve_q):
         rep = ekl_consistency_check(ex_curve_q)
-        assert rep.side == "conclusion"
+        assert rep.side == "none-found"
         assert rep.halfline is None
         assert len(rep.rejected) == 2  # both diagonal candidates meet the amoeba
-        assert rep.zero_membership == {"generic": True, "p:2": True}
+        assert all(r["archimedean"].verdict == MEETS for r in rep.rejected)
 
     def test_constant_coefficients_over_qz(self):
         f = parse_poly("x1 + x2 + 1", rank=2, field=FIELD_QZ)
         rep = ekl_consistency_check(f)
         assert rep.side == "hypothesis"
-        assert rep.halfline is not None
+        assert rep.halfline is not None and rep.theorem.conclusion_case == 2
+
+    def test_candidate_meeting_a_nonarchimedean_place_is_an_internal_error(self, monkeypatch):
+        # the constant's vertex cone, offered as a candidate, meets the amoeba
+        # {v = 1} of x1 + 2 at p:2
+        f = parse_poly("x1 + 2", field=FIELD_Q)
+        np_ = newton_polytope(f)
+        bad = [i for i in np_.vertex_indices if not any(np_.points[i])]
+        monkeypatch.setattr(classify, "uniform_minimal_vertices", lambda f: (bad, np_))
+        with pytest.raises(InternalInvariantError):
+            ekl_consistency_check(f)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(1, 2).flatmap(lambda r: st.one_of(small_q_polys(rank=r), small_qz_polys(rank=r))),
+        st.integers(0, 3),
+    )
+    def test_random_input_never_violates(self, f, seed):
+        rep = ekl_consistency_check(f, trials=2, rng=seed)
+        event(f"{f.field}: {rep.side}")
+        assert rep.side != "violation"
 
 
 class TestTheoremReport:
@@ -545,27 +601,6 @@ class TestArchPointClassification:
         assert res.verdict == MEETS and res.certificate["kind"] == "triangle"
 
 
-SMALL_QZ_COEFFS = st.sampled_from([
-    RationalFunction((1, 0)),               # z
-    RationalFunction((1, -1)),              # z - 1
-    RationalFunction((1,), (1, 0)),         # 1/z
-    RationalFunction((1, 1), (1, -2)),      # (z + 1)/(z - 2)
-    RationalFunction.const(2),
-    RationalFunction.const(-1),
-])
-
-
-@st.composite
-def small_qz_polys(draw):
-    """A polynomial over Q(z) of rank 1 to 3 with 2 to 4 terms."""
-    rank = draw(st.integers(1, 3))
-    s = draw(st.integers(2, 4))
-    exps = draw(st.lists(
-        st.tuples(*[st.integers(-2, 2)] * rank), min_size=s, max_size=s, unique=True
-    ))
-    return make_laurent(rank, FIELD_QZ, [(e, draw(SMALL_QZ_COEFFS)) for e in exps])
-
-
 @st.composite
 def small_q_systems(draw):
     """A system over Q of rank 2 or 3 with one to three constraints, mostly
@@ -580,8 +615,7 @@ def small_q_systems(draw):
 
 
 class TestQueriesAgainstReference:
-    """Point verdicts, the half-line search and the consistency report
-    against copies that solve each vertex LP twice and run lopsidedness
+    """Point verdicts and the EKL check against copies that solve each vertex LP twice and run lopsidedness
     after an inside triangle verdict: identical JSON, witness floats and
     seeded draws."""
 
@@ -606,11 +640,7 @@ class TestQueriesAgainstReference:
 
     @settings(max_examples=40)
     @given(st.one_of(small_q_polys(), small_qz_polys()), st.integers(1, 2), st.integers(0, 3))
-    def test_halfline_search_and_ekl(self, f, trials, seed):
-        self._same(
-            disjoint_halfline_search, reference_disjoint_halfline_search, f,
-            trials=trials, seed=seed,
-        )
+    def test_ekl(self, f, trials, seed):
         kind, got = self._same(
             ekl_consistency_check, reference_ekl_consistency_check, f, trials=trials, seed=seed
         )
@@ -696,8 +726,8 @@ def _scan_prefix(source, direction, count, trials, rng, n):
 
 
 class TestRayScan:
-    """adelic_disjoint and the half-line search answer a grid point past a
-    tail without an enclosure; their bytes and draws must equal one
+    """adelic_disjoint, alone and in the EKL check, answers a grid point past
+    a tail without an enclosure; their bytes and draws must equal one
     reference verdict per point."""
 
     @settings(max_examples=60, deadline=None)
@@ -731,10 +761,10 @@ class TestRayScan:
 
     @settings(max_examples=30, deadline=None)
     @given(small_q_polys(), st.integers(0, 3))
-    def test_halfline_search_matches_point_by_point(self, f, seed):
+    def test_ekl_check_matches_point_by_point(self, f, seed):
         rng, ref_rng = random.Random(seed), random.Random(seed)
-        got = outcome(disjoint_halfline_search, f, trials=1, rng=rng)
-        want = outcome(reference_disjoint_halfline_search, f, trials=1, rng=ref_rng)
+        got = outcome(ekl_consistency_check, f, trials=1, rng=rng)
+        want = outcome(reference_ekl_consistency_check, f, trials=1, rng=ref_rng)
         assert got == want
         assert rng.getstate() == ref_rng.getstate()
 

@@ -119,7 +119,7 @@ class TestCommands:
     def test_ekl_check(self, capsys):
         code, out, _ = run_cli(capsys, "ekl-check", "--f", "x1*x2-2*x1-2*x2+1")
         assert code == 0
-        assert json.loads(out)["report"]["side"] == "conclusion"
+        assert json.loads(out)["report"]["side"] == "none-found"
 
     def test_plot_complex(self, capsys, tmp_path):
         out_path = str(tmp_path / "trop.svg")
@@ -525,7 +525,25 @@ PINS = [
     ("classify-meets", ["classify", "--f", QZ_CURVE, "--halfspace", "dir:1,1"],
      0, "60950992947743d7", EMPTY, None),
     ("ekl-check-qz", ["ekl-check", "--f", QZ_CURVE],
-     0, "d92163d40f7481ec", EMPTY, None),
+     0, "d33272a2b3485a41", EMPTY, None),
+    # no disjoint half-line is found, and that is no violation: x1 + z has no
+    # vertex of least coefficient valuation at both q:z and inf
+    ("ekl-check-none-found", ["ekl-check", "--f", "x1+z"],
+     0, "d33272a2b3485a41", EMPTY, None),
+    # over Q the grid certifies points, not the open ray, so no report there
+    # flags a violation: x1 - 3 and x1 - 2 meet their rays between grid
+    # points, x1^2 - 10*x1 + 1 at +-2.2924..., and x1^2 + x1 + 1 is a
+    # torsion coset that is no binomial
+    ("ekl-check-binomial", ["ekl-check", "--f", "x1-3"],
+     0, "8ab8384dac334e35", EMPTY, None),
+    ("ekl-check-cyclotomic", ["ekl-check", "--f", "x1^2+x1+1"],
+     0, "7819edfb59138477", EMPTY, None),
+    ("ekl-check-case2", ["ekl-check", "--f", "x1+x2+1", "--field", "Q(z)"],
+     0, "7878ca4c009f4335", EMPTY, None),
+    ("classify-between-grid-points", ["classify", "--f", "x1-2", "--halfspace", "dir:-1"],
+     0, "36c115154e21b306", EMPTY, None),
+    ("classify-reciprocal", ["classify", "--f", "x1^2-10*x1+1", "--halfspace", "dir:1"],
+     0, "f34876299c92620b", EMPTY, None),
     ("product-formula-qz", ["product-formula", "--a", "(z^2-1)/z"],
      0, "413ba24546a58b21", EMPTY, None),
     ("product-formula-out", ["product-formula", "--a", "z^3-z", "--out", "{out}"],
@@ -577,7 +595,7 @@ PINS = [
       "--halfspace", "dir:1,1"],
      2, EMPTY, "05118caef5ff0f94", None),
     ("ekl-check-q", ["ekl-check", "--f", Q_CURVE],
-     0, "674be00a5c0d14da", EMPTY, None),
+     0, "114270e857650259", EMPTY, None),
     ("check-system-triangle", ["check-halfspace", "--system", "{triangle}", "--halfspace", "dir:1,1"],
      0, "1b40a0af6e01d50d", EMPTY, None),
     ("product-formula-q", ["product-formula", "--a=-360/7007"],
@@ -605,6 +623,24 @@ PINS = [
       "--halfspace", "dir:-1,0,0,1", "--grid", "201", "--trials", "99"],
      0, "539aa5b75034bb13", EMPTY, None),
 ]
+
+
+@pytest.mark.parametrize(
+    "argv, side, case",
+    [
+        (["ekl-check", "--f", "x1+z"], "none-found", None),
+        (["ekl-check", "--f", "x1-3"], "hypothesis", None),
+        (["ekl-check", "--f", "x1^2+x1+1"], "hypothesis", None),
+        (["ekl-check", "--f", "x1+x2+1", "--field", "Q(z)"], "hypothesis", 2),
+        (["classify", "--f", "x1-2", "--halfspace", "dir:-1"], None, None),
+        (["classify", "--f", "x1^2-10*x1+1", "--halfspace", "dir:1"], None, None),
+    ],
+)
+def test_no_violation_without_certified_disjointness(capsys, argv, side, case):
+    code, out, _ = run_cli(capsys, *argv)
+    report = json.loads(out)["report"]
+    assert code == 0 and report.get("side") == side and report["conclusion_case"] == case
+    assert report.get("violation") is not True
 
 
 @pytest.mark.parametrize(

@@ -298,9 +298,10 @@ class TestLine:
     @given(hull_polyhedra(line_equalities), st.data())
     def test_maximizer_is_the_only_one(self, P, data):
         """maximize's point is the one point of P at its finite maximum, or
-        at the level of an unbounded objective: each coordinate's range over
-        P at that value, by reference_lp_solve, is that point's entry.  No
-        point means a range of positive width or no point at the level."""
+        at the level of an unbounded objective, or at P's least value when
+        that is above the level: each coordinate's range over P at that
+        value, by reference_lp_solve, is that point's entry.  No point means
+        a range of positive width."""
         obj = data.draw(st.tuples(*[st.integers(-2, 2)] * P.rank))
         level = data.draw(st.integers(-2, 2))
         top = lambda objective, Q: (
@@ -315,8 +316,10 @@ class TestLine:
         at = value if value < math.inf else level
         face = Polyhedron(P.rank, P.equalities + ((obj, Fraction(at)),), P.inequalities)
         if top([0] * P.rank, face) is None:
-            assert value == math.inf and point is None
-            return
+            assert value == math.inf
+            at = -top([-x for x in obj], P)
+            assert at > level
+            face = Polyhedron(P.rank, P.equalities + ((obj, Fraction(at)),), P.inequalities)
         ranges = [
             (top(e, face), -top([-x for x in e], face))
             for e in ([int(i == j) for j in range(P.rank)] for i in range(P.rank))
@@ -338,6 +341,13 @@ class TestLine:
         assert dimension(polyhedron(2, diag, [((1, 0), 0), ((-1, 0), -1)])) == -1
         ray_ = polyhedron(2, diag, [((-1, 0), 0)])
         assert max_value((1, 0), ray_) == math.inf and max_value((-1, 0), ray_) == 0
+
+    def test_unbounded_point_at_the_level_or_the_least_value(self):
+        # the diagonal ray from (2, 2): x1 = 1 is below it, x1 = 3 on it
+        ray_ = polyhedron(2, [((1, -1), 0)], [((-1, 0), -2)])
+        assert maximize((1, 0), ray_, 3) == (math.inf, (3, 3))
+        assert maximize((1, 0), ray_, 1) == (math.inf, (2, 2))
+        assert maximize((-1, -1), ray_, 1) == (-4, (2, 2))
 
     @settings(max_examples=100)
     @given(hull_polyhedra(line_equalities))

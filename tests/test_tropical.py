@@ -31,7 +31,6 @@ from amoebas.tropical import (
     TropicalData,
     adelic_amoeba,
     adelic_amoeba_of_system,
-    contains_zero,
     corner_locus,
     generic_skeleton,
     min_value_and_argmin,
@@ -49,6 +48,7 @@ from conftest import (
     cells_of,
     complex_membership,
     complexes_equal,
+    contains_zero,
     covered_by,
     from_generators,
     is_balanced,
