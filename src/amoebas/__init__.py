@@ -24,6 +24,7 @@ from .errors import (
     MissingImagePresentation,
     MonomialInput,
     PlaceFieldMismatch,
+    PointTooLarge,
     PolySyntaxError,
     RankMismatch,
     RankTooLarge,

@@ -22,7 +22,6 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,7 +29,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateSlice, ExponentSpreadTooLarge, PlaceFieldMismatch, TermCountMismatch
+from .errors import (
+    DegenerateSlice,
+    ExponentSpreadTooLarge,
+    PlaceFieldMismatch,
+    PointTooLarge,
+    TermCountMismatch,
+)
 from .lattices import integer_row
 from .laurent import LaurentPoly, make_laurent
 from .scalars import FIELD_Q
@@ -64,6 +69,10 @@ class ArchQuery:
 
     @classmethod
     def at(cls, f: LaurentPoly, v):
+        """The query of f at v.  PointTooLarge when a term exponent reaches
+        2**_MAX_PRECISION in magnitude: each is enclosed at the working
+        precision plus its own integer bits (_enclose), so below that bound
+        an enclosure stays under twice the precision cap."""
         if f.field != FIELD_Q:
             raise PlaceFieldMismatch("archimedean queries need coefficients in Q")
         v = tuple(Fraction(x) for x in v)
@@ -71,8 +80,10 @@ class ArchQuery:
             raise ValueError("point rank mismatch")
         ints, den = integer_row(v)
         mags = tuple(abs(c) for _, c in f.terms)
-        exps = tuple(Fraction(-sum(a * x for a, x in zip(u, ints)), den) for u, _ in f.terms)
-        return cls(f, v, mags, exps)
+        nums = [-sum(a * x for a, x in zip(u, ints)) for u, _ in f.terms]
+        if max(map(abs, nums)) >= den << _MAX_PRECISION:
+            raise PointTooLarge(f"a term exponent <u, v> reaches 2**{_MAX_PRECISION} in magnitude")
+        return cls(f, v, mags, tuple(Fraction(n, den) for n in nums))
 
     def moduli(self):
         return [float(q) * math.exp(float(t)) for q, t in zip(self.magnitudes, self.exponents)]
@@ -106,16 +117,22 @@ def _enclose(terms, prec=_FIRST_PRECISION):
     Each product is enclosed at prec bits by directed rounding (mpmath's
     interval exponential and product, the routines behind its interval
     type), and its endpoints are rounded outward to integers at the scale
-    prec bits below the largest endpoint.
+    prec bits below the largest endpoint.  t is enclosed at prec bits past
+    its integer bits: exp turns the absolute error of t into its own
+    relative error.
     """
     from mpmath.libmp import from_rational, mpf_neg, round_ceiling, round_floor
     from mpmath.libmp.libmpi import mpi_exp, mpi_mul
 
-    def interval(x):
+    def interval(x, bits=prec):
         n, d = x.numerator, x.denominator
-        return from_rational(n, d, prec, round_floor), from_rational(n, d, prec, round_ceiling)
+        return from_rational(n, d, bits, round_floor), from_rational(n, d, bits, round_ceiling)
 
-    ends = [mpi_mul(interval(q), mpi_exp(interval(t), prec), prec) for q, t in terms]
+    def exp_interval(t):
+        whole = abs(t.numerator).bit_length() - t.denominator.bit_length() + 1
+        return mpi_exp(interval(t, prec + max(0, whole)), prec)
+
+    ends = [mpi_mul(interval(q), exp_interval(t), prec) for q, t in terms]
     top = max((x[2] + x[3] for pair in ends for x in pair if x[1]), default=0)
     e = top - prec
     return e, [(_floor_scaled(a, e), -_floor_scaled(mpf_neg(b), e)) for a, b in ends]
@@ -226,10 +243,22 @@ def evaluate_at(f: LaurentPoly, x) -> complex:
 
 
 def _canonical_phase_tuples(count, length):
-    """Deterministic phase assignments tried before random ones: the first
-    count tuples over the fourth roots of unity, lexicographically."""
-    base = (0.0, math.pi, math.pi / 2, 3 * math.pi / 2)
-    return list(itertools.islice(itertools.product(base, repeat=length), count))
+    """The first count tuples of dyadic phases.  Level m takes the angles
+    2*pi*k/2**m, k in the order ks: level m-1's doubled, then each plus one,
+    so level 2 is 0, pi, pi/2, 3*pi/2.  All tuples of level 2 come first,
+    lexicographically; each later level adds, in the same order, the tuples
+    with an entry an odd multiple of 2*pi/2**m."""
+
+    def tuples():
+        ks = [0, 1]
+        while True:
+            ks = [2 * k for k in ks] + [2 * k + 1 for k in ks]
+            angles = [2 * math.pi * k / len(ks) for k in ks]
+            for idx in itertools.product(range(len(ks)), repeat=length):
+                if len(ks) == 4 or max(idx) >= len(ks) // 2:
+                    yield tuple(angles[i] for i in idx)
+
+    return list(itertools.islice(tuples(), count))
 
 
 def _float_scale(q: ArchQuery):
@@ -320,37 +349,31 @@ def _nonzero_roots(rows):
         yield r
 
 
-def sampled_inside(f: LaurentPoly, v, trials=200, rng=None):
+def sampled_inside(f: LaurentPoly, v, trials=200):
     """Search for a point of the hypersurface with the prescribed coordinate
     moduli; returns the witness tuple or None.
 
     One coordinate with maximal exponent spread is solved for exactly (as a
-    univariate polynomial) while the remaining phases are swept: canonical
-    fourth-root phases first, then seeded random ones.  A sweep builds the
-    slices at its 65 phases of the swept circle and solves them in one
-    stacked eigenvalue call, then scans them in phase order, so the first
-    verified witness is the one a slice-by-slice scan finds.  Sign changes
-    of the root-modulus excess between neighbouring phases are bisected one
-    slice at a time, so boundary witnesses are found reliably.  A candidate
-    must match the target modulus within relative _TOL and pass the residual
-    check |f(x)| < _TOL * sum(r_i).  When the term moduli leave the float
-    range, the sampler and its residual run on f * x^(-u_k), k a term of
-    largest modulus.  A point with a coordinate modulus exp(-v_k) that
-    overflows or underflows to 0.0 has no float witness: None.  Phases whose
-    slice is a monomial are skipped;
-    DegenerateSlice is raised only when every phase of every sweep gave one.
-    ExponentSpreadTooLarge is raised before any slice is built when the
-    solved coordinate's exponent spread exceeds _MAX_EXPONENT_SPREAD.
+    univariate polynomial) while one other phase is swept and the rest stay
+    at the first trials dyadic tuples of _canonical_phase_tuples.  A sweep
+    builds the slices at its 65 phases of the swept circle and solves them
+    in one stacked eigenvalue call, then scans them in phase order, so the
+    first verified witness is the one a slice-by-slice scan finds.  Sign
+    changes of the root-modulus excess between neighbouring phases are
+    bisected one slice at a time, so boundary witnesses are found reliably.
+    A candidate must match the target modulus within relative _TOL and pass
+    the residual check |f(x)| < _TOL * sum(r_i).  When the term moduli leave
+    the float range, the sampler and its residual run on f * x^(-u_k), k a
+    term of largest modulus.  A point with a coordinate modulus exp(-v_k)
+    that overflows or underflows to 0.0 has no float witness: None.  Phases
+    whose slice is a monomial are skipped; DegenerateSlice is raised only
+    when every phase of every sweep gave one.  ExponentSpreadTooLarge is
+    raised before any slice is built when the solved coordinate's exponent
+    spread exceeds _MAX_EXPONENT_SPREAD.
     """
     if trials < 1:
         raise ValueError("trials >= 1 required")
-    if not isinstance(rng, random.Random):
-        rng = random.Random(0 if rng is None else rng)
     q = ArchQuery.at(f, v)
-    scale = _float_scale(q)
-    if scale is None:
-        q = ArchQuery.at(_over_largest_term(q), v)
-        f, scale = q.poly, sum(q.moduli())
     spreads = [
         max(u[k] for u, _ in f.terms) - min(u[k] for u, _ in f.terms)
         for k in range(f.rank)
@@ -368,6 +391,10 @@ def sampled_inside(f: LaurentPoly, v, trials=200, rng=None):
         return None
     if 0.0 in rho:  # no float point has these coordinate moduli
         return None
+    scale = _float_scale(q)
+    if scale is None:  # the shift keeps every exponent spread
+        q = ArchQuery.at(_over_largest_term(q), v)
+        f, scale = q.poly, sum(q.moduli())
     target = rho[solve]
 
     def verify(x, root):
@@ -379,14 +406,7 @@ def sampled_inside(f: LaurentPoly, v, trials=200, rng=None):
         return w
 
     nfixed = f.rank - 2  # phases not swept
-    if nfixed <= 0:
-        assignments = [()]
-    else:
-        assignments = _canonical_phase_tuples(trials, nfixed)
-        while len(assignments) < trials:
-            assignments.append(
-                tuple(rng.uniform(0, 2 * math.pi) for _ in range(nfixed))
-            )
+    assignments = _canonical_phase_tuples(trials, nfixed) if nfixed > 0 else [()]
     others = [k for k in range(f.rank) if k != solve]
     emin = min(u[solve] for u, _ in f.terms)
     terms = [(complex(float(c)), [u[k] for k in others], u[solve] - emin) for u, c in f.terms]

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -249,11 +248,11 @@ class _Part:
         self.tail = t
 
 
-def _classify_arch_hypersurface(part, point, t, trials, rng):
+def _classify_arch_hypersurface(part, point, t, trials):
     kind = part.outside(point, t)
     if kind in (TRIANGLE, LOPSIDED):
         return ArchPointVerdict(point, CERTIFIED_OUTSIDE, {"kind": kind})
-    w = sampled_inside(part.poly, point, trials=trials, rng=rng)
+    w = sampled_inside(part.poly, point, trials=trials)
     if kind == INSIDE:
         cert = {"kind": TRIANGLE}
         if w is not None:
@@ -272,14 +271,14 @@ def _classify_arch_system(parts, point, t):
     return ArchPointVerdict(point, EVIDENCE_ONLY, {"kind": "no-constraint-certifies"})
 
 
-def _arch_verdicts(source, direction, points, trials, rng):
+def _arch_verdicts(source, direction, points, trials):
     """Yield the verdict at each (point, t) pair of a hypersurface or system
     source: t is None for a lone point, else point == t d for the integer
     direction d the parts are built along."""
     if isinstance(source, LaurentPoly):
         part = _Part(source, None, direction)
         for point, t in points:
-            yield _classify_arch_hypersurface(part, point, t, trials, rng)
+            yield _classify_arch_hypersurface(part, point, t, trials)
     elif isinstance(source, PrevarietySystem):
         parts = [_Part(c.poly, c.matrix(source.rank), direction) for c in source.constraints]
         for point, t in points:
@@ -288,24 +287,25 @@ def _arch_verdicts(source, direction, points, trials, rng):
         raise TypeError("source must be a hypersurface or a prevariety system")
 
 
-def scan_arch_ray(source, direction, count, trials=200, rng=None):
+def scan_arch_ray(source, direction, count, trials=200):
     """Yield classify_arch_point's verdict at the points t d of the open ray,
     t = 1/2, 1, ..., count/2, for a hypersurface or system source and a
     nonzero integer direction d.  Once a part is certified outside at t d
     by a term k that minimizes <u_k, M d>, its tail certifies every later
     point without another enclosure.  A system's parts are still visited in
-    constraint order, and the sampler's draws are as classify_arch_point
-    makes them.  The tail certifies the scanned points, not the open ray
-    between them."""
+    constraint order.  The tail certifies the scanned points, not the open
+    ray between them."""
     steps = (Fraction(i, 2) for i in range(1, count + 1))
     points = ((tuple(t * x for x in direction), t) for t in steps)
-    return _arch_verdicts(source, direction, points, trials, rng)
+    return _arch_verdicts(source, direction, points, trials)
 
 
 def classify_arch_point(source, point, trials=200, rng=None):
+    """The verdict at one point.  rng is accepted and ignored: the
+    benchmark's query workload still passes it."""
     # Fraction(x) runs an abstract-class check even when x is a Fraction
     point = tuple(x if type(x) is Fraction else Fraction(x) for x in point)
-    return next(_arch_verdicts(source, None, [(point, None)], trials, rng))
+    return next(_arch_verdicts(source, None, [(point, None)], trials))
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +359,8 @@ def adelic_disjoint(
     part is disjoint and the archimedean scan (when applicable) found no
     witness.  archimedean_certified records whether every grid point was
     certified outside; it says nothing about the open ray between them.
+    rng is accepted and ignored: the benchmark's query workload still
+    passes it.
     """
     checks = []
     w = halfspace_meets_complex(H, amoeba.generic)
@@ -371,9 +373,7 @@ def adelic_disjoint(
     if amoeba.source is not None and amoeba.source.field == FIELD_Q:
         if grid < 1:
             raise ValueError("an empty archimedean grid certifies nothing")
-        if not isinstance(rng, random.Random):
-            rng = random.Random(0 if rng is None else rng)
-        arch = tuple(scan_arch_ray(amoeba.source, H.direction, grid, trials, rng))
+        arch = tuple(scan_arch_ray(amoeba.source, H.direction, grid, trials))
         certified = all(a.verdict == CERTIFIED_OUTSIDE for a in arch)
     disjoint = all(c.disjoint for c in checks) and not (
         arch is not None and any(a.verdict == MEETS for a in arch)
@@ -442,7 +442,6 @@ def theorem1_report(
     image_hypersurface: LaurentPoly | None = None,
     declared_codim_gt_one: bool = False,
     trials=200,
-    rng=None,
 ) -> TheoremReport:
     """Decide disjointness from the adelic amoeba and verify the structural
     conclusion that it forces, by trichotomy_conclusion.
@@ -457,7 +456,7 @@ def theorem1_report(
         raise ValueError("supply an image hypersurface or a declaration, not both")
     if image_hypersurface is not None and isinstance(source, LaurentPoly):
         raise ValueError("a hypersurface source is its own image; supply no image hypersurface")
-    report = adelic_disjoint(adelic_amoeba(source), H, trials=trials, rng=rng)
+    report = adelic_disjoint(adelic_amoeba(source), H, trials=trials)
     return trichotomy_conclusion(source, H, report, image_hypersurface, declared_codim_gt_one)
 
 
@@ -563,26 +562,24 @@ class EklReport:
         }
 
 
-def ekl_consistency_check(f: LaurentPoly, trials=200, rng=None) -> EklReport:
+def ekl_consistency_check(f: LaurentPoly, trials=200) -> EklReport:
     """The theorem on one open half-line per uniformly minimal vertex cone,
     along its primitive strict direction, which misses every
     nonarchimedean amoeba (a meet is an internal error).  adelic_disjoint
-    checks each against the adelic amoeba, built once, with one shared
-    sampler; the first found disjoint gets trichotomy_conclusion.  Side
+    checks each against the adelic amoeba, built once; the first found
+    disjoint gets trichotomy_conclusion.  Side
     none-found says only that these candidates all meet the archimedean
     amoeba, not that no disjoint half-line exists.
     """
     if f.nterms < 2:
         raise MonomialInput("need at least two terms")
-    if not isinstance(rng, random.Random):
-        rng = random.Random(0 if rng is None else rng)
     candidates, np_ = uniform_minimal_vertices(f)
     amoeba = adelic_amoeba(f)
     rejected = []
     for i in candidates:
         H = Halfspace(f.rank, primitive_vector(np_.directions[i]))
         halfline = {"vertex": i, "direction": list(H.direction)}
-        report = adelic_disjoint(amoeba, H, trials=trials, rng=rng)
+        report = adelic_disjoint(amoeba, H, trials=trials)
         if not all(c.disjoint for c in report.nonarchimedean):
             raise InternalInvariantError("a uniformly minimal vertex cone meets a nonarchimedean amoeba")
         if report.overall == DISJOINT:

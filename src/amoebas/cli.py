@@ -3,8 +3,8 @@
 Subcommands: trop, adelic, prevariety, check-halfspace, classify, ekl-check,
 product-formula, plot, one handler each in ``COMMANDS``.  A handler returns
 its payload; ``run`` adds ``schema_version`` and ``command`` and emits
-canonical JSON (sorted keys, stable ordering) so identical inputs and seeds
-give byte-identical output.  Exit codes: 0 success, 2 input error, 3
+canonical JSON (sorted keys, stable ordering) so identical inputs give
+byte-identical output.  Exit codes: 0 success, 2 input error, 3
 internal invariant failure.
 """
 from __future__ import annotations
@@ -135,16 +135,15 @@ def _source(ns):
     raise ValueError("need --f or --system")
 
 
-def _sampling(ns, points=GRID) -> dict:
-    """Sampler keywords from --trials/--seed for a scan of the given number
-    of grid points."""
+def _trials(ns, points=GRID) -> int:
+    """--trials, checked for a scan of the given number of grid points."""
     if ns.trials < 1:
         raise ValueError("--trials must be at least 1")
     if points * ns.trials > MAX_SCAN_TRIALS:
         raise ValueError(
             f"{points} grid points times --trials {ns.trials} exceeds {MAX_SCAN_TRIALS}"
         )
-    return {"trials": ns.trials, "rng": ns.seed}
+    return ns.trials
 
 
 def _trop(ns):
@@ -176,17 +175,17 @@ def _prevariety(ns):
 
 
 def _check_halfspace(ns):
-    sampling = _sampling(ns, ns.grid)
+    trials = _trials(ns, ns.grid)
     if ns.grid < 1:
         raise ValueError("--grid must be at least 1")
     source = _source(ns)
     H = parse_halfspace(ns.halfspace, source.rank)
-    report = adelic_disjoint(adelic_amoeba(source), H, grid=ns.grid, **sampling)
+    report = adelic_disjoint(adelic_amoeba(source), H, grid=ns.grid, trials=trials)
     return {"verdict": report.overall, "report": report.to_json()}
 
 
 def _classify(ns):
-    sampling = _sampling(ns)
+    trials = _trials(ns)
     source = _source(ns)
     H = parse_halfspace(ns.halfspace, source.rank)
     image = None
@@ -199,14 +198,14 @@ def _classify(ns):
         H,
         image_hypersurface=image,
         declared_codim_gt_one=ns.declare_codim_gt_1,
-        **sampling,
+        trials=trials,
     )
     return {"report": report.to_json()}
 
 
 def _ekl_check(ns):
-    sampling = _sampling(ns)
-    return {"report": ekl_consistency_check(_poly(ns), **sampling).to_json()}
+    trials = _trials(ns)
+    return {"report": ekl_consistency_check(_poly(ns), trials=trials).to_json()}
 
 
 def _product_formula(ns):
@@ -280,9 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--system", help="JSON system file (alternative to --f)")
         p.add_argument("--halfspace", required=True, help="dir:<csv> [bnd:<csv>;<csv>...]")
 
-    def sampling(p):
+    def trials(p):
         p.add_argument("--trials", type=int, default=200, help="sampler trials per point")
-        p.add_argument("--seed", type=int, default=0, help="sampler seed")
 
     p = command("trop", "tropicalization at one place")
     p.add_argument("--place", default="generic", help="p:2, q:z-1, inf, or generic")
@@ -296,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("check-halfspace", "halfspace vs adelic amoeba")
     halfspace_query(p)
     p.add_argument("--grid", type=int, default=GRID, help="archimedean grid points")
-    sampling(p)
+    trials(p)
 
     p = command("classify", "disjointness trichotomy report")
     halfspace_query(p)
@@ -311,9 +309,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="declare that the quotient image has codimension greater than one",
     )
-    sampling(p)
+    trials(p)
 
-    sampling(command("ekl-check", "trichotomy on the first vertex-cone half-line found disjoint"))
+    trials(command("ekl-check", "trichotomy on the first vertex-cone half-line found disjoint"))
 
     p = command("product-formula", "sum of -log|a|_p over all places", poly=False)
     p.add_argument("--a", required=True, help="scalar, like '(z^2-1)/z' or '12'")

@@ -67,6 +67,10 @@ class ExponentSpreadTooLarge(AmoebaError):
     code = "exponent-spread-too-large"
 
 
+class PointTooLarge(AmoebaError):
+    code = "point-too-large"
+
+
 class FactorizationTooLarge(AmoebaError):
     code = "factorization-too-large"
 

@@ -12,7 +12,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import parsing
-from .errors import DimensionMismatch, EmptyPolynomial, MonomialInput, RankMismatch
+from .errors import (
+    DimensionMismatch,
+    EmptyPolynomial,
+    InternalInvariantError,
+    MonomialInput,
+    RankMismatch,
+)
 from .polyhedral import LPOptimal, lp_solve, polyhedron
 from .scalars import (
     FIELD_Q,
@@ -155,7 +161,8 @@ def strict_vertex_direction(points, i):
         ineqs.append((row, Fraction(0)))
     ineqs.append(([0] * n + [1], Fraction(1)))
     res = lp_solve([0] * n + [1], polyhedron(n + 1, (), ineqs))
-    assert isinstance(res, LPOptimal)
+    if not isinstance(res, LPOptimal):  # (0, 0) is feasible and t <= 1 bounds it
+        raise InternalInvariantError("a vertex LP has no optimum")
     if res.value > 0:
         return res.point[:n]
     return None

@@ -1052,14 +1052,26 @@ def outcome(fn, *args, **kwargs):
 # inside triangle verdict, and one place loop per scalar function
 
 
-def _reference_canonical_phase_tuples(count, length):
-    base = [0.0, math.pi, math.pi / 2, 3 * math.pi / 2]
-    out = []
-    for combo in itertools.product(range(4), repeat=length):
-        out.append(tuple(base[i] for i in combo))
-        if len(out) >= count:
-            break
-    return out
+def _bit_reverse(j, bits):
+    return int(format(j, f"0{bits}b")[::-1], 2)
+
+
+def reference_canonical_phase_tuples(count, length):
+    """The sampler's fixed phases, by sorting rather than level by level:
+    an entry of van der Corput index j is the angle 2*pi*k/2**M, k the
+    M-bit reversal of j, and the tuples of indices below 2**M sort by their
+    level max(2, bit length of the largest index), then lexicographically.
+    M is the least level >= 2 with count tuples."""
+    levels = 2
+    while 2 ** (levels * length) < count:
+        levels += 1
+    size = 2**levels
+    order = sorted(
+        itertools.product(range(size), repeat=length),
+        key=lambda idx: (max(2, max(idx).bit_length()), idx),
+    )
+    angle = [2 * math.pi * _bit_reverse(j, levels) / size for j in range(size)]
+    return [tuple(angle[j] for j in idx) for idx in order[:count]]
 
 
 def reference_slice_roots(f, v_float, solve, fixed_phases):
@@ -1086,11 +1098,9 @@ def reference_slice_roots(f, v_float, solve, fixed_phases):
     return x, roots
 
 
-def reference_sampled_inside(f, v, trials=200, rng=None):
+def reference_sampled_inside(f, v, trials=200):
     if trials < 1:
         raise ValueError("trials >= 1 required")
-    if not isinstance(rng, random.Random):
-        rng = random.Random(0 if rng is None else rng)
     q = ArchQuery.at(f, v)
     scale = sum(q.moduli())
     v_float = [float(x) for x in q.point]
@@ -1138,11 +1148,7 @@ def reference_sampled_inside(f, v, trials=200, rng=None):
     if nfixed == 0:
         assignments = [()]
     else:
-        assignments = _reference_canonical_phase_tuples(min(trials, 4**nfixed), nfixed)
-        while len(assignments) < trials:
-            assignments.append(
-                tuple(rng.uniform(0, 2 * math.pi) for _ in range(nfixed))
-            )
+        assignments = reference_canonical_phase_tuples(trials, nfixed)
     degenerate = 0
 
     def excess(theta, fixed):
@@ -1189,20 +1195,20 @@ def reference_sampled_inside(f, v, trials=200, rng=None):
     return None
 
 
-def reference_classify_arch_hypersurface(f, point, trials, rng):
+def reference_classify_arch_hypersurface(f, point, trials):
     if f.nterms == 3:
         verdict = triangle_exact_membership(f, point)
         if verdict == OUTSIDE:
             return ArchPointVerdict(point, CERTIFIED_OUTSIDE, {"kind": "triangle"})
         if verdict == INSIDE:
             cert = {"kind": "triangle"}
-            w = reference_sampled_inside(f, point, trials=trials, rng=rng)
+            w = reference_sampled_inside(f, point, trials=trials)
             if w is not None:
                 cert["witness"] = _witness_json(w)
             return ArchPointVerdict(point, MEETS, cert)
     if lopsided_outside(f, point):
         return ArchPointVerdict(point, CERTIFIED_OUTSIDE, {"kind": "lopsided"})
-    w = reference_sampled_inside(f, point, trials=trials, rng=rng)
+    w = reference_sampled_inside(f, point, trials=trials)
     if w is not None:
         return ArchPointVerdict(point, MEETS, {"kind": "witness", "witness": _witness_json(w)})
     return ArchPointVerdict(point, EVIDENCE_ONLY, {"kind": "undecided"})
@@ -1223,16 +1229,16 @@ def reference_classify_arch_system(system, point):
     return ArchPointVerdict(point, EVIDENCE_ONLY, {"kind": "no-constraint-certifies"})
 
 
-def reference_classify_arch_point(source, point, trials=200, rng=None):
+def reference_classify_arch_point(source, point, trials=200):
     point = tuple(Fraction(x) for x in point)
     if isinstance(source, LaurentPoly):
-        return reference_classify_arch_hypersurface(source, point, trials, rng)
+        return reference_classify_arch_hypersurface(source, point, trials)
     if isinstance(source, PrevarietySystem):
         return reference_classify_arch_system(source, point)
     raise TypeError("source must be a hypersurface or a prevariety system")
 
 
-def reference_adelic_disjoint(amoeba, H, grid=20, trials=200, rng=None):
+def reference_adelic_disjoint(amoeba, H, grid=20, trials=200):
     """adelic_disjoint with one reference_classify_arch_point at each grid
     point t d, t = 1/2, 1, ..., grid/2, and no tail: the scan as it stood
     before tails."""
@@ -1245,11 +1251,9 @@ def reference_adelic_disjoint(amoeba, H, grid=20, trials=200, rng=None):
     if amoeba.source is not None and amoeba.source.field == FIELD_Q:
         if grid < 1:
             raise ValueError("an empty archimedean grid certifies nothing")
-        if not isinstance(rng, random.Random):
-            rng = random.Random(0 if rng is None else rng)
         points = [tuple(Fraction(i, 2) * x for x in H.direction) for i in range(1, grid + 1)]
         arch = tuple(
-            reference_classify_arch_point(amoeba.source, p, trials=trials, rng=rng)
+            reference_classify_arch_point(amoeba.source, p, trials=trials)
             for p in points
         )
         certified = all(a.verdict == CERTIFIED_OUTSIDE for a in arch)
@@ -1285,21 +1289,19 @@ def halfline_disjoint_fast(f, place, v):
     return MEETS, tuple(crossing * x for x in v)
 
 
-def reference_ekl_consistency_check(f, trials=200, rng=None):
+def reference_ekl_consistency_check(f, trials=200):
     """ekl_consistency_check with each candidate's direction from its own
     vertex LP and reference_adelic_disjoint, one reference point verdict
     per grid point, on its ray; the conclusion is the library's."""
     if f.nterms < 2:
         raise MonomialInput("need at least two terms")
-    if not isinstance(rng, random.Random):
-        rng = random.Random(0 if rng is None else rng)
     candidates, np_ = uniform_minimal_vertices(f)
     amoeba = adelic_amoeba(f)
     rejected = []
     for i in candidates:
         H = Halfspace(f.rank, primitive_vector(strict_vertex_direction(np_.points, i)))
         halfline = {"vertex": i, "direction": list(H.direction)}
-        report = reference_adelic_disjoint(amoeba, H, trials=trials, rng=rng)
+        report = reference_adelic_disjoint(amoeba, H, trials=trials)
         if not all(c.disjoint for c in report.nonarchimedean):
             raise InternalInvariantError("a uniformly minimal vertex cone meets a nonarchimedean amoeba")
         if report.overall == DISJOINT:

@@ -343,24 +343,32 @@ class TestErrorsAndDeterminism:
             "x1*x2-2*x1-2*x2+1",
             "--halfspace",
             "dir:1,1",
-            "--seed",
-            "7",
         ]
         code1, out1, _ = run_cli(capsys, *argv)
         code2, out2, _ = run_cli(capsys, *argv)
         assert code1 == code2 == 0
         assert out1 == out2
 
-    def test_seed_comes_from_the_flag_alone(self, capsys, monkeypatch):
-        # the bytes of this input differ between --seed 0 and --seed 123; an
-        # AMOEBA_SEED environment variable is not read
-        argv = ["ekl-check", "--f", "x1^2*x2*x3^2 + 7*x1^-1*x3 - x1*x2 - 3*x1^2*x2^-2*x3 - 3*x3^-1"]
-        monkeypatch.delenv("AMOEBA_SEED", raising=False)
-        code1, plain, _ = run_cli(capsys, *argv)
+    def test_bytes_come_from_the_input_alone(self, capsys, monkeypatch):
+        # two calls in this process and one in a fresh one agree on a
+        # rank-3 input that reaches the dyadic phases past the fourth roots,
+        # and an AMOEBA_SEED environment variable is not read
         monkeypatch.setenv("AMOEBA_SEED", "123")
-        code2, with_env, _ = run_cli(capsys, *argv)
-        assert code1 == code2 == 0
-        assert with_env == plain != run_cli(capsys, *argv, "--seed", "123")[1]
+        code1, first, _ = run_cli(capsys, *EKL_RANK3)
+        code2, second, _ = run_cli(capsys, *EKL_RANK3)
+        fresh = _child(*EKL_RANK3)
+        assert code1 == code2 == fresh.returncode == 0
+        assert first == second == fresh.stdout
+
+    @pytest.mark.parametrize("command", ["check-halfspace", "classify", "ekl-check"])
+    def test_seed_is_no_option(self, capsys, command):
+        # the sampler's phases are fixed, so there is no seed to give
+        argv = [command, "--f", "x1+x2+1", "--trials", "1", "--seed", "0"]
+        if command != "ekl-check":
+            argv += ["--halfspace", "dir:1,1"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2 and capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("command", ["check-halfspace", "classify", "ekl-check"])
     def test_tolerance_is_no_option(self, capsys, command):
@@ -373,11 +381,21 @@ class TestErrorsAndDeterminism:
         assert exc.value.code == 2 and capsys.readouterr().out == ""
 
 
-# check-halfspace bytes of this input differ between seeds 0 and 5
-SEEDED_F = (
+# check-halfspace bytes of this rank-3 input differ between --trials 6 and
+# the default 200
+RANK3_F = (
     "(-16/7)*x1^-3*x2*x3^-2 + (-39/29)*x1^-1*x3 + (-6/5)*x1*x2^-1*x3^2"
     " + (13/14)*x1^2*x2^3*x3^-2 + (13/4)*x1^3"
 )
+RANK3_CHECK = ["check-halfspace", "--f", RANK3_F, "--halfspace", "dir:1,1,-1", "--grid", "4"]
+# ekl-check bytes of this input change from --trials 4 to 5: the fifth
+# phase tuple, (pi/4,), is the first past the fourth roots of unity
+EKL_RANK3 = ["ekl-check", "--f", "x1^2*x2*x3^2 + 7*x1^-1*x3 - x1*x2 - 3*x1^2*x2^-2*x3 - 3*x3^-1"]
+# term exponents -<u, v> past 2**4096 at the first grid point and scan cell
+HUGE_POINTS = [
+    ["check-halfspace", "--f", "x1+x2+x3+1", "--halfspace", f"dir:1{'0' * 4000},1,-1{'0' * 4000}"],
+    ["plot", "--f", "x1+x2+1", "--arch-scan", "--radius", "1e4000", "--grid-n", "3", "--out", "{out}"],
+]
 
 
 def _child(*argv, timeout=60):
@@ -390,18 +408,24 @@ def _child(*argv, timeout=60):
     )
 
 
-def test_cached_parser_carries_no_state(capsys, monkeypatch):
-    # the parser is built once per process: a --seed given to one call must
+def test_cached_parser_carries_no_state(capsys):
+    # the parser is built once per process: a --trials given to one call must
     # not become the default of the next
-    monkeypatch.delenv("AMOEBA_SEED", raising=False)
-    argv = ["check-halfspace", "--f", SEEDED_F, "--halfspace", "dir:1,1,-1",
-            "--trials", "6", "--grid", "4"]
-    code1, seeded, _ = run_cli(capsys, *argv, "--seed", "5")
-    code2, unseeded, _ = run_cli(capsys, *argv)
-    fresh = _child(*argv)
+    code1, six, _ = run_cli(capsys, *RANK3_CHECK, "--trials", "6")
+    code2, default, _ = run_cli(capsys, *RANK3_CHECK)
+    fresh = _child(*RANK3_CHECK)
     assert code1 == code2 == fresh.returncode == 0
-    assert unseeded == fresh.stdout
-    assert seeded != unseeded
+    assert default == fresh.stdout
+    assert six != default
+
+
+@pytest.mark.parametrize("argv", HUGE_POINTS, ids=["check-halfspace", "plot"])
+def test_huge_archimedean_points_exit_2_in_bounded_time(tmp_path, argv):
+    # in a child process, so that an enclosure of exp(10**4000) fails by timeout
+    out = tmp_path / "scan.svg"
+    done = _child(*[a.format(out=out) for a in argv], timeout=10)
+    assert done.returncode == 2 and done.stdout == "" and not out.exists()
+    assert json.loads(done.stderr)["error"]["code"] == "point-too-large"
 
 
 @pytest.mark.parametrize(
@@ -500,7 +524,7 @@ PINS = [
     ("check-f-binomial", ["check-halfspace", "--f", "x1*x2-1", "--halfspace", "dir:1,1"],
      0, "0f2eef1565a1c63e", EMPTY, None),
     ("check-f-explicit-defaults", ["check-halfspace", "--f", "x1*x2-1", "--halfspace", "dir:1,1",
-      "--grid", "20", "--trials", "200", "--seed", "0"],
+      "--grid", "20", "--trials", "200"],
      0, "0f2eef1565a1c63e", EMPTY, None),
     # (1/2, 1/2) is off the amoeba {v1 = 0} u {v2 = 0}, and no exact test
     # decides it: the sampler finds no witness within its fixed tolerance
@@ -622,6 +646,12 @@ PINS = [
     ("check-system-long-grid-rank4", ["check-halfspace", "--system", "{rank4}",
       "--halfspace", "dir:-1,0,0,1", "--grid", "201", "--trials", "99"],
      0, "539aa5b75034bb13", EMPTY, None),
+    ("check-f-rank3-dyadic-phases", [*RANK3_CHECK, "--trials", "6"],
+     0, "02e79d8d0af754c5", EMPTY, None),
+    ("ekl-check-rank3-dyadic-phases", EKL_RANK3,
+     0, "2dedbd1081952733", EMPTY, None),
+    ("error-huge-check-point", HUGE_POINTS[0], 2, EMPTY, "10e96d88d58c8bf1", None),
+    ("error-huge-scan-point", HUGE_POINTS[1], 2, EMPTY, "10e96d88d58c8bf1", None),
 ]
 
 
@@ -841,14 +871,14 @@ PLACE_TEXTS = ["generic", "p:2", "p:3", "p:6", "q:z", "q:z-1", "inf", "arch", ""
 HALFSPACE_TEXTS = ["dir:1,1", "dir:1,-1", "dir:1,1,0 bnd:0,0,1", "dir:1", "bnd:1,0", "dir:a"]
 SCALAR_TEXTS = ["12", "-7/15", "0", "(z^2-1)/z", "z", "1/0", "x1"]
 POLY_FLAGS = ("--f", "--rank", "--field")
-QUERY_FLAGS = ("--system", "--halfspace", "--trials", "--seed")
+QUERY_FLAGS = ("--system", "--halfspace", "--trials")
 OWN_FLAGS = {
     "trop": POLY_FLAGS + ("--place",),
     "adelic": POLY_FLAGS,
     "prevariety": ("--system", "--place"),
     "check-halfspace": POLY_FLAGS + QUERY_FLAGS + ("--grid",),
     "classify": POLY_FLAGS + QUERY_FLAGS + ("--image-f", "--declare-codim-gt-1"),
-    "ekl-check": POLY_FLAGS + ("--trials", "--seed"),
+    "ekl-check": POLY_FLAGS + ("--trials",),
     "product-formula": ("--a", "--field"),
     "plot": POLY_FLAGS + ("--place", "--extent", "--arch-scan", "--grid-n"),
 }
@@ -864,7 +894,7 @@ FLAG_VALUES = {
     "--grid": st.sampled_from(["1", "2", "0"]),
     "--grid-n": st.sampled_from(["3", "1"]),
     "--tol": st.sampled_from(["1e-9", "0.9"]),  # no command takes it
-    "--seed": st.sampled_from(["0", "5"]),
+    "--seed": st.sampled_from(["0", "5"]),  # no command takes it
     "--extent": st.sampled_from(["2", "0", "1/2"]),
     "--system": st.just("no-such-system.json"),
     "--declare-codim-gt-1": st.none(),

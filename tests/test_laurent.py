@@ -5,11 +5,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from amoebas import parsing
+from amoebas import laurent, parsing
 from amoebas.errors import (
     AmoebaError,
     EmptyPolynomial,
     ExpansionTooLarge,
+    InternalInvariantError,
     PolySyntaxError,
     RankMismatch,
     RankTooLarge,
@@ -21,6 +22,7 @@ from amoebas.laurent import (
     parse_poly,
     poly_to_str,
 )
+from amoebas.polyhedral import LPInfeasible
 from amoebas.scalars import (
     FIELD_Q,
     FIELD_QZ,
@@ -218,6 +220,12 @@ class TestNewtonPolytope:
                         sum(w * np_.points[j][c] for j, w in cert.items())
                         == np_.points[i][c]
                     )
+
+    def test_vertex_lp_without_optimum_is_an_internal_error(self, monkeypatch):
+        # the check holds under python -O, where an assert would vanish
+        monkeypatch.setattr(laurent, "lp_solve", lambda *args: LPInfeasible((1,)))
+        with pytest.raises(InternalInvariantError):
+            laurent.strict_vertex_direction([(0, 0), (1, 0), (0, 1)], 0)
 
 
 class TestBadPlaces:
