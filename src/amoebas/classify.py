@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -128,7 +129,7 @@ def halfspace_meets_complex(H: Halfspace, C: PolyhedralComplex):
     gens = (*H.boundary, H.direction)
     tpos = (((0,) * k + (-1,), Fraction(0)),)
     # a cell row r in the coordinates (lambda, t): (r . g_1, ..., r . g_k, r . v)
-    img = lambda r: tuple(sum(a * b for a, b in zip(r, g)) for g in gens)
+    img = lambda r: tuple(sum(map(operator.mul, r, g)) for g in gens)
     sub = lambda cons: tuple((img(r), b) for r, b in cons)
     obj = [0] * (n + k) + [1]
     # x - sum(lambda_a g_a) - t v = 0, one row per coordinate of x

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -23,7 +24,7 @@ from .classify import (
     ekl_consistency_check,
     theorem1_report,
 )
-from .errors import AmoebaError, InternalInvariantError
+from .errors import AmoebaError, InternalInvariantError, PointTooLarge
 from .laurent import parse_poly, poly_to_json
 from .parsing import parse_scalar, scan_field
 from .polyhedral import complex_to_json
@@ -42,6 +43,12 @@ SCHEMA_VERSION = 1
 # point costs a few ms per trial, so this bounds one half-line's scan to
 # about a minute; ekl-check scans one half-line per candidate vertex cone.
 MAX_SCAN_TRIALS = 20_000
+# The largest decimal exponent, in magnitude, of plot's --extent, --center
+# and --radius: Fraction(text) builds 10**exponent, so text past it is
+# refused before that integer is built.  Its 14 285 bits are past every
+# bound the values meet later (2**4096 on a scan's term exponents, the
+# float range on the viewport), and a mantissa takes as many digits.
+MAX_DECIMAL_EXPONENT = 4300
 
 
 def parse_halfspace(text: str, rank: int) -> Halfspace:
@@ -213,18 +220,26 @@ def _product_formula(ns):
     return {"a": ns.a, "residual": value, "exact_zero": value == 0}
 
 
+def _decimal(text, flag, error):
+    """Fraction(text), refused with error when its decimal exponent exceeds
+    MAX_DECIMAL_EXPONENT in magnitude."""
+    exponent = re.search(r"e([-+]?\d+(?:_\d+)*)\s*$", text, re.IGNORECASE)
+    if exponent and abs(int(exponent[1])) > MAX_DECIMAL_EXPONENT:
+        raise error(f"{flag} has a decimal exponent past {MAX_DECIMAL_EXPONENT} in magnitude")
+    return Fraction(text)
+
+
 def _plot(ns):
     if not ns.svg:
         raise ValueError("plot needs --out")
     f = _poly(ns)
     if ns.arch_scan:
-        center = tuple(Fraction(x) for x in ns.center.split(","))
-        svg = plot.render_arch_scan_svg(
-            f, center=center, radius=Fraction(ns.radius), grid_n=ns.grid_n
-        )
+        center = tuple(_decimal(x, "--center", PointTooLarge) for x in ns.center.split(","))
+        radius = _decimal(ns.radius, "--radius", PointTooLarge)
+        svg = plot.render_arch_scan_svg(f, center=center, radius=radius, grid_n=ns.grid_n)
     else:
         C = trop_hypersurface(f, place_from_str(ns.place))
-        svg = plot.render_complex_svg(C, extent=Fraction(ns.extent))
+        svg = plot.render_complex_svg(C, extent=_decimal(ns.extent, "--extent", ValueError))
     with open(ns.svg, "w", encoding="utf-8") as fh:
         fh.write(svg)
     return {"written": ns.svg}

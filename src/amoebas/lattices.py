@@ -7,6 +7,7 @@ integers by integer_row before it is reduced, so every answer is exact.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 
@@ -15,7 +16,7 @@ def identity(n: int) -> list[list[int]]:
 
 
 def mat_vec(A, v):
-    return tuple(sum(a * x for a, x in zip(row, v)) for row in A)
+    return tuple(sum(map(operator.mul, row, v)) for row in A)
 
 
 def integer_row(row):

@@ -11,9 +11,11 @@ Farkas multipliers) before it is returned; it also takes a raw Polyhedron
 whose rows are not canonical.  polyhedron() canonicalizes rows, and a row
 that is already primitive keeps its int entries and Fraction rhs as they
 are; intersect() merges rows that are already canonical without
-canonicalizing them again, and preimage() pulls rows back along an integer
-map.  Emptiness is read off the cached dimension: dimension, affine-hull
-rows and a relative-interior point come from one cached hull computation.
+canonicalizing them again, by sorting them on their canonical key and
+dropping adjacent equal keys, so no Fraction is hashed; and preimage()
+pulls rows back along an integer map.  Emptiness is read off the cached
+dimension: dimension, affine-hull rows and a relative-interior point come
+from one cached hull computation.
 When P's stated equalities leave at most one free direction, they are
 solved once into a line, every solution (x0 + z col) / den, and the hull,
 redundancy removal and maximize read their answers off the interval of z
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -106,8 +109,8 @@ def empty_polyhedron(rank):
 
 def intersect(*polys):
     """Intersection of polyhedra whose rows are canonical, as polyhedron()
-    writes them: the sorted union of their rows, equal to polyhedron() on
-    all of them.  The zero row of empty_polyhedron() sorts first among the
+    writes them: their rows merged by _merge, equal to polyhedron() on all
+    of them.  The zero row of empty_polyhedron() sorts first among the
     equalities, and an input that holds it gives the empty polyhedron."""
     rank = polys[0].rank
     if any(p.rank != rank for p in polys):
@@ -115,12 +118,24 @@ def intersect(*polys):
     empty = empty_polyhedron(rank)
     if any(p.equalities[:1] == empty.equalities for p in polys):
         return empty
-    merge = lambda groups: tuple(sorted({c for g in groups for c in g}, key=_con_key))
     return Polyhedron(
         rank,
-        merge(p.equalities for p in polys),
-        merge(p.inequalities for p in polys),
+        _merge(p.equalities for p in polys),
+        _merge(p.inequalities for p in polys),
     )
+
+
+def _merge(groups):
+    """The canonical rows of all groups, each once, sorted on _con_key:
+    equal rows have equal keys and sort next to each other, so no rhs is
+    hashed and no two Fractions are compared."""
+    keyed = sorted([(_con_key(c), c) for g in groups for c in g], key=operator.itemgetter(0))
+    out, last = [], None
+    for key, con in keyed:
+        if key != last:
+            out.append(con)
+            last = key
+    return tuple(out)
 
 
 def contains_point(P, v) -> bool:
@@ -219,7 +234,7 @@ def _run_simplex(T, basis, d, ncols):
 
 
 def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(operator.mul, a, b))
 
 
 def _combine(lam, rows, n):

@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
@@ -85,15 +86,6 @@ def tropical_data(f: LaurentPoly, place) -> TropicalData:
     return TropicalData(tuple(f.exponents()), shifts)
 
 
-def min_value_and_argmin(data: TropicalData, v):
-    """Minimum of <u_i, v> + c_i at the rational point v and the indices
-    achieving it, compared as integers over the common denominator of v."""
-    ints, den = integer_row(v)
-    vals = _values(data.exponents, data.shifts, ints, den)
-    best = min(vals)
-    return Fraction(best, den), frozenset(i for i, x in enumerate(vals) if x == best)
-
-
 def _segment_multiplicity(exponents, tie):
     """Lattice length of the segment spanned by the tied exponents."""
     idx = sorted(tie)
@@ -118,7 +110,7 @@ def _segment_multiplicity(exponents, tie):
 
 def _values(points, shifts, ints, den):
     """den * (<p_i, ints / den> + c_i) for every term, as integers."""
-    return [sum(a * x for a, x in zip(p, ints)) + c * den for p, c in zip(points, shifts)]
+    return [sum(map(operator.mul, p, ints)) + c * den for p, c in zip(points, shifts)]
 
 
 class _Budget:
@@ -441,6 +433,26 @@ class Constraint:
         return mat
 
 
+def _argmin_mask(tropdata, ints, den):
+    """The argmin sets of all constraints at v = ints / den as one int: term
+    i of constraint j is bit offset_j + i, where offset_j counts the terms
+    of the constraints before j.  Compared as integers over den."""
+    mask = offset = 0
+    for data in tropdata:
+        vals = _values(data.exponents, data.shifts, ints, den)
+        best = min(vals)
+        for i, x in enumerate(vals, offset):
+            if x == best:
+                mask |= 1 << i
+        offset += len(vals)
+    return mask
+
+
+def _below(S, T):
+    """Whether the argmin mask S lies strictly below T, term by term."""
+    return S != T and S | T == T
+
+
 def prevariety(constraints, place, rank) -> PolyhedralComplex:
     """Intersection of the pulled-back hypersurface tropicalizations.
 
@@ -452,9 +464,12 @@ def prevariety(constraints, place, rank) -> PolyhedralComplex:
     vanishes on all of P or is positive on its relative interior.  Hence
     P = {v : T_i lies in argmin_i(v) for every i}, equal tuples name equal
     pieces, and P lies in Q exactly when T_Q lies in T_P entry by entry.
-    The first piece of each tuple in product order is kept when no other
-    tuple lies below it, and only kept pieces get redundancy removal.  This
-    is an outer approximation of the tropicalization of the common zero set.
+    The tuple is held as one bit mask (_argmin_mask), read off the point
+    scaled to integers once, so equal masks are equal tuples and S | T == T
+    says S lies in T entry by entry.  The first piece of each mask in
+    product order is kept when no other mask lies below it (_below), and
+    only kept pieces get redundancy removal.  This is an outer
+    approximation of the tropicalization of the common zero set.
     """
     pulled, tropdata = [], []
     for con in constraints:
@@ -476,10 +491,9 @@ def prevariety(constraints, place, rank) -> PolyhedralComplex:
         P = intersect(*combo)
         if dimension(P) < 0:
             continue
-        x = relative_interior_point(P)
-        pieces.setdefault(tuple(min_value_and_argmin(d, x)[1] for d in tropdata), P)
-    below = lambda S, T: S != T and all(s <= t for s, t in zip(S, T))
-    keep = [P for T, P in pieces.items() if not any(below(S, T) for S in pieces)]
+        ints, den = integer_row(relative_interior_point(P))
+        pieces.setdefault(_argmin_mask(tropdata, ints, den), P)
+    keep = [P for T, P in pieces.items() if not any(_below(S, T) for S in pieces)]
     return make_complex(rank, [Cell(remove_redundancy(P)) for P in keep])
 
 

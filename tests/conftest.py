@@ -1,10 +1,12 @@
 """Shared fixtures: the worked-example corpus, expected complexes, random
 generators, a brute-force LP oracle for small bounded polytopes, and the
 test-only oracles (polyhedra from generators, set equality of complexes,
-balancing, convex certificates) that no command calls."""
+balancing, convex certificates, the argmin of a tropical polynomial) that no
+command calls."""
 from __future__ import annotations
 
 import cmath
+import contextlib
 import itertools
 import math
 import random
@@ -110,7 +112,6 @@ from amoebas.tropical import (
     PrevarietySystem,
     _segment_multiplicity,
     adelic_amoeba,
-    min_value_and_argmin,
     trop_hypersurface,
     tropical_data,
 )
@@ -595,6 +596,14 @@ def _solve_square(mat, rhs):
 # per-pair references for the complex-assembly differential tests
 
 
+def min_value_and_argmin(data, v):
+    """Minimum of <u_i, v> + c_i at the rational point v and the indices
+    achieving it, in Fractions."""
+    vals = [sum(a * Fraction(x) for a, x in zip(u, v)) + c for u, c in zip(data.exponents, data.shifts)]
+    best = min(vals)
+    return best, frozenset(i for i, x in enumerate(vals) if x == best)
+
+
 def reference_corner_locus(data, rank):
     """Corner locus by emptiness, dimension and a relative-interior point of
     every pair's tie locus, each decided by its own LPs."""
@@ -671,6 +680,18 @@ def reference_remove_redundancy(P):
     return polyhedron(P.rank, P.equalities, kept)
 
 
+@contextlib.contextmanager
+def no_fraction_hash():
+    """Inside it, hashing a Fraction fails the test."""
+
+    def refuse(self):
+        raise AssertionError("a Fraction was hashed")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Fraction, "__hash__", refuse)
+        yield
+
+
 def count_lp_calls(monkeypatch):
     """A list that gains one entry per lp_solve call made from any module of
     the package, from now on."""
@@ -743,8 +764,8 @@ def reference_rank_of_rows(rows):
 
 
 def reference_prevariety(constraints, place, rank):
-    """Prevariety with every product piece tested for emptiness and reduced
-    before pruning."""
+    """Prevariety with every product piece, polyhedron() of all its rows,
+    tested for emptiness and reduced before pruning."""
     pulled = []
     for con in constraints:
         mat = con.matrix(rank)
@@ -752,9 +773,13 @@ def reference_prevariety(constraints, place, rank):
         pulled.append([preimage(cell.polyhedron, mat) for cell in trop.cells])
     pieces = []
     for combo in itertools.product(*pulled):
-        P = intersect(*combo) if len(combo) > 1 else combo[0]
+        P = polyhedron(
+            rank,
+            [c for Q in combo for c in Q.equalities],
+            [c for Q in combo for c in Q.inequalities],
+        )
         if not is_empty(P):
-            pieces.append(remove_redundancy(P))
+            pieces.append(reference_remove_redundancy(P))
     keep = reference_prune_to_maximal(pieces)
     return make_complex(rank, [Cell(P) for P in keep])
 

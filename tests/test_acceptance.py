@@ -45,7 +45,6 @@ from amoebas.tropical import (
     adelic_amoeba,
     adelic_amoeba_of_system,
     generic_skeleton,
-    min_value_and_argmin,
     prevariety,
     system_bad_places,
     trop_hypersurface,
@@ -58,6 +57,7 @@ from conftest import (
     complexes_equal,
     contains_zero,
     is_balanced,
+    min_value_and_argmin,
     rand_exponents,
     rand_fraction,
     rand_point,

@@ -56,7 +56,6 @@ from amoebas.tropical import (
     adelic_amoeba,
     adelic_amoeba_of_system,
     generic_skeleton,
-    min_value_and_argmin,
     trop_hypersurface,
     tropical_data,
 )
@@ -65,6 +64,7 @@ from conftest import (
     NOT_RELINT,
     cells_of,
     halfline_disjoint_fast,
+    min_value_and_argmin,
     outcome,
     rand_fraction,
     rand_poly_q,

@@ -428,6 +428,39 @@ def test_huge_archimedean_points_exit_2_in_bounded_time(tmp_path, argv):
     assert json.loads(done.stderr)["error"]["code"] == "point-too-large"
 
 
+# plot values whose decimal exponent would build a 33-million-bit integer
+HUGE_EXPONENTS = [
+    (["--arch-scan", "--radius", "1e10000000", "--grid-n", "3"], "point-too-large"),
+    (["--arch-scan", "--radius", "1e-10000000", "--grid-n", "3"], "point-too-large"),
+    (["--arch-scan", "--center", "0,1E+10_000_000", "--grid-n", "3"], "point-too-large"),
+    (["--extent", "1e10000000"], "input-error"),
+    (["--extent", "1e-10000000"], "input-error"),
+]
+
+
+@pytest.mark.parametrize(
+    "args, code", HUGE_EXPONENTS, ids=["radius", "tiny-radius", "center", "extent", "tiny-extent"]
+)
+def test_huge_plot_exponents_exit_2_in_bounded_time(tmp_path, args, code):
+    # in a child process, so that building 10**10000000 fails by timeout
+    out = tmp_path / "plot.svg"
+    done = _child("plot", "--f", "x1+x2+1", *args, "--out", str(out), timeout=10)
+    assert done.returncode == 2 and done.stdout == "" and not out.exists()
+    assert json.loads(done.stderr)["error"]["code"] == code
+
+
+def test_plot_exponents_at_the_bound_accepted(capsys, tmp_path):
+    out = str(tmp_path / "plot.svg")
+    scan = ["plot", "--f", "x1+x2+1", "--arch-scan", "--grid-n", "2", "--out", out]
+    assert run_cli(capsys, *scan, "--radius", f"1e-{cli.MAX_DECIMAL_EXPONENT}")[0] == 0
+    code, _, err = run_cli(capsys, *scan, "--radius", f"1e-{cli.MAX_DECIMAL_EXPONENT + 1}")
+    assert code == 2 and "decimal exponent" in json.loads(err)["error"]["message"]
+    # past 2**4096 on the term exponents, refused by the scan itself
+    code, _, err = run_cli(capsys, *scan, "--radius", f"1e{cli.MAX_DECIMAL_EXPONENT}")
+    assert code == 2 and json.loads(err)["error"]["code"] == "point-too-large"
+    assert "decimal exponent" not in json.loads(err)["error"]["message"]
+
+
 @pytest.mark.parametrize(
     "f",
     ["(z^2+z+3)^32*x1+(z-5)^64", "((z^2+z+3)^64)^2*x1+((z-5)^64)^2"],

@@ -14,7 +14,9 @@ from amoebas.polyhedral import (
     complex_to_json,
     contains_point,
     dimension,
+    intersect,
     polyhedron,
+    preimage,
     relative_interior_point,
 )
 from amoebas.scalars import (
@@ -33,14 +35,13 @@ from amoebas.tropical import (
     adelic_amoeba_of_system,
     corner_locus,
     generic_skeleton,
-    min_value_and_argmin,
     prevariety,
     system_bad_places,
     trop_hypersurface,
     tropical_data,
     PrevarietySystem,
 )
-from amoebas.lattices import _eliminate
+from amoebas.lattices import _eliminate, integer_row
 
 from conftest import (
     LARGE_RANK_2,
@@ -52,6 +53,8 @@ from conftest import (
     covered_by,
     from_generators,
     is_balanced,
+    min_value_and_argmin,
+    no_fraction_hash,
     rand_point,
     rand_poly_q,
     rand_poly_qz,
@@ -698,6 +701,63 @@ def trinomial_systems(draw):
         constraints.append(Constraint(poly, pullback))
     place = draw(st.sampled_from([GENERIC, FinitePrime(2)]))
     return constraints, place, rank
+
+
+class TestArgminMask:
+    """A product piece's argmin mask holds the bits of its argmin tuple, term
+    i of constraint j at bit offset_j + i; _below on masks is strict
+    inclusion of the tuples entry by entry; and the pieces are merged with
+    no Fraction hashed."""
+
+    @staticmethod
+    def check(constraints, place, rank):
+        datas = [tropical_data(con.poly, place) for con in constraints]
+        mats = [con.matrix(rank) for con in constraints]
+        # the terms pulled back to the ambient torus: <u, M x> = <M^T u, x>
+        pull = lambda u, M: tuple(sum(a * row[c] for a, row in zip(u, M)) for c in range(rank))
+        terms = [
+            TropicalData(tuple(pull(u, M) for u in d.exponents), d.shifts) for d, M in zip(datas, mats)
+        ]
+        offsets = list(itertools.accumulate((len(d.exponents) for d in datas), initial=0))
+        pulled = [
+            [preimage(cell.polyhedron, M) for cell in trop_hypersurface(con.poly, place).cells]
+            for con, M in zip(constraints, mats)
+        ]
+        named = []
+        for combo in itertools.product(*pulled):
+            with no_fraction_hash():
+                P = intersect(*combo)
+            assert P == polyhedron(
+                rank, [c for Q in combo for c in Q.equalities], [c for Q in combo for c in Q.inequalities]
+            )
+            if dimension(P) < 0:
+                continue
+            x = relative_interior_point(P)
+            argmins = tuple(
+                min_value_and_argmin(d, [sum(a * b for a, b in zip(row, x)) for row in M])[1]
+                for d, M in zip(datas, mats)
+            )
+            mask = tropical._argmin_mask(terms, *integer_row(x))
+            assert mask == sum(1 << (off + i) for off, T in zip(offsets, argmins) for i in T)
+            named.append((mask, argmins))
+        for (S, s), (T, t) in itertools.product(named, repeat=2):
+            assert tropical._below(S, T) == (s != t and all(a <= b for a, b in zip(s, t)))
+        return named
+
+    @settings(max_examples=60)
+    @given(trinomial_systems())
+    def test_random_systems(self, system):
+        self.check(*system)
+
+    def test_acceptance_systems(self, curve_system_qz, surface_system_q):
+        nested = 0
+        for system in (curve_system_qz, surface_system_q):
+            for place in [GENERIC, *sorted(system_bad_places(system.constraints), key=str)]:
+                named = self.check(system.constraints, place, system.rank)
+                pairs = itertools.product(named, repeat=2)
+                nested += sum(tropical._below(S, T) for (S, _), (T, _) in pairs)
+        # the inclusion test is exercised: some pieces lie in others
+        assert nested > 0
 
 
 class TestPrevarietyAgainstReference:
