@@ -81,10 +81,7 @@ from .tropical import (
     PrevarietySystem,
     TropicalData,
     adelic_amoeba,
-    adelic_amoeba_of_system,
-    generic_skeleton,
     prevariety,
-    system_bad_places,
     trop_hypersurface,
 )
 from .archimedean import (

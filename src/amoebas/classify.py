@@ -448,29 +448,44 @@ def theorem1_report(
     conclusion that it forces, by trichotomy_conclusion.
 
     The source is a hypersurface (boundary-free halfspace; the quotient is
-    the identity, and the source is its own image, so a supplied image is
-    rejected) or a prevariety system, in which case the hypersurface image
-    under the boundary quotient must be supplied, or its codimension
-    declared to exceed one (the declaration is echoed, never computed).
+    the identity, and the source is its own image, so a supplied image or
+    codimension declaration is rejected) or a prevariety system, in which
+    case the hypersurface image under the boundary quotient must be
+    supplied, or its codimension declared to exceed one (the declaration is
+    echoed, never computed).
     """
     if image_hypersurface is not None and declared_codim_gt_one:
         raise ValueError("supply an image hypersurface or a declaration, not both")
     if image_hypersurface is not None and isinstance(source, LaurentPoly):
         raise ValueError("a hypersurface source is its own image; supply no image hypersurface")
+    _refuse_hypersurface_declaration(source, declared_codim_gt_one)
     report = adelic_disjoint(adelic_amoeba(source), H, trials=trials)
     return trichotomy_conclusion(source, H, report, image_hypersurface, declared_codim_gt_one)
+
+
+def _refuse_hypersurface_declaration(source, declared_codim_gt_one):
+    """A hypersurface X in T^n has dimension n - 1, so its image X' in the
+    quotient by a boundary span of dimension b has dimension at least
+    n - 1 - b in T^(n - b): codim X' <= 1, and a declaration of more is
+    false."""
+    if declared_codim_gt_one and isinstance(source, LaurentPoly):
+        raise ValueError(
+            "the image of a hypersurface has codimension at most one; declare no codimension"
+        )
 
 
 def trichotomy_conclusion(
     source, H: Halfspace, report: AdelicReport, image_hypersurface=None, declared_codim_gt_one=False
 ) -> TheoremReport:
-    """The conclusion that a disjoint report of H forces: case 1 (declared),
-    2 (over Q(z), an image defined over the scalars) or 3 (over Q, a torsion
-    binomial).  Violation is flagged when certified disjointness holds but
-    no conclusion checks out, which would falsify the implementation.  Over
-    Q(z) every place is decided exactly; over Q the grid certifies points,
-    not the open ray, so no report over Q flags a violation.
+    """The conclusion that a disjoint report of H forces: case 1 (declared,
+    for a system only), 2 (over Q(z), an image defined over the scalars) or
+    3 (over Q, a torsion binomial).  Violation is flagged when certified
+    disjointness holds but no conclusion checks out, which would falsify
+    the implementation.  Over Q(z) every place is decided exactly; over Q
+    the grid certifies points, not the open ray, so no report over Q flags
+    a violation.
     """
+    _refuse_hypersurface_declaration(source, declared_codim_gt_one)
     if report.overall != DISJOINT:
         return TheoremReport(report, None, (), False)
     if declared_codim_gt_one:
@@ -480,7 +495,8 @@ def trichotomy_conclusion(
     if isinstance(source, LaurentPoly):
         if H.boundary:
             raise MissingImagePresentation(
-                "a boundary quotient of a hypersurface needs a codimension declaration"
+                "the image of a hypersurface under a boundary quotient is not computed; "
+                "present the hypersurface as a system and supply its image"
             )
         image = source
     else:

@@ -260,10 +260,7 @@ COMMANDS = {
 def run(ns) -> int:
     """Run the handler of ns.command and emit its payload.  The JSON goes to
     --out when the command has one (plot's --out is its SVG, dest ``svg``)."""
-    handler = COMMANDS.get(ns.command)
-    if handler is None:
-        raise ValueError(f"unknown command {ns.command!r}")
-    payload = handler(ns)
+    payload = COMMANDS[ns.command](ns)
     emit(
         {"schema_version": SCHEMA_VERSION, "command": ns.command, **payload},
         getattr(ns, "out", None),

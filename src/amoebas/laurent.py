@@ -172,10 +172,7 @@ def newton_polytope(f: LaurentPoly) -> NewtonPolytope:
     """Exponent points, the indices that are vertices of their hull, and
     each vertex's strict direction (zero for a lone point)."""
     points = f.exponents()
-    if len(points) == 1:
-        directions = ((Fraction(0),) * f.rank,)
-    else:
-        directions = tuple(strict_vertex_direction(points, i) for i in range(len(points)))
+    directions = tuple(strict_vertex_direction(points, i) for i in range(len(points)))
     vertices = tuple(i for i, d in enumerate(directions) if d is not None)
     return NewtonPolytope(tuple(points), vertices, directions)
 

@@ -1,7 +1,9 @@
 """SVG rendering of rank-2 complexes and archimedean membership scans.
 
-Everything is drawn by clipping cells to a square viewport; rationals are
-converted to floats at render time only.  Output is deterministic text.
+Everything is drawn by clipping cells to a square viewport.  Every cell of
+a rank-2 corner locus states its tie equality, so its clip lies on a line
+and is read off it: empty, one point or a segment.  Rationals are converted
+to floats at render time only.  Output is deterministic text.
 """
 from __future__ import annotations
 
@@ -18,12 +20,8 @@ from .polyhedral import (
     _bound,
     _line,
     _point_on,
-    affine_hull_rows,
-    contains_point,
-    dimension,
     intersect,
     polyhedron,
-    relative_interior_point,
 )
 
 # Points per side of an archimedean scan, which tests grid_n squared points.
@@ -40,39 +38,9 @@ def _box(rank, extent):
     return polyhedron(rank, (), [(r, extent) for r in rows])
 
 
-def _segment_endpoints(P):
-    """Both ends of the segment P off its line, the first where (-b, a) . v
-    is least for P's affine-hull row (a, b); every corner-locus cell states
-    its tie equality, so P's equalities leave one free direction."""
-    frame, st, (lo, hi) = _line(P)
-    ends = [_point_on(frame, _bound(st, i)) for i in (lo, hi)]
-    (a, b), col = affine_hull_rows(P)[0], frame[1]
-    return ends if a * col[1] - b * col[0] > 0 else ends[::-1]
-
-
-def _polygon_vertices(P):
-    cons = [(row, rhs) for row, rhs, _ in P.constraints()]
-    pts = set()
-    for i in range(len(cons)):
-        for j in range(i + 1, len(cons)):
-            (a1, b1), (a2, b2) = cons[i], cons[j]
-            det = a1[0] * a2[1] - a1[1] * a2[0]
-            if det == 0:
-                continue
-            x = Fraction(b1 * a2[1] - b2 * a1[1], det)
-            y = Fraction(a1[0] * b2 - a2[0] * b1, det)
-            if contains_point(P, (x, y)):
-                pts.add((x, y))
-    pts = list(pts)
-    cx = sum(p[0] for p in pts) / len(pts)
-    cy = sum(p[1] for p in pts) / len(pts)
-    pts.sort(key=lambda p: math.atan2(float(p[1] - cy), float(p[0] - cx)))
-    return pts
-
-
 def render_complex_svg(C: PolyhedralComplex, extent=4, size=480) -> str:
-    """Cells drawn in black on a light grid; extent is the half-width of the
-    viewport in lattice units."""
+    """Cells of a corner locus drawn in black on a light grid; extent is the
+    half-width of the viewport in lattice units."""
     if C.rank != 2:
         raise DimensionMismatch("can only draw rank-2 complexes")
     extent = Fraction(extent)
@@ -101,25 +69,24 @@ def render_complex_svg(C: PolyhedralComplex, extent=4, size=480) -> str:
     ]
     for cell in C.cells:
         P = intersect(cell.polyhedron, box)
-        d = dimension(P)
-        if d < 0:
+        frame, st, bounds = _line(P)
+        if bounds is None:
             continue
-        if d == 0:
-            p = relative_interior_point(P)
+        p, q = (_point_on(frame, _bound(st, i)) for i in bounds)
+        if p == q:
             parts.append(
                 f'<circle cx="{_fmt(sx(p[0]))}" cy="{_fmt(sy(p[1]))}" r="3" fill="black"/>'
             )
-        elif d == 1:
-            p, q = _segment_endpoints(P)
-            parts.append(
-                f'<line x1="{_fmt(sx(p[0]))}" y1="{_fmt(sy(p[1]))}" '
-                f'x2="{_fmt(sx(q[0]))}" y2="{_fmt(sy(q[1]))}" '
-                f'stroke="black" stroke-width="2"/>'
-            )
-        else:
-            pts = _polygon_vertices(P)
-            path = " ".join(f"{_fmt(sx(x))},{_fmt(sy(y))}" for x, y in pts)
-            parts.append(f'<polygon points="{path}" fill="#777777" opacity="0.6"/>')
+            continue
+        # first the end where (-b, a) . v is least, for the tie row (a, b)
+        (a, b), col = P.equalities[0][0], frame[1]
+        if a * col[1] - b * col[0] < 0:
+            p, q = q, p
+        parts.append(
+            f'<line x1="{_fmt(sx(p[0]))}" y1="{_fmt(sy(p[1]))}" '
+            f'x2="{_fmt(sx(q[0]))}" y2="{_fmt(sy(q[1]))}" '
+            f'stroke="black" stroke-width="2"/>'
+        )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

@@ -545,12 +545,6 @@ def _hull(P: Polyhedron):
     return tuple(rows[i] for i in independent_subset(rows)), point
 
 
-def affine_hull_rows(P: Polyhedron):
-    """Independent integer rows spanning the normal space of aff(P), for a
-    nonempty P."""
-    return _hull(P)[0]
-
-
 def dimension(P: Polyhedron) -> int:
     """Dimension of P; -1 when empty."""
     return P.rank - len(hull[0]) if (hull := _hull(P)) else -1

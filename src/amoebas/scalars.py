@@ -470,19 +470,21 @@ def valuation(a, place) -> int:
     raise TypeError(f"not a scalar: {a!r}")
 
 
-def place_weight(place) -> float:
-    """Normalization weight: log p, deg q, or 1 at infinity."""
+def place_weight(place):
+    """Normalization weight: the float log p, or the exact int deg q, or 1
+    at infinity."""
     if isinstance(place, FinitePrime):
         return math.log(place.p)
     if isinstance(place, FiniteIrreducible):
-        return float(place.q.degree)
+        return place.q.degree
     if isinstance(place, FunctionFieldInfinity):
-        return 1.0
+        return 1
     raise PlaceFieldMismatch(f"{place_to_str(place)} has no finite-place weight")
 
 
-def log_abs(a, place) -> float:
-    """Minus the log of the normalized absolute value of a at the place."""
+def log_abs(a, place):
+    """Minus the log of the normalized absolute value of a at the place: a
+    float over Q, an exact int at the places of Q(z)."""
     if isinstance(place, ArchimedeanQ):
         if not isinstance(a, Fraction):
             raise PlaceFieldMismatch("archimedean place only applies to rationals")
@@ -522,22 +524,18 @@ def support_places(values) -> frozenset:
 
 
 def product_formula_residual(a):
-    """Sum of -log|a|_p over all places.
+    """Sum of log_abs(a, p) over all places: ARCH first over Q, then the
+    finite places in the order of _support.
 
-    Exactly zero in exact arithmetic.  For rational functions the sum is the
-    exact integer sum(deg q * ord_q) + ord_infinity and the int 0 is returned
-    for every nonzero input; for rationals the float rounding residual is
-    returned.
+    Exactly zero in exact arithmetic.  For rational functions every term is
+    an int, so the int 0 is returned for every nonzero input; for rationals
+    the float rounding residual is returned.
     """
     field = field_of(a)
     if not a:
         raise ZeroInput("product formula for zero")
-    if field == FIELD_Q:
-        total = log_abs(a, ARCH)
-        for place in _support(a):
-            total += valuation(a, place) * math.log(place.p)
-        return total
-    return sum(
-        (1 if place == FF_INFINITY else place.q.degree) * valuation(a, place)
-        for place in _support(a)
-    )
+    places = [ARCH, *_support(a)] if field == FIELD_Q else _support(a)
+    total = 0
+    for place in places:  # not sum(), which compensates float sums from Python 3.12 on
+        total += log_abs(a, place)
+    return total

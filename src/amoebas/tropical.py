@@ -12,6 +12,8 @@ adelic amoeba).  The loci of one polynomial at all its places are
 subdivisions of the same exponents, so what the lifts do not change is
 found once per support (_support) and shared.  Everything downstream
 (pullback, prevariety intersection) is exact polyhedral computation.
+One adelic_amoeba assembles a hypersurface and a prevariety system alike:
+the complex at each bad place of its polynomials, then at GENERIC.
 """
 from __future__ import annotations
 
@@ -361,12 +363,6 @@ def trop_hypersurface(f: LaurentPoly, place) -> PolyhedralComplex:
     return corner_locus(tropical_data(f, place), f.rank)
 
 
-def generic_skeleton(f: LaurentPoly) -> PolyhedralComplex:
-    """Tropicalization at the cofinitely many places with unit coefficients:
-    the codimension-one skeleton of the Newton polytope's inward normal fan."""
-    return trop_hypersurface(f, GENERIC)
-
-
 @dataclass(frozen=True)
 class AdelicAmoeba:
     """Generic complex plus the finitely many special places, with a handle
@@ -398,17 +394,24 @@ def _check_amoeba_size(polys, places):
 
 
 def adelic_amoeba(source) -> AdelicAmoeba:
-    """Adelic amoeba of a hypersurface, or of a PrevarietySystem."""
+    """Adelic amoeba of a hypersurface (trop_hypersurface at each place) or
+    of a PrevarietySystem (prevariety at each place): the special places
+    are the bad places of its polynomials, sorted by place string and built
+    first, and the generic complex is built last."""
     if isinstance(source, PrevarietySystem):
-        return adelic_amoeba_of_system(source)
-    if not isinstance(source, LaurentPoly):
+        polys = [con.poly for con in source.constraints]
+        build = lambda place: prevariety(source.constraints, place, source.rank)
+    elif isinstance(source, LaurentPoly):
+        if source.nterms < 2:
+            raise MonomialInput("a monomial cuts out the empty set in the torus")
+        polys = [source]
+        build = lambda place: trop_hypersurface(source, place)
+    else:
         raise TypeError("source must be a hypersurface or a prevariety system")
-    if source.nterms < 2:
-        raise MonomialInput("a monomial cuts out the empty set in the torus")
-    places = sorted(bad_places(source), key=place_to_str)
-    _check_amoeba_size([source], len(places) + 1)
-    special = [(p, trop_hypersurface(source, p)) for p in places]
-    return AdelicAmoeba(generic_skeleton(source), tuple(special), source)
+    places = sorted(frozenset().union(*map(bad_places, polys)), key=place_to_str)
+    _check_amoeba_size(polys, len(places) + 1)
+    special = tuple((p, build(p)) for p in places)
+    return AdelicAmoeba(build(GENERIC), special, source)
 
 
 @dataclass(frozen=True)
@@ -497,10 +500,6 @@ def prevariety(constraints, place, rank) -> PolyhedralComplex:
     return make_complex(rank, [Cell(remove_redundancy(P)) for P in keep])
 
 
-def system_bad_places(constraints) -> frozenset:
-    return frozenset().union(*(bad_places(con.poly) for con in constraints))
-
-
 @dataclass(frozen=True)
 class PrevarietySystem:
     """A parametrized subvariety presented by constraints in an ambient torus."""
@@ -511,16 +510,3 @@ class PrevarietySystem:
     @property
     def field(self):
         return self.constraints[0].poly.field
-
-
-def adelic_amoeba_of_system(system: PrevarietySystem) -> AdelicAmoeba:
-    places = sorted(system_bad_places(system.constraints), key=place_to_str)
-    _check_amoeba_size([con.poly for con in system.constraints], len(places) + 1)
-    special = [
-        (p, prevariety(system.constraints, p, system.rank)) for p in places
-    ]
-    return AdelicAmoeba(
-        prevariety(system.constraints, GENERIC, system.rank),
-        tuple(special),
-        system,
-    )

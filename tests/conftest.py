@@ -78,7 +78,6 @@ from amoebas.polyhedral import (
     LPUnbounded,
     Polyhedron,
     _canon_constraint,
-    affine_hull_rows,
     contains_point,
     dimension,
     empty_polyhedron,
@@ -345,7 +344,7 @@ def is_balanced(C):
         if cell.multiplicity is None:
             raise InternalInvariantError("balancing needs multiplicity labels")
     for tau in _codimension_two_cells(C):
-        rows = [list(r) for r in affine_hull_rows(tau)]
+        rows = [list(r) for r in polyhedral._hull(tau)[0]]
         if len(rows) != 2:
             raise InternalInvariantError("unexpected direction space")
         # the last n - 2 columns of V in the Smith form U A V = D of the hull

@@ -43,10 +43,7 @@ from amoebas.scalars import (
 )
 from amoebas.tropical import (
     adelic_amoeba,
-    adelic_amoeba_of_system,
-    generic_skeleton,
     prevariety,
-    system_bad_places,
     trop_hypersurface,
     tropical_data,
 )
@@ -76,12 +73,12 @@ def report(number, label, ok):
 
 
 def test_criterion_01_three_term_curve_over_qz(ex_curve_qz, expected_tripods):
-    ok = complexes_equal(generic_skeleton(ex_curve_qz), expected_tripods["generic"])
+    ok = complexes_equal(trop_hypersurface(ex_curve_qz, GENERIC), expected_tripods["generic"])
     for place in ("q:z", "q:z-1", "q:z-2"):
         C = trop_hypersurface(ex_curve_qz, place_from_str(place))
         ok = ok and complexes_equal(C, expected_tripods[place])
         ok = ok and contains_zero(C)
-    ok = ok and contains_zero(generic_skeleton(ex_curve_qz))
+    ok = ok and contains_zero(trop_hypersurface(ex_curve_qz, GENERIC))
     report(1, "three-term curve over Q(z): all four complexes, zero membership", ok)
 
 
@@ -89,7 +86,7 @@ def test_criterion_02_four_term_curve_over_q(
     ex_curve_q, expected_axes, expected_curve_q_at_two
 ):
     ok = bad_places(ex_curve_q) == frozenset({FinitePrime(2)})
-    ok = ok and complexes_equal(generic_skeleton(ex_curve_q), expected_axes)
+    ok = ok and complexes_equal(trop_hypersurface(ex_curve_q, GENERIC), expected_axes)
     at_two = trop_hypersurface(ex_curve_q, FinitePrime(2))
     ok = ok and complexes_equal(at_two, expected_curve_q_at_two)
     ok = ok and contains_zero(at_two)
@@ -112,8 +109,7 @@ def test_criterion_03_curve_system_in_rank_three():
     ok = complexes_equal(C, expected)
     H = Halfspace(3, (1, 1, 0), ((0, 0, 1),))
     ok = ok and halfspace_meets_complex(H, C) is None
-    for p in sorted(system_bad_places(system.constraints), key=str):
-        Cp = prevariety(system.constraints, p, 3)
+    for _, Cp in adelic_amoeba(system).special:
         ok = ok and halfspace_meets_complex(H, Cp) is None
     report(3, "rank-3 curve system: four rays, halfspace disjoint everywhere", ok)
 
@@ -121,11 +117,8 @@ def test_criterion_03_curve_system_in_rank_three():
 def test_criterion_04_surface_system_in_rank_four():
     system = pair_system_q()
     H = Halfspace(4, (1, 1, 1, 0), ((0, 0, 0, 1),))
-    ok = True
-    for p in [GENERIC] + sorted(system_bad_places(system.constraints), key=str):
-        Cp = prevariety(system.constraints, p, 4)
-        ok = ok and halfspace_meets_complex(H, Cp) is None
-    am = adelic_amoeba_of_system(system)
+    am = adelic_amoeba(system)
+    ok = all(halfspace_meets_complex(H, Cp) is None for Cp in [am.generic, *(C for _, C in am.special)])
     rep = adelic_disjoint(am, H)
     ok = ok and rep.overall == DISJOINT
     ok = ok and len(rep.archimedean) == 20

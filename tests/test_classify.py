@@ -20,6 +20,7 @@ from amoebas.classify import (
     halfspace_meets_complex,
     theorem1_report,
     torsion_coset_test,
+    trichotomy_conclusion,
     uniform_minimal_vertices,
 )
 from amoebas.errors import (
@@ -54,8 +55,6 @@ from amoebas.tropical import (
     Constraint,
     PrevarietySystem,
     adelic_amoeba,
-    adelic_amoeba_of_system,
-    generic_skeleton,
     trop_hypersurface,
     tropical_data,
 )
@@ -191,7 +190,7 @@ class TestHalfspaceMeetsComplex:
     def test_open_ray_meets_skeleton(self):
         f = parse_poly("x1 + x2 + 1", rank=2, field=FIELD_Q)
         H = Halfspace(2, (1, 0))
-        w = halfspace_meets_complex(H, generic_skeleton(f))
+        w = halfspace_meets_complex(H, trop_hypersurface(f, GENERIC))
         assert w is not None and w[0] > 0 and w[1] == 0
 
     def test_touching_at_zero_is_disjoint(self, ex_curve_q):
@@ -333,7 +332,7 @@ class TestAdelicDisjoint:
 
     def test_rank4_surface_disjoint(self):
         system = pair_system_q()
-        am = adelic_amoeba_of_system(system)
+        am = adelic_amoeba(system)
         H = Halfspace(4, (1, 1, 1, 0), ((0, 0, 0, 1),))
         rep = adelic_disjoint(am, H)
         assert rep.overall == DISJOINT
@@ -525,6 +524,25 @@ class TestTheoremReport:
         f = parse_poly("x1*x2 - 1", rank=2, field=FIELD_Q)
         with pytest.raises(ValueError):
             theorem1_report(f, Halfspace(2, (1, 1)), image_hypersurface=parse_poly("x1+x2+5"))
+
+    @pytest.mark.parametrize("boundary", [(), ((1, -1),)], ids=["no-boundary", "boundary"])
+    def test_declaration_on_hypersurface_rejected(self, monkeypatch, boundary):
+        # the image of a hypersurface has codimension at most one, so the
+        # declaration is false: refused on a disjoint report, and by
+        # theorem1_report before any amoeba is built
+        f = parse_poly("x1*x2 - 1", rank=2, field=FIELD_Q)
+        H = Halfspace(2, (1, 1), boundary)
+        report = adelic_disjoint(adelic_amoeba(f), Halfspace(2, (1, 1)))
+        assert report.overall == DISJOINT
+        with pytest.raises(ValueError, match="codimension at most one"):
+            trichotomy_conclusion(f, H, report, declared_codim_gt_one=True)
+
+        def no_build(*args):
+            raise AssertionError("amoeba built for a rejected input")
+
+        monkeypatch.setattr(classify, "adelic_amoeba", no_build)
+        with pytest.raises(ValueError, match="codimension at most one"):
+            theorem1_report(f, H, declared_codim_gt_one=True)
 
     def test_hypersurface_with_boundary_needs_image(self):
         # every amoeba of this binomial is the hyperplane v1 + v2 = 0, so the

@@ -651,6 +651,50 @@ PINS = [
     ("error-system-json", ["check-halfspace", "--system", "{notjson}",
       "--halfspace", "dir:1,1"],
      2, EMPTY, "05118caef5ff0f94", None),
+    # two rays of x1 + x2 + 16 clip to the viewport's corner, one point each;
+    # the line v1 = 10 of x1 - 1024 lies outside it, so only the axes show
+    ("plot-point-clips", ["plot", "--f", "x1+x2+16", "--place", "p:2", "--extent", "4",
+      "--out", "{out}"],
+     0, "97bc311e8d9451ac", EMPTY, "604fe4469c7e5ded"),
+    ("plot-outside-viewport", ["plot", "--f", "x1 - 1024", "--rank", "2", "--place", "p:2",
+      "--out", "{out}"],
+     0, "97bc311e8d9451ac", EMPTY, "9b7a16dffb81ec17"),
+    ("trop-parenthesized-exponent", ["trop", "--f", "x1^(-2)+1"],
+     0, "ae31357243bc2517", EMPTY, None),
+    ("error-place-not-a-prime", ["trop", "--f", "x1+1", "--place", "p:abc"],
+     2, EMPTY, "33ad6e342cf20cda", None),
+    ("error-place-not-a-polynomial", ["trop", "--f", "x1+1", "--place", "q:1/z"],
+     2, EMPTY, "9f2f83f8492dbe7d", None),
+    ("error-divide-by-a-sum", ["trop", "--f", "1/(x1+1)"],
+     2, EMPTY, "7f536094ee92d5df", None),
+    ("error-z-over-q", ["trop", "--f", "z*x1+1", "--field", "Q"],
+     2, EMPTY, "0ba80737e57559b2", None),
+    ("error-product-formula-zero", ["product-formula", "--a", "0"],
+     2, EMPTY, "73aebf3a0eb3613b", None),
+    ("error-product-formula-zero-qz", ["product-formula", "--a", "z-z"],
+     2, EMPTY, "9c3d46db3f360894", None),
+    ("error-adelic-monomial", ["adelic", "--f", "x1"],
+     2, EMPTY, "ce734a95f9b6a049", None),
+    ("error-monomial-image", ["classify", "--system", "{system}", "--halfspace", BND,
+      "--image-f", "x1"],
+     2, EMPTY, "86d412ebecd7d080", None),
+    ("error-halfspace-no-dir", ["check-halfspace", "--f", "x1+x2+1", "--halfspace", "bnd:1,0"],
+     2, EMPTY, "9cf602bed8288a70", None),
+    ("error-plot-rank-3", ["plot", "--f", "x1+x2+x3+1", "--out", "{out}"],
+     2, EMPTY, "765b83e1ce497b58", None),
+    ("error-scan-rank-3", ["plot", "--f", "x1+x2+x3+1", "--arch-scan", "--out", "{out}"],
+     2, EMPTY, "82a4b1375d3928c1", None),
+    # the image of a hypersurface has codimension at most one, so a
+    # declaration of more is refused before any amoeba is built
+    ("error-hypersurface-declaration", ["classify", "--f", "x1*x2-1", "--halfspace", "dir:1,1",
+      "--declare-codim-gt-1"],
+     2, EMPTY, "2c120eb1feeb445e", None),
+    ("error-hypersurface-boundary-declaration", ["classify", "--f", "x1*x2-1",
+      "--halfspace", "dir:1,1 bnd:1,-1", "--declare-codim-gt-1"],
+     2, EMPTY, "2c120eb1feeb445e", None),
+    ("error-hypersurface-boundary-image", ["classify", "--f", "x1*x2-1",
+      "--halfspace", "dir:1,1 bnd:1,-1"],
+     2, EMPTY, "bf46aa8723c148fe", None),
     ("ekl-check-q", ["ekl-check", "--f", Q_CURVE],
      0, "114270e857650259", EMPTY, None),
     ("check-system-triangle", ["check-halfspace", "--system", "{triangle}", "--halfspace", "dir:1,1"],
@@ -865,6 +909,27 @@ class TestRejectedValues:
             capsys, "check-halfspace", "--f", "x1+x2+1", "--halfspace", "dir:1,1"
         )
         assert code == 0 and json.loads(out)["verdict"] == "meets"
+
+    @pytest.mark.parametrize(
+        "system, error",
+        [
+            ({"rank": 0, "constraints": [{"f": "x1+1"}]}, "input-error"),
+            ({"rank": 2, "field": "R", "constraints": [{"f": "x1+1"}]}, "input-error"),
+            ({"rank": 2, "constraints": [{"f": "x1+1", "map": [[1, "a"]]}]}, "input-error"),
+            ({"rank": 2, "constraints": [{"f": "x1+1", "rank": 0}]}, "input-error"),
+            # a rank-2 constraint with no map in a rank-3 system; a 2 x 2 map
+            ({"rank": 3, "constraints": [{"f": "x1+x2+1", "rank": 2}]}, "dimension-mismatch"),
+            ({"rank": 3, "constraints": [{"f": "x1+x2+1", "map": [[1, 0], [0, 1]]}]},
+             "dimension-mismatch"),
+        ],
+        ids=["rank-0", "field-R", "map-entry", "constraint-rank-0", "no-map", "map-shape"],
+    )
+    def test_malformed_system_exits_2(self, capsys, tmp_path, system, error):
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(system))
+        code, out, err = run_cli(capsys, "prevariety", "--system", str(path))
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["code"] == error
 
     def test_boundary_generator_length(self, capsys):
         code, out, err = run_cli(

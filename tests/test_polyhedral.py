@@ -18,7 +18,6 @@ from amoebas.polyhedral import (
     Polyhedron,
     PolyhedralComplex,
     _canon_constraint,
-    affine_hull_rows,
     contains_point,
     dimension,
     empty_polyhedron,
@@ -209,7 +208,7 @@ def line_equalities(draw, rank):
 
 
 def _check_hull(P):
-    """dimension and affine_hull_rows as one LP per inequality row finds
+    """dimension and the affine-hull rows as one LP per inequality row finds
     them, and a point in P strict on exactly the rows that are not
     implicit equalities."""
     want = reference_affine_hull(P)
@@ -219,7 +218,7 @@ def _check_hull(P):
             relative_interior_point(P)
         return
     rows, implicit = want
-    assert affine_hull_rows(P) == rows and dimension(P) == P.rank - len(rows)
+    assert polyhedral._hull(P)[0] == rows and dimension(P) == P.rank - len(rows)
     x = relative_interior_point(P)
     assert contains_point(P, x)
     for (row, rhs), tight in zip(P.inequalities, implicit):
@@ -338,7 +337,7 @@ class TestLine:
         assert remove_redundancy(seg) == polyhedron(2, diag, [((1, 0), 2), ((-1, 0), 0)])
         assert max_value((1, 1), seg) == 4 and max_value((-1, 0), seg) == 0
         point = polyhedron(2, diag, [((1, 0), 1), ((-1, 0), -1)])
-        assert affine_hull_rows(point) == ((1, -1), (-1, 0)) and relative_interior_point(point) == (1, 1)
+        assert polyhedral._hull(point)[0] == ((1, -1), (-1, 0)) and relative_interior_point(point) == (1, 1)
         assert dimension(polyhedron(2, diag, [((1, 0), 0), ((-1, 0), -1)])) == -1
         ray_ = polyhedron(2, diag, [((-1, 0), 0)])
         assert max_value((1, 0), ray_) == math.inf and max_value((-1, 0), ray_) == 0
@@ -760,8 +759,8 @@ class TestContainmentAgainstLPReference:
         if inside and dimension(Q) >= 0:
             assert dimension(Q) <= dimension(P)
             assert contains_point(P, relative_interior_point(Q))
-            hull = list(affine_hull_rows(Q))
-            assert all(rank_of_rows(hull + [list(row)]) == len(hull) for row in affine_hull_rows(P))
+            hull = list(polyhedral._hull(Q)[0])
+            assert all(rank_of_rows(hull + [list(row)]) == len(hull) for row in polyhedral._hull(P)[0])
 
     def test_equality_needs_the_span_test(self):
         # the box's relative-interior point is the origin, on the line v1 = 0

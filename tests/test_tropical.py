@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from amoebas import polyhedral, tropical
 from amoebas.errors import ArchimedeanNotSupported, CornerLocusTooLarge, MonomialInput
-from amoebas.laurent import make_laurent, parse_poly
+from amoebas.laurent import bad_places, make_laurent, parse_poly
 from amoebas.polyhedral import (
     complex_to_json,
     contains_point,
@@ -32,11 +32,8 @@ from amoebas.tropical import (
     Constraint,
     TropicalData,
     adelic_amoeba,
-    adelic_amoeba_of_system,
     corner_locus,
-    generic_skeleton,
     prevariety,
-    system_bad_places,
     trop_hypersurface,
     tropical_data,
     PrevarietySystem,
@@ -95,7 +92,7 @@ class TestPsi:
 
 class TestTropHypersurface:
     def test_curve_qz_generic(self, ex_curve_qz, expected_tripods):
-        assert complexes_equal(generic_skeleton(ex_curve_qz), expected_tripods["generic"])
+        assert complexes_equal(trop_hypersurface(ex_curve_qz, GENERIC), expected_tripods["generic"])
 
     @pytest.mark.parametrize("place", ["q:z", "q:z-1", "q:z-2"])
     def test_curve_qz_special_places(self, ex_curve_qz, expected_tripods, place):
@@ -109,7 +106,7 @@ class TestTropHypersurface:
         assert contains_zero(C)
 
     def test_curve_q_generic_axes(self, ex_curve_q, expected_axes):
-        assert complexes_equal(generic_skeleton(ex_curve_q), expected_axes)
+        assert complexes_equal(trop_hypersurface(ex_curve_q, GENERIC), expected_axes)
 
     def test_monomial_rejected(self):
         with pytest.raises(MonomialInput):
@@ -130,20 +127,23 @@ class TestTropHypersurface:
 
 
 class TestGenericSkeleton:
+    """trop_hypersurface at GENERIC: the codimension-one skeleton of the
+    Newton polytope's inward normal fan."""
+
     def test_linear_tripod(self):
         f = parse_poly("x1 + x2 + 1", rank=2, field=FIELD_Q)
-        assert complexes_equal(generic_skeleton(f), tripod((0, 0)))
+        assert complexes_equal(trop_hypersurface(f, GENERIC), tripod((0, 0)))
 
     def test_binomial_hyperplane(self):
         f = parse_poly("x1*x2^2 - 1", rank=2, field=FIELD_Q)
         expected = cells_of(2, [polyhedron(2, [((1, 2), Fraction(0))], ())])
-        assert complexes_equal(generic_skeleton(f), expected)
-        cell = generic_skeleton(f).cells[0]
+        assert complexes_equal(trop_hypersurface(f, GENERIC), expected)
+        cell = trop_hypersurface(f, GENERIC).cells[0]
         assert cell.multiplicity == 1
 
     def test_multiplicity_two(self):
         f = parse_poly("x1^2 - 1", rank=1, field=FIELD_Q)
-        C = generic_skeleton(f)
+        C = trop_hypersurface(f, GENERIC)
         assert len(C.cells) == 1 and C.cells[0].multiplicity == 2
 
     def test_complement_components_match_vertices(self, rng):
@@ -174,7 +174,7 @@ class TestPairEquationSkeleton:
                 from_generators(4, [(0, 0, 0, 0)], rays=[(-1, -1, 0, 0)], lines=lines),
             ],
         )
-        assert complexes_equal(generic_skeleton(f), expected)
+        assert complexes_equal(trop_hypersurface(f, GENERIC), expected)
 
 
 class TestAdelicAmoeba:
@@ -264,6 +264,11 @@ class TestProjectComplex:
         assert complexes_equal(image, tripod((0, 0)))
 
 
+def system_places(system):
+    """The bad places of a system's constraints, sorted."""
+    return sorted(frozenset().union(*(bad_places(c.poly) for c in system.constraints)), key=str)
+
+
 def pair_system_qz():
     """Constraints for the curve t -> (t, t-1, t-1/z) in the rank-3 torus."""
     f1 = parse_poly("x1 - x2 - 1", rank=3, field=FIELD_QZ)
@@ -306,7 +311,7 @@ class TestPrevariety:
 
     def test_single_constraint_is_trop(self, ex_curve_qz):
         C = prevariety([Constraint(ex_curve_qz)], GENERIC, 2)
-        assert complexes_equal(C, generic_skeleton(ex_curve_qz))
+        assert complexes_equal(C, trop_hypersurface(ex_curve_qz, GENERIC))
 
     def test_pullback_map(self, ex_line_q):
         # pull x1 + x2 - 2 back along (v1, v2, v3) -> (v1, v3)
@@ -316,18 +321,21 @@ class TestPrevariety:
             assert cell.polyhedron.rank == 3
 
     def test_system_bad_places(self, curve_system_qz):
-        places = {str(p) for p in system_bad_places(curve_system_qz.constraints)}
-        q = place_from_str("q:z")
-        q1 = place_from_str("q:z-1")
+        # the special places of a system are the bad places of its constraints
+        places = [p for p, _ in adelic_amoeba(curve_system_qz).special]
         from amoebas.scalars import FF_INFINITY
 
-        assert places == {str(q), str(q1), str(FF_INFINITY)}
+        assert places == [FF_INFINITY, place_from_str("q:z"), place_from_str("q:z-1")]
 
     def test_adelic_amoeba_of_a_system(self, curve_system_qz, surface_system_q):
         assert curve_system_qz.field == FIELD_QZ and surface_system_q.field == FIELD_Q
-        am = adelic_amoeba(curve_system_qz)
-        assert am == adelic_amoeba_of_system(curve_system_qz)
-        assert am.source is curve_system_qz
+        for system in (curve_system_qz, surface_system_q):
+            am = adelic_amoeba(system)
+            assert am.source is system
+            assert am.generic == prevariety(system.constraints, GENERIC, system.rank)
+            assert am.special and all(
+                C == prevariety(system.constraints, p, system.rank) for p, C in am.special
+            )
         with pytest.raises(TypeError):
             adelic_amoeba(curve_system_qz.constraints)
 
@@ -576,11 +584,11 @@ class TestCornerLocusBound:
         # one maximal cell, but 300 cells of 23 facets each
         f = " + ".join(["1"] + [f"x{i}" for i in range(1, 25)])
         with pytest.raises(CornerLocusTooLarge):
-            generic_skeleton(parse_poly(f))
+            trop_hypersurface(parse_poly(f), GENERIC)
 
     def test_moderate_input_within_the_bound(self):
         f = " + ".join(["1"] + [f"x{i}" for i in range(1, 9)])
-        assert len(generic_skeleton(parse_poly(f)).cells) == 36
+        assert len(trop_hypersurface(parse_poly(f), GENERIC).cells) == 36
 
     def test_amoeba_at_twenty_places_within_the_bound(self):
         am = adelic_amoeba(parse_poly(primes_poly(20)))
@@ -594,7 +602,7 @@ class TestCornerLocusBound:
         with pytest.raises(CornerLocusTooLarge, match="51 corner loci"):
             adelic_amoeba(f)
         assert time.perf_counter() - start < 5
-        assert len(generic_skeleton(f).cells) > 0
+        assert len(trop_hypersurface(f, GENERIC).cells) > 0
 
     def test_system_loci_charged_together(self):
         # f_30 alone is within the bound at its 31 places, twice it is not
@@ -752,7 +760,7 @@ class TestArgminMask:
     def test_acceptance_systems(self, curve_system_qz, surface_system_q):
         nested = 0
         for system in (curve_system_qz, surface_system_q):
-            for place in [GENERIC, *sorted(system_bad_places(system.constraints), key=str)]:
+            for place in [GENERIC, *system_places(system)]:
                 named = self.check(system.constraints, place, system.rank)
                 pairs = itertools.product(named, repeat=2)
                 nested += sum(tropical._below(S, T) for (S, _), (T, _) in pairs)
@@ -776,7 +784,7 @@ class TestPrevarietyAgainstReference:
 
     def test_acceptance_systems(self, curve_system_qz, surface_system_q):
         for system in (curve_system_qz, surface_system_q):
-            for place in [GENERIC, *sorted(system_bad_places(system.constraints), key=str)]:
+            for place in [GENERIC, *system_places(system)]:
                 C = prevariety(system.constraints, place, system.rank)
                 assert C == reference_prevariety(system.constraints, place, system.rank)
 
