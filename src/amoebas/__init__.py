@@ -53,13 +53,10 @@ from .scalars import (
 )
 from .laurent import (
     LaurentPoly,
-    NewtonPolytope,
     bad_places,
     make_laurent,
-    newton_polytope,
     parse_poly,
     poly_to_json,
-    poly_to_str,
 )
 from .polyhedral import (
     Cell,
@@ -84,11 +81,7 @@ from .tropical import (
     prevariety,
     trop_hypersurface,
 )
-from .archimedean import (
-    lopsided_outside,
-    sampled_inside,
-    triangle_exact_membership,
-)
+from .archimedean import sampled_inside
 from .classify import (
     AdelicReport,
     EklReport,

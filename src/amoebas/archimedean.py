@@ -13,9 +13,13 @@ then the enclosure is repeated at doubling precision; a nonzero sum with
 distinct rational exponents is bounded away from zero, so refinement
 terminates on every strict comparison.
 
-Three verdicts are possible and propagate downstream: certified outside
-(lopsidedness or the exact trinomial triangle test), a verified numeric
-witness inside, or unknown.
+A query's one exact fact is its dominance: the first term whose modulus
+exceeds the sum of all the others, which certifies the point outside the
+amoeba (lopsidedness, after Purbhoo), or none.  On a trinomial whose
+exponent differences are unimodular (triangle_applicable) the same fact is
+exact membership: no term dominates exactly when the moduli satisfy the
+closed triangle inequality.  classify reads its verdicts off it; the
+sampler looks for a verified numeric witness inside.
 """
 from __future__ import annotations
 
@@ -39,10 +43,6 @@ from .errors import (
 from .lattices import integer_row
 from .laurent import LaurentPoly, make_laurent
 from .scalars import FIELD_Q
-
-INSIDE = "inside"
-OUTSIDE = "outside"
-NOT_APPLICABLE = "not-applicable"
 
 _FIRST_PRECISION = 64
 _MAX_PRECISION = 4096
@@ -92,9 +92,10 @@ class ArchQuery:
     def dominance(self):
         """(signs, k): the signs _dominance_signs yields up to and including
         the first +1, and the index k of that term, the one whose modulus
-        exceeds the sum of all the others (None when no term does).  Kept on
-        the query, so the triangle test, lopsidedness and a caller that
-        needs k share one enclosure."""
+        exceeds the sum of all the others (None when no term does).  A k
+        certifies the point outside.  A None sign is a comparison that
+        refinement gave up on; with no k and no None no term dominates,
+        which puts the point inside where triangle_applicable holds."""
         signs = []
         for sign in _dominance_signs(self):
             signs.append(sign)
@@ -187,24 +188,15 @@ def _dominance_signs(q: ArchQuery):
             )
 
 
-def _query(f: LaurentPoly, v) -> ArchQuery:
-    return v if isinstance(v, ArchQuery) else ArchQuery.at(f, v)
-
-
-def lopsided_outside(f: LaurentPoly, v) -> bool:
-    """True when one term modulus exceeds the sum of all the others, which
-    certifies that v is outside the archimedean amoeba; False says nothing.
-    v is a point or the ArchQuery of f at one, whose dominance then holds
-    the index of that term."""
-    return _query(f, v).dominance[1] is not None
-
-
 def triangle_applicable(f: LaurentPoly) -> bool:
     """Whether the exact trinomial test applies: the two exponent differences
     must extend to a basis of the full exponent lattice, that is, both Smith
     invariant factors of the 2 x n difference matrix equal one.  Their
     product d1 * d2 is the gcd of the 2 x 2 minors, and d1 | d2, so that is
-    the gcd of the minors being one."""
+    the gcd of the minors being one.  Then a monomial change of coordinates
+    makes the hypersurface a line in a two-torus times a torus factor, and a
+    point lies in the amoeba exactly when the three term moduli satisfy the
+    closed triangle inequality, that is, when no term dominates."""
     if f.nterms != 3:
         raise TermCountMismatch("the triangle test needs exactly three terms")
     if f.rank < 2:
@@ -214,22 +206,6 @@ def triangle_applicable(f: LaurentPoly) -> bool:
     b = [y - z for y, z in zip(u[1], u[2])]
     pairs = itertools.combinations(range(f.rank), 2)
     return math.gcd(*(a[i] * b[j] - a[j] * b[i] for i, j in pairs)) == 1
-
-
-def triangle_exact_membership(f: LaurentPoly, v) -> str:
-    """Exact amoeba membership for unimodular trinomials.
-
-    After a monomial change of coordinates the hypersurface is a line in a
-    two-torus times a torus factor, and v lies in the amoeba exactly when the
-    three term moduli satisfy the closed triangle inequality.  v is a point
-    or the ArchQuery of f at one, as for lopsided_outside.
-    """
-    if not triangle_applicable(f):
-        return NOT_APPLICABLE
-    signs, k = _query(f, v).dominance
-    if None in signs:
-        return NOT_APPLICABLE
-    return INSIDE if k is None else OUTSIDE
 
 
 def evaluate_at(f: LaurentPoly, x) -> complex:

@@ -26,16 +26,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .archimedean import (
-    INSIDE,
-    NOT_APPLICABLE,
-    OUTSIDE,
-    ArchQuery,
-    lopsided_outside,
-    sampled_inside,
-    triangle_applicable,
-    triangle_exact_membership,
-)
+from .archimedean import ArchQuery, sampled_inside, triangle_applicable
 from .errors import (
     DependentDirection,
     DimensionMismatch,
@@ -44,7 +35,7 @@ from .errors import (
     MonomialInput,
 )
 from .lattices import independent_subset, in_rational_span, integer_row, primitive_vector
-from .laurent import LaurentPoly, apply_monomial_map, bad_places, newton_polytope
+from .laurent import LaurentPoly, apply_monomial_map, bad_places, strict_vertex_direction
 from .polyhedral import (
     LPOptimal,
     LPUnbounded,
@@ -196,6 +187,7 @@ def _witness_json(w):
 
 TRIANGLE = "triangle"
 LOPSIDED = "lopsided"
+INSIDE = "inside"
 
 
 class _Part:
@@ -215,30 +207,31 @@ class _Part:
 
     def outside(self, point, t):
         """TRIANGLE or LOPSIDED when the image of point is certified outside
-        the amoeba, INSIDE when the triangle test puts it inside, else None.
-        A point t d of the ray (t not None) at or past the tail is answered
-        from it; a full test that certifies t d may start the tail."""
+        the amoeba, INSIDE when the triangle test puts it inside, else None,
+        all read off the query's dominance (signs, k).  A dominating term k
+        certifies the point outside; the kind is TRIANGLE when the exact
+        triangle test applies and no sign up to k is undecided.  With no k
+        the point is INSIDE the closed triangle when that test applies and
+        every sign is decided.  A point t d of the ray (t not None) at or
+        past the tail is answered from it; a certified t d may start the
+        tail."""
         if t is not None and self.tail is not None and t >= self.tail:
             return TRIANGLE if self.triangle else LOPSIDED
         image = point if self.matrix is None else apply_monomial_map(point, self.matrix)
-        q = ArchQuery.at(self.poly, image)
-        # inside the closed triangle no term dominates, so lopsidedness fails
-        verdict = triangle_exact_membership(self.poly, q) if self.triangle else NOT_APPLICABLE
-        if verdict == INSIDE:
-            return INSIDE
-        if verdict == OUTSIDE or lopsided_outside(self.poly, q):
-            if t is not None:
-                self._start_tail(q, t)
-            return TRIANGLE if verdict == OUTSIDE else LOPSIDED
-        return None
+        signs, k = ArchQuery.at(self.poly, image).dominance
+        exact = self.triangle and None not in signs
+        if k is None:
+            return INSIDE if exact else None
+        if t is not None:
+            self._start_tail(signs, k, t)
+        return TRIANGLE if exact else LOPSIDED
 
-    def _start_tail(self, q, t):
+    def _start_tail(self, signs, k, t):
         """Start the tail at t when the term k dominating at t d minimizes
         <u, M d>: every ratio r_j / r_k = |a_j / a_k| exp(-t <u_j - u_k, M d>)
         then falls as t grows, so k dominates at every t' >= t.  Both facts
         are checked again, exactly, before the tail is trusted.  A full test
         runs only before the tail, so t is below any earlier start."""
-        signs, k = q.dominance
         if k not in self.minimizers:
             return
         dots = [sum(a * b for a, b in zip(u, self.pulled)) for u in self.poly.exponents()]
@@ -281,7 +274,9 @@ def _arch_verdicts(source, direction, points, trials):
         for point, t in points:
             yield _classify_arch_hypersurface(part, point, t, trials)
     elif isinstance(source, PrevarietySystem):
-        parts = [_Part(c.poly, c.matrix(source.rank), direction) for c in source.constraints]
+        for c in source.constraints:
+            c.matrix(source.rank)  # checks the shapes; a None pullback stays None
+        parts = [_Part(c.poly, c.pullback, direction) for c in source.constraints]
         for point, t in points:
             yield _classify_arch_system(parts, point, t)
     else:
@@ -532,15 +527,15 @@ def trichotomy_conclusion(
 
 
 def uniform_minimal_vertices(f: LaurentPoly):
-    """Vertex indices whose coefficient valuation is minimal at every bad
-    place, whose vertex cones miss every nonarchimedean amoeba, and the
-    Newton polytope."""
+    """(i, d) for each vertex u_i of the Newton polytope whose coefficient
+    valuation is minimal at every bad place, so that its vertex cone misses
+    every nonarchimedean amoeba, with d its strict vertex direction.  The
+    vertex LP runs only for the terms the valuations keep."""
     shift_table = [tropical_data(f, p).shifts for p in sorted(bad_places(f), key=place_to_str)]
-    np_ = newton_polytope(f)
-    candidates = [
-        i for i in np_.vertex_indices if all(shifts[i] == min(shifts) for shifts in shift_table)
-    ]
-    return candidates, np_
+    points = f.exponents()
+    kept = [i for i in range(f.nterms) if all(shifts[i] == min(shifts) for shifts in shift_table)]
+    directions = [(i, strict_vertex_direction(points, i)) for i in kept]
+    return [(i, d) for i, d in directions if d is not None]
 
 
 @dataclass(frozen=True)
@@ -590,11 +585,11 @@ def ekl_consistency_check(f: LaurentPoly, trials=200) -> EklReport:
     """
     if f.nterms < 2:
         raise MonomialInput("need at least two terms")
-    candidates, np_ = uniform_minimal_vertices(f)
+    candidates = uniform_minimal_vertices(f)
     amoeba = adelic_amoeba(f)
     rejected = []
-    for i in candidates:
-        H = Halfspace(f.rank, primitive_vector(np_.directions[i]))
+    for i, d in candidates:
+        H = Halfspace(f.rank, primitive_vector(d))
         halfline = {"vertex": i, "direction": list(H.direction)}
         report = adelic_disjoint(amoeba, H, trials=trials)
         if not all(c.disjoint for c in report.nonarchimedean):

@@ -1,4 +1,4 @@
-"""Laurent polynomials: parsing, canonical form, Newton polytopes, bad places.
+"""Laurent polynomials: parsing, canonical form, Newton vertices, bad places.
 
 A Laurent polynomial is a finite sum of terms (integer exponent vector,
 nonzero coefficient) over Q or Q(z), kept sorted lexicographically by
@@ -42,9 +42,6 @@ class LaurentPoly:
     def exponents(self):
         return [e for e, _ in self.terms]
 
-    def __str__(self):
-        return poly_to_str(self)
-
 
 def make_laurent(rank, field, terms) -> LaurentPoly:
     """Canonicalize: combine like terms, drop zeros, sort by exponent."""
@@ -85,50 +82,6 @@ def parse_poly(text, rank=None, field=None) -> LaurentPoly:
     return make_laurent(rank, field, terms)
 
 
-def _coeff_sign_split(c):
-    """(sign, |c|) with the sign read off the leading numerator coefficient."""
-    if isinstance(c, Fraction):
-        return (1, c) if c > 0 else (-1, -c)
-    if c.num[0] > 0:
-        return 1, c
-    return -1, -c
-
-
-def _coeff_str(c) -> str:
-    s = str(c)
-    if isinstance(c, RationalFunction) and not c.is_constant():
-        if not (s.startswith("(") and s.endswith(")")):
-            s = f"({s})"
-    return s
-
-
-def _monomial_str(exp) -> str:
-    pieces = []
-    for i, e in enumerate(exp):
-        if e == 0:
-            continue
-        pieces.append(f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}")
-    return "*".join(pieces)
-
-
-def poly_to_str(f: LaurentPoly) -> str:
-    parts = []
-    for exp, coeff in f.terms:
-        sign, mag = _coeff_sign_split(coeff)
-        mono = _monomial_str(exp)
-        if not mono:
-            body = _coeff_str(mag)
-        elif mag == 1:
-            body = mono
-        else:
-            body = f"{_coeff_str(mag)}*{mono}"
-        if not parts:
-            parts.append(body if sign > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if sign > 0 else f"- {body}")
-    return " ".join(parts)
-
-
 def poly_to_json(f: LaurentPoly) -> dict:
     return {
         "rank": f.rank,
@@ -137,13 +90,6 @@ def poly_to_json(f: LaurentPoly) -> dict:
             {"exp": list(e), "coeff": str(c)} for e, c in f.terms
         ],
     }
-
-
-@dataclass(frozen=True)
-class NewtonPolytope:
-    points: tuple
-    vertex_indices: tuple
-    directions: tuple  # per point: a strict_vertex_direction, None off the vertices
 
 
 def strict_vertex_direction(points, i):
@@ -166,15 +112,6 @@ def strict_vertex_direction(points, i):
     if res.value > 0:
         return res.point[:n]
     return None
-
-
-def newton_polytope(f: LaurentPoly) -> NewtonPolytope:
-    """Exponent points, the indices that are vertices of their hull, and
-    each vertex's strict direction (zero for a lone point)."""
-    points = f.exponents()
-    directions = tuple(strict_vertex_direction(points, i) for i in range(len(points)))
-    vertices = tuple(i for i, d in enumerate(directions) if d is not None)
-    return NewtonPolytope(tuple(points), vertices, directions)
 
 
 def bad_places(f: LaurentPoly) -> frozenset:

@@ -11,8 +11,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .archimedean import INSIDE
-from .classify import LOPSIDED, TRIANGLE, _Part
+from .classify import INSIDE, LOPSIDED, TRIANGLE, _Part
 from .errors import DimensionMismatch
 from .lattices import identity
 from .polyhedral import (

@@ -45,10 +45,6 @@ class Poly:
             cs.pop()
         self.coeffs = tuple(cs)
 
-    @classmethod
-    def const(cls, c):
-        return cls((Fraction(c),))
-
     @property
     def degree(self):
         """Degree, with deg 0 = -1 by convention."""
@@ -275,37 +271,70 @@ def field_of(a) -> str:
 # factorization over Z and Q[z] is sympy's (imported lazily: it is slow to load)
 
 
-# Trial-division limit (and the matching rho and p-1 effort) of the first,
-# bounded factoring pass.  It splits products of 7-digit primes in full.
-FACTOR_LIMIT = 10**5
-# A composite cofactor left by that pass is factored in full only below
-# 10**MAX_COFACTOR_DIGITS: on a 2-core VM sympy takes 1-2 s for two
-# 15-digit primes and about 35 s for two 20-digit primes.
+# A number below 10**MAX_COFACTOR_DIGITS is factored in full: on a 2-core VM
+# sympy takes 1-2 s for two 15-digit primes and about 35 s for two 20-digit
+# primes.
 MAX_COFACTOR_DIGITS = 30
+# A larger one loses its prime factors below FACTOR_LIMIT by trial division.
+# Every piece of what is left is then decided from its size first, since
+# each test below runs on integers whose cost grows with their bit length:
+# past PRIME_BITS bits it is refused; a perfect power is split into its
+# root; a prime is kept; past RHO_BITS bits a composite is refused; else
+# Pollard rho splits off a factor within RHO_STEPS steps or the piece is
+# refused.  RHO_STEPS is about eight times the steps a 7-digit prime needs.
+# On a 2-core VM the slowest accepted cases measured are 34 9-digit primes
+# (1024 bits, 3.5 s) and a 4096-bit prime (1.7 s, almost all in isprime).
+FACTOR_LIMIT = 10**5
+PRIME_BITS = 4096
+RHO_BITS = 1024
+RHO_STEPS = 2**15
 
 
 def factor_int(n: int) -> dict[int, int]:
     """Prime factorization of |n|, primes ascending; ignores the sign.
 
-    Raises FactorizationTooLarge when the bounded pass leaves a composite
-    cofactor of more than MAX_COFACTOR_DIGITS digits."""
+    Raises FactorizationTooLarge on a piece past PRIME_BITS bits, a
+    composite past RHO_BITS bits, or a composite that rho does not split."""
     if n == 0:
         raise ZeroInput("cannot factor zero")
     import sympy
 
-    out = {}
-    for q, e in sympy.factorint(abs(n), limit=FACTOR_LIMIT).items():
-        if sympy.isprime(q):
-            out[q] = out.get(q, 0) + e
+    n, out = abs(n), {}
+    if n >= 10**MAX_COFACTOR_DIGITS:
+        for p in sympy.sieve.primerange(FACTOR_LIMIT):
+            if n % p == 0:
+                out[p] = sympy.multiplicity(p, n)
+                n //= p ** out[p]
+    pending = [(n, 1)] if n > 1 else []
+    while pending:
+        m, e = pending.pop()
+        if m < 10**MAX_COFACTOR_DIGITS:
+            for p, f in sympy.factorint(m).items():
+                out[p] = out.get(p, 0) + e * f
             continue
-        if q >= 10**MAX_COFACTOR_DIGITS:
+        if m.bit_length() > PRIME_BITS:
             raise FactorizationTooLarge(
-                f"a composite factor of {q.bit_length()} bits is left after trial "
-                f"division to {FACTOR_LIMIT}; factoring stops past "
-                f"{MAX_COFACTOR_DIGITS} digits"
+                f"a factor of {m.bit_length()} bits is left after trial division to "
+                f"{FACTOR_LIMIT}; factoring stops past {PRIME_BITS} bits"
             )
-        for p, f in sympy.factorint(q).items():
-            out[p] = out.get(p, 0) + e * f
+        power = sympy.perfect_power(m)
+        if power:
+            pending.append((power[0], e * power[1]))
+        elif sympy.isprime(m):
+            out[m] = out.get(m, 0) + e
+        elif m.bit_length() > RHO_BITS:
+            raise FactorizationTooLarge(
+                f"a composite factor of {m.bit_length()} bits is left after trial division "
+                f"to {FACTOR_LIMIT}; splitting stops past {RHO_BITS} bits"
+            )
+        else:
+            d = sympy.pollard_rho(m, retries=0, max_steps=RHO_STEPS)
+            if d is None:
+                raise FactorizationTooLarge(
+                    f"no factor of a composite of {m.bit_length()} bits is found in "
+                    f"{RHO_STEPS} rho steps"
+                )
+            pending += [(d, e), (m // d, e)]
     return dict(sorted(out.items()))
 
 

@@ -23,21 +23,19 @@ from sympy.polys.matrices.normalforms import smith_normal_decomp
 from amoebas.archimedean import (
     _MAX_EXPONENT_SPREAD,
     _TOL,
-    INSIDE,
-    NOT_APPLICABLE,
-    OUTSIDE,
     ArchQuery,
     evaluate_at,
-    lopsided_outside,
     sign_exp_sum,
     triangle_applicable,
-    triangle_exact_membership,
 )
 from amoebas.classify import (
     CERTIFIED_OUTSIDE,
     DISJOINT,
     EVIDENCE_ONLY,
+    INSIDE,
+    LOPSIDED,
     MEETS,
+    TRIANGLE,
     AdelicReport,
     ArchPointVerdict,
     EklReport,
@@ -46,7 +44,6 @@ from amoebas.classify import (
     _witness_json,
     halfspace_meets_complex,
     trichotomy_conclusion,
-    uniform_minimal_vertices,
 )
 from amoebas.errors import (
     DegenerateSlice,
@@ -61,6 +58,7 @@ from amoebas.errors import (
 from amoebas.laurent import (
     LaurentPoly,
     apply_monomial_map,
+    bad_places,
     make_laurent,
     parse_poly,
     strict_vertex_direction,
@@ -160,6 +158,30 @@ def scale(f, c):
     if c == 0:
         raise EmptyPolynomial("scaling by zero")
     return make_laurent(f.rank, f.field, [(e, a * c) for e, a in f.terms])
+
+
+def poly_to_str(f):
+    """Text that parse_poly reads back to f: the parser's round-trip input."""
+    parts = []
+    for exp, coeff in f.terms:
+        negative = coeff < 0 if isinstance(coeff, Fraction) else coeff.num[0] < 0
+        mag = -coeff if negative else coeff
+        mag_str = str(mag)
+        if isinstance(mag, RationalFunction) and not mag.is_constant():
+            if not (mag_str.startswith("(") and mag_str.endswith(")")):
+                mag_str = f"({mag_str})"
+        mono = "*".join(f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}" for i, e in enumerate(exp) if e)
+        if not mono:
+            body = mag_str
+        elif mag == 1:
+            body = mono
+        else:
+            body = f"{mag_str}*{mono}"
+        if not parts:
+            parts.append(f"-{body}" if negative else body)
+        else:
+            parts.append(f"- {body}" if negative else f"+ {body}")
+    return " ".join(parts)
 
 
 def is_empty(P):
@@ -275,23 +297,20 @@ def complex_from_json(obj):
     return make_complex(obj["rank"], cells)
 
 
-def convex_certificate(np_, i):
-    """Exact convex combination of the vertices equal to points[i], as a
-    {vertex index: weight} dict, or None when i is a vertex."""
-    if i in np_.vertex_indices:
-        return None
-    vs = list(np_.vertex_indices)
-    n = len(np_.points[i])
-    k = len(vs)
-    eqs = []
-    for c in range(n):
-        eqs.append(([np_.points[j][c] for j in vs], Fraction(np_.points[i][c])))
+def convex_certificate(points, i):
+    """Exact convex combination of the other points equal to points[i], as
+    an {index: weight} dict, or None when points[i] is a vertex of their
+    hull: an LP feasibility oracle for the vertices, independent of the
+    strict-direction LP."""
+    others = [j for j in range(len(points)) if j != i]
+    k = len(others)
+    eqs = [([points[j][c] for j in others], Fraction(points[i][c])) for c in range(len(points[i]))]
     eqs.append(([1] * k, Fraction(1)))
     ineqs = [([-1 if t == s else 0 for t in range(k)], Fraction(0)) for s in range(k)]
     res = lp_solve([0] * k, polyhedron(k, eqs, ineqs))
     if not isinstance(res, LPOptimal):
         return None
-    return {vs[s]: res.point[s] for s in range(k) if res.point[s] != 0}
+    return {others[s]: res.point[s] for s in range(k) if res.point[s] != 0}
 
 
 def _codimension_two_cells(C):
@@ -1026,17 +1045,28 @@ def reference_lopsided_outside(f, v):
 
 
 def reference_triangle_exact_membership(f, v):
-    """The closed triangle inequality by one exact sign_exp_sum per term."""
+    """The closed triangle inequality by one exact sign_exp_sum per term:
+    TRIANGLE when a term dominates, INSIDE when none does, None when the
+    test does not apply or a sign stays undecided."""
     if not triangle_applicable(f):
-        return NOT_APPLICABLE
+        return None
     q = ArchQuery.at(f, v)
     for k in range(3):
         sign = _reference_dominance(q, k)
         if sign is None:
-            return NOT_APPLICABLE
+            return None
         if sign == 1:
-            return OUTSIDE
+            return TRIANGLE
     return INSIDE
+
+
+def reference_point_kind(f, v):
+    """_Part.outside's kind at a lone point, from the two references."""
+    if f.nterms == 3:
+        kind = reference_triangle_exact_membership(f, v)
+        if kind is not None:
+            return kind
+    return LOPSIDED if reference_lopsided_outside(f, v) else None
 
 
 def reference_poly_rem(a, b):
@@ -1221,8 +1251,8 @@ def reference_sampled_inside(f, v, trials=200):
 
 def reference_classify_arch_hypersurface(f, point, trials):
     if f.nterms == 3:
-        verdict = triangle_exact_membership(f, point)
-        if verdict == OUTSIDE:
+        verdict = reference_triangle_exact_membership(f, point)
+        if verdict == TRIANGLE:
             return ArchPointVerdict(point, CERTIFIED_OUTSIDE, {"kind": "triangle"})
         if verdict == INSIDE:
             cert = {"kind": "triangle"}
@@ -1230,7 +1260,7 @@ def reference_classify_arch_hypersurface(f, point, trials):
             if w is not None:
                 cert["witness"] = _witness_json(w)
             return ArchPointVerdict(point, MEETS, cert)
-    if lopsided_outside(f, point):
+    if reference_lopsided_outside(f, point):
         return ArchPointVerdict(point, CERTIFIED_OUTSIDE, {"kind": "lopsided"})
     w = reference_sampled_inside(f, point, trials=trials)
     if w is not None:
@@ -1242,11 +1272,11 @@ def reference_classify_arch_system(system, point):
     for idx, con in enumerate(system.constraints):
         image = apply_monomial_map(point, con.matrix(system.rank))
         g = con.poly
-        if g.nterms == 3 and triangle_exact_membership(g, image) == OUTSIDE:
+        if g.nterms == 3 and reference_triangle_exact_membership(g, image) == TRIANGLE:
             return ArchPointVerdict(
                 point, CERTIFIED_OUTSIDE, {"kind": "triangle", "constraint": idx}
             )
-        if lopsided_outside(g, image):
+        if reference_lopsided_outside(g, image):
             return ArchPointVerdict(
                 point, CERTIFIED_OUTSIDE, {"kind": "lopsided", "constraint": idx}
             )
@@ -1314,16 +1344,22 @@ def halfline_disjoint_fast(f, place, v):
 
 
 def reference_ekl_consistency_check(f, trials=200):
-    """ekl_consistency_check with each candidate's direction from its own
-    vertex LP and reference_adelic_disjoint, one reference point verdict
-    per grid point, on its ray; the conclusion is the library's."""
+    """ekl_consistency_check with the candidates picked by convex_certificate
+    and the shifts, each one's direction from its own vertex LP, and
+    reference_adelic_disjoint, one reference point verdict per grid point,
+    on its ray; the conclusion is the library's."""
     if f.nterms < 2:
         raise MonomialInput("need at least two terms")
-    candidates, np_ = uniform_minimal_vertices(f)
+    shift_table = [tropical_data(f, p).shifts for p in bad_places(f)]
+    points = f.exponents()
+    candidates = [
+        i for i in range(f.nterms)
+        if convex_certificate(points, i) is None and all(s[i] == min(s) for s in shift_table)
+    ]
     amoeba = adelic_amoeba(f)
     rejected = []
     for i in candidates:
-        H = Halfspace(f.rank, primitive_vector(strict_vertex_direction(np_.points, i)))
+        H = Halfspace(f.rank, primitive_vector(strict_vertex_direction(points, i)))
         halfline = {"vertex": i, "direction": list(H.direction)}
         report = reference_adelic_disjoint(amoeba, H, trials=trials)
         if not all(c.disjoint for c in report.nonarchimedean):

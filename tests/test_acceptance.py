@@ -6,15 +6,11 @@ lines as they complete.
 import random
 from fractions import Fraction
 
-from amoebas.archimedean import (
-    INSIDE,
-    lopsided_outside,
-    sampled_inside,
-    triangle_exact_membership,
-)
+from amoebas.archimedean import sampled_inside
 from amoebas.classify import (
     CERTIFIED_OUTSIDE,
     DISJOINT,
+    MEETS,
     Halfspace,
     adelic_disjoint,
     classify_arch_point,
@@ -26,7 +22,6 @@ from amoebas.classify import (
 from amoebas.laurent import (
     bad_places,
     make_laurent,
-    newton_polytope,
     parse_poly,
     strict_vertex_direction,
 )
@@ -90,7 +85,7 @@ def test_criterion_02_four_term_curve_over_q(
     at_two = trop_hypersurface(ex_curve_q, FinitePrime(2))
     ok = ok and complexes_equal(at_two, expected_curve_q_at_two)
     ok = ok and contains_zero(at_two)
-    ok = ok and not lopsided_outside(ex_curve_q, (0, 0))
+    ok = ok and classify_arch_point(ex_curve_q, (0, 0)).verdict != CERTIFIED_OUTSIDE
     report(2, "four-term curve over Q: axes, segment-plus-rays at 2, pinching", ok)
 
 
@@ -144,14 +139,17 @@ def test_criterion_05_scalar_definition_equivalence():
         if all((c / a1).is_constant() for _, c in f.terms[1:]):
             continue
         count += 1
-        candidates, np_ = uniform_minimal_vertices(f)
-        ok = ok and not candidates
+        ok = ok and not uniform_minimal_vertices(f)
         shift_table = {p: tropical_data(f, p).shifts for p in sorted(bad_places(f), key=str)}
-        for i in np_.vertex_indices:
+        points = f.exponents()
+        for i in range(f.nterms):
+            d = strict_vertex_direction(points, i)
+            if d is None:
+                continue
             bad = next(
                 p for p, shifts in shift_table.items() if shifts[i] > min(shifts)
             )
-            direction = primitive_vector(strict_vertex_direction(np_.points, i))
+            direction = primitive_vector(d)
             key = (f, str(bad))
             if key not in trop_cache:
                 trop_cache[key] = trop_hypersurface(f, bad)
@@ -225,9 +223,11 @@ def test_criterion_09_balancing(corpus_trops):
 
 
 def test_criterion_10_archimedean_point_facts(ex_line_q):
-    ok = triangle_exact_membership(ex_line_q, (0, 0)) == INSIDE
+    origin = classify_arch_point(ex_line_q, (0, 0))
+    ok = origin.verdict == MEETS and origin.certificate["kind"] == "triangle"
     w = sampled_inside(ex_line_q, (0, 0))
     ok = ok and w is not None
     ok = ok and abs(w[0] - 1) <= 1e-9 and abs(w[1] - 1) <= 1e-9
-    ok = ok and lopsided_outside(ex_line_q, (1, 1))
+    far = classify_arch_point(ex_line_q, (1, 1))
+    ok = ok and far.verdict == CERTIFIED_OUTSIDE and far.certificate["kind"] == "triangle"
     report(10, "boundary triangle at the origin, witness at (1,1), lopsided escape", ok)

@@ -13,19 +13,15 @@ from hypothesis import strategies as st
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form
 
-from amoebas import archimedean
+from amoebas import archimedean, classify
 from amoebas.archimedean import (
-    INSIDE,
-    NOT_APPLICABLE,
-    OUTSIDE,
     ArchQuery,
     evaluate_at,
-    lopsided_outside,
     sampled_inside,
     sign_exp_sum,
     triangle_applicable,
-    triangle_exact_membership,
 )
+from amoebas.classify import INSIDE, LOPSIDED, TRIANGLE
 from amoebas.errors import (
     DegenerateSlice,
     ExponentSpreadTooLarge,
@@ -41,9 +37,19 @@ from conftest import (
     rand_poly_q,
     reference_canonical_phase_tuples,
     reference_lopsided_outside,
+    reference_point_kind,
     reference_sampled_inside,
-    reference_triangle_exact_membership,
 )
+
+
+def point_kind(f, v):
+    """The kind that classify's part test reads off the dominance at a lone
+    point: TRIANGLE, LOPSIDED, INSIDE or None."""
+    return classify._Part(f, None, None).outside(v, None)
+
+
+def certified_outside(f, v):
+    return point_kind(f, v) in (TRIANGLE, LOPSIDED)
 
 
 def phase_search_inside(f, v, grid=100, band=1e-2):
@@ -261,21 +267,22 @@ class TestHugePoints:
         f = parse_poly("x1 + x2 + x3 + 1", field=FIELD_Q)
         big = Fraction(2**archimedean._MAX_PRECISION - 1, 2)
         start = time.perf_counter()
-        assert lopsided_outside(f, (big, Fraction(1, 2), -big))
+        assert point_kind(f, (big, Fraction(1, 2), -big)) == LOPSIDED
         assert sampled_inside(f, (big, Fraction(1, 2), -big), trials=1) is None
         assert time.perf_counter() - start < 5
 
 
 class TestTriangle:
     def test_boundary_inside(self, ex_line_q):
-        assert triangle_exact_membership(ex_line_q, (0, 0)) == INSIDE
+        assert point_kind(ex_line_q, (0, 0)) == INSIDE
 
     def test_outside_along_diagonal(self, ex_line_q):
-        assert triangle_exact_membership(ex_line_q, (1, 1)) == OUTSIDE
+        assert point_kind(ex_line_q, (1, 1)) == TRIANGLE
 
     def test_univariate_not_applicable(self):
         f = parse_poly("x1^2 + x1 + 1", rank=1, field=FIELD_Q)
-        assert triangle_exact_membership(f, (0,)) == NOT_APPLICABLE
+        assert not triangle_applicable(f)
+        assert point_kind(f, (0,)) is None
         # and the gate matters: the naive triangle inequality would accept a
         # whole interval while the true membership set is the single point 0
         w = sampled_inside(f, (0,))
@@ -284,7 +291,7 @@ class TestTriangle:
 
     def test_term_count_enforced(self, ex_curve_q):
         with pytest.raises(TermCountMismatch):
-            triangle_exact_membership(ex_curve_q, (0, 0))
+            triangle_applicable(ex_curve_q)
 
     def test_agrees_with_phase_search(self, rng):
         count = 0
@@ -293,7 +300,7 @@ class TestTriangle:
             if not triangle_applicable(f):
                 continue
             v = rand_point(rng, 2, num=3, den=2)
-            verdict = triangle_exact_membership(f, v)
+            verdict = point_kind(f, v)
             # skip near-boundary points so the coarse oracle is decisive
             q = ArchQuery.at(f, v)
             r = sorted(q.moduli())
@@ -316,11 +323,13 @@ class TestTriangle:
 class TestLopsided:
     def test_far_out_dominates(self):
         f = parse_poly("x1 + x2 + 1", rank=2, field=FIELD_Q)
-        assert lopsided_outside(f, (10, 10))
-        assert not lopsided_outside(f, (0, 0))
+        assert certified_outside(f, (10, 10))
+        assert not certified_outside(f, (0, 0))
+        g = parse_poly("x1 + x2 + x1*x2 + 1", rank=2, field=FIELD_Q)
+        assert point_kind(g, (-10, -10)) == LOPSIDED
 
     def test_pinching_point_not_lopsided(self, ex_curve_q):
-        assert not lopsided_outside(ex_curve_q, (0, 0))
+        assert point_kind(ex_curve_q, (0, 0)) is None
 
 
 class TestAgainstPerTermReference:
@@ -331,40 +340,35 @@ class TestAgainstPerTermReference:
     @given(polys_and_points())
     def test_lopsided_random(self, case):
         f, v = case
-        assert lopsided_outside(f, v) == reference_lopsided_outside(f, v)
+        assert certified_outside(f, v) == reference_lopsided_outside(f, v)
 
     @settings(max_examples=150)
     @given(polys_and_points(terms=3))
     def test_triangle_random(self, case):
         f, v = case
-        assert triangle_exact_membership(f, v) == reference_triangle_exact_membership(f, v)
+        assert point_kind(f, v) == reference_point_kind(f, v)
 
     @settings(max_examples=100)
     @given(st.sampled_from([0, Fraction(1, 10**40), Fraction(-1, 10**40)]).flatmap(planted_ties))
     def test_planted_ties(self, case):
         f, v = case
         want = reference_lopsided_outside(f, v)
-        assert lopsided_outside(f, v) == want
-        if f.nterms == 3:
-            verdict = triangle_exact_membership(f, v)
-            assert verdict == reference_triangle_exact_membership(f, v)
-            assert verdict in (NOT_APPLICABLE, OUTSIDE if want else INSIDE)
+        kind = point_kind(f, v)
+        assert kind == reference_point_kind(f, v)
+        assert kind in ((TRIANGLE, LOPSIDED) if want else (INSIDE, None))
 
     def test_near_tie_above_is_outside(self):
         # |a_0| exceeds the sum of the others by 10^-40: far below the first
         # enclosure's resolution, so only the exact fallback can certify it
         eps = Fraction(1, 10**40)
         f = make_laurent(2, FIELD_Q, [((0, 0), 2 + eps), ((1, 0), -1), ((0, 1), -1)])
-        assert lopsided_outside(f, (0, 0))
-        assert triangle_exact_membership(f, (0, 0)) == OUTSIDE
+        assert point_kind(f, (0, 0)) == TRIANGLE
         g = make_laurent(2, FIELD_Q, [((0, 0), 2 - eps), ((1, 0), -1), ((0, 1), -1)])
-        assert not lopsided_outside(g, (0, 0))
-        assert triangle_exact_membership(g, (0, 0)) == INSIDE
+        assert point_kind(g, (0, 0)) == INSIDE
 
     def test_exact_tie_is_inside(self):
         f = make_laurent(2, FIELD_Q, [((0, 0), 2), ((1, 0), -1), ((0, 1), -1)])
-        assert not lopsided_outside(f, (0, 0))
-        assert triangle_exact_membership(f, (0, 0)) == INSIDE
+        assert point_kind(f, (0, 0)) == INSIDE
 
 
 class TestSampledInside:
@@ -447,7 +451,7 @@ class TestSampledInside:
         for _ in range(500):
             f = rand_poly_q(rng, rank=2, terms=rng.randint(2, 4))
             v = rand_point(rng, 2, num=4, den=2)
-            if lopsided_outside(f, v):
+            if certified_outside(f, v):
                 assert sampled_inside(f, v, trials=2) is None
 
 

@@ -33,7 +33,6 @@ from amoebas.lattices import primitive_vector
 from amoebas.laurent import (
     bad_places,
     make_laurent,
-    newton_polytope,
     parse_poly,
     strict_vertex_direction,
 )
@@ -419,18 +418,17 @@ class TestHalflineSearch:
             if defined_over_k_test(f) is not None:
                 continue
             count += 1
-            candidates, _ = uniform_minimal_vertices(f)
-            assert not candidates
+            assert not uniform_minimal_vertices(f)
 
     @settings(max_examples=80)
     @given(st.one_of(small_q_polys(), small_qz_polys()))
     def test_candidates_miss_every_bad_place_by_valuations(self, f):
         # the cross-check of the candidate filter against the valuation
         # comparison on each candidate ray
-        candidates, np_ = uniform_minimal_vertices(f)
+        candidates = uniform_minimal_vertices(f)
         event(f"{len(candidates)} candidates")
-        for i in candidates:
-            direction = primitive_vector(np_.directions[i])
+        for _, d in candidates:
+            direction = primitive_vector(d)
             for p in bad_places(f):
                 assert halfline_disjoint_fast(f, p, direction) == (DISJOINT, None)
 
@@ -458,9 +456,9 @@ class TestEkl:
         # the constant's vertex cone, offered as a candidate, meets the amoeba
         # {v = 1} of x1 + 2 at p:2
         f = parse_poly("x1 + 2", field=FIELD_Q)
-        np_ = newton_polytope(f)
-        bad = [i for i in np_.vertex_indices if not any(np_.points[i])]
-        monkeypatch.setattr(classify, "uniform_minimal_vertices", lambda f: (bad, np_))
+        points = f.exponents()
+        bad = [(i, strict_vertex_direction(points, i)) for i, u in enumerate(points) if not any(u)]
+        monkeypatch.setattr(classify, "uniform_minimal_vertices", lambda f: bad)
         with pytest.raises(InternalInvariantError):
             ekl_consistency_check(f)
 
@@ -560,9 +558,9 @@ class TestTheoremReport:
         for _ in range(50):
             f = scale(rand_poly_qz_constant(rng, terms=rng.randint(2, 4)),
                       RationalFunction((1, 0)))
-            np_ = newton_polytope(f)
-            i = np_.vertex_indices[0]
-            d = primitive_vector(strict_vertex_direction(np_.points, i))
+            points = f.exponents()
+            directions = (strict_vertex_direction(points, i) for i in range(f.nterms))
+            d = primitive_vector(next(x for x in directions if x is not None))
             rep = theorem1_report(f, Halfspace(f.rank, d))
             runs += 1
             violations += rep.violation
@@ -663,7 +661,8 @@ class TestQueriesAgainstReference:
 
 class TestOneComputationPerFact:
     def test_one_vertex_lp_per_term(self, monkeypatch):
-        # the parent solved each candidate's vertex LP again: 4 + 2 calls
+        # only the terms whose valuations are minimal at p:2 get a vertex
+        # LP: the constant and x1*x2, not -2*x1 and -2*x2
         f = parse_poly("x1*x2-2*x1-2*x2+1", field=FIELD_Q)
         calls = []
         solve = laurent.strict_vertex_direction
@@ -676,7 +675,8 @@ class TestOneComputationPerFact:
         monkeypatch.setattr(classify, "strict_vertex_direction", counted, raising=False)
         rep = ekl_consistency_check(f)
         assert len(rep.rejected) == 2
-        assert len(calls) == f.nterms
+        assert sorted(calls) == sorted(r["vertex"] for r in rep.rejected)
+        assert len(calls) == 2
 
     def test_one_enclosure_per_constraint_inside_the_triangle(self, monkeypatch):
         # both constraints put (1/2, 1/2) inside the closed triangle, where
@@ -800,6 +800,18 @@ class TestRayScan:
         verdicts = list(classify.scan_arch_ray(f, (-1, -1), 2))
         assert [v.verdict for v in verdicts] == [CERTIFIED_OUTSIDE] * 2
         assert len(calls) == 2
+
+    @pytest.mark.parametrize(
+        "signs, want",
+        [((None, 1), classify.LOPSIDED), ((-1, -1, -1), classify.INSIDE), ((None, -1, -1), None)],
+    )
+    def test_kind_read_off_the_dominance_signs(self, monkeypatch, signs, want):
+        # a unimodular trinomial: an undecided sign before the dominating
+        # term leaves lopsidedness, not the triangle test; with no dominating
+        # term only decided signs put the point inside
+        f = parse_poly("x1 + x2 + 1", field=FIELD_Q)
+        monkeypatch.setattr(archimedean, "_dominance_signs", lambda q: iter(signs))
+        assert classify._Part(f, None, None).outside((0, 0), None) == want
 
     def test_tamper_non_minimal_term(self):
         f = parse_poly("x1 + x2 + 100", field=FIELD_Q)

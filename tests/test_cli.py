@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -480,6 +481,23 @@ def test_hard_semiprime_coefficient_exits_2_in_bounded_time():
     start = time.monotonic()
     done = _child("adelic", "--f", f, timeout=30)
     assert time.monotonic() - start < 5
+    assert done.returncode == 2 and done.stdout == ""
+    assert json.loads(done.stderr)["error"]["code"] == "factorization-too-large"
+
+
+# 4215 digits, under the parser's 4300-digit limit: 3 times a 13994-bit
+# cofactor with no prime factor below 10^5, which sympy's bounded rho and
+# p-1 pass took about 5 minutes to give up on
+HUGE_COEFFICIENT = 3 * (random.Random(14000).getrandbits(14000) | 1 << 13999 | 1)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["product-formula", "--a", str(HUGE_COEFFICIENT)], ["adelic", "--f", f"{HUGE_COEFFICIENT}*x1 + 1"]],
+    ids=["product-formula", "adelic"],
+)
+def test_huge_coefficient_is_refused_from_its_size(argv):
+    done = _child(*argv, timeout=10)
     assert done.returncode == 2 and done.stdout == ""
     assert json.loads(done.stderr)["error"]["code"] == "factorization-too-large"
 

@@ -8,6 +8,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -82,7 +83,7 @@ def assert_canonical(r):
     assert all(type(c) is int for c in r.num + r.den)
     assert r.den[0] > 0 and r.view()[1].leading == 1
     assert math.gcd(*r.num, *r.den) == 1
-    assert reference_poly_gcd(num, den) == Poly.const(1)
+    assert reference_poly_gcd(num, den) == Poly((1,))
 
 
 class TestPoly:
@@ -207,6 +208,27 @@ class TestFactorization:
         }
         with pytest.raises(FactorizationTooLarge):
             factor_int(90799494873517555709 * 11218320424174490777)
+
+    def test_factor_int_splits_products_of_7_digit_primes(self):
+        # sympy's bounded factorint raised ValueError on this product of
+        # twelve 7-digit primes ("... is not a prime factor of ...")
+        primes = [1006877, 1037741, 1066433, 1072763, 1083689, 1095461,
+                  1113643, 1130737, 1146533, 1204183, 1214011, 1233241]
+        assert factor_int(-math.prod(primes)) == dict.fromkeys(primes, 1)
+
+    def test_factor_int_decides_from_the_size_first(self, monkeypatch):
+        # no rho step runs on a piece past the bit bounds, and no primality
+        # test past PRIME_BITS, whatever the piece is
+        def no_call(*args, **kwargs):
+            raise AssertionError("called past the size bound")
+
+        monkeypatch.setattr(sympy, "pollard_rho", no_call)
+        p = sympy.nextprime(2**1100)
+        with pytest.raises(FactorizationTooLarge):
+            factor_int(7 * p * sympy.nextprime(p))
+        monkeypatch.setattr(sympy, "isprime", no_call)
+        with pytest.raises(FactorizationTooLarge):
+            factor_int(3 * ((1 << scalars.PRIME_BITS) + 1))
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(-10**9, 10**9).filter(bool))
