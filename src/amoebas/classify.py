@@ -34,8 +34,8 @@ from .errors import (
     MissingImagePresentation,
     MonomialInput,
 )
-from .lattices import independent_subset, in_rational_span, integer_row, primitive_vector
-from .laurent import LaurentPoly, apply_monomial_map, bad_places, strict_vertex_direction
+from .lattices import independent_subset, integer_row, mat_vec, primitive_vector
+from .laurent import LaurentPoly, bad_places, strict_vertex_direction
 from .polyhedral import (
     LPOptimal,
     LPUnbounded,
@@ -79,10 +79,11 @@ class Halfspace:
         gens = [tuple(integer_row(g)[0]) for g in self.boundary]
         if any(len(g) != self.rank for g in gens):
             raise DimensionMismatch("boundary generators must be rank-length vectors")
-        keep = independent_subset(gens)
-        gens = tuple(gens[i] for i in keep)
-        if in_rational_span(list(direction), [list(g) for g in gens]):
+        # greedy in order: the direction is kept, last, when off their span
+        *keep, last = independent_subset([*gens, direction])
+        if last != len(gens):
             raise DependentDirection("direction lies in the boundary span")
+        gens = tuple(gens[i] for i in keep)
         object.__setattr__(self, "direction", direction)
         object.__setattr__(self, "boundary", gens)
 
@@ -201,7 +202,7 @@ class _Part:
         self.triangle = poly.nterms == 3 and triangle_applicable(poly)
         self.tail = None
         if direction is not None:
-            self.pulled = direction if matrix is None else apply_monomial_map(direction, matrix)
+            self.pulled = direction if matrix is None else mat_vec(matrix, direction)
             dots = [sum(a * b for a, b in zip(u, self.pulled)) for u in poly.exponents()]
             self.minimizers = frozenset(i for i, x in enumerate(dots) if x == min(dots))
 
@@ -217,7 +218,7 @@ class _Part:
         tail."""
         if t is not None and self.tail is not None and t >= self.tail:
             return TRIANGLE if self.triangle else LOPSIDED
-        image = point if self.matrix is None else apply_monomial_map(point, self.matrix)
+        image = point if self.matrix is None else mat_vec(self.matrix, point)
         signs, k = ArchQuery.at(self.poly, image).dominance
         exact = self.triangle and None not in signs
         if k is None:
@@ -274,8 +275,6 @@ def _arch_verdicts(source, direction, points, trials):
         for point, t in points:
             yield _classify_arch_hypersurface(part, point, t, trials)
     elif isinstance(source, PrevarietySystem):
-        for c in source.constraints:
-            c.matrix(source.rank)  # checks the shapes; a None pullback stays None
         parts = [_Part(c.poly, c.pullback, direction) for c in source.constraints]
         for point, t in points:
             yield _classify_arch_system(parts, point, t)
@@ -301,6 +300,8 @@ def classify_arch_point(source, point, trials=200, rng=None):
     benchmark's query workload still passes it."""
     # Fraction(x) runs an abstract-class check even when x is a Fraction
     point = tuple(x if type(x) is Fraction else Fraction(x) for x in point)
+    if isinstance(source, (LaurentPoly, PrevarietySystem)) and len(point) != source.rank:
+        raise DimensionMismatch("point rank mismatch")
     return next(_arch_verdicts(source, None, [(point, None)], trials))
 
 
@@ -357,6 +358,14 @@ def adelic_disjoint(
     certified outside; it says nothing about the open ray between them.
     rng is accepted and ignored: the benchmark's query workload still
     passes it.
+
+    The scan reads the ray, not span(B).  For a hypersurface whose generic
+    complex misses H that loses nothing: H lies in the open normal cone of
+    one term k, so <u_j - u_k, s b + t d> > 0 for every term j != k, real s
+    and t > 0, which forces <u_j - u_k, b> = 0 for b in B.  Every complex
+    and the archimedean amoeba are then invariant under span(B), and meet H
+    exactly when they meet the ray.  A system's constraint that certifies
+    t d says nothing of the rest of t d + span(B).
     """
     checks = []
     w = halfspace_meets_complex(H, amoeba.generic)

@@ -177,7 +177,7 @@ def _adelic(ns):
 def _prevariety(ns):
     system = load_system(ns.system)
     place = place_from_str(ns.place)
-    C = prevariety(system.constraints, place, system.rank)
+    C = prevariety(system, place)
     return {"place": place_to_str(place), "complex": complex_to_json(C)}
 
 

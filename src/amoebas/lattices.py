@@ -1,5 +1,5 @@
-"""Integer linear algebra: primitive vectors, and ranks, independent
-subsets and spans by fraction-free row reduction.
+"""Integer linear algebra: primitive vectors, and ranks and independent
+subsets by fraction-free row reduction.
 
 Matrices are lists of lists of ints (rows); a rational row is scaled to
 integers by integer_row before it is reduced, so every answer is exact.
@@ -74,7 +74,3 @@ def independent_subset(rows) -> list[int]:
 def rank_of_rows(rows) -> int:
     """Rank over Q of a list of rational row vectors."""
     return len(independent_subset(rows))
-
-
-def in_rational_span(v, rows) -> bool:
-    return len(rows) not in independent_subset([*rows, v])

@@ -13,7 +13,6 @@ from fractions import Fraction
 
 from . import parsing
 from .errors import (
-    DimensionMismatch,
     EmptyPolynomial,
     InternalInvariantError,
     MonomialInput,
@@ -43,12 +42,16 @@ class LaurentPoly:
         return [e for e, _ in self.terms]
 
 
-def make_laurent(rank, field, terms) -> LaurentPoly:
-    """Canonicalize: combine like terms, drop zeros, sort by exponent."""
+def _check_rank_field(rank, field):
     if rank < 1:
         raise RankMismatch("ambient rank must be at least 1")
     if field not in (FIELD_Q, FIELD_QZ):
         raise ValueError(f"unknown field {field!r}")
+
+
+def make_laurent(rank, field, terms) -> LaurentPoly:
+    """Canonicalize: combine like terms, drop zeros, sort by exponent."""
+    _check_rank_field(rank, field)
     combined: dict = {}
     items = terms.items() if isinstance(terms, dict) else terms
     for exp, coeff in items:
@@ -71,15 +74,16 @@ def make_laurent(rank, field, terms) -> LaurentPoly:
 
 
 def parse_poly(text, rank=None, field=None) -> LaurentPoly:
-    """Parse polynomial text; rank and field are inferred when omitted."""
-    if rank is None:
-        rank = max(parsing.scan_rank(text), 1)
-    if field is None:
-        field = parsing.scan_field(text)
-    terms = parsing.parse_terms(text, rank, field)
+    """Parse polynomial text; rank and field are inferred when omitted.  The
+    parser's terms are canonical but for the zero term of a bare zero."""
+    rank, field, terms = parsing.parse_terms(text, rank, field)
     if not terms:
         raise EmptyPolynomial(f"{text!r} cancels to zero")
-    return make_laurent(rank, field, terms)
+    _check_rank_field(rank, field)
+    terms = tuple(sorted((e, c) for e, c in terms.items() if c != 0))
+    if not terms:
+        raise EmptyPolynomial("all terms cancel")
+    return LaurentPoly(rank, field, terms)
 
 
 def poly_to_json(f: LaurentPoly) -> dict:
@@ -128,10 +132,3 @@ def bad_places(f: LaurentPoly) -> frozenset:
     if not ratios:
         return frozenset()
     return support_places(ratios)
-
-
-def apply_monomial_map(point, matrix):
-    """Image of a point under an integer matrix (rows act by dot product)."""
-    if any(len(row) != len(point) for row in matrix):
-        raise DimensionMismatch("matrix/point shape mismatch")
-    return tuple(sum(a * x for a, x in zip(row, point)) for row in matrix)

@@ -13,7 +13,8 @@ Values are multivariate Laurent polynomials over the coefficient field
 divisor or base to be a single term, so '(z-1)/(z^2+1)' and 'x1^-2' work and
 '1/(x1+1)' is rejected.  The parser expands products, so '(z^2+1)*(x1+x2-5)'
 parses to the expanded polynomial, within the MAX_* limits below; past them
-it raises ExpansionTooLarge before expanding.
+it raises ExpansionTooLarge before expanding.  A text is tokenized once:
+an omitted rank and field are read off the tokens that the parser reads.
 """
 from __future__ import annotations
 
@@ -205,8 +206,8 @@ class _Terms:
 
 
 class _Parser:
-    def __init__(self, text, rank, field):
-        self.tokens = _tokenize(text)
+    def __init__(self, tokens, rank, field):
+        self.tokens = tokens
         self.pos = 0
         self.rank = rank
         self.field = field
@@ -296,36 +297,34 @@ class _Parser:
         raise PolySyntaxError(f"unexpected {kind}", pos)
 
 
-def scan_rank(text) -> int:
-    """Largest variable index appearing in the text (0 if none)."""
-    return max(
-        (value for kind, value, _ in _tokenize(text) if kind == "var"), default=0
-    )
-
-
 def scan_field(text) -> str:
-    return (
-        FIELD_QZ
-        if any(kind == "z" for kind, _, _ in _tokenize(text))
-        else FIELD_Q
-    )
+    """Q(z) when the text holds a z, else Q: in a text that parses, each z is a token."""
+    return FIELD_QZ if "z" in text else FIELD_Q
 
 
-def parse_terms(text, rank, field) -> dict:
-    """{exponent tuple: nonzero coefficient}; may be empty after cancellation."""
-    _check_rank(rank)
+def parse_terms(text, rank=None, field=None):
+    """(rank, field, {exponent tuple: coefficient}) from one token pass: an
+    omitted rank is the largest variable index (at least 1), an omitted field
+    Q(z) when z occurs.  Only a bare zero like '0' or '0^3' leaves a zero."""
+    if rank is not None:
+        _check_rank(rank)
+    tokens = _tokenize(text)
+    if rank is None:
+        rank = max([1] + [value for kind, value, _ in tokens if kind == "var"])
+    if field is None:
+        field = FIELD_QZ if any(kind == "z" for kind, _, _ in tokens) else FIELD_Q
     try:
-        terms = _Parser(text, rank, field).parse().terms
+        terms = _Parser(tokens, rank, field).parse().terms
     except RecursionError:
         raise PolySyntaxError("parentheses nested too deeply", 0) from None
     if any(abs(x).bit_length() > _MAX_COEFF_BITS for e in terms for x in e):
         raise ExpansionTooLarge(f"an exponent may exceed {MAX_COEFF_DIGITS} digits")
-    return terms
+    return rank, field, terms
 
 
 def parse_scalar(text, field):
     """A single coefficient per the scalar grammar."""
-    terms = parse_terms(text, 0, field)
+    terms = parse_terms(text, 0, field)[2]
     if not terms:
         from .errors import ZeroInput
 

@@ -15,7 +15,7 @@ the product formula an exact integer identity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .errors import FactorizationTooLarge, InvalidPlace, PlaceFieldMismatch, ZeroInput
@@ -390,6 +390,9 @@ class FinitePrime:
     p: int
 
     def __post_init__(self):
+        bits = self.p.bit_length()
+        if bits > PRIME_BITS:  # refused from its size: the cost of isprime grows with it
+            raise InvalidPlace(f"a prime place has at most {PRIME_BITS} bits, not {bits}")
         import sympy
 
         if not sympy.isprime(self.p):
@@ -412,11 +415,12 @@ class FiniteIrreducible:
             raise InvalidPlace(f"{self.q} is not irreducible over Q")
 
 
-def _factor_place(q: Poly) -> FiniteIrreducible:
-    """The place of a factor that ``irreducible_factors`` returned, which is
-    monic and irreducible already, so it is not factored again."""
-    place = object.__new__(FiniteIrreducible)
-    object.__setattr__(place, "q", q)
+def _factored(place_type, value):
+    """The place of a prime that ``factor_int`` returned, or of a factor
+    that ``irreducible_factors`` returned (monic and irreducible already),
+    built without place_type's check, which would prove it again."""
+    place = object.__new__(place_type)
+    object.__setattr__(place, fields(place_type)[0].name, value)
     return place
 
 
@@ -531,10 +535,11 @@ def _support(a):
     place repeats."""
     if isinstance(a, Fraction):
         for n in (a.numerator, a.denominator):
-            yield from map(FinitePrime, factor_int(n))
+            yield from (_factored(FinitePrime, p) for p in factor_int(n))
         return
     for poly in (a.num, a.den):
-        yield from map(_factor_place, irreducible_factors(Poly(reversed(poly))))
+        factors = irreducible_factors(Poly(reversed(poly)))
+        yield from (_factored(FiniteIrreducible, q) for q in factors)
     if len(a.num) != len(a.den):
         yield FF_INFINITY
 

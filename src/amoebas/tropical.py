@@ -11,7 +11,8 @@ bounded (MAX_CORNER_OPS per locus, MAX_AMOEBA_OPS over the loci of one
 adelic amoeba).  The loci of one polynomial at all its places are
 subdivisions of the same exponents, so what the lifts do not change is
 found once per support (_support) and shared.  Everything downstream
-(pullback, prevariety intersection) is exact polyhedral computation.
+(pullback, prevariety intersection) is exact polyhedral computation, on a
+PrevarietySystem whose shapes and term counts were checked when built.
 One adelic_amoeba assembles a hypersurface and a prevariety system alike:
 the complex at each bad place of its polynomials, then at GENERIC.
 """
@@ -33,7 +34,6 @@ from .errors import (
 )
 from .lattices import (
     _eliminate,
-    identity,
     integer_row,
     mat_vec,
     primitive_vector,
@@ -400,7 +400,7 @@ def adelic_amoeba(source) -> AdelicAmoeba:
     first, and the generic complex is built last."""
     if isinstance(source, PrevarietySystem):
         polys = [con.poly for con in source.constraints]
-        build = lambda place: prevariety(source.constraints, place, source.rank)
+        build = lambda place: prevariety(source, place)
     elif isinstance(source, LaurentPoly):
         if source.nterms < 2:
             raise MonomialInput("a monomial cuts out the empty set in the torus")
@@ -423,18 +423,6 @@ class Constraint:
     poly: LaurentPoly
     pullback: tuple | None = None
 
-    def matrix(self, rank):
-        if self.pullback is None:
-            if self.poly.rank != rank:
-                raise DimensionMismatch(
-                    f"identity pullback needs rank {rank}, got {self.poly.rank}"
-                )
-            return identity(rank)
-        mat = [list(row) for row in self.pullback]
-        if len(mat) != self.poly.rank or any(len(r) != rank for r in mat):
-            raise DimensionMismatch("pullback matrix shape mismatch")
-        return mat
-
 
 def _argmin_mask(tropdata, ints, den):
     """The argmin sets of all constraints at v = ints / den as one int: term
@@ -456,7 +444,7 @@ def _below(S, T):
     return S != T and S | T == T
 
 
-def prevariety(constraints, place, rank) -> PolyhedralComplex:
+def prevariety(system, place) -> PolyhedralComplex:
     """Intersection of the pulled-back hypersurface tropicalizations.
 
     Distributes intersection over tuples of cells.  A corner-locus cell is
@@ -475,20 +463,16 @@ def prevariety(constraints, place, rank) -> PolyhedralComplex:
     approximation of the tropicalization of the common zero set.
     """
     pulled, tropdata = [], []
-    for con in constraints:
-        mat = con.matrix(rank)
-        if con.poly.nterms < 2:
-            raise MonomialInput("a monomial cuts out the empty set in the torus")
+    for con in system.constraints:
         data = tropical_data(con.poly, place)
-        trop = corner_locus(data, con.poly.rank)
-        if con.pullback is None:  # the cells are canonical already
-            pulled.append([cell.polyhedron for cell in trop.cells])
-            tropdata.append(data)
-            continue
-        pulled.append([preimage(cell.polyhedron, mat) for cell in trop.cells])
-        # <u, M x> = <M^T u, x>: the terms pulled back to the ambient torus
-        transpose = list(zip(*mat))
-        tropdata.append(TropicalData(tuple(mat_vec(transpose, u) for u in data.exponents), data.shifts))
+        cells = [cell.polyhedron for cell in corner_locus(data, con.poly.rank).cells]
+        if con.pullback is not None:
+            cells = [preimage(P, con.pullback) for P in cells]
+            # <u, M x> = <M^T u, x>: the terms pulled back to the ambient torus
+            transpose = list(zip(*con.pullback))
+            data = TropicalData(tuple(mat_vec(transpose, u) for u in data.exponents), data.shifts)
+        pulled.append(cells)
+        tropdata.append(data)
     pieces = {}
     for combo in itertools.product(*pulled):
         P = intersect(*combo)
@@ -497,15 +481,26 @@ def prevariety(constraints, place, rank) -> PolyhedralComplex:
         ints, den = integer_row(relative_interior_point(P))
         pieces.setdefault(_argmin_mask(tropdata, ints, den), P)
     keep = [P for T, P in pieces.items() if not any(_below(S, T) for S in pieces)]
-    return make_complex(rank, [Cell(remove_redundancy(P)) for P in keep])
+    return make_complex(system.rank, [Cell(remove_redundancy(P)) for P in keep])
 
 
 @dataclass(frozen=True)
 class PrevarietySystem:
-    """A parametrized subvariety presented by constraints in an ambient torus."""
+    """A parametrized subvariety presented by constraints in an ambient torus,
+    whose pullback shapes and term counts are checked when it is built."""
 
     rank: int
     constraints: tuple
+
+    def __post_init__(self):
+        for con in self.constraints:
+            mat, rank = con.pullback, con.poly.rank
+            if mat is None and rank != self.rank:
+                raise DimensionMismatch(f"identity pullback needs rank {self.rank}, got {rank}")
+            if mat is not None and (len(mat) != rank or any(len(r) != self.rank for r in mat)):
+                raise DimensionMismatch("pullback matrix shape mismatch")
+            if con.poly.nterms < 2:
+                raise MonomialInput("a monomial cuts out the empty set in the torus")
 
     @property
     def field(self):

@@ -57,7 +57,6 @@ from amoebas.errors import (
 )
 from amoebas.laurent import (
     LaurentPoly,
-    apply_monomial_map,
     bad_places,
     make_laurent,
     parse_poly,
@@ -93,10 +92,11 @@ from amoebas.scalars import (
     FIELD_Q,
     FIELD_QZ,
     GENERIC,
+    FiniteIrreducible,
     FinitePrime,
     Poly,
     RationalFunction,
-    _factor_place,
+    _factored,
     factor_int,
     field_of,
     irreducible_factors,
@@ -781,12 +781,17 @@ def reference_rank_of_rows(rows):
     return rank
 
 
+def pullback_matrix(con, rank):
+    """A constraint's pullback as integer rows; the identity for None."""
+    return identity(rank) if con.pullback is None else [list(row) for row in con.pullback]
+
+
 def reference_prevariety(constraints, place, rank):
     """Prevariety with every product piece, polyhedron() of all its rows,
     tested for emptiness and reduced before pruning."""
     pulled = []
     for con in constraints:
-        mat = con.matrix(rank)
+        mat = pullback_matrix(con, rank)
         trop = trop_hypersurface(con.poly, place)
         pulled.append([preimage(cell.polyhedron, mat) for cell in trop.cells])
     pieces = []
@@ -1270,7 +1275,8 @@ def reference_classify_arch_hypersurface(f, point, trials):
 
 def reference_classify_arch_system(system, point):
     for idx, con in enumerate(system.constraints):
-        image = apply_monomial_map(point, con.matrix(system.rank))
+        mat = pullback_matrix(con, system.rank)
+        image = tuple(sum(a * x for a, x in zip(row, point)) for row in mat)
         g = con.poly
         if g.nterms == 3 and reference_triangle_exact_membership(g, image) == TRIANGLE:
             return ArchPointVerdict(
@@ -1392,7 +1398,7 @@ def reference_support_places(values):
                 raise ZeroInput("support of zero is undefined")
             for poly in (a.num, a.den):
                 for q in irreducible_factors(Poly(reversed(poly))):
-                    out.add(_factor_place(q))
+                    out.add(_factored(FiniteIrreducible, q))
             if valuation(a, FF_INFINITY) != 0:
                 out.add(FF_INFINITY)
     return frozenset(out)
@@ -1416,6 +1422,6 @@ def reference_product_formula_residual(a):
             for q in irreducible_factors(Poly(reversed(poly))):
                 if q not in seen:
                     seen.add(q)
-                    total += q.degree * valuation(a, _factor_place(q))
+                    total += q.degree * valuation(a, _factored(FiniteIrreducible, q))
         return total
     raise TypeError(f"not a scalar: {a!r}")

@@ -91,7 +91,7 @@ def test_criterion_02_four_term_curve_over_q(
 
 def test_criterion_03_curve_system_in_rank_three():
     system = pair_system_qz()
-    C = prevariety(system.constraints, GENERIC, 3)
+    C = prevariety(system, GENERIC)
     expected = cells_of(
         3,
         [

@@ -1,7 +1,10 @@
 import cmath
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -13,6 +16,7 @@ from hypothesis import strategies as st
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form
 
+import amoebas
 from amoebas import archimedean, classify
 from amoebas.archimedean import (
     ArchQuery,
@@ -250,6 +254,40 @@ class TestEnclosure:
                 x *= mpmath.exp(mpmath.mpf(t.numerator) / t.denominator)
                 assert lo <= mpmath.ldexp(x, -e) <= hi
         assert bounds[0][1] - bounds[0][0] <= 64
+
+    @pytest.mark.parametrize("prec", [1024, 4096])
+    def test_integer_exponents_past_600_bits(self, prec):
+        # a nonzero integer t is enclosed as exp(t - 1/2) exp(1/2) there
+        terms = [(Fraction(1), Fraction(2**1000 + 1)), (Fraction(-3, 7), Fraction(-5)), (Fraction(2), Fraction(0))]
+        e, bounds = archimedean._enclose(terms, prec)
+        with mpmath.workprec(prec + 1200):
+            for (q, t), (lo, hi) in zip(terms, bounds):
+                x = mpmath.mpf(q.numerator) / q.denominator * mpmath.exp(int(t))
+                assert lo <= mpmath.ldexp(x, -e) <= hi
+        assert bounds[0][1] - bounds[0][0] <= 64
+
+    def test_integer_exponents_of_4095_bits_in_bounded_time(self):
+        # in a child process, so that mpmath's integer power path, which
+        # raises e to 2**4095 - 1 by repeated squaring, fails by timeout:
+        # the two terms differ by a relative 2**-4000, past 600 bits
+        code = (
+            "from fractions import Fraction\n"
+            "import mpmath\n"
+            "from amoebas.classify import classify_arch_point\n"
+            "from amoebas.laurent import make_laurent\n"
+            "with mpmath.workprec(4200):\n"
+            "    q = Fraction(int(mpmath.floor(mpmath.ldexp(mpmath.exp(-1), 4000))), 2**4000)\n"
+            "f = make_laurent(2, 'Q', [((1, 0), 1), ((0, 1), -q)])\n"
+            "v = classify_arch_point(f, (2 - 2**4095, 1 - 2**4095))\n"
+            "print(v.verdict, v.certificate['kind'])\n"
+        )
+        src = os.path.dirname(os.path.dirname(amoebas.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, timeout=10, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["certified-outside", "lopsided"]
 
 
 class TestHugePoints:

@@ -29,7 +29,7 @@ from amoebas.errors import (
     InternalInvariantError,
     MissingImagePresentation,
 )
-from amoebas.lattices import primitive_vector
+from amoebas.lattices import primitive_vector, rank_of_rows
 from amoebas.laurent import (
     bad_places,
     make_laurent,
@@ -182,7 +182,7 @@ class TestHalfspaceMeetsComplex:
         system = pair_system_qz()
         from amoebas.tropical import prevariety
 
-        C = prevariety(system.constraints, GENERIC, 3)
+        C = prevariety(system, GENERIC)
         H = Halfspace(3, (1, 1, 0), ((0, 0, 1),))
         assert halfspace_meets_complex(H, C) is None
 
@@ -354,6 +354,73 @@ class TestAdelicDisjoint:
         am = adelic_amoeba(ex_curve_qz)
         rep = adelic_disjoint(am, Halfspace(2, (-1, -1)), grid=0)
         assert rep.archimedean is None and rep.overall == MEETS
+
+
+@st.composite
+def boundary_orthogonal_cases(draw):
+    """A polynomial whose exponent differences are orthogonal to every
+    boundary generator of a halfspace: rank 2-3, one to rank - 1 generators
+    in [-2, 2], and 2-4 terms u_0 + sum w_j c_j with w_j in [-1, 1] over an
+    integer basis c of the generators' orthogonal complement, over Q (its
+    coefficients of 2- and 3-adic valuation -2 to 3) or Q(z)."""
+    rank = draw(st.integers(2, 3))
+    vec = st.tuples(*[st.integers(-2, 2)] * rank)
+    boundary = draw(st.lists(vec, min_size=1, max_size=rank - 1))
+    assume(rank_of_rows(boundary) == len(boundary))
+    basis = [
+        primitive_vector([Fraction(int(x.p), int(x.q)) for x in c])
+        for c in sympy.Matrix(boundary).nullspace()
+    ]
+    u0 = draw(st.tuples(*[st.integers(-1, 1)] * rank))
+    weights = draw(
+        st.lists(st.tuples(*[st.integers(-1, 1)] * len(basis)), min_size=2, max_size=4, unique=True)
+    )
+    exps = [tuple(a + sum(w * c[i] for w, c in zip(ws, basis)) for i, a in enumerate(u0)) for ws in weights]
+    field = draw(st.sampled_from([FIELD_Q, FIELD_QZ]))
+    coeff = st.sampled_from(_COEFFS[field])
+    mono = lambda e: "*".join(f"x{i + 1}^{a}" for i, a in enumerate(e) if a) or "1"
+    f = parse_poly(" + ".join(f"({draw(coeff)})*{mono(e)}" for e in exps), rank=rank, field=field)
+    try:
+        H = Halfspace(rank, draw(vec.filter(any)), tuple(boundary))
+    except DependentDirection:
+        assume(False)
+    return f, H
+
+
+def _same_verdicts(f, H):
+    """adelic_disjoint of f gives H and its ray alone the same per-place
+    verdicts, archimedean scan and overall verdict."""
+    am = adelic_amoeba(f)
+    with_boundary = adelic_disjoint(am, H, grid=4, trials=4)
+    ray_only = adelic_disjoint(am, Halfspace(H.rank, H.direction), grid=4, trials=4)
+    verdicts = lambda rep: [(c.place, c.disjoint) for c in rep.nonarchimedean]
+    assert verdicts(with_boundary) == verdicts(ray_only)
+    assert with_boundary.archimedean == ray_only.archimedean
+    assert with_boundary.overall == ray_only.overall
+
+
+class TestBoundaryOrthogonalHypersurface:
+    """A hypersurface whose generic complex misses H = span(B) + R>0 d has
+    exponent differences orthogonal to B, and then every complex and the
+    archimedean amoeba are invariant under span(B): the verdicts of H and
+    of its ray t d agree (adelic_disjoint scans only the ray)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(boundary_orthogonal_cases())
+    def test_verdicts_do_not_depend_on_the_boundary(self, case):
+        _same_verdicts(*case)
+
+    @settings(max_examples=60, deadline=None)
+    @given(hypersurface_halfspaces())
+    def test_a_generic_complex_missing_h_is_orthogonal_to_the_boundary(self, case):
+        f, H = case
+        if halfspace_meets_complex(H, trop_hypersurface(f, GENERIC)) is not None:
+            return
+        event("the generic complex misses H")
+        u0, *rest = f.exponents()
+        for u, b in itertools.product(rest, H.boundary):
+            assert sum((x - y) * g for x, y, g in zip(u, u0, b)) == 0
+        _same_verdicts(f, H)
 
 
 class TestStructuralTests:

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import amoebas
-from amoebas import archimedean, cli, plot, tropical
+from amoebas import archimedean, cli, laurent, parsing, plot, tropical
 from amoebas.cli import main, parse_halfspace
 from amoebas.classify import Halfspace
 from amoebas.errors import InternalInvariantError
@@ -500,6 +500,33 @@ def test_huge_coefficient_is_refused_from_its_size(argv):
     done = _child(*argv, timeout=10)
     assert done.returncode == 2 and done.stdout == ""
     assert json.loads(done.stderr)["error"]["code"] == "factorization-too-large"
+
+
+def test_huge_place_is_refused_from_its_size():
+    # the 13994-bit cofactor above as a place: a primality test on it took
+    # 6.9 s before the bound
+    done = _child("trop", "--f", "x1 + 1", "--place", f"p:{HUGE_COEFFICIENT // 3}", timeout=10)
+    assert done.returncode == 2 and done.stdout == ""
+    error = json.loads(done.stderr)["error"]
+    assert error["code"] == "invalid-place" and "at most 4096 bits" in error["message"]
+
+
+def test_each_text_is_tokenized_once(capsys, tmp_path, monkeypatch):
+    # an omitted rank and field are read off the parser's own tokens, and a
+    # system's shared field off its texts' characters
+    passes = []
+    tokenize = parsing._tokenize
+    monkeypatch.setattr(parsing, "_tokenize", lambda text: passes.append(text) or tokenize(text))
+    laurent.parse_poly("z*x1 + x2^2 - 3")
+    assert len(passes) == 1
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({"rank": 3, "constraints": SYSTEM_QZ["constraints"]}))
+    passes.clear()
+    assert cli.load_system(str(path)).field == "Q(z)"
+    assert len(passes) == 3
+    passes.clear()
+    assert run_cli(capsys, "product-formula", "--a", "(z^2-1)/z")[0] == 0
+    assert len(passes) == 1
 
 
 @pytest.mark.parametrize("f", ["0^99+x1+1", "(x1-x1)^99+x1+1"])

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -59,6 +60,11 @@ class TestParse:
     def test_cancellation_rejected(self):
         with pytest.raises(EmptyPolynomial):
             parse_poly("x1 - x1", rank=1, field=FIELD_Q)
+
+    @pytest.mark.parametrize("text", ["0", "(0)", "0^3", "-0", "0*x1"])
+    def test_zero_rejected(self, text):
+        with pytest.raises(EmptyPolynomial):
+            parse_poly(text)
 
     def test_rank_mismatch_reported(self):
         with pytest.raises(RankMismatch):
@@ -172,6 +178,40 @@ class TestParse:
             )
         f = make_laurent(rank, field, [(e, data.draw(coeffs)) for e in exps])
         assert parse_poly(poly_to_str(f), rank, field) == f
+
+
+def _poly_texts(atoms):
+    """Texts of sums, differences, products, small powers and negations of
+    the atoms, with zeros among them, so that terms merge and cancel."""
+    return st.recursive(
+        st.sampled_from(atoms),
+        lambda inner: st.one_of(
+            st.tuples(inner, st.sampled_from("+-*"), inner).map(lambda t: f"({t[0]}){t[1]}({t[2]})"),
+            st.tuples(inner, st.integers(0, 3)).map(lambda t: f"({t[0]})^{t[1]}"),
+            inner.map(lambda t: f"-({t})"),
+        ),
+        max_leaves=8,
+    )
+
+
+Q_ATOMS = ["0", "1", "2", "3/4", "x1", "x2", "x3", "x1^-1"]
+
+
+class TestParsedTermsAreCanonical:
+    """parse_poly builds the polynomial from the parser's terms directly:
+    they are the terms make_laurent would make of them, and the rank and
+    field are read off the text."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(_poly_texts(Q_ATOMS), _poly_texts(Q_ATOMS + ["z", "1/z", "(z-1)"])))
+    def test_random_texts(self, text):
+        try:
+            f = parse_poly(text)
+        except EmptyPolynomial:
+            return
+        assert make_laurent(f.rank, f.field, f.terms) == f
+        assert f.field == (FIELD_QZ if "z" in text else FIELD_Q)
+        assert f.rank == max(int(c) for c in "1" + "".join(re.findall(r"x(\d)", text)))
 
 
 class TestScale:

@@ -448,7 +448,7 @@ class TestLineLPCounts:
         # its pieces leave at most one free direction: the LP-based hull
         # and redundancy removal took 86 LPs here
         calls = count_lp_calls(monkeypatch)
-        C = prevariety(pair_system_qz().constraints, GENERIC, 3)
+        C = prevariety(pair_system_qz(), GENERIC)
         assert len(C.cells) == 4 and len(calls) <= 10
 
     def test_halfspace_without_boundary_on_a_disjoint_complex(self, monkeypatch, fresh_caches):

@@ -411,6 +411,28 @@ class TestPlaces:
         with pytest.raises(InvalidPlace):
             FinitePrime(6)
 
+    def test_prime_bound_comes_first(self, monkeypatch):
+        # no primality test past PRIME_BITS, whatever the number is
+        def no_call(*args, **kwargs):
+            raise AssertionError("called past the size bound")
+
+        monkeypatch.setattr(sympy, "isprime", no_call)
+        for p in ((1 << scalars.PRIME_BITS) + 1, -(1 << scalars.PRIME_BITS) - 1):
+            with pytest.raises(InvalidPlace, match="at most 4096 bits"):
+                FinitePrime(p)
+
+    def test_support_proves_each_prime_once(self, monkeypatch):
+        # the primes factor_int returns are not tested again
+        calls = []
+        isprime = sympy.isprime
+        monkeypatch.setattr(sympy, "isprime", lambda n: calls.append(n) or isprime(n))
+        p = 2**127 - 1  # a prime past the 30 digits that factorint takes whole
+        factor_int(p)
+        alone, calls[:] = len(calls), []
+        places = support_places([Fraction(p)])
+        assert 0 < len(calls) <= alone
+        assert places == {FinitePrime(p)}
+
     def test_irreducible_validation(self):
         with pytest.raises(InvalidPlace):
             FiniteIrreducible(Poly((-1, 0, 1)))  # z^2 - 1 splits

@@ -8,7 +8,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from amoebas import polyhedral, tropical
-from amoebas.errors import ArchimedeanNotSupported, CornerLocusTooLarge, MonomialInput
+from amoebas.errors import (
+    ArchimedeanNotSupported,
+    CornerLocusTooLarge,
+    DimensionMismatch,
+    MonomialInput,
+)
 from amoebas.laurent import bad_places, make_laurent, parse_poly
 from amoebas.polyhedral import (
     complex_to_json,
@@ -53,6 +58,7 @@ from conftest import (
     is_balanced,
     min_value_and_argmin,
     no_fraction_hash,
+    pullback_matrix,
     rand_point,
     rand_poly_q,
     rand_poly_qz,
@@ -298,7 +304,7 @@ def surface_system_q():
 
 class TestPrevariety:
     def test_four_rays(self, curve_system_qz):
-        C = prevariety(curve_system_qz.constraints, GENERIC, 3)
+        C = prevariety(curve_system_qz, GENERIC)
         expected = cells_of(
             3,
             [
@@ -311,13 +317,13 @@ class TestPrevariety:
         assert complexes_equal(C, expected)
 
     def test_single_constraint_is_trop(self, ex_curve_qz):
-        C = prevariety([Constraint(ex_curve_qz)], GENERIC, 2)
+        C = prevariety(PrevarietySystem(2, (Constraint(ex_curve_qz),)), GENERIC)
         assert complexes_equal(C, trop_hypersurface(ex_curve_qz, GENERIC))
 
     def test_pullback_map(self, ex_line_q):
         # pull x1 + x2 - 2 back along (v1, v2, v3) -> (v1, v3)
         con = Constraint(ex_line_q, ((1, 0, 0), (0, 0, 1)))
-        C = prevariety([con], GENERIC, 3)
+        C = prevariety(PrevarietySystem(3, (con,)), GENERIC)
         for cell in C.cells:
             assert cell.polyhedron.rank == 3
 
@@ -333,9 +339,9 @@ class TestPrevariety:
         for system in (curve_system_qz, surface_system_q):
             am = adelic_amoeba(system)
             assert am.source is system
-            assert am.generic == prevariety(system.constraints, GENERIC, system.rank)
+            assert am.generic == prevariety(system, GENERIC)
             assert am.special and all(
-                C == prevariety(system.constraints, p, system.rank) for p, C in am.special
+                C == prevariety(system, p) for p, C in am.special
             )
         with pytest.raises(TypeError):
             adelic_amoeba(curve_system_qz.constraints)
@@ -343,7 +349,7 @@ class TestPrevariety:
     def test_rank4_rays_away_from_the_bad_prime(self, surface_system_q):
         # all four coordinate rays appear at the cofinitely many good places
         for p in (GENERIC, FinitePrime(5)):
-            C = prevariety(surface_system_q.constraints, p, 4)
+            C = prevariety(surface_system_q, p)
             for e in [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]:
                 R = ray(4, (0, 0, 0, 0), e)
                 assert covered_by(R, [c.polyhedron for c in C.cells])
@@ -351,21 +357,37 @@ class TestPrevariety:
     def test_rank4_rays_at_the_bad_prime(self, surface_system_q):
         # at 2 the first and third rays drop out: a coordinate and its
         # shift by two cannot both have positive valuation there
-        C = prevariety(surface_system_q.constraints, FinitePrime(2), 4)
+        C = prevariety(surface_system_q, FinitePrime(2))
         polys = [c.polyhedron for c in C.cells]
         assert covered_by(ray(4, (0, 0, 0, 0), (0, 1, 0, 0)), polys)
         assert covered_by(ray(4, (0, 0, 0, 0), (0, 0, 0, 1)), polys)
         assert not covered_by(ray(4, (0, 0, 0, 0), (1, 0, 0, 0)), polys)
         assert not covered_by(ray(4, (0, 0, 0, 0), (0, 0, 1, 0)), polys)
 
+    @pytest.mark.parametrize(
+        "text, rank, pullback, error",
+        [
+            ("x1 + x2 + 1", 2, None, DimensionMismatch),  # no map needs the ambient rank
+            ("x1 + x2 + 1", 2, ((1, 0, 0),), DimensionMismatch),  # one row per variable
+            ("x1 + x2 + 1", 2, ((1, 0), (0, 1)), DimensionMismatch),  # rows of ambient length
+            ("7*x1", 3, None, MonomialInput),
+            ("7*x1", 1, ((1, 0, 0),), MonomialInput),
+        ],
+        ids=["identity-rank", "map-rows", "map-columns", "monomial", "mapped-monomial"],
+    )
+    def test_system_checked_when_built(self, text, rank, pullback, error):
+        good = Constraint(parse_poly("x1 - x3 - 1", rank=3, field=FIELD_Q))
+        bad = Constraint(parse_poly(text, rank=rank, field=FIELD_Q), pullback)
+        with pytest.raises(error):
+            PrevarietySystem(3, (good, bad))
+
     def test_functoriality_containment(self, curve_system_qz):
-        C = prevariety(curve_system_qz.constraints, GENERIC, 3)
+        C = prevariety(curve_system_qz, GENERIC)
         phi = [[1, 0, 0], [0, 1, 0]]
         image = reference_project_complex(C, phi)
         sub = prevariety(
-            [Constraint(parse_poly("x1 - x2 - 1", rank=2, field=FIELD_QZ))],
+            PrevarietySystem(2, (Constraint(parse_poly("x1 - x2 - 1", rank=2, field=FIELD_QZ)),)),
             GENERIC,
-            2,
         )
         assert all(
             covered_by(cell.polyhedron, [c.polyhedron for c in sub.cells])
@@ -721,7 +743,7 @@ class TestArgminMask:
     @staticmethod
     def check(constraints, place, rank):
         datas = [tropical_data(con.poly, place) for con in constraints]
-        mats = [con.matrix(rank) for con in constraints]
+        mats = [pullback_matrix(con, rank) for con in constraints]
         # the terms pulled back to the ambient torus: <u, M x> = <M^T u, x>
         pull = lambda u, M: tuple(sum(a * row[c] for a, row in zip(u, M)) for c in range(rank))
         terms = [
@@ -779,14 +801,14 @@ class TestPrevarietyAgainstReference:
     def test_random_systems(self, system):
         constraints, place, rank = system
         dump = lambda C: json.dumps(complex_to_json(C), sort_keys=True)
-        assert dump(prevariety(constraints, place, rank)) == dump(
+        assert dump(prevariety(PrevarietySystem(rank, tuple(constraints)), place)) == dump(
             reference_prevariety(constraints, place, rank)
         )
 
     def test_acceptance_systems(self, curve_system_qz, surface_system_q):
         for system in (curve_system_qz, surface_system_q):
             for place in [GENERIC, *system_places(system)]:
-                C = prevariety(system.constraints, place, system.rank)
+                C = prevariety(system, place)
                 assert C == reference_prevariety(system.constraints, place, system.rank)
 
     @pytest.mark.parametrize(
@@ -797,6 +819,7 @@ class TestPrevarietyAgainstReference:
     def test_rank_4_system(self, place, dims):
         # test_cli pins the bytes; here no kept cell may lie in another
         constraints = [Constraint(parse_poly(c["f"], 4)) for c in RANK_4_SYSTEM["constraints"]]
-        polys = [c.polyhedron for c in prevariety(constraints, place, 4).cells]
+        system = PrevarietySystem(4, tuple(constraints))
+        polys = [c.polyhedron for c in prevariety(system, place).cells]
         assert sorted(map(dimension, polys)) == dims
         assert not any(reference_poly_contains(P, Q) for P, Q in itertools.permutations(polys, 2))
