@@ -120,9 +120,10 @@ def _enclose(terms, prec=_FIRST_PRECISION):
     type), and its endpoints are rounded outward to integers at the scale
     prec bits below the largest endpoint.  t is enclosed at prec bits past
     its integer bits: exp turns the absolute error of t into its own
-    relative error.  Past 600 bits mpmath raises e to an integer t by
-    repeated squaring, whose cost grows with t, so there a nonzero integer
-    t is enclosed as exp(t - 1/2) exp(1/2).
+    relative error.  Past 600 bits mpmath raises e to an endpoint that is
+    an integer by repeated squaring, whose cost grows with the endpoint, so
+    there a t with a nonzero integer endpoint (an integer t, or one within
+    an ulp of it) is enclosed as exp(t - 1/2) exp(1/2).
     """
     from mpmath.libmp import from_rational, mpf_neg, round_ceiling, round_floor
     from mpmath.libmp.libmpi import mpi_exp, mpi_mul
@@ -132,11 +133,12 @@ def _enclose(terms, prec=_FIRST_PRECISION):
         return from_rational(n, d, bits, round_floor), from_rational(n, d, bits, round_ceiling)
 
     def exp_interval(t):
-        if prec > 600 and t and t.denominator == 1:
+        whole = abs(t.numerator).bit_length() - t.denominator.bit_length() + 1
+        ends = interval(t, prec + max(0, whole))
+        if prec > 600 and any(man and exp >= 0 for _, man, exp, _ in ends):
             half = Fraction(1, 2)
             return mpi_mul(exp_interval(t - half), exp_interval(half), prec)
-        whole = abs(t.numerator).bit_length() - t.denominator.bit_length() + 1
-        return mpi_exp(interval(t, prec + max(0, whole)), prec)
+        return mpi_exp(ends, prec)
 
     ends = [mpi_mul(interval(q), exp_interval(t), prec) for q, t in terms]
     top = max((x[2] + x[3] for pair in ends for x in pair if x[1]), default=0)

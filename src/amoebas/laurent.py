@@ -42,16 +42,12 @@ class LaurentPoly:
         return [e for e, _ in self.terms]
 
 
-def _check_rank_field(rank, field):
+def make_laurent(rank, field, terms) -> LaurentPoly:
+    """Canonicalize: combine like terms, drop zeros, sort by exponent."""
     if rank < 1:
         raise RankMismatch("ambient rank must be at least 1")
     if field not in (FIELD_Q, FIELD_QZ):
         raise ValueError(f"unknown field {field!r}")
-
-
-def make_laurent(rank, field, terms) -> LaurentPoly:
-    """Canonicalize: combine like terms, drop zeros, sort by exponent."""
-    _check_rank_field(rank, field)
     combined: dict = {}
     items = terms.items() if isinstance(terms, dict) else terms
     for exp, coeff in items:
@@ -74,16 +70,11 @@ def make_laurent(rank, field, terms) -> LaurentPoly:
 
 
 def parse_poly(text, rank=None, field=None) -> LaurentPoly:
-    """Parse polynomial text; rank and field are inferred when omitted.  The
-    parser's terms are canonical but for the zero term of a bare zero."""
+    """Parse polynomial text; rank and field are inferred when omitted."""
     rank, field, terms = parsing.parse_terms(text, rank, field)
     if not terms:
         raise EmptyPolynomial(f"{text!r} cancels to zero")
-    _check_rank_field(rank, field)
-    terms = tuple(sorted((e, c) for e, c in terms.items() if c != 0))
-    if not terms:
-        raise EmptyPolynomial("all terms cancel")
-    return LaurentPoly(rank, field, terms)
+    return make_laurent(rank, field, terms)
 
 
 def poly_to_json(f: LaurentPoly) -> dict:

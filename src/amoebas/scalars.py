@@ -15,7 +15,7 @@ the product formula an exact integer identity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import FactorizationTooLarge, InvalidPlace, PlaceFieldMismatch, ZeroInput
@@ -415,12 +415,12 @@ class FiniteIrreducible:
             raise InvalidPlace(f"{self.q} is not irreducible over Q")
 
 
-def _factored(place_type, value):
+def _factored(place_type, attribute, value):
     """The place of a prime that ``factor_int`` returned, or of a factor
     that ``irreducible_factors`` returned (monic and irreducible already),
     built without place_type's check, which would prove it again."""
     place = object.__new__(place_type)
-    object.__setattr__(place, fields(place_type)[0].name, value)
+    object.__setattr__(place, attribute, value)
     return place
 
 
@@ -535,11 +535,11 @@ def _support(a):
     place repeats."""
     if isinstance(a, Fraction):
         for n in (a.numerator, a.denominator):
-            yield from (_factored(FinitePrime, p) for p in factor_int(n))
+            yield from (_factored(FinitePrime, "p", p) for p in factor_int(n))
         return
     for poly in (a.num, a.den):
         factors = irreducible_factors(Poly(reversed(poly)))
-        yield from (_factored(FiniteIrreducible, q) for q in factors)
+        yield from (_factored(FiniteIrreducible, "q", q) for q in factors)
     if len(a.num) != len(a.den):
         yield FF_INFINITY
 

@@ -1398,7 +1398,7 @@ def reference_support_places(values):
                 raise ZeroInput("support of zero is undefined")
             for poly in (a.num, a.den):
                 for q in irreducible_factors(Poly(reversed(poly))):
-                    out.add(_factored(FiniteIrreducible, q))
+                    out.add(_factored(FiniteIrreducible, "q", q))
             if valuation(a, FF_INFINITY) != 0:
                 out.add(FF_INFINITY)
     return frozenset(out)
@@ -1422,6 +1422,6 @@ def reference_product_formula_residual(a):
             for q in irreducible_factors(Poly(reversed(poly))):
                 if q not in seen:
                     seen.add(q)
-                    total += q.degree * valuation(a, _factored(FiniteIrreducible, q))
+                    total += q.degree * valuation(a, _factored(FiniteIrreducible, "q", q))
         return total
     raise TypeError(f"not a scalar: {a!r}")

@@ -266,10 +266,13 @@ class TestEnclosure:
                 assert lo <= mpmath.ldexp(x, -e) <= hi
         assert bounds[0][1] - bounds[0][0] <= 64
 
-    def test_integer_exponents_of_4095_bits_in_bounded_time(self):
+    @pytest.mark.parametrize("shift", ["0", "Fraction(1, 2**3000)"])
+    def test_integer_exponents_of_4095_bits_in_bounded_time(self, shift):
         # in a child process, so that mpmath's integer power path, which
         # raises e to 2**4095 - 1 by repeated squaring, fails by timeout:
-        # the two terms differ by a relative 2**-4000, past 600 bits
+        # the two terms differ by a relative 2**-4000, past 600 bits.  A
+        # shift of 2**-3000 is below the ulp at 1024 and 2048 bits, where
+        # the enclosure of a non-integer t still has integer endpoints
         code = (
             "from fractions import Fraction\n"
             "import mpmath\n"
@@ -278,7 +281,8 @@ class TestEnclosure:
             "with mpmath.workprec(4200):\n"
             "    q = Fraction(int(mpmath.floor(mpmath.ldexp(mpmath.exp(-1), 4000))), 2**4000)\n"
             "f = make_laurent(2, 'Q', [((1, 0), 1), ((0, 1), -q)])\n"
-            "v = classify_arch_point(f, (2 - 2**4095, 1 - 2**4095))\n"
+            f"d = {shift}\n"
+            "v = classify_arch_point(f, (2 - 2**4095 + d, 1 - 2**4095 + d))\n"
             "print(v.verdict, v.certificate['kind'])\n"
         )
         src = os.path.dirname(os.path.dirname(amoebas.__file__))
