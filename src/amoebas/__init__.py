@@ -17,9 +17,11 @@ from .errors import (
     DependentDirection,
     DimensionMismatch,
     EmptyPolynomial,
+    EmptySystem,
     ExpansionTooLarge,
     ExponentSpreadTooLarge,
     FactorizationTooLarge,
+    FieldMismatch,
     InvalidPlace,
     MissingImagePresentation,
     MonomialInput,

@@ -1,11 +1,17 @@
 """Halfspace disjointness decisions and the disjointness trichotomy.
 
 An open halfspace is the Minkowski sum of a rational linear boundary space
-and an open half line.  Nonarchimedean disjointness from a complex is decided
-exactly cell by cell, on a line or by LP (the open end is honored: touching
-at t = 0 counts as disjoint).  A meeting cell's witness is read off that
-line when it is the only choice, so any correct method prints it; an LP's
-vertex is printed only where the choice is not unique.
+and an open half line.  At a nonarchimedean place of a hypersurface, the
+halfspace misses trop f exactly when one open complement region C_k, where
+term k alone is minimal, holds it; that integer test on the valuations the
+adelic amoeba keeps decides the place before any cell is read.  A place it
+finds met is scanned for its witness, which the scan must then find (an
+InternalInvariantError otherwise).  That scan, and a system's places, decide
+disjointness from a complex exactly cell by cell, on a line or by LP (the
+open end is honored: touching at t = 0 counts as disjoint).  A meeting
+cell's witness is read off that line when it is the only choice, so any
+correct method prints it; an LP's vertex is printed only where the choice
+is not unique.
 The archimedean place is scanned at the grid points t d of the ray,
 t = 1/2, 1, ..., count/2: once a term k that minimizes <u_k, d> dominates
 at t0, every later grid point is certified outside from that tail, with no
@@ -52,6 +58,7 @@ from .scalars import FIELD_Q, FIELD_QZ, place_to_str
 from .tropical import (
     AdelicAmoeba,
     PrevarietySystem,
+    TropicalData,
     adelic_amoeba,
     tropical_data,
 )
@@ -343,11 +350,55 @@ class AdelicReport:
         }
 
 
+def component_term(data: TropicalData, H: Halfspace):
+    """The term k whose open complement region C_k, where term k alone
+    attains min_i(<u_i, v> + c_i), holds H; None when no region does.
+
+    C_k holds H = span(B) + R>0 d exactly when, for every term j != k and
+    D = u_j - u_k, the gap <D, s b + t d> + c_j - c_k is positive for every
+    real s and t > 0: <D, b> = 0 for each b in B, c_j >= c_k and
+    <D, d> >= 0, and the last two are not both equalities.  So every term
+    has the same <u_i, b>, and k is the one term that minimizes c_i and
+    <u_i, d> together; no corner locus and no LP is needed.
+    """
+    dot = lambda u, g: sum(map(operator.mul, u, g))
+    if any(len({dot(u, b) for u in data.exponents}) > 1 for b in H.boundary):
+        return None
+    keys = [(c, dot(u, H.direction)) for u, c in zip(data.exponents, data.shifts)]
+    k = min(range(len(keys)), key=keys.__getitem__)
+    if keys.count(keys[k]) == 1 and all(t >= keys[k][1] for _, t in keys):
+        return k
+    return None
+
+
+def _place_check(place, C, data, H):
+    """PlaceCheck of H against the complex C at a place; data is the
+    TropicalData of a hypersurface place, or None for a system's.  A
+    hypersurface place whose complement component holds H is disjoint with
+    no cell scan; at any other the connected H meets trop f, so the scan
+    must find the witness it prints."""
+    if data is not None and component_term(data, H) is not None:
+        return PlaceCheck(place, True, None)
+    w = halfspace_meets_complex(H, C)
+    if w is None and data is not None:
+        raise InternalInvariantError("no complement component holds H, yet the cell scan misses it")
+    return PlaceCheck(place, w is None, w)
+
+
 def adelic_disjoint(
     amoeba: AdelicAmoeba, H: Halfspace, grid=GRID, trials=200, rng=None
 ) -> AdelicReport:
     """Check the halfspace against the generic and every special complex;
     over Q, additionally scan the archimedean place along the halfspace.
+
+    At a hypersurface place, the TropicalData the amoeba keeps decides the
+    place first (component_term): the complement of trop f is the disjoint
+    union of the open convex regions C_k where term k alone is minimal, and
+    H is connected, so H misses trop f exactly when one C_k holds it.  Such
+    a place is disjoint with no cell scan.  At any other place H meets trop
+    f, and halfspace_meets_complex runs only for the witness it prints; a
+    scan that finds none raises InternalInvariantError.  A system's places
+    keep the prevariety scan.
 
     The scan is scan_arch_ray's at the grid points t = 1/2, 1, ..., grid/2
     along the halfspace direction (a grid below 1 is a ValueError): points
@@ -359,20 +410,20 @@ def adelic_disjoint(
     rng is accepted and ignored: the benchmark's query workload still
     passes it.
 
-    The scan reads the ray, not span(B).  For a hypersurface whose generic
-    complex misses H that loses nothing: H lies in the open normal cone of
-    one term k, so <u_j - u_k, s b + t d> > 0 for every term j != k, real s
-    and t > 0, which forces <u_j - u_k, b> = 0 for b in B.  Every complex
-    and the archimedean amoeba are then invariant under span(B), and meet H
-    exactly when they meet the ray.  A system's constraint that certifies
-    t d says nothing of the rest of t d + span(B).
+    The archimedean scan reads the ray, not span(B).  For a hypersurface
+    whose generic complex misses H that loses nothing: H lies in the
+    generic C_k of one term k, the open normal cone of u_k, so
+    <u_j - u_k, b> = 0 for every term j and b in B (component_term's first
+    condition).  Every complex and the archimedean amoeba are then
+    invariant under span(B), and meet H exactly when they meet the ray.  A
+    system's constraint that certifies t d says nothing of the rest of
+    t d + span(B).
     """
-    checks = []
-    w = halfspace_meets_complex(H, amoeba.generic)
-    checks.append(PlaceCheck("generic", w is None, w))
-    for place, C in amoeba.special:
-        w = halfspace_meets_complex(H, C)
-        checks.append(PlaceCheck(place_to_str(place), w is None, w))
+    if H.rank != amoeba.generic.rank:
+        raise DimensionMismatch("halfspace/complex rank mismatch")
+    places = (("generic", amoeba.generic), *((place_to_str(p), C) for p, C in amoeba.special))
+    data = amoeba.data or (None,) * len(places)
+    checks = [_place_check(place, C, d, H) for (place, C), d in zip(places, data)]
     arch = None
     certified = None
     if amoeba.source is not None and amoeba.source.field == FIELD_Q:

@@ -17,6 +17,10 @@ class PlaceFieldMismatch(AmoebaError):
     code = "place-field-mismatch"
 
 
+class FieldMismatch(AmoebaError):
+    code = "field-mismatch"
+
+
 class InvalidPlace(AmoebaError):
     code = "invalid-place"
 
@@ -45,6 +49,10 @@ class ExpansionTooLarge(AmoebaError):
 
 class EmptyPolynomial(AmoebaError):
     code = "empty-polynomial"
+
+
+class EmptySystem(AmoebaError):
+    code = "empty-system"
 
 
 class MonomialInput(AmoebaError):

@@ -14,7 +14,9 @@ found once per support (_support) and shared.  Everything downstream
 (pullback, prevariety intersection) is exact polyhedral computation, on a
 PrevarietySystem whose shapes and term counts were checked when built.
 One adelic_amoeba assembles a hypersurface and a prevariety system alike:
-the complex at each bad place of its polynomials, then at GENERIC.
+the complex at each bad place of its polynomials, then at GENERIC.  For a
+hypersurface it also keeps the TropicalData of each place, so that queries
+read the valuations without computing them again.
 """
 from __future__ import annotations
 
@@ -29,6 +31,8 @@ from .errors import (
     ArchimedeanNotSupported,
     CornerLocusTooLarge,
     DimensionMismatch,
+    EmptySystem,
+    FieldMismatch,
     InternalInvariantError,
     MonomialInput,
 )
@@ -366,11 +370,15 @@ def trop_hypersurface(f: LaurentPoly, place) -> PolyhedralComplex:
 @dataclass(frozen=True)
 class AdelicAmoeba:
     """Generic complex plus the finitely many special places, with a handle
-    back to the defining data for archimedean queries."""
+    back to the defining data for archimedean queries.  A hypersurface's
+    amoeba keeps the TropicalData each of its complexes was built from,
+    generic first and then in the order of special, so that no query
+    recomputes a valuation; a system's keeps none."""
 
     generic: PolyhedralComplex
     special: tuple  # ((place, PolyhedralComplex), ...) sorted by place string
     source: object = dataclass_field(compare=False, default=None)
+    data: tuple = dataclass_field(compare=False, default=())
 
 
 def _check_amoeba_size(polys, places):
@@ -394,10 +402,12 @@ def _check_amoeba_size(polys, places):
 
 
 def adelic_amoeba(source) -> AdelicAmoeba:
-    """Adelic amoeba of a hypersurface (trop_hypersurface at each place) or
-    of a PrevarietySystem (prevariety at each place): the special places
-    are the bad places of its polynomials, sorted by place string and built
-    first, and the generic complex is built last."""
+    """Adelic amoeba of a hypersurface (the corner locus of its
+    tropical_data at each place, which is kept) or of a PrevarietySystem
+    (prevariety at each place): the special places are the bad places of
+    its polynomials, sorted by place string and built first, and the
+    generic complex is built last."""
+    data = {}
     if isinstance(source, PrevarietySystem):
         polys = [con.poly for con in source.constraints]
         build = lambda place: prevariety(source, place)
@@ -405,13 +415,18 @@ def adelic_amoeba(source) -> AdelicAmoeba:
         if source.nterms < 2:
             raise MonomialInput("a monomial cuts out the empty set in the torus")
         polys = [source]
-        build = lambda place: trop_hypersurface(source, place)
+
+        def build(place):
+            data[place] = tropical_data(source, place)
+            return corner_locus(data[place], source.rank)
     else:
         raise TypeError("source must be a hypersurface or a prevariety system")
     places = sorted(frozenset().union(*map(bad_places, polys)), key=place_to_str)
     _check_amoeba_size(polys, len(places) + 1)
     special = tuple((p, build(p)) for p in places)
-    return AdelicAmoeba(build(GENERIC), special, source)
+    generic = build(GENERIC)
+    kept = tuple(data[p] for p in (GENERIC, *places)) if data else ()
+    return AdelicAmoeba(generic, special, source, kept)
 
 
 @dataclass(frozen=True)
@@ -487,12 +502,17 @@ def prevariety(system, place) -> PolyhedralComplex:
 @dataclass(frozen=True)
 class PrevarietySystem:
     """A parametrized subvariety presented by constraints in an ambient torus,
-    whose pullback shapes and term counts are checked when it is built."""
+    whose number, field, pullback shapes and term counts are checked when it
+    is built."""
 
     rank: int
     constraints: tuple
 
     def __post_init__(self):
+        if not self.constraints:
+            raise EmptySystem("a system needs at least one constraint")
+        if len({con.poly.field for con in self.constraints}) > 1:
+            raise FieldMismatch("the constraints of a system need one field")
         for con in self.constraints:
             mat, rank = con.pullback, con.poly.rank
             if mat is None and rank != self.rank:

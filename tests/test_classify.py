@@ -15,6 +15,7 @@ from amoebas.classify import (
     Halfspace,
     adelic_disjoint,
     classify_arch_point,
+    component_term,
     defined_over_k_test,
     ekl_consistency_check,
     halfspace_meets_complex,
@@ -354,6 +355,105 @@ class TestAdelicDisjoint:
         am = adelic_amoeba(ex_curve_qz)
         rep = adelic_disjoint(am, Halfspace(2, (-1, -1)), grid=0)
         assert rep.archimedean is None and rep.overall == MEETS
+
+
+@st.composite
+def component_cases(draw):
+    """A polynomial of 2-4 terms in rank 1-3 with exponents in [-2, 2] over
+    Q or Q(z) (so its places include inf), half the time on a line u_0 +
+    w c, and a halfspace with 0-2 boundary generators: drawn in [-2, 2], or
+    a multiple (1, 2 or -3) of a vector orthogonal to every exponent
+    difference."""
+    rank = draw(st.integers(1, 3))
+    vec = lambda lo, hi: st.tuples(*[st.integers(lo, hi)] * rank)
+    if rank > 1 and draw(st.booleans()):
+        u0, c = draw(vec(-1, 1)), draw(vec(-1, 1).filter(any))
+        weights = draw(st.lists(st.integers(-2, 2), min_size=2, max_size=4, unique=True))
+        exps = [tuple(a + w * x for a, x in zip(u0, c)) for w in weights]
+    else:
+        exps = draw(st.lists(vec(-2, 2), min_size=2, max_size=4, unique=True))
+    field = draw(st.sampled_from([FIELD_Q, FIELD_QZ]))
+    coeff = st.sampled_from(_COEFFS[field])
+    mono = lambda e: "*".join(f"x{i + 1}^{a}" for i, a in enumerate(e) if a) or "1"
+    f = parse_poly(" + ".join(f"({draw(coeff)})*{mono(e)}" for e in exps), rank=rank, field=field)
+    normal = sympy.Matrix([[x - y for x, y in zip(u, exps[0])] for u in exps[1:]]).nullspace()
+    orthogonal = [primitive_vector([Fraction(int(x.p), int(x.q)) for x in v]) for v in normal]
+    boundary = []
+    for _ in range(draw(st.integers(0, 2))):
+        if orthogonal and draw(st.booleans()):
+            m = draw(st.sampled_from((1, 2, -3)))
+            boundary.append(tuple(m * x for x in draw(st.sampled_from(orthogonal))))
+        else:
+            boundary.append(draw(vec(-2, 2)))
+    try:
+        H = Halfspace(rank, draw(vec(-2, 2).filter(any)), tuple(boundary))
+    except DependentDirection:
+        assume(False)
+    return f, H
+
+
+class TestComponentTest:
+    """A hypersurface place whose complement component holds H is disjoint
+    with no cell scan; any other is scanned for its witness."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(component_cases())
+    def test_agrees_with_the_cell_scan_at_every_place(self, case):
+        f, H = case
+        am = adelic_amoeba(f)
+        places = [(GENERIC, am.generic), *am.special]
+        assert len(am.data) == len(places)
+        for (place, C), data in zip(places, am.data):
+            k = component_term(data, H)
+            verdict = "disjoint" if k is not None else "meets"
+            event(f"{type(place).__name__}: {verdict}")
+            event(f"{verdict} with {len(H.boundary)} boundary generators")
+            assert (k is not None) == (halfspace_meets_complex(H, C) is None)
+            if k is not None:
+                # term k alone is minimal at a point of H
+                point = [sum(x) for x in zip(H.direction, *H.boundary)]
+                _, argmin = min_value_and_argmin(data, point)
+                assert argmin == {k}
+
+    def _counted(self, monkeypatch):
+        scanned, lps = [], []
+        scan, top = classify.halfspace_meets_complex, classify.maximize
+        counted = lambda H, C: scanned.append(C) or scan(H, C)
+        monkeypatch.setattr(classify, "halfspace_meets_complex", counted)
+        monkeypatch.setattr(classify, "maximize", lambda *args: lps.append(args) or top(*args))
+        return scanned, lps
+
+    def test_a_passing_place_runs_no_scan(self, monkeypatch):
+        scanned, lps = self._counted(monkeypatch)
+        am = adelic_amoeba(parse_poly("x1 + x2 + 1", rank=2, field=FIELD_Q))
+        rep = adelic_disjoint(am, Halfspace(2, (1, 1)), grid=2, trials=2)
+        assert [c.to_json() for c in rep.nonarchimedean] == [
+            {"place": "generic", "verdict": DISJOINT, "witness": None}
+        ]
+        assert scanned == [] and lps == []
+
+    def test_only_the_failing_place_is_scanned(self, monkeypatch):
+        # the generic place lies in the constant's region through the
+        # orthogonal boundary; p:3 lies in no region and is scanned
+        scanned, lps = self._counted(monkeypatch)
+        am = adelic_amoeba(parse_poly("x1*x2 + 3", rank=2, field=FIELD_Q))
+        rep = adelic_disjoint(am, Halfspace(2, (1, 1), ((1, -1),)), grid=2, trials=2)
+        verdicts = [(c.place, c.disjoint) for c in rep.nonarchimedean]
+        assert verdicts == [("generic", True), ("p:3", False)]
+        assert scanned == [am.special[0][1]] and lps
+
+    def test_a_scan_missing_a_failing_place_raises(self, monkeypatch):
+        am = adelic_amoeba(parse_poly("x1*x2 + 3", rank=2, field=FIELD_Q))
+        H = Halfspace(2, (1, 1), ((1, -1),))
+        assert component_term(am.data[1], H) is None
+        monkeypatch.setattr(classify, "halfspace_meets_complex", lambda H, C: None)
+        with pytest.raises(InternalInvariantError):
+            adelic_disjoint(am, H, grid=2, trials=2)
+
+    def test_rank_mismatch_refused_before_any_place(self):
+        am = adelic_amoeba(parse_poly("x1 + x2 + 1", rank=2, field=FIELD_Q))
+        with pytest.raises(DimensionMismatch):
+            adelic_disjoint(am, Halfspace(3, (1, 1, 1)))
 
 
 @st.composite

@@ -599,7 +599,17 @@ PINS = [
     ("check-f-met-past-t-one", ["check-halfspace", "--f", "x1*x2 + 2*x1 + 4*x2 + 1",
       "--halfspace", "dir:1,0 bnd:0,1"],
      0, "937639c3306922c4", EMPTY, None),
-    ("check-f-binomial", ["check-halfspace", "--f", "x1*x2-1", "--halfspace", "dir:1,1"],
+    # places decided by one complement component, with no cell scan: the
+    # generic place of x1*x2 + 3 lies in the region of the constant, through
+    # a boundary orthogonal to the exponent difference, while p:3 meets;
+    # the region of x2 holds the ray at q:z and that of z*x1 at inf, while
+    # the generic place meets
+    ("check-f-component-boundary", ["check-halfspace", "--f", "x1*x2 + 3",
+      "--halfspace", "dir:1,1 bnd:1,-1"],
+     0, "5e9e5227019caba9", EMPTY, None),
+    ("check-f-component-qz", ["check-halfspace", "--f", "z*x1 + x2 + 1", "--halfspace", "dir:-1,-1"],
+     0, "ce5449318a6f1b7c", EMPTY, None),
+    ("check-f-binomial",["check-halfspace", "--f", "x1*x2-1", "--halfspace", "dir:1,1"],
      0, "0f2eef1565a1c63e", EMPTY, None),
     ("check-f-explicit-defaults", ["check-halfspace", "--f", "x1*x2-1", "--halfspace", "dir:1,1",
       "--grid", "20", "--trials", "200"],

@@ -12,6 +12,8 @@ from amoebas.errors import (
     ArchimedeanNotSupported,
     CornerLocusTooLarge,
     DimensionMismatch,
+    EmptySystem,
+    FieldMismatch,
     MonomialInput,
 )
 from amoebas.laurent import bad_places, make_laurent, parse_poly
@@ -204,6 +206,26 @@ class TestAdelicAmoeba:
         f = parse_poly("z*(x1 + x2 + 1)", rank=2, field=FIELD_QZ)
         assert adelic_amoeba(f).special == ()
 
+    @pytest.mark.parametrize(
+        "text, field",
+        [("x1*x2-2*x1-2*x2+1", FIELD_Q), ("z*x1+(z-1)*x2+(z-2)", FIELD_QZ), ("x1/z + z*x2 + 1", FIELD_QZ)],
+    )
+    def test_keeps_the_tropical_data_of_each_place(self, text, field):
+        # generic first, then the special places in order; inf included
+        f = parse_poly(text, rank=2, field=field)
+        am = adelic_amoeba(f)
+        places = [GENERIC, *(p for p, _ in am.special)]
+        assert am.data == tuple(tropical_data(f, p) for p in places)
+
+    def test_a_system_keeps_no_tropical_data(self, curve_system_qz):
+        assert adelic_amoeba(curve_system_qz).data == ()
+
+    def test_kept_data_is_left_out_of_equality_and_hash(self, ex_curve_qz):
+        am = adelic_amoeba(ex_curve_qz)
+        bare = tropical.AdelicAmoeba(am.generic, am.special, am.source)
+        assert bare.data == () and am.data
+        assert am == bare and hash(am) == hash(bare)
+
     def test_contains_zero_shifted_fails(self, expected_tripods):
         shifted = translate_complex(expected_tripods["generic"], (5, 0))
         assert not contains_zero(shifted)
@@ -380,6 +402,16 @@ class TestPrevariety:
         bad = Constraint(parse_poly(text, rank=rank, field=FIELD_Q), pullback)
         with pytest.raises(error):
             PrevarietySystem(3, (good, bad))
+
+    def test_constraints_over_two_fields_refused(self):
+        q = Constraint(parse_poly("x1+x2+1"))
+        qz = Constraint(parse_poly("z*x1+x2", rank=2))
+        with pytest.raises(FieldMismatch):
+            PrevarietySystem(2, (q, qz))
+
+    def test_empty_system_refused(self):
+        with pytest.raises(EmptySystem):
+            PrevarietySystem(2, ())
 
     def test_functoriality_containment(self, curve_system_qz):
         C = prevariety(curve_system_qz, GENERIC)
