@@ -68,7 +68,6 @@ from .polyhedral import (
     Polyhedron,
     PolyhedralComplex,
     complex_to_json,
-    dimension,
     lp_solve,
     make_complex,
     polyhedron,

@@ -41,7 +41,7 @@ from .errors import (
     MonomialInput,
 )
 from .lattices import independent_subset, integer_row, mat_vec, primitive_vector
-from .laurent import LaurentPoly, bad_places, strict_vertex_direction
+from .laurent import LaurentPoly, strict_vertex_direction
 from .polyhedral import (
     LPOptimal,
     LPUnbounded,
@@ -60,7 +60,6 @@ from .tropical import (
     PrevarietySystem,
     TropicalData,
     adelic_amoeba,
-    tropical_data,
 )
 
 DISJOINT = "disjoint"
@@ -586,12 +585,15 @@ def trichotomy_conclusion(
 # the EKL check: the conclusion on a half-line found disjoint
 
 
-def uniform_minimal_vertices(f: LaurentPoly):
-    """(i, d) for each vertex u_i of the Newton polytope whose coefficient
-    valuation is minimal at every bad place, so that its vertex cone misses
-    every nonarchimedean amoeba, with d its strict vertex direction.  The
-    vertex LP runs only for the terms the valuations keep."""
-    shift_table = [tropical_data(f, p).shifts for p in sorted(bad_places(f), key=place_to_str)]
+def uniform_minimal_vertices(amoeba: AdelicAmoeba):
+    """(i, d) for each vertex u_i of the Newton polytope of the amoeba's
+    hypersurface whose coefficient valuation is minimal at every bad
+    place, so that its vertex cone misses every nonarchimedean amoeba, with
+    d its strict vertex direction.  The valuations are the shifts the
+    amoeba keeps, after the generic data; the vertex LP runs only for the
+    terms they keep."""
+    f = amoeba.source
+    shift_table = [data.shifts for data in amoeba.data[1:]]
     points = f.exponents()
     kept = [i for i in range(f.nterms) if all(shifts[i] == min(shifts) for shifts in shift_table)]
     directions = [(i, strict_vertex_direction(points, i)) for i in kept]
@@ -645,8 +647,8 @@ def ekl_consistency_check(f: LaurentPoly, trials=200) -> EklReport:
     """
     if f.nterms < 2:
         raise MonomialInput("need at least two terms")
-    candidates = uniform_minimal_vertices(f)
     amoeba = adelic_amoeba(f)
+    candidates = uniform_minimal_vertices(amoeba)
     rejected = []
     for i, d in candidates:
         H = Halfspace(f.rank, primitive_vector(d))

@@ -13,15 +13,16 @@ that is already primitive keeps its int entries and Fraction rhs as they
 are; intersect() merges rows that are already canonical without
 canonicalizing them again, by sorting them on their canonical key and
 dropping adjacent equal keys, so no Fraction is hashed; and preimage()
-pulls rows back along an integer map.  Emptiness is read off the cached
-dimension: dimension, affine-hull rows and a relative-interior point come
-from one cached hull computation.
+pulls rows back along an integer map.  The one cached query is
+relative_interior_point: a point of P strict on every row that is not an
+implicit equality, or None when P is empty, so emptiness is a None point.
 When P's stated equalities leave at most one free direction, they are
-solved once into a line, every solution (x0 + z col) / den, and the hull,
-redundancy removal and maximize read their answers off the interval of z
-with integer comparisons, each answer checked like an LP's (maximize also
-reads off the maximizer where it is one point); otherwise the
-hull takes one slack LP per round and redundancy removal one LP per row.
+solved once into a line, every solution (x0 + z col) / den, and that
+point, redundancy removal and maximize read their answers off the
+interval of z with integer comparisons, each answer checked like an LP's
+(maximize also reads off the maximizer where it is one point); otherwise
+the point takes one slack LP per round and redundancy removal one LP per
+row.
 A minimum is the maximum of the negated objective.
 """
 from __future__ import annotations
@@ -34,7 +35,7 @@ from fractions import Fraction
 
 from .errors import DimensionMismatch, InternalInvariantError
 from .lattices import _eliminate as _gauss_jordan
-from .lattices import independent_subset, integer_row
+from .lattices import integer_row
 
 
 def _canon_constraint(row, rhs, is_equality):
@@ -67,16 +68,6 @@ class Polyhedron:
     rank: int
     equalities: tuple
     inequalities: tuple
-
-    def __hash__(self):
-        # hashed on first use and kept: most polyhedra are never hashed, and
-        # the hull and line caches hash the same ones again and again
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.rank, self.equalities, self.inequalities))
-            object.__setattr__(self, "_hash", h)
-            return h
 
     def constraints(self):
         return [(r, b, True) for (r, b) in self.equalities] + [
@@ -388,7 +379,7 @@ def lp_solve(objective, P: Polyhedron):
     return LPUnbounded(tuple(Fraction(v, d) for v in ray), pt)
 
 
-# Entries of each cache below (line and hull); bounds memory in a long-lived process.
+# Entries of the relative_interior_point cache; bounds memory in a long-lived process.
 _CACHE_SIZE = 4096
 
 
@@ -411,7 +402,6 @@ def _tightest(st, idx):
     return best
 
 
-@functools.lru_cache(maxsize=_CACHE_SIZE)
 def _line(P):
     """P's stated equalities solved once: None when they are consistent
     and leave two or more free directions, else (frame, st, bounds).  With
@@ -423,8 +413,7 @@ def _line(P):
     columns, so inconsistent equalities leave a combination reading 0 =
     nonzero (frame and st are then None and ()).  The frame is checked
     against every equality, and emptiness by its Farkas combination: of
-    the equalities, or of two rows constant in z.  Cached for the hull and
-    redundancy removal, which share the tuples."""
+    the equalities, or of two rows constant in z."""
     n, m = P.rank, len(P.equalities)
     rows = [row for row, _ in P.equalities]
     rhs, D = integer_row([b for _, b in P.equalities])
@@ -486,10 +475,10 @@ def _point_on(frame, z):
 
 
 def _implicit_on_line(P, frame, st, bounds):
-    """(implicit rows, relative-interior point) of P off its line: a row
-    is an implicit equality exactly when it is tight at the midpoint of
-    the interval of z, and the point, checked in P, must be strict on
-    exactly the other rows."""
+    """A relative-interior point of P off its line, or None when P is
+    empty: a row is an implicit equality exactly when it is tight at the
+    midpoint of the interval of z, and the point, checked in P, must be
+    strict on exactly the other rows."""
     if bounds is None:
         return None
     z = _midpoint(st, *bounds)
@@ -501,14 +490,14 @@ def _implicit_on_line(P, frame, st, bounds):
         for i, (row, b) in enumerate(P.inequalities)
     ):
         raise InternalInvariantError("the point on the line is not strict exactly off the implicit rows")
-    return implicit, point
+    return point
 
 
 def _implicit_by_lps(P):
-    """(implicit rows, relative-interior point) of P, or None when P is
-    empty.  Each round maximizes t <= 1 subject to row . v + t <= rhs on
-    the inequalities not yet known to be implicit equalities, with the
-    rest kept as equalities.  Infeasible or t < 0: P is empty.  t > 0: the
+    """A relative-interior point of P, or None when P is empty.  Each
+    round maximizes t <= 1 subject to row . v + t <= rhs on the
+    inequalities not yet known to be implicit equalities, with the rest
+    kept as equalities.  Infeasible or t < 0: P is empty.  t > 0: the
     point is relatively interior.  t = 0: the multipliers of those rows
     sum to 1, and each row with a positive one holds with equality on all
     of P (complementary slackness), so every round finds one."""
@@ -524,7 +513,7 @@ def _implicit_by_lps(P):
         if isinstance(res, LPInfeasible) or res.value < 0:
             return None
         if res.value > 0:
-            return implicit, res.point[:n]
+            return res.point[:n]
         found = {i for i, lam in zip(free, res.multipliers[len(eqs):]) if lam > 0}
         if not found:
             raise InternalInvariantError("a zero-slack round found no implicit equality")
@@ -532,30 +521,13 @@ def _implicit_by_lps(P):
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
-def _hull(P: Polyhedron):
-    """(independent affine-hull rows, a relative-interior point), or None
-    when P is empty: read off the line when P's equalities leave at most
-    one free direction, else by one slack LP per round."""
-    line = _line(P)
-    found = _implicit_by_lps(P) if line is None else _implicit_on_line(P, *line)
-    if found is None:
-        return None
-    implicit, point = found
-    rows = [row for row, _ in P.equalities] + [P.inequalities[i][0] for i in sorted(implicit)]
-    return tuple(rows[i] for i in independent_subset(rows)), point
-
-
-def dimension(P: Polyhedron) -> int:
-    """Dimension of P; -1 when empty."""
-    return P.rank - len(hull[0]) if (hull := _hull(P)) else -1
-
-
 def relative_interior_point(P: Polyhedron):
-    """A rational point in the relative interior of nonempty P."""
-    hull = _hull(P)
-    if hull is None:
-        raise InternalInvariantError("relative interior of empty polyhedron")
-    return hull[1]
+    """A rational point of P strict on every row that is not an implicit
+    equality, or None when P is empty: read off the line when P's
+    equalities leave at most one free direction, else by one slack LP per
+    round."""
+    line = _line(P)
+    return _implicit_by_lps(P) if line is None else _implicit_on_line(P, *line)
 
 
 def _check_kept(st, i, others, z):
@@ -604,10 +576,8 @@ def maximize(objective, P: Polyhedron, level=None):
     the value with its optimality or unboundedness certificate checked on
     that line; the maximizer is then one z when the objective moves along
     the line (c != 0), when no direction is free, or when the interval is
-    a single z.  Otherwise the value is lp_solve's and point is None.  Its
-    callers' polyhedra are built for one query, so the line skips the
-    cache."""
-    line = _line.__wrapped__(P)
+    a single z.  Otherwise the value is lp_solve's and point is None."""
+    line = _line(P)
     if line is None:
         res = lp_solve(objective, P)
         value = None if isinstance(res, LPInfeasible) else res.value if isinstance(res, LPOptimal) else math.inf

@@ -49,7 +49,6 @@ from .polyhedral import (
     Polyhedron,
     PolyhedralComplex,
     _con_key,
-    dimension,
     intersect,
     make_complex,
     preimage,
@@ -464,10 +463,12 @@ def prevariety(system, place) -> PolyhedralComplex:
 
     Distributes intersection over tuples of cells.  A corner-locus cell is
     where its tie set attains the minimum, so a raw piece P is where each
-    constraint's tie set does.  Name a nonempty P by its argmin tuple T,
-    the terms of each constraint minimal at a relative-interior point.  On
-    P each term's gap above the minimum is affine and nonnegative, so it
-    vanishes on all of P or is positive on its relative interior.  Hence
+    constraint's tie set does.  Each piece is asked once for a
+    relative-interior point, which is None exactly when P is empty.  Name a
+    nonempty P by its argmin tuple T, the terms of each constraint minimal
+    at that point.  On P each term's gap above the minimum is affine and
+    nonnegative, so it vanishes on all of P or is positive on its relative
+    interior.  Hence
     P = {v : T_i lies in argmin_i(v) for every i}, equal tuples name equal
     pieces, and P lies in Q exactly when T_Q lies in T_P entry by entry.
     The tuple is held as one bit mask (_argmin_mask), read off the point
@@ -491,9 +492,10 @@ def prevariety(system, place) -> PolyhedralComplex:
     pieces = {}
     for combo in itertools.product(*pulled):
         P = intersect(*combo)
-        if dimension(P) < 0:
+        point = relative_interior_point(P)
+        if point is None:
             continue
-        ints, den = integer_row(relative_interior_point(P))
+        ints, den = integer_row(point)
         pieces.setdefault(_argmin_mask(tropdata, ints, den), P)
     keep = [P for T, P in pieces.items() if not any(_below(S, T) for S in pieces)]
     return make_complex(system.rank, [Cell(remove_redundancy(P)) for P in keep])

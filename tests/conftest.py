@@ -76,7 +76,6 @@ from amoebas.polyhedral import (
     Polyhedron,
     _canon_constraint,
     contains_point,
-    dimension,
     empty_polyhedron,
     intersect,
     lp_solve,
@@ -363,7 +362,7 @@ def is_balanced(C):
         if cell.multiplicity is None:
             raise InternalInvariantError("balancing needs multiplicity labels")
     for tau in _codimension_two_cells(C):
-        rows = [list(r) for r in polyhedral._hull(tau)[0]]
+        rows = [list(r) for r in hull_rows(tau)]
         if len(rows) != 2:
             raise InternalInvariantError("unexpected direction space")
         # the last n - 2 columns of V in the Smith form U A V = D of the hull
@@ -667,6 +666,15 @@ def reference_poly_contains(P, Q):
     return True
 
 
+def _independent_rows(rows):
+    """The rows that raise the rank of those before them, in order."""
+    hull = []
+    for row in rows:
+        if reference_rank_of_rows(hull + [row]) > len(hull):
+            hull.append(row)
+    return tuple(hull)
+
+
 def reference_affine_hull(P):
     """None for an empty P (by is_empty); else the independent affine-hull
     rows, greedily in order, and per inequality whether it is an implicit
@@ -678,11 +686,26 @@ def reference_affine_hull(P):
         res = lp_solve([-x for x in row], P)
         flags.append(isinstance(res, LPOptimal) and -res.value == rhs)
     rows = [row for row, _ in P.equalities] + [r for (r, _), f in zip(P.inequalities, flags) if f]
-    hull = []
-    for row in rows:
-        if reference_rank_of_rows(hull + [row]) > len(hull):
-            hull.append(row)
-    return tuple(hull), tuple(flags)
+    return _independent_rows(rows), tuple(flags)
+
+
+def hull_rows(P):
+    """The independent affine-hull rows of P, greedily in order, or None
+    when P is empty: the equalities and the inequalities tight at
+    relative_interior_point(P), which is strict on exactly the rows that
+    are not implicit equalities (test_polyhedral.TestHull checks that
+    against reference_affine_hull)."""
+    x = relative_interior_point(P)
+    if x is None:
+        return None
+    tight = [row for row, rhs in P.inequalities if sum(a * b for a, b in zip(row, x)) == rhs]
+    return _independent_rows([row for row, _ in P.equalities] + tight)
+
+
+def dimension(P):
+    """Dimension of P, -1 when empty: the rank less its affine-hull rows."""
+    rows = hull_rows(P)
+    return -1 if rows is None else P.rank - len(rows)
 
 
 def reference_remove_redundancy(P):

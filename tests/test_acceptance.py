@@ -139,7 +139,7 @@ def test_criterion_05_scalar_definition_equivalence():
         if all((c / a1).is_constant() for _, c in f.terms[1:]):
             continue
         count += 1
-        ok = ok and not uniform_minimal_vertices(f)
+        ok = ok and not uniform_minimal_vertices(adelic_amoeba(f))
         shift_table = {p: tropical_data(f, p).shifts for p in sorted(bad_places(f), key=str)}
         points = f.exponents()
         for i in range(f.nterms):

@@ -6,7 +6,7 @@ import sympy
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from amoebas import archimedean, classify, laurent, polyhedral
+from amoebas import archimedean, classify, laurent, polyhedral, tropical
 from amoebas.classify import (
     CERTIFIED_OUTSIDE,
     DISJOINT,
@@ -585,14 +585,14 @@ class TestHalflineSearch:
             if defined_over_k_test(f) is not None:
                 continue
             count += 1
-            assert not uniform_minimal_vertices(f)
+            assert not uniform_minimal_vertices(adelic_amoeba(f))
 
     @settings(max_examples=80)
     @given(st.one_of(small_q_polys(), small_qz_polys()))
     def test_candidates_miss_every_bad_place_by_valuations(self, f):
         # the cross-check of the candidate filter against the valuation
         # comparison on each candidate ray
-        candidates = uniform_minimal_vertices(f)
+        candidates = uniform_minimal_vertices(adelic_amoeba(f))
         event(f"{len(candidates)} candidates")
         for _, d in candidates:
             direction = primitive_vector(d)
@@ -625,9 +625,22 @@ class TestEkl:
         f = parse_poly("x1 + 2", field=FIELD_Q)
         points = f.exponents()
         bad = [(i, strict_vertex_direction(points, i)) for i, u in enumerate(points) if not any(u)]
-        monkeypatch.setattr(classify, "uniform_minimal_vertices", lambda f: bad)
+        monkeypatch.setattr(classify, "uniform_minimal_vertices", lambda amoeba: bad)
         with pytest.raises(InternalInvariantError):
             ekl_consistency_check(f)
+
+    def test_valuations_read_off_the_amoeba(self, monkeypatch):
+        # the candidates read the shifts the amoeba keeps: the check makes
+        # the valuation calls of building the amoeba and no more
+        f = parse_poly("6*x1^2 + 10*x1*x2 + 15*x2^2 + 7", rank=2, field=FIELD_Q)
+        calls = []
+        real = tropical.valuation
+        monkeypatch.setattr(tropical, "valuation", lambda *a: calls.append(a) or real(*a))
+        adelic_amoeba(f)
+        built = len(calls)
+        calls.clear()
+        ekl_consistency_check(f)
+        assert built == len(calls) == 16
 
     @settings(max_examples=80, deadline=None)
     @given(

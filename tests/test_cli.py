@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import amoebas
-from amoebas import archimedean, cli, laurent, parsing, plot, tropical
+from amoebas import archimedean, cli, laurent, parsing, plot, polyhedral, tropical
 from amoebas.cli import main, parse_halfspace
 from amoebas.classify import Halfspace
 from amoebas.errors import InternalInvariantError
@@ -167,6 +167,25 @@ def test_adelic_matches_trop_run_alone_at_each_place(capsys):
         tropical._support.cache_clear()
         code, out, _ = run_cli(capsys, "trop", "--f", SIX_PLACES_F, "--place", place)
         assert code == 0 and json.loads(out)["complex"] == expected
+
+
+def test_prevariety_bytes_do_not_rest_on_the_point_cache(capsys, tmp_path):
+    # the relative-interior point cache outlives a command: a prevariety
+    # after other commands in the same process (itself among them, so
+    # every point is a hit) and one on a cleared cache print the same bytes
+    path = tmp_path / "rank4.json"
+    path.write_text(json.dumps(RANK_4_SYSTEM))
+    argv = ["prevariety", "--system", str(path), "--place", "p:3"]
+    for other in (
+        argv,
+        ["prevariety", "--system", str(path)],
+        ["check-halfspace", "--system", str(path), "--halfspace", "dir:-1,0,0,1"],
+        ["adelic", "--f", SIX_PLACES_F],
+    ):
+        assert run_cli(capsys, *other)[0] == 0
+    warm = run_cli(capsys, *argv)
+    polyhedral.relative_interior_point.cache_clear()
+    assert run_cli(capsys, *argv) == warm and warm[0] == 0
 
 
 class TestErrorsAndDeterminism:

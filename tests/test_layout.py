@@ -97,3 +97,19 @@ def test_walk_resolves_imports_per_module():
 
 def test_every_unreached_definition_is_reserved():
     assert unreached() == RESERVED
+
+
+def test_every_package_relative_import_is_used():
+    # a name imported with `from .m import n` (or `from . import m`) is read
+    # somewhere in its module; __init__ re-exports, so it is left out
+    unused = []
+    for mod, tree in _modules().items():
+        imported = {
+            a.asname or a.name: node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for a in node.names
+        }
+        read = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+        unused += [f"{mod}:{line} {name}" for name, line in imported.items() if name not in read]
+    assert unused == []

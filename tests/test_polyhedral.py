@@ -19,7 +19,6 @@ from amoebas.polyhedral import (
     PolyhedralComplex,
     _canon_constraint,
     contains_point,
-    dimension,
     empty_polyhedron,
     intersect,
     lp_solve,
@@ -41,7 +40,9 @@ from conftest import (
     complexes_equal,
     count_lp_calls,
     covered_by,
+    dimension,
     from_generators,
+    hull_rows,
     is_empty,
     no_fraction_hash,
     polyhedron_from_json,
@@ -139,7 +140,7 @@ class TestDimension:
 
     def test_empty(self):
         P = polyhedron(1, (), [((1,), Fraction(-1)), ((-1,), Fraction(0))])
-        assert dimension(P) == -1
+        assert relative_interior_point(P) is None and dimension(P) == -1
 
     def test_monotone_under_constraints(self, rng):
         for _ in range(30):
@@ -208,27 +209,26 @@ def line_equalities(draw, rank):
 
 
 def _check_hull(P):
-    """dimension and the affine-hull rows as one LP per inequality row finds
-    them, and a point in P strict on exactly the rows that are not
-    implicit equalities."""
+    """relative_interior_point is None exactly when one LP finds P empty,
+    and otherwise a point of P strict on exactly the rows that one LP per
+    inequality row finds are not implicit equalities; so the test-side
+    hull_rows, read off that point, are the reference's rows."""
     want = reference_affine_hull(P)
+    x = relative_interior_point(P)
     if want is None:
-        assert dimension(P) == -1
-        with pytest.raises(InternalInvariantError):
-            relative_interior_point(P)
+        assert x is None
         return
     rows, implicit = want
-    assert polyhedral._hull(P)[0] == rows and dimension(P) == P.rank - len(rows)
-    x = relative_interior_point(P)
     assert contains_point(P, x)
     for (row, rhs), tight in zip(P.inequalities, implicit):
         assert (sum(a * b for a, b in zip(row, x)) < rhs) != tight
+    assert hull_rows(P) == rows
 
 
 class TestHull:
-    """The hull, off a line or by one LP per round, names the implicit
-    equalities: the same dimension and affine-hull rows as one LP per
-    inequality row, and a point strictly inside every other row."""
+    """The relative-interior point, off a line or by one LP per round, is
+    strict on every row but the implicit equalities that one LP per
+    inequality row finds, and None exactly when P is empty."""
 
     @settings(max_examples=300)
     @given(hull_polyhedra())
@@ -238,7 +238,7 @@ class TestHull:
     def test_one_round_per_implicit_row_at_most(self, monkeypatch):
         # a point in the plane cut out by four inequalities takes at most
         # one LP per implicit row and one more; a full box takes one LP
-        polyhedral._hull.cache_clear()
+        relative_interior_point.cache_clear()
         calls = []
         lp = polyhedral.lp_solve
         monkeypatch.setattr(polyhedral, "lp_solve", lambda *a: calls.append(1) or lp(*a))
@@ -258,13 +258,11 @@ class TestHull:
 
 @pytest.fixture
 def fresh_caches():
-    """Cold line and hull caches before and after the test, so a patched
-    kernel is reached and leaves nothing behind."""
-    for cache in (polyhedral._line, polyhedral._hull):
-        cache.cache_clear()
+    """A cold relative-interior point cache before and after the test, so
+    a patched kernel is reached and leaves nothing behind."""
+    relative_interior_point.cache_clear()
     yield
-    for cache in (polyhedral._line, polyhedral._hull):
-        cache.cache_clear()
+    relative_interior_point.cache_clear()
 
 
 def max_value(objective, P):
@@ -337,8 +335,8 @@ class TestLine:
         assert remove_redundancy(seg) == polyhedron(2, diag, [((1, 0), 2), ((-1, 0), 0)])
         assert max_value((1, 1), seg) == 4 and max_value((-1, 0), seg) == 0
         point = polyhedron(2, diag, [((1, 0), 1), ((-1, 0), -1)])
-        assert polyhedral._hull(point)[0] == ((1, -1), (-1, 0)) and relative_interior_point(point) == (1, 1)
-        assert dimension(polyhedron(2, diag, [((1, 0), 0), ((-1, 0), -1)])) == -1
+        assert hull_rows(point) == ((1, -1), (-1, 0)) and relative_interior_point(point) == (1, 1)
+        assert relative_interior_point(polyhedron(2, diag, [((1, 0), 0), ((-1, 0), -1)])) is None
         ray_ = polyhedron(2, diag, [((-1, 0), 0)])
         assert max_value((1, 0), ray_) == math.inf and max_value((-1, 0), ray_) == 0
 
@@ -355,7 +353,6 @@ class TestLine:
         # the combination of inconsistent equalities, or of two rows
         # constant on the line, that an empty answer carries
         with pytest.MonkeyPatch.context() as mp:
-            polyhedral._line.cache_clear()
             calls = []
             check = polyhedral._check_farkas
             mp.setattr(polyhedral, "_check_farkas", lambda *a: calls.append(a) or check(*a))
@@ -424,8 +421,8 @@ _CORRUPTIONS = {
 
 class TestLineCertificates:
     """A line answer whose certificate is corrupted raises and never
-    becomes a verdict: the hull, redundancy removal, max_value and the
-    halfspace decision alike."""
+    becomes a verdict: the relative-interior point, redundancy removal,
+    max_value and the halfspace decision alike."""
 
     @pytest.mark.parametrize("kind", list(_CORRUPTIONS))
     def test_corrupted_certificate_raises(self, kind, monkeypatch, fresh_caches):
@@ -434,11 +431,10 @@ class TestLineCertificates:
         calls = [lambda: remove_redundancy(P)]
         if kind != "kept-row witness":
             C = PolyhedralComplex(2, (Cell(P),))
-            calls += [lambda: dimension(P), lambda: max_value((1, 0), P)]
+            calls += [lambda: relative_interior_point(P), lambda: max_value((1, 0), P)]
             calls += [lambda: halfspace_meets_complex(Halfspace(2, (1, 1)), C)]
         for call in calls:
-            polyhedral._line.cache_clear()
-            polyhedral._hull.cache_clear()
+            relative_interior_point.cache_clear()
             with pytest.raises(InternalInvariantError):
                 call()
 
@@ -759,8 +755,8 @@ class TestContainmentAgainstLPReference:
         if inside and dimension(Q) >= 0:
             assert dimension(Q) <= dimension(P)
             assert contains_point(P, relative_interior_point(Q))
-            hull = list(polyhedral._hull(Q)[0])
-            assert all(rank_of_rows(hull + [list(row)]) == len(hull) for row in polyhedral._hull(P)[0])
+            hull = list(hull_rows(Q))
+            assert all(rank_of_rows(hull + [list(row)]) == len(hull) for row in hull_rows(P))
 
     def test_equality_needs_the_span_test(self):
         # the box's relative-interior point is the origin, on the line v1 = 0
@@ -887,10 +883,9 @@ def lp_instances(draw):
     return obj, polyhedron(rank, eqs, ineqs)
 
 
-class TestHashKeptOnTheInstance:
-    """A polyhedron hashes on first use and keeps the value: equal
-    polyhedra hash equal before and after a cached lookup, to the hash of
-    their fields."""
+class TestHashOfFields:
+    """Equal polyhedra hash equal, to the hash of their fields, before and
+    after a cached lookup, and an equal twin finds the cached point."""
 
     @settings(max_examples=100)
     @given(lp_instances())
@@ -900,9 +895,9 @@ class TestHashKeptOnTheInstance:
         Q = polyhedron(P.rank, rows(P.equalities), rows(P.inequalities))
         assert P == Q and P is not Q
         assert hash(P) == hash(Q) == hash((P.rank, P.equalities, P.inequalities))
-        dimension(P)  # a cache lookup hashes P and stores Q's equal twin
+        x = relative_interior_point(P)  # a cache lookup hashes P and stores it
         R = polyhedron(P.rank, rows(P.equalities), rows(P.inequalities))
-        assert {P: 1}[R] == 1 and dimension(R) == dimension(Q)
+        assert {P: 1}[R] == 1 and relative_interior_point(R) is x
         assert hash(P) == hash(Q) == hash(R)
 
 

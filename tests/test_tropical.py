@@ -20,7 +20,6 @@ from amoebas.laurent import bad_places, make_laurent, parse_poly
 from amoebas.polyhedral import (
     complex_to_json,
     contains_point,
-    dimension,
     intersect,
     polyhedron,
     preimage,
@@ -56,6 +55,7 @@ from conftest import (
     contains_zero,
     convex_certificate,
     covered_by,
+    dimension,
     from_generators,
     is_balanced,
     min_value_and_argmin,
@@ -793,9 +793,9 @@ class TestArgminMask:
             assert P == polyhedron(
                 rank, [c for Q in combo for c in Q.equalities], [c for Q in combo for c in Q.inequalities]
             )
-            if dimension(P) < 0:
-                continue
             x = relative_interior_point(P)
+            if x is None:
+                continue
             argmins = tuple(
                 min_value_and_argmin(d, [sum(a * b for a, b in zip(row, x)) for row in M])[1]
                 for d, M in zip(datas, mats)
@@ -855,3 +855,16 @@ class TestPrevarietyAgainstReference:
         polys = [c.polyhedron for c in prevariety(system, place).cells]
         assert sorted(map(dimension, polys)) == dims
         assert not any(reference_poly_contains(P, Q) for P, Q in itertools.permutations(polys, 2))
+
+    @pytest.mark.parametrize("place", [GENERIC, FinitePrime(3)], ids=["generic", "p:3"])
+    def test_one_point_lookup_per_product_piece(self, place, monkeypatch):
+        # each raw piece is asked once: its relative-interior point, or
+        # None when it is empty
+        constraints = [Constraint(parse_poly(c["f"], 4)) for c in RANK_4_SYSTEM["constraints"]]
+        lookups = []
+        real = tropical.relative_interior_point
+        monkeypatch.setattr(tropical, "relative_interior_point", lambda P: lookups.append(P) or real(P))
+        prevariety(PrevarietySystem(4, tuple(constraints)), place)
+        cells = [trop_hypersurface(con.poly, place).cells for con in constraints]
+        want = [intersect(*(c.polyhedron for c in combo)) for combo in itertools.product(*cells)]
+        assert len(want) > 1 and lookups == want
