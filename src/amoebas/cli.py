@@ -135,6 +135,8 @@ def _poly(ns):
 def _source(ns):
     """The hypersurface of --f or the system of --system; both have .rank
     and .field."""
+    if ns.f is not None and ns.system is not None:
+        raise ValueError("give --f or --system, not both")
     if ns.f:
         return _poly(ns)
     if ns.system:

@@ -18,7 +18,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import FactorizationTooLarge, InvalidPlace, PlaceFieldMismatch, ZeroInput
+from .errors import (
+    FactorizationTooLarge,
+    InternalInvariantError,
+    InvalidPlace,
+    PlaceFieldMismatch,
+    ZeroInput,
+)
 
 FIELD_Q = "Q"
 FIELD_QZ = "Q(z)"
@@ -268,26 +274,70 @@ def field_of(a) -> str:
 
 
 # ---------------------------------------------------------------------------
-# factorization over Z and Q[z] is sympy's (imported lazily: it is slow to load)
+# factorization over Z and Q[z]: sympy's (imported lazily: it is slow to load),
+# bar the rho that splits integers
 
 
-# A number below 10**MAX_COFACTOR_DIGITS is factored in full: on a 2-core VM
-# sympy takes 1-2 s for two 15-digit primes and about 35 s for two 20-digit
-# primes.
+# A number below 10**MAX_COFACTOR_DIGITS is factored in full: rho splits
+# each composite piece first, and sympy's factorint finishes the pieces below
+# FACTOR_LIMIT and those rho does not split, which on a 2-core VM takes 1-2 s
+# for two 15-digit primes and about 35 s for two 20-digit primes.
 MAX_COFACTOR_DIGITS = 30
 # A larger one loses its prime factors below FACTOR_LIMIT by trial division.
 # Every piece of what is left is then decided from its size first, since
 # each test below runs on integers whose cost grows with their bit length:
 # past PRIME_BITS bits it is refused; a perfect power is split into its
 # root; a prime is kept; past RHO_BITS bits a composite is refused; else
-# Pollard rho splits off a factor within RHO_STEPS steps or the piece is
-# refused.  RHO_STEPS is about eight times the steps a 7-digit prime needs.
-# On a 2-core VM the slowest accepted cases measured are 34 9-digit primes
-# (1024 bits, 3.5 s) and a 4096-bit prime (1.7 s, almost all in isprime).
+# rho splits off a factor within RHO_STEPS evaluations of its map or the
+# piece is refused.  RHO_STEPS ends _rho's round r = 2**14, by which it finds
+# every cycle mod p of length up to 2**15 entered by step 32766: about
+# 2*sqrt(p) evaluations find a prime p, so rho reaches about 10**9.  On a
+# 2-core VM the slowest accepted cases measured are 37 9-digit primes (1021
+# bits, 2.4 s) and a 4096-bit prime (0.7 s, almost all in isprime).
 FACTOR_LIMIT = 10**5
 PRIME_BITS = 4096
 RHO_BITS = 1024
-RHO_STEPS = 2**15
+RHO_STEPS = 2**16
+
+
+def _rho(m: int) -> int | None:
+    """A factor 1 < d < m of the composite m, or None if Pollard rho finds
+    none within RHO_STEPS evaluations of x -> x^2 + 1 from 2.
+
+    Brent's cycle finding (R. P. Brent, "An improved Monte Carlo
+    factorization algorithm", BIT 20 (1980) 176-184): in the round of each
+    power of two r, x stays where the round starts and y runs 2r steps past
+    it; the differences x - y of the last r steps are multiplied mod m, so
+    that one gcd serves a block of steps, and a block whose gcd is m is
+    retraced step by step."""
+    block = 128
+    y, r, q, g, steps = 2, 1, 1, 1, 0
+    while g == 1:
+        if steps + r > RHO_STEPS:
+            return None
+        x = y
+        for _ in range(r):
+            y = (y * y + 1) % m
+        steps += r
+        k = 0
+        while k < r and g == 1:
+            n = min(block, r - k)
+            if steps + n > RHO_STEPS:
+                return None
+            start = y
+            for _ in range(n):
+                y = (y * y + 1) % m
+                q = q * (x - y) % m
+            g = math.gcd(q, m)
+            k += n
+            steps += n
+        r *= 2
+    if g == m:
+        g = 1
+        while g == 1:
+            start = (start * start + 1) % m
+            g = math.gcd(x - start, m)
+    return g if g < m else None
 
 
 def factor_int(n: int) -> dict[int, int]:
@@ -309,32 +359,37 @@ def factor_int(n: int) -> dict[int, int]:
     while pending:
         m, e = pending.pop()
         if m < 10**MAX_COFACTOR_DIGITS:
-            for p, f in sympy.factorint(m).items():
-                out[p] = out.get(p, 0) + e * f
-            continue
-        if m.bit_length() > PRIME_BITS:
+            if m >= FACTOR_LIMIT and sympy.isprime(m):
+                out[m] = out.get(m, 0) + e
+                continue
+            if m < FACTOR_LIMIT or (d := _rho(m)) is None:
+                for p, f in sympy.factorint(m).items():
+                    out[p] = out.get(p, 0) + e * f
+                continue
+        elif m.bit_length() > PRIME_BITS:
             raise FactorizationTooLarge(
                 f"a factor of {m.bit_length()} bits is left after trial division to "
                 f"{FACTOR_LIMIT}; factoring stops past {PRIME_BITS} bits"
             )
-        power = sympy.perfect_power(m)
-        if power:
+        elif power := sympy.perfect_power(m):
             pending.append((power[0], e * power[1]))
+            continue
         elif sympy.isprime(m):
             out[m] = out.get(m, 0) + e
+            continue
         elif m.bit_length() > RHO_BITS:
             raise FactorizationTooLarge(
                 f"a composite factor of {m.bit_length()} bits is left after trial division "
                 f"to {FACTOR_LIMIT}; splitting stops past {RHO_BITS} bits"
             )
-        else:
-            d = sympy.pollard_rho(m, retries=0, max_steps=RHO_STEPS)
-            if d is None:
-                raise FactorizationTooLarge(
-                    f"no factor of a composite of {m.bit_length()} bits is found in "
-                    f"{RHO_STEPS} rho steps"
-                )
-            pending += [(d, e), (m // d, e)]
+        elif (d := _rho(m)) is None:
+            raise FactorizationTooLarge(
+                f"no factor of a composite of {m.bit_length()} bits is found in "
+                f"{RHO_STEPS} rho steps"
+            )
+        if not (1 < d < m and m % d == 0):
+            raise InternalInvariantError(f"rho returned {d}, which does not split {m}")
+        pending += [(d, e), (m // d, e)]
     return dict(sorted(out.items()))
 
 

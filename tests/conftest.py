@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import settings
-from sympy import ZZ, Matrix
+from sympy import ZZ, Matrix, factorint
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.normalforms import smith_normal_decomp
 
@@ -96,7 +96,6 @@ from amoebas.scalars import (
     Poly,
     RationalFunction,
     _factored,
-    factor_int,
     field_of,
     irreducible_factors,
     log_abs,
@@ -1413,7 +1412,7 @@ def reference_support_places(values):
             if a == 0:
                 raise ZeroInput("support of zero is undefined")
             for n in (a.numerator, a.denominator):
-                for p in factor_int(n):
+                for p in sorted(factorint(abs(n))):
                     out.add(FinitePrime(p))
     else:
         for a in values:
@@ -1433,7 +1432,7 @@ def reference_product_formula_residual(a):
             raise ZeroInput("product formula for zero")
         total = log_abs(a, ARCH)
         for n in (a.numerator, a.denominator):
-            for p in factor_int(n):
+            for p in sorted(factorint(abs(n))):
                 total += valuation(a, FinitePrime(p)) * math.log(p)
         return total
     if isinstance(a, RationalFunction):

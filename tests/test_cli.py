@@ -293,6 +293,20 @@ class TestErrorsAndDeterminism:
         assert code == 2 and out == ""
         assert json.loads(err)["error"]["code"] == "input-error"
 
+    @pytest.mark.parametrize("command", ["check-halfspace", "classify"])
+    def test_f_with_system_is_refused_before_the_file_is_read(self, capsys, tmp_path, command):
+        # --f won and the system was dropped without a word; the file is
+        # never opened, so a missing one gives the same refusal
+        present = tmp_path / "system.json"
+        present.write_text(json.dumps(TRIANGLE_SYSTEM))
+        for path in (tmp_path / "missing.json", present):
+            code, out, err = run_cli(capsys, command, "--f", "x1+x2+1", "--system", str(path),
+                                     "--halfspace", "dir:1,1")
+            assert code == 2 and out == ""
+            error = json.loads(err)["error"]
+            assert error["code"] == "input-error"
+            assert "--f" in error["message"] and "--system" in error["message"]
+
     def test_system_without_field_is_parsed_over_one_field(self, capsys, tmp_path):
         # a constraint naming z makes every constraint Q(z): a Q constraint
         # had no valuation at q:z, and check-halfspace exited 2 at inf

@@ -15,7 +15,13 @@ from hypothesis import strategies as st
 import amoebas
 from amoebas import scalars
 
-from amoebas.errors import FactorizationTooLarge, InvalidPlace, PlaceFieldMismatch, ZeroInput
+from amoebas.errors import (
+    FactorizationTooLarge,
+    InternalInvariantError,
+    InvalidPlace,
+    PlaceFieldMismatch,
+    ZeroInput,
+)
 from amoebas.scalars import (
     ARCH,
     FF_INFINITY,
@@ -194,7 +200,7 @@ class TestUnits:
 class TestFactorization:
     def test_factor_int(self):
         assert factor_int(360) == {2: 3, 3: 2, 5: 1}
-        # ascending, whatever order the primes are found in (sympy finds the
+        # ascending, whatever order the primes are found in (rho finds the
         # larger one first here)
         assert list(factor_int(2210484349 * 4246154377)) == [2210484349, 4246154377]
         with pytest.raises(ZeroInput):
@@ -215,6 +221,70 @@ class TestFactorization:
         primes = [1006877, 1037741, 1066433, 1072763, 1083689, 1095461,
                   1113643, 1130737, 1146533, 1204183, 1214011, 1233241]
         assert factor_int(-math.prod(primes)) == dict.fromkeys(primes, 1)
+        primes = [sympy.nextprime(10**6 + 1000 * i) for i in range(44)]  # 878 bits
+        assert factor_int(math.prod(primes)) == dict.fromkeys(primes, 1)
+
+    def test_factor_int_takes_a_piece_past_rho_whole_below_the_digit_bound(self, monkeypatch):
+        # two 12-digit primes: rho gives up within RHO_STEPS, and sympy's
+        # factorint finishes the piece
+        p, q = 300000000077, 700000000009
+        whole = []
+        factorint = sympy.factorint
+        monkeypatch.setattr(sympy, "factorint", lambda m: whole.append(m) or factorint(m))
+        assert factor_int(-p * q) == {p: 1, q: 1}
+        assert whole == [p * q]
+
+    def test_factor_int_reach_of_rho_past_the_digit_bound(self):
+        # x -> x^2 + 1 from 2 meets 100000193 after 51838 evaluations, within
+        # RHO_STEPS (sympy's Floyd rho took 26530 of its 2^15 steps), and
+        # 100036927 after 99582, past them (Floyd: 33980 steps)
+        q = sympy.nextprime(10**25)
+        assert factor_int(100000193 * q) == {100000193: 1, q: 1}
+        with pytest.raises(FactorizationTooLarge, match="rho steps"):
+            factor_int(100036927 * q)
+
+    def test_rho_retraces_a_block_whose_gcd_is_m(self):
+        # rho meets both 4-digit primes within one block of steps, so the
+        # block's gcd is mostly m and the factor comes from the retrace; it
+        # fails only where both are met at the same step (6 of the 378 pairs)
+        ps = list(sympy.primerange(1000, 1200))
+        pairs = [(p, q) for i, p in enumerate(ps) for q in ps[i + 1:]]
+        found = [scalars._rho(p * q) for p, q in pairs]
+        assert all(d in (None, p, q) for d, (p, q) in zip(found, pairs))
+        assert found.count(None) <= 10
+
+    @pytest.mark.parametrize("split", [lambda m: 1, lambda m: m, lambda m: m + 2, lambda m: 2],
+                             ids=["1", "m", "m+2", "2"])
+    @pytest.mark.parametrize("n", [1000003 * 1000033, 90799494873517555709 * 11218320424174490777],
+                             ids=["below", "above"])
+    def test_factor_int_checks_each_split(self, monkeypatch, split, n):
+        # a factor from rho that is not a proper divisor is an internal fault,
+        # on both sides of the digit bound
+        monkeypatch.setattr(scalars, "_rho", split)
+        with pytest.raises(InternalInvariantError, match="does not split"):
+            factor_int(n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(2, 12), st.integers(0, 10**12), st.integers(1, 3)),
+                 min_size=1, max_size=4),
+        st.sampled_from([1, -1]),
+    )
+    def test_factor_int_agrees_with_sympy(self, parts, sign):
+        # products of 1-4 primes of 2-12 digits with multiplicities 1-3:
+        # below the digit bound in full, above it in full or refused
+        expected = {}
+        for digits, offset, e in parts:
+            p = sympy.nextprime(10 ** (digits - 1) + offset % (9 * 10 ** (digits - 1)))
+            expected[p] = expected.get(p, 0) + e
+        n = sign * math.prod(p**e for p, e in expected.items())
+        if abs(n) < 10**scalars.MAX_COFACTOR_DIGITS:
+            assert factor_int(n) == sympy.factorint(abs(n)) == dict(sorted(expected.items()))
+            return
+        try:
+            assert factor_int(n) == dict(sorted(expected.items()))
+        except FactorizationTooLarge:
+            pass
 
     def test_factor_int_decides_from_the_size_first(self, monkeypatch):
         # no rho step runs on a piece past the bit bounds, and no primality
@@ -222,7 +292,7 @@ class TestFactorization:
         def no_call(*args, **kwargs):
             raise AssertionError("called past the size bound")
 
-        monkeypatch.setattr(sympy, "pollard_rho", no_call)
+        monkeypatch.setattr(scalars, "_rho", no_call)
         p = sympy.nextprime(2**1100)
         with pytest.raises(FactorizationTooLarge):
             factor_int(7 * p * sympy.nextprime(p))
