@@ -76,16 +76,25 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _known_keys(obj, keys, what):
+    unknown = sorted(set(obj) - set(keys))
+    if unknown:
+        raise ValueError(f"{what} takes only the keys {', '.join(map(repr, keys))}, not {unknown[0]!r}")
+
+
 def load_system(path: str) -> PrevarietySystem:
     """Read a system file: ``{"rank": n, "field": "Q" | "Q(z)" (optional),
     "constraints": [{"f": text, "map": integer rows (optional), "rank": m
-    (optional)}, ...]}``; a file off this schema raises ValueError.  Every
+    (optional)}, ...]}``; a file off this schema, a key outside it
+    included, raises ValueError before any text is parsed, so that a
+    misspelt "map" or "field" is not read as an omitted one.  Every
     constraint is parsed over one field: an omitted "field" is Q(z) when any
     constraint names z, else Q."""
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
     if not isinstance(obj, dict):
         raise ValueError("a system file must hold a JSON object")
+    _known_keys(obj, ("rank", "field", "constraints"), "a system")
     rank = obj.get("rank")
     if not _is_int(rank) or rank < 1:
         raise ValueError('a system needs a positive integer "rank"')
@@ -97,6 +106,8 @@ def load_system(path: str) -> PrevarietySystem:
         raise ValueError('a system needs a nonempty "constraints" list')
     if not all(isinstance(c, dict) and isinstance(c.get("f"), str) for c in cons):
         raise ValueError('each constraint needs a string "f"')
+    for c in cons:
+        _known_keys(c, ("f", "map", "rank"), "a constraint")
     if field is None:
         field = FIELD_QZ if FIELD_QZ in {scan_field(c["f"]) for c in cons} else FIELD_Q
     constraints = []

@@ -8,21 +8,25 @@ over one common positive denominator and is updated by fraction-free
 returned value, point, ray and multipliers.  Every answer is exact and is
 checked against its certificate (dual multipliers, an improving ray, or
 Farkas multipliers) before it is returned; it also takes a raw Polyhedron
-whose rows are not canonical.  polyhedron() canonicalizes rows, and a row
-that is already primitive keeps its int entries and Fraction rhs as they
-are; intersect() merges rows that are already canonical without
-canonicalizing them again, by sorting them on their canonical key and
-dropping adjacent equal keys, so no Fraction is hashed; and preimage()
-pulls rows back along an integer map.  The one cached query is
-relative_interior_point: a point of P strict on every row that is not an
-implicit equality, or None when P is empty, so emptiness is a None point.
-When P's stated equalities leave at most one free direction, they are
-solved once into a line, every solution (x0 + z col) / den, and that
-point, redundancy removal and maximize read their answers off the
-interval of z with integer comparisons, each answer checked like an LP's
-(maximize also reads off the maximizer where it is one point); otherwise
-the point takes one slack LP per round and redundancy removal one LP per
-row.
+whose rows are not canonical.  A row's key is (row, rhs numerator, rhs
+denominator), all ints; a polyhedron's is sort_key(), (rank, equality
+keys, inequality keys).  polyhedron() canonicalizes rows and drops
+duplicates by sorting them on their key (_merge), and a row that is
+already primitive keeps its int entries and Fraction rhs as they are;
+intersect() merges rows that are already canonical the same way without
+canonicalizing them again, and intersect_keys() merges their keys alone,
+so no Fraction is hashed; and preimage() pulls rows back along an integer
+map.  The one cached query is keyed_interior_point, on a polyhedron's
+key: a point of P strict on every row that is not an implicit equality,
+or None when P is empty, so emptiness is a None point.  P's stated
+equalities are solved once into a frame, every solution (x0 + C z) / den
+with one column of C per free direction, checked against every equality.
+With at most one free direction that point, redundancy removal and
+maximize read their answers off the interval of z with integer
+comparisons, each answer checked like an LP's (maximize also reads off
+the maximizer where it is one point); with k >= 2 the point takes one
+slack LP per round and redundancy removal one LP per row, each over the
+k coordinates of z.
 A minimum is the maximum of the negated objective.
 """
 from __future__ import annotations
@@ -57,8 +61,10 @@ def _canon_constraint(row, rhs, is_equality):
 
 
 def _con_key(con):
+    """(row, rhs numerator, rhs denominator): equal for equal canonical
+    rows, ordered as the rows are sorted, and with no Fraction in it."""
     row, rhs = con
-    return row, (rhs.numerator, rhs.denominator)
+    return row, rhs.numerator, rhs.denominator
 
 
 @dataclass(frozen=True)
@@ -83,15 +89,30 @@ class Polyhedron:
 
 
 def polyhedron(rank, equalities=(), inequalities=()):
-    """Canonicalizing constructor: primitive rows, sorted, deduplicated."""
+    """Canonicalizing constructor: primitive rows, sorted and deduplicated
+    on their canonical key by _merge."""
     groups = []
     for cons, is_equality in ((equalities, True), (inequalities, False)):
-        canon = {_canon_constraint(row, rhs, is_equality) for row, rhs in cons}
+        canon = [_canon_constraint(row, rhs, is_equality) for row, rhs in cons]
         if "infeasible" in canon:
             return empty_polyhedron(rank)
-        canon.discard(None)
-        groups.append(tuple(sorted(canon, key=_con_key)))
+        groups.append(_merge([[c for c in canon if c is not None]]))
     return Polyhedron(rank, *groups)
+
+
+def polyhedron_of_key(key):
+    """The Polyhedron whose sort_key() is key."""
+    rank, eqs, ineqs = key
+    cons = lambda keys: tuple((row, Fraction(num, den)) for row, num, den in keys)
+    return Polyhedron(rank, cons(eqs), cons(ineqs))
+
+
+def intersect_keys(keys):
+    """sort_key() of intersect() on nonempty polyhedra of the given keys:
+    their row keys merged, each once and sorted, as _merge merges the
+    rows, with no Fraction built or hashed."""
+    merge = lambda i: tuple(sorted({row for key in keys for row in key[i]}))
+    return keys[0][0], merge(1), merge(2)
 
 
 def empty_polyhedron(rank):
@@ -379,7 +400,7 @@ def lp_solve(objective, P: Polyhedron):
     return LPUnbounded(tuple(Fraction(v, d) for v in ray), pt)
 
 
-# Entries of the relative_interior_point cache; bounds memory in a long-lived process.
+# Entries of the keyed_interior_point cache; bounds memory in a long-lived process.
 _CACHE_SIZE = 4096
 
 
@@ -390,30 +411,28 @@ def _gap(a, b):
     return (t * u - w * s) * s
 
 
-def _tightest(st, idx):
-    """[lower, upper]: the index in idx of the first row of st with the
-    tightest bound on that side of z, None where no row bounds it."""
+def _tightest(st):
+    """[lower, upper]: the index of the last row of st with the tightest
+    bound on that side of z, found in one pass; None where no row bounds
+    it."""
     best = [None, None]
-    for i in idx:
-        if st[i][0]:
-            j = best[st[i][0] > 0]
-            if j is None or _gap(st[i], st[j]) < 0:
-                best[st[i][0] > 0] = i
+    for i, (s, t) in enumerate(st):
+        if s:
+            j = best[s > 0]
+            if j is None or _gap((s, t), st[j]) <= 0:
+                best[s > 0] = i
     return best
 
 
-def _line(P):
-    """P's stated equalities solved once: None when they are consistent
-    and leave two or more free directions, else (frame, st, bounds).  With
-    frame = (x0, col, den), integer and den > 0, the solutions are (x0 + z
-    col) / den for real z (col = 0 when none is free); st[i] = (s, t) is
-    inequality i as the integer row s z <= t; bounds = (lo, hi) are the
-    rows of st with the tightest lower and upper bound on z (None on an
-    open side), or None when P is empty.  The elimination carries identity
-    columns, so inconsistent equalities leave a combination reading 0 =
-    nonzero (frame and st are then None and ()).  The frame is checked
-    against every equality, and emptiness by its Farkas combination: of
-    the equalities, or of two rows constant in z."""
+def _frame(P, most=math.inf):
+    """P's stated equalities solved once into the frame (x0, cols, den),
+    integer with den > 0: the solutions are (x0 + sum_j z_j cols[j]) / den
+    for real z, one column per free direction.  None when there are more
+    than most free directions, and "empty" when the equalities are
+    inconsistent.  The elimination carries identity columns, so
+    inconsistent equalities leave a combination reading 0 = nonzero, which
+    is checked as a Farkas certificate; a frame is checked against every
+    equality."""
     n, m = P.rank, len(P.equalities)
     rows = [row for row, _ in P.equalities]
     rhs, D = integer_row([b for _, b in P.equalities])
@@ -422,27 +441,61 @@ def _line(P):
     lam = next((r[n + 1:] for r in M[len(pivots):] if r[n]), None)
     if lam is not None:
         _check_farkas(rows, rhs, m, lam if _dot(lam, rhs) < 0 else [-x for x in lam])
-        return None, (), None
+        return "empty"
     free = [c for c in range(n) if c not in pivots]
-    if len(free) > 1:
+    if len(free) > most:
         return None
-    # pivot row r reads det * v[p] + r[f] * v[f] = r[n] / D for the free f
-    x0, col = [0] * n, [0] * n
+    # pivot row r reads det * v[p] + sum_f r[f] * v[f] = r[n] / D
+    x0, cols = [0] * n, [[0] * n for _ in free]
     for p, r in zip(pivots, M):
-        x0[p], col[p] = r[n], -r[free[0]] if free else 0
-    if free:
-        col[free[0]] = det
+        x0[p] = r[n]
+        for col, f in zip(cols, free):
+            col[p] = -r[f]
+    for col, f in zip(cols, free):
+        col[f] = det
     den = D * det
     if den < 0:
         x0, den = [-x for x in x0], -den
-    if any(_dot(row, col) or _dot(row, x0) * D != b * den for row, b in zip(rows, rhs)):
+    if any(_dot(row, x0) * D != b * den or any(_dot(row, col) for col in cols) for row, b in zip(rows, rhs)):
         raise InternalInvariantError("the frame misses a stated equality")
-    frame = tuple(x0), tuple(col), den
-    st = tuple(
-        (_dot(a, col) * c.denominator, c.numerator * den - _dot(a, x0) * c.denominator)
+    return tuple(x0), tuple(map(tuple, cols)), den
+
+
+def _frame_rows(P, x0, cols, den):
+    """Each inequality a . v <= c of P on the frame, as the integer row
+    s z <= t: s_j = (a . cols[j]) c.den and t = c.num den - (a . x0) c.den."""
+    return tuple(
+        (tuple(_dot(a, col) * c.denominator for col in cols), c.numerator * den - _dot(a, x0) * c.denominator)
         for a, c in P.inequalities
     )
-    lo, hi = _tightest(st, range(len(st)))
+
+
+def _line(P):
+    """P's stated equalities solved once: None when they are consistent
+    and leave two or more free directions, else (frame, st, bounds), as
+    _on_line reads them off _frame."""
+    return _on_line(P, _frame(P, 1))
+
+
+def _on_line(P, frame):
+    """(frame, st, bounds) read off what _frame returned, when that has at
+    most one column; None passes through.  With frame = (x0, col, den) the
+    solutions are (x0 + z col) / den for real z (col = 0 when none is
+    free); st[i] = (s, t) is inequality i as the integer row s z <= t;
+    bounds = (lo, hi) are the rows of st with the tightest lower and upper
+    bound on z (_tightest; None on an open side), or None when P is empty.
+    Inconsistent equalities give None and () for frame and st.  An empty
+    interval is checked by the Farkas combination of a row constant in z
+    or of the two bounding rows, which cross."""
+    if frame is None:
+        return None
+    if frame == "empty":
+        return None, (), None
+    x0, cols, den = frame
+    col = cols[0] if cols else (0,) * P.rank
+    frame = x0, col, den
+    st = tuple((s, t) for (s,), t in _frame_rows(P, x0, (col,), den))
+    lo, hi = _tightest(st)
     cert = next((([i], [1]) for i, (s, t) in enumerate(st) if not s and t < 0), None)
     if cert is None and None not in (lo, hi):
         (sl, tl), (sh, th) = st[lo], st[hi]
@@ -493,27 +546,30 @@ def _implicit_on_line(P, frame, st, bounds):
     return point
 
 
-def _implicit_by_lps(P):
-    """A relative-interior point of P, or None when P is empty.  Each
-    round maximizes t <= 1 subject to row . v + t <= rhs on the
-    inequalities not yet known to be implicit equalities, with the rest
-    kept as equalities.  Infeasible or t < 0: P is empty.  t > 0: the
-    point is relatively interior.  t = 0: the multipliers of those rows
-    sum to 1, and each row with a positive one holds with equality on all
-    of P (complementary slackness), so every round finds one."""
-    n, ineqs, implicit = P.rank, P.inequalities, set()
+def _implicit_by_lps(P, x0, cols, den):
+    """A relative-interior point of P, or None when P is empty, found in
+    the k coordinates z of P's frame (k = len(cols)), where each
+    inequality is the integer row s z <= t of _frame_rows.  Each round
+    maximizes u <= 1 subject to s z + u <= t on the rows not yet known to
+    be implicit equalities, with the rest kept as equalities.  Infeasible
+    or u < 0: P is empty.  u > 0: the point is relatively interior.  u =
+    0: the multipliers of those rows sum to 1, and each row with a
+    positive one holds with equality on all of P (complementary
+    slackness), so every round finds one."""
+    st, k, implicit = _frame_rows(P, x0, cols, den), len(cols), set()
+    cap = ((0,) * k + (1,), 1)
     while True:
-        eqs = P.equalities + tuple(c for i, c in enumerate(ineqs) if i in implicit)
-        free = [i for i in range(len(ineqs)) if i not in implicit]
-        slack = tuple(((*ineqs[i][0], 1), ineqs[i][1]) for i in free)
-        cap = ((0,) * n + (1,), Fraction(1))
-        res = lp_solve(cap[0], Polyhedron(n + 1, tuple(((*r, 0), b) for r, b in eqs), slack + (cap,)))
+        eqs = tuple(((*s, 0), t) for i, (s, t) in enumerate(st) if i in implicit)
+        free = [i for i in range(len(st)) if i not in implicit]
+        slack = tuple(((*st[i][0], 1), st[i][1]) for i in free)
+        res = lp_solve(cap[0], Polyhedron(k + 1, eqs, slack + (cap,)))
         if isinstance(res, LPUnbounded):
             raise InternalInvariantError("interior slack is capped, cannot be unbounded")
         if isinstance(res, LPInfeasible) or res.value < 0:
             return None
         if res.value > 0:
-            return res.point[:n]
+            z, d = integer_row(res.point[:k])
+            return tuple(Fraction(a * d + _dot(z, c), den * d) for a, *c in zip(x0, *cols))
         found = {i for i, lam in zip(free, res.multipliers[len(eqs):]) if lam > 0}
         if not found:
             raise InternalInvariantError("a zero-slack round found no implicit equality")
@@ -521,13 +577,18 @@ def _implicit_by_lps(P):
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
-def relative_interior_point(P: Polyhedron):
-    """A rational point of P strict on every row that is not an implicit
-    equality, or None when P is empty: read off the line when P's
-    equalities leave at most one free direction, else by one slack LP per
-    round."""
-    line = _line(P)
-    return _implicit_by_lps(P) if line is None else _implicit_on_line(P, *line)
+def keyed_interior_point(key):
+    """A rational point of P = polyhedron_of_key(key) strict on every row
+    that is not an implicit equality, or None when P is empty.  Cached on
+    the key, P.sort_key(), which holds ints alone, so that no Fraction is
+    hashed.  The point is read off the line when P's equalities leave at
+    most one free direction, else found by one slack LP per round in the
+    coordinates of P's frame."""
+    P = polyhedron_of_key(key)
+    frame = _frame(P)
+    if frame != "empty" and len(frame[1]) > 1:
+        return _implicit_by_lps(P, *frame)
+    return _implicit_on_line(P, *_on_line(P, frame))
 
 
 def _check_kept(st, i, others, z):
@@ -542,27 +603,27 @@ def remove_redundancy(P: Polyhedron) -> Polyhedron:
     P (callers decide emptiness: on an empty P the result is unspecified).
     Greedily in row order, a row is dropped when the equalities and the
     rows still kept imply it.  On P's line (at most one free direction)
-    that holds exactly when the row is constant in z or another kept row
-    bounds z as tightly on the same side, and a kept row has a point that
-    breaks only it; else one LP per row decides."""
-    line = _line(P)
-    if line is not None and line[2] is not None:
-        st, keep = line[1], list(range(len(P.inequalities)))
-        for i, (s, _) in enumerate(st):
+    that keeps the last row with the tightest bound on z on each side, as
+    _on_line finds them in one pass, each checked by a point that breaks
+    it alone.  Else, in the k coordinates of P's frame, a row constant
+    there is dropped and each other row takes one LP, whose value
+    decides."""
+    frame = _frame(P)
+    if frame == "empty" or len(frame[1]) < 2:
+        _, st, bounds = _on_line(P, frame)
+        keep = [i for i in bounds or () if i is not None]
+        for i in keep:
+            s, t = st[i]  # z = t / s one past row i's bound
+            _check_kept(st, i, [j for j in keep if j != i], Fraction(t + abs(s), s))
+    else:
+        st, k = _frame_rows(P, *frame), len(frame[1])
+        keep = [i for i, (s, _) in enumerate(st) if any(s)]
+        for i in list(keep):
             others = [j for j in keep if j != i]
-            j = _tightest(st, others)[s > 0] if s else None
-            if not s or (j is not None and _gap(st[j], st[i]) <= 0):
+            res = lp_solve(st[i][0], Polyhedron(k, (), tuple(st[j] for j in others)))
+            if isinstance(res, LPOptimal) and res.value <= st[i][1]:
                 keep = others
-            else:  # a z past row i's bound and short of row j's
-                _check_kept(st, i, others, _midpoint(st, *((i, j) if s > 0 else (j, i))))
-        return polyhedron(P.rank, P.equalities, [P.inequalities[i] for i in keep])
-    kept = list(P.inequalities)
-    for con in P.inequalities:
-        others = [c for c in kept if c != con]
-        res = lp_solve(con[0], Polyhedron(P.rank, P.equalities, tuple(others)))
-        if isinstance(res, LPOptimal) and res.value <= con[1]:
-            kept = others
-    return polyhedron(P.rank, P.equalities, kept)
+    return polyhedron(P.rank, P.equalities, [P.inequalities[i] for i in keep])
 
 
 def maximize(objective, P: Polyhedron, level=None):

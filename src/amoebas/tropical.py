@@ -49,10 +49,12 @@ from .polyhedral import (
     Polyhedron,
     PolyhedralComplex,
     _con_key,
-    intersect,
+    empty_polyhedron,
+    intersect_keys,
+    keyed_interior_point,
     make_complex,
+    polyhedron_of_key,
     preimage,
-    relative_interior_point,
     remove_redundancy,
 )
 from .scalars import GENERIC, ArchimedeanQ, GenericPlace, place_to_str, valuation
@@ -463,20 +465,24 @@ def prevariety(system, place) -> PolyhedralComplex:
 
     Distributes intersection over tuples of cells.  A corner-locus cell is
     where its tie set attains the minimum, so a raw piece P is where each
-    constraint's tie set does.  Each piece is asked once for a
-    relative-interior point, which is None exactly when P is empty.  Name a
-    nonempty P by its argmin tuple T, the terms of each constraint minimal
-    at that point.  On P each term's gap above the minimum is affine and
-    nonnegative, so it vanishes on all of P or is positive on its relative
-    interior.  Hence
+    constraint's tie set does.  Each nonempty cell is keyed once
+    (Polyhedron.sort_key: ints alone), and a piece's key merges its cells'
+    keys (intersect_keys), so a piece hashes no Fraction and is built as a
+    Polyhedron only on a cache miss.  Each piece is asked once, on that
+    key, for a relative-interior point (keyed_interior_point), which is
+    None exactly when P is empty.  Name a nonempty P by its argmin tuple
+    T, the terms of each constraint minimal at that point.  On P each
+    term's gap above the minimum is affine and nonnegative, so it vanishes
+    on all of P or is positive on its relative interior.  Hence
     P = {v : T_i lies in argmin_i(v) for every i}, equal tuples name equal
     pieces, and P lies in Q exactly when T_Q lies in T_P entry by entry.
     The tuple is held as one bit mask (_argmin_mask), read off the point
     scaled to integers once, so equal masks are equal tuples and S | T == T
     says S lies in T entry by entry.  The first piece of each mask in
     product order is kept when no other mask lies below it (_below), and
-    only kept pieces get redundancy removal.  This is an outer
-    approximation of the tropicalization of the common zero set.
+    only kept pieces are built as polyhedra and get redundancy removal.
+    This is an outer approximation of the tropicalization of the common
+    zero set.
     """
     pulled, tropdata = [], []
     for con in system.constraints:
@@ -489,16 +495,18 @@ def prevariety(system, place) -> PolyhedralComplex:
             data = TropicalData(tuple(mat_vec(transpose, u) for u in data.exponents), data.shifts)
         pulled.append(cells)
         tropdata.append(data)
+    empty = empty_polyhedron(system.rank)
+    keyed = [[P.sort_key() for P in cells if P != empty] for cells in pulled]
     pieces = {}
-    for combo in itertools.product(*pulled):
-        P = intersect(*combo)
-        point = relative_interior_point(P)
+    for combo in itertools.product(*keyed):
+        key = intersect_keys(combo)
+        point = keyed_interior_point(key)
         if point is None:
             continue
         ints, den = integer_row(point)
-        pieces.setdefault(_argmin_mask(tropdata, ints, den), P)
-    keep = [P for T, P in pieces.items() if not any(_below(S, T) for S in pieces)]
-    return make_complex(system.rank, [Cell(remove_redundancy(P)) for P in keep])
+        pieces.setdefault(_argmin_mask(tropdata, ints, den), key)
+    keep = [key for T, key in pieces.items() if not any(_below(S, T) for S in pieces)]
+    return make_complex(system.rank, [Cell(remove_redundancy(polyhedron_of_key(key))) for key in keep])
 
 
 @dataclass(frozen=True)

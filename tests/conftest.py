@@ -81,8 +81,8 @@ from amoebas.polyhedral import (
     lp_solve,
     make_complex,
     polyhedron,
+    keyed_interior_point,
     preimage,
-    relative_interior_point,
     remove_redundancy,
 )
 from amoebas.scalars import (
@@ -686,6 +686,12 @@ def reference_affine_hull(P):
         flags.append(isinstance(res, LPOptimal) and -res.value == rhs)
     rows = [row for row, _ in P.equalities] + [r for (r, _), f in zip(P.inequalities, flags) if f]
     return _independent_rows(rows), tuple(flags)
+
+
+def relative_interior_point(P):
+    """keyed_interior_point on P's key: a point of P strict on every row
+    that is not an implicit equality, or None when P is empty."""
+    return keyed_interior_point(P.sort_key())
 
 
 def hull_rows(P):

@@ -184,7 +184,7 @@ def test_prevariety_bytes_do_not_rest_on_the_point_cache(capsys, tmp_path):
     ):
         assert run_cli(capsys, *other)[0] == 0
     warm = run_cli(capsys, *argv)
-    polyhedral.relative_interior_point.cache_clear()
+    polyhedral.keyed_interior_point.cache_clear()
     assert run_cli(capsys, *argv) == warm and warm[0] == 0
 
 
@@ -1018,6 +1018,24 @@ class TestRejectedValues:
         code, out, err = run_cli(capsys, "prevariety", "--system", str(path))
         assert code == 2 and out == ""
         assert json.loads(err)["error"]["code"] == error
+
+    @pytest.mark.parametrize(
+        "system, key",
+        [
+            ({"rank": 2, "constraints": [{"f": "x1 + x2 + 1", "Map": [[1, 1], [0, 1]]}]}, "Map"),
+            ({"rank": 2, "feild": "Q(z)", "constraints": [{"f": "x1 + x2 + 1"}]}, "feild"),
+        ],
+        ids=["constraint-key", "system-key"],
+    )
+    def test_unknown_system_key_is_refused(self, capsys, tmp_path, system, key):
+        # a misspelt key was ignored: "Map" pulled back along the identity
+        # and "feild" ran over Q, both with exit 0
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(system))
+        code, out, err = run_cli(capsys, "prevariety", "--system", str(path))
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["code"] == "input-error" and repr(key) in error["message"]
 
     def test_boundary_generator_length(self, capsys):
         code, out, err = run_cli(

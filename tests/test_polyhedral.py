@@ -21,13 +21,13 @@ from amoebas.polyhedral import (
     contains_point,
     empty_polyhedron,
     intersect,
+    keyed_interior_point,
     lp_solve,
     make_complex,
     maximize,
     polyhedron,
     polyhedron_to_json,
     preimage,
-    relative_interior_point,
     remove_redundancy,
 )
 from amoebas.scalars import FIELD_Q, GENERIC, FinitePrime
@@ -54,6 +54,7 @@ from conftest import (
     reference_project,
     reference_prune_to_maximal,
     reference_remove_redundancy,
+    relative_interior_point,
     segment,
 )
 from test_classify import _check_against_reference
@@ -161,13 +162,18 @@ class TestDimension:
 
 
 @st.composite
-def hull_polyhedra(draw, equalities=None):
-    """Polyhedra of rank 1-4, empty, lower-dimensional or unbounded: random
-    rows, an opposite copy of a row with its rhs moved by -1, 0 or 1 (an
-    empty piece, a face or a slab), and a repeated or scaled row kept as it
-    is when the constructor does not canonicalize.  equalities(rank), when
-    given, draws the equalities in place of 0-2 random rows."""
-    rank = draw(st.integers(1, 4))
+def hull_polyhedra(draw, equalities=None, min_rank=1):
+    """Polyhedra of rank min_rank-4, empty, lower-dimensional or unbounded:
+    random rows, an opposite copy of a row with its rhs moved by -1, 0 or 1
+    (an empty piece, a face or a slab), and a repeated or scaled row kept
+    as it is when the constructor does not canonicalize.
+    equalities(rank), when given, draws the equalities in place of 0-2
+    random rows, and up to two rows that read the same on their solutions
+    as a row already drawn (a tie) or as a constant follow last: an
+    inequality plus a combination of the equalities, its rhs moved by the
+    same combination, or the combination alone, its rhs moved by -1, 0 or
+    1."""
+    rank = draw(st.integers(min_rank, 4))
     con = st.tuples(_rows(rank, -2, 2), st.integers(-2, 2).map(Fraction))
     eqs = draw(st.lists(con, max_size=2) if equalities is None else equalities(rank))
     ineqs = draw(st.lists(con, max_size=6))
@@ -178,24 +184,27 @@ def hull_polyhedra(draw, equalities=None):
         row, rhs = draw(st.sampled_from(ineqs))
         k = draw(st.integers(1, 2))
         ineqs.append((tuple(k * x for x in row), k * rhs))
+    kinds = st.lists(st.sampled_from(["tie", "constant"]), max_size=2)
+    for kind in draw(kinds) if equalities is not None and eqs else ():
+        lam = draw(st.lists(st.integers(-1, 1), min_size=len(eqs), max_size=len(eqs)))
+        comb = tuple(sum(a * row[k] for a, (row, _) in zip(lam, eqs)) for k in range(rank))
+        shift = sum(a * b for a, (_, b) in zip(lam, eqs))
+        if kind == "tie" and ineqs:
+            row, rhs = draw(st.sampled_from(ineqs))
+            ineqs.append((tuple(x + y for x, y in zip(row, comb)), rhs + shift))
+        else:
+            ineqs.append((comb, shift + draw(st.integers(-1, 1))))
     if draw(st.booleans()):
         return polyhedron(rank, eqs, ineqs)
     return Polyhedron(rank, tuple(eqs), tuple(ineqs))
 
 
-@st.composite
-def line_equalities(draw, rank):
-    """rank - 1 independent equality rows and up to two more, so n - 1, n
-    or n + 1 in all: a random row, a combination of earlier rows whose rhs
-    is the same combination or off by one (dependent or inconsistent), or
-    a zero row with rhs 0 or 1."""
+def _more_equalities(draw, rank, eqs, kinds):
+    """eqs with a row appended per kind: a random row, a combination of
+    earlier rows whose rhs is the same combination or off by one
+    (dependent or inconsistent), or a zero row with rhs 0 or 1."""
     con = st.tuples(_rows(rank, -2, 2), st.integers(-2, 2).map(Fraction))
-    eqs = draw(
-        st.lists(con, min_size=rank - 1, max_size=rank - 1).filter(
-            lambda eqs: rank_of_rows([row for row, _ in eqs]) == rank - 1
-        )
-    )
-    for kind in draw(st.lists(st.sampled_from(["random", "dependent", "zero"]), max_size=2)):
+    for kind in kinds:
         if kind == "random":
             eqs.append(draw(con))
         elif kind == "dependent" and eqs:
@@ -206,6 +215,34 @@ def line_equalities(draw, rank):
         else:
             eqs.append(((0,) * rank, Fraction(draw(st.integers(0, 1)))))
     return eqs
+
+
+def _independent_equalities(draw, rank, size):
+    con = st.tuples(_rows(rank, -2, 2), st.integers(-2, 2).map(Fraction))
+    return draw(
+        st.lists(con, min_size=size, max_size=size).filter(
+            lambda eqs: rank_of_rows([row for row, _ in eqs]) == size
+        )
+    )
+
+
+@st.composite
+def line_equalities(draw, rank):
+    """rank - 1 independent equality rows and up to two more
+    (_more_equalities), so n - 1, n or n + 1 in all."""
+    eqs = _independent_equalities(draw, rank, rank - 1)
+    kinds = st.lists(st.sampled_from(["random", "dependent", "zero"]), max_size=2)
+    return _more_equalities(draw, rank, eqs, draw(kinds))
+
+
+@st.composite
+def frame_equalities(draw, rank):
+    """0 to rank - 2 independent equality rows, so that two or more
+    directions stay free unless they are inconsistent, and up to one
+    dependent, inconsistent or zero row more (_more_equalities)."""
+    eqs = _independent_equalities(draw, rank, draw(st.integers(0, rank - 2)))
+    kinds = st.lists(st.sampled_from(["dependent", "zero"]), max_size=1)
+    return _more_equalities(draw, rank, eqs, draw(kinds))
 
 
 def _check_hull(P):
@@ -238,7 +275,7 @@ class TestHull:
     def test_one_round_per_implicit_row_at_most(self, monkeypatch):
         # a point in the plane cut out by four inequalities takes at most
         # one LP per implicit row and one more; a full box takes one LP
-        relative_interior_point.cache_clear()
+        keyed_interior_point.cache_clear()
         calls = []
         lp = polyhedral.lp_solve
         monkeypatch.setattr(polyhedral, "lp_solve", lambda *a: calls.append(1) or lp(*a))
@@ -260,9 +297,9 @@ class TestHull:
 def fresh_caches():
     """A cold relative-interior point cache before and after the test, so
     a patched kernel is reached and leaves nothing behind."""
-    relative_interior_point.cache_clear()
+    keyed_interior_point.cache_clear()
     yield
-    relative_interior_point.cache_clear()
+    keyed_interior_point.cache_clear()
 
 
 def max_value(objective, P):
@@ -339,6 +376,18 @@ class TestLine:
         assert relative_interior_point(polyhedron(2, diag, [((1, 0), 0), ((-1, 0), -1)])) is None
         ray_ = polyhedron(2, diag, [((-1, 0), 0)])
         assert max_value((1, 0), ray_) == math.inf and max_value((-1, 0), ray_) == 0
+
+    def test_last_tied_row_survives(self):
+        # on the diagonal, x1 <= 2 and 2 x1 - x2 <= 2 bound z alike, and
+        # x1 - x2 <= 1 is constant; in either row order the later tied row
+        # is kept, each checked by a witness that breaks it alone
+        diag, tied, constant = [((1, -1), 0)], [((1, 0), 2), ((2, -1), 2)], ((1, -1), 1)
+        for rows in (tied, tied[::-1]):
+            P = Polyhedron(2, polyhedron(2, diag).equalities, tuple(
+                (row, Fraction(b)) for row, b in [*rows, constant, ((-1, 0), 0)]
+            ))
+            want = polyhedron(2, diag, [rows[-1], ((-1, 0), 0)])
+            assert remove_redundancy(P) == reference_remove_redundancy(P) == want
 
     def test_unbounded_point_at_the_level_or_the_least_value(self):
         # the diagonal ray from (2, 2): x1 = 1 is below it, x1 = 3 on it
@@ -434,8 +483,57 @@ class TestLineCertificates:
             calls += [lambda: relative_interior_point(P), lambda: max_value((1, 0), P)]
             calls += [lambda: halfspace_meets_complex(Halfspace(2, (1, 1)), C)]
         for call in calls:
-            relative_interior_point.cache_clear()
+            keyed_interior_point.cache_clear()
             with pytest.raises(InternalInvariantError):
+                call()
+
+
+def _corrupt_column(monkeypatch):
+    """Shift the entry of the first free column in the first row the
+    elimination leaves, which turns a frame column off the equalities."""
+    solve = polyhedral._gauss_jordan
+
+    def corrupt(M, ncols):
+        pivots, det = solve(M, ncols)
+        M[0][next(c for c in range(ncols) if c not in pivots)] += 1
+        return pivots, det
+
+    monkeypatch.setattr(polyhedral, "_gauss_jordan", corrupt)
+
+
+class TestFrame:
+    """Polyhedra whose equalities leave k >= 2 free directions take their
+    slack and redundancy LPs over the k coordinates of a frame, with the
+    answers of the LP references, and a frame off the equalities raises."""
+
+    @settings(max_examples=200)
+    @given(hull_polyhedra(frame_equalities, min_rank=2))
+    def test_matches_lp_references(self, P):
+        frame = polyhedral._frame(P)
+        assert frame == "empty" or len(frame[1]) >= 2
+        with pytest.MonkeyPatch.context() as mp:
+            keyed_interior_point.cache_clear()
+            calls = count_lp_calls(mp)
+            _check_hull(P)
+            if dimension(P) >= 0:
+                assert remove_redundancy(P) == reference_remove_redundancy(P)
+        # the slack LPs take k + 1 coordinates, the redundancy LPs k
+        assert calls == [] if frame == "empty" else all(Q.rank <= len(frame[1]) + 1 for _, Q in calls)
+
+    # the plane x1 + x2 + x3 = 1 cut to a triangle by x >= 0
+    _TRIANGLE = polyhedron(3, [((1, 1, 1), 1)], [((-1, 0, 0), 0), ((0, -1, 0), 0), ((0, 0, -1), 0)])
+
+    def test_triangle(self, fresh_caches):
+        assert dimension(self._TRIANGLE) == 2
+        assert remove_redundancy(self._TRIANGLE) == self._TRIANGLE
+
+    @pytest.mark.parametrize("corrupt", [_corrupt_x0, _corrupt_column], ids=["x0", "column"])
+    def test_corrupted_frame_raises(self, corrupt, monkeypatch, fresh_caches):
+        corrupt(monkeypatch)
+        P = self._TRIANGLE
+        for call in (lambda: remove_redundancy(P), lambda: relative_interior_point(P)):
+            keyed_interior_point.cache_clear()
+            with pytest.raises(InternalInvariantError, match="frame misses"):
                 call()
 
 
@@ -895,7 +993,7 @@ class TestHashOfFields:
         Q = polyhedron(P.rank, rows(P.equalities), rows(P.inequalities))
         assert P == Q and P is not Q
         assert hash(P) == hash(Q) == hash((P.rank, P.equalities, P.inequalities))
-        x = relative_interior_point(P)  # a cache lookup hashes P and stores it
+        x = relative_interior_point(P)  # a cache lookup stores the point under P's key
         R = polyhedron(P.rank, rows(P.equalities), rows(P.inequalities))
         assert {P: 1}[R] == 1 and relative_interior_point(R) is x
         assert hash(P) == hash(Q) == hash(R)

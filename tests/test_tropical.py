@@ -23,7 +23,6 @@ from amoebas.polyhedral import (
     intersect,
     polyhedron,
     preimage,
-    relative_interior_point,
 )
 from amoebas.scalars import (
     ARCH,
@@ -69,6 +68,7 @@ from conftest import (
     reference_poly_contains,
     reference_prevariety,
     reference_project_complex,
+    relative_interior_point,
     scale,
     translate_complex,
     tripod,
@@ -858,13 +858,26 @@ class TestPrevarietyAgainstReference:
 
     @pytest.mark.parametrize("place", [GENERIC, FinitePrime(3)], ids=["generic", "p:3"])
     def test_one_point_lookup_per_product_piece(self, place, monkeypatch):
-        # each raw piece is asked once: its relative-interior point, or
-        # None when it is empty
+        # each raw piece is asked once, on the integer key of its merged
+        # rows: its relative-interior point, or None when it is empty
         constraints = [Constraint(parse_poly(c["f"], 4)) for c in RANK_4_SYSTEM["constraints"]]
         lookups = []
-        real = tropical.relative_interior_point
-        monkeypatch.setattr(tropical, "relative_interior_point", lambda P: lookups.append(P) or real(P))
+        real = tropical.keyed_interior_point
+        monkeypatch.setattr(tropical, "keyed_interior_point", lambda key: lookups.append(key) or real(key))
         prevariety(PrevarietySystem(4, tuple(constraints)), place)
         cells = [trop_hypersurface(con.poly, place).cells for con in constraints]
-        want = [intersect(*(c.polyhedron for c in combo)) for combo in itertools.product(*cells)]
+        want = [intersect(*(c.polyhedron for c in combo)).sort_key() for combo in itertools.product(*cells)]
         assert len(want) > 1 and lookups == want
+        ints = lambda x: all(type(v) is int for v in x)
+        assert all(all(ints(row) and ints(rest) for row, *rest in eqs + ineqs) for _, eqs, ineqs in lookups)
+
+    @pytest.mark.parametrize("place", [GENERIC, FinitePrime(3)], ids=["generic", "p:3"])
+    def test_no_fraction_hashed_on_a_warm_run(self, place):
+        # the first call fills the point cache; the second takes every
+        # piece's point from it on an integer key, and reduces and sorts
+        # the kept pieces, with no Fraction hashed anywhere
+        constraints = [Constraint(parse_poly(c["f"], 4)) for c in RANK_4_SYSTEM["constraints"]]
+        system = PrevarietySystem(4, tuple(constraints))
+        cold = prevariety(system, place)
+        with no_fraction_hash():
+            assert prevariety(system, place) == cold
