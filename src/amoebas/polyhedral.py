@@ -17,10 +17,12 @@ intersect() merges rows that are already canonical the same way without
 canonicalizing them again, and intersect_keys() merges their keys alone,
 so no Fraction is hashed; and preimage() pulls rows back along an integer
 map.  The one cached query is keyed_interior_point, on a polyhedron's
-key: a point of P strict on every row that is not an implicit equality,
-or None when P is empty, so emptiness is a None point.  P's stated
-equalities are solved once into a frame, every solution (x0 + C z) / den
-with one column of C per free direction, checked against every equality.
+key: None when P is empty, else a point of P strict on every row that is
+not an implicit equality together with the frame it solved.  The frame is
+P's stated equalities solved once, off the key's ints, into every
+solution (x0 + C z) / den with one column of C per free direction,
+checked against every equality; keyed_reduction reduces a canonical key
+with it, by the greedy of remove_redundancy, so no frame is solved twice.
 With at most one free direction that point, redundancy removal and
 maximize read their answers off the interval of z with integer
 comparisons, each answer checked like an LP's (maximize also reads off
@@ -424,18 +426,20 @@ def _tightest(st):
     return best
 
 
-def _frame(P, most=math.inf):
-    """P's stated equalities solved once into the frame (x0, cols, den),
-    integer with den > 0: the solutions are (x0 + sum_j z_j cols[j]) / den
-    for real z, one column per free direction.  None when there are more
-    than most free directions, and "empty" when the equalities are
-    inconsistent.  The elimination carries identity columns, so
-    inconsistent equalities leave a combination reading 0 = nonzero, which
-    is checked as a Farkas certificate; a frame is checked against every
-    equality."""
-    n, m = P.rank, len(P.equalities)
-    rows = [row for row, _ in P.equalities]
-    rhs, D = integer_row([b for _, b in P.equalities])
+def _frame(key, most=math.inf):
+    """The stated equalities of P, read off its key P.sort_key(), solved
+    once into the frame (x0, cols, den), integer with den > 0: the
+    solutions are (x0 + sum_j z_j cols[j]) / den for real z, one column per
+    free direction.  None when there are more than most free directions,
+    and "empty" when the equalities are inconsistent.  The elimination
+    carries identity columns, so inconsistent equalities leave a
+    combination reading 0 = nonzero, which is checked as a Farkas
+    certificate; a frame is checked against every equality."""
+    n, eqs = key[0], key[1]
+    m = len(eqs)
+    rows = [row for row, _, _ in eqs]
+    D = math.lcm(*(den for _, _, den in eqs))
+    rhs = [num * (D // den) for _, num, den in eqs]
     M = [[*row, b, *(int(i == j) for j in range(m))] for i, (row, b) in enumerate(zip(rows, rhs))]
     pivots, det = _gauss_jordan(M, n)
     lam = next((r[n + 1:] for r in M[len(pivots):] if r[n]), None)
@@ -461,12 +465,12 @@ def _frame(P, most=math.inf):
     return tuple(x0), tuple(map(tuple, cols)), den
 
 
-def _frame_rows(P, x0, cols, den):
-    """Each inequality a . v <= c of P on the frame, as the integer row
-    s z <= t: s_j = (a . cols[j]) c.den and t = c.num den - (a . x0) c.den."""
+def _frame_rows(ineqs, x0, cols, den):
+    """Each inequality key (a, c.num, c.den), reading a . v <= c, on the
+    frame as the integer row s z <= t: s_j = (a . cols[j]) c.den and
+    t = c.num den - (a . x0) c.den."""
     return tuple(
-        (tuple(_dot(a, col) * c.denominator for col in cols), c.numerator * den - _dot(a, x0) * c.denominator)
-        for a, c in P.inequalities
+        (tuple(_dot(a, col) * cd for col in cols), cn * den - _dot(a, x0) * cd) for a, cn, cd in ineqs
     )
 
 
@@ -474,16 +478,18 @@ def _line(P):
     """P's stated equalities solved once: None when they are consistent
     and leave two or more free directions, else (frame, st, bounds), as
     _on_line reads them off _frame."""
-    return _on_line(P, _frame(P, 1))
+    key = P.sort_key()
+    return _on_line(key, _frame(key, 1))
 
 
-def _on_line(P, frame):
-    """(frame, st, bounds) read off what _frame returned, when that has at
-    most one column; None passes through.  With frame = (x0, col, den) the
-    solutions are (x0 + z col) / den for real z (col = 0 when none is
-    free); st[i] = (s, t) is inequality i as the integer row s z <= t;
-    bounds = (lo, hi) are the rows of st with the tightest lower and upper
-    bound on z (_tightest; None on an open side), or None when P is empty.
+def _on_line(key, frame):
+    """(frame, st, bounds) read off what _frame returned for P (of key),
+    when that has at most one column; None passes through.  With frame =
+    (x0, col, den) the solutions are (x0 + z col) / den for real z (col =
+    0 when none is free); st[i] = (s, t) is inequality i as the integer
+    row s z <= t; bounds = (lo, hi) are the rows of st with the tightest
+    lower and upper bound on z (_tightest; None on an open side), or None
+    when P is empty.
     Inconsistent equalities give None and () for frame and st.  An empty
     interval is checked by the Farkas combination of a row constant in z
     or of the two bounding rows, which cross."""
@@ -492,9 +498,9 @@ def _on_line(P, frame):
     if frame == "empty":
         return None, (), None
     x0, cols, den = frame
-    col = cols[0] if cols else (0,) * P.rank
+    col = cols[0] if cols else (0,) * key[0]
     frame = x0, col, den
-    st = tuple((s, t) for (s,), t in _frame_rows(P, x0, (col,), den))
+    st = tuple((s, t) for (s,), t in _frame_rows(key[2], x0, (col,), den))
     lo, hi = _tightest(st)
     cert = next((([i], [1]) for i, (s, t) in enumerate(st) if not s and t < 0), None)
     if cert is None and None not in (lo, hi):
@@ -527,36 +533,35 @@ def _point_on(frame, z):
     return tuple(Fraction(a * z.denominator + c * z.numerator, den * z.denominator) for a, c in zip(x0, col))
 
 
-def _implicit_on_line(P, frame, st, bounds):
-    """A relative-interior point of P off its line, or None when P is
-    empty: a row is an implicit equality exactly when it is tight at the
-    midpoint of the interval of z, and the point, checked in P, must be
-    strict on exactly the other rows."""
+def _implicit_on_line(key, frame, st, bounds):
+    """A relative-interior point of P (of key) off its line, or None when
+    P is empty: a row is an implicit equality exactly when it is tight at
+    the midpoint of the interval of z, and the point, checked in P on the
+    row keys' ints, must be strict on exactly the other rows."""
     if bounds is None:
         return None
     z = _midpoint(st, *bounds)
     implicit = {i for i, (s, t) in enumerate(st) if s * z == t}
-    point = _point_on(frame, z)
-    ints, d = integer_row(point)
-    if not contains_point(P, point) or any(
-        (_dot(row, ints) * b.denominator < b.numerator * d) == (i in implicit)
-        for i, (row, b) in enumerate(P.inequalities)
-    ):
+    # the point is ints / d, with d = den * z.den > 0
+    (x0, col, den), zn, zd = frame, z.numerator, z.denominator
+    ints, d = [a * zd + c * zn for a, c in zip(x0, col)], den * zd
+    gaps = lambda keys: [_dot(row, ints) * rd - num * d for row, num, rd in keys]
+    if any(gaps(key[1])) or any(g > 0 or (g < 0) == (i in implicit) for i, g in enumerate(gaps(key[2]))):
         raise InternalInvariantError("the point on the line is not strict exactly off the implicit rows")
-    return point
+    return _point_on(frame, z)
 
 
-def _implicit_by_lps(P, x0, cols, den):
+def _implicit_by_lps(ineqs, x0, cols, den):
     """A relative-interior point of P, or None when P is empty, found in
-    the k coordinates z of P's frame (k = len(cols)), where each
-    inequality is the integer row s z <= t of _frame_rows.  Each round
-    maximizes u <= 1 subject to s z + u <= t on the rows not yet known to
-    be implicit equalities, with the rest kept as equalities.  Infeasible
-    or u < 0: P is empty.  u > 0: the point is relatively interior.  u =
-    0: the multipliers of those rows sum to 1, and each row with a
-    positive one holds with equality on all of P (complementary
+    the k coordinates z of P's frame (k = len(cols)), where each of P's
+    inequality keys ineqs is the integer row s z <= t of _frame_rows.
+    Each round maximizes u <= 1 subject to s z + u <= t on the rows not
+    yet known to be implicit equalities, with the rest kept as equalities.
+    Infeasible or u < 0: P is empty.  u > 0: the point is relatively
+    interior.  u = 0: the multipliers of those rows sum to 1, and each row
+    with a positive one holds with equality on all of P (complementary
     slackness), so every round finds one."""
-    st, k, implicit = _frame_rows(P, x0, cols, den), len(cols), set()
+    st, k, implicit = _frame_rows(ineqs, x0, cols, den), len(cols), set()
     cap = ((0,) * k + (1,), 1)
     while True:
         eqs = tuple(((*s, 0), t) for i, (s, t) in enumerate(st) if i in implicit)
@@ -578,17 +583,22 @@ def _implicit_by_lps(P, x0, cols, den):
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def keyed_interior_point(key):
-    """A rational point of P = polyhedron_of_key(key) strict on every row
-    that is not an implicit equality, or None when P is empty.  Cached on
-    the key, P.sort_key(), which holds ints alone, so that no Fraction is
-    hashed.  The point is read off the line when P's equalities leave at
-    most one free direction, else found by one slack LP per round in the
-    coordinates of P's frame."""
-    P = polyhedron_of_key(key)
-    frame = _frame(P)
+    """(point, frame) for the polyhedron P of key, or None when P is
+    empty: point is a rational point of P strict on every row that is not
+    an implicit equality, and frame is what _frame solved P's stated
+    equalities into, so that keyed_reduction need not solve it again.
+    Cached on the key, P.sort_key(), which holds ints alone, so that no
+    Fraction is hashed; a miss reads the frame, its rows and the point's
+    checks off the key's ints and builds no Polyhedron of P.  The point is
+    read off the line when P's equalities leave at most one free
+    direction, else found by one slack LP per round in the coordinates of
+    P's frame."""
+    frame = _frame(key)
     if frame != "empty" and len(frame[1]) > 1:
-        return _implicit_by_lps(P, *frame)
-    return _implicit_on_line(P, *_on_line(P, frame))
+        point = _implicit_by_lps(key[2], *frame)
+    else:
+        point = _implicit_on_line(key, *_on_line(key, frame))
+    return None if point is None else (point, frame)
 
 
 def _check_kept(st, i, others, z):
@@ -598,32 +608,48 @@ def _check_kept(st, i, others, z):
         raise InternalInvariantError("a kept row's witness failed its check")
 
 
-def remove_redundancy(P: Polyhedron) -> Polyhedron:
-    """Drop inequalities implied by the remaining constraints of a nonempty
-    P (callers decide emptiness: on an empty P the result is unspecified).
-    Greedily in row order, a row is dropped when the equalities and the
-    rows still kept imply it.  On P's line (at most one free direction)
-    that keeps the last row with the tightest bound on z on each side, as
-    _on_line finds them in one pass, each checked by a point that breaks
-    it alone.  Else, in the k coordinates of P's frame, a row constant
-    there is dropped and each other row takes one LP, whose value
-    decides."""
-    frame = _frame(P)
+def _kept(key, frame):
+    """The indices of the inequalities that redundancy removal keeps in a
+    nonempty P (of key), given P's _frame.  Greedily in row order, a row
+    is dropped when the equalities and the rows still kept imply it.  On
+    P's line (at most one free direction) that keeps the last row with the
+    tightest bound on z on each side, as _on_line finds them in one pass,
+    each checked by a point that breaks it alone.  Else, in the k
+    coordinates of P's frame, a row constant there is dropped and each
+    other row takes one LP, whose value decides."""
     if frame == "empty" or len(frame[1]) < 2:
-        _, st, bounds = _on_line(P, frame)
+        _, st, bounds = _on_line(key, frame)
         keep = [i for i in bounds or () if i is not None]
         for i in keep:
             s, t = st[i]  # z = t / s one past row i's bound
             _check_kept(st, i, [j for j in keep if j != i], Fraction(t + abs(s), s))
-    else:
-        st, k = _frame_rows(P, *frame), len(frame[1])
-        keep = [i for i, (s, _) in enumerate(st) if any(s)]
-        for i in list(keep):
-            others = [j for j in keep if j != i]
-            res = lp_solve(st[i][0], Polyhedron(k, (), tuple(st[j] for j in others)))
-            if isinstance(res, LPOptimal) and res.value <= st[i][1]:
-                keep = others
-    return polyhedron(P.rank, P.equalities, [P.inequalities[i] for i in keep])
+        return keep
+    st, k = _frame_rows(key[2], *frame), len(frame[1])
+    keep = [i for i, (s, _) in enumerate(st) if any(s)]
+    for i in list(keep):
+        others = [j for j in keep if j != i]
+        res = lp_solve(st[i][0], Polyhedron(k, (), tuple(st[j] for j in others)))
+        if isinstance(res, LPOptimal) and res.value <= st[i][1]:
+            keep = others
+    return keep
+
+
+def remove_redundancy(P: Polyhedron) -> Polyhedron:
+    """Drop inequalities implied by the remaining constraints of a nonempty
+    P (callers decide emptiness: on an empty P the result is unspecified),
+    greedily in row order (_kept, on P's rows as they stand), and write
+    the rows kept canonically."""
+    key = P.sort_key()
+    return polyhedron(P.rank, P.equalities, [P.inequalities[i] for i in _kept(key, _frame(key))])
+
+
+def keyed_reduction(key, frame):
+    """remove_redundancy(polyhedron_of_key(key)) for the canonical key of
+    a nonempty polyhedron, given the frame keyed_interior_point solved for
+    it.  The rows kept are a sorted subset of the key's, so the Polyhedron
+    is built once from their keys, one Fraction per row kept."""
+    rank, eqs, ineqs = key
+    return polyhedron_of_key((rank, eqs, tuple(ineqs[i] for i in sorted(_kept(key, frame)))))
 
 
 def maximize(objective, P: Polyhedron, level=None):

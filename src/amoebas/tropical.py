@@ -25,7 +25,6 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field as dataclass_field
-from fractions import Fraction
 
 from .errors import (
     ArchimedeanNotSupported,
@@ -46,16 +45,14 @@ from .lattices import (
 from .laurent import LaurentPoly, bad_places
 from .polyhedral import (
     Cell,
-    Polyhedron,
     PolyhedralComplex,
-    _con_key,
     empty_polyhedron,
     intersect_keys,
     keyed_interior_point,
+    keyed_reduction,
     make_complex,
     polyhedron_of_key,
     preimage,
-    remove_redundancy,
 )
 from .scalars import GENERIC, ArchimedeanQ, GenericPlace, place_to_str, valuation
 
@@ -204,8 +201,9 @@ class _Support:
         return cells
 
     def constraint(self, a, k, shifts, is_equality):
-        """_canon_constraint of <u_a - u_k, v> (= or <=) c_k - c_a, with the
-        primitive row of u_a - u_k and its gcd found once per pair."""
+        """The key (row, rhs numerator, rhs denominator) of the canonical
+        form of <u_a - u_k, v> (= or <=) c_k - c_a, with the primitive row
+        of u_a - u_k and its gcd found once per pair."""
         try:
             row, g = self._rows[a, k]
         except KeyError:
@@ -214,7 +212,9 @@ class _Support:
             row, g = self._rows[a, k] = tuple(x // g for x in diff), g
         if is_equality and next(x for x in row if x) < 0:
             row, g = tuple(-x for x in row), -g
-        return row, Fraction(shifts[k] - shifts[a], g)
+        num = shifts[k] - shifts[a]
+        q = math.gcd(num, g) if g > 0 else -math.gcd(num, g)
+        return row, num // q, g // q
 
     def multiplicity(self, tie):
         if tie not in self._multiplicities:
@@ -293,22 +293,21 @@ def _cell_polyhedron(support, shifts, rank, tie, two_cells):
     with the vertex (ints, den) of a maximal cell containing it).  The rows
     <u_a - u_k, v> <= c_k - c_a for k in sigma - tie all define the facet of
     sigma; the cell keeps the largest in canonical order, the row that
-    greedy redundancy removal over the sorted rows keeps.  Each kept row
-    must be tight at its vertex, and the vertex must lie in the cell.
+    greedy redundancy removal over the sorted rows keeps.  Rows are row
+    keys (_Support.constraint), ordered as plain tuples, and each kept row
+    must be tight at its vertex, and the vertex lie in the cell, checked
+    in integers; the Polyhedron is built last, one Fraction per row.
     """
     a, b = sorted(tie)[:2]
     eq = support.constraint(a, b, shifts, True)
-    facets = [
-        (max((support.constraint(a, k, shifts, False) for k in sigma - tie), key=_con_key), v)
-        for sigma, v in two_cells
-    ]
-    P = Polyhedron(rank, (eq,), tuple(sorted((row for row, _ in facets), key=_con_key)))
+    facets = [(max(support.constraint(a, k, shifts, False) for k in sigma - tie), v) for sigma, v in two_cells]
+    rows = sorted(row for row, _ in facets)
     for row, (ints, den) in facets:
-        # den * (<r, v> - rhs) at v = ints / den, scaled by rhs's denominator
-        gap = lambda r, rhs: sum(x * y for x, y in zip(r, ints)) * rhs.denominator - rhs.numerator * den
-        if gap(*eq) or gap(*row) or any(gap(*c) > 0 for c in P.inequalities):
+        # den * (<r, v> - num / rden) at v = ints / den, scaled by rden
+        gap = lambda r, num, rden: sum(map(operator.mul, r, ints)) * rden - num * den
+        if gap(*eq) or gap(*row) or any(gap(*c) > 0 for c in rows):
             raise InternalInvariantError("a facet row is not tight on its 2-cell")
-    return P
+    return polyhedron_of_key((rank, (eq,), tuple(rows)))
 
 
 def corner_locus(data: TropicalData, rank) -> PolyhedralComplex:
@@ -467,20 +466,22 @@ def prevariety(system, place) -> PolyhedralComplex:
     where its tie set attains the minimum, so a raw piece P is where each
     constraint's tie set does.  Each nonempty cell is keyed once
     (Polyhedron.sort_key: ints alone), and a piece's key merges its cells'
-    keys (intersect_keys), so a piece hashes no Fraction and is built as a
-    Polyhedron only on a cache miss.  Each piece is asked once, on that
-    key, for a relative-interior point (keyed_interior_point), which is
-    None exactly when P is empty.  Name a nonempty P by its argmin tuple
-    T, the terms of each constraint minimal at that point.  On P each
-    term's gap above the minimum is affine and nonnegative, so it vanishes
-    on all of P or is positive on its relative interior.  Hence
+    keys (intersect_keys), so a piece hashes no Fraction, and a cache miss
+    reads it off those ints and builds no Polyhedron.  Each piece is asked
+    once, on that key, for a relative-interior point and the frame of its
+    equalities (keyed_interior_point), None exactly when P is empty.  Name
+    a nonempty P by its argmin tuple T, the terms of each constraint
+    minimal at that point.  On P each term's gap above the minimum is
+    affine and nonnegative, so it vanishes on all of P or is positive on
+    its relative interior.  Hence
     P = {v : T_i lies in argmin_i(v) for every i}, equal tuples name equal
     pieces, and P lies in Q exactly when T_Q lies in T_P entry by entry.
     The tuple is held as one bit mask (_argmin_mask), read off the point
     scaled to integers once, so equal masks are equal tuples and S | T == T
     says S lies in T entry by entry.  The first piece of each mask in
-    product order is kept when no other mask lies below it (_below), and
-    only kept pieces are built as polyhedra and get redundancy removal.
+    product order is kept when no other mask lies below it (_below), with
+    its frame, and only kept pieces get redundancy removal, on their key
+    and that frame (keyed_reduction), and are built as polyhedra.
     This is an outer approximation of the tropicalization of the common
     zero set.
     """
@@ -500,13 +501,14 @@ def prevariety(system, place) -> PolyhedralComplex:
     pieces = {}
     for combo in itertools.product(*keyed):
         key = intersect_keys(combo)
-        point = keyed_interior_point(key)
-        if point is None:
+        found = keyed_interior_point(key)
+        if found is None:
             continue
+        point, frame = found
         ints, den = integer_row(point)
-        pieces.setdefault(_argmin_mask(tropdata, ints, den), key)
-    keep = [key for T, key in pieces.items() if not any(_below(S, T) for S in pieces)]
-    return make_complex(system.rank, [Cell(remove_redundancy(polyhedron_of_key(key))) for key in keep])
+        pieces.setdefault(_argmin_mask(tropdata, ints, den), (key, frame))
+    keep = [piece for T, piece in pieces.items() if not any(_below(S, T) for S in pieces)]
+    return make_complex(system.rank, [Cell(keyed_reduction(key, frame)) for key, frame in keep])
 
 
 @dataclass(frozen=True)

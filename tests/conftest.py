@@ -689,9 +689,10 @@ def reference_affine_hull(P):
 
 
 def relative_interior_point(P):
-    """keyed_interior_point on P's key: a point of P strict on every row
-    that is not an implicit equality, or None when P is empty."""
-    return keyed_interior_point(P.sort_key())
+    """The point of keyed_interior_point on P's key: a point of P strict on
+    every row that is not an implicit equality, or None when P is empty."""
+    found = keyed_interior_point(P.sort_key())
+    return None if found is None else found[0]
 
 
 def hull_rows(P):
@@ -715,15 +716,16 @@ def dimension(P):
 
 def reference_remove_redundancy(P):
     """Drop inequalities implied by the rest of a nonempty P, greedily in
-    row order, each decided by one max LP over the equalities and the rows
-    still kept."""
-    kept = list(P.inequalities)
-    for con in P.inequalities:
-        others = [c for c in kept if c != con]
-        res = lp_solve(con[0], Polyhedron(P.rank, P.equalities, tuple(others)))
-        if isinstance(res, LPOptimal) and res.value <= con[1]:
+    row order, each row decided by index (an exact duplicate is a row of
+    its own) by one max LP over the equalities and the rows still kept."""
+    kept = list(range(len(P.inequalities)))
+    for i in range(len(P.inequalities)):
+        others = [j for j in kept if j != i]
+        row, rhs = P.inequalities[i]
+        res = lp_solve(row, Polyhedron(P.rank, P.equalities, tuple(P.inequalities[j] for j in others)))
+        if isinstance(res, LPOptimal) and res.value <= rhs:
             kept = others
-    return polyhedron(P.rank, P.equalities, kept)
+    return polyhedron(P.rank, P.equalities, [P.inequalities[j] for j in kept])
 
 
 @contextlib.contextmanager

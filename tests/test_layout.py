@@ -16,8 +16,12 @@ PACKAGE = Path(amoebas.__file__).parent
 
 # classify_arch_point is the one-point verdict of the library (the
 # benchmark's query workload calls it); the command line scans rays with
-# scan_arch_ray.  Code that a later change calls comes back with its caller.
-RESERVED = {"classify.classify_arch_point"}
+# scan_arch_ray.  remove_redundancy reduces a raw polyhedron (the
+# benchmark's tracer wraps it by name, and the corner-locus and projection
+# oracles call it); prevariety reduces its pieces on their keys with
+# keyed_reduction, which runs the same greedy.  Code that a later change
+# calls comes back with its caller.
+RESERVED = {"classify.classify_arch_point", "polyhedral.remove_redundancy"}
 
 
 def _modules():

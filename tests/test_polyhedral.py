@@ -22,6 +22,7 @@ from amoebas.polyhedral import (
     empty_polyhedron,
     intersect,
     keyed_interior_point,
+    keyed_reduction,
     lp_solve,
     make_complex,
     maximize,
@@ -389,6 +390,14 @@ class TestLine:
             want = polyhedron(2, diag, [rows[-1], ((-1, 0), 0)])
             assert remove_redundancy(P) == reference_remove_redundancy(P) == want
 
+    def test_reference_drops_one_copy_of_a_repeated_row(self):
+        # x1 <= 2 twice around the tied 2 x1 - x2 <= 2: the greedy drops
+        # rows by index, so both keep the later copy of x1 <= 2
+        rows = [((1, 0), 2), ((2, -1), 2), ((1, 0), 2), ((-1, 0), 0)]
+        P = Polyhedron(2, polyhedron(2, _DIAG).equalities, tuple((row, Fraction(b)) for row, b in rows))
+        want = polyhedron(2, _DIAG, [((1, 0), 2), ((-1, 0), 0)])
+        assert remove_redundancy(P) == reference_remove_redundancy(P) == want
+
     def test_unbounded_point_at_the_level_or_the_least_value(self):
         # the diagonal ray from (2, 2): x1 = 1 is below it, x1 = 3 on it
         ray_ = polyhedron(2, [((1, -1), 0)], [((-1, 0), -2)])
@@ -509,7 +518,7 @@ class TestFrame:
     @settings(max_examples=200)
     @given(hull_polyhedra(frame_equalities, min_rank=2))
     def test_matches_lp_references(self, P):
-        frame = polyhedral._frame(P)
+        frame = polyhedral._frame(P.sort_key())
         assert frame == "empty" or len(frame[1]) >= 2
         with pytest.MonkeyPatch.context() as mp:
             keyed_interior_point.cache_clear()
@@ -535,6 +544,35 @@ class TestFrame:
             keyed_interior_point.cache_clear()
             with pytest.raises(InternalInvariantError, match="frame misses"):
                 call()
+
+
+class TestKeyedPath:
+    """A canonical piece asked on its key alone (keyed_interior_point, then
+    keyed_reduction with the frame it returned) gets the answers of the
+    Polyhedron path and of the LP references, with at most one free
+    direction and with k >= 2, and a miss builds no Polyhedron of it."""
+
+    @pytest.mark.parametrize("equalities", [line_equalities, frame_equalities], ids=["line", "frame"])
+    @settings(max_examples=150)
+    @given(data=st.data())
+    def test_agrees_with_the_polyhedron_path(self, equalities, data):
+        raw = data.draw(hull_polyhedra(equalities, min_rank=2))
+        P = polyhedron(raw.rank, raw.equalities, raw.inequalities)
+        key = P.sort_key()
+        keyed_interior_point.cache_clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(polyhedral, "polyhedron_of_key", lambda key: pytest.fail("a miss built a Polyhedron"))
+            found = keyed_interior_point(key)
+        assert (found is None) == is_empty(P)
+        if found is None:
+            return
+        point, frame = found
+        assert frame == polyhedral._frame(key)
+        _, implicit = reference_affine_hull(P)
+        assert contains_point(P, point)
+        for (row, rhs), tight in zip(P.inequalities, implicit):
+            assert (sum(a * b for a, b in zip(row, point)) < rhs) != tight
+        assert keyed_reduction(key, frame) == remove_redundancy(P) == reference_remove_redundancy(P)
 
 
 class TestLineLPCounts:

@@ -14,6 +14,7 @@ from amoebas.errors import (
     DimensionMismatch,
     EmptySystem,
     FieldMismatch,
+    InternalInvariantError,
     MonomialInput,
 )
 from amoebas.laurent import bad_places, make_laurent, parse_poly
@@ -64,6 +65,7 @@ from conftest import (
     rand_poly_q,
     rand_poly_qz,
     ray,
+    reference_canon_constraint,
     reference_corner_locus,
     reference_poly_contains,
     reference_prevariety,
@@ -607,6 +609,59 @@ class TestCornerLocusRunsNoLP:
         assert self.corner_locus_without_lp(data, rank) == corner_locus(data, rank)
 
 
+class TestCornerLocusChecks:
+    """Each cell's facet rows are checked in integers, tight at the vertex
+    of their 2-cell with that vertex inside the cell: a facet row loosened
+    by 1, or a vertex moved off its rows, raises."""
+
+    LOCI = [("x1 + x2 + 1", 2), ("1 + x1 + x2 + x1*x2", 2), ("1 + x1 + x2 + x3", 3)]
+
+    @settings(max_examples=60)
+    @given(tropical_data_and_rank(), st.booleans())
+    def test_rows_are_canonical_keys(self, data_rank, is_equality):
+        # the int triple of each pair is the key of the canonical row, so
+        # plain tuple order is the canonical order
+        data, rank = data_rank
+        exps, shifts = data.exponents, data.shifts
+        support = tropical._Support(exps, rank)
+        for a, k in itertools.permutations(range(len(exps)), 2):
+            diff = [x - y for x, y in zip(exps[a], exps[k])]
+            row, rhs = reference_canon_constraint(diff, shifts[k] - shifts[a], is_equality)
+            assert support.constraint(a, k, shifts, is_equality) == (row, rhs.numerator, rhs.denominator)
+
+    @pytest.mark.parametrize("f, rank", LOCI)
+    def test_loosened_facet_row_raises(self, f, rank, monkeypatch):
+        real = tropical._Support.constraint
+        loosened = []
+
+        def loosen(self, a, k, shifts, is_equality):
+            row, num, den = real(self, a, k, shifts, is_equality)
+            if is_equality or loosened:
+                return row, num, den
+            loosened.append((a, k))
+            return row, num + den, den
+
+        monkeypatch.setattr(tropical._Support, "constraint", loosen)
+        with pytest.raises(InternalInvariantError, match="not tight"):
+            trop_hypersurface(parse_poly(f, rank), GENERIC)
+        assert len(loosened) == 1
+
+    @pytest.mark.parametrize("f, rank", LOCI)
+    def test_moved_vertex_raises(self, f, rank, monkeypatch):
+        real = tropical._Support.maximal_cells
+
+        def move(self, shifts):
+            cells = real(self, shifts)
+            sigma = next(iter(cells))
+            nums, den = cells[sigma]
+            cells[sigma] = ([nums[0] + den, *nums[1:]], den)
+            return cells
+
+        monkeypatch.setattr(tropical._Support, "maximal_cells", move)
+        with pytest.raises(InternalInvariantError, match="not tight"):
+            trop_hypersurface(parse_poly(f, rank), GENERIC)
+
+
 def primes_poly(s):
     """s terms of rank 2 on an 8-column grid, the k-th with the k-th prime
     as its coefficient: s special places."""
@@ -870,6 +925,22 @@ class TestPrevarietyAgainstReference:
         assert len(want) > 1 and lookups == want
         ints = lambda x: all(type(v) is int for v in x)
         assert all(all(ints(row) and ints(rest) for row, *rest in eqs + ineqs) for _, eqs, ineqs in lookups)
+
+    @pytest.mark.parametrize("place", [GENERIC, FinitePrime(3)], ids=["generic", "p:3"])
+    def test_each_frame_solved_once(self, place, monkeypatch):
+        # keyed_interior_point hands the frame it solved to keyed_reduction,
+        # so a cold run solves one frame per cache miss and a warm one none
+        constraints = [Constraint(parse_poly(c["f"], 4)) for c in RANK_4_SYSTEM["constraints"]]
+        system = PrevarietySystem(4, tuple(constraints))
+        calls = []
+        real = polyhedral._frame
+        monkeypatch.setattr(polyhedral, "_frame", lambda *a: calls.append(a) or real(*a))
+        polyhedral.keyed_interior_point.cache_clear()
+        cold = prevariety(system, place)
+        assert len(calls) == polyhedral.keyed_interior_point.cache_info().misses > 0
+        calls.clear()
+        assert prevariety(system, place) == cold
+        assert calls == []
 
     @pytest.mark.parametrize("place", [GENERIC, FinitePrime(3)], ids=["generic", "p:3"])
     def test_no_fraction_hashed_on_a_warm_run(self, place):
