@@ -50,8 +50,8 @@ from .scalars import (
     place_from_str,
     place_to_str,
     product_formula_residual,
-    support_places,
     valuation,
+    valuations,
 )
 from .laurent import (
     LaurentPoly,

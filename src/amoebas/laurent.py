@@ -24,7 +24,7 @@ from .scalars import (
     FIELD_QZ,
     RationalFunction,
     field_of,
-    support_places,
+    valuations,
 )
 
 
@@ -109,17 +109,31 @@ def strict_vertex_direction(points, i):
     return None
 
 
-def bad_places(f: LaurentPoly) -> frozenset:
-    """Finite places where the coefficient valuation vector is not constant.
+def ratio_valuations(f: LaurentPoly) -> dict:
+    """{place: (v(a_1 / a_1), ..., v(a_s / a_1))} at each bad place of f,
+    the finite places where the coefficient valuation vector is not
+    constant, in the order the factorizations find them.
 
     Works on the ratios a_j / a_1 so that global scaling never contributes a
-    spurious place.
+    spurious place.  The ratios other than 1 are factored by one call of
+    scalars.valuations, which factors each distinct numerator and
+    denominator once; the valuation of a coefficient a_j at a bad place is
+    then v(a_1) plus the entry j here.
     """
     if f.nterms < 2:
         raise MonomialInput("a single term has no hypersurface")
     a1 = f.terms[0][1]
     ratios = [c / a1 for _, c in f.terms[1:]]
-    ratios = [r for r in ratios if r != 1]
-    if not ratios:
-        return frozenset()
-    return support_places(ratios)
+    factored = iter(valuations([r for r in ratios if r != 1]))
+    out = {}
+    for j, r in enumerate(ratios, 1):
+        if r != 1:
+            for place, v in next(factored).items():
+                out.setdefault(place, [0] * f.nterms)[j] = v
+    return {place: tuple(vs) for place, vs in out.items()}
+
+
+def bad_places(f: LaurentPoly) -> frozenset:
+    """Finite places where the coefficient valuation vector is not constant:
+    the places of ratio_valuations."""
+    return frozenset(ratio_valuations(f))

@@ -89,6 +89,16 @@ def _tokenize(text):
     return tokens
 
 
+def _check_product_size(degree, bits):
+    """Refuse a product whose coefficients may pass the digit or z-degree
+    bound: degree and bits are bounds on their z-degree and bit length."""
+    if degree > MAX_Z_DEGREE or bits > _MAX_COEFF_BITS:
+        raise ExpansionTooLarge(
+            f"a product coefficient may exceed {MAX_COEFF_DIGITS} digits "
+            f"or z-degree {MAX_Z_DEGREE}"
+        )
+
+
 def _size(terms):
     """(largest z-degree, largest numerator or denominator bit length) of
     the coefficients, a Q(z) one read as its numerator and monic denominator
@@ -152,11 +162,12 @@ class _Terms:
         (d1, b1), (d2, b2) = _size(self.terms), _size(other.terms)
         # each product coefficient is a sum of at most this many products
         parts = pairs * (min(d1, d2) + 1)
-        if d1 + d2 > MAX_Z_DEGREE or b1 + b2 + parts.bit_length() > _MAX_COEFF_BITS:
-            raise ExpansionTooLarge(
-                f"a product coefficient may exceed {MAX_COEFF_DIGITS} digits "
-                f"or z-degree {MAX_Z_DEGREE}"
-            )
+        _check_product_size(d1 + d2, b1 + b2 + parts.bit_length())
+        if pairs == 1:
+            (e1, c1), (e2, c2) = self.single_term(), other.single_term()
+            c = c1 * c2
+            out = {tuple(a + b for a, b in zip(e1, e2)): c} if c != 0 else {}
+            return _Terms(self.rank, self.field, out)
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -243,9 +254,27 @@ class _Parser:
         return val
 
     def term(self):
+        """A product of powers.  When the product so far is one term and
+        the next factor is x_k or x_k^e, ±e is added to exponent k of that
+        term in place: the same term, and the same bound and errors, as
+        multiplying by the term x_k^(±e) with coefficient 1."""
         val = self.power()
         while self.peek()[0] in ("*", "/"):
             op, _, pos = self.take()
+            if self.peek()[0] == "var" and len(val.terms) == 1:
+                k, e = self.variable(), 1
+                if self.peek()[0] == "^":
+                    self.take()
+                    e = self.exponent()
+                # the bound of a product with a coefficient-1 term: z-degree
+                # 0 and 1 bit, one pair and one part of 1 bit
+                degree, bits = _size(val.terms)
+                _check_product_size(degree, bits + 2)
+                exp, c = val.single_term()
+                exp = list(exp)
+                exp[k] += -e if op == "/" else e
+                val.terms = {tuple(exp): c} if c != 0 else {}
+                continue
             rhs = self.power()
             val = val * (rhs.inverse(pos) if op == "/" else rhs)
         return val
@@ -256,6 +285,13 @@ class _Parser:
             _, _, pos = self.take()
             val = val.power(self.exponent(), pos)
         return val
+
+    def variable(self):
+        """The 0-based index of the variable token taken, within the rank."""
+        _, value, pos = self.take()
+        if value < 1 or value > self.rank:
+            raise RankMismatch(f"variable x{value} outside rank {self.rank} (position {pos})")
+        return value - 1
 
     def exponent(self):
         parens = False
@@ -283,12 +319,7 @@ class _Parser:
                 raise PolySyntaxError("the variable z needs the field Q(z)", pos)
             return _Terms.scalar(self.rank, self.field, RationalFunction.canonical((1, 0), (1,)))
         if kind == "var":
-            self.take()
-            if value < 1 or value > self.rank:
-                raise RankMismatch(
-                    f"variable x{value} outside rank {self.rank} (position {pos})"
-                )
-            return _Terms.variable(self.rank, self.field, value - 1)
+            return _Terms.variable(self.rank, self.field, self.variable())
         if kind == "(":
             self.take()
             val = self.expr()

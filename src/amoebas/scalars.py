@@ -3,8 +3,10 @@
 Rational numbers are plain ``fractions.Fraction``; rational functions in one
 variable ``z`` over Q are coprime pairs of integer polynomials in sympy's
 dense order, and their arithmetic is sympy's dense arithmetic over ZZ
-(imported on first use: sympy is slow to load), except with a constant
-operand, which only scales by integers.  ``Poly``, a dense
+(imported on first use: sympy is slow to load) followed by one cancel,
+except with a constant operand, which only scales by integers, and in a
+sum, difference or product of two polynomials, whose integer result needs
+no cancel.  ``Poly``, a dense
 polynomial over Q with no arithmetic, is the value type of the places and of
 printed coefficients, which show a monic denominator.  Places of Q
 are the primes and the archimedean absolute value.  Places of Q(z) are the
@@ -110,10 +112,11 @@ class RationalFunction:
     """Element of Q(z) as num / den, two tuples of ints high degree first
     (sympy's dense order), coprime in Z[z], with a positive leading
     coefficient in den; zero is ((), (1,)).  This form is unique, so equal
-    values have equal pairs.  Every operation with two nonconstant operands
+    values have equal pairs.  An operation with two nonconstant operands
     ends in one ``dup_cancel`` over ZZ, which keeps coefficient growth down
-    without any division in Q; one with a constant operand divides out the
-    integer content alone.
+    without any division in Q, unless both are polynomials and it is not a
+    division: then the result is a polynomial over 1 and needs none.  One
+    with a constant operand divides out the integer content alone.
     """
 
     __slots__ = ("num", "den")
@@ -175,7 +178,9 @@ class RationalFunction:
         one operand is a constant, the products only scale by integers and
         only the integer content can cancel: the other operand's num and den
         are coprime, so no polynomial of positive degree divides both parts
-        of the result.  That path needs no sympy."""
+        of the result.  When both are polynomials (den 1), a sum, difference
+        or product is a polynomial over 1, already canonical.  Those paths
+        need no sympy."""
         other = _as_ratfunc(other)
         if other is NotImplemented:
             return NotImplemented
@@ -183,6 +188,9 @@ class RationalFunction:
             raise ZeroDivisionError("division by zero rational function")
         if self.is_constant() or other.is_constant():
             return _combine_scaled(self, other, op)
+        if op != "/" and self.den == other.den == (1,):
+            num = _mul(self.num, other.num) if op == "*" else _add(self.num, other.num, op)
+            return RationalFunction.canonical(num, (1,))
         from sympy.polys.densearith import dup_add, dup_mul, dup_sub
         from sympy.polys.domains import ZZ
 
@@ -234,6 +242,25 @@ def _scale(f, g):
     return tuple(f[0] * x for x in g) if f else ()
 
 
+def _mul(f, g):
+    """f * g for nonzero integer polynomials, high degree first."""
+    out = [0] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        for j, y in enumerate(g):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+def _add(p, q, op):
+    """p + q or p - q (op '+' or '-') for integer polynomials, high degree
+    first, with leading zeros stripped."""
+    width = max(len(p), len(q))
+    p, q = (0,) * (width - len(p)) + p, (0,) * (width - len(q)) + q
+    sign = 1 if op == "+" else -1
+    num = tuple(u + sign * v for u, v in zip(p, q))
+    return num[next((i for i, u in enumerate(num) if u), len(num)):]
+
+
 def _combine_scaled(x, y, op):
     """x op y when x or y is a constant: integer scaling and addition, then
     the integer content divided out and den's leading coefficient made
@@ -242,15 +269,7 @@ def _combine_scaled(x, y, op):
     if op == "/":
         c, d = d, c
     den = _scale(b, d)
-    if op in "*/":
-        num = _scale(a, c)
-    else:
-        p, q = _scale(a, d), _scale(c, b)
-        width = max(len(p), len(q))
-        p, q = (0,) * (width - len(p)) + p, (0,) * (width - len(q)) + q
-        sign = 1 if op == "+" else -1
-        num = tuple(u + sign * v for u, v in zip(p, q))
-        num = num[next((i for i, u in enumerate(num) if u), len(num)):]
+    num = _scale(a, c) if op in "*/" else _add(_scale(a, d), _scale(c, b), op)
     if not num:
         return RationalFunction.canonical((), (1,))
     g = math.gcd(*num, *den) * (1 if den[0] > 0 else -1)
@@ -393,18 +412,27 @@ def factor_int(n: int) -> dict[int, int]:
     return dict(sorted(out.items()))
 
 
+def _factor_list(f) -> dict[Poly, int]:
+    """{monic irreducible factor over Q: multiplicity} of the integer
+    polynomial f (high degree first) of degree at least 1, sorted."""
+    from sympy.polys.domains import ZZ
+    from sympy.polys.factortools import dup_factor_list
+
+    _, factors = dup_factor_list(list(f), ZZ)
+    out = {}
+    for fac, mult in factors:
+        q = Poly(int(c) for c in reversed(fac)).monic()
+        out[q] = out.get(q, 0) + mult
+    return dict(sorted(out.items(), key=lambda item: (item[0].degree, item[0].coeffs)))
+
+
 def irreducible_factors(f: Poly) -> tuple[Poly, ...]:
     """Distinct monic irreducible factors of f over Q, sorted."""
     if not f.coeffs:
         raise ZeroInput("zero polynomial")
     if f.degree <= 0:
         return ()
-    from sympy.polys.domains import ZZ
-    from sympy.polys.factortools import dup_factor_list
-
-    _, factors = dup_factor_list(_integer_coeffs(f), ZZ)
-    out = [Poly(int(c) for c in reversed(fac)).monic() for fac, _mult in factors]
-    return tuple(sorted(out, key=lambda p: (p.degree, p.coeffs)))
+    return tuple(_factor_list(_integer_coeffs(f)))
 
 
 def is_irreducible(q: Poly) -> bool:
@@ -582,39 +610,48 @@ def log_abs(a, place):
     return valuation(a, place) * place_weight(place)
 
 
-def _support(a):
-    """The finite places where the nonzero scalar a has nonzero valuation:
-    the primes of its numerator, then of its denominator, each ascending;
-    over Q(z) the irreducible factors of num, then of den, then infinity
-    when their degrees differ.  Numerator and denominator are coprime, so no
-    place repeats."""
-    if isinstance(a, Fraction):
-        for n in (a.numerator, a.denominator):
-            yield from (_factored(FinitePrime, "p", p) for p in factor_int(n))
-        return
-    for poly in (a.num, a.den):
-        factors = irreducible_factors(Poly(reversed(poly)))
-        yield from (_factored(FiniteIrreducible, "q", q) for q in factors)
-    if len(a.num) != len(a.den):
-        yield FF_INFINITY
-
-
-def support_places(values) -> frozenset:
-    """Finite places where some entry of the list has nonzero valuation."""
+def valuations(values) -> list[dict]:
+    """{place: v(a)} at the finite places where v(a) != 0, for each nonzero
+    scalar a of the list: the primes of its numerator, then of its
+    denominator, each ascending; over Q(z) the irreducible factors of num,
+    then of den, each sorted, then infinity when their degrees differ.
+    Numerator and denominator are coprime, so no place repeats, and the
+    multiplicities of their factorizations are the valuations.  Each
+    distinct numerator and denominator (an integer up to sign, or an
+    integer polynomial) is factored once per call."""
     values = list(values)
     if len({field_of(a) for a in values}) > 1:
         raise PlaceFieldMismatch("mixed coefficient fields")
-    out = set()
+    factored = {}
+
+    def factors(n):
+        if n not in factored:
+            if isinstance(n, int):
+                found = {_factored(FinitePrime, "p", p): e for p, e in factor_int(n).items()}
+            elif len(n) > 1:
+                found = {_factored(FiniteIrreducible, "q", q): e for q, e in _factor_list(n).items()}
+            else:
+                found = {}
+            factored[n] = found
+        return factored[n]
+
+    out = []
     for a in values:
         if not a:
             raise ZeroInput("support of zero is undefined")
-        out.update(_support(a))
-    return frozenset(out)
+        num, den = (abs(a.numerator), a.denominator) if isinstance(a, Fraction) else (a.num, a.den)
+        v = dict(factors(num))
+        v.update((place, -e) for place, e in factors(den).items())
+        if isinstance(a, RationalFunction) and len(a.num) != len(a.den):
+            v[FF_INFINITY] = len(a.den) - len(a.num)
+        out.append(v)
+    return out
 
 
 def product_formula_residual(a):
     """Sum of log_abs(a, p) over all places: ARCH first over Q, then the
-    finite places in the order of _support.
+    finite places in the order of valuations, each log_abs read off the
+    factorization as v(a) times the place's weight.
 
     Exactly zero in exact arithmetic.  For rational functions every term is
     an int, so the int 0 is returned for every nonzero input; for rationals
@@ -623,8 +660,7 @@ def product_formula_residual(a):
     field = field_of(a)
     if not a:
         raise ZeroInput("product formula for zero")
-    places = [ARCH, *_support(a)] if field == FIELD_Q else _support(a)
-    total = 0
-    for place in places:  # not sum(), which compensates float sums from Python 3.12 on
-        total += log_abs(a, place)
+    total = log_abs(a, ARCH) if field == FIELD_Q else 0
+    for place, v in valuations([a])[0].items():  # not sum(), which compensates float sums from Python 3.12 on
+        total += v * place_weight(place)
     return total

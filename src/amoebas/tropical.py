@@ -10,13 +10,17 @@ is read off it by exact integer elimination, with no LP; its work is
 bounded (MAX_CORNER_OPS per locus, MAX_AMOEBA_OPS over the loci of one
 adelic amoeba).  The loci of one polynomial at all its places are
 subdivisions of the same exponents, so what the lifts do not change is
-found once per support (_support) and shared.  Everything downstream
+found once per support (_support) and shared: each (d+1)-subset's
+elimination, the pair rows, the multiplicities, and each maximal cell's
+edges and 2-faces with the budget charges that found them.  A place's scan
+skips the subsets inside a cell it has already found.  Everything downstream
 (pullback, prevariety intersection) is exact polyhedral computation, on a
 PrevarietySystem whose shapes and term counts were checked when built.
 One adelic_amoeba assembles a hypersurface and a prevariety system alike:
 the complex at each bad place of its polynomials, then at GENERIC.  For a
 hypersurface it also keeps the TropicalData of each place, so that queries
-read the valuations without computing them again.
+read the valuations without computing them again; its shifts at a bad place
+are read off the factorizations of its bad-place search.
 """
 from __future__ import annotations
 
@@ -42,7 +46,7 @@ from .lattices import (
     primitive_vector,
     rank_of_rows,
 )
-from .laurent import LaurentPoly, bad_places
+from .laurent import LaurentPoly, bad_places, ratio_valuations
 from .polyhedral import (
     Cell,
     PolyhedralComplex,
@@ -133,12 +137,16 @@ class _Budget:
             )
 
     def scan(self, m, k, d):
-        """Charge a scan of the k-subsets of m points in Z^d: per subset, a
-        d x d elimination and the m points evaluated once.  Returns the
-        charge."""
-        ops = math.comb(m, k) * (d**3 + m * d)
+        """Charge _scan_ops(m, k, d) and return it."""
+        ops = _scan_ops(m, k, d)
         self.spend(ops)
         return ops
+
+
+def _scan_ops(m, k, d):
+    """The charge of a scan of the k-subsets of m points in Z^d: per
+    subset, a d x d elimination and the m points evaluated once."""
+    return math.comb(m, k) * (d**3 + m * d)
 
 
 class _Support:
@@ -146,7 +154,9 @@ class _Support:
     once: the pivot coordinates of the exponents' differences and the
     points p_i on them (also as coordinate columns), the table of
     (d+1)-subsets (built only after the scan is charged), and memos of the
-    primitive pair rows and of the segment multiplicities of ties."""
+    primitive pair rows, of the segment multiplicities of ties and of the
+    edges and 2-faces of each maximal cell with the charges that found
+    them."""
 
     def __init__(self, exponents, rank):
         self.exponents = exponents
@@ -154,7 +164,7 @@ class _Support:
         self.d = len(self.pivots)
         self.points = [tuple(u[c] for c in self.pivots) for u in exponents]
         self.columns = list(zip(*self.points))
-        self._rows, self._multiplicities = {}, {}
+        self._rows, self._multiplicities, self._faces = {}, {}, {}
 
     @functools.cached_property
     def subsets(self):
@@ -182,14 +192,23 @@ class _Support:
     def maximal_cells(self, shifts):
         """The maximal cells of the regular subdivision of the points p_i
         lifted by the shifts c_i: {sigma: (nums, den)}, with y = nums / den
-        a point of the dual cell of sigma.  A subset S lies in a maximal
-        cell exactly when its terms are minimal where they tie, and the
-        argmin set there is that cell."""
-        cells = {}
+        a point of the dual cell of sigma, the one of the first subset in
+        the table that finds sigma.  A subset S lies in a maximal cell
+        exactly when its terms are minimal where they tie, and the argmin
+        set there is that cell.  A subset inside a cell already found is
+        skipped: its d + 1 affinely independent points span that cell's
+        lifted hyperplane, so it would find the same cell.  Bit t of
+        found[i] says that term i lies in the t-th cell found."""
+        cells, found = {}, [0] * len(shifts)
         for S, T, den in self.subsets:
             a = S[0]
+            covered = found[a]
+            for k in S[1:]:
+                covered &= found[k]
+            if covered:
+                continue
             b = [shifts[k] - shifts[a] for k in S[1:]]
-            nums = [sum(t * x for t, x in zip(row, b)) for row in T]
+            nums = [sum(map(operator.mul, row, b)) for row in T]
             # den * (<p_i, y> + c_i) for every term, one coordinate at a time
             vals = [c * den for c in shifts]
             for col, x in zip(self.columns, nums):
@@ -197,7 +216,10 @@ class _Support:
             best = min(vals)
             if vals[a] == best:
                 sigma = frozenset(i for i, x in enumerate(vals) if x == best)
-                cells.setdefault(sigma, (nums, den))
+                bit = 1 << len(cells)
+                for i in sigma:
+                    found[i] |= bit
+                cells[sigma] = nums, den
         return cells
 
     def constraint(self, a, k, shifts, is_equality):
@@ -220,6 +242,34 @@ class _Support:
         if tie not in self._multiplicities:
             self._multiplicities[tie] = _segment_multiplicity(self.exponents, tie)
         return self._multiplicities[tie]
+
+    def faces(self, sigma, budget):
+        """(edges, two_faces) of the maximal cell sigma: each edge as
+        (edge, its indices sorted, the 2-faces that contain it), where a
+        2-face contains an edge when it holds the edge's two smallest
+        indices, and the 2-faces.  The first call charges budget before
+        each step of _edges_and_two_faces and keeps the charges with the
+        faces; a later call charges the same amounts in the same order, so
+        a budget refuses at the same step whether or not the faces are
+        kept."""
+        if sigma in self._faces:
+            charges, found = self._faces[sigma]
+            for ops in charges:
+                budget.spend(ops)
+            return found
+        charges = []
+
+        def spend(ops):
+            budget.spend(ops)
+            charges.append(ops)
+
+        es, fs = _edges_and_two_faces(self.points, sigma, self.d, spend)
+        edges = []
+        for e in es:
+            tie = tuple(sorted(e))
+            edges.append((e, tie, [f for f in fs if tie[0] in f and tie[1] in f]))
+        self._faces[sigma] = charges, (edges, fs)
+        return edges, fs
 
 
 @functools.lru_cache(maxsize=_SUPPORT_CACHE_SIZE)
@@ -258,23 +308,24 @@ def _facets(points, sigma, d):
     return facets
 
 
-def _edges_and_two_faces(points, sigma, d, budget):
+def _edges_and_two_faces(points, sigma, d, spend):
     """Edges and 2-faces of the d-polytope conv(p_i : i in sigma) as index
-    sets.  A simplex has every subset as a face.  Otherwise the faces of
-    rank k - 1 are the pairwise intersections of rank k - 1 of the faces of
-    rank k (every face is where two faces one rank up meet), from the
-    facets down."""
+    sets, each step's estimated cost passed to spend before it runs.  A
+    simplex has every subset as a face.  Otherwise the faces of rank k - 1
+    are the pairwise intersections of rank k - 1 of the faces of rank k
+    (every face is where two faces one rank up meet), from the facets
+    down."""
     m = len(sigma)
     if m == d + 1:
-        budget.spend(math.comb(m, 3))
+        spend(math.comb(m, 3))
         faces = lambda k: [frozenset(c) for c in itertools.combinations(sorted(sigma), k + 1)]
         return faces(1), faces(2) if d >= 2 else []
     levels = {d: [sigma]}
     if d >= 2:
-        budget.scan(m, d, d)
+        spend(_scan_ops(m, d, d))
         levels[d - 1] = _facets(points, sigma, d)
     for k in range(d - 1, 1, -1):
-        budget.spend(math.comb(len(levels[k]), 2) * m)
+        spend(math.comb(len(levels[k]), 2) * m)
         meets = {}
         for A, B in itertools.combinations(levels[k], 2):
             G = A & B
@@ -284,8 +335,9 @@ def _edges_and_two_faces(points, sigma, d, budget):
     return levels.get(1, []), levels.get(2, [])
 
 
-def _cell_polyhedron(support, shifts, rank, tie, two_cells):
-    """The cell of the edge tie of the subdivision, with one inequality per
+def _cell_key(support, shifts, rank, tie, two_cells):
+    """The key (Polyhedron.sort_key) of the cell of the edge of the
+    subdivision whose indices, sorted, are tie, with one inequality per
     facet.
 
     The equality is the tie of the two smallest indices a < b of tie.  The
@@ -296,18 +348,21 @@ def _cell_polyhedron(support, shifts, rank, tie, two_cells):
     greedy redundancy removal over the sorted rows keeps.  Rows are row
     keys (_Support.constraint), ordered as plain tuples, and each kept row
     must be tight at its vertex, and the vertex lie in the cell, checked
-    in integers; the Polyhedron is built last, one Fraction per row.
+    in integers.
     """
-    a, b = sorted(tie)[:2]
+    a, b = tie[:2]
     eq = support.constraint(a, b, shifts, True)
-    facets = [(max(support.constraint(a, k, shifts, False) for k in sigma - tie), v) for sigma, v in two_cells]
+    facets = [
+        (max(support.constraint(a, k, shifts, False) for k in sigma.difference(tie)), v)
+        for sigma, v in two_cells
+    ]
     rows = sorted(row for row, _ in facets)
     for row, (ints, den) in facets:
         # den * (<r, v> - num / rden) at v = ints / den, scaled by rden
         gap = lambda r, num, rden: sum(map(operator.mul, r, ints)) * rden - num * den
         if gap(*eq) or gap(*row) or any(gap(*c) > 0 for c in rows):
             raise InternalInvariantError("a facet row is not tight on its 2-cell")
-    return polyhedron_of_key((rank, (eq,), tuple(rows)))
+    return rank, (eq,), tuple(rows)
 
 
 def corner_locus(data: TropicalData, rank) -> PolyhedralComplex:
@@ -320,13 +375,15 @@ def corner_locus(data: TropicalData, rank) -> PolyhedralComplex:
     maximal cell sigma of the subdivision comes with a vertex of the corner
     locus, solved for on those coordinates with the others 0.  The edges of
     the maximal cells are the tie sets of the cells, and the 2-faces
-    containing an edge give its facets (_cell_polyhedron), so each cell is
-    built once.  What no place changes (the pivots, each (d+1)-subset's
-    elimination, the pair rows and the multiplicities) is kept per support
-    in _support, shared by the loci of one polynomial at every place.
-    Every step is charged to a _Budget of MAX_CORNER_OPS before it runs, at
-    its uncached estimate, the scan of the C(s, d + 1) subsets of the s
-    terms included; past it CornerLocusTooLarge is raised.
+    containing an edge give its facets (_cell_key), so each cell is
+    keyed once, sorted on (sorted tie, key), the order of Cell.sort_key,
+    and built once as a Polyhedron.  What no place changes (the pivots,
+    each (d+1)-subset's elimination, the pair rows, the multiplicities,
+    and the edges and 2-faces of each maximal cell) is kept per support in
+    _support, shared by the loci of one polynomial at every place.  Every
+    step is charged to a _Budget of MAX_CORNER_OPS before it runs, at its
+    uncached estimate, the scan of the C(s, d + 1) subsets of the s terms
+    included; past it CornerLocusTooLarge is raised.
     """
     exps, shifts = data.exponents, data.shifts
     s = len(exps)
@@ -340,24 +397,18 @@ def corner_locus(data: TropicalData, rank) -> PolyhedralComplex:
         ints = [0] * rank
         for c, x in zip(pivots, nums):
             ints[c] = x
-        es, fs = _edges_and_two_faces(support.points, sigma, d, budget)
-        # an edge lies in a 2-face when its two smallest indices do
-        by_pair = {tuple(sorted(e)[:2]): edges.setdefault(e, set()) for e in es}
+        es, fs = support.faces(sigma, budget)
         for f in fs:
             two_cells.setdefault(f, (ints, den))
-            for pair in itertools.combinations(sorted(f), 2):
-                if pair in by_pair:
-                    by_pair[pair].add(f)
-    budget.spend(sum(len(fs) * (len(fs) + 2) for fs in edges.values()) * rank)
-    cells = [
-        Cell(
-            _cell_polyhedron(support, shifts, rank, tie, [(f, two_cells[f]) for f in fs]),
-            tie,
-            support.multiplicity(tie),
-        )
-        for tie, fs in edges.items()
-    ]
-    return make_complex(rank, cells)
+        for e, tie, in_faces in es:
+            edges.setdefault(e, (tie, set()))[1].update(in_faces)
+    budget.spend(sum(len(fs) * (len(fs) + 2) for _, fs in edges.values()) * rank)
+    keyed = sorted(
+        (tie, _cell_key(support, shifts, rank, tie, [(f, two_cells[f]) for f in fs]), e)
+        for e, (tie, fs) in edges.items()
+    )
+    cells = (Cell(polyhedron_of_key(key), e, support.multiplicity(e)) for _, key, e in keyed)
+    return PolyhedralComplex(rank, tuple(cells))
 
 
 def trop_hypersurface(f: LaurentPoly, place) -> PolyhedralComplex:
@@ -406,22 +457,32 @@ def adelic_amoeba(source) -> AdelicAmoeba:
     tropical_data at each place, which is kept) or of a PrevarietySystem
     (prevariety at each place): the special places are the bad places of
     its polynomials, sorted by place string and built first, and the
-    generic complex is built last."""
+    generic complex is built last.  A hypersurface's shifts at a bad place
+    are v(a_1) plus the valuations of the ratios a_j / a_1 that its
+    bad-place search factored (ratio_valuations): one valuation per place."""
     data = {}
     if isinstance(source, PrevarietySystem):
         polys = [con.poly for con in source.constraints]
+        places = frozenset().union(*map(bad_places, polys))
         build = lambda place: prevariety(source, place)
     elif isinstance(source, LaurentPoly):
         if source.nterms < 2:
             raise MonomialInput("a monomial cuts out the empty set in the torus")
         polys = [source]
+        places = ratios = ratio_valuations(source)
+        exps, a1 = tuple(source.exponents()), source.terms[0][1]
 
         def build(place):
-            data[place] = tropical_data(source, place)
+            found = ratios.get(place)
+            if found is None:
+                data[place] = tropical_data(source, place)
+            else:
+                base = valuation(a1, place)
+                data[place] = TropicalData(exps, tuple(base + v for v in found))
             return corner_locus(data[place], source.rank)
     else:
         raise TypeError("source must be a hypersurface or a prevariety system")
-    places = sorted(frozenset().union(*map(bad_places, polys)), key=place_to_str)
+    places = sorted(places, key=place_to_str)
     _check_amoeba_size(polys, len(places) + 1)
     special = tuple((p, build(p)) for p in places)
     generic = build(GENERIC)

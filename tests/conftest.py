@@ -647,6 +647,25 @@ def reference_corner_locus(data, rank):
     return make_complex(rank, cells.values())
 
 
+def reference_maximal_cells(support, shifts):
+    """_Support.maximal_cells as a full scan of the subset table: every
+    (d+1)-subset's tie point is evaluated, and the first subset that finds
+    a cell gives its vertex."""
+    cells = {}
+    for S, T, den in support.subsets:
+        a = S[0]
+        b = [shifts[k] - shifts[a] for k in S[1:]]
+        nums = [sum(t * x for t, x in zip(row, b)) for row in T]
+        vals = [c * den for c in shifts]
+        for col, x in zip(support.columns, nums):
+            vals = [v + p * x for v, p in zip(vals, col)]
+        best = min(vals)
+        if vals[a] == best:
+            sigma = frozenset(i for i, x in enumerate(vals) if x == best)
+            cells.setdefault(sigma, (nums, den))
+    return cells
+
+
 def reference_poly_contains(P, Q):
     """Whether Q is a subset of P: an emptiness LP, then per constraint of P
     the LPs over Q (of the row and its negation for an equality, of the row

@@ -696,6 +696,18 @@ PINS = [
     ("adelic-qz-degree-5", ["adelic", "--f",
       "(2/3)*x1*x2 + (z^5-3*z^2+1/2)*x1 + (4*z^5+z)/(6*z^3-9)*x2 - 5/7"],
      0, "4b50c05a9eb9f3f8", EMPTY, None),
+    # P Q is a coefficient, but the ratios over a_1 = Q factor only P and Q:
+    # factoring P Q itself would be refused after RHO_STEPS rho steps
+    ("adelic-pq-ratios", ["adelic", "--f", "300000000000000001940000000000000002091*x1"
+      " + 10000000000000000051*x2 + 30000000000000000041"],
+     0, "14bb8deb22e2362a", EMPTY, None),
+    # shifts with multiplicities: squared factors and shared denominators
+    ("adelic-qz-multiplicities", ["adelic", "--f", "(z-1)^2*x1^2*x2 + (z^2+1)/(z-1)*x1*x2^-1"
+      " + (2*z+3)^2/(z^2+1)*x2^2 + (z-1)*(z^2+1)*x1^-1 + 1/z^3"],
+     0, "39899b6346cba806", EMPTY, None),
+    ("adelic-q-multiplicities", ["adelic", "--f", "(12/25)*x1^2*x3 + (18/5)*x1*x2"
+      " + (-50/3)*x2^2*x3^-1 + (9/4)*x1^-1*x3^2 + 7*x2^-1"],
+     0, "576453c9c9df8b14", EMPTY, None),
     ("product-formula-qz-quotient", ["product-formula", "--a", "(6*z^5-3/2*z)/(4*z^3+2*z^2-8)"],
      0, "125ff6b8f71e1164", EMPTY, None),
     ("trop-qz-nonmonic-place", ["trop", "--f", "(2*z-1)^2*x1 + (4*z^2-1)/z*x2 + 1/(2*z-1)",

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from amoebas import laurent, parsing
+from amoebas import laurent, parsing, scalars
 from amoebas.errors import (
     AmoebaError,
     EmptyPolynomial,
@@ -280,3 +280,80 @@ class TestBadPlaces:
     def test_scaled_constant_ratios_empty(self):
         f = parse_poly("z*x1 + z*x2 + z", rank=2, field=FIELD_QZ)
         assert bad_places(f) == frozenset()
+
+    def test_each_distinct_polynomial_factored_once(self, monkeypatch):
+        # a_1 = z^2 + 1 is the denominator of all three ratios a_j / a_1
+        from sympy.polys import factortools
+
+        seen, real = [], factortools.dup_factor_list
+        monkeypatch.setattr(
+            factortools, "dup_factor_list", lambda f, K: seen.append(tuple(f)) or real(f, K)
+        )
+        f = parse_poly("(z^2+1) + z*x1 + (z+2)*x2 + (z-1)*x1*x2", rank=2)
+        got = {place_to_str(p) for p in bad_places(f)}
+        assert got == {"q:z", "q:z+2", "q:z-1", "q:z^2+1", "inf"}
+        assert sorted(seen) == sorted([(1, 0), (1, 0, 1), (1, 2), (1, -1)])
+
+    def test_each_distinct_integer_factored_once(self, monkeypatch):
+        # P Q is a coefficient, but the ratios over a_1 = Q are P / Q and P:
+        # P and Q are factored, each once, and P Q never is
+        P, Q = 10000000000000000051, 30000000000000000041
+        seen, real = [], scalars.factor_int
+        monkeypatch.setattr(scalars, "factor_int", lambda n: seen.append(n) or real(n))
+        f = parse_poly(f"{P * Q}*x1 + {P}*x2 + {Q}")
+        assert bad_places(f) == frozenset({FinitePrime(P), FinitePrime(Q)})
+        assert sorted(seen) == [1, P, Q]
+
+    def test_ratio_valuations(self):
+        # terms by exponent: a_1 = 9/4, then 7 and 18/5, whose ratios over
+        # a_1 are 28/9 and 8/5
+        f = parse_poly("(9/4)*x1^-1 + (18/5)*x1 + 7*x2")
+        assert [c for _, c in f.terms] == [Fraction(9, 4), 7, Fraction(18, 5)]
+        got = {place_to_str(p): v for p, v in laurent.ratio_valuations(f).items()}
+        assert got == {"p:2": (0, 2, 3), "p:3": (0, -2, 0), "p:7": (0, 1, 0), "p:5": (0, 0, -1)}
+        assert list(got) == ["p:2", "p:7", "p:3", "p:5"]
+
+
+class TestVariablePowersInPlace:
+    """A variable power that multiplies or divides a single-term product
+    moves that term's exponent in place: the same terms, and the same
+    errors, as the product of the parenthesized factors, which multiplies
+    two term maps."""
+
+    COEFFS = ["0", "3", "-2/7", "(z-1)", "(z^2+1)/(3*z)", "(x1+x2)", "x2^3", "(0*x1)"]
+
+    @staticmethod
+    def parsed(text):
+        try:
+            return "ok", parsing.parse_terms(text, 2)
+        except RankMismatch as exc:  # its position is that of its own text
+            return RankMismatch, re.sub(r"\(position \d+\)", "", str(exc))
+        except AmoebaError as exc:
+            return type(exc), str(exc)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(COEFFS),
+        st.lists(st.tuples(st.sampled_from("*/"), st.integers(1, 3), st.integers(-3, 3)), max_size=3),
+    )
+    def test_same_terms_and_errors_as_the_general_product(self, c, factors):
+        power = lambda k, e: f"x{k}" if e == 1 else f"x{k}^{e}"
+        fast = c + "".join(f"{op}{power(k, e)}" for op, k, e in factors)
+        general = f"({c})" + "".join(f"{op}({power(k, e)})" for op, k, e in factors)
+        assert self.parsed(fast) == self.parsed(general)
+
+    def test_rank_mismatch_position(self):
+        with pytest.raises(RankMismatch, match=re.escape("variable x3 outside rank 2 (position 5)")):
+            parsing.parse_terms("2*x1*x3^2", 2)
+
+    @pytest.mark.parametrize("bits, refused", [(parsing._MAX_COEFF_BITS - 1, True), (parsing._MAX_COEFF_BITS - 2, False)])
+    def test_coefficient_bit_bound(self, bits, refused):
+        # a coefficient of b bits times x1 is refused when b + 2 passes the
+        # bound, on both paths
+        c = str(2 ** (bits - 1))
+        for text in (f"{c}*x1", f"({c})*(x1)"):
+            if refused:
+                with pytest.raises(ExpansionTooLarge):
+                    parsing.parse_terms(text, 1)
+            else:
+                assert parsing.parse_terms(text, 1)[2] == {(1,): Fraction(int(c))}

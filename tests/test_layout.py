@@ -91,10 +91,12 @@ def unreached():
 
 def test_walk_resolves_imports_per_module():
     edges, _ = _graph()
-    # the corner loci read tropical's support table, not scalars'
+    # a name defined in its module resolves there, an imported one to the
+    # module that defines it
     assert "tropical._support" in edges["tropical.corner_locus"]
-    assert "scalars._support" not in edges["tropical.corner_locus"]
-    assert "scalars._support" in edges["scalars.support_places"]
+    assert "laurent.ratio_valuations" in edges["tropical.adelic_amoeba"]
+    assert {"scalars.valuation", "tropical.tropical_data"} <= edges["tropical.adelic_amoeba"]
+    assert "scalars.valuations" in edges["laurent.ratio_valuations"]
     # a module reached through `from . import m` and an attribute
     assert any(name.startswith("plot.") for name in edges["cli._plot"])
 

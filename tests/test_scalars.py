@@ -37,8 +37,8 @@ from amoebas.scalars import (
     place_from_str,
     place_to_str,
     product_formula_residual,
-    support_places,
     valuation,
+    valuations,
 )
 
 from amoebas.parsing import parse_scalar
@@ -53,6 +53,11 @@ from conftest import (
     reference_product_formula_residual,
     reference_support_places,
 )
+
+
+def support_places(values):
+    """The finite places where some scalar of the list has nonzero valuation."""
+    return frozenset().union(*valuations(values))
 
 
 def rf(num, den=(1,)):
@@ -432,6 +437,25 @@ class TestRationalFunction:
         assert (got.num, got.den) == (want.num, want.den)
         assert_canonical(got)
 
+    @settings(max_examples=300)
+    @given(_INT_POLYS, _INT_POLYS, st.integers(0, 2))
+    def test_polynomial_operands_match_the_cancel(self, a, b, k):
+        # two polynomials (den 1) add, subtract and multiply as integer
+        # polynomials over 1, with no cancel; sympy's dense arithmetic on
+        # the same pairs and dup_cancel agree
+        from sympy.polys.densearith import dup_add, dup_mul, dup_sub
+        from sympy.polys.domains import ZZ
+
+        x, y = rf(a), rf(b)
+        assume(not x.is_constant() and not y.is_constant())
+        op = _OPS[k]
+        f, c = list(x.num), list(y.num)
+        combine = {operator.add: dup_add, operator.sub: dup_sub, operator.mul: dup_mul}[op]
+        want = RationalFunction(combine(f, c, ZZ), [1])
+        got = op(x, y)
+        assert (got.num, got.den) == (want.num, want.den)
+        assert_canonical(got)
+
     def test_constants_and_zero(self):
         assert RationalFunction.const(Fraction(-3, 2)).num == (-3,)
         assert RationalFunction.const(Fraction(-3, 2)).den == (2,)
@@ -547,6 +571,17 @@ class TestPlaceWalkAgainstReference:
     ))
     def test_support_places(self, values):
         assert outcome(support_places, values) == outcome(reference_support_places, values)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(st.lists(RATIONALS, max_size=3), st.lists(RATFUNCS, max_size=3)))
+    def test_valuations_are_the_multiplicities(self, values):
+        # each entry holds v(a), as valuation computes it, at exactly the
+        # places of a's support
+        assume(all(values))
+        for a, got in zip(values, valuations(values), strict=True):
+            assert set(got) == reference_support_places([a])
+            assert got == {place: valuation(a, place) for place in got}
+            assert 0 not in got.values()
 
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(RATIONALS, RATFUNCS))

@@ -4,7 +4,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from amoebas import polyhedral, tropical
@@ -33,6 +33,7 @@ from amoebas.scalars import (
     FinitePrime,
     RationalFunction,
     place_from_str,
+    place_to_str,
 )
 from amoebas.tropical import (
     Constraint,
@@ -45,6 +46,7 @@ from amoebas.tropical import (
     PrevarietySystem,
 )
 from amoebas.lattices import _eliminate, integer_row
+from amoebas.parsing import parse_scalar
 
 from conftest import (
     LARGE_RANK_2,
@@ -67,6 +69,7 @@ from conftest import (
     ray,
     reference_canon_constraint,
     reference_corner_locus,
+    reference_maximal_cells,
     reference_poly_contains,
     reference_prevariety,
     reference_project_complex,
@@ -768,6 +771,139 @@ class TestSupportTable:
         for shifts, C in zip(places, cold):
             if not isinstance(C, str):
                 assert C == reference_corner_locus(TropicalData(exps, shifts), rank)
+
+
+class TestCoveredSubsets:
+    """maximal_cells skips each subset inside a cell it has found; the full
+    scan of the subset table finds the same cells, in the same order, with
+    the same vertex kept for each."""
+
+    @settings(max_examples=150)
+    @given(tropical_data_and_rank())
+    def test_matches_the_full_scan(self, data_rank):
+        data, rank = data_rank
+        support = tropical._Support(data.exponents, rank)
+        for shifts in (data.shifts, (0,) * len(data.shifts)):
+            got = support.maximal_cells(shifts)
+            assert list(got.items()) == list(reference_maximal_cells(support, shifts).items())
+            if any(len(sigma) > support.d + 1 for sigma in got):
+                event("a non-simplex cell")
+
+    @pytest.mark.parametrize("f, rank", PINNED_SUPPORTS)
+    def test_pinned_supports(self, f, rank):
+        exps = tuple(parse_poly(f, rank).exponents())
+        support = tropical._Support(exps, rank)
+        for shifts in ((0,) * len(exps), tuple(i % 3 for i in range(len(exps)))):
+            got = support.maximal_cells(shifts)
+            assert list(got.items()) == list(reference_maximal_cells(support, shifts).items())
+
+
+class TestFacesPerSupport:
+    """Each maximal cell's edges and 2-faces are found once per support,
+    with the budget charged before each step; a cell found again charges
+    the same amounts in the same order, so a budget refuses at the same
+    step whether the table is cold or warm."""
+
+    @staticmethod
+    def charges(exps, shifts, rank, bound=None):
+        spent, real = [], tropical._Budget.spend
+
+        def spend(self, ops):
+            spent.append(ops)
+            real(self, ops)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tropical._Budget, "spend", spend)
+            if bound is not None:
+                mp.setattr(tropical, "MAX_CORNER_OPS", bound)
+            try:
+                corner_locus(TropicalData(exps, shifts), rank)
+            except CornerLocusTooLarge:
+                spent.append("refused")
+        return spent
+
+    @staticmethod
+    def expected(exps, shifts, rank):
+        """The charges in the order of the full scan: the pivots, the
+        subset scan, each maximal cell's face steps, and the cells' rows."""
+        support = tropical._Support(exps, rank)
+        s, d = len(exps), support.d
+        out = [s * rank * rank, tropical._scan_ops(s, d + 1, d)]
+        for sigma in reference_maximal_cells(support, shifts):
+            tropical._edges_and_two_faces(support.points, sigma, d, out.append)
+        rows = [len(c.polyhedron.inequalities) for c in corner_locus(TropicalData(exps, shifts), rank).cells]
+        return out + [sum(n * (n + 2) for n in rows) * rank]
+
+    @settings(max_examples=80)
+    @given(tropical_data_and_rank(), st.sampled_from([300, 1000, 3000]))
+    def test_cold_and_warm_charges(self, data_rank, bound):
+        data, rank = data_rank
+        exps, shifts = data.exponents, data.shifts
+        want = self.expected(exps, shifts, rank)
+        total = itertools.accumulate(want)
+        cut = next((k for k, t in enumerate(total) if t > bound), None)
+        refused = want if cut is None else want[: cut + 1] + ["refused"]
+        for limit, result in ((None, want), (bound, refused)):
+            tropical._support.cache_clear()
+            assert self.charges(exps, shifts, rank, limit) == result
+            assert self.charges(exps, shifts, rank, limit) == result
+
+    def test_refused_before_the_facets(self, monkeypatch):
+        # the square is one non-simplex cell at the generic place: 16 for
+        # the pivots, 64 for the subset scan, then 96 for its facet scan,
+        # refused past a bound of 100 before _facets runs, cold or warm
+        exps = tuple(parse_poly("1 + x1 + x2 + x1*x2").exponents())
+        tropical._support.cache_clear()
+        monkeypatch.setattr(tropical, "_facets", lambda *a: pytest.fail("_facets ran"))
+        assert self.charges(exps, (0,) * 4, 2, 100) == [16, 64, 96, "refused"]
+        monkeypatch.undo()
+        assert self.charges(exps, (0,) * 4, 2) == [16, 64, 96, 24]
+        assert self.charges(exps, (0,) * 4, 2, 100) == [16, 64, 96, "refused"]
+
+
+def factored_coefficients(field):
+    """Products of powers -2..2 of a few primes (over Q) or irreducible
+    polynomials (over Q(z)), so that squares and shared denominators are
+    common."""
+    factors = ("2", "3", "5", "7") if field == FIELD_Q else ("z", "(z-1)", "(z^2+1)", "(2*z+3)")
+    powers = st.lists(st.integers(-2, 2), min_size=len(factors), max_size=len(factors))
+    text = lambda sign, es: sign + "*".join(f"{q}^({e})" for q, e in zip(factors, es))
+    return st.builds(lambda sign, es: parse_scalar(text(sign, es), field), st.sampled_from(["", "-"]), powers)
+
+
+@st.composite
+def factored_polys(draw):
+    field = draw(st.sampled_from([FIELD_Q, FIELD_QZ]))
+    rank, s = draw(st.integers(1, 3)), draw(st.integers(2, 5))
+    exps = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * rank), min_size=s, max_size=s, unique=True))
+    coeffs = draw(st.lists(factored_coefficients(field), min_size=s, max_size=s))
+    return make_laurent(rank, field, list(zip(exps, coeffs)))
+
+
+class TestAdelicShifts:
+    """A hypersurface's shifts at each bad place are v(a_1) plus the
+    valuations of the ratios that its bad-place search factored: the
+    TropicalData that tropical_data gives, which values every
+    coefficient."""
+
+    @staticmethod
+    def check(f):
+        am = adelic_amoeba(f)
+        places = [GENERIC, *sorted(bad_places(f), key=place_to_str)]
+        assert [p for p, _ in am.special] == places[1:]
+        assert am.data == tuple(tropical_data(f, p) for p in places)
+
+    @settings(max_examples=60, deadline=None)
+    @given(factored_polys())
+    def test_random_factored_coefficients(self, f):
+        self.check(f)
+
+    @pytest.mark.parametrize("f", [
+        "(z-1)^2*x1^2*x2 + (z^2+1)/(z-1)*x1*x2^-1 + (2*z+3)^2/(z^2+1)*x2^2 + (z-1)*(z^2+1)*x1^-1 + 1/z^3",
+        "(12/25)*x1^2*x3 + (18/5)*x1*x2 + (-50/3)*x2^2*x3^-1 + (9/4)*x1^-1*x3^2 + 7*x2^-1",
+    ], ids=["qz", "q"])
+    def test_multiplicities(self, f):
+        self.check(parse_poly(f))
 
 
 class TestEliminate:
