@@ -299,9 +299,15 @@ def _nonzero_roots(rows):
     span's companion matrix.  Here the companion matrices of one order are
     built the same way and solved by one stacked np.linalg.eigvals call,
     which runs LAPACK on each matrix as np.roots does, so every root keeps
-    its float bits.  A row whose companion matrix is not finite is left to
-    np.roots, which raises on it when the row is reached.
+    its float bits.  A lone row, a bisection probe, skips the masks and
+    fancy indexing of the stack, which cost it several times its one
+    eigvals call: _row_roots finds its span on the Python list and solves
+    its one matrix.  A row whose companion matrix is not finite raises
+    OverflowError when it is reached, where np.roots would refuse it.
     """
+    if len(rows) == 1:
+        yield _row_roots(rows[0])
+        return
     m, n = rows.shape
     lead = np.abs(rows) > 0
     first = np.where(lead.any(axis=1), lead.argmax(axis=1), n).tolist()
@@ -328,8 +334,34 @@ def _nonzero_roots(rows):
         deferred.update(itertools.compress(idx, ~finite))
     for i, r in enumerate(roots):
         if i in deferred:
-            r = [complex(x) for x in np.roots(rows[i, first[i]:]) if x != 0]
+            raise OverflowError("a slice's companion matrix leaves the float range")
         yield r
+
+
+def _row_roots(row):
+    """_nonzero_roots of one row, its span found on the Python list with
+    the stack's predicates (abs > 0 at the leading end, != 0 at the
+    trailing one).  A 1 x 1 companion matrix still goes to eigvals: LAPACK
+    rescales a matrix whose norm is past about 1e+-138, and its eigenvalue
+    then differs from the entry in the last bits, or in the sign of a
+    zero."""
+    values = row.tolist()
+    n = len(values)
+    a = next((i for i, x in enumerate(values) if abs(x) > 0), n)
+    if n - a <= 1:
+        return None
+    b = next(i for i in range(n - 1, -1, -1) if values[i] != 0)
+    if b == a:
+        return []
+    order = b - a
+    p = row[a:b + 1]
+    companion = np.zeros((order, order), dtype=complex)
+    companion[np.arange(1, order), np.arange(order - 1)] = 1
+    with np.errstate(all="ignore"):
+        companion[0] = -p[1:] / p[:1]
+    if not np.isfinite(companion[0]).all():
+        raise OverflowError("a slice's companion matrix leaves the float range")
+    return [r for r in np.linalg.eigvals(companion).tolist() if r != 0]
 
 
 def sampled_inside(f: LaurentPoly, v, trials=200):
@@ -348,7 +380,11 @@ def sampled_inside(f: LaurentPoly, v, trials=200):
     the residual check |f(x)| < _TOL * sum(r_i).  When the term moduli leave
     the float range, the sampler and its residual run on f * x^(-u_k), k a
     term of largest modulus.  A point with a coordinate modulus exp(-v_k)
-    that overflows or underflows to 0.0 has no float witness: None.  Phases
+    that overflows or underflows to 0.0 has no float witness: None.  Nor
+    has one whose slice coefficients leave the float range though its term
+    moduli do not: the search returns None where it reaches a slice whose
+    power overflows or whose companion matrix is not finite (an
+    OverflowError), after any earlier slice's witness.  Phases
     whose slice is a monomial are skipped; DegenerateSlice is raised only
     when every phase of every sweep gave one.  ExponentSpreadTooLarge is
     raised before any slice is built when the solved coordinate's exponent
@@ -407,45 +443,51 @@ def sampled_inside(f: LaurentPoly, v, trials=200):
         best = min(roots, key=lambda r: abs(abs(r) - target))
         return verify(x, best), sum(1 for r in roots if abs(r) < target)
 
-    if f.rank == 1:
-        x, roots = next(slices([()]))
-        if roots is None:
-            raise DegenerateSlice("univariate input degenerates to a monomial")
-        for r in roots:
-            w = verify(x, r)
-            if w:
-                return w
-        return None
-
-    sweep_grid = 64
-    thetas = [2 * math.pi * t / sweep_grid for t in range(sweep_grid + 1)]
-    degenerate = 0
-    for fixed in assignments:
-        samples = []
-        for theta, (x, roots) in zip(thetas, slices([(t,) + fixed for t in thetas])):
-            w, below = probe(x, roots)
-            if w:
-                return w
-            if below is not None:  # a monomial slice skips just this phase
-                samples.append((theta, below))
-        if not samples:
-            degenerate += 1
-            continue
-        for (t1, c1), (t2, c2) in zip(samples, samples[1:]):
-            if c1 == c2:
-                continue
-            lo, hi = t1, t2
-            for _ in range(80):
-                mid = (lo + hi) / 2
-                w, below = probe(*next(slices([(mid,) + fixed])))
+    def scan():
+        if f.rank == 1:
+            x, roots = next(slices([()]))
+            if roots is None:
+                raise DegenerateSlice("univariate input degenerates to a monomial")
+            for r in roots:
+                w = verify(x, r)
                 if w:
                     return w
-                if below is None:
-                    break
-                if below == c1:
-                    lo = mid
-                else:
-                    hi = mid
-    if degenerate == len(assignments):
-        raise DegenerateSlice("every sampled slice degenerated to a monomial")
-    return None
+            return None
+
+        sweep_grid = 64
+        thetas = [2 * math.pi * t / sweep_grid for t in range(sweep_grid + 1)]
+        degenerate = 0
+        for fixed in assignments:
+            samples = []
+            for theta, (x, roots) in zip(thetas, slices([(t,) + fixed for t in thetas])):
+                w, below = probe(x, roots)
+                if w:
+                    return w
+                if below is not None:  # a monomial slice skips just this phase
+                    samples.append((theta, below))
+            if not samples:
+                degenerate += 1
+                continue
+            for (t1, c1), (t2, c2) in zip(samples, samples[1:]):
+                if c1 == c2:
+                    continue
+                lo, hi = t1, t2
+                for _ in range(80):
+                    mid = (lo + hi) / 2
+                    w, below = probe(*next(slices([(mid,) + fixed])))
+                    if w:
+                        return w
+                    if below is None:
+                        break
+                    if below == c1:
+                        lo = mid
+                    else:
+                        hi = mid
+        if degenerate == len(assignments):
+            raise DegenerateSlice("every sampled slice degenerated to a monomial")
+        return None
+
+    try:
+        return scan()
+    except OverflowError:  # a slice left the float range where it was reached
+        return None

@@ -8,8 +8,11 @@ adelic amoeba keeps decides the place before any cell is read.  A place it
 finds met is scanned for its witness, which the scan must then find (an
 InternalInvariantError otherwise).  That scan, and a system's places, decide
 disjointness from a complex exactly cell by cell, on a line or by LP (the
-open end is honored: touching at t = 0 counts as disjoint).  A meeting
-cell's witness is read off that line when it is the only choice, so any
+open end is honored: touching at t = 0 counts as disjoint).  Each distinct
+cell row is mapped into the halfspace's coordinates once per scan, and a
+cell is decided on the integer key of its mapped rows, so that only its
+maximum and a returned witness become Fractions.  A meeting cell's witness
+is read off that line when it is the only choice, checked on ints, so any
 correct method prints it; an LP's vertex is printed only where the choice
 is not unique.
 The archimedean place is scanned at the grid points t d of the ray,
@@ -45,7 +48,6 @@ from .laurent import LaurentPoly, strict_vertex_direction
 from .polyhedral import (
     LPOptimal,
     LPUnbounded,
-    Polyhedron,
     PolyhedralComplex,
     contains_point,
     intersect,
@@ -104,12 +106,16 @@ def halfspace_meets_complex(H: Halfspace, C: PolyhedralComplex):
     sum(lambda_a g_a) + t v turns a cell row (r, b) into ((r . g_1, ...,
     r . g_k, r . v), b), and the cell meets H exactly when t, kept >= 0, is
     unbounded or has a positive maximum (zero only touches the closed
-    boundary).  That maximum is maximize's, read off a line when the
-    cell's equalities leave at most one free direction in (lambda, t).
-    The same line pass gives the witness of a meeting cell where it is
-    unique: the one maximizer of a finite t, or the one point at t = 1 of
-    an unbounded t.  It is checked exactly (in the cell, t equal to the
-    maximum or to 1), and every correct method prints that point.
+    boundary).  Each distinct row is mapped once per call (_in_frame), and
+    a cell is the key of its mapped rows, read off their ints with t >= 0
+    last.  That maximum is maximize's on the key, read off a line when the
+    cell's equalities leave at most one free direction, with no Polyhedron
+    built and no Fraction but the maximum.  The same line pass gives the
+    witness of a meeting cell where it is unique, as ints over one
+    denominator: the one maximizer of a finite t, or the one point at t = 1
+    of an unbounded t.  It is checked exactly on those ints (in the cell, t
+    equal to the maximum or at least 1), and every correct method prints
+    that point; only the point returned becomes Fractions.
     Other meeting cells get the LP in (x, lambda, t), whose optimal vertex
     is the witness and must agree with the decision: two or more free
     directions, t constant along a segment (the pivot rule picks the
@@ -125,28 +131,36 @@ def halfspace_meets_complex(H: Halfspace, C: PolyhedralComplex):
     k = len(H.boundary)
     total = n + k + 1
     gens = (*H.boundary, H.direction)
-    tpos = (((0,) * k + (-1,), Fraction(0)),)
-    # a cell row r in the coordinates (lambda, t): (r . g_1, ..., r . g_k, r . v)
-    img = lambda r: tuple(sum(map(operator.mul, r, g)) for g in gens)
-    sub = lambda cons: tuple((img(r), b) for r, b in cons)
+    images = {}
+
+    def keys(cons):
+        out = []
+        for r, b in cons:
+            img = images.get(r)
+            if img is None:
+                img = images[r] = _in_frame(r, gens)
+            out.append((img, b.numerator, b.denominator))
+        return tuple(out)
+
+    tpos = ((0,) * k + (-1,), 0, 1)
     obj = [0] * (n + k) + [1]
-    # x - sum(lambda_a g_a) - t v = 0, one row per coordinate of x
-    link = [
-        ([int(i == c) for i in range(n)] + [-g[c] for g in gens], Fraction(0)) for c in range(n)
-    ]
     pad = lambda cons: [(list(r) + [0] * (k + 1), b) for r, b in cons]
     late = None
     for cell in C.cells:
         P = cell.polyhedron
-        top, at = maximize(obj[n:], Polyhedron(k + 1, sub(P.equalities), sub(P.inequalities) + tpos), 1)
+        top, at = maximize(obj[n:], (k + 1, keys(P.equalities), keys(P.inequalities) + (tpos,)), 1)
         if top is None or top <= 0:
             continue
         if at is not None:
-            x = tuple(sum(a * g[c] for a, g in zip(at, gens)) for c in range(n))
-            if not (contains_point(P, x) and (at[-1] == top if top < math.inf else at[-1] >= 1)):
+            ints, d = at
+            x = [sum(a * g[c] for a, g in zip(ints, gens)) for c in range(n)]
+            on_top = ints[-1] * top.denominator == top.numerator * d if top < math.inf else ints[-1] >= d
+            if not (on_top and contains_point(P, x, d)):
                 raise InternalInvariantError("the witness on the line fails its check")
-            if top < math.inf or at[-1] == 1:
-                return x
+            if top < math.inf or ints[-1] == d:
+                return tuple(Fraction(v, d) for v in x)
+        # x - sum(lambda_a g_a) - t v = 0, one row per coordinate of x
+        link = [([int(i == c) for i in range(n)] + [-g[c] for g in gens], Fraction(0)) for c in range(n)]
         ineqs = pad(P.inequalities) + [([0] * (n + k) + [-1], Fraction(0))]
         ext = polyhedron(total, link + pad(P.equalities), ineqs)
         wit = lp_solve(obj, ext)
@@ -163,6 +177,11 @@ def halfspace_meets_complex(H: Halfspace, C: PolyhedralComplex):
         if late is None:
             late = wit.point[:n]
     return late
+
+
+def _in_frame(r, gens):
+    """The cell row r in the coordinates (lambda, t): (r . g_1, ..., r . g_k, r . v)."""
+    return tuple(sum(map(operator.mul, r, g)) for g in gens)
 
 
 # ---------------------------------------------------------------------------

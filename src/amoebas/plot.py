@@ -16,7 +16,7 @@ from .errors import DimensionMismatch
 from .lattices import identity
 from .polyhedral import (
     PolyhedralComplex,
-    _bound,
+    _end,
     _line,
     _point_on,
     intersect,
@@ -71,7 +71,7 @@ def render_complex_svg(C: PolyhedralComplex, extent=4, size=480) -> str:
         frame, st, bounds = _line(P)
         if bounds is None:
             continue
-        p, q = (_point_on(frame, _bound(st, i)) for i in bounds)
+        p, q = (_point_on(frame, *_end(st, i)) for i in bounds)
         if p == q:
             parts.append(
                 f'<circle cx="{_fmt(sx(p[0]))}" cy="{_fmt(sy(p[1]))}" r="3" fill="black"/>'

@@ -25,10 +25,13 @@ checked against every equality; keyed_reduction reduces a canonical key
 with it, by the greedy of remove_redundancy, so no frame is solved twice.
 With at most one free direction that point, redundancy removal and
 maximize read their answers off the interval of z with integer
-comparisons, each answer checked like an LP's (maximize also reads off
-the maximizer where it is one point); with k >= 2 the point takes one
-slack LP per round and redundancy removal one LP per row, each over the
-k coordinates of z.
+comparisons, each answer checked like an LP's; with k >= 2 the point
+takes one slack LP per round and redundancy removal one LP per row, each
+over the k coordinates of z.  maximize takes a key too, whose rows need
+not be canonical, and builds a Polyhedron only for its LP (k >= 2): on
+the line its midpoint, level point and bound comparisons run on ints,
+and it returns the maximizer, where that is one point, as ints over one
+positive denominator.
 A minimum is the maximum of the negated objective.
 """
 from __future__ import annotations
@@ -152,11 +155,13 @@ def _merge(groups):
     return tuple(out)
 
 
-def contains_point(P, v) -> bool:
+def contains_point(P, v, scale=1) -> bool:
+    """Whether the point v / scale (scale > 0) lies in P."""
     if len(v) != P.rank:
         raise DimensionMismatch("point rank mismatch")
-    # v = ints / den; compare row . ints / den with each Fraction rhs in ints
+    # v / scale = ints / den; compare row . ints / den with each Fraction rhs in ints
     ints, den = integer_row(v)
+    den *= scale
     for row, rhs in P.equalities:
         if _dot(row, ints) * rhs.denominator != rhs.numerator * den:
             return False
@@ -513,24 +518,39 @@ def _on_line(key, frame):
     return frame, st, (lo, hi)
 
 
-def _bound(st, i):
-    return None if i is None else Fraction(st[i][1], st[i][0])
+def _end(st, i):
+    """(n, d), d > 0: the bound z = n / d of row i of st."""
+    s, t = st[i]
+    return (t, s) if s > 0 else (-t, -s)
 
 
 def _midpoint(st, lo, hi):
-    """z strictly between the bounds of rows lo and hi (one past a bound
-    on an open side), or the bound where the two meet."""
-    a, b = _bound(st, lo), _bound(st, hi)
-    if a is None:
-        a = (1 if b is None else b) - 2
-    if b is None:
-        b = a + 2
-    return Fraction(a + b) / 2
+    """(n, d), d > 0: z = n / d strictly between the bounds of rows lo and
+    hi (one past a bound on an open side), or the bound where the two
+    meet."""
+    if lo is None and hi is None:
+        return 0, 1
+    if lo is None:
+        n, d = _end(st, hi)
+        return n - d, d
+    if hi is None:
+        n, d = _end(st, lo)
+        return n + d, d
+    (a, b), (c, e) = _end(st, lo), _end(st, hi)
+    return a * e + c * b, 2 * b * e
 
 
-def _point_on(frame, z):
+def _on_frame(frame, zn, zd):
+    """(ints, d): the point (x0 + z col) / den at z = zn / zd, zd > 0, as
+    ints over d = den * zd."""
     x0, col, den = frame
-    return tuple(Fraction(a * z.denominator + c * z.numerator, den * z.denominator) for a, c in zip(x0, col))
+    return tuple(a * zd + c * zn for a, c in zip(x0, col)), den * zd
+
+
+def _point_on(frame, zn, zd):
+    """The point of _on_frame as Fractions."""
+    ints, d = _on_frame(frame, zn, zd)
+    return tuple(Fraction(v, d) for v in ints)
 
 
 def _implicit_on_line(key, frame, st, bounds):
@@ -540,15 +560,13 @@ def _implicit_on_line(key, frame, st, bounds):
     row keys' ints, must be strict on exactly the other rows."""
     if bounds is None:
         return None
-    z = _midpoint(st, *bounds)
-    implicit = {i for i, (s, t) in enumerate(st) if s * z == t}
-    # the point is ints / d, with d = den * z.den > 0
-    (x0, col, den), zn, zd = frame, z.numerator, z.denominator
-    ints, d = [a * zd + c * zn for a, c in zip(x0, col)], den * zd
+    zn, zd = _midpoint(st, *bounds)
+    implicit = {i for i, (s, t) in enumerate(st) if s * zn == t * zd}
+    ints, d = _on_frame(frame, zn, zd)
     gaps = lambda keys: [_dot(row, ints) * rd - num * d for row, num, rd in keys]
     if any(gaps(key[1])) or any(g > 0 or (g < 0) == (i in implicit) for i, g in enumerate(gaps(key[2]))):
         raise InternalInvariantError("the point on the line is not strict exactly off the implicit rows")
-    return _point_on(frame, z)
+    return _point_on(frame, zn, zd)
 
 
 def _implicit_by_lps(ineqs, x0, cols, den):
@@ -652,21 +670,25 @@ def keyed_reduction(key, frame):
     return polyhedron_of_key((rank, eqs, tuple(ineqs[i] for i in sorted(_kept(key, frame)))))
 
 
-def maximize(objective, P: Polyhedron, level=None):
-    """(value, point).  value is the maximum of objective . v over P: a
-    Fraction, math.inf when it is unbounded, or None when P is empty.
-    point is the one point of P that attains a finite maximum, or, for an
+def maximize(objective, key, level=None):
+    """(value, point) over the polyhedron P of key, P.sort_key() of a
+    Polyhedron whose rows need not be canonical.  value is the maximum of
+    objective . v over P: a Fraction, math.inf when it is unbounded, or
+    None when P is empty.  point is (ints, d), the point ints / d with
+    d > 0: the one point of P that attains a finite maximum, or, for an
     unbounded one and a given level, the one point of P's line where
     objective . v == level if P holds it, or else the end of P where the
-    objective is least, above level; otherwise None.  When P's equalities
-    leave at most one free direction both are read off the interval of z,
-    the value with its optimality or unboundedness certificate checked on
-    that line; the maximizer is then one z when the objective moves along
-    the line (c != 0), when no direction is free, or when the interval is
-    a single z.  Otherwise the value is lp_solve's and point is None."""
-    line = _line(P)
+    objective is least, above level (an int or Fraction); otherwise None.
+    When P's equalities leave at most one free direction both are read off
+    the interval of z in ints, the value with its optimality or
+    unboundedness certificate checked on that line, and no Polyhedron is
+    built; the maximizer is then one z when the objective moves along the
+    line (c != 0), when no direction is free, or when the interval is a
+    single z.  Otherwise the value is lp_solve's on polyhedron_of_key(key),
+    P's rows in key order, and point is None."""
+    line = _on_line(key, _frame(key, 1))
     if line is None:
-        res = lp_solve(objective, P)
+        res = lp_solve(objective, polyhedron_of_key(key))
         value = None if isinstance(res, LPInfeasible) else res.value if isinstance(res, LPOptimal) else math.inf
         return value, None
     frame, st, bounds = line
@@ -677,17 +699,18 @@ def maximize(objective, P: Polyhedron, level=None):
     j = bounds[c > 0] if c else None
     rows, rhs, lam = [(s,) for s, _ in st], [t for _, t in st], [0] * len(st)
     if j is None:
-        z = _midpoint(st, *bounds)
-        zn, zd = z.numerator, z.denominator
+        zn, zd = _midpoint(st, *bounds)
         if c:
             _check_unbounded(rows, rhs, 0, [c], [1 if c > 0 else -1], [zn], zd)
             if level is None:
                 return math.inf, None
             # obj . (x0 + z col) == level * den * L, or the bound below it
-            z = (Fraction(level) * den * L - _dot(obj, x0)) / c
-            if not all(s * z <= t for s, t in st):
-                z = _bound(st, bounds[c < 0])
-            return math.inf, _point_on(frame, z)
+            ln, ld = level.numerator, level.denominator
+            zn, zd = ln * den * L - _dot(obj, x0) * ld, c * ld
+            zn, zd = (zn, zd) if c > 0 else (-zn, -zd)
+            if not all(s * zn <= t * zd for s, t in st):
+                zn, zd = _end(st, bounds[c < 0])
+            return math.inf, _on_frame(frame, zn, zd)
     else:
         # z = t / s at the bounding row, kept over |s| so that |c| is its multiplier
         s, t = st[j]
@@ -695,8 +718,8 @@ def maximize(objective, P: Polyhedron, level=None):
     _check_optimal(rows, rhs, 0, [c], lam, [zn], zd)
     value = Fraction(_dot(obj, x0) * zd + c * zn, den * zd * L)
     lo, hi = bounds
-    one = c or not any(col) or (None not in bounds and _bound(st, lo) == _bound(st, hi))
-    return value, _point_on(frame, Fraction(zn, zd)) if one else None
+    one = c or not any(col) or (None not in bounds and st[lo][1] * st[hi][0] == st[hi][1] * st[lo][0])
+    return value, _on_frame(frame, zn, zd) if one else None
 
 
 # ---------------------------------------------------------------------------

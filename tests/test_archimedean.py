@@ -11,7 +11,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form
@@ -553,6 +553,46 @@ def _bits(roots):
     return None if roots is None else [(r.real.hex(), r.imag.hex()) for r in roots]
 
 
+def _np_nonzero_roots(row):
+    """np.roots of the row cut of its leading zeros, without its zero
+    roots; None when that leaves at most one coefficient."""
+    lead = next((i for i, x in enumerate(row) if abs(x) > 0), len(row))
+    if len(row) - lead <= 1:
+        return None
+    return [complex(r) for r in np.roots(np.array(row[lead:], dtype=complex)) if r != 0]
+
+
+def _root_outcome(solve):
+    """The float bits of the roots solve() gives, or the refusal of a
+    companion matrix that is not finite (np.roots raises LinAlgError,
+    _nonzero_roots OverflowError)."""
+    try:
+        return _bits(solve())
+    except (OverflowError, np.linalg.LinAlgError):
+        return "not finite"
+
+
+# A coefficient: zero one time in four, else of modulus from 1e-300 to 1e300.
+_NONZERO = st.builds(
+    lambda sign, re, im, e: complex(sign * re, im) * 10.0**e,
+    st.sampled_from((1, -1)),
+    st.floats(0.1, 9),
+    st.floats(-9, 9),
+    st.integers(-300, 299),
+)
+_COEFFICIENT = st.builds(lambda k, c: c if k else 0j, st.integers(0, 3), _NONZERO)
+
+
+def _root_rows(width=None):
+    """Rows of 0-2 leading zeros, 1-7 coefficients and 0-2 trailing zeros,
+    cut to their last width entries when width is given: all-zero rows,
+    lone coefficients and polynomials of orders 1-6 with inner zeros."""
+    lead, trail = st.integers(0, 2), st.integers(0, 2)
+    body = st.lists(_COEFFICIENT, min_size=1, max_size=7)
+    rows = st.builds(lambda a, b, c: [0j] * a + b + [0j] * c, lead, body, trail)
+    return rows.map(lambda r: r[-width:]) if width else rows
+
+
 class TestStackedRoots:
     def test_rows_match_np_roots(self):
         # degrees 1 to 6 in one stack, leading, trailing and inner zeros, and
@@ -579,14 +619,51 @@ class TestStackedRoots:
     @pytest.mark.filterwarnings("ignore:overflow encountered in divide", "ignore:invalid value encountered in divide")
     def test_non_finite_companion_raises_when_reached(self):
         # 1 / 5e-324 overflows, so np.roots refuses the middle row; the rows
-        # before it are still solved
+        # before it are still solved, and the row itself raises
+        # OverflowError when it is reached, alone or in a stack
         rows = np.array([[1, -3, 2], [5e-324, 1, 1], [1, 0, -1]], dtype=complex)
         with pytest.raises(np.linalg.LinAlgError):
             np.roots(rows[1])
         found = archimedean._nonzero_roots(rows)
         assert _bits(next(found)) == _bits([complex(r) for r in np.roots(rows[0])])
-        with pytest.raises(np.linalg.LinAlgError):
+        with pytest.raises(OverflowError):
             next(found)
+        with pytest.raises(OverflowError):
+            next(archimedean._nonzero_roots(rows[1:2]))
+
+    @settings(max_examples=400, deadline=None)
+    @given(_root_rows(), st.lists(_root_rows(7), max_size=3))
+    @pytest.mark.filterwarnings("ignore:overflow encountered in divide", "ignore:invalid value encountered in divide")
+    def test_one_row_matches_the_stack_and_np_roots(self, row, others):
+        # the row alone takes the one-row path, and the same row in a stack
+        # of at least two matrices of its order the stacked path
+        width = max(len(row), 7)
+        row = [0j] * (width - len(row)) + row
+        others = [[0j] * (width - len(r)) + r for r in others]
+        outcome = lambda rows: _root_outcome(lambda: next(archimedean._nonzero_roots(np.array(rows))))
+        alone = outcome([row])
+        event(alone if isinstance(alone, str) else "no polynomial" if alone is None else f"{len(alone)} roots")
+        assert alone == outcome([row, row, *others])
+        assert alone == _root_outcome(lambda: _np_nonzero_roots(row))
+
+    def test_edge_rows_and_a_1x1_companion_go_to_eigvals(self, monkeypatch):
+        # a zero row and a lone coefficient have no roots to solve; a linear
+        # row's 1 x 1 companion matrix is still solved by eigvals, never read
+        # off its entry: LAPACK rescales a matrix whose norm is past about
+        # 1e+-138, and its eigenvalue can then differ from the entry in the
+        # last bits or in the sign of a zero
+        calls = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a.shape) or eigvals(a))
+        rows = [[0j, 0j, 0j], [0j, 0j, 3 + 1j], [0j, 2j, 0j], [0j, 1e-200 + 0j, 3e-50j], [1 + 0j, -2 + 0j, 0j]]
+        got = [next(archimedean._nonzero_roots(np.array([row]))) for row in rows]
+        assert [_bits(r) for r in got] == [_bits(_np_nonzero_roots(row)) for row in rows]
+        assert got[:3] == [None, None, []] and got[4] == [2]
+        # the companion entry of the fourth row, -3e150j, is past the
+        # rescaling bound: its eigenvalue has other bits
+        entry = (-np.array([3e-50j]) / np.array([1e-200 + 0j])).tolist()
+        assert abs(got[3][0] - entry[0]) <= 1e-15 * abs(entry[0]) and _bits(got[3]) != _bits(entry)
+        assert calls == [(1, 1), (1, 1)]
 
     def test_one_eigenvalue_call_per_sweep_and_bisection_step(self, monkeypatch):
         # the reference makes one np.roots call per slice, 65 per sweep; a

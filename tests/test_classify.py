@@ -1,3 +1,5 @@
+import collections
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -210,22 +212,72 @@ class TestHalfspaceMeetsComplex:
         assert halfspace_meets_complex(H, PolyhedralComplex(2, (far, near))) == (2, 2)
 
     @pytest.mark.parametrize(
+        "H, want",
+        [
+            (Halfspace(2, (-1, -1)), None),
+            (Halfspace(2, (0, 1)), None),
+            (Halfspace(2, (-1, 0)), None),
+            (Halfspace(2, (1, 1)), (3, 3)),
+            (Halfspace(2, (2, 1)), (3, Fraction(3, 2))),
+            (Halfspace(2, (-1, 0), ((1, 1),)), (3, 4)),
+        ],
+        ids=["disjoint", "disjoint-up", "disjoint-left", "meets", "meets-half", "meets-boundary"],
+    )
+    def test_rows_mapped_once_and_no_polyhedron_on_the_line(self, monkeypatch, H, want):
+        # the seven cells at p:2 hold 16 rows, 8 of them distinct; each cell
+        # is decided on its line in (lambda, t), so neither the maximum nor
+        # the witness builds a Polyhedron, and a scan maps each distinct row
+        # once (a later scan maps it again: nothing outlives a call)
+        f = parse_poly("x1^2*x2 + 2*x1*x2^2 + 8 + x1 + 4*x2", rank=2, field=FIELD_Q)
+        C = trop_hypersurface(f, FinitePrime(2))
+        rows = [r for c in C.cells for r, _ in (*c.polyhedron.equalities, *c.polyhedron.inequalities)]
+        assert (len(C.cells), len(rows), len(set(rows))) == (7, 16, 8)
+        mapped, built = [], []
+        image = classify._in_frame
+        monkeypatch.setattr(classify, "_in_frame", lambda r, gens: mapped.append(r) or image(r, gens))
+        for module in (polyhedral, classify):
+            monkeypatch.setattr(module, "Polyhedron", lambda *args: built.append(args), raising=False)
+        for _ in range(2):
+            assert halfspace_meets_complex(H, C) == want
+        assert built == []
+        if want is None:
+            assert collections.Counter(mapped) == dict.fromkeys(rows, 2)
+
+    @pytest.mark.parametrize(
         "place, H",
         [(FinitePrime(2), Halfspace(2, (1, 1))), (GENERIC, Halfspace(2, (0, 1), ((1, 0),)))],
         ids=["finite-maximum", "capped-at-one"],
     )
     def test_tampered_line_witness_raises(self, monkeypatch, place, H):
-        # the maximizer read off the line, moved by 1/2, fails the exact
-        # check before it is returned
+        # the maximizer read off the line, ints over d, moved by 1/2 fails
+        # the exact check before it is returned
         C = trop_hypersurface(parse_poly("x1 + x2 + 2", rank=2, field=FIELD_Q), place)
         assert halfspace_meets_complex(H, C) is not None
         real = classify.maximize
 
-        def shifted(*args):
-            top, at = real(*args)
-            return top, None if at is None else tuple(x + Fraction(1, 2) for x in at)
+        def shifted(objective, key, level):
+            top, at = real(objective, key, level)
+            if at is None:
+                return top, None
+            ints, d = at
+            return top, (tuple(2 * x + d for x in ints), 2 * d)
 
         monkeypatch.setattr(classify, "maximize", shifted)
+        with pytest.raises(InternalInvariantError):
+            halfspace_meets_complex(H, C)
+
+    def test_tampered_maximum_raises(self, monkeypatch):
+        # a finite maximum raised by 1/2 leaves its maximizer in the cell,
+        # and t, now off the maximum, fails the exact check
+        C = trop_hypersurface(parse_poly("x1 + x2 + 2", rank=2, field=FIELD_Q), FinitePrime(2))
+        H = Halfspace(2, (1, 1))
+        real = classify.maximize
+
+        def raised(objective, key, level):
+            top, at = real(objective, key, level)
+            return (top + Fraction(1, 2) if at is not None else top), at
+
+        monkeypatch.setattr(classify, "maximize", raised)
         with pytest.raises(InternalInvariantError):
             halfspace_meets_complex(H, C)
 
@@ -318,6 +370,24 @@ class TestHalfspaceMeetsComplexAgainstReference:
     @given(ray_complexes())
     def test_rays_and_segments(self, drawn):
         _check_against_reference(*drawn)
+
+
+class TestNonarchimedeanScaling:
+    """A nonarchimedean verdict depends on H as a set: m d + b, for m > 0
+    and b in span(B), gives the same open halfspace as d."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(hypersurface_halfspaces(), st.integers(2, 5), st.data())
+    def test_verdicts_do_not_depend_on_the_direction_chosen(self, drawn, m, data):
+        f, H = drawn
+        b = data.draw(st.sampled_from(((0,) * H.rank, *H.boundary)))
+        scaled = Halfspace(H.rank, tuple(m * x + y for x, y in zip(H.direction, b)), H.boundary)
+        # the amoeba without its source: the archimedean scan reads the
+        # ray, not the set, and is left out
+        am = dataclasses.replace(adelic_amoeba(f), source=None)
+        verdicts = lambda G: [(c.place, c.disjoint) for c in adelic_disjoint(am, G).nonarchimedean]
+        assert verdicts(scaled) == verdicts(H)
+        assert [component_term(d, scaled) for d in am.data] == [component_term(d, H) for d in am.data]
 
 
 class TestAdelicDisjoint:

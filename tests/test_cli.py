@@ -827,6 +827,23 @@ PINS = [
      0, "02e79d8d0af754c5", EMPTY, None),
     ("ekl-check-rank3-dyadic-phases", EKL_RANK3,
      0, "2dedbd1081952733", EMPTY, None),
+    # witnesses from the (x, lambda, t) LP fallback: one LP, and nine
+    ("check-f-fallback-lp", ["check-halfspace", "--f", "x1^2*x2 + 2*x1*x2^2 + 3 + 5*x1^-1",
+      "--halfspace", "dir:0,1 bnd:1,0", "--grid", "2"],
+     0, "5acc7d97cca6497c", EMPTY, None),
+    ("check-f-fallback-lps-rank3", ["check-halfspace", "--f", "x1*x2*x3 + 2*x1 + 3*x2 + 5*x3 + 7",
+      "--rank", "3", "--halfspace", "dir:1,1,1 bnd:1,0,0;0,1,0", "--grid", "2"],
+     0, "9b17ccc265db1115", EMPTY, None),
+    # term moduli inside the float range, slice coefficients past it: a
+    # power that overflows, and a companion row that is not finite
+    ("check-f-sampler-slice-overflow", ["check-halfspace", "--f",
+      "x1^2*x2^2*x3^4 + x3^-4 + x1^-2 + x2^-2", "--rank", "3",
+      "--halfspace", "dir:-720,0,180", "--grid", "1", "--trials", "2"],
+     0, "cdb52609653a812a", EMPTY, None),
+    ("check-f-sampler-non-finite-companion", ["check-halfspace", "--f",
+      "x1^2*x2^2*x3^4 + x3^-4 + x1^-2 + x2^-2", "--rank", "3",
+      "--halfspace", "dir:-460,-460,230", "--grid", "1", "--trials", "2"],
+     0, "cbcf897dfa340b77", EMPTY, None),
     ("error-huge-check-point", HUGE_POINTS[0], 2, EMPTY, "10e96d88d58c8bf1", None),
     ("error-huge-scan-point", HUGE_POINTS[1], 2, EMPTY, "10e96d88d58c8bf1", None),
 ]

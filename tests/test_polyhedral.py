@@ -304,7 +304,17 @@ def fresh_caches():
 
 
 def max_value(objective, P):
-    return maximize(objective, P)[0]
+    return maximize(objective, P.sort_key())[0]
+
+
+def max_point(objective, P, level=None):
+    """maximize on P's key, with its point (ints, d) as Fractions."""
+    value, point = maximize(objective, P.sort_key(), level)
+    if point is not None:
+        ints, d = point
+        assert d > 0
+        point = tuple(Fraction(x, d) for x in ints)
+    return value, point
 
 
 def _halfspaces(rank, k):
@@ -344,7 +354,7 @@ class TestLine:
             None if isinstance(res := reference_lp_solve(objective, Q), LPInfeasible)
             else res.value if isinstance(res, LPOptimal) else math.inf
         )
-        value, point = maximize(obj, P, level)
+        value, point = max_point(obj, P, level)
         assert value == top(obj, P)
         if value is None:
             assert point is None
@@ -401,9 +411,10 @@ class TestLine:
     def test_unbounded_point_at_the_level_or_the_least_value(self):
         # the diagonal ray from (2, 2): x1 = 1 is below it, x1 = 3 on it
         ray_ = polyhedron(2, [((1, -1), 0)], [((-1, 0), -2)])
-        assert maximize((1, 0), ray_, 3) == (math.inf, (3, 3))
-        assert maximize((1, 0), ray_, 1) == (math.inf, (2, 2))
-        assert maximize((-1, -1), ray_, 1) == (-4, (2, 2))
+        assert max_point((1, 0), ray_, 3) == (math.inf, (3, 3))
+        assert max_point((2, 0), ray_, Fraction(17, 3)) == (math.inf, (Fraction(17, 6),) * 2)
+        assert max_point((1, 0), ray_, 1) == (math.inf, (2, 2))
+        assert max_point((-1, -1), ray_, 1) == (-4, (2, 2))
 
     @settings(max_examples=100)
     @given(hull_polyhedra(line_equalities))
