@@ -99,6 +99,13 @@ def _check_product_size(degree, bits):
         )
 
 
+def _power_too_large(k, pos):
+    return ExpansionTooLarge(
+        f"exponent {k} exceeds {MAX_POWER} on a base other than one term "
+        f"with coefficient 1 or -1 (at position {pos})"
+    )
+
+
 def _size(terms):
     """(largest z-degree, largest numerator or denominator bit length) of
     the coefficients, a Q(z) one read as its numerator and monic denominator
@@ -201,10 +208,7 @@ class _Terms:
             e, c = single
             return _Terms(self.rank, self.field, {tuple(k * x for x in e): c if k % 2 else c * c})
         if k > MAX_POWER:
-            raise ExpansionTooLarge(
-                f"exponent {k} exceeds {MAX_POWER} on a base other than one term "
-                f"with coefficient 1 or -1 (at position {pos})"
-            )
+            raise _power_too_large(k, pos)
         out = _Terms.const(self.rank, self.field, 1)
         base = self
         while True:
@@ -280,11 +284,22 @@ class _Parser:
         return val
 
     def power(self):
+        """An atom and its exponent.  z^e is built as the canonical z^e or
+        1/z^|e| at once: the same coefficient, and the same bound and
+        errors, as powering the term z."""
+        is_z = self.peek()[0] == "z"
         val = self.atom()
-        if self.peek()[0] == "^":
-            _, _, pos = self.take()
-            val = val.power(self.exponent(), pos)
-        return val
+        if self.peek()[0] != "^":
+            return val
+        _, _, pos = self.take()
+        k = self.exponent()
+        if not is_z:
+            return val.power(k, pos)
+        if abs(k) > MAX_POWER:
+            raise _power_too_large(abs(k), pos)
+        mono = (1,) + (0,) * abs(k)
+        num, den = (mono, (1,)) if k >= 0 else ((1,), mono)
+        return _Terms.scalar(self.rank, self.field, RationalFunction.canonical(num, den))
 
     def variable(self):
         """The 0-based index of the variable token taken, within the rank."""

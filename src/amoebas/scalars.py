@@ -12,7 +12,13 @@ printed coefficients, which show a monic denominator.  Places of Q
 are the primes and the archimedean absolute value.  Places of Q(z) are the
 monic irreducible polynomials and the degree place at infinity; the place at a
 monic irreducible q carries weight deg(q) and infinity weight 1, which makes
-the product formula an exact integer identity.
+the product formula an exact integer identity.  The places of a coefficient
+are the irreducible factors of its numerator and denominator.  A polynomial
+that an exact integer test proves irreducible is its own factor: degree 1, a
+quadratic whose discriminant is not a square, or Eisenstein's criterion at a
+prime of the gcd of the coefficients below the leading one, when that gcd is
+below FACTOR_LIMIT.  Every other polynomial falls through to sympy's
+Zassenhaus factoring.
 """
 from __future__ import annotations
 
@@ -45,7 +51,7 @@ class Poly:
     equal polynomials have equal tuples.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_hash")
 
     def __init__(self, coeffs=()):
         cs = [Fraction(c) for c in coeffs]
@@ -70,7 +76,13 @@ class Poly:
         return NotImplemented
 
     def __hash__(self):
-        return hash(("Poly", self.coeffs))
+        # computed on first use: a Fraction's hash takes a modular inverse,
+        # and places of Q(z) are looked up by their Poly
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash(("Poly", self.coeffs))
+            return self._hash
 
     def monic(self):
         if not self.coeffs:
@@ -412,9 +424,37 @@ def factor_int(n: int) -> dict[int, int]:
     return dict(sorted(out.items()))
 
 
+def _proved_irreducible(f) -> bool:
+    """Whether an exact integer test proves the integer polynomial f (high
+    degree first, degree at least 1) irreducible over Q.  The tests run on
+    its primitive part g = a_n z^n + ... + a_0: deg g = 1; deg g = 2 and the
+    discriminant is not a square; or Eisenstein's criterion at a prime p of
+    gcd(a_{n-1}, ..., a_0) with p^2 not dividing a_0 (p does not divide a_n,
+    as g is primitive), that gcd being factored only below FACTOR_LIMIT.
+    False says only that no test applies."""
+    content = math.gcd(*f)
+    g = [c // content for c in f]
+    if len(g) == 2:
+        return True
+    if len(g) == 3:
+        a, b, c = g
+        disc = b * b - 4 * a * c
+        return disc < 0 or math.isqrt(disc) ** 2 != disc
+    tail = math.gcd(*g[1:])
+    return 1 < tail < FACTOR_LIMIT and any(g[-1] % (p * p) for p in factor_int(tail))
+
+
 def _factor_list(f) -> dict[Poly, int]:
     """{monic irreducible factor over Q: multiplicity} of the integer
-    polynomial f (high degree first) of degree at least 1, sorted."""
+    polynomial f (high degree first) of degree at least 1, sorted.
+
+    When ``_proved_irreducible`` proves f irreducible (a linear factor, a
+    quadratic with a non-square discriminant, or an Eisenstein polynomial)
+    the answer is f made monic, once; every other f is factored by sympy's
+    ``dup_factor_list`` (Zassenhaus: modular factoring and Hensel lifting),
+    which gives the same answer on those."""
+    if _proved_irreducible(f):
+        return {Poly(reversed(f)).monic(): 1}
     from sympy.polys.domains import ZZ
     from sympy.polys.factortools import dup_factor_list
 

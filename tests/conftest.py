@@ -1426,6 +1426,20 @@ def reference_ekl_consistency_check(f, trials=200):
     return EklReport(f.field, None, tuple(rejected), None)
 
 
+def reference_factor_list(f):
+    """{monic irreducible factor over Q: multiplicity} of the integer
+    polynomial f (high degree first), every f factored by sympy's
+    Zassenhaus ``dup_factor_list``: what ``scalars._factor_list`` returns
+    without its irreducibility tests."""
+    from sympy.polys.factortools import dup_factor_list
+
+    out = {}
+    for fac, mult in dup_factor_list(list(f), ZZ)[1]:
+        q = Poly(int(c) for c in reversed(fac)).monic()
+        out[q] = out.get(q, 0) + mult
+    return dict(sorted(out.items(), key=lambda item: (item[0].degree, item[0].coeffs)))
+
+
 def reference_support_places(values):
     values = list(values)
     if not values:

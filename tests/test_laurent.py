@@ -283,12 +283,8 @@ class TestBadPlaces:
 
     def test_each_distinct_polynomial_factored_once(self, monkeypatch):
         # a_1 = z^2 + 1 is the denominator of all three ratios a_j / a_1
-        from sympy.polys import factortools
-
-        seen, real = [], factortools.dup_factor_list
-        monkeypatch.setattr(
-            factortools, "dup_factor_list", lambda f, K: seen.append(tuple(f)) or real(f, K)
-        )
+        seen, real = [], scalars._factor_list
+        monkeypatch.setattr(scalars, "_factor_list", lambda f: seen.append(tuple(f)) or real(f))
         f = parse_poly("(z^2+1) + z*x1 + (z+2)*x2 + (z-1)*x1*x2", rank=2)
         got = {place_to_str(p) for p in bad_places(f)}
         assert got == {"q:z", "q:z+2", "q:z-1", "q:z^2+1", "inf"}
@@ -312,6 +308,37 @@ class TestBadPlaces:
         got = {place_to_str(p): v for p, v in laurent.ratio_valuations(f).items()}
         assert got == {"p:2": (0, 2, 3), "p:3": (0, -2, 0), "p:7": (0, 1, 0), "p:5": (0, 0, -1)}
         assert list(got) == ["p:2", "p:7", "p:3", "p:5"]
+
+
+class TestZPowersInPlace:
+    """z^e is built as one canonical coefficient: the same terms, and the
+    same errors, as powering the parenthesized term (z)."""
+
+    CONTEXTS = [
+        "Z", "3*Z*x1 + (z-1)*x2^2", "(z^2+1)/Z*x1 - Z*x2", "Z*Z*x1^-1 + 2",
+        "(Z)^3*Z*x2 + z", "(x1 + Z)*(x2 - Z)", "Z^2", "-Z/(3*z)",
+    ]
+
+    @staticmethod
+    def parsed(text, field):
+        try:
+            return "ok", parsing.parse_terms(text, 2, field)
+        except AmoebaError as exc:
+            return type(exc), str(exc)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(CONTEXTS),
+        st.integers(-parsing.MAX_POWER - 2, parsing.MAX_POWER + 2),
+        st.booleans(),
+        st.sampled_from([None, FIELD_QZ, FIELD_Q]),
+    )
+    def test_same_terms_and_errors_as_powering_the_term(self, context, e, parens, field):
+        # " z " and "(z)" take the same columns, so errors report the same positions
+        exponent = f"^({e})" if parens else f"^{e}"
+        fast = context.replace("Z", " z " + exponent)
+        general = context.replace("Z", "(z)" + exponent)
+        assert self.parsed(fast, field) == self.parsed(general, field)
 
 
 class TestVariablePowersInPlace:

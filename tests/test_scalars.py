@@ -48,6 +48,7 @@ from conftest import (
     outcome,
     rand_fraction,
     rand_ratfunc,
+    reference_factor_list,
     reference_poly_gcd,
     reference_poly_rem,
     reference_product_formula_residual,
@@ -80,6 +81,45 @@ def convolve(f, g):
         for j, b in enumerate(g):
             out[i + j] += a * b
     return out
+
+
+_C = 3 * 10000000000000000051 * 30000000000000000041
+
+
+@st.composite
+def factoring_inputs(draw):
+    """An integer polynomial of degree at least 1, high degree first, of a
+    kind that the irreducibility tests of ``_factor_list`` decide or pass
+    on, times a random content and sign: an Eisenstein polynomial (at a
+    prime below FACTOR_LIMIT, or at one past it, which is not tried), a
+    product of 1-3 small factors or its square, a quadratic whose
+    discriminant is a square, a non-square or negative, or a polynomial
+    with a zero constant term."""
+    small = st.lists(st.integers(-4, 4), min_size=2, max_size=4).filter(lambda g: g[0])
+    kind = draw(st.sampled_from(["eisenstein", "product", "quadratic", "zero constant"]))
+    if kind == "eisenstein":
+        p = draw(st.sampled_from([2, 3, 5, 7, 101, 99991, 100003]))
+        degree = draw(st.integers(3, 6))
+        lead = draw(st.integers(1, 20).filter(lambda a: a % p))
+        middle = draw(st.lists(st.integers(-3, 3), min_size=degree - 1, max_size=degree - 1))
+        unit = draw(st.integers(-20, 20).filter(lambda u: u % p))
+        g = [lead] + [p * m for m in middle] + [p * unit]
+    elif kind == "product":
+        g = [1]
+        for factor in draw(st.lists(small, min_size=1, max_size=3)):
+            g = convolve(g, factor)
+        if draw(st.booleans()):
+            g = convolve(g, g)
+    elif kind == "quadratic":
+        linear = st.lists(st.integers(-4, 4), min_size=2, max_size=2).filter(lambda g: g[0])
+        g = draw(st.one_of(
+            st.tuples(linear, linear).map(lambda fs: convolve(*fs)),
+            st.tuples(st.integers(-9, 9).filter(bool), st.integers(-9, 9), st.integers(-9, 9)).map(list),
+        ))
+    else:
+        g = draw(small) + [0]
+    content = draw(st.integers(1, 30)) * draw(st.sampled_from([1, -1]))
+    return [content * c for c in g]
 
 
 def value(p, x):
@@ -343,6 +383,34 @@ class TestFactorization:
         for r in range(-bound, bound + 1):
             if value(f, r) == 0:
                 assert any(value(q, r) == 0 for q in facs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(factoring_inputs())
+    def test_factor_list_agrees_with_zassenhaus(self, f):
+        expected = reference_factor_list(f)
+        assert scalars._factor_list(f) == expected
+        q = Poly(reversed(f))
+        assert is_irreducible(q) == (list(expected) == [q.monic()])
+
+    @pytest.mark.parametrize("f, zassenhaus", [
+        ((1, -1), 0),  # z - 1
+        ((1, 0, 1), 0),  # z^2 + 1: discriminant -4
+        ((7, 0, 0, 0, 49, 98), 0),  # 7 (z^5 + 7z + 14): Eisenstein at 7
+        ((-3, 0, 0, -6, -6), 0),  # -3 (z^4 + 2z + 2): Eisenstein at 2
+        ((2, 5, -3), 1),  # (2z - 1)(z + 3): discriminant 49
+        ((1, 0, 0, 0, -1, -1), 1),  # z^5 - z - 1: irreducible, but no test applies
+        # Eisenstein at 3, but the gcd 3 P Q of two 20-digit primes is past
+        # FACTOR_LIMIT, where factor_int would refuse it
+        ((1, 0, _C, _C), 1),
+    ])
+    def test_zassenhaus_runs_only_where_no_test_proves_irreducibility(self, monkeypatch, f, zassenhaus):
+        from sympy.polys import factortools
+
+        expected = reference_factor_list(f)
+        calls, real = [], factortools.dup_factor_list
+        monkeypatch.setattr(factortools, "dup_factor_list", lambda g, K: calls.append(g) or real(g, K))
+        assert scalars._factor_list(f) == expected
+        assert len(calls) == zassenhaus
 
     def test_quadratic_irreducible(self):
         assert irreducible_factors(Poly((1, 0, 1))) == (Poly((1, 0, 1)),)
