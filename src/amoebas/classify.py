@@ -49,6 +49,7 @@ from .polyhedral import (
     LPOptimal,
     LPUnbounded,
     PolyhedralComplex,
+    Polyhedron,
     contains_point,
     intersect,
     lp_solve,
@@ -107,13 +108,12 @@ def halfspace_meets_complex(H: Halfspace, C: PolyhedralComplex):
     r . g_k, r . v), b), and the cell meets H exactly when t, kept >= 0, is
     unbounded or has a positive maximum (zero only touches the closed
     boundary).  Each distinct row is mapped once per call (_in_frame), and
-    a cell is the key of its mapped rows, read off their ints with t >= 0
-    last.  That maximum is maximize's on the key, read off a line when the
-    cell's equalities leave at most one free direction, with no Polyhedron
-    built and no Fraction but the maximum.  The same line pass gives the
-    witness of a meeting cell where it is unique, as ints over one
-    denominator: the one maximizer of a finite t, or the one point at t = 1
-    of an unbounded t.  It is checked exactly on those ints (in the cell, t
+    a cell becomes the Polyhedron of its mapped row keys, their ints kept,
+    with t >= 0 last.  That maximum is maximize's on it, read off a line
+    when the cell's equalities leave at most one free direction, with no
+    Fraction but the maximum.  The same line pass gives the witness of a
+    meeting cell where it is unique, as ints over one denominator: the one
+    maximizer of a finite t, or the one point at t = 1 of an unbounded t.  It is checked exactly on those ints (in the cell, t
     equal to the maximum or at least 1), and every correct method prints
     that point; only the point returned becomes Fractions.
     Other meeting cells get the LP in (x, lambda, t), whose optimal vertex
@@ -133,22 +133,22 @@ def halfspace_meets_complex(H: Halfspace, C: PolyhedralComplex):
     gens = (*H.boundary, H.direction)
     images = {}
 
-    def keys(cons):
+    def keys(rows):
         out = []
-        for r, b in cons:
+        for r, num, den in rows:
             img = images.get(r)
             if img is None:
                 img = images[r] = _in_frame(r, gens)
-            out.append((img, b.numerator, b.denominator))
+            out.append((img, num, den))
         return tuple(out)
 
     tpos = ((0,) * k + (-1,), 0, 1)
     obj = [0] * (n + k) + [1]
-    pad = lambda cons: [(list(r) + [0] * (k + 1), b) for r, b in cons]
+    pad = lambda rows: [(list(r) + [0] * (k + 1), Fraction(num, den)) for r, num, den in rows]
     late = None
     for cell in C.cells:
         P = cell.polyhedron
-        top, at = maximize(obj[n:], (k + 1, keys(P.equalities), keys(P.inequalities) + (tpos,)), 1)
+        top, at = maximize(obj[n:], Polyhedron(k + 1, keys(P.eqs), keys(P.ineqs) + (tpos,)), 1)
         if top is None or top <= 0:
             continue
         if at is not None:
@@ -161,8 +161,8 @@ def halfspace_meets_complex(H: Halfspace, C: PolyhedralComplex):
                 return tuple(Fraction(v, d) for v in x)
         # x - sum(lambda_a g_a) - t v = 0, one row per coordinate of x
         link = [([int(i == c) for i in range(n)] + [-g[c] for g in gens], Fraction(0)) for c in range(n)]
-        ineqs = pad(P.inequalities) + [([0] * (n + k) + [-1], Fraction(0))]
-        ext = polyhedron(total, link + pad(P.equalities), ineqs)
+        ineqs = pad(P.ineqs) + [([0] * (n + k) + [-1], Fraction(0))]
+        ext = polyhedron(total, link + pad(P.eqs), ineqs)
         wit = lp_solve(obj, ext)
         want = LPOptimal if top < math.inf else LPUnbounded
         if not isinstance(wit, want) or (want is LPOptimal and wit.value != top):

@@ -17,7 +17,8 @@ from .lattices import identity
 from .polyhedral import (
     PolyhedralComplex,
     _end,
-    _line,
+    _frame,
+    _on_line,
     _point_on,
     intersect,
     polyhedron,
@@ -68,7 +69,7 @@ def render_complex_svg(C: PolyhedralComplex, extent=4, size=480) -> str:
     ]
     for cell in C.cells:
         P = intersect(cell.polyhedron, box)
-        frame, st, bounds = _line(P)
+        frame, st, bounds = _on_line(P, _frame(P, 1))
         if bounds is None:
             continue
         p, q = (_point_on(frame, *_end(st, i)) for i in bounds)
@@ -78,7 +79,7 @@ def render_complex_svg(C: PolyhedralComplex, extent=4, size=480) -> str:
             )
             continue
         # first the end where (-b, a) . v is least, for the tie row (a, b)
-        (a, b), col = P.equalities[0][0], frame[1]
+        (a, b), col = P.eqs[0][0], frame[1]
         if a * col[1] - b * col[0] < 0:
             p, q = q, p
         parts.append(

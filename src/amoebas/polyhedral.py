@@ -1,37 +1,34 @@
 """Exact rational polyhedra, linear programming, and polyhedral complexes.
 
-Polyhedra are stored in H-representation with primitive integer rows and
-rational right-hand sides.  The LP solver is a two-phase tableau simplex with
-Bland's rule, so termination is guaranteed.  Its tableau holds Python ints
-over one common positive denominator and is updated by fraction-free
-(Bareiss) pivots, every division exact; Fractions are built only for the
-returned value, point, ray and multipliers.  Every answer is exact and is
-checked against its certificate (dual multipliers, an improving ray, or
-Farkas multipliers) before it is returned; it also takes a raw Polyhedron
-whose rows are not canonical.  A row's key is (row, rhs numerator, rhs
-denominator), all ints; a polyhedron's is sort_key(), (rank, equality
-keys, inequality keys).  polyhedron() canonicalizes rows and drops
-duplicates by sorting them on their key (_merge), and a row that is
-already primitive keeps its int entries and Fraction rhs as they are;
-intersect() merges rows that are already canonical the same way without
-canonicalizing them again, and intersect_keys() merges their keys alone,
-so no Fraction is hashed; and preimage() pulls rows back along an integer
-map.  The one cached query is keyed_interior_point, on a polyhedron's
-key: None when P is empty, else a point of P strict on every row that is
-not an implicit equality together with the frame it solved.  The frame is
-P's stated equalities solved once, off the key's ints, into every
-solution (x0 + C z) / den with one column of C per free direction,
-checked against every equality; keyed_reduction reduces a canonical key
-with it, by the greedy of remove_redundancy, so no frame is solved twice.
-With at most one free direction that point, redundancy removal and
+A Polyhedron is stored in H-representation as its own key: the tuple
+(rank, eqs, ineqs), whose rows are keys (row, rhs numerator, rhs
+denominator), all ints, so a polyhedron hashes, compares and sorts as that
+tuple and no Fraction is hashed.  polyhedron() and preimage() canonicalize:
+each row primitive, an equality's first nonzero entry positive, and the
+rows of each kind sorted and deduplicated on their keys.  intersect()
+merges the rows of canonical polyhedra the same way without canonicalizing
+them again.  A Polyhedron stores no Fraction: Fractions appear in
+polyhedron()'s input, the read-only equalities and inequalities views, and
+the values and points returned.
+
+The LP solver is a two-phase tableau simplex with Bland's rule, so
+termination is guaranteed.  Its tableau holds Python ints over one common
+positive denominator and is updated by fraction-free (Bareiss) pivots,
+every division exact.  Every answer is exact and is checked against its
+certificate (dual multipliers, an improving ray, or Farkas multipliers)
+before it is returned; it also takes a Polyhedron whose rows are not
+canonical.  The one cached query is keyed_interior_point: None when P is
+empty, else a point of P strict on every row that is not an implicit
+equality together with the frame it solved.  The frame is P's stated
+equalities solved once into every solution (x0 + C z) / den, one column of
+C per free direction, checked against every equality; keyed_reduction
+drops implied rows with it, greedily in row order, so no frame is solved
+twice.  With at most one free direction that point, redundancy removal and
 maximize read their answers off the interval of z with integer
-comparisons, each answer checked like an LP's; with k >= 2 the point
-takes one slack LP per round and redundancy removal one LP per row, each
-over the k coordinates of z.  maximize takes a key too, whose rows need
-not be canonical, and builds a Polyhedron only for its LP (k >= 2): on
-the line its midpoint, level point and bound comparisons run on ints,
-and it returns the maximizer, where that is one point, as ints over one
-positive denominator.
+comparisons, each answer checked like an LP's; with k >= 2 the point takes
+one slack LP per round and redundancy removal one LP per row, each over
+the k coordinates of z.  maximize returns the maximizer, where that is one
+point, as ints over one positive denominator.
 A minimum is the maximum of the negated objective.
 """
 from __future__ import annotations
@@ -41,6 +38,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DimensionMismatch, InternalInvariantError
 from .lattices import _eliminate as _gauss_jordan
@@ -48,10 +46,10 @@ from .lattices import integer_row
 
 
 def _canon_constraint(row, rhs, is_equality):
-    """Scale to a primitive integer row, an equality's first nonzero entry
-    positive; returns None for vacuous rows and the string "infeasible" for
-    unsatisfiable zero rows.  A primitive int row that needs no sign flip
-    comes back with its entries, and a Fraction rhs, as they are."""
+    """The key (row, rhs numerator, rhs denominator) of the constraint
+    scaled to a primitive integer row, an equality's first nonzero entry
+    positive; None for vacuous rows and the string "infeasible" for
+    unsatisfiable zero rows."""
     row, den = integer_row(row)
     g = math.gcd(*row)
     if g == 0:
@@ -61,114 +59,74 @@ def _canon_constraint(row, rhs, is_equality):
     if is_equality and next(x for x in row if x) < 0:
         g = -g
     if g != 1 or den != 1:
-        return tuple([x // g for x in row]), Fraction(rhs * den, g)
-    return tuple(row), rhs if type(rhs) is Fraction else Fraction(rhs)
+        row, rhs = [x // g for x in row], Fraction(rhs * den, g)
+    elif type(rhs) is not Fraction:
+        rhs = Fraction(rhs)
+    return tuple(row), rhs.numerator, rhs.denominator
 
 
-def _con_key(con):
-    """(row, rhs numerator, rhs denominator): equal for equal canonical
-    rows, ordered as the rows are sorted, and with no Fraction in it."""
-    row, rhs = con
-    return row, rhs.numerator, rhs.denominator
+def _pairs(keys):
+    return tuple((row, Fraction(num, den)) for row, num, den in keys)
 
 
-@dataclass(frozen=True)
-class Polyhedron:
-    """H-representation: {v : eq. rows v = rhs, ineq. rows v <= rhs}."""
+class Polyhedron(NamedTuple):
+    """H-representation {v : eq. rows v = rhs, ineq. rows v <= rhs}, each
+    row held as its key (row, rhs numerator, rhs denominator)."""
 
     rank: int
-    equalities: tuple
-    inequalities: tuple
+    eqs: tuple
+    ineqs: tuple
 
-    def constraints(self):
-        return [(r, b, True) for (r, b) in self.equalities] + [
-            (r, b, False) for (r, b) in self.inequalities
-        ]
+    @property
+    def equalities(self):
+        """The equalities as (row, Fraction rhs), a read-only view."""
+        return _pairs(self.eqs)
 
-    def sort_key(self):
-        return (
-            self.rank,
-            tuple(map(_con_key, self.equalities)),
-            tuple(map(_con_key, self.inequalities)),
-        )
+    @property
+    def inequalities(self):
+        """The inequalities as (row, Fraction rhs), a read-only view."""
+        return _pairs(self.ineqs)
 
 
 def polyhedron(rank, equalities=(), inequalities=()):
-    """Canonicalizing constructor: primitive rows, sorted and deduplicated
-    on their canonical key by _merge."""
+    """Canonicalizing constructor from (row, rhs) pairs with rational
+    entries: primitive rows, sorted and deduplicated on their keys."""
     groups = []
     for cons, is_equality in ((equalities, True), (inequalities, False)):
         canon = [_canon_constraint(row, rhs, is_equality) for row, rhs in cons]
         if "infeasible" in canon:
             return empty_polyhedron(rank)
-        groups.append(_merge([[c for c in canon if c is not None]]))
+        groups.append(tuple(sorted(set(canon) - {None})))
     return Polyhedron(rank, *groups)
 
 
-def polyhedron_of_key(key):
-    """The Polyhedron whose sort_key() is key."""
-    rank, eqs, ineqs = key
-    cons = lambda keys: tuple((row, Fraction(num, den)) for row, num, den in keys)
-    return Polyhedron(rank, cons(eqs), cons(ineqs))
-
-
-def intersect_keys(keys):
-    """sort_key() of intersect() on nonempty polyhedra of the given keys:
-    their row keys merged, each once and sorted, as _merge merges the
-    rows, with no Fraction built or hashed."""
-    merge = lambda i: tuple(sorted({row for key in keys for row in key[i]}))
-    return keys[0][0], merge(1), merge(2)
-
-
 def empty_polyhedron(rank):
-    return Polyhedron(rank, (((0,) * rank, Fraction(1)),), ())
+    return Polyhedron(rank, (((0,) * rank, 1, 1),), ())
 
 
 def intersect(*polys):
-    """Intersection of polyhedra whose rows are canonical, as polyhedron()
-    writes them: their rows merged by _merge, equal to polyhedron() on all
-    of them.  The zero row of empty_polyhedron() sorts first among the
-    equalities, and an input that holds it gives the empty polyhedron."""
+    """Intersection of canonical polyhedra: their row keys merged, each
+    once and sorted, equal to polyhedron() on all their rows.  Only
+    empty_polyhedron() holds the zero row, and an input that holds it gives
+    the empty polyhedron."""
     rank = polys[0].rank
     if any(p.rank != rank for p in polys):
         raise DimensionMismatch("intersecting polyhedra of different ranks")
-    empty = empty_polyhedron(rank)
-    if any(p.equalities[:1] == empty.equalities for p in polys):
-        return empty
-    return Polyhedron(
-        rank,
-        _merge(p.equalities for p in polys),
-        _merge(p.inequalities for p in polys),
-    )
-
-
-def _merge(groups):
-    """The canonical rows of all groups, each once, sorted on _con_key:
-    equal rows have equal keys and sort next to each other, so no rhs is
-    hashed and no two Fractions are compared."""
-    keyed = sorted([(_con_key(c), c) for g in groups for c in g], key=operator.itemgetter(0))
-    out, last = [], None
-    for key, con in keyed:
-        if key != last:
-            out.append(con)
-            last = key
-    return tuple(out)
+    eqs = {row for p in polys for row in p.eqs}
+    if ((0,) * rank, 1, 1) in eqs:
+        return empty_polyhedron(rank)
+    return Polyhedron(rank, tuple(sorted(eqs)), tuple(sorted({row for p in polys for row in p.ineqs})))
 
 
 def contains_point(P, v, scale=1) -> bool:
     """Whether the point v / scale (scale > 0) lies in P."""
     if len(v) != P.rank:
         raise DimensionMismatch("point rank mismatch")
-    # v / scale = ints / den; compare row . ints / den with each Fraction rhs in ints
+    # v / scale = ints / den; each row's gap, over den and the rhs denominator
     ints, den = integer_row(v)
     den *= scale
-    for row, rhs in P.equalities:
-        if _dot(row, ints) * rhs.denominator != rhs.numerator * den:
-            return False
-    for row, rhs in P.inequalities:
-        if _dot(row, ints) * rhs.denominator > rhs.numerator * den:
-            return False
-    return True
+    gap = lambda row, num, rden: _dot(row, ints) * rden - num * den
+    return not any(gap(*c) for c in P.eqs) and all(gap(*c) <= 0 for c in P.ineqs)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +137,7 @@ def contains_point(P, v, scale=1) -> bool:
 class LPOptimal:
     value: Fraction
     point: tuple
-    multipliers: tuple  # over constraints() order, of the maximization solved
+    multipliers: tuple  # equalities, then inequalities, of the maximization solved
 
 
 @dataclass(frozen=True)
@@ -190,7 +148,7 @@ class LPUnbounded:
 
 @dataclass(frozen=True)
 class LPInfeasible:
-    farkas: tuple  # multipliers over constraints() order
+    farkas: tuple  # multipliers over equalities, then inequalities
 
 
 def _pivot(T, basis, d, r, c):
@@ -296,16 +254,23 @@ def _check_unbounded(rows, rhs, neq, obj, ray, point, d):
         raise InternalInvariantError("unboundedness certificate failed its check")
 
 
+def _over_lcm(keys):
+    """(rows, rhs, D): the rows of the row keys and their rhs as ints over
+    D, the lcm of the rhs denominators."""
+    D = math.lcm(*(den for _, _, den in keys))
+    return [row for row, _, _ in keys], [num * (D // den) for _, num, den in keys], D
+
+
 def lp_solve(objective, P: Polyhedron):
     """Exact LP over the polyhedron: maximize objective . v.
 
     Returns LPOptimal (value, a witness point, and optimal multipliers: the
-    combination of the constraints in P.constraints() order, nonnegative on
-    inequalities, that gives the objective), LPUnbounded (an improving ray
-    from a feasible point), or LPInfeasible (with Farkas multipliers in the
-    same order).  Each outcome passes its certificate check (optimal
-    multipliers, the ray, the Farkas multipliers) before it is returned; a
-    failed check raises InternalInvariantError.
+    combination of the constraints, equalities then inequalities,
+    nonnegative on inequalities, that gives the objective), LPUnbounded (an
+    improving ray from a feasible point), or LPInfeasible (with Farkas
+    multipliers in the same order).  Each outcome passes its certificate
+    check (optimal multipliers, the ray, the Farkas multipliers) before it
+    is returned; a failed check raises InternalInvariantError.
     """
     n = P.rank
     obj = [Fraction(x) for x in objective]
@@ -313,10 +278,8 @@ def lp_solve(objective, P: Polyhedron):
         raise DimensionMismatch("objective rank mismatch")
 
     # integer data: the stored rows, rhs scaled by D0, objective by L
-    neq = len(P.equalities)
-    cons = P.equalities + P.inequalities
-    rows = [row for row, _ in cons]
-    rhs, D0 = integer_row([b for _, b in cons])
+    neq = len(P.eqs)
+    rows, rhs, D0 = _over_lcm(P.eqs + P.ineqs)
     cobj, L = integer_row(obj)
     m = len(rows)
     nfree = 2 * n
@@ -431,20 +394,17 @@ def _tightest(st):
     return best
 
 
-def _frame(key, most=math.inf):
-    """The stated equalities of P, read off its key P.sort_key(), solved
-    once into the frame (x0, cols, den), integer with den > 0: the
+def _frame(P, most=math.inf):
+    """The stated equalities of P, read off their ints, solved once into
+    the frame (x0, cols, den), integer with den > 0: the
     solutions are (x0 + sum_j z_j cols[j]) / den for real z, one column per
     free direction.  None when there are more than most free directions,
     and "empty" when the equalities are inconsistent.  The elimination
     carries identity columns, so inconsistent equalities leave a
     combination reading 0 = nonzero, which is checked as a Farkas
     certificate; a frame is checked against every equality."""
-    n, eqs = key[0], key[1]
-    m = len(eqs)
-    rows = [row for row, _, _ in eqs]
-    D = math.lcm(*(den for _, _, den in eqs))
-    rhs = [num * (D // den) for _, num, den in eqs]
+    n, m = P.rank, len(P.eqs)
+    rows, rhs, D = _over_lcm(P.eqs)
     M = [[*row, b, *(int(i == j) for j in range(m))] for i, (row, b) in enumerate(zip(rows, rhs))]
     pivots, det = _gauss_jordan(M, n)
     lam = next((r[n + 1:] for r in M[len(pivots):] if r[n]), None)
@@ -479,17 +439,8 @@ def _frame_rows(ineqs, x0, cols, den):
     )
 
 
-def _line(P):
-    """P's stated equalities solved once: None when they are consistent
-    and leave two or more free directions, else (frame, st, bounds), as
-    _on_line reads them off _frame."""
-    key = P.sort_key()
-    return _on_line(key, _frame(key, 1))
-
-
-def _on_line(key, frame):
-    """(frame, st, bounds) read off what _frame returned for P (of key),
-    when that has at most one column; None passes through.  With frame =
+def _on_line(P, frame):
+    """(frame, st, bounds) read off what _frame returned for P, when that has at most one column; None passes through.  With frame =
     (x0, col, den) the solutions are (x0 + z col) / den for real z (col =
     0 when none is free); st[i] = (s, t) is inequality i as the integer
     row s z <= t; bounds = (lo, hi) are the rows of st with the tightest
@@ -503,9 +454,9 @@ def _on_line(key, frame):
     if frame == "empty":
         return None, (), None
     x0, cols, den = frame
-    col = cols[0] if cols else (0,) * key[0]
+    col = cols[0] if cols else (0,) * P.rank
     frame = x0, col, den
-    st = tuple((s, t) for (s,), t in _frame_rows(key[2], x0, (col,), den))
+    st = tuple((s, t) for (s,), t in _frame_rows(P.ineqs, x0, (col,), den))
     lo, hi = _tightest(st)
     cert = next((([i], [1]) for i, (s, t) in enumerate(st) if not s and t < 0), None)
     if cert is None and None not in (lo, hi):
@@ -553,18 +504,18 @@ def _point_on(frame, zn, zd):
     return tuple(Fraction(v, d) for v in ints)
 
 
-def _implicit_on_line(key, frame, st, bounds):
-    """A relative-interior point of P (of key) off its line, or None when
-    P is empty: a row is an implicit equality exactly when it is tight at
-    the midpoint of the interval of z, and the point, checked in P on the
-    row keys' ints, must be strict on exactly the other rows."""
+def _implicit_on_line(P, frame, st, bounds):
+    """A relative-interior point of P off its line, or None when P is
+    empty: a row is an implicit equality exactly when it is tight at the
+    midpoint of the interval of z, and the point, checked in P on the row
+    keys' ints, must be strict on exactly the other rows."""
     if bounds is None:
         return None
     zn, zd = _midpoint(st, *bounds)
     implicit = {i for i, (s, t) in enumerate(st) if s * zn == t * zd}
     ints, d = _on_frame(frame, zn, zd)
     gaps = lambda keys: [_dot(row, ints) * rd - num * d for row, num, rd in keys]
-    if any(gaps(key[1])) or any(g > 0 or (g < 0) == (i in implicit) for i, g in enumerate(gaps(key[2]))):
+    if any(gaps(P.eqs)) or any(g > 0 or (g < 0) == (i in implicit) for i, g in enumerate(gaps(P.ineqs))):
         raise InternalInvariantError("the point on the line is not strict exactly off the implicit rows")
     return _point_on(frame, zn, zd)
 
@@ -580,11 +531,11 @@ def _implicit_by_lps(ineqs, x0, cols, den):
     with a positive one holds with equality on all of P (complementary
     slackness), so every round finds one."""
     st, k, implicit = _frame_rows(ineqs, x0, cols, den), len(cols), set()
-    cap = ((0,) * k + (1,), 1)
+    cap = ((0,) * k + (1,), 1, 1)
     while True:
-        eqs = tuple(((*s, 0), t) for i, (s, t) in enumerate(st) if i in implicit)
+        eqs = tuple(((*s, 0), t, 1) for i, (s, t) in enumerate(st) if i in implicit)
         free = [i for i in range(len(st)) if i not in implicit]
-        slack = tuple(((*st[i][0], 1), st[i][1]) for i in free)
+        slack = tuple(((*st[i][0], 1), st[i][1], 1) for i in free)
         res = lp_solve(cap[0], Polyhedron(k + 1, eqs, slack + (cap,)))
         if isinstance(res, LPUnbounded):
             raise InternalInvariantError("interior slack is capped, cannot be unbounded")
@@ -600,22 +551,20 @@ def _implicit_by_lps(ineqs, x0, cols, den):
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
-def keyed_interior_point(key):
-    """(point, frame) for the polyhedron P of key, or None when P is
-    empty: point is a rational point of P strict on every row that is not
-    an implicit equality, and frame is what _frame solved P's stated
-    equalities into, so that keyed_reduction need not solve it again.
-    Cached on the key, P.sort_key(), which holds ints alone, so that no
-    Fraction is hashed; a miss reads the frame, its rows and the point's
-    checks off the key's ints and builds no Polyhedron of P.  The point is
-    read off the line when P's equalities leave at most one free
-    direction, else found by one slack LP per round in the coordinates of
-    P's frame."""
-    frame = _frame(key)
+def keyed_interior_point(P):
+    """(point, frame) for the polyhedron P, or None when P is empty: point
+    is a rational point of P strict on every row that is not an implicit
+    equality, and frame is what _frame solved P's stated equalities into,
+    so that keyed_reduction need not solve it again.  Cached on P, which
+    holds ints alone, so that no Fraction is hashed, and which is equal to
+    the plain tuple (rank, eqs, ineqs).  The point is read off the line
+    when P's equalities leave at most one free direction, else found by
+    one slack LP per round in the coordinates of P's frame."""
+    frame = _frame(P)
     if frame != "empty" and len(frame[1]) > 1:
-        point = _implicit_by_lps(key[2], *frame)
+        point = _implicit_by_lps(P.ineqs, *frame)
     else:
-        point = _implicit_on_line(key, *_on_line(key, frame))
+        point = _implicit_on_line(P, *_on_line(P, frame))
     return None if point is None else (point, frame)
 
 
@@ -626,9 +575,9 @@ def _check_kept(st, i, others, z):
         raise InternalInvariantError("a kept row's witness failed its check")
 
 
-def _kept(key, frame):
+def _kept(P, frame):
     """The indices of the inequalities that redundancy removal keeps in a
-    nonempty P (of key), given P's _frame.  Greedily in row order, a row
+    nonempty P, given P's _frame.  Greedily in row order, a row
     is dropped when the equalities and the rows still kept imply it.  On
     P's line (at most one free direction) that keeps the last row with the
     tightest bound on z on each side, as _on_line finds them in one pass,
@@ -636,43 +585,33 @@ def _kept(key, frame):
     coordinates of P's frame, a row constant there is dropped and each
     other row takes one LP, whose value decides."""
     if frame == "empty" or len(frame[1]) < 2:
-        _, st, bounds = _on_line(key, frame)
+        _, st, bounds = _on_line(P, frame)
         keep = [i for i in bounds or () if i is not None]
         for i in keep:
             s, t = st[i]  # z = t / s one past row i's bound
             _check_kept(st, i, [j for j in keep if j != i], Fraction(t + abs(s), s))
         return keep
-    st, k = _frame_rows(key[2], *frame), len(frame[1])
+    st, k = _frame_rows(P.ineqs, *frame), len(frame[1])
     keep = [i for i, (s, _) in enumerate(st) if any(s)]
     for i in list(keep):
         others = [j for j in keep if j != i]
-        res = lp_solve(st[i][0], Polyhedron(k, (), tuple(st[j] for j in others)))
+        res = lp_solve(st[i][0], Polyhedron(k, (), tuple((*st[j], 1) for j in others)))
         if isinstance(res, LPOptimal) and res.value <= st[i][1]:
             keep = others
     return keep
 
 
-def remove_redundancy(P: Polyhedron) -> Polyhedron:
-    """Drop inequalities implied by the remaining constraints of a nonempty
-    P (callers decide emptiness: on an empty P the result is unspecified),
-    greedily in row order (_kept, on P's rows as they stand), and write
-    the rows kept canonically."""
-    key = P.sort_key()
-    return polyhedron(P.rank, P.equalities, [P.inequalities[i] for i in _kept(key, _frame(key))])
+def keyed_reduction(P, frame):
+    """P with the inequalities implied by the rest dropped, greedily in
+    row order (_kept), for a nonempty P and the frame keyed_interior_point
+    solved for it.  The rows kept are a sorted subset of P's, so a
+    canonical P stays canonical."""
+    return Polyhedron(P.rank, P.eqs, tuple(P.ineqs[i] for i in sorted(_kept(P, frame))))
 
 
-def keyed_reduction(key, frame):
-    """remove_redundancy(polyhedron_of_key(key)) for the canonical key of
-    a nonempty polyhedron, given the frame keyed_interior_point solved for
-    it.  The rows kept are a sorted subset of the key's, so the Polyhedron
-    is built once from their keys, one Fraction per row kept."""
-    rank, eqs, ineqs = key
-    return polyhedron_of_key((rank, eqs, tuple(ineqs[i] for i in sorted(_kept(key, frame)))))
-
-
-def maximize(objective, key, level=None):
-    """(value, point) over the polyhedron P of key, P.sort_key() of a
-    Polyhedron whose rows need not be canonical.  value is the maximum of
+def maximize(objective, P, level=None):
+    """(value, point) over the Polyhedron P, whose rows need not be
+    canonical.  value is the maximum of
     objective . v over P: a Fraction, math.inf when it is unbounded, or
     None when P is empty.  point is (ints, d), the point ints / d with
     d > 0: the one point of P that attains a finite maximum, or, for an
@@ -684,11 +623,10 @@ def maximize(objective, key, level=None):
     unboundedness certificate checked on that line, and no Polyhedron is
     built; the maximizer is then one z when the objective moves along the
     line (c != 0), when no direction is free, or when the interval is a
-    single z.  Otherwise the value is lp_solve's on polyhedron_of_key(key),
-    P's rows in key order, and point is None."""
-    line = _on_line(key, _frame(key, 1))
+    single z.  Otherwise the value is lp_solve's on P, and point is None."""
+    line = _on_line(P, _frame(P, 1))
     if line is None:
-        res = lp_solve(objective, polyhedron_of_key(key))
+        res = lp_solve(objective, P)
         value = None if isinstance(res, LPInfeasible) else res.value if isinstance(res, LPOptimal) else math.inf
         return value, None
     frame, st, bounds = line
@@ -732,12 +670,10 @@ def preimage(P: Polyhedron, phi) -> Polyhedron:
     if P.rank != m:
         raise DimensionMismatch("preimage matrix shape mismatch")
     n = len(phi[0]) if m else 0
-    comp = lambda row: [sum(row[i] * phi[i][j] for i in range(m)) for j in range(n)]
-    return polyhedron(
-        n,
-        [(comp(row), rhs) for row, rhs in P.equalities],
-        [(comp(row), rhs) for row, rhs in P.inequalities],
-    )
+    pull = lambda keys: [
+        ([sum(row[i] * phi[i][j] for i in range(m)) for j in range(n)], Fraction(num, den)) for row, num, den in keys
+    ]
+    return polyhedron(n, pull(P.eqs), pull(P.ineqs))
 
 
 # ---------------------------------------------------------------------------
@@ -755,7 +691,7 @@ class Cell:
 
     def sort_key(self):
         tie = tuple(sorted(self.tie_set)) if self.tie_set is not None else ()
-        return (tie, self.polyhedron.sort_key())
+        return (tie, self.polyhedron)
 
 
 @dataclass(frozen=True)
@@ -777,15 +713,10 @@ def make_complex(rank, cells) -> PolyhedralComplex:
 
 
 def polyhedron_to_json(P: Polyhedron) -> dict:
-    return {
-        "rank": P.rank,
-        "equalities": [
-            {"row": list(r), "rhs": str(b)} for r, b in P.equalities
-        ],
-        "inequalities": [
-            {"row": list(r), "rhs": str(b)} for r, b in P.inequalities
-        ],
-    }
+    """Each rhs is written as str(Fraction) writes it: num/den, or num
+    alone when den is 1."""
+    rows = lambda keys: [{"row": list(r), "rhs": f"{num}/{den}" if den != 1 else str(num)} for r, num, den in keys]
+    return {"rank": P.rank, "equalities": rows(P.eqs), "inequalities": rows(P.ineqs)}
 
 
 def complex_to_json(C: PolyhedralComplex) -> dict:

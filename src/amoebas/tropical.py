@@ -50,12 +50,12 @@ from .laurent import LaurentPoly, bad_places, ratio_valuations
 from .polyhedral import (
     Cell,
     PolyhedralComplex,
+    Polyhedron,
     empty_polyhedron,
-    intersect_keys,
+    intersect,
     keyed_interior_point,
     keyed_reduction,
     make_complex,
-    polyhedron_of_key,
     preimage,
 )
 from .scalars import GENERIC, ArchimedeanQ, GenericPlace, place_to_str, valuation
@@ -336,9 +336,8 @@ def _edges_and_two_faces(points, sigma, d, spend):
 
 
 def _cell_key(support, shifts, rank, tie, two_cells):
-    """The key (Polyhedron.sort_key) of the cell of the edge of the
-    subdivision whose indices, sorted, are tie, with one inequality per
-    facet.
+    """The cell, a Polyhedron, of the edge of the subdivision whose
+    indices, sorted, are tie, with one inequality per facet.
 
     The equality is the tie of the two smallest indices a < b of tie.  The
     facets of the cell are the 2-cells sigma containing tie (two_cells, each
@@ -362,7 +361,7 @@ def _cell_key(support, shifts, rank, tie, two_cells):
         gap = lambda r, num, rden: sum(map(operator.mul, r, ints)) * rden - num * den
         if gap(*eq) or gap(*row) or any(gap(*c) > 0 for c in rows):
             raise InternalInvariantError("a facet row is not tight on its 2-cell")
-    return rank, (eq,), tuple(rows)
+    return Polyhedron(rank, (eq,), tuple(rows))
 
 
 def corner_locus(data: TropicalData, rank) -> PolyhedralComplex:
@@ -376,8 +375,8 @@ def corner_locus(data: TropicalData, rank) -> PolyhedralComplex:
     locus, solved for on those coordinates with the others 0.  The edges of
     the maximal cells are the tie sets of the cells, and the 2-faces
     containing an edge give its facets (_cell_key), so each cell is
-    keyed once, sorted on (sorted tie, key), the order of Cell.sort_key,
-    and built once as a Polyhedron.  What no place changes (the pivots,
+    built once as a Polyhedron of row keys and sorted on (sorted tie, P),
+    the order of Cell.sort_key.  What no place changes (the pivots,
     each (d+1)-subset's elimination, the pair rows, the multiplicities,
     and the edges and 2-faces of each maximal cell) is kept per support in
     _support, shared by the loci of one polynomial at every place.  Every
@@ -407,7 +406,7 @@ def corner_locus(data: TropicalData, rank) -> PolyhedralComplex:
         (tie, _cell_key(support, shifts, rank, tie, [(f, two_cells[f]) for f in fs]), e)
         for e, (tie, fs) in edges.items()
     )
-    cells = (Cell(polyhedron_of_key(key), e, support.multiplicity(e)) for _, key, e in keyed)
+    cells = (Cell(P, e, support.multiplicity(e)) for _, P, e in keyed)
     return PolyhedralComplex(rank, tuple(cells))
 
 
@@ -525,12 +524,11 @@ def prevariety(system, place) -> PolyhedralComplex:
 
     Distributes intersection over tuples of cells.  A corner-locus cell is
     where its tie set attains the minimum, so a raw piece P is where each
-    constraint's tie set does.  Each nonempty cell is keyed once
-    (Polyhedron.sort_key: ints alone), and a piece's key merges its cells'
-    keys (intersect_keys), so a piece hashes no Fraction, and a cache miss
-    reads it off those ints and builds no Polyhedron.  Each piece is asked
-    once, on that key, for a relative-interior point and the frame of its
-    equalities (keyed_interior_point), None exactly when P is empty.  Name
+    constraint's tie set does.  A piece merges the row keys of its
+    nonempty cells (intersect), so it holds ints alone and hashes no
+    Fraction.  Each piece is asked once for a relative-interior point and
+    the frame of its equalities (keyed_interior_point), None exactly when
+    P is empty.  Name
     a nonempty P by its argmin tuple T, the terms of each constraint
     minimal at that point.  On P each term's gap above the minimum is
     affine and nonnegative, so it vanishes on all of P or is positive on
@@ -541,8 +539,8 @@ def prevariety(system, place) -> PolyhedralComplex:
     scaled to integers once, so equal masks are equal tuples and S | T == T
     says S lies in T entry by entry.  The first piece of each mask in
     product order is kept when no other mask lies below it (_below), with
-    its frame, and only kept pieces get redundancy removal, on their key
-    and that frame (keyed_reduction), and are built as polyhedra.
+    its frame, and only kept pieces get redundancy removal, with that
+    frame (keyed_reduction).
     This is an outer approximation of the tropicalization of the common
     zero set.
     """
@@ -558,18 +556,18 @@ def prevariety(system, place) -> PolyhedralComplex:
         pulled.append(cells)
         tropdata.append(data)
     empty = empty_polyhedron(system.rank)
-    keyed = [[P.sort_key() for P in cells if P != empty] for cells in pulled]
+    pulled = [[P for P in cells if P != empty] for cells in pulled]
     pieces = {}
-    for combo in itertools.product(*keyed):
-        key = intersect_keys(combo)
-        found = keyed_interior_point(key)
+    for combo in itertools.product(*pulled):
+        P = intersect(*combo)
+        found = keyed_interior_point(P)
         if found is None:
             continue
         point, frame = found
         ints, den = integer_row(point)
-        pieces.setdefault(_argmin_mask(tropdata, ints, den), (key, frame))
+        pieces.setdefault(_argmin_mask(tropdata, ints, den), (P, frame))
     keep = [piece for T, piece in pieces.items() if not any(_below(S, T) for S in pieces)]
-    return make_complex(system.rank, [Cell(keyed_reduction(key, frame)) for key, frame in keep])
+    return make_complex(system.rank, [Cell(keyed_reduction(P, frame)) for P, frame in keep])
 
 
 @dataclass(frozen=True)

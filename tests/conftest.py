@@ -73,8 +73,6 @@ from amoebas.polyhedral import (
     LPInfeasible,
     LPOptimal,
     LPUnbounded,
-    Polyhedron,
-    _canon_constraint,
     contains_point,
     empty_polyhedron,
     intersect,
@@ -83,7 +81,6 @@ from amoebas.polyhedral import (
     polyhedron,
     keyed_interior_point,
     preimage,
-    remove_redundancy,
 )
 from amoebas.scalars import (
     ARCH,
@@ -251,7 +248,7 @@ def covered_by(P, polys):
     for Q in polys:
         if dimension(intersect(P, Q)) != dP:
             continue
-        for row, rhs, _ in Q.constraints():
+        for row, rhs in Q.equalities + Q.inequalities:
             hi = lp_solve(row, P)
             hi_exceeds = isinstance(hi, LPUnbounded) or hi.value > rhs
             if not hi_exceeds:
@@ -575,7 +572,7 @@ def brute_force_lp(objective, P):
     maximize over the feasible ones.  Returns (value, point) or None when no
     feasible basic solution exists."""
     n = P.rank
-    rows = [(row, rhs) for row, rhs, _ in P.constraints()]
+    rows = list(P.equalities + P.inequalities)
     best = None
     for combo in itertools.combinations(range(len(rows)), n):
         mat = [list(map(Fraction, rows[i][0])) for i in combo]
@@ -643,7 +640,7 @@ def reference_corner_locus(data, rank):
             if not (reference_poly_contains(Q, P) and reference_poly_contains(P, Q)):
                 raise InternalInvariantError("one argmin set carved two cells")
             continue
-        cells[tie] = Cell(remove_redundancy(P), tie, _segment_multiplicity(data.exponents, tie))
+        cells[tie] = Cell(reference_remove_redundancy(P), tie, _segment_multiplicity(data.exponents, tie))
     return make_complex(rank, cells.values())
 
 
@@ -708,9 +705,9 @@ def reference_affine_hull(P):
 
 
 def relative_interior_point(P):
-    """The point of keyed_interior_point on P's key: a point of P strict on
+    """The point of keyed_interior_point on P: a point of P strict on
     every row that is not an implicit equality, or None when P is empty."""
-    found = keyed_interior_point(P.sort_key())
+    found = keyed_interior_point(P)
     return None if found is None else found[0]
 
 
@@ -737,14 +734,15 @@ def reference_remove_redundancy(P):
     """Drop inequalities implied by the rest of a nonempty P, greedily in
     row order, each row decided by index (an exact duplicate is a row of
     its own) by one max LP over the equalities and the rows still kept."""
-    kept = list(range(len(P.inequalities)))
-    for i in range(len(P.inequalities)):
+    eqs, ineqs = P.equalities, P.inequalities
+    kept = list(range(len(ineqs)))
+    for i in range(len(ineqs)):
         others = [j for j in kept if j != i]
-        row, rhs = P.inequalities[i]
-        res = lp_solve(row, Polyhedron(P.rank, P.equalities, tuple(P.inequalities[j] for j in others)))
+        row, rhs = ineqs[i]
+        res = lp_solve(row, polyhedron(P.rank, eqs, [ineqs[j] for j in others]))
         if isinstance(res, LPOptimal) and res.value <= rhs:
             kept = others
-    return polyhedron(P.rank, P.equalities, [P.inequalities[j] for j in kept])
+    return polyhedron(P.rank, eqs, [ineqs[j] for j in kept])
 
 
 @contextlib.contextmanager
@@ -939,7 +937,7 @@ def reference_project(P, phi):
         eqs, ineqs = _reference_eliminate(eqs, ineqs, m + j)
         cons = []
         for is_eq, group in ((True, eqs), (False, ineqs)):
-            canon = [_canon_constraint(r, b, is_eq) for r, b in group]
+            canon = [reference_canon_constraint(r, b, is_eq) for r, b in group]
             if "infeasible" in canon:
                 return empty_polyhedron(m)
             cons.append([([F(x) for x in c[0]], c[1]) for c in canon if c is not None])
@@ -949,7 +947,7 @@ def reference_project(P, phi):
     out = polyhedron(m, [(r[:m], b) for r, b in eqs], [(r[:m], b) for r, b in ineqs])
     if is_empty(out):
         return empty_polyhedron(m)
-    return remove_redundancy(out)
+    return reference_remove_redundancy(out)
 
 
 def reference_project_complex(C, phi):

@@ -226,8 +226,9 @@ class TestHalfspaceMeetsComplex:
     def test_rows_mapped_once_and_no_polyhedron_on_the_line(self, monkeypatch, H, want):
         # the seven cells at p:2 hold 16 rows, 8 of them distinct; each cell
         # is decided on its line in (lambda, t), so neither the maximum nor
-        # the witness builds a Polyhedron, and a scan maps each distinct row
-        # once (a later scan maps it again: nothing outlives a call)
+        # the witness canonicalizes a polyhedron or runs an LP, and a scan
+        # maps each distinct row once (a later scan maps it again: nothing
+        # outlives a call)
         f = parse_poly("x1^2*x2 + 2*x1*x2^2 + 8 + x1 + 4*x2", rank=2, field=FIELD_Q)
         C = trop_hypersurface(f, FinitePrime(2))
         rows = [r for c in C.cells for r, _ in (*c.polyhedron.equalities, *c.polyhedron.inequalities)]
@@ -236,7 +237,8 @@ class TestHalfspaceMeetsComplex:
         image = classify._in_frame
         monkeypatch.setattr(classify, "_in_frame", lambda r, gens: mapped.append(r) or image(r, gens))
         for module in (polyhedral, classify):
-            monkeypatch.setattr(module, "Polyhedron", lambda *args: built.append(args), raising=False)
+            for name in ("polyhedron", "lp_solve"):
+                monkeypatch.setattr(module, name, lambda *args: built.append(args))
         for _ in range(2):
             assert halfspace_meets_complex(H, C) == want
         assert built == []

@@ -18,6 +18,7 @@ from amoebas.polyhedral import (
     Polyhedron,
     PolyhedralComplex,
     _canon_constraint,
+    complex_to_json,
     contains_point,
     empty_polyhedron,
     intersect,
@@ -29,10 +30,9 @@ from amoebas.polyhedral import (
     polyhedron,
     polyhedron_to_json,
     preimage,
-    remove_redundancy,
 )
 from amoebas.scalars import FIELD_Q, GENERIC, FinitePrime
-from amoebas.tropical import prevariety, trop_hypersurface
+from amoebas.tropical import adelic_amoeba, prevariety, trop_hypersurface
 
 from conftest import (
     brute_force_lp,
@@ -197,7 +197,31 @@ def hull_polyhedra(draw, equalities=None, min_rank=1):
             ineqs.append((comb, shift + draw(st.integers(-1, 1))))
     if draw(st.booleans()):
         return polyhedron(rank, eqs, ineqs)
-    return Polyhedron(rank, tuple(eqs), tuple(ineqs))
+    return raw_polyhedron(rank, eqs, ineqs)
+
+
+def raw_polyhedron(rank, eqs, ineqs):
+    """The Polyhedron of the (row, rhs) pairs as they stand: each row's key
+    (row, rhs numerator, rhs denominator), with no row scaled, sorted or
+    dropped."""
+    keys = lambda cons: tuple((tuple(row), Fraction(b).numerator, Fraction(b).denominator) for row, b in cons)
+    return Polyhedron(rank, keys(eqs), keys(ineqs))
+
+
+def canonical(P):
+    """polyhedron() of P's rows."""
+    return polyhedron(P.rank, P.equalities, P.inequalities)
+
+
+def reduced(P):
+    """keyed_reduction of a nonempty P with the frame that
+    keyed_interior_point solved for it."""
+    return keyed_reduction(P, keyed_interior_point(P)[1])
+
+
+def on_line(P):
+    """What _on_line reads off P's frame when it has at most one column."""
+    return polyhedral._on_line(P, polyhedral._frame(P, 1))
 
 
 def _more_equalities(draw, rank, eqs, kinds):
@@ -290,8 +314,9 @@ class TestHull:
         # max -v1 over the box: the row -v1 <= 1 carries it
         res = lp_solve((-1, 0), box(2))
         assert res.value == 1
-        assert [m for m, (row, _, _) in zip(res.multipliers, box(2).constraints()) if m] == [1]
-        assert box(2).constraints()[res.multipliers.index(1)][0] == (-1, 0)
+        rows = box(2).eqs + box(2).ineqs
+        assert [m for m, (row, _, _) in zip(res.multipliers, rows) if m] == [1]
+        assert rows[res.multipliers.index(1)][0] == (-1, 0)
 
 
 @pytest.fixture
@@ -304,12 +329,12 @@ def fresh_caches():
 
 
 def max_value(objective, P):
-    return maximize(objective, P.sort_key())[0]
+    return maximize(objective, P)[0]
 
 
 def max_point(objective, P, level=None):
-    """maximize on P's key, with its point (ints, d) as Fractions."""
-    value, point = maximize(objective, P.sort_key(), level)
+    """maximize on P, with its point (ints, d) as Fractions."""
+    value, point = maximize(objective, P, level)
     if point is not None:
         ints, d = point
         assert d > 0
@@ -329,10 +354,11 @@ class TestLine:
     @settings(max_examples=300)
     @given(hull_polyhedra(line_equalities), st.data())
     def test_matches_lp_references(self, P, data):
-        assert polyhedral._line(P) is not None
+        assert on_line(P) is not None
         _check_hull(P)
         if dimension(P) >= 0:
-            assert remove_redundancy(P) == reference_remove_redundancy(P)
+            Q = canonical(P)
+            assert reduced(Q) == reference_remove_redundancy(Q)
         k = data.draw(st.integers(0, min(1, P.rank - 1)))
         try:
             H = data.draw(_halfspaces(P.rank, k))
@@ -360,12 +386,12 @@ class TestLine:
             assert point is None
             return
         at = value if value < math.inf else level
-        face = Polyhedron(P.rank, P.equalities + ((obj, Fraction(at)),), P.inequalities)
+        face = raw_polyhedron(P.rank, P.equalities + ((obj, at),), P.inequalities)
         if top([0] * P.rank, face) is None:
             assert value == math.inf
             at = -top([-x for x in obj], P)
             assert at > level
-            face = Polyhedron(P.rank, P.equalities + ((obj, Fraction(at)),), P.inequalities)
+            face = raw_polyhedron(P.rank, P.equalities + ((obj, at),), P.inequalities)
         ranges = [
             (top(e, face), -top([-x for x in e], face))
             for e in ([int(i == j) for j in range(P.rank)] for i in range(P.rank))
@@ -380,7 +406,7 @@ class TestLine:
         diag = [((1, -1), 0)]
         seg = polyhedron(2, diag, [((1, 0), 2), ((-1, 0), 0), ((1, 0), 3)])
         assert dimension(seg) == 1 and relative_interior_point(seg) == (1, 1)
-        assert remove_redundancy(seg) == polyhedron(2, diag, [((1, 0), 2), ((-1, 0), 0)])
+        assert reduced(seg) == polyhedron(2, diag, [((1, 0), 2), ((-1, 0), 0)])
         assert max_value((1, 1), seg) == 4 and max_value((-1, 0), seg) == 0
         point = polyhedron(2, diag, [((1, 0), 1), ((-1, 0), -1)])
         assert hull_rows(point) == ((1, -1), (-1, 0)) and relative_interior_point(point) == (1, 1)
@@ -390,23 +416,20 @@ class TestLine:
 
     def test_last_tied_row_survives(self):
         # on the diagonal, x1 <= 2 and 2 x1 - x2 <= 2 bound z alike, and
-        # x1 - x2 <= 1 is constant; in either row order the later tied row
-        # is kept, each checked by a witness that breaks it alone
-        diag, tied, constant = [((1, -1), 0)], [((1, 0), 2), ((2, -1), 2)], ((1, -1), 1)
-        for rows in (tied, tied[::-1]):
-            P = Polyhedron(2, polyhedron(2, diag).equalities, tuple(
-                (row, Fraction(b)) for row, b in [*rows, constant, ((-1, 0), 0)]
-            ))
-            want = polyhedron(2, diag, [rows[-1], ((-1, 0), 0)])
-            assert remove_redundancy(P) == reference_remove_redundancy(P) == want
+        # x1 - x2 <= 1 is constant; the tied row later in canonical order
+        # is kept, checked by a witness that breaks it alone
+        diag, tied, constant = [((1, -1), 0)], [((2, -1), 2), ((1, 0), 2)], ((1, -1), 1)
+        P = polyhedron(2, diag, [*tied, constant, ((-1, 0), 0)])
+        want = polyhedron(2, diag, [((2, -1), 2), ((-1, 0), 0)])
+        assert reduced(P) == reference_remove_redundancy(P) == want
 
     def test_reference_drops_one_copy_of_a_repeated_row(self):
         # x1 <= 2 twice around the tied 2 x1 - x2 <= 2: the greedy drops
-        # rows by index, so both keep the later copy of x1 <= 2
+        # rows by index, so it keeps the later copy of x1 <= 2
         rows = [((1, 0), 2), ((2, -1), 2), ((1, 0), 2), ((-1, 0), 0)]
-        P = Polyhedron(2, polyhedron(2, _DIAG).equalities, tuple((row, Fraction(b)) for row, b in rows))
+        P = raw_polyhedron(2, polyhedron(2, _DIAG).equalities, rows)
         want = polyhedron(2, _DIAG, [((1, 0), 2), ((-1, 0), 0)])
-        assert remove_redundancy(P) == reference_remove_redundancy(P) == want
+        assert reference_remove_redundancy(P) == want
 
     def test_unbounded_point_at_the_level_or_the_least_value(self):
         # the diagonal ray from (2, 2): x1 = 1 is below it, x1 = 3 on it
@@ -425,7 +448,7 @@ class TestLine:
             calls = []
             check = polyhedral._check_farkas
             mp.setattr(polyhedral, "_check_farkas", lambda *a: calls.append(a) or check(*a))
-            polyhedral._line(P)
+            on_line(P)
         for rows, rhs, neq, lam in calls:
             polyhedral._check_farkas(rows, rhs, neq, lam)
             for i in range(len(lam)):
@@ -443,7 +466,7 @@ class TestLine:
             calls = []
             check = polyhedral._check_kept
             mp.setattr(polyhedral, "_check_kept", lambda *a: calls.append(a) or check(*a))
-            remove_redundancy(P)
+            reduced(P)
         for st_, i, others, z in calls:
             polyhedral._check_kept(st_, i, others, z)
             with pytest.raises(InternalInvariantError):
@@ -482,7 +505,7 @@ _SEGMENT = polyhedron(2, _DIAG, [((1, 0), 2), ((-1, 0), 0)])
 # corrupted certificate -> (the corruption, a polyhedron whose answers rest on it)
 _CORRUPTIONS = {
     "x0": (_corrupt_x0, _SEGMENT),
-    "equality combination": (_bump_farkas, Polyhedron(2, (((1, 1), Fraction(0)), ((2, 2), Fraction(1))), ())),
+    "equality combination": (_bump_farkas, raw_polyhedron(2, [((1, 1), 0), ((2, 2), 1)], ())),
     "crossing pair": (_bump_farkas, polyhedron(2, _DIAG, [((1, 0), 0), ((-1, 0), -1)])),
     "kept-row witness": (_kept_at_its_bound, _SEGMENT),
 }
@@ -497,7 +520,7 @@ class TestLineCertificates:
     def test_corrupted_certificate_raises(self, kind, monkeypatch, fresh_caches):
         corrupt, P = _CORRUPTIONS[kind]
         corrupt(monkeypatch)
-        calls = [lambda: remove_redundancy(P)]
+        calls = [lambda: keyed_reduction(P, polyhedral._frame(P))]
         if kind != "kept-row witness":
             C = PolyhedralComplex(2, (Cell(P),))
             calls += [lambda: relative_interior_point(P), lambda: max_value((1, 0), P)]
@@ -529,14 +552,15 @@ class TestFrame:
     @settings(max_examples=200)
     @given(hull_polyhedra(frame_equalities, min_rank=2))
     def test_matches_lp_references(self, P):
-        frame = polyhedral._frame(P.sort_key())
+        frame = polyhedral._frame(P)
         assert frame == "empty" or len(frame[1]) >= 2
         with pytest.MonkeyPatch.context() as mp:
             keyed_interior_point.cache_clear()
             calls = count_lp_calls(mp)
             _check_hull(P)
             if dimension(P) >= 0:
-                assert remove_redundancy(P) == reference_remove_redundancy(P)
+                Q = canonical(P)
+                assert reduced(Q) == reference_remove_redundancy(Q)
         # the slack LPs take k + 1 coordinates, the redundancy LPs k
         assert calls == [] if frame == "empty" else all(Q.rank <= len(frame[1]) + 1 for _, Q in calls)
 
@@ -545,45 +569,42 @@ class TestFrame:
 
     def test_triangle(self, fresh_caches):
         assert dimension(self._TRIANGLE) == 2
-        assert remove_redundancy(self._TRIANGLE) == self._TRIANGLE
+        assert reduced(self._TRIANGLE) == self._TRIANGLE
 
     @pytest.mark.parametrize("corrupt", [_corrupt_x0, _corrupt_column], ids=["x0", "column"])
     def test_corrupted_frame_raises(self, corrupt, monkeypatch, fresh_caches):
         corrupt(monkeypatch)
         P = self._TRIANGLE
-        for call in (lambda: remove_redundancy(P), lambda: relative_interior_point(P)):
+        for call in (lambda: keyed_reduction(P, polyhedral._frame(P)), lambda: relative_interior_point(P)):
             keyed_interior_point.cache_clear()
             with pytest.raises(InternalInvariantError, match="frame misses"):
                 call()
 
 
 class TestKeyedPath:
-    """A canonical piece asked on its key alone (keyed_interior_point, then
-    keyed_reduction with the frame it returned) gets the answers of the
-    Polyhedron path and of the LP references, with at most one free
-    direction and with k >= 2, and a miss builds no Polyhedron of it."""
+    """A canonical piece (keyed_interior_point, then keyed_reduction with
+    the frame it returned) gets the answers of the LP references, with at
+    most one free direction and with k >= 2, and a miss hashes no
+    Fraction."""
 
     @pytest.mark.parametrize("equalities", [line_equalities, frame_equalities], ids=["line", "frame"])
     @settings(max_examples=150)
     @given(data=st.data())
-    def test_agrees_with_the_polyhedron_path(self, equalities, data):
-        raw = data.draw(hull_polyhedra(equalities, min_rank=2))
-        P = polyhedron(raw.rank, raw.equalities, raw.inequalities)
-        key = P.sort_key()
+    def test_agrees_with_the_lp_references(self, equalities, data):
+        P = canonical(data.draw(hull_polyhedra(equalities, min_rank=2)))
         keyed_interior_point.cache_clear()
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(polyhedral, "polyhedron_of_key", lambda key: pytest.fail("a miss built a Polyhedron"))
-            found = keyed_interior_point(key)
+        with no_fraction_hash():
+            found = keyed_interior_point(P)
         assert (found is None) == is_empty(P)
         if found is None:
             return
         point, frame = found
-        assert frame == polyhedral._frame(key)
+        assert frame == polyhedral._frame(P)
         _, implicit = reference_affine_hull(P)
         assert contains_point(P, point)
         for (row, rhs), tight in zip(P.inequalities, implicit):
             assert (sum(a * b for a, b in zip(row, point)) < rhs) != tight
-        assert keyed_reduction(key, frame) == remove_redundancy(P) == reference_remove_redundancy(P)
+        assert keyed_reduction(P, frame) == reference_remove_redundancy(P)
 
 
 class TestLineLPCounts:
@@ -753,12 +774,12 @@ class TestComplexes:
 class TestRedundancy:
     def test_removes_dominated_row(self):
         P = polyhedron(1, (), [((1,), Fraction(1)), ((1,), Fraction(2))])
-        R = remove_redundancy(P)
-        assert R.inequalities == (((1,), Fraction(1)),)
+        R = reduced(P)
+        assert R.inequalities == (((1,), Fraction(1)),) == reference_remove_redundancy(P).inequalities
 
     def test_keeps_necessary_rows(self):
         B = box(2)
-        assert remove_redundancy(B) == B
+        assert reduced(B) == reference_remove_redundancy(B) == B
 
 
 def _rows(rank, lo, hi):
@@ -789,7 +810,7 @@ class TestFarkasCertificate:
         obj = data.draw(_rows(P.rank, -2, 2))
         res = lp_solve(obj, P)
         assert isinstance(res, LPInfeasible)
-        cons = P.constraints()
+        cons = [(row, rhs, True) for row, rhs in P.equalities] + [(row, rhs, False) for row, rhs in P.inequalities]
         assert len(res.farkas) == len(cons)
         for c in range(P.rank):
             assert sum(m * row[c] for m, (row, _, _) in zip(res.farkas, cons)) == 0
@@ -953,8 +974,8 @@ def _rationals(lo=-4, hi=4, den=3):
 
 
 class TestCanonConstraintAgainstFractionReference:
-    """One Fraction per int rhs gives the rows and rhs of the all-Fraction
-    form, rhs a Fraction in both."""
+    """The row key (row, rhs numerator, rhs denominator), all ints, holds
+    the row and rhs of the all-Fraction form."""
 
     @settings(max_examples=300)
     @given(st.data())
@@ -967,9 +988,11 @@ class TestCanonConstraintAgainstFractionReference:
         rhs = data.draw(st.integers(-6, 6) | st.integers(-10**12, 10**12) | _rationals(-6, 6, 4))
         is_equality = data.draw(st.booleans())
         got = _canon_constraint(row, rhs, is_equality)
-        assert got == reference_canon_constraint(row, rhs, is_equality)
-        if isinstance(got, tuple):
-            assert type(got[1]) is Fraction
+        want = reference_canon_constraint(row, rhs, is_equality)
+        if isinstance(want, tuple):
+            want = (want[0], want[1].numerator, want[1].denominator)
+            assert all(type(x) is int for x in (*got[0], *got[1:]))
+        assert got == want
 
 
 @st.composite
@@ -1031,8 +1054,8 @@ def lp_instances(draw):
 
 
 class TestHashOfFields:
-    """Equal polyhedra hash equal, to the hash of their fields, before and
-    after a cached lookup, and an equal twin finds the cached point."""
+    """Equal polyhedra hash equal before and after a cached lookup, and an
+    equal twin finds the cached point."""
 
     @settings(max_examples=100)
     @given(lp_instances())
@@ -1041,11 +1064,51 @@ class TestHashOfFields:
         rows = lambda cons: [(tuple(2 * x for x in r), 2 * b) for r, b in reversed(cons)]
         Q = polyhedron(P.rank, rows(P.equalities), rows(P.inequalities))
         assert P == Q and P is not Q
-        assert hash(P) == hash(Q) == hash((P.rank, P.equalities, P.inequalities))
-        x = relative_interior_point(P)  # a cache lookup stores the point under P's key
+        assert hash(P) == hash(Q)
+        x = relative_interior_point(P)  # a cache lookup stores the point under P
         R = polyhedron(P.rank, rows(P.equalities), rows(P.inequalities))
         assert {P: 1}[R] == 1 and relative_interior_point(R) is x
         assert hash(P) == hash(Q) == hash(R)
+
+
+class TestWhatTheBenchmarkReads:
+    """On the cells of an adelic amoeba and of a system's prevariety, the
+    read-only equalities and inequalities views (the benchmark's oracles
+    and tracer read them) are (tuple row, Fraction) pairs that print as
+    complex_to_json does, a Polyhedron equals and hashes as its plain tuple,
+    and an intersection and an equal Polyhedron share one cache entry."""
+
+    @staticmethod
+    def _complexes():
+        amoeba = adelic_amoeba(parse_poly("x1 + x2 + 6", rank=2, field=FIELD_Q))
+        return [amoeba.generic, *(C for _, C in amoeba.special), prevariety(pair_system_qz(), GENERIC)]
+
+    def test_views_print_as_the_json(self):
+        for C in self._complexes():
+            for cell, d in zip(C.cells, complex_to_json(C)["cells"], strict=True):
+                P = cell.polyhedron
+                for view, name in ((P.equalities, "equalities"), (P.inequalities, "inequalities")):
+                    assert type(view) is tuple
+                    assert all(type(row) is tuple and type(rhs) is Fraction for row, rhs in view)
+                    assert [{"row": list(row), "rhs": str(rhs)} for row, rhs in view] == d[name]
+
+    def test_equal_and_hash_as_the_plain_tuple(self):
+        for C in self._complexes():
+            for cell in C.cells:
+                P = cell.polyhedron
+                assert P == tuple(P) == (P.rank, P.eqs, P.ineqs)
+                assert hash(P) == hash(tuple(P)) == hash((P.rank, P.eqs, P.ineqs))
+
+    def test_an_intersection_and_its_twin_share_a_cache_entry(self, fresh_caches):
+        for C in self._complexes():
+            cells = [cell.polyhedron for cell in C.cells]
+            for A, B in zip(cells, cells[1:]):
+                P = intersect(A, B)
+                keyed_interior_point.cache_clear()
+                found = keyed_interior_point(P)
+                assert keyed_interior_point(Polyhedron(P.rank, P.eqs, P.ineqs)) is found
+                info = keyed_interior_point.cache_info()
+                assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
 
 
 class TestFractionFreeKernel:

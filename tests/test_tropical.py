@@ -1049,15 +1049,15 @@ class TestPrevarietyAgainstReference:
 
     @pytest.mark.parametrize("place", [GENERIC, FinitePrime(3)], ids=["generic", "p:3"])
     def test_one_point_lookup_per_product_piece(self, place, monkeypatch):
-        # each raw piece is asked once, on the integer key of its merged
-        # rows: its relative-interior point, or None when it is empty
+        # each raw piece is asked once, on the Polyhedron of its merged
+        # row keys: its relative-interior point, or None when it is empty
         constraints = [Constraint(parse_poly(c["f"], 4)) for c in RANK_4_SYSTEM["constraints"]]
         lookups = []
         real = tropical.keyed_interior_point
         monkeypatch.setattr(tropical, "keyed_interior_point", lambda key: lookups.append(key) or real(key))
         prevariety(PrevarietySystem(4, tuple(constraints)), place)
         cells = [trop_hypersurface(con.poly, place).cells for con in constraints]
-        want = [intersect(*(c.polyhedron for c in combo)).sort_key() for combo in itertools.product(*cells)]
+        want = [intersect(*(c.polyhedron for c in combo)) for combo in itertools.product(*cells)]
         assert len(want) > 1 and lookups == want
         ints = lambda x: all(type(v) is int for v in x)
         assert all(all(ints(row) and ints(rest) for row, *rest in eqs + ineqs) for _, eqs, ineqs in lookups)
