@@ -287,7 +287,7 @@ def _slice_rows(terms, moduli, width, phase_tuples):
             coeffs[degree] += val
         points.append(x)
         rows.append(coeffs[::-1])
-    return points, np.array(rows, dtype=complex)
+    return points, rows
 
 
 def _nonzero_roots(rows):
@@ -296,72 +296,47 @@ def _nonzero_roots(rows):
     p has at most one coefficient.
 
     np.roots cuts p to its nonzero span and takes the eigenvalues of the
-    span's companion matrix.  Here the companion matrices of one order are
-    built the same way and solved by one stacked np.linalg.eigvals call,
-    which runs LAPACK on each matrix as np.roots does, so every root keeps
-    its float bits.  A lone row, a bisection probe, skips the masks and
-    fancy indexing of the stack, which cost it several times its one
-    eigvals call: _row_roots finds its span on the Python list and solves
-    its one matrix.  A row whose companion matrix is not finite raises
-    OverflowError when it is reached, where np.roots would refuse it.
+    span's companion matrix.  Here each row's span is found on its values
+    with the same predicates (abs > 0 at the leading end, != 0 at the
+    trailing one), its end entries looked at before any scan; the
+    companion matrices of one order, one row's or a sweep's, are built the
+    same way and solved by one stacked np.linalg.eigvals call, which runs
+    LAPACK on each matrix as np.roots does, so every root keeps its float
+    bits.  A 1 x 1 companion matrix still goes to eigvals: LAPACK rescales
+    a matrix whose norm is past about 1e+-138, and its eigenvalue then
+    differs from the entry in the last bits, or in the sign of a zero.  A
+    row whose companion matrix is not finite raises OverflowError when it
+    is reached, where np.roots would refuse it.
     """
-    if len(rows) == 1:
-        yield _row_roots(rows[0])
-        return
-    m, n = rows.shape
-    lead = np.abs(rows) > 0
-    first = np.where(lead.any(axis=1), lead.argmax(axis=1), n).tolist()
-    last = (n - 1 - (rows != 0)[:, ::-1].argmax(axis=1)).tolist()
-    roots = [None] * m
-    spans = {}
-    for i, (a, b) in enumerate(zip(first, last)):
-        if n - a > 1:
-            roots[i] = []  # a nonzero constant once cut to its span
-            if b > a:
-                spans.setdefault(b - a, []).append(i)
-    deferred = set()
-    for order, idx in spans.items():
-        cols = np.array([first[i] for i in idx])[:, None] + np.arange(order + 1)
-        p = rows[np.array(idx)[:, None], cols]
+    roots = [None] * len(rows)
+    groups = {}
+    for i, row in enumerate(rows):
+        n = len(row)
+        a = 0 if abs(row[0]) > 0 else next((j for j in range(1, n) if abs(row[j]) > 0), n)
+        if n - a <= 1:
+            continue
+        b = n - 1 if row[-1] != 0 else next(j for j in range(n - 2, a - 1, -1) if row[j] != 0)
+        roots[i] = []  # a nonzero constant once cut to its span
+        if b > a:
+            groups.setdefault(b - a, []).append((i, row[a:b + 1]))
+    stop = len(rows)  # the first row whose companion matrix is not finite
+    for order, group in groups.items():
+        idx, spans = zip(*group)
+        p = np.array(spans, dtype=complex)
         companion = np.zeros((len(idx), order, order), dtype=complex)
         companion[:, np.arange(1, order), np.arange(order - 1)] = 1
         with np.errstate(all="ignore"):
             companion[:, 0, :] = -p[:, 1:] / p[:, :1]
-        finite = np.isfinite(companion[:, 0, :]).all(axis=1)
-        solved = np.linalg.eigvals(companion[finite]).tolist()
-        for i, values in zip(itertools.compress(idx, finite), solved):
+        finite = np.isfinite(companion[:, 0, :]).all(axis=1).tolist()
+        k = len(idx) if all(finite) else finite.index(False)
+        if k < len(idx):
+            stop = min(stop, idx[k])
+        # the group's rows from k on come after stop and are never yielded
+        for i, values in zip(idx, np.linalg.eigvals(companion[:k]).tolist()):
             roots[i] = [r for r in values if r != 0]
-        deferred.update(itertools.compress(idx, ~finite))
-    for i, r in enumerate(roots):
-        if i in deferred:
-            raise OverflowError("a slice's companion matrix leaves the float range")
-        yield r
-
-
-def _row_roots(row):
-    """_nonzero_roots of one row, its span found on the Python list with
-    the stack's predicates (abs > 0 at the leading end, != 0 at the
-    trailing one).  A 1 x 1 companion matrix still goes to eigvals: LAPACK
-    rescales a matrix whose norm is past about 1e+-138, and its eigenvalue
-    then differs from the entry in the last bits, or in the sign of a
-    zero."""
-    values = row.tolist()
-    n = len(values)
-    a = next((i for i, x in enumerate(values) if abs(x) > 0), n)
-    if n - a <= 1:
-        return None
-    b = next(i for i in range(n - 1, -1, -1) if values[i] != 0)
-    if b == a:
-        return []
-    order = b - a
-    p = row[a:b + 1]
-    companion = np.zeros((order, order), dtype=complex)
-    companion[np.arange(1, order), np.arange(order - 1)] = 1
-    with np.errstate(all="ignore"):
-        companion[0] = -p[1:] / p[:1]
-    if not np.isfinite(companion[0]).all():
+    yield from roots[:stop]
+    if stop < len(rows):
         raise OverflowError("a slice's companion matrix leaves the float range")
-    return [r for r in np.linalg.eigvals(companion).tolist() if r != 0]
 
 
 def sampled_inside(f: LaurentPoly, v, trials=200):

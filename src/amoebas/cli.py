@@ -87,11 +87,15 @@ def load_system(path: str) -> PrevarietySystem:
     "constraints": [{"f": text, "map": integer rows (optional), "rank": m
     (optional)}, ...]}``; a file off this schema, a key outside it
     included, raises ValueError before any text is parsed, so that a
-    misspelt "map" or "field" is not read as an omitted one.  Every
+    misspelt "map" or "field" is not read as an omitted one; so does a file
+    nested past the JSON decoder's recursion limit.  Every
     constraint is parsed over one field: an omitted "field" is Q(z) when any
     constraint names z, else Q."""
     with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
+        try:
+            obj = json.load(fh)
+        except RecursionError:
+            raise ValueError("a system file nests too deeply") from None
     if not isinstance(obj, dict):
         raise ValueError("a system file must hold a JSON object")
     _known_keys(obj, ("rank", "field", "constraints"), "a system")

@@ -22,17 +22,13 @@ from amoebas.classify import (
 from amoebas.laurent import (
     bad_places,
     make_laurent,
-    parse_poly,
     strict_vertex_direction,
 )
 from amoebas.lattices import primitive_vector
-from amoebas.polyhedral import contains_point, polyhedron
 from amoebas.scalars import (
     FIELD_Q,
-    FIELD_QZ,
     GENERIC,
     FinitePrime,
-    RationalFunction,
     place_from_str,
     product_formula_residual,
 )
@@ -57,7 +53,6 @@ from conftest import (
     rand_poly_qz,
     rand_poly_qz_constant,
     ray,
-    tripod,
 )
 from test_tropical import pair_system_q, pair_system_qz
 

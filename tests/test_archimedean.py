@@ -572,23 +572,27 @@ def _root_outcome(solve):
         return "not finite"
 
 
-# A coefficient: zero one time in four, else of modulus from 1e-300 to 1e300.
-_NONZERO = st.builds(
-    lambda sign, re, im, e: complex(sign * re, im) * 10.0**e,
-    st.sampled_from((1, -1)),
-    st.floats(0.1, 9),
-    st.floats(-9, 9),
-    st.integers(-300, 299),
-)
-_COEFFICIENT = st.builds(lambda k, c: c if k else 0j, st.integers(0, 3), _NONZERO)
+def _coefficients(top):
+    """A coefficient: zero one time in four, else of modulus from 10**-top
+    to 10**top."""
+    nonzero = st.builds(
+        lambda sign, re, im, e: complex(sign * re, im) * 10.0**e,
+        st.sampled_from((1, -1)),
+        st.floats(0.1, 9),
+        st.floats(-9, 9),
+        st.integers(-top, top - 1),
+    )
+    return st.builds(lambda k, c: c if k else 0j, st.integers(0, 3), nonzero)
 
 
-def _root_rows(width=None):
+def _root_rows(width=None, top=300):
     """Rows of 0-2 leading zeros, 1-7 coefficients and 0-2 trailing zeros,
     cut to their last width entries when width is given: all-zero rows,
-    lone coefficients and polynomials of orders 1-6 with inner zeros."""
+    lone coefficients and polynomials of orders 1-6 with inner zeros.
+    With top=100 no quotient of two coefficients leaves the float range,
+    so every companion matrix is finite."""
     lead, trail = st.integers(0, 2), st.integers(0, 2)
-    body = st.lists(_COEFFICIENT, min_size=1, max_size=7)
+    body = st.lists(_coefficients(top), min_size=1, max_size=7)
     rows = st.builds(lambda a, b, c: [0j] * a + b + [0j] * c, lead, body, trail)
     return rows.map(lambda r: r[-width:]) if width else rows
 
@@ -611,7 +615,7 @@ class TestStackedRoots:
             p = np.array(row)[np.nonzero(np.abs(row))[0][0]:] if any(row) else []
             want.append(
                 None if len(p) <= 1 else [complex(r) for r in np.roots(p) if r != 0])
-        got = list(archimedean._nonzero_roots(np.array(rows, dtype=complex)))
+        got = list(archimedean._nonzero_roots(rows))
         assert [_bits(r) for r in got] == [_bits(r) for r in want]
         spans = [[i for i, c in enumerate(r) if c] for r in rows if any(r)]
         assert {nz[-1] - nz[0] for nz in spans} == {0, 1, 2, 3, 4, 5, 6}
@@ -621,7 +625,7 @@ class TestStackedRoots:
         # 1 / 5e-324 overflows, so np.roots refuses the middle row; the rows
         # before it are still solved, and the row itself raises
         # OverflowError when it is reached, alone or in a stack
-        rows = np.array([[1, -3, 2], [5e-324, 1, 1], [1, 0, -1]], dtype=complex)
+        rows = np.array([[1, -3, 2], [5e-324, 1, 1], [1, 0, -1]], dtype=complex).tolist()
         with pytest.raises(np.linalg.LinAlgError):
             np.roots(rows[1])
         found = archimedean._nonzero_roots(rows)
@@ -635,12 +639,12 @@ class TestStackedRoots:
     @given(_root_rows(), st.lists(_root_rows(7), max_size=3))
     @pytest.mark.filterwarnings("ignore:overflow encountered in divide", "ignore:invalid value encountered in divide")
     def test_one_row_matches_the_stack_and_np_roots(self, row, others):
-        # the row alone takes the one-row path, and the same row in a stack
-        # of at least two matrices of its order the stacked path
+        # the row alone is a stack of one; the same row in a stack of at
+        # least two matrices of its order, and through np.roots
         width = max(len(row), 7)
         row = [0j] * (width - len(row)) + row
         others = [[0j] * (width - len(r)) + r for r in others]
-        outcome = lambda rows: _root_outcome(lambda: next(archimedean._nonzero_roots(np.array(rows))))
+        outcome = lambda rows: _root_outcome(lambda: next(archimedean._nonzero_roots(rows)))
         alone = outcome([row])
         event(alone if isinstance(alone, str) else "no polynomial" if alone is None else f"{len(alone)} roots")
         assert alone == outcome([row, row, *others])
@@ -654,9 +658,9 @@ class TestStackedRoots:
         # last bits or in the sign of a zero
         calls = []
         eigvals = np.linalg.eigvals
-        monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a.shape) or eigvals(a))
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a.shape[-2:]) or eigvals(a))
         rows = [[0j, 0j, 0j], [0j, 0j, 3 + 1j], [0j, 2j, 0j], [0j, 1e-200 + 0j, 3e-50j], [1 + 0j, -2 + 0j, 0j]]
-        got = [next(archimedean._nonzero_roots(np.array([row]))) for row in rows]
+        got = [next(archimedean._nonzero_roots([row])) for row in rows]
         assert [_bits(r) for r in got] == [_bits(_np_nonzero_roots(row)) for row in rows]
         assert got[:3] == [None, None, []] and got[4] == [2]
         # the companion entry of the fourth row, -3e150j, is past the
@@ -664,6 +668,33 @@ class TestStackedRoots:
         entry = (-np.array([3e-50j]) / np.array([1e-200 + 0j])).tolist()
         assert abs(got[3][0] - entry[0]) <= 1e-15 * abs(entry[0]) and _bits(got[3]) != _bits(entry)
         assert calls == [(1, 1), (1, 1)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_root_rows(7, top=100), max_size=8), st.data())
+    @pytest.mark.filterwarnings("ignore:overflow encountered in divide", "ignore:invalid value encountered in divide")
+    def test_rows_before_a_non_finite_row_match_np_roots(self, rows, data):
+        # rows of mixed orders and spans, and at most one whose leading
+        # 5e-324 puts an overflowed quotient in its companion matrix: each
+        # row before it gives np.roots' bits, and the row itself raises
+        # OverflowError when it is reached, whichever order groups come in
+        rows = [[0j] * (7 - len(r)) + r for r in rows]
+        bad = data.draw(st.none() | st.integers(0, 5).flatmap(lambda k: st.builds(
+            lambda c, tail: [0j] * k + [5e-324 + 0j, c] + tail,
+            st.sampled_from((1 + 0j, -3 + 0j, 2j)),
+            st.lists(_coefficients(300), min_size=5 - k, max_size=5 - k),
+        )))
+        if bad is not None:
+            rows.insert(data.draw(st.integers(0, len(rows))), bad)
+            assert _root_outcome(lambda: _np_nonzero_roots(bad)) == "not finite"
+        event("a non-finite row" if bad is not None else "all finite")
+        found = archimedean._nonzero_roots(rows)
+        for row in rows:
+            if row is bad:
+                with pytest.raises(OverflowError):
+                    next(found)
+                return
+            assert _bits(next(found)) == _bits(_np_nonzero_roots(row))
+        assert next(found, "end") == "end"
 
     def test_one_eigenvalue_call_per_sweep_and_bisection_step(self, monkeypatch):
         # the reference makes one np.roots call per slice, 65 per sweep; a

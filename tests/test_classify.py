@@ -13,7 +13,6 @@ from amoebas.classify import (
     CERTIFIED_OUTSIDE,
     DISJOINT,
     MEETS,
-    AdelicReport,
     Halfspace,
     adelic_disjoint,
     classify_arch_point,
@@ -63,7 +62,6 @@ from amoebas.tropical import (
 
 from conftest import (
     NOT_RELINT,
-    cells_of,
     halfline_disjoint_fast,
     min_value_and_argmin,
     outcome,

@@ -284,7 +284,13 @@ class TestErrorsAndDeterminism:
 
     @pytest.mark.parametrize(
         "content",
-        ['{"rank": 2}', '{"rank":2,"constraints":[{"map":[[1,0]]}]}', "[1,2]"],
+        [
+            '{"rank": 2}',
+            '{"rank":2,"constraints":[{"map":[[1,0]]}]}',
+            "[1,2]",
+            # json.load's RecursionError escaped as a traceback with exit 1
+            pytest.param("[" * 100_000 + "]" * 100_000, id="nested"),
+        ],
     )
     def test_malformed_system_exit_code(self, capsys, tmp_path, content):
         path = tmp_path / "bad.json"

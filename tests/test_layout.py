@@ -102,17 +102,32 @@ def test_every_unreached_definition_is_reserved():
     assert unreached() == RESERVED
 
 
+def _unread_imports(name, tree, counts):
+    """An entry "name:line imported" for each name bound by an import node
+    of tree for which counts(node) holds, and read by no Name in tree."""
+    imported = {
+        a.asname or a.name.split(".")[0]: node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and counts(node)
+        for a in node.names
+    }
+    read = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+    return [f"{name}:{line} {n}" for n, line in imported.items() if n not in read]
+
+
 def test_every_package_relative_import_is_used():
     # a name imported with `from .m import n` (or `from . import m`) is read
     # somewhere in its module; __init__ re-exports, so it is left out
+    relative = lambda node: isinstance(node, ast.ImportFrom) and node.level == 1
+    unused = [u for mod, tree in _modules().items() for u in _unread_imports(mod, tree, relative)]
+    assert unused == []
+
+
+def test_every_test_module_import_is_read():
+    # an import outlives the test that read it; a __future__ import binds
+    # no name, so it is left out
+    counted = lambda node: getattr(node, "module", None) != "__future__"
     unused = []
-    for mod, tree in _modules().items():
-        imported = {
-            a.asname or a.name: node.lineno
-            for node in ast.walk(tree)
-            if isinstance(node, ast.ImportFrom) and node.level == 1
-            for a in node.names
-        }
-        read = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
-        unused += [f"{mod}:{line} {name}" for name, line in imported.items() if name not in read]
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        unused += _unread_imports(path.stem, ast.parse(path.read_text()), counted)
     assert unused == []

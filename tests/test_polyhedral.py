@@ -25,7 +25,6 @@ from amoebas.polyhedral import (
     keyed_interior_point,
     keyed_reduction,
     lp_solve,
-    make_complex,
     maximize,
     polyhedron,
     polyhedron_to_json,

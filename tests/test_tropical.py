@@ -20,7 +20,6 @@ from amoebas.errors import (
 from amoebas.laurent import bad_places, make_laurent, parse_poly
 from amoebas.polyhedral import (
     complex_to_json,
-    contains_point,
     intersect,
     polyhedron,
     preimage,
