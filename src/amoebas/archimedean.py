@@ -359,7 +359,9 @@ def sampled_inside(f: LaurentPoly, v, trials=200):
     has one whose slice coefficients leave the float range though its term
     moduli do not: the search returns None where it reaches a slice whose
     power overflows or whose companion matrix is not finite (an
-    OverflowError), after any earlier slice's witness.  Phases
+    OverflowError), or whose power with a negative exponent divides by a
+    power that underflowed to 0 (a ZeroDivisionError), after any earlier
+    slice's witness.  Phases
     whose slice is a monomial are skipped; DegenerateSlice is raised only
     when every phase of every sweep gave one.  ExponentSpreadTooLarge is
     raised before any slice is built when the solved coordinate's exponent
@@ -464,5 +466,5 @@ def sampled_inside(f: LaurentPoly, v, trials=200):
 
     try:
         return scan()
-    except OverflowError:  # a slice left the float range where it was reached
+    except (OverflowError, ZeroDivisionError):  # a slice left the float range
         return None

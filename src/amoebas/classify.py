@@ -20,12 +20,14 @@ t = 1/2, 1, ..., count/2: once a term k that minimizes <u_k, d> dominates
 at t0, every later grid point is certified outside from that tail, with no
 enclosure of its own.
 The tail certifies grid points, not the open ray between them.
-The trichotomy's conclusion (a declared small image, an image defined over
-the scalars, or a torsion binomial) is stated once, for a disjointness
-report: of a given halfspace, or of the first vertex-cone half-line that
-the EKL check finds disjoint.  A supplied image hypersurface lives in the
-quotient by the boundary span, whose rank is the halfspace's codimension,
-since the boundary is kept independent.
+The trichotomy's conclusion (an image defined over the scalars, or a
+torsion binomial) is stated once, for a disjointness report: of a given
+halfspace, or of the first vertex-cone half-line that the EKL check finds
+disjoint.  It is read off the image X' of the source in the quotient by the
+boundary span, which is computed only where it is the source itself: a
+hypersurface and a halfspace with no boundary.  Any other disjoint report
+raises MissingImagePresentation, and case 1 (codim X' > 1) is never
+reported.
 """
 from __future__ import annotations
 
@@ -95,9 +97,6 @@ class Halfspace:
         gens = tuple(gens[i] for i in keep)
         object.__setattr__(self, "direction", direction)
         object.__setattr__(self, "boundary", gens)
-
-    def codimension(self):
-        return self.rank - len(self.boundary)
 
 
 def halfspace_meets_complex(H: Halfspace, C: PolyhedralComplex):
@@ -510,86 +509,40 @@ class TheoremReport:
         }
 
 
-def theorem1_report(
-    source,
-    H: Halfspace,
-    image_hypersurface: LaurentPoly | None = None,
-    declared_codim_gt_one: bool = False,
-    trials=200,
-) -> TheoremReport:
+def theorem1_report(source, H: Halfspace, trials=200) -> TheoremReport:
     """Decide disjointness from the adelic amoeba and verify the structural
-    conclusion that it forces, by trichotomy_conclusion.
-
-    The source is a hypersurface (boundary-free halfspace; the quotient is
-    the identity, and the source is its own image, so a supplied image or
-    codimension declaration is rejected) or a prevariety system, in which
-    case the hypersurface image under the boundary quotient must be
-    supplied, or its codimension declared to exceed one (the declaration is
-    echoed, never computed).
-    """
-    if image_hypersurface is not None and declared_codim_gt_one:
-        raise ValueError("supply an image hypersurface or a declaration, not both")
-    if image_hypersurface is not None and isinstance(source, LaurentPoly):
-        raise ValueError("a hypersurface source is its own image; supply no image hypersurface")
-    _refuse_hypersurface_declaration(source, declared_codim_gt_one)
+    conclusion that it forces, by trichotomy_conclusion.  The source is a
+    hypersurface or a prevariety system."""
     report = adelic_disjoint(adelic_amoeba(source), H, trials=trials)
-    return trichotomy_conclusion(source, H, report, image_hypersurface, declared_codim_gt_one)
+    return trichotomy_conclusion(source, H, report)
 
 
-def _refuse_hypersurface_declaration(source, declared_codim_gt_one):
-    """A hypersurface X in T^n has dimension n - 1, so its image X' in the
-    quotient by a boundary span of dimension b has dimension at least
-    n - 1 - b in T^(n - b): codim X' <= 1, and a declaration of more is
-    false."""
-    if declared_codim_gt_one and isinstance(source, LaurentPoly):
-        raise ValueError(
-            "the image of a hypersurface has codimension at most one; declare no codimension"
-        )
-
-
-def trichotomy_conclusion(
-    source, H: Halfspace, report: AdelicReport, image_hypersurface=None, declared_codim_gt_one=False
-) -> TheoremReport:
-    """The conclusion that a disjoint report of H forces: case 1 (declared,
-    for a system only), 2 (over Q(z), an image defined over the scalars) or
-    3 (over Q, a torsion binomial).  Violation is flagged when certified
+def trichotomy_conclusion(source, H: Halfspace, report: AdelicReport) -> TheoremReport:
+    """The conclusion that a disjoint report of H forces on the image X':
+    case 2 (over Q(z), an image defined over the scalars) or 3 (over Q, a
+    torsion binomial).  X' is computed only for a hypersurface and a
+    boundary-free H, where it is the source; any other disjoint report
+    raises MissingImagePresentation.  Violation is flagged when certified
     disjointness holds but no conclusion checks out, which would falsify
     the implementation.  Over Q(z) every place is decided exactly; over Q
     the grid certifies points, not the open ray, so no report over Q flags
     a violation.
     """
-    _refuse_hypersurface_declaration(source, declared_codim_gt_one)
     if report.overall != DISJOINT:
         return TheoremReport(report, None, (), False)
-    if declared_codim_gt_one:
-        return TheoremReport(
-            report, 1, ({"kind": "declared-codimension-greater-than-one"},), False
+    if not isinstance(source, LaurentPoly) or H.boundary:
+        raise MissingImagePresentation(
+            "the image in the quotient by the boundary span is computed only for a "
+            "hypersurface and a halfspace with no boundary"
         )
-    if isinstance(source, LaurentPoly):
-        if H.boundary:
-            raise MissingImagePresentation(
-                "the image of a hypersurface under a boundary quotient is not computed; "
-                "present the hypersurface as a system and supply its image"
-            )
-        image = source
-    else:
-        if image_hypersurface is None:
-            raise MissingImagePresentation(
-                "prevariety sources need the image hypersurface or a declaration"
-            )
-        image = image_hypersurface
-        if image.rank != H.codimension():
-            raise DimensionMismatch(
-                f"image hypersurface rank {image.rank} != quotient rank {H.codimension()}"
-            )
     if source.field == FIELD_QZ:
-        idx = defined_over_k_test(image)
+        idx = defined_over_k_test(source)
         if idx is not None:
             return TheoremReport(
                 report, 2, ({"kind": "defined-over-scalars", "index": idx},), False
             )
         return TheoremReport(report, None, (), True)
-    hyper = torsion_coset_test(image)
+    hyper = torsion_coset_test(source)
     if hyper is not None:
         return TheoremReport(
             report,

@@ -212,19 +212,7 @@ def _classify(ns):
     trials = _trials(ns)
     source = _source(ns)
     H = parse_halfspace(ns.halfspace, source.rank)
-    image = None
-    if ns.image_f:
-        image = parse_poly(
-            ns.image_f, rank=source.rank - len(H.boundary), field=ns.field or source.field
-        )
-    report = theorem1_report(
-        source,
-        H,
-        image_hypersurface=image,
-        declared_codim_gt_one=ns.declare_codim_gt_1,
-        trials=trials,
-    )
-    return {"report": report.to_json()}
+    return {"report": theorem1_report(source, H, trials=trials).to_json()}
 
 
 def _ekl_check(ns):
@@ -327,17 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("classify", "disjointness trichotomy report")
     halfspace_query(p)
-    p.add_argument(
-        "--image-f",
-        dest="image_f",
-        help="hypersurface of the quotient image (over --field, else the source's field)",
-    )
-    p.add_argument(
-        "--declare-codim-gt-1",
-        dest="declare_codim_gt_1",
-        action="store_true",
-        help="declare that the quotient image has codimension greater than one",
-    )
     trials(p)
 
     trials(command("ekl-check", "trichotomy on the first vertex-cone half-line found disjoint"))

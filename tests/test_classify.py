@@ -22,7 +22,6 @@ from amoebas.classify import (
     halfspace_meets_complex,
     theorem1_report,
     torsion_coset_test,
-    trichotomy_conclusion,
     uniform_minimal_vertices,
 )
 from amoebas.errors import (
@@ -732,29 +731,6 @@ class TestTheoremReport:
         assert rep.disjointness.overall == DISJOINT
         assert rep.conclusion_case == 3 and not rep.violation
 
-    def test_curve_system_case_two(self):
-        system = pair_system_qz()
-        H = Halfspace(3, (1, 1, 0), ((0, 0, 1),))
-        image = parse_poly("x1 - x2 - 1", rank=2, field=FIELD_QZ)
-        rep = theorem1_report(system, H, image_hypersurface=image)
-        assert rep.disjointness.overall == DISJOINT
-        assert rep.conclusion_case == 2 and not rep.violation
-
-    def test_image_rank_must_be_the_codimension(self):
-        # the boundary's dependent generator is dropped: codimension 2, not 1
-        system = pair_system_qz()
-        H = Halfspace(3, (1, 1, 0), ((0, 0, 1), (0, 0, 2)))
-        image = parse_poly("x1 - x2 - x3 - 1", rank=3, field=FIELD_QZ)
-        with pytest.raises(DimensionMismatch, match="quotient rank 2"):
-            theorem1_report(system, H, image_hypersurface=image)
-
-    def test_surface_system_case_one(self):
-        system = pair_system_q()
-        H = Halfspace(4, (1, 1, 1, 0), ((0, 0, 0, 1),))
-        rep = theorem1_report(system, H, declared_codim_gt_one=True)
-        assert rep.disjointness.overall == DISJOINT
-        assert rep.conclusion_case == 1 and not rep.violation
-
     def test_source_type_checked(self):
         with pytest.raises(TypeError):
             theorem1_report((1, 2), Halfspace(2, (1, 1)))
@@ -764,35 +740,6 @@ class TestTheoremReport:
         H = Halfspace(3, (1, 1, 0), ((0, 0, 1),))
         with pytest.raises(MissingImagePresentation):
             theorem1_report(system, H)
-
-    def test_image_of_hypersurface_rejected(self, monkeypatch):
-        # rejected before any amoeba is built
-        def no_build(*args):
-            raise AssertionError("amoeba built for a rejected input")
-
-        monkeypatch.setattr(classify, "adelic_amoeba", no_build)
-        f = parse_poly("x1*x2 - 1", rank=2, field=FIELD_Q)
-        with pytest.raises(ValueError):
-            theorem1_report(f, Halfspace(2, (1, 1)), image_hypersurface=parse_poly("x1+x2+5"))
-
-    @pytest.mark.parametrize("boundary", [(), ((1, -1),)], ids=["no-boundary", "boundary"])
-    def test_declaration_on_hypersurface_rejected(self, monkeypatch, boundary):
-        # the image of a hypersurface has codimension at most one, so the
-        # declaration is false: refused on a disjoint report, and by
-        # theorem1_report before any amoeba is built
-        f = parse_poly("x1*x2 - 1", rank=2, field=FIELD_Q)
-        H = Halfspace(2, (1, 1), boundary)
-        report = adelic_disjoint(adelic_amoeba(f), Halfspace(2, (1, 1)))
-        assert report.overall == DISJOINT
-        with pytest.raises(ValueError, match="codimension at most one"):
-            trichotomy_conclusion(f, H, report, declared_codim_gt_one=True)
-
-        def no_build(*args):
-            raise AssertionError("amoeba built for a rejected input")
-
-        monkeypatch.setattr(classify, "adelic_amoeba", no_build)
-        with pytest.raises(ValueError, match="codimension at most one"):
-            theorem1_report(f, H, declared_codim_gt_one=True)
 
     def test_hypersurface_with_boundary_needs_image(self):
         # every amoeba of this binomial is the hyperplane v1 + v2 = 0, so the

@@ -242,7 +242,8 @@ class TestErrorsAndDeterminism:
         assert json.loads(done.stderr)["error"]["code"] == "expansion-too-large"
 
     def test_wide_boundary_classify_in_bounded_time(self, tmp_path):
-        # in a child process, so that a quotient map that hangs fails by timeout
+        # in a child process, so that a wide-boundary scan that hangs fails by
+        # timeout; the disjoint report then needs the image, which is not computed
         path = tmp_path / "rank24.json"
         path.write_text(json.dumps(
             {"rank": 24, "field": "Q", "constraints": [{"f": "x1 + 1"}]}
@@ -250,12 +251,12 @@ class TestErrorsAndDeterminism:
         src = os.path.dirname(os.path.dirname(amoebas.__file__))
         done = subprocess.run(
             [sys.executable, "-m", "amoebas.cli", "classify", "--system", str(path),
-             "--halfspace", WIDE_HALFSPACE, "--image-f", "x1 + 1"],
+             "--halfspace", WIDE_HALFSPACE],
             capture_output=True, text=True, timeout=60,
             env={**os.environ, "PYTHONPATH": src},
         )
-        assert done.returncode == 0
-        assert json.loads(done.stdout)["report"]["conclusion_case"] == 3
+        assert done.returncode == 2 and done.stdout == ""
+        assert json.loads(done.stderr)["error"]["code"] == "missing-image-presentation"
 
     def test_corner_locus_bound_exits_2_in_bounded_time(self):
         # in a child process, so that a broken bound fails by timeout: 120
@@ -268,14 +269,6 @@ class TestErrorsAndDeterminism:
         )
         assert done.returncode == 2 and done.stdout == ""
         assert json.loads(done.stderr)["error"]["code"] == "corner-locus-too-large"
-
-    def test_image_on_hypersurface_exit_code(self, capsys):
-        code, out, err = run_cli(
-            capsys, "classify", "--f", "x1*x2-1", "--halfspace", "dir:1,1",
-            "--image-f", "x1+x2+5",
-        )
-        assert code == 2 and out == ""
-        assert json.loads(err)["error"]["code"] == "input-error"
 
     def test_reducible_place_exit_code(self, capsys):
         code, out, err = run_cli(capsys, "trop", "--f", "z*x1+1", "--place", "q:z^2-1")
@@ -408,6 +401,25 @@ class TestErrorsAndDeterminism:
             argv += ["--halfspace", "dir:1,1"]
         with pytest.raises(SystemExit) as exc:
             main(argv)
+        assert exc.value.code == 2 and capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "flags", [["--image-f", "x1 - 1"], ["--declare-codim-gt-1"]], ids=["image", "declaration"]
+    )
+    @pytest.mark.parametrize("source", ["hypersurface", "system"])
+    def test_image_and_declaration_are_no_options(self, capsys, tmp_path, flags, source):
+        # the image in the quotient by the boundary span is not computed, and
+        # the caller may not assert it: on the system {x1 - 2, x2 - 3}, whose
+        # image is the point (2, 3), these flags printed case 3 and case 1
+        argv = ["classify", "--f", "x1*x2-1", "--halfspace", "dir:1,1"]
+        if source == "system":
+            path = tmp_path / "system.json"
+            path.write_text(json.dumps(
+                {"rank": 3, "field": "Q", "constraints": [{"f": "x1 - 2"}, {"f": "x2 - 3"}]}
+            ))
+            argv = ["classify", "--system", str(path), "--halfspace", BND]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + flags)
         assert exc.value.code == 2 and capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("command", ["check-halfspace", "classify", "ekl-check"])
@@ -665,12 +677,6 @@ PINS = [
     ("check-system-out", ["check-halfspace", "--system", "{system}", "--halfspace", BND,
       "--out", "{out}"],
      0, EMPTY, EMPTY, "9704be8542628c3f"),
-    ("classify-case1", ["classify", "--system", "{system}", "--halfspace", BND,
-      "--declare-codim-gt-1"],
-     0, "282db151c8bf2705", EMPTY, None),
-    ("classify-case2", ["classify", "--system", "{system}", "--halfspace", BND,
-      "--image-f", "x1 - x2 - 1", "--field", "Q(z)"],
-     0, "d1b3ba5f9917cb05", EMPTY, None),
     ("classify-case3", ["classify", "--f", "x1*x2-1", "--halfspace", "dir:1,1"],
      0, "1dad6ec1bf291b39", EMPTY, None),
     ("classify-meets", ["classify", "--f", QZ_CURVE, "--halfspace", "dir:1,1"],
@@ -744,10 +750,7 @@ PINS = [
     ("error-dependent-direction", ["classify", "--f", "x1+x2+1", "--halfspace", "dir:1,1 bnd:2,2"],
      2, EMPTY, "33de3723c984cc14", None),
     ("error-classify-missing-image", ["classify", "--system", "{system}", "--halfspace", BND],
-     2, EMPTY, "e893a3adc24e747e", None),
-    ("error-image-and-declaration", ["classify", "--system", "{system}", "--halfspace", BND,
-      "--image-f", "x1-x2-1", "--declare-codim-gt-1"],
-     2, EMPTY, "db2cb488e8020166", None),
+     2, EMPTY, "6bf25c780f2d782a", None),
     ("error-plot-no-out", ["plot", "--f", "x1+x2+1"],
      2, EMPTY, "cc88b92e684220ab", None),
     ("error-rank", ["trop", "--f", "x1+x2", "--rank", "1"],
@@ -781,26 +784,15 @@ PINS = [
      2, EMPTY, "9c3d46db3f360894", None),
     ("error-adelic-monomial", ["adelic", "--f", "x1"],
      2, EMPTY, "ce734a95f9b6a049", None),
-    ("error-monomial-image", ["classify", "--system", "{system}", "--halfspace", BND,
-      "--image-f", "x1"],
-     2, EMPTY, "86d412ebecd7d080", None),
     ("error-halfspace-no-dir", ["check-halfspace", "--f", "x1+x2+1", "--halfspace", "bnd:1,0"],
      2, EMPTY, "9cf602bed8288a70", None),
     ("error-plot-rank-3", ["plot", "--f", "x1+x2+x3+1", "--out", "{out}"],
      2, EMPTY, "765b83e1ce497b58", None),
     ("error-scan-rank-3", ["plot", "--f", "x1+x2+x3+1", "--arch-scan", "--out", "{out}"],
      2, EMPTY, "82a4b1375d3928c1", None),
-    # the image of a hypersurface has codimension at most one, so a
-    # declaration of more is refused before any amoeba is built
-    ("error-hypersurface-declaration", ["classify", "--f", "x1*x2-1", "--halfspace", "dir:1,1",
-      "--declare-codim-gt-1"],
-     2, EMPTY, "2c120eb1feeb445e", None),
-    ("error-hypersurface-boundary-declaration", ["classify", "--f", "x1*x2-1",
-      "--halfspace", "dir:1,1 bnd:1,-1", "--declare-codim-gt-1"],
-     2, EMPTY, "2c120eb1feeb445e", None),
     ("error-hypersurface-boundary-image", ["classify", "--f", "x1*x2-1",
       "--halfspace", "dir:1,1 bnd:1,-1"],
-     2, EMPTY, "bf46aa8723c148fe", None),
+     2, EMPTY, "6bf25c780f2d782a", None),
     ("ekl-check-q", ["ekl-check", "--f", Q_CURVE],
      0, "114270e857650259", EMPTY, None),
     ("check-system-triangle", ["check-halfspace", "--system", "{triangle}", "--halfspace", "dir:1,1"],
@@ -850,6 +842,11 @@ PINS = [
       "x1^2*x2^2*x3^4 + x3^-4 + x1^-2 + x2^-2", "--rank", "3",
       "--halfspace", "dir:-460,-460,230", "--grid", "1", "--trials", "2"],
      0, "cbcf897dfa340b77", EMPTY, None),
+    # term moduli below the float range, shifted to x1^2 x2^-2 - 1: x2^-2
+    # at modulus exp(-400) divides by an x2^2 that underflowed to 0
+    ("check-f-sampler-underflow", ["check-halfspace", "--f", "x2^2 - x1^2",
+      "--halfspace", "dir:800,800", "--grid", "1", "--trials", "1"],
+     0, "69aed88d63f75862", EMPTY, None),
     ("error-huge-check-point", HUGE_POINTS[0], 2, EMPTY, "10e96d88d58c8bf1", None),
     ("error-huge-scan-point", HUGE_POINTS[1], 2, EMPTY, "10e96d88d58c8bf1", None),
 ]
@@ -898,21 +895,71 @@ def test_explicit_identity_map_keeps_bytes(capsys, tmp_path, system, place):
     assert all(code == 0 for code, _, _ in runs[0])
 
 
-@pytest.mark.parametrize(
-    "argv, code, out_sha, err_sha, file_sha", [p[1:] for p in PINS], ids=[p[0] for p in PINS]
-)
-def test_pinned_bytes(capsys, tmp_path, argv, code, out_sha, err_sha, file_sha):
+def _pin_argv(tmp_path, argv):
+    """argv with the {name} placeholders of PINS filled in, the input files
+    written under tmp_path."""
     files = {"system": json.dumps(SYSTEM_QZ), "rank4": json.dumps(RANK_4_SYSTEM), "schema": '{"rank": 2}',
              "notjson": "{", "triangle": json.dumps(TRIANGLE_SYSTEM)}
     paths = {"out": str(tmp_path / "out"), "missing": str(tmp_path / "missing.json")}
     for name, text in files.items():
         paths[name] = str(tmp_path / f"{name}.json")
         (tmp_path / f"{name}.json").write_text(text)
-    got_code, out, err = run_cli(capsys, *[a.format(**paths) for a in argv])
+    return [a.format(**paths) for a in argv]
+
+
+@pytest.mark.parametrize(
+    "argv, code, out_sha, err_sha, file_sha", [p[1:] for p in PINS], ids=[p[0] for p in PINS]
+)
+def test_pinned_bytes(capsys, tmp_path, argv, code, out_sha, err_sha, file_sha):
+    got_code, out, err = run_cli(capsys, *_pin_argv(tmp_path, argv))
     norm = lambda text: text.replace(str(tmp_path), "TMP").encode()
     written = tmp_path / "out"
     assert (got_code, _digest(norm(out)), _digest(norm(err))) == (code, out_sha, err_sha)
     assert (_digest(written.read_bytes()) if written.exists() else None) == file_sha
+
+
+def _random_hypersurface(seed):
+    """The text of a rank-2 Laurent polynomial of 2-4 terms, over Q(z) for
+    odd seeds, and a nonzero direction."""
+    rng = random.Random(seed)
+    terms = []
+    for _ in range(rng.randint(2, 4)):
+        c = rng.choice([1, -1]) * rng.randint(1, 5)
+        coeff = f"({c}*z+{rng.randint(1, 3)})" if seed % 2 else f"({c})"
+        terms.append(f"{coeff}*x1^({rng.randint(-2, 2)})*x2^({rng.randint(-2, 2)})")
+    direction = (0, 0)
+    while direction == (0, 0):
+        direction = (rng.randint(-2, 2), rng.randint(-2, 2))
+    return " + ".join(terms), "dir:%d,%d" % direction
+
+
+CLASSIFY_PINS = [p[1] for p in PINS if p[1][0] == "classify"]
+RANDOM_CLASSIFY = [
+    ["classify", "--f", f, "--halfspace", h, "--trials", "2"]
+    for f, h in map(_random_hypersurface, range(8))
+]
+
+
+# case 2: the constant's region holds the ray at every place of Q(z)
+CASE_TWO = ["classify", "--f", "x1+x2+1", "--field", "Q(z)", "--halfspace", "dir:1,1"]
+
+
+@pytest.mark.parametrize("argv", [*CLASSIFY_PINS, *RANDOM_CLASSIFY, CASE_TWO])
+def test_classify_hypothesis_is_check_halfspace_report(capsys, tmp_path, argv):
+    # classify reports check-halfspace's decision and concludes only what it
+    # computes: no case 1, and the refusal for want of an image follows a
+    # disjoint report alone
+    argv = _pin_argv(tmp_path, argv)
+    code, out, err = run_cli(capsys, *argv)
+    check = run_cli(capsys, "check-halfspace", *argv[1:])
+    if code == 2 and json.loads(err)["error"]["code"] == "missing-image-presentation":
+        assert check[0] == 0 and json.loads(check[1])["verdict"] == "disjoint"
+    elif code != 0:
+        assert check == (code, out, err)
+    else:
+        report = json.loads(out)["report"]
+        assert check[0] == 0 and report["hypothesis"] == json.loads(check[1])["report"]
+        assert report["conclusion_case"] in (None, 2, 3)
 
 
 _TOO_LARGE = "170d2b3b32f13873"  # stderr of an expansion-too-large refusal
@@ -1080,14 +1127,6 @@ class TestRejectedValues:
         assert json.loads(err)["error"]["code"] == "dimension-mismatch"
 
 
-def test_image_over_source_field(capsys, system_file):
-    argv = ["classify", "--system", system_file, "--halfspace", BND, "--image-f", "x1 - x2 - 1"]
-    code, out, _ = run_cli(capsys, *argv)
-    assert code == 0
-    assert json.loads(out)["report"]["conclusion_case"] == 2
-    assert run_cli(capsys, *argv, "--field", "Q(z)") == (0, out, "")
-
-
 @pytest.mark.parametrize(
     "exc", [AssertionError("broken"), InternalInvariantError("broken")], ids=repr
 )
@@ -1116,7 +1155,7 @@ OWN_FLAGS = {
     "adelic": POLY_FLAGS,
     "prevariety": ("--system", "--place"),
     "check-halfspace": POLY_FLAGS + QUERY_FLAGS + ("--grid",),
-    "classify": POLY_FLAGS + QUERY_FLAGS + ("--image-f", "--declare-codim-gt-1"),
+    "classify": POLY_FLAGS + QUERY_FLAGS,
     "ekl-check": POLY_FLAGS + ("--trials",),
     "product-formula": ("--a", "--field"),
     "plot": POLY_FLAGS + ("--place", "--extent", "--arch-scan", "--grid-n"),
@@ -1128,15 +1167,15 @@ FLAG_VALUES = {
     "--place": st.sampled_from(PLACE_TEXTS),
     "--halfspace": st.sampled_from(HALFSPACE_TEXTS),
     "--a": st.sampled_from(SCALAR_TEXTS),
-    "--image-f": st.sampled_from(POLY_TEXTS),
     "--trials": st.sampled_from(["1", "3", "0"]),
     "--grid": st.sampled_from(["1", "2", "0"]),
     "--grid-n": st.sampled_from(["3", "1"]),
     "--tol": st.sampled_from(["1e-9", "0.9"]),  # no command takes it
     "--seed": st.sampled_from(["0", "5"]),  # no command takes it
+    "--image-f": st.sampled_from(POLY_TEXTS),  # no command takes it
+    "--declare-codim-gt-1": st.none(),  # no command takes it
     "--extent": st.sampled_from(["2", "0", "1/2"]),
     "--system": st.just("no-such-system.json"),
-    "--declare-codim-gt-1": st.none(),
     "--arch-scan": st.none(),
 }
 
