@@ -44,7 +44,6 @@ from .scalars import (
     FinitePrime,
     FunctionFieldInfinity,
     GenericPlace,
-    Poly,
     RationalFunction,
     log_abs,
     place_from_str,

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -106,7 +105,7 @@ def halfspace_meets_complex(H: Halfspace, C: PolyhedralComplex):
     sum(lambda_a g_a) + t v turns a cell row (r, b) into ((r . g_1, ...,
     r . g_k, r . v), b), and the cell meets H exactly when t, kept >= 0, is
     unbounded or has a positive maximum (zero only touches the closed
-    boundary).  Each distinct row is mapped once per call (_in_frame), and
+    boundary).  Each distinct row is mapped once per call (mat_vec), and
     a cell becomes the Polyhedron of its mapped row keys, their ints kept,
     with t >= 0 last.  That maximum is maximize's on it, read off a line
     when the cell's equalities leave at most one free direction, with no
@@ -137,7 +136,7 @@ def halfspace_meets_complex(H: Halfspace, C: PolyhedralComplex):
         for r, num, den in rows:
             img = images.get(r)
             if img is None:
-                img = images[r] = _in_frame(r, gens)
+                img = images[r] = mat_vec(gens, r)
             out.append((img, num, den))
         return tuple(out)
 
@@ -178,11 +177,6 @@ def halfspace_meets_complex(H: Halfspace, C: PolyhedralComplex):
     return late
 
 
-def _in_frame(r, gens):
-    """The cell row r in the coordinates (lambda, t): (r . g_1, ..., r . g_k, r . v)."""
-    return tuple(sum(map(operator.mul, r, g)) for g in gens)
-
-
 # ---------------------------------------------------------------------------
 # archimedean point classification
 
@@ -218,7 +212,8 @@ INSIDE = "inside"
 class _Part:
     """A hypersurface of the source, pulled back by an integer matrix (None
     is the identity), with what no point of a scan along d changes: whether
-    the exact triangle test applies, M d and the terms minimizing <u, M d>.
+    the exact triangle test applies, the dots <u, M d> and the terms
+    minimizing them.
     tail is the t from which its tail certifies the ray, or None."""
 
     def __init__(self, poly, matrix, direction):
@@ -226,9 +221,9 @@ class _Part:
         self.triangle = poly.nterms == 3 and triangle_applicable(poly)
         self.tail = None
         if direction is not None:
-            self.pulled = direction if matrix is None else mat_vec(matrix, direction)
-            dots = [sum(a * b for a, b in zip(u, self.pulled)) for u in poly.exponents()]
-            self.minimizers = frozenset(i for i, x in enumerate(dots) if x == min(dots))
+            pulled = direction if matrix is None else mat_vec(matrix, direction)
+            self.dots = mat_vec(poly.exponents(), pulled)
+            self.minimizers = frozenset(i for i, x in enumerate(self.dots) if x == min(self.dots))
 
     def outside(self, point, t):
         """TRIANGLE or LOPSIDED when the image of point is certified outside
@@ -259,8 +254,7 @@ class _Part:
         runs only before the tail, so t is below any earlier start."""
         if k not in self.minimizers:
             return
-        dots = [sum(a * b for a, b in zip(u, self.pulled)) for u in self.poly.exponents()]
-        if signs[k] != 1 or any(dots[k] > x for x in dots):
+        if signs[k] != 1 or any(self.dots[k] > x for x in self.dots):
             raise InternalInvariantError(
                 "a tail needs a certified dominating term that minimizes <u, d>"
             )
@@ -378,10 +372,9 @@ def component_term(data: TropicalData, H: Halfspace):
     has the same <u_i, b>, and k is the one term that minimizes c_i and
     <u_i, d> together; no corner locus and no LP is needed.
     """
-    dot = lambda u, g: sum(map(operator.mul, u, g))
-    if any(len({dot(u, b) for u in data.exponents}) > 1 for b in H.boundary):
+    if any(len(set(mat_vec(data.exponents, b))) > 1 for b in H.boundary):
         return None
-    keys = [(c, dot(u, H.direction)) for u, c in zip(data.exponents, data.shifts)]
+    keys = list(zip(data.shifts, mat_vec(data.exponents, H.direction)))
     k = min(range(len(keys)), key=keys.__getitem__)
     if keys.count(keys[k]) == 1 and all(t >= keys[k][1] for _, t in keys):
         return k

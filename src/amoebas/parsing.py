@@ -22,7 +22,7 @@ import math
 from fractions import Fraction
 
 from .errors import ExpansionTooLarge, PolySyntaxError, RankMismatch, RankTooLarge
-from .scalars import FIELD_Q, FIELD_QZ, Poly, RationalFunction
+from .scalars import FIELD_Q, FIELD_QZ, RationalFunction
 
 # Largest rank (and variable index) accepted: exponent tuples have this many
 # entries, so text like 'x99999999999' is rejected before any is built.
@@ -378,9 +378,9 @@ def parse_scalar(text, field):
     return terms[()]
 
 
-def parse_poly_z(text) -> Poly:
-    """A plain polynomial in z (denominator-free), for place strings."""
-    num, den = parse_scalar(text, FIELD_QZ).view()
-    if den.degree:
+def parse_poly_z(text) -> RationalFunction:
+    """A plain polynomial in z (den of length 1), for place strings."""
+    f = parse_scalar(text, FIELD_QZ)
+    if len(f.den) > 1:
         raise PolySyntaxError(f"{text!r} is not a polynomial in z", 0)
-    return num
+    return f

@@ -6,9 +6,9 @@ dense order, and their arithmetic is sympy's dense arithmetic over ZZ
 (imported on first use: sympy is slow to load) followed by one cancel,
 except with a constant operand, which only scales by integers, and in a
 sum, difference or product of two polynomials, whose integer result needs
-no cancel.  ``Poly``, a dense
-polynomial over Q with no arithmetic, is the value type of the places and of
-printed coefficients, which show a monic denominator.  Places of Q
+no cancel.  A polynomial is a rational function whose den has length 1; a
+monic one has a primitive num.  Coefficients print over the leading
+coefficient of den, so the printed denominator is monic.  Places of Q
 are the primes and the archimedean absolute value.  Places of Q(z) are the
 monic irreducible polynomials and the degree place at infinity; the place at a
 monic irreducible q carries weight deg(q) and infinity weight 1, which makes
@@ -39,85 +39,8 @@ FIELD_QZ = "Q(z)"
 
 
 # ---------------------------------------------------------------------------
-# polynomials over Q (places and printing) and rational functions over Q
-# (arithmetic, on sympy's dense integer polynomials)
-
-
-class Poly:
-    """Dense univariate polynomial over Q in the variable z: the value type
-    of the places q and of printed coefficients; it does no arithmetic.
-
-    Coefficients are stored low degree first with trailing zeros trimmed, so
-    equal polynomials have equal tuples.
-    """
-
-    __slots__ = ("coeffs", "_hash")
-
-    def __init__(self, coeffs=()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @property
-    def degree(self):
-        """Degree, with deg 0 = -1 by convention."""
-        return len(self.coeffs) - 1
-
-    @property
-    def leading(self):
-        if not self.coeffs:
-            raise ZeroInput("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def __eq__(self, other):
-        if isinstance(other, Poly):
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self):
-        # computed on first use: a Fraction's hash takes a modular inverse,
-        # and places of Q(z) are looked up by their Poly
-        try:
-            return self._hash
-        except AttributeError:
-            self._hash = hash(("Poly", self.coeffs))
-            return self._hash
-
-    def monic(self):
-        if not self.coeffs:
-            return self
-        lead = self.leading
-        return Poly(c / lead for c in self.coeffs)
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for e in range(self.degree, -1, -1):
-            c = self.coeffs[e]
-            if c == 0:
-                continue
-            if e == 0:
-                body = str(abs(c))
-            else:
-                zpart = "z" if e == 1 else f"z^{e}"
-                body = zpart if abs(c) == 1 else f"{abs(c)}*{zpart}"
-            if not parts:
-                parts.append(body if c > 0 else "-" + body)
-            else:
-                parts.append(("+" if c > 0 else "-") + body)
-        return "".join(parts)
-
-    def __repr__(self):
-        return f"Poly({self})"
-
-
-def _integer_coeffs(f: Poly) -> list[int]:
-    """f with its denominators cleared, high degree first (sympy's dense
-    order); primitive when f is monic."""
-    den = math.lcm(*(c.denominator for c in f.coeffs))
-    return [c.numerator * (den // c.denominator) for c in reversed(f.coeffs)]
+# rational functions over Q, on sympy's dense integer polynomials; a
+# polynomial is one whose den has length 1
 
 
 class RationalFunction:
@@ -163,11 +86,11 @@ class RationalFunction:
     def is_constant(self):
         return len(self.num) <= 1 and len(self.den) == 1
 
-    def view(self) -> tuple[Poly, Poly]:
-        """(numerator, denominator) over Q with the denominator monic: the
-        form that is printed and whose sizes the parser bounds."""
-        lead = self.den[0]
-        return tuple(Poly(Fraction(c, lead) for c in reversed(p)) for p in (self.num, self.den))
+    def monic(self):
+        """self over the leading coefficient of num over that of den, or
+        zero.  A monic polynomial is its primitive integer num over
+        (num[0],): the form of the places q and of the factors."""
+        return self / Fraction(self.num[0], self.den[0]) if self.num else self
 
     def __bool__(self):
         return not self.is_zero()
@@ -238,13 +161,34 @@ class RationalFunction:
         return _as_ratfunc(other) / self
 
     def __str__(self):
-        num, den = self.view()
-        if den.degree == 0:
-            return str(num)
-        return f"({num})/({den})"
+        """num and den over den's leading coefficient, so that the printed
+        denominator is monic."""
+        lead = self.den[0]
+        if len(self.den) == 1:
+            return _dense_str(self.num, lead)
+        return f"({_dense_str(self.num, lead)})/({_dense_str(self.den, lead)})"
 
     def __repr__(self):
         return f"RationalFunction({self})"
+
+
+def _dense_str(ints, lead):
+    """The polynomial with coefficients ints / lead (high degree first,
+    lead > 0) as text: terms from the top degree down, zero terms left out,
+    each coefficient a reduced fraction, left out where it is 1 before a
+    power of z."""
+    parts = []
+    for e, x in zip(range(len(ints) - 1, -1, -1), ints):
+        if not x:
+            continue
+        c = abs(Fraction(x, lead))
+        if e == 0:
+            body = str(c)
+        else:
+            zpart = "z" if e == 1 else f"z^{e}"
+            body = zpart if c == 1 else f"{c}*{zpart}"
+        parts.append(("-" if x < 0 else "+" if parts else "") + body)
+    return "".join(parts) or "0"
 
 
 def _scale(f, g):
@@ -444,9 +388,10 @@ def _proved_irreducible(f) -> bool:
     return 1 < tail < FACTOR_LIMIT and any(g[-1] % (p * p) for p in factor_int(tail))
 
 
-def _factor_list(f) -> dict[Poly, int]:
+def _factor_list(f) -> dict[RationalFunction, int]:
     """{monic irreducible factor over Q: multiplicity} of the integer
-    polynomial f (high degree first) of degree at least 1, sorted.
+    polynomial f (high degree first) of degree at least 1, sorted by degree,
+    then by the monic coefficients from the constant term up.
 
     When ``_proved_irreducible`` proves f irreducible (a linear factor, a
     quadratic with a non-square discriminant, or an Eisenstein polynomial)
@@ -454,45 +399,46 @@ def _factor_list(f) -> dict[Poly, int]:
     ``dup_factor_list`` (Zassenhaus: modular factoring and Hensel lifting),
     which gives the same answer on those."""
     if _proved_irreducible(f):
-        return {Poly(reversed(f)).monic(): 1}
+        return {RationalFunction.canonical(tuple(f), (1,)).monic(): 1}
     from sympy.polys.domains import ZZ
     from sympy.polys.factortools import dup_factor_list
 
     _, factors = dup_factor_list(list(f), ZZ)
     out = {}
     for fac, mult in factors:
-        q = Poly(int(c) for c in reversed(fac)).monic()
+        q = RationalFunction.canonical(tuple(map(int, fac)), (1,)).monic()
         out[q] = out.get(q, 0) + mult
-    return dict(sorted(out.items(), key=lambda item: (item[0].degree, item[0].coeffs)))
+    key = lambda item: (len(item[0].num), [Fraction(c, item[0].den[0]) for c in item[0].num[::-1]])
+    return dict(sorted(out.items(), key=key))
 
 
-def irreducible_factors(f: Poly) -> tuple[Poly, ...]:
-    """Distinct monic irreducible factors of f over Q, sorted."""
-    if not f.coeffs:
+def irreducible_factors(f: RationalFunction) -> tuple[RationalFunction, ...]:
+    """Distinct monic irreducible factors of the polynomial f over Q, sorted."""
+    if not f:
         raise ZeroInput("zero polynomial")
-    if f.degree <= 0:
+    if len(f.num) <= 1:
         return ()
-    return tuple(_factor_list(_integer_coeffs(f)))
+    return tuple(_factor_list(f.num))
 
 
-def is_irreducible(q: Poly) -> bool:
-    if q.degree < 1:
+def is_irreducible(q: RationalFunction) -> bool:
+    if len(q.num) <= 1:
         return False
     facs = irreducible_factors(q)
     return len(facs) == 1 and facs[0] == q.monic()
 
 
-def ord_at(f, q: Poly) -> int:
+def ord_at(f, q: RationalFunction) -> int:
     """Multiplicity of the monic irreducible q in the nonzero integer
     polynomial f (dense, high degree first).  By Gauss's lemma a primitive
     polynomial divides f over Q exactly when it does over Z, so f is divided
-    by the primitive integer form of q over ZZ."""
+    by q.num, the primitive integer form of q, over ZZ."""
     if not f:
         raise ZeroInput("zero polynomial")
     from sympy.polys.densearith import dup_div
     from sympy.polys.domains import ZZ
 
-    p = _integer_coeffs(q)
+    p = list(q.num)
     f = list(f)
     count = 0
     while len(f) >= len(p):
@@ -529,10 +475,13 @@ class ArchimedeanQ:
 
 @dataclass(frozen=True)
 class FiniteIrreducible:
-    q: Poly
+    """The place of a monic irreducible polynomial q, a RationalFunction
+    whose den has length 1."""
+
+    q: RationalFunction
 
     def __post_init__(self):
-        if not self.q.coeffs or self.q.leading != 1:
+        if len(self.q.den) > 1 or not self.q or self.q.num[0] != self.q.den[0]:
             raise InvalidPlace(f"{self.q} is not monic")
         if not is_irreducible(self.q):
             raise InvalidPlace(f"{self.q} is not irreducible over Q")
@@ -632,7 +581,7 @@ def place_weight(place):
     if isinstance(place, FinitePrime):
         return math.log(place.p)
     if isinstance(place, FiniteIrreducible):
-        return place.q.degree
+        return len(place.q.num) - 1
     if isinstance(place, FunctionFieldInfinity):
         return 1
     raise PlaceFieldMismatch(f"{place_to_str(place)} has no finite-place weight")

@@ -90,7 +90,6 @@ from amoebas.scalars import (
     GENERIC,
     FiniteIrreducible,
     FinitePrime,
-    Poly,
     RationalFunction,
     _factored,
     field_of,
@@ -146,7 +145,7 @@ RANK_4_SYSTEM = {
 
 
 # the place z of Q(z)
-Z = Poly((0, 1))
+Z = RationalFunction((1, 0))
 
 
 def scale(f, c):
@@ -1122,22 +1121,61 @@ def reference_point_kind(f, v):
 
 
 def reference_poly_rem(a, b):
-    """a mod b for Polys, by long division on Fraction coefficients."""
-    rem = list(a.coeffs)
-    while len(rem) >= len(b.coeffs):
-        f, k = rem[-1] / b.coeffs[-1], len(rem) - len(b.coeffs)
-        for i, c in enumerate(b.coeffs):
+    """a mod b for coefficient lists over Q, low degree first, each with a
+    nonzero last entry, by long division on Fractions; trailing zeros
+    trimmed."""
+    rem = [Fraction(c) for c in a]
+    while len(rem) >= len(b):
+        f, k = rem[-1] / b[-1], len(rem) - len(b)
+        for i, c in enumerate(b):
             rem[k + i] -= f * c
         while rem and rem[-1] == 0:
             rem.pop()
-    return Poly(rem)
+    return rem
 
 
 def reference_poly_gcd(a, b):
-    """Monic gcd by the Euclidean algorithm on Fraction coefficients."""
-    while b.coeffs:
+    """Monic gcd of two coefficient lists over Q, low degree first, each
+    with a nonzero last entry, by the Euclidean algorithm on Fractions."""
+    while b:
         a, b = b, reference_poly_rem(a, b)
-    return a.monic()
+    return [c / a[-1] for c in a]
+
+
+def reference_dense_str(coeffs):
+    """A polynomial over Q as text, from its Fraction coefficients low
+    degree first: terms from the top degree down, zero terms left out, the
+    first signed only when negative, |c| as str(Fraction), and a
+    coefficient 1 left out before a power of z."""
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    if not coeffs:
+        return "0"
+    parts = []
+    for e in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[e]
+        if c == 0:
+            continue
+        if e == 0:
+            body = str(abs(c))
+        else:
+            zpart = "z" if e == 1 else f"z^{e}"
+            body = zpart if abs(c) == 1 else f"{abs(c)}*{zpart}"
+        if not parts:
+            parts.append(body if c > 0 else "-" + body)
+        else:
+            parts.append(("+" if c > 0 else "-") + body)
+    return "".join(parts)
+
+
+def reference_ratfunc_str(r):
+    """str of a RationalFunction: num and den over Fractions with den made
+    monic, the bare numerator when den is a constant."""
+    num, den = ([Fraction(c, r.den[0]) for c in reversed(p)] for p in (r.num, r.den))
+    if len(den) == 1:
+        return reference_dense_str(num)
+    return f"({reference_dense_str(num)})/({reference_dense_str(den)})"
 
 
 def outcome(fn, *args, **kwargs):
@@ -1433,9 +1471,10 @@ def reference_factor_list(f):
 
     out = {}
     for fac, mult in dup_factor_list(list(f), ZZ)[1]:
-        q = Poly(int(c) for c in reversed(fac)).monic()
+        q = RationalFunction([int(c) for c in fac], [int(fac[0])])
         out[q] = out.get(q, 0) + mult
-    return dict(sorted(out.items(), key=lambda item: (item[0].degree, item[0].coeffs)))
+    monic = lambda q: [Fraction(c, q.den[0]) for c in reversed(q.num)]
+    return dict(sorted(out.items(), key=lambda item: (len(item[0].num), monic(item[0]))))
 
 
 def reference_support_places(values):
@@ -1458,7 +1497,7 @@ def reference_support_places(values):
             if a.is_zero():
                 raise ZeroInput("support of zero is undefined")
             for poly in (a.num, a.den):
-                for q in irreducible_factors(Poly(reversed(poly))):
+                for q in irreducible_factors(RationalFunction(poly)):
                     out.add(_factored(FiniteIrreducible, "q", q))
             if valuation(a, FF_INFINITY) != 0:
                 out.add(FF_INFINITY)
@@ -1480,9 +1519,9 @@ def reference_product_formula_residual(a):
         total = valuation(a, FF_INFINITY)
         seen = set()
         for poly in (a.num, a.den):
-            for q in irreducible_factors(Poly(reversed(poly))):
+            for q in irreducible_factors(RationalFunction(poly)):
                 if q not in seen:
                     seen.add(q)
-                    total += q.degree * valuation(a, _factored(FiniteIrreducible, "q", q))
+                    total += (len(q.num) - 1) * valuation(a, _factored(FiniteIrreducible, "q", q))
         return total
     raise TypeError(f"not a scalar: {a!r}")

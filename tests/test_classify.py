@@ -231,8 +231,8 @@ class TestHalfspaceMeetsComplex:
         rows = [r for c in C.cells for r, _ in (*c.polyhedron.equalities, *c.polyhedron.inequalities)]
         assert (len(C.cells), len(rows), len(set(rows))) == (7, 16, 8)
         mapped, built = [], []
-        image = classify._in_frame
-        monkeypatch.setattr(classify, "_in_frame", lambda r, gens: mapped.append(r) or image(r, gens))
+        image = classify.mat_vec
+        monkeypatch.setattr(classify, "mat_vec", lambda gens, r: mapped.append(r) or image(gens, r))
         for module in (polyhedral, classify):
             for name in ("polyhedron", "lp_solve"):
                 monkeypatch.setattr(module, name, lambda *args: built.append(args))

@@ -102,14 +102,15 @@ class TestParse:
     @given(st.integers(0, 2**32), st.integers(1, 4))
     def test_size_reads_the_monic_view(self, seed, count):
         # the bound's (z-degree, bits) read off the integer pair equals the
-        # reading of the printed view: numerator and monic denominator over Q
+        # reading of numerator and monic denominator over Q, each integer
+        # coefficient over den's leading one as a Fraction
         rng = random.Random(seed)
         coeffs = [rand_ratfunc(rng, 3) * rand_fraction(rng, 999, 99) for _ in range(count)]
         coeffs += [rand_fraction(rng, 10**6, 10**4) for _ in range(rng.randint(0, 2))]
-        views = [c.view() for c in coeffs if isinstance(c, RationalFunction)]
+        rats = [c for c in coeffs if isinstance(c, RationalFunction)]
         fracs = [c for c in coeffs if not isinstance(c, RationalFunction)]
-        fracs += [x for v in views for p in v for x in p.coeffs]
-        degree = max((p.degree for v in views for p in v), default=0)
+        fracs += [Fraction(x, r.den[0]) for r in rats for x in r.num + r.den]
+        degree = max((len(p) - 1 for r in rats for p in (r.num, r.den)), default=0)
         bits = max(max(x.numerator.bit_length(), x.denominator.bit_length()) for x in fracs)
         terms = {(k,): c for k, c in enumerate(coeffs)}
         assert parsing._size(terms) == (degree, bits)
@@ -219,9 +220,9 @@ class TestScale:
         f = parse_poly("z*x1 + z*x2 + 2*z", rank=2, field=FIELD_QZ)
         g = scale(f, RationalFunction.const(1) / f.terms[0][1])
         assert g.terms[0][1] == RationalFunction.const(1)
-        from amoebas.scalars import FiniteIrreducible, Poly
+        from amoebas.scalars import FiniteIrreducible
 
-        places = [GENERIC, FiniteIrreducible(Z), FiniteIrreducible(Poly((-1, 1)))]
+        places = [GENERIC, FiniteIrreducible(Z), FiniteIrreducible(RationalFunction((1, -1)))]
         for p in places:
             assert complexes_equal(trop_hypersurface(f, p), trop_hypersurface(g, p))
 

@@ -28,7 +28,6 @@ from amoebas.scalars import (
     FIELD_QZ,
     FiniteIrreducible,
     FinitePrime,
-    Poly,
     RationalFunction,
     factor_int,
     irreducible_factors,
@@ -41,7 +40,7 @@ from amoebas.scalars import (
     valuations,
 )
 
-from amoebas.parsing import parse_scalar
+from amoebas.parsing import parse_poly_z, parse_scalar
 
 from conftest import (
     Z,
@@ -51,7 +50,9 @@ from conftest import (
     reference_factor_list,
     reference_poly_gcd,
     reference_poly_rem,
+    reference_dense_str,
     reference_product_formula_residual,
+    reference_ratfunc_str,
     reference_support_places,
 )
 
@@ -71,7 +72,7 @@ def poly_product(*factors):
     out = RationalFunction.const(1)
     for f in factors:
         out = out * rf(f)
-    return Poly(reversed(out.num))
+    return out
 
 
 def convolve(f, g):
@@ -122,30 +123,21 @@ def factoring_inputs(draw):
     return [content * c for c in g]
 
 
-def value(p, x):
-    """A Poly at the rational x."""
-    return sum(c * x**i for i, c in enumerate(p.coeffs))
+def value(ints, x):
+    """The integer polynomial ints (high degree first) at the rational x."""
+    out = 0
+    for c in ints:
+        out = out * x + c
+    return out
 
 
 def assert_canonical(r):
     """Coprime in Z[z] (content included), with a positive leading
-    coefficient in the denominator, which is monic in the printed view."""
-    num, den = (Poly(reversed(p)) for p in (r.num, r.den))
+    coefficient in the denominator."""
     assert all(type(c) is int for c in r.num + r.den)
-    assert r.den[0] > 0 and r.view()[1].leading == 1
+    assert r.den[0] > 0
     assert math.gcd(*r.num, *r.den) == 1
-    assert reference_poly_gcd(num, den) == Poly((1,))
-
-
-class TestPoly:
-    def test_str_roundtrip_examples(self):
-        assert str(Poly((-1, 0, 1))) == "z^2-1"
-        assert str(Poly((Fraction(1, 2), 2))) == "2*z+1/2"
-        assert str(Poly(())) == "0"
-
-    def test_gcd_reduction_in_ratfunc(self):
-        a = rf((-1, 0, 1), (-1, 1))  # (z^2-1)/(z-1)
-        assert a == rf((1, 1))
+    assert reference_poly_gcd(r.num[::-1], r.den[::-1]) == [1]
 
 
 class TestValuation:
@@ -177,7 +169,7 @@ class TestValuation:
             a, b = rand_fraction(rng), rand_fraction(rng)
             p = FinitePrime(rng.choice([2, 3, 5, 7]))
             assert valuation(a * b, p) == valuation(a, p) + valuation(b, p)
-        places = [FiniteIrreducible(Z), FiniteIrreducible(Poly((-1, 1))), FF_INFINITY]
+        places = [FiniteIrreducible(Z), FiniteIrreducible(rf((-1, 1))), FF_INFINITY]
         for _ in range(500):
             a, b = rand_ratfunc(rng), rand_ratfunc(rng)
             p = rng.choice(places)
@@ -193,7 +185,7 @@ class TestLogAbs:
 
     def test_simple_zero_weight(self):
         a = rf((1, 0, -1), (0, 1))  # (1 - z^2)/z; zero at z=1 has degree-1 weight
-        assert log_abs(a, FiniteIrreducible(Poly((-1, 1)))) == pytest.approx(1.0)
+        assert log_abs(a, FiniteIrreducible(rf((-1, 1)))) == pytest.approx(1.0)
 
     def test_zero_off_support(self, rng):
         for _ in range(50):
@@ -375,21 +367,21 @@ class TestFactorization:
         f = poly_product(*parts)
         facs = irreducible_factors(f)
         for q in facs:
-            assert q.leading == 1 and is_irreducible(q)
-            assert not reference_poly_rem(f, q).coeffs
+            assert q.den == (q.num[0],) and is_irreducible(q)
+            assert not reference_poly_rem(f.num[::-1], q.num[::-1])
         # a rational root of a monic integer polynomial is an integer, and
         # at most 1 + max |coefficient| in absolute value
-        bound = 1 + int(max(abs(c) for c in f.coeffs))
+        bound = 1 + max(abs(c) for c in f.num)
         for r in range(-bound, bound + 1):
-            if value(f, r) == 0:
-                assert any(value(q, r) == 0 for q in facs)
+            if value(f.num, r) == 0:
+                assert any(value(q.num, r) == 0 for q in facs)
 
     @settings(max_examples=300, deadline=None)
     @given(factoring_inputs())
     def test_factor_list_agrees_with_zassenhaus(self, f):
         expected = reference_factor_list(f)
         assert scalars._factor_list(f) == expected
-        q = Poly(reversed(f))
+        q = RationalFunction(f)
         assert is_irreducible(q) == (list(expected) == [q.monic()])
 
     @pytest.mark.parametrize("f, zassenhaus", [
@@ -413,20 +405,20 @@ class TestFactorization:
         assert len(calls) == zassenhaus
 
     def test_quadratic_irreducible(self):
-        assert irreducible_factors(Poly((1, 0, 1))) == (Poly((1, 0, 1)),)
+        assert irreducible_factors(rf((1, 0, 1))) == (rf((1, 0, 1)),)
 
     def test_splits_and_strips_multiplicity(self):
         f = poly_product((-1, 1), (-1, 1), (0, 1), (1, 0, 1))
-        assert set(irreducible_factors(f)) == {Poly((0, 1)), Poly((-1, 1)), Poly((1, 0, 1))}
+        assert set(irreducible_factors(f)) == {rf((0, 1)), rf((-1, 1)), rf((1, 0, 1))}
 
     def test_quartic_fallback(self):
         f = poly_product((1, 0, 1), (2, 0, 1))  # two irreducible quadratics
-        assert set(irreducible_factors(f)) == {Poly((1, 0, 1)), Poly((2, 0, 1))}
+        assert set(irreducible_factors(f)) == {rf((1, 0, 1)), rf((2, 0, 1))}
 
     def test_rational_coefficients(self):
-        # 6 (z - 1/2)(z + 2/3): the integer form is cleared of denominators
-        f = Poly((Fraction(-1, 3), Fraction(1, 6), 1))
-        assert irreducible_factors(f) == (Poly((Fraction(-1, 2), 1)), Poly((Fraction(2, 3), 1)))
+        # (z - 1/2)(z + 2/3) = (6z^2 + z - 2) / 6: the factors are monic over Q
+        f = rf((-2, 1, 6), (6,))
+        assert irreducible_factors(f) == (rf((-1, 2), (2,)), rf((2, 3), (3,)))
 
 
 _INT_POLYS = st.lists(st.integers(-6, 6), max_size=4)  # lowest coefficient first
@@ -455,8 +447,8 @@ class TestRationalFunction:
         rng = random.Random(seed)
         a, b = rand_ratfunc(rng, 3), rand_ratfunc(rng, 3)
         op = _OPS[k]
-        at = lambda r: value(r.view()[0], z0) / value(r.view()[1], z0)
-        assume(value(a.view()[1], z0) and value(b.view()[1], z0))
+        at = lambda r: value(r.num, z0) / value(r.den, z0)
+        assume(value(a.den, z0) and value(b.den, z0))
         assume(op is not operator.truediv or at(b))
         c = op(a, b)
         assert_canonical(c)
@@ -476,7 +468,7 @@ class TestRationalFunction:
         assume(op is not operator.truediv or y)
         c = op(a, b)
         assert_canonical(c)
-        assert value(c.view()[0], z0) / value(c.view()[1], z0) == op(x, y)
+        assert value(c.num, z0) / value(c.den, z0) == op(x, y)
 
     @settings(max_examples=300)
     @given(_INT_POLYS, _INT_POLYS.filter(any), st.integers(-10**6, 10**6), st.integers(1, 10**6),
@@ -535,6 +527,10 @@ class TestRationalFunction:
             rf((1, 2), (0,))
         with pytest.raises(ZeroDivisionError):
             rf((1, 2)) / zero
+
+    def test_gcd_reduction_in_ratfunc(self):
+        a = rf((-1, 0, 1), (-1, 1))  # (z^2-1)/(z-1)
+        assert a == rf((1, 1))
 
     def test_printed_view_is_monic(self):
         r = rf((-1, 0, 6), (0, -4))  # (6z^2 - 1)/(-4z)
@@ -597,7 +593,7 @@ class TestPlaces:
 
     def test_irreducible_validation(self):
         with pytest.raises(InvalidPlace):
-            FiniteIrreducible(Poly((-1, 0, 1)))  # z^2 - 1 splits
+            FiniteIrreducible(rf((-1, 0, 1)))  # z^2 - 1 splits
 
     def test_factor_places_are_not_factored_again(self, monkeypatch):
         checked = []
@@ -608,7 +604,7 @@ class TestPlaces:
         assert product_formula_residual(a) == 0
         assert checked == []
         assert places == {
-            FiniteIrreducible(q) for q in (Z, Poly((-1, 1)), Poly((1, 1)), Poly((1, 0, 1)))
+            FiniteIrreducible(q) for q in (Z, rf((-1, 1)), rf((1, 1)), rf((1, 0, 1)))
         } | {FF_INFINITY}
         assert checked  # places built from outside are still checked
 
@@ -664,3 +660,43 @@ class TestPlaceWalkAgainstReference:
         # last bits of the residual
         a = Fraction(-360, 7007)
         assert product_formula_residual(a) == reference_product_formula_residual(a) != 0
+
+
+class TestPrinting:
+    """str of a RationalFunction and the names of the places of Q(z), on
+    examples and against printers that read Fraction coefficients."""
+
+    def test_str_roundtrip_examples(self):
+        assert str(rf((-1, 0, 1))) == "z^2-1"
+        assert str(rf((1, 4), (2,))) == "2*z+1/2"
+        assert str(RationalFunction.const(0)) == "0"
+
+    @settings(max_examples=300)
+    @given(RATFUNCS)
+    def test_str(self, a):
+        assert str(a) == reference_ratfunc_str(a)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(RATFUNCS, max_size=3))
+    def test_place_names_round_trip(self, values):
+        assume(all(values))
+        for v in valuations(values):
+            for place in v:
+                back = place_from_str(place_to_str(place))
+                assert back == place and hash(back) == hash(place)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_TEXT_COEFFS)
+    def test_monic_names_the_place(self, cs):
+        # the name q:t of a polynomial text t is q: and the text of
+        # parse_poly_z(t).monic(), its coefficients over the top one
+        while not cs[-1]:
+            cs = cs[:-1]
+        text = " + ".join(f"({c})*z^{i}" for i, c in enumerate(cs))
+        name = str(parse_poly_z(text).monic())
+        assert name == reference_dense_str(c / cs[-1] for c in cs)
+        if is_irreducible(parse_poly_z(text)):
+            assert place_to_str(place_from_str("q:" + text)) == "q:" + name
+        else:
+            with pytest.raises(InvalidPlace, match="not irreducible"):
+                place_from_str("q:" + text)
