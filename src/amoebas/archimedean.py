@@ -31,8 +31,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-import numpy as np
-
 from .errors import (
     DegenerateSlice,
     ExponentSpreadTooLarge,
@@ -308,6 +306,8 @@ def _nonzero_roots(rows):
     row whose companion matrix is not finite raises OverflowError when it
     is reached, where np.roots would refuse it.
     """
+    import numpy as np
+
     roots = [None] * len(rows)
     groups = {}
     for i, row in enumerate(rows):

@@ -8,13 +8,12 @@ adelic amoeba keeps decides the place before any cell is read.  A place it
 finds met is scanned for its witness, which the scan must then find (an
 InternalInvariantError otherwise).  That scan, and a system's places, decide
 disjointness from a complex exactly cell by cell, on a line or by LP (the
-open end is honored: touching at t = 0 counts as disjoint).  Each distinct
-cell row is mapped into the halfspace's coordinates once per scan, and a
-cell is decided on the integer key of its mapped rows, so that only its
-maximum and a returned witness become Fractions.  A meeting cell's witness
-is read off that line when it is the only choice, checked on ints, so any
-correct method prints it; an LP's vertex is printed only where the choice
-is not unique.
+open end is honored: touching at t = 0 counts as disjoint).  Each cell row
+is mapped into the halfspace's coordinates, and a cell is decided on the
+integer key of its mapped rows, so that only its maximum and a returned
+witness become Fractions.  A meeting cell's witness is read off that line
+when it is the only choice, checked on ints, so any correct method prints
+it; an LP's vertex is printed only where the choice is not unique.
 The archimedean place is scanned at the grid points t d of the ray,
 t = 1/2, 1, ..., count/2: once a term k that minimizes <u_k, d> dominates
 at t0, every later grid point is certified outside from that tail, with no
@@ -105,11 +104,11 @@ def halfspace_meets_complex(H: Halfspace, C: PolyhedralComplex):
     sum(lambda_a g_a) + t v turns a cell row (r, b) into ((r . g_1, ...,
     r . g_k, r . v), b), and the cell meets H exactly when t, kept >= 0, is
     unbounded or has a positive maximum (zero only touches the closed
-    boundary).  Each distinct row is mapped once per call (mat_vec), and
-    a cell becomes the Polyhedron of its mapped row keys, their ints kept,
-    with t >= 0 last.  That maximum is maximize's on it, read off a line
-    when the cell's equalities leave at most one free direction, with no
-    Fraction but the maximum.  The same line pass gives the witness of a
+    boundary).  Each row is mapped by mat_vec, and a cell becomes the
+    Polyhedron of its mapped row keys, their ints kept, with t >= 0 last.
+    That maximum is maximize's on it, read off a line when the cell's
+    equalities leave at most one free direction, with no Fraction but the
+    maximum.  The same line pass gives the witness of a
     meeting cell where it is unique, as ints over one denominator: the one
     maximizer of a finite t, or the one point at t = 1 of an unbounded t.  It is checked exactly on those ints (in the cell, t
     equal to the maximum or at least 1), and every correct method prints
@@ -129,16 +128,7 @@ def halfspace_meets_complex(H: Halfspace, C: PolyhedralComplex):
     k = len(H.boundary)
     total = n + k + 1
     gens = (*H.boundary, H.direction)
-    images = {}
-
-    def keys(rows):
-        out = []
-        for r, num, den in rows:
-            img = images.get(r)
-            if img is None:
-                img = images[r] = mat_vec(gens, r)
-            out.append((img, num, den))
-        return tuple(out)
+    keys = lambda rows: tuple((mat_vec(gens, r), num, den) for r, num, den in rows)
 
     tpos = ((0,) * k + (-1,), 0, 1)
     obj = [0] * (n + k) + [1]

@@ -170,11 +170,6 @@ class _Terms:
         # each product coefficient is a sum of at most this many products
         parts = pairs * (min(d1, d2) + 1)
         _check_product_size(d1 + d2, b1 + b2 + parts.bit_length())
-        if pairs == 1:
-            (e1, c1), (e2, c2) = self.single_term(), other.single_term()
-            c = c1 * c2
-            out = {tuple(a + b for a, b in zip(e1, e2)): c} if c != 0 else {}
-            return _Terms(self.rank, self.field, out)
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():

@@ -413,9 +413,12 @@ def _factor_list(f) -> dict[RationalFunction, int]:
 
 
 def irreducible_factors(f: RationalFunction) -> tuple[RationalFunction, ...]:
-    """Distinct monic irreducible factors of the polynomial f over Q, sorted."""
+    """Distinct monic irreducible factors of the polynomial f over Q, sorted;
+    a RationalFunction whose den has length > 1 raises ValueError."""
     if not f:
         raise ZeroInput("zero polynomial")
+    if len(f.den) > 1:
+        raise ValueError(f"{f} is not a polynomial")
     if len(f.num) <= 1:
         return ()
     return tuple(_factor_list(f.num))

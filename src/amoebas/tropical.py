@@ -11,9 +11,8 @@ bounded (MAX_CORNER_OPS per locus, MAX_AMOEBA_OPS over the loci of one
 adelic amoeba).  The loci of one polynomial at all its places are
 subdivisions of the same exponents, so what the lifts do not change is
 found once per support (_support) and shared: each (d+1)-subset's
-elimination, the pair rows, the multiplicities, and each maximal cell's
-edges and 2-faces with the budget charges that found them.  A place's scan
-skips the subsets inside a cell it has already found.  Everything downstream
+elimination, the pair rows and the multiplicities.  A place's scan skips
+the subsets inside a cell it has already found.  Everything downstream
 (pullback, prevariety intersection) is exact polyhedral computation, on a
 PrevarietySystem whose shapes and term counts were checked when built.
 One adelic_amoeba assembles a hypersurface and a prevariety system alike:
@@ -154,9 +153,7 @@ class _Support:
     once: the pivot coordinates of the exponents' differences and the
     points p_i on them (also as coordinate columns), the table of
     (d+1)-subsets (built only after the scan is charged), and memos of the
-    primitive pair rows, of the segment multiplicities of ties and of the
-    edges and 2-faces of each maximal cell with the charges that found
-    them."""
+    primitive pair rows and of the segment multiplicities of ties."""
 
     def __init__(self, exponents, rank):
         self.exponents = exponents
@@ -164,7 +161,7 @@ class _Support:
         self.d = len(self.pivots)
         self.points = [tuple(u[c] for c in self.pivots) for u in exponents]
         self.columns = list(zip(*self.points))
-        self._rows, self._multiplicities, self._faces = {}, {}, {}
+        self._rows, self._multiplicities = {}, {}
 
     @functools.cached_property
     def subsets(self):
@@ -242,35 +239,6 @@ class _Support:
         if tie not in self._multiplicities:
             self._multiplicities[tie] = _segment_multiplicity(self.exponents, tie)
         return self._multiplicities[tie]
-
-    def faces(self, sigma, budget):
-        """(edges, two_faces) of the maximal cell sigma: each edge as
-        (edge, its indices sorted, the 2-faces that contain it), where a
-        2-face contains an edge when it holds the edge's two smallest
-        indices, and the 2-faces.  The first call charges budget before
-        each step of _edges_and_two_faces and keeps the charges with the
-        faces; a later call charges the same amounts in the same order, so
-        a budget refuses at the same step whether or not the faces are
-        kept."""
-        if sigma in self._faces:
-            charges, found = self._faces[sigma]
-            for ops in charges:
-                budget.spend(ops)
-            return found
-        charges = []
-
-        def spend(ops):
-            budget.spend(ops)
-            charges.append(ops)
-
-        es, fs = _edges_and_two_faces(self.points, sigma, self.d, spend)
-        edges = []
-        for e in es:
-            tie = tuple(sorted(e))
-            edges.append((e, tie, [f for f in fs if tie[0] in f and tie[1] in f]))
-        self._faces[sigma] = charges, (edges, fs)
-        return edges, fs
-
 
 @functools.lru_cache(maxsize=_SUPPORT_CACHE_SIZE)
 def _support(exponents, rank):
@@ -377,12 +345,12 @@ def corner_locus(data: TropicalData, rank) -> PolyhedralComplex:
     containing an edge give its facets (_cell_key), so each cell is
     built once as a Polyhedron of row keys and sorted on (sorted tie, P),
     the order of Cell.sort_key.  What no place changes (the pivots,
-    each (d+1)-subset's elimination, the pair rows, the multiplicities,
-    and the edges and 2-faces of each maximal cell) is kept per support in
-    _support, shared by the loci of one polynomial at every place.  Every
-    step is charged to a _Budget of MAX_CORNER_OPS before it runs, at its
-    uncached estimate, the scan of the C(s, d + 1) subsets of the s terms
-    included; past it CornerLocusTooLarge is raised.
+    each (d+1)-subset's elimination, the pair rows and the multiplicities)
+    is kept per support in _support, shared by the loci of one polynomial
+    at every place.  Every step is charged to a _Budget of MAX_CORNER_OPS
+    before it runs, at its uncached estimate, the scan of the C(s, d + 1)
+    subsets of the s terms included; past it CornerLocusTooLarge is
+    raised.
     """
     exps, shifts = data.exponents, data.shifts
     s = len(exps)
@@ -396,10 +364,13 @@ def corner_locus(data: TropicalData, rank) -> PolyhedralComplex:
         ints = [0] * rank
         for c, x in zip(pivots, nums):
             ints[c] = x
-        es, fs = support.faces(sigma, budget)
+        es, fs = _edges_and_two_faces(support.points, sigma, d, budget.spend)
         for f in fs:
             two_cells.setdefault(f, (ints, den))
-        for e, tie, in_faces in es:
+        for e in es:
+            # a 2-face contains an edge when it holds the edge's two smallest indices
+            tie = tuple(sorted(e))
+            in_faces = (f for f in fs if tie[0] in f and tie[1] in f)
             edges.setdefault(e, (tie, set()))[1].update(in_faces)
     budget.spend(sum(len(fs) * (len(fs) + 2) for _, fs in edges.values()) * rank)
     keyed = sorted(

@@ -6,8 +6,15 @@ definitions of ``src/amoebas``: a function, a class, or an assigned name.
 ``m.n``, and ``from . import m`` resolves ``m.x`` to ``m.x``, so two modules'
 definitions of one name stay distinct.  Whatever the walk does not reach
 must be on the reserved list below; test-only oracles live in conftest.
+
+Two more checks keep the package light to start and its memos counted: the
+command line imports no numerical library until a command needs one, and
+the process-wide caches are the listed ones.
 """
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import amoebas
@@ -19,6 +26,11 @@ PACKAGE = Path(amoebas.__file__).parent
 # scan_arch_ray.  Code that a later change calls comes back with its
 # caller.
 RESERVED = {"classify.classify_arch_point"}
+
+# The functools caches on src/ functions, each kept because removing it was
+# measured to cost (CHANGES.md has the figures).  A new cache joins this
+# list with its measurement.
+CACHED = {"cli.build_parser", "polyhedral.keyed_interior_point", "tropical._support"}
 
 
 def _modules():
@@ -131,3 +143,33 @@ def test_every_test_module_import_is_read():
     for path in sorted(Path(__file__).parent.glob("*.py")):
         unused += _unread_imports(path.stem, ast.parse(path.read_text()), counted)
     assert unused == []
+
+
+def _dotted(node):
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return f"{_dotted(node.value)}.{node.attr}"
+    return getattr(node, "id", "")
+
+
+def test_process_wide_caches_are_the_listed_ones():
+    caches = {"functools.lru_cache", "functools.cache", "lru_cache", "cache"}
+    cached = {
+        f"{mod}.{node.name}"
+        for mod, tree in _modules().items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(_dotted(dec) in caches for dec in node.decorator_list)
+    }
+    assert cached == CACHED
+
+
+def test_command_line_imports_no_numerical_library():
+    # numpy, sympy and mpmath are imported where a command first needs them
+    code = 'import sys, amoebas.cli; print(sorted({"numpy", "sympy", "mpmath"} & set(sys.modules)))'
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+    )
+    assert done.returncode == 0 and done.stdout == "[]\n", done.stdout + done.stderr

@@ -420,6 +420,11 @@ class TestFactorization:
         f = rf((-2, 1, 6), (6,))
         assert irreducible_factors(f) == (rf((-1, 2), (2,)), rf((2, 3), (3,)))
 
+    def test_refuses_a_denominator(self):
+        # z / (z + 1): factoring the numerator alone would answer (z,)
+        with pytest.raises(ValueError):
+            irreducible_factors(RationalFunction((1, 0), (1, 1)))
+
 
 _INT_POLYS = st.lists(st.integers(-6, 6), max_size=4)  # lowest coefficient first
 _TEXT_COEFFS = st.lists(st.fractions(-9, 9, max_denominator=7), min_size=1, max_size=4).filter(any)

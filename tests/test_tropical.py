@@ -798,10 +798,10 @@ class TestCoveredSubsets:
 
 
 class TestFacesPerSupport:
-    """Each maximal cell's edges and 2-faces are found once per support,
-    with the budget charged before each step; a cell found again charges
-    the same amounts in the same order, so a budget refuses at the same
-    step whether the table is cold or warm."""
+    """Each maximal cell's edges and 2-faces are found by every locus that
+    reaches the cell, with the budget charged before each step, so no
+    charge depends on what the support table (_support) holds: a budget
+    refuses at the same step whether that table is cold or warm."""
 
     @staticmethod
     def charges(exps, shifts, rank, bound=None):
