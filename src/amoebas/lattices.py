@@ -41,10 +41,11 @@ def primitive_vector(v) -> tuple[int, ...]:
 
 def _eliminate(M, ncols):
     """Fraction-free Gauss-Jordan elimination of the integer rows M in
-    place, over their first ncols columns.  Returns (pivot columns, det):
-    afterwards each pivot row is zero in the other pivot columns and every
-    pivot entry equals det, the last pivot (1 when there is none).  The
-    divisions are exact, as in Bareiss's method."""
+    place, over their first ncols columns.  Returns (pivot columns, det),
+    det > 0: afterwards each pivot row is zero in the other pivot columns
+    and every pivot entry equals det, the last pivot (1 when there is
+    none), the rows negated once when it is negative.  The divisions are
+    exact, as in Bareiss's method."""
     pivots, prev = [], 1
     for c in range(ncols):
         k = len(pivots)
@@ -61,7 +62,9 @@ def _eliminate(M, ncols):
         pivots.append(c)
         if len(pivots) == len(M):
             break
-    return pivots, prev
+    if prev < 0:
+        M[:] = [[-x for x in row] for row in M]
+    return pivots, abs(prev)
 
 
 def independent_subset(rows) -> list[int]:

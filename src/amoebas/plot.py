@@ -1,9 +1,10 @@
 """SVG rendering of rank-2 complexes and archimedean membership scans.
 
 Everything is drawn by clipping cells to a square viewport.  Every cell of
-a rank-2 corner locus states its tie equality, so its clip lies on a line
-and is read off it: empty, one point or a segment.  Rationals are converted
-to floats at render time only.  Output is deterministic text.
+a rank-2 corner locus states its tie equality, so its clip lies on a line:
+empty, one point or a segment, whose ends maximize finds along the line
+both ways.  Rationals are converted to floats at render time only.  Output
+is deterministic text.
 """
 from __future__ import annotations
 
@@ -14,15 +15,7 @@ from fractions import Fraction
 from .classify import INSIDE, LOPSIDED, TRIANGLE, _Part
 from .errors import DimensionMismatch
 from .lattices import identity
-from .polyhedral import (
-    PolyhedralComplex,
-    _end,
-    _frame,
-    _on_line,
-    _point_on,
-    intersect,
-    polyhedron,
-)
+from .polyhedral import PolyhedralComplex, intersect, maximize, polyhedron
 
 # Points per side of an archimedean scan, which tests grid_n squared points.
 MAX_GRID_N = 201
@@ -69,19 +62,18 @@ def render_complex_svg(C: PolyhedralComplex, extent=4, size=480) -> str:
     ]
     for cell in C.cells:
         P = intersect(cell.polyhedron, box)
-        frame, st, bounds = _on_line(P, _frame(P, 1))
-        if bounds is None:
+        # the clip's ends, first the one where (-b, a) . v is least, for the tie row (a, b)
+        a, b = P.eqs[0][0]
+        high, p = maximize((b, -a), P)
+        if high is None:
             continue
-        p, q = (_point_on(frame, *_end(st, i)) for i in bounds)
-        if p == q:
+        low, q = maximize((-b, a), P)
+        p, q = ([x / d for x in ints] for ints, d in (p, q))
+        if high == -low:
             parts.append(
                 f'<circle cx="{_fmt(sx(p[0]))}" cy="{_fmt(sy(p[1]))}" r="3" fill="black"/>'
             )
             continue
-        # first the end where (-b, a) . v is least, for the tie row (a, b)
-        (a, b), col = P.eqs[0][0], frame[1]
-        if a * col[1] - b * col[0] < 0:
-            p, q = q, p
         parts.append(
             f'<line x1="{_fmt(sx(p[0]))}" y1="{_fmt(sy(p[1]))}" '
             f'x2="{_fmt(sx(q[0]))}" y2="{_fmt(sy(q[1]))}" '
@@ -104,6 +96,8 @@ def render_arch_scan_svg(f, center=(0, 0), radius=3, grid_n=41, size=480) -> str
         raise ValueError("a scan needs at least 2 grid points per side")
     if grid_n > MAX_GRID_N:
         raise ValueError(f"a scan takes at most {MAX_GRID_N} grid points per side")
+    if len(center) != 2:
+        raise ValueError(f"a scan center needs two coordinates, got {len(center)}")
     cx, cy = (Fraction(c) for c in center)
     radius = Fraction(radius)
     part = _Part(f, None, None)

@@ -8,8 +8,9 @@ each row primitive, an equality's first nonzero entry positive, and the
 rows of each kind sorted and deduplicated on their keys.  intersect()
 merges the rows of canonical polyhedra the same way without canonicalizing
 them again.  A Polyhedron stores no Fraction: Fractions appear in
-polyhedron()'s input, the read-only equalities and inequalities views, and
-the values and points returned.
+polyhedron()'s input, the read-only equalities and inequalities views, the
+values returned and lp_solve's certificates; keyed_interior_point and
+maximize answer points as ints over one positive denominator.
 
 The LP solver is a two-phase tableau simplex with Bland's rule, so
 termination is guaranteed.  Its tableau holds Python ints over one common
@@ -27,9 +28,7 @@ twice.  With at most one free direction that point, redundancy removal and
 maximize read their answers off the interval of z with integer
 comparisons, each answer checked like an LP's; with k >= 2 the point takes
 one slack LP per round and redundancy removal one LP per row, each over
-the k coordinates of z.  maximize returns the maximizer, where that is one
-point, as ints over one positive denominator.
-A minimum is the maximum of the negated objective.
+the k coordinates of z.  A minimum is the maximum of the negated objective.
 """
 from __future__ import annotations
 
@@ -396,9 +395,9 @@ def _tightest(st):
 
 def _frame(P, most=math.inf):
     """The stated equalities of P, read off their ints, solved once into
-    the frame (x0, cols, den), integer with den > 0: the
-    solutions are (x0 + sum_j z_j cols[j]) / den for real z, one column per
-    free direction.  None when there are more than most free directions,
+    the frame (x0, cols, den), integer with den > 0 as _eliminate's det is
+    positive: the solutions are (x0 + sum_j z_j cols[j]) / den for real z,
+    one column per free direction.  None when there are more than most free directions,
     and "empty" when the equalities are inconsistent.  The elimination
     carries identity columns, so inconsistent equalities leave a
     combination reading 0 = nonzero, which is checked as a Farkas
@@ -423,8 +422,6 @@ def _frame(P, most=math.inf):
     for col, f in zip(cols, free):
         col[f] = det
     den = D * det
-    if den < 0:
-        x0, den = [-x for x in x0], -den
     if any(_dot(row, x0) * D != b * den or any(_dot(row, col) for col in cols) for row, b in zip(rows, rhs)):
         raise InternalInvariantError("the frame misses a stated equality")
     return tuple(x0), tuple(map(tuple, cols)), den
@@ -498,17 +495,11 @@ def _on_frame(frame, zn, zd):
     return tuple(a * zd + c * zn for a, c in zip(x0, col)), den * zd
 
 
-def _point_on(frame, zn, zd):
-    """The point of _on_frame as Fractions."""
-    ints, d = _on_frame(frame, zn, zd)
-    return tuple(Fraction(v, d) for v in ints)
-
-
 def _implicit_on_line(P, frame, st, bounds):
-    """A relative-interior point of P off its line, or None when P is
-    empty: a row is an implicit equality exactly when it is tight at the
-    midpoint of the interval of z, and the point, checked in P on the row
-    keys' ints, must be strict on exactly the other rows."""
+    """A relative-interior point (ints, d) of P off its line, or None when
+    P is empty: a row is an implicit equality exactly when it is tight at
+    the midpoint of the interval of z, and the point, checked in P on the
+    row keys' ints, must be strict on exactly the other rows."""
     if bounds is None:
         return None
     zn, zd = _midpoint(st, *bounds)
@@ -517,13 +508,13 @@ def _implicit_on_line(P, frame, st, bounds):
     gaps = lambda keys: [_dot(row, ints) * rd - num * d for row, num, rd in keys]
     if any(gaps(P.eqs)) or any(g > 0 or (g < 0) == (i in implicit) for i, g in enumerate(gaps(P.ineqs))):
         raise InternalInvariantError("the point on the line is not strict exactly off the implicit rows")
-    return _point_on(frame, zn, zd)
+    return ints, d
 
 
 def _implicit_by_lps(ineqs, x0, cols, den):
-    """A relative-interior point of P, or None when P is empty, found in
-    the k coordinates z of P's frame (k = len(cols)), where each of P's
-    inequality keys ineqs is the integer row s z <= t of _frame_rows.
+    """A relative-interior point (ints, d) of P, or None when P is empty,
+    found in the k coordinates z of P's frame (k = len(cols)), where each
+    of P's inequality keys ineqs is the integer row s z <= t of _frame_rows.
     Each round maximizes u <= 1 subject to s z + u <= t on the rows not
     yet known to be implicit equalities, with the rest kept as equalities.
     Infeasible or u < 0: P is empty.  u > 0: the point is relatively
@@ -543,7 +534,7 @@ def _implicit_by_lps(ineqs, x0, cols, den):
             return None
         if res.value > 0:
             z, d = integer_row(res.point[:k])
-            return tuple(Fraction(a * d + _dot(z, c), den * d) for a, *c in zip(x0, *cols))
+            return tuple(a * d + _dot(z, c) for a, *c in zip(x0, *cols)), den * d
         found = {i for i, lam in zip(free, res.multipliers[len(eqs):]) if lam > 0}
         if not found:
             raise InternalInvariantError("a zero-slack round found no implicit equality")
@@ -552,12 +543,12 @@ def _implicit_by_lps(ineqs, x0, cols, den):
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def keyed_interior_point(P):
-    """(point, frame) for the polyhedron P, or None when P is empty: point
-    is a rational point of P strict on every row that is not an implicit
-    equality, and frame is what _frame solved P's stated equalities into,
-    so that keyed_reduction need not solve it again.  Cached on P, which
-    holds ints alone, so that no Fraction is hashed, and which is equal to
-    the plain tuple (rank, eqs, ineqs).  The point is read off the line
+    """((ints, den), frame) for the polyhedron P, or None when P is empty:
+    ints / den, den > 0, is a point of P strict on every row that is not an
+    implicit equality, and frame is what _frame solved P's stated
+    equalities into, so that keyed_reduction need not solve it again.
+    Cached on P, which holds ints alone, so that no Fraction is hashed, and
+    which is equal to the plain tuple (rank, eqs, ineqs).  The point is read off the line
     when P's equalities leave at most one free direction, else found by
     one slack LP per round in the coordinates of P's frame."""
     frame = _frame(P)

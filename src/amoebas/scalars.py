@@ -102,6 +102,9 @@ class RationalFunction:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        # a constant equals its Fraction, so it hashes as that Fraction
+        if self.is_constant():
+            return hash(Fraction(self.num[0] if self.num else 0, self.den[0]))
         return hash(("RationalFunction", self.num, self.den))
 
     def __neg__(self):

@@ -40,7 +40,6 @@ from .errors import (
 )
 from .lattices import (
     _eliminate,
-    integer_row,
     mat_vec,
     primitive_vector,
     rank_of_rows,
@@ -180,10 +179,7 @@ class _Support:
             pivots, den = _eliminate(M, d)
             if len(pivots) < d:
                 continue
-            T = [row[d:] for row in M]
-            if den < 0:
-                T, den = [[-x for x in row] for row in T], -den
-            out.append((S, T, den))
+            out.append((S, [row[d:] for row in M], den))
         return out
 
     def maximal_cells(self, shifts):
@@ -497,17 +493,16 @@ def prevariety(system, place) -> PolyhedralComplex:
     where its tie set attains the minimum, so a raw piece P is where each
     constraint's tie set does.  A piece merges the row keys of its
     nonempty cells (intersect), so it holds ints alone and hashes no
-    Fraction.  Each piece is asked once for a relative-interior point and
-    the frame of its equalities (keyed_interior_point), None exactly when
-    P is empty.  Name
-    a nonempty P by its argmin tuple T, the terms of each constraint
-    minimal at that point.  On P each term's gap above the minimum is
-    affine and nonnegative, so it vanishes on all of P or is positive on
-    its relative interior.  Hence
-    P = {v : T_i lies in argmin_i(v) for every i}, equal tuples name equal
-    pieces, and P lies in Q exactly when T_Q lies in T_P entry by entry.
-    The tuple is held as one bit mask (_argmin_mask), read off the point
-    scaled to integers once, so equal masks are equal tuples and S | T == T
+    Fraction.  Each piece is asked once for a relative-interior point, as
+    ints over one denominator, and the frame of its equalities
+    (keyed_interior_point), None exactly when P is empty.  Name a nonempty
+    P by its argmin tuple T, the terms of each constraint minimal at that
+    point.  On P each term's gap above the minimum is affine and
+    nonnegative, so it vanishes on all of P or is positive on its relative
+    interior.  Hence P = {v : T_i lies in argmin_i(v) for every i}, equal
+    tuples name equal pieces, and P lies in Q exactly when T_Q lies in T_P
+    entry by entry.  The tuple is held as one bit mask (_argmin_mask), read
+    off the point's ints, so equal masks are equal tuples and S | T == T
     says S lies in T entry by entry.  The first piece of each mask in
     product order is kept when no other mask lies below it (_below), with
     its frame, and only kept pieces get redundancy removal, with that
@@ -534,8 +529,7 @@ def prevariety(system, place) -> PolyhedralComplex:
         found = keyed_interior_point(P)
         if found is None:
             continue
-        point, frame = found
-        ints, den = integer_row(point)
+        (ints, den), frame = found
         pieces.setdefault(_argmin_mask(tropdata, ints, den), (P, frame))
     keep = [piece for T, piece in pieces.items() if not any(_below(S, T) for S in pieces)]
     return make_complex(system.rank, [Cell(keyed_reduction(P, frame)) for P, frame in keep])

@@ -704,10 +704,14 @@ def reference_affine_hull(P):
 
 
 def relative_interior_point(P):
-    """The point of keyed_interior_point on P: a point of P strict on
-    every row that is not an implicit equality, or None when P is empty."""
+    """The point of keyed_interior_point on P, as Fractions: a point of P
+    strict on every row that is not an implicit equality, or None when P
+    is empty."""
     found = keyed_interior_point(P)
-    return None if found is None else found[0]
+    if found is None:
+        return None
+    ints, den = found[0]
+    return tuple(Fraction(x, den) for x in ints)
 
 
 def hull_rows(P):

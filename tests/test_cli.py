@@ -1035,6 +1035,15 @@ class TestRejectedValues:
         assert code == 2 and out == "" and not out_path.exists()
         assert json.loads(err)["error"]["code"] == "input-error"
 
+    @pytest.mark.parametrize("center", ["0", "0,0,0"])
+    def test_scan_center_needs_two_coordinates(self, capsys, tmp_path, center):
+        out_path = tmp_path / "out"
+        argv = ["plot", "--f", "x1+x2-2", "--arch-scan", "--center", center, "--out", str(out_path)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and not out_path.exists()
+        error = json.loads(err)["error"]
+        assert error["code"] == "input-error" and "center" in error["message"]
+
     # past the caps on sampler trials per scanned half-line and on scan
     # points per side: refused before any polynomial is parsed or grid built
     @pytest.mark.parametrize(

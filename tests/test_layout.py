@@ -7,9 +7,10 @@ definitions of ``src/amoebas``: a function, a class, or an assigned name.
 definitions of one name stay distinct.  Whatever the walk does not reach
 must be on the reserved list below; test-only oracles live in conftest.
 
-Two more checks keep the package light to start and its memos counted: the
-command line imports no numerical library until a command needs one, and
-the process-wide caches are the listed ones.
+Three more checks keep the package light to start, its memos counted and
+its private names private: the command line imports no numerical library
+until a command needs one, and the process-wide caches and the underscore
+names imported across modules are the listed ones.
 """
 import ast
 import os
@@ -31,6 +32,11 @@ RESERVED = {"classify.classify_arch_point"}
 # measured to cost (CHANGES.md has the figures).  A new cache joins this
 # list with its measurement.
 CACHED = {"cli.build_parser", "polyhedral.keyed_interior_point", "tropical._support"}
+
+# The underscore names that one package module imports from another, each
+# a deliberate exception to what a module keeps to itself; a new one joins
+# this list on purpose.
+PRIVATE_IMPORTS = {"lattices._eliminate", "classify._Part"}
 
 
 def _modules():
@@ -173,3 +179,15 @@ def test_command_line_imports_no_numerical_library():
         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
     )
     assert done.returncode == 0 and done.stdout == "[]\n", done.stdout + done.stderr
+
+
+def test_private_cross_module_imports_are_the_listed_ones():
+    imported = {
+        f"{node.module}.{a.name}"
+        for tree in _modules().values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+        for a in node.names
+        if a.name.startswith("_")
+    }
+    assert imported == PRIVATE_IMPORTS

@@ -597,12 +597,12 @@ class TestKeyedPath:
         assert (found is None) == is_empty(P)
         if found is None:
             return
-        point, frame = found
-        assert frame == polyhedral._frame(P)
+        (ints, den), frame = found
+        assert den > 0 and frame == polyhedral._frame(P)
         _, implicit = reference_affine_hull(P)
-        assert contains_point(P, point)
+        assert contains_point(P, ints, den)
         for (row, rhs), tight in zip(P.inequalities, implicit):
-            assert (sum(a * b for a, b in zip(row, point)) < rhs) != tight
+            assert (sum(a * b for a, b in zip(row, ints)) < rhs * den) != tight
         assert keyed_reduction(P, frame) == reference_remove_redundancy(P)
 
 
@@ -1064,9 +1064,9 @@ class TestHashOfFields:
         Q = polyhedron(P.rank, rows(P.equalities), rows(P.inequalities))
         assert P == Q and P is not Q
         assert hash(P) == hash(Q)
-        x = relative_interior_point(P)  # a cache lookup stores the point under P
+        found = keyed_interior_point(P)  # a cache lookup stores the point under P
         R = polyhedron(P.rank, rows(P.equalities), rows(P.inequalities))
-        assert {P: 1}[R] == 1 and relative_interior_point(R) is x
+        assert {P: 1}[R] == 1 and keyed_interior_point(R) is found
         assert hash(P) == hash(Q) == hash(R)
 
 

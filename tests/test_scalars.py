@@ -521,6 +521,16 @@ class TestRationalFunction:
         assert (got.num, got.den) == (want.num, want.den)
         assert_canonical(got)
 
+    @given(st.fractions(max_denominator=10**6))
+    def test_a_constant_hashes_as_the_value_it_equals(self, c):
+        # equal objects hash equal, so a constant and its Fraction (or int)
+        # are one element of a set
+        const = RationalFunction.const(c)
+        assert const == c and hash(const) == hash(c)
+        assert len({const, c}) == 1 and c in {const}
+        if c.denominator == 1:
+            assert int(c) in {const} and hash(const) == hash(int(c))
+
     def test_constants_and_zero(self):
         assert RationalFunction.const(Fraction(-3, 2)).num == (-3,)
         assert RationalFunction.const(Fraction(-3, 2)).den == (2,)
